@@ -71,6 +71,8 @@ class BoundaryData:
             a = np.ascontiguousarray(self.samples[side], dtype=float)
             if a.shape != (n, 2):
                 raise ValueError(f"side {side!r}: expected shape {(n, 2)}, got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"side {side!r}: non-finite boundary values")
             a.flags.writeable = False
             clean[side] = a
         object.__setattr__(self, "samples", clean)

@@ -615,7 +615,7 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     rep.metric("mms_orders", orders)
     rep.check_ge("mms_order", min(orders), 1.5,
                  f"orders {[f'{o:.3f}' for o in orders]}")
-    rep.check_le("cross_gap", max(r[2] for r in rows), 1e-6,
+    rep.check_le("cross_gap", max(r[2] for r in rows), 1e-8,
                  "curl of the clamped stream matches the mixed solve")
     rep.check_le("curl_divergence", max(r[3] for r in rows), 1e-13)
 

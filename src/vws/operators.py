@@ -295,12 +295,18 @@ class CGResult:
 
 
 def cg_solve(A, b, rel_tol: float = 1e-10, max_iter: int | None = None,
-             x0=None, diag=None) -> CGResult:
+             x0=None, precond=None) -> CGResult:
     """Conjugate gradients for SPD systems.
 
     A may be anything with matrix-vector product via ``A @ x`` or a callable.
-    ``diag`` enables Jacobi (diagonal) scaling.  Raises NonConvergence carrying
-    the best iterate seen when the iteration cap is hit.
+    ``precond`` is an SPD preconditioner given as a callable r -> M^-1 r
+    (Jacobi scaling is ``lambda r: r / d``).  The stopping rule is on the
+    true, unpreconditioned residual ||b - A x|| <= rel_tol ||b||, checked
+    whenever the recursive residual passes the target or stops improving.
+    Raises NonConvergence carrying the best iterate seen and its true
+    residual when the iteration cap is hit, or at once when a true-residual
+    check fails without improving on the previous one (rel_tol below the
+    rounding floor of the system).
     """
     matvec = A if callable(A) else (lambda v: A @ v)
     b = np.asarray(b, dtype=float).ravel()
@@ -313,11 +319,11 @@ def cg_solve(A, b, rel_tol: float = 1e-10, max_iter: int | None = None,
     x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
     r = b - matvec(x) if x.any() else b.copy()
     tol = rel_tol * bnorm
-    inv_diag = None if diag is None else 1.0 / np.asarray(diag, dtype=float)
-    z = r if inv_diag is None else inv_diag * r
+    z = r if precond is None else precond(r)
     p = z.copy()
     rz = float(r @ z)
-    best_x, best_res = x.copy(), float(np.linalg.norm(r))
+    best_x, best_res, best_it = x.copy(), float(np.linalg.norm(r)), 0
+    last_true, next_check, it = np.inf, 0, 0
     for it in range(1, max_iter + 1):
         Ap = matvec(p)
         alpha = rz / float(p @ Ap)
@@ -325,22 +331,35 @@ def cg_solve(A, b, rel_tol: float = 1e-10, max_iter: int | None = None,
         r -= alpha * Ap
         res = float(np.linalg.norm(r))
         if res < best_res:
-            best_res, best_x = res, x.copy()
-        if res <= tol:
-            # recursion can drift; confirm with the true residual
+            best_res, best_x, best_it = res, x.copy(), it
+        # the recursion can drift from the true residual, and at the rounding
+        # floor it can wander without passing tol: confirm with the true
+        # residual when it claims convergence, or when it has gone as many
+        # iterations (at least 20) without a new best as it took to reach
+        # the last one
+        stalled = it - best_it >= max(best_it, 20) and it >= next_check
+        if res <= tol or stalled:
             r_true = b - matvec(x)
             res_true = float(np.linalg.norm(r_true))
             if res_true <= tol * 1.5:
                 return CGResult(x, it, res_true, res_true / bnorm)
+            if res_true >= last_true:
+                why = "stalled at the rounding floor"
+                break
+            last_true, next_check = res_true, 2 * it
             r = r_true
-        z = r if inv_diag is None else inv_diag * r
+        z = r if precond is None else precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
+    else:
+        why = "iteration cap reached"
+    # the recursive residual of best_x may sit far below its true residual
+    best_true = float(np.linalg.norm(b - matvec(best_x)))
     raise NonConvergence(
-        f"cg: no convergence in {max_iter} iterations "
-        f"(best residual {best_res:.3e}, target {tol:.3e})",
-        best_x=best_x, residual=best_res, iterations=max_iter,
+        f"cg: no convergence in {it} iterations, {why} "
+        f"(best true residual {best_true:.3e}, target {tol:.3e})",
+        best_x=best_x, residual=best_true, iterations=it,
     )
 
 

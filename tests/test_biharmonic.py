@@ -6,8 +6,8 @@ import pytest
 from vws.biharmonic import (
     StreamFunction,
     apply_biharmonic,
-    biharmonic_diagonal,
     biharmonic_load,
+    simply_supported_inverse,
     solve_biharmonic,
     velocity_from_stream,
     write_stream,
@@ -79,14 +79,41 @@ def test_operator_symmetric_positive():
         assert float(np.sum(ax * x)) > 0.0
 
 
-def test_diagonal_matches_operator():
+def _dirichlet_laplacian(grid, x):
+    # 5-point -Laplacian on interior nodes, boundary nodes held at zero
+    p = np.pad(x, 1)
+    return (4.0 * p[1:-1, 1:-1] - p[:-2, 1:-1] - p[2:, 1:-1]
+            - p[1:-1, :-2] - p[1:-1, 2:]) / grid.h ** 2
+
+
+def test_operator_splits_as_simply_supported_plus_wall_diagonal():
+    # clamped 13-point operator = L_D^2 + diag(2/h^4 per adjacent wall)
     grid = build_grid(10)
-    d = biharmonic_diagonal(grid)
-    for i, j in [(0, 0), (4, 4), (0, 5), (8, 8)]:
+    for (i, j), walls in [((0, 0), 2), ((8, 8), 2), ((0, 5), 1), ((3, 8), 1),
+                          ((4, 4), 0), ((1, 1), 0)]:
         e = np.zeros((9, 9))
         e[i, j] = 1.0
-        assert apply_biharmonic(grid, e)[i, j] == pytest.approx(d[i, j],
-                                                                rel=1e-14)
+        diff = apply_biharmonic(grid, e) - _dirichlet_laplacian(
+            grid, _dirichlet_laplacian(grid, e))
+        expected = np.zeros((9, 9))
+        expected[i, j] = 2.0 * walls / grid.h ** 4
+        assert np.abs(diff - expected).max() <= 1e-12 / grid.h ** 4
+
+
+def test_simply_supported_inverse_is_exact():
+    grid = build_grid(12)
+    x = np.random.default_rng(5).standard_normal((11, 11))
+    y = _dirichlet_laplacian(grid, _dirichlet_laplacian(grid, x))
+    back = simply_supported_inverse(grid)(y.ravel()).reshape(11, 11)
+    assert np.abs(back - x).max() <= 1e-11 * np.abs(x).max()
+
+
+def test_lid_iterations_mesh_independent():
+    # measured 17, 24 and 32; a count that grows like n^2 fails at n = 64
+    for n in (32, 64, 128):
+        grid = build_grid(n)
+        st = solve_biharmonic(grid, _lid(grid))
+        assert st.diagnostics["iterations"] <= 60
 
 
 def test_cross_check_against_saddle_solver():
@@ -95,7 +122,7 @@ def test_cross_check_against_saddle_solver():
     st = solve_biharmonic(grid, g)
     u_bi = velocity_from_stream(st)
     u_mac = solve_boundary(grid, g).velocity
-    assert l2_norm_omega(u_bi - u_mac) <= 1e-6
+    assert l2_norm_omega(u_bi - u_mac) <= 1e-8
     assert np.abs(divergence(u_bi).p).max() <= 1e-13
 
 
@@ -139,6 +166,14 @@ def test_load_shape_validation():
     g = BoundaryData.zeros(grid)
     with pytest.raises(ValueError):
         biharmonic_load(grid, g, f_nodes=np.zeros((5, 5)))
+
+
+def test_rejects_non_finite_source():
+    grid = build_grid(16)
+    src = np.zeros((17, 17))
+    src[5, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_biharmonic(grid, BoundaryData.zeros(grid), f_nodes=src)
 
 
 def test_stream_shape_validation():

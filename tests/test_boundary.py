@@ -134,3 +134,16 @@ def test_write_read_roundtrip(tmp_path):
     back = read_boundary_data(path, grid)
     for side in SIDES:
         assert np.allclose(back.samples[side], g.samples[side], atol=1e-12)
+
+
+def test_rejects_non_finite_samples():
+    # unchecked, a single NaN sample flows through the saddle solve into a
+    # NaN velocity without an error
+    grid = build_grid(16)
+    samples = {side: cavity_g(grid).samples[side].copy() for side in SIDES}
+    samples["top"][3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        BoundaryData(grid, samples)
+    with pytest.raises(ValueError, match="non-finite"), \
+            np.errstate(invalid="ignore"):
+        cavity_g(grid) * np.inf

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.io
+from scipy.linalg import hilbert
 
 from vws.boundary import outward_normal_data
 from vws.errors import NonConvergence
@@ -148,7 +149,7 @@ def test_cg_jacobi_preconditioner():
     d = 1.0 + rng.random(30) * 100.0
     A = np.diag(d)
     b = rng.standard_normal(30)
-    res = cg_solve(lambda x: A @ x, b, rel_tol=1e-13, diag=d)
+    res = cg_solve(lambda x: A @ x, b, rel_tol=1e-13, precond=lambda r: r / d)
     assert np.abs(res.x - b / d).max() <= 1e-12
 
 
@@ -159,6 +160,24 @@ def test_cg_nonconvergence_raises():
     b = rng.standard_normal(20)
     with pytest.raises(NonConvergence):
         cg_solve(lambda x: S @ x, b, rel_tol=1e-14, max_iter=2)
+
+
+def test_cg_stall_below_rounding_floor_raises_early():
+    # cond(hilbert(12)) ~ 1.7e16: a 1e-15 target lies below the floor of the
+    # true residual, so the solve must give up long before max_iter
+    H = hilbert(12)
+    calls = [0]
+
+    def matvec(x):
+        calls[0] += 1
+        return H @ x
+
+    with pytest.raises(NonConvergence) as info:
+        cg_solve(matvec, np.ones(12), rel_tol=1e-15, max_iter=100000)
+    assert calls[0] <= 1000
+    best = info.value.best_x
+    assert info.value.residual == pytest.approx(
+        np.linalg.norm(np.ones(12) - H @ best), rel=1e-12)
 
 
 def test_poisson_dst_matches_cg():
