@@ -1,18 +1,16 @@
-"""Manufactured solutions with symbolically derived forcings.
+"""Manufactured solutions with closed-form forcings.
 
 The stationary velocity is the curl of the potential sin^2(pi x) sin^2(pi y),
 so it is exactly divergence free and vanishes on the boundary together with
 the potential's gradient; the pressure is cos(pi x) cos(pi y) (zero mean).
-Forcings are obtained by symbolic differentiation and lambdified once per
-process; tests cross-check them against high-order finite differences.
+The time-dependent pair modulates them by sin(2t) and sin(t).  Forcings are
+written out by hand; tests cross-check them against high-order finite
+differences.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-import sympy as sym
 
 from .grid import PressureField, StaggeredGrid, VelocityField
 
@@ -26,83 +24,118 @@ __all__ = [
     "biharmonic_source",
 ]
 
-_x, _y, _t = sym.symbols("x y t")
+_PI = np.pi
 
 
-@lru_cache(maxsize=None)
-def _stationary():
-    psi = (sym.sin(sym.pi * _x) * sym.sin(sym.pi * _y)) ** 2
-    u1 = sym.diff(psi, _y)
-    u2 = -sym.diff(psi, _x)
-    p = sym.cos(sym.pi * _x) * sym.cos(sym.pi * _y)
-    f1 = -sym.diff(u1, _x, 2) - sym.diff(u1, _y, 2) + sym.diff(p, _x)
-    f2 = -sym.diff(u2, _x, 2) - sym.diff(u2, _y, 2) + sym.diff(p, _y)
-    lam = lambda e: sym.lambdify((_x, _y), sym.simplify(e), "numpy")
-    return tuple(map(lam, (u1, u2, p, f1, f2)))
+def _u1(x, y):
+    return _PI * np.sin(_PI * x) ** 2 * np.sin(2 * _PI * y)
+
+
+def _u2(x, y):
+    return -_PI * np.sin(2 * _PI * x) * np.sin(_PI * y) ** 2
+
+
+def _p(x, y):
+    return np.cos(_PI * x) * np.cos(_PI * y)
+
+
+def _dp_dx(x, y):
+    return -_PI * np.sin(_PI * x) * np.cos(_PI * y)
+
+
+def _dp_dy(x, y):
+    return -_PI * np.cos(_PI * x) * np.sin(_PI * y)
+
+
+def _mlap_u1(x, y):  # -Laplace(u1)
+    return -2 * _PI ** 3 * np.sin(2 * _PI * y) * (2 * np.cos(2 * _PI * x) - 1)
+
+
+def _mlap_u2(x, y):  # -Laplace(u2)
+    return 2 * _PI ** 3 * np.sin(2 * _PI * x) * (2 * np.cos(2 * _PI * y) - 1)
+
+
+def _f1(x, y):
+    return _mlap_u1(x, y) + _dp_dx(x, y)
+
+
+def _f2(x, y):
+    return _mlap_u2(x, y) + _dp_dy(x, y)
 
 
 def stationary_solution():
     """(u1, u2, p) callables of (x, y)."""
-    u1, u2, p, _, _ = _stationary()
-    return u1, u2, p
+    return _u1, _u2, _p
 
 
 def stationary_forcing():
     """(f1, f2) callables of (x, y) with f = -Laplace(u) + grad(p)."""
-    *_, f1, f2 = _stationary()
-    return f1, f2
+    return _f1, _f2
 
 
 def stationary_fields(grid: StaggeredGrid):
     """Exact solution and forcing sampled on the grid."""
-    u1, u2, p = stationary_solution()
-    f1, f2 = stationary_forcing()
-    u = VelocityField.from_functions(grid, u1, u2)
-    f = VelocityField.from_functions(grid, f1, f2)
-    pr = PressureField.from_function(grid, p).zero_mean()
+    u = VelocityField.from_functions(grid, _u1, _u2)
+    f = VelocityField.from_functions(grid, _f1, _f2)
+    pr = PressureField.from_function(grid, _p).zero_mean()
     return u, f, pr
 
 
-@lru_cache(maxsize=None)
-def _time_dependent():
-    # phi(0) = 0 so the plain evolution path (zero initial state) applies
-    phi = sym.sin(2 * _t)
-    psi = (sym.sin(sym.pi * _x) * sym.sin(sym.pi * _y)) ** 2
-    u1 = phi * sym.diff(psi, _y)
-    u2 = -phi * sym.diff(psi, _x)
-    p = sym.sin(_t) * sym.cos(sym.pi * _x) * sym.cos(sym.pi * _y)
-    f1 = sym.diff(u1, _t) - sym.diff(u1, _x, 2) - sym.diff(u1, _y, 2) + sym.diff(p, _x)
-    f2 = sym.diff(u2, _t) - sym.diff(u2, _x, 2) - sym.diff(u2, _y, 2) + sym.diff(p, _y)
-    lam = lambda e: sym.lambdify((_t, _x, _y), sym.simplify(e), "numpy")
-    return tuple(map(lam, (u1, u2, p, f1, f2)))
+# u(t) = sin(2t) u_s and p(t) = sin(t) p_s; sin(0) = 0 so the plain evolution
+# path (zero initial state) applies, and
+# f = du/dt - Laplace(u) + grad(p) = 2 cos(2t) u_s + sin(2t) (-Laplace(u_s))
+#                                    + sin(t) grad(p_s).
+
+
+def _ut1(t, x, y):
+    return np.sin(2 * t) * _u1(x, y)
+
+
+def _ut2(t, x, y):
+    return np.sin(2 * t) * _u2(x, y)
+
+
+def _pt(t, x, y):
+    return np.sin(t) * _p(x, y)
+
+
+def _ft1(t, x, y):
+    return (2 * np.cos(2 * t) * _u1(x, y)
+            + np.sin(2 * t) * _mlap_u1(x, y)
+            + np.sin(t) * _dp_dx(x, y))
+
+
+def _ft2(t, x, y):
+    return (2 * np.cos(2 * t) * _u2(x, y)
+            + np.sin(2 * t) * _mlap_u2(x, y)
+            + np.sin(t) * _dp_dy(x, y))
 
 
 def time_dependent_solution():
     """(u1, u2, p) callables of (t, x, y); the velocity vanishes at t = 0."""
-    u1, u2, p, _, _ = _time_dependent()
-    return u1, u2, p
+    return _ut1, _ut2, _pt
 
 
 def time_dependent_forcing():
     """(f1, f2) callables of (t, x, y) with f = du/dt - Laplace(u) + grad(p)."""
-    *_, f1, f2 = _time_dependent()
-    return f1, f2
+    return _ft1, _ft2
 
 
-@lru_cache(maxsize=None)
-def _biharmonic():
-    psi = (_x * (1 - _x) * _y * (1 - _y)) ** 2
-    lap = sym.diff(psi, _x, 2) + sym.diff(psi, _y, 2)
-    src = sym.diff(lap, _x, 2) + sym.diff(lap, _y, 2)
-    lam = lambda e: sym.lambdify((_x, _y), sym.expand(e), "numpy")
-    return lam(psi), lam(src)
+def _psi(x, y):
+    return (x * (1 - x) * y * (1 - y)) ** 2
+
+
+def _bilaplace_psi(x, y):
+    # with X = x(1-x), Y = y(1-y): d4/dx4 X^2 = 24, d2/dx2 X^2 = 2 - 12 X
+    X, Y = x * (1 - x), y * (1 - y)
+    return 24 * (X ** 2 + Y ** 2) + 2 * (2 - 12 * X) * (2 - 12 * Y)
 
 
 def biharmonic_stream():
     """Clamped test stream x^2 (1-x)^2 y^2 (1-y)^2 as a callable of (x, y)."""
-    return _biharmonic()[0]
+    return _psi
 
 
 def biharmonic_source():
     """Biharmonic of the test stream (polynomial), callable of (x, y)."""
-    return _biharmonic()[1]
+    return _bilaplace_psi

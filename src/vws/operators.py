@@ -13,12 +13,12 @@ Divergence and gradient are exact adjoints of each other under the natural
 Euclidean pairing: <grad p, w> = -<p, div w> for any w vanishing on boundary
 faces, with no quadrature fudge factors.
 
-Two interchangeable solve paths exist for the (optionally shifted) velocity
-Laplacian: hand-written conjugate gradients on the assembled matrix, and an
-exact fast solve by sine-transform diagonalization (the uniform-grid operator
-separates; the ghost-modified rows are exactly the half-offset Dirichlet
-boundary closure, which the type-II sine basis diagonalizes).  Both solve the
-same linear system; tests pin them against each other and against dense LU.
+The (optionally shifted) velocity Laplacian is solved exactly by
+sine-transform diagonalization: the uniform-grid operator separates, and the
+ghost-modified rows are exactly the half-offset Dirichlet boundary closure,
+which the type-II sine basis diagonalizes.  A matrix-free conjugate-gradient
+path on the same stencil is kept as an independent reference; tests pin the
+two against each other.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dst, idst
-from scipy.io import mmwrite
 
 from .boundary import BoundaryData
 from .errors import NonConvergence
@@ -36,7 +34,6 @@ from .grid import StaggeredGrid, VelocityField, PressureField
 
 __all__ = [
     "DirichletBC",
-    "assemble_velocity_laplacian",
     "apply_velocity_laplacian",
     "laplacian_load",
     "divergence",
@@ -47,7 +44,6 @@ __all__ = [
     "cg_solve",
     "CGResult",
     "VelocityPoisson",
-    "write_matrix_market",
 ]
 
 
@@ -99,80 +95,6 @@ class DirichletBC:
         )
 
 
-def _u1_index(n: int):
-    # interior u1 unknowns: i = 1..n-1, j = 0..n-1, row-major in (i, j)
-    return lambda i, j: (i - 1) * n + j
-
-
-def _u2_index(n: int):
-    # interior u2 unknowns: i = 0..n-1, j = 1..n-1
-    return lambda i, j: i * (n - 1) + (j - 1)
-
-
-def assemble_velocity_laplacian(grid: StaggeredGrid, shift: float = 0.0):
-    """Assemble the interior-face operator (-Laplacian + shift) as CSR.
-
-    Unknown ordering: u1 interior block then u2 interior block.  Returns the
-    matrix only; boundary-data load vectors come from :func:`laplacian_load`.
-    """
-    n, h = grid.n, grid.h
-    ih2 = 1.0 / h ** 2
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    idx1 = _u1_index(n)
-    for i in range(1, n):
-        for j in range(n):
-            k = idx1(i, j)
-            diag = 4.0
-            if i > 1:
-                add(k, idx1(i - 1, j), -ih2)
-            if i < n - 1:
-                add(k, idx1(i + 1, j), -ih2)
-            if j > 0:
-                add(k, idx1(i, j - 1), -ih2)
-            else:
-                diag += 1.0
-            if j < n - 1:
-                add(k, idx1(i, j + 1), -ih2)
-            else:
-                diag += 1.0
-            add(k, k, diag * ih2 + shift)
-
-    off = grid.n_u1_interior
-    idx2 = _u2_index(n)
-    for i in range(n):
-        for j in range(1, n):
-            k = off + idx2(i, j)
-            diag = 4.0
-            if j > 1:
-                add(k, off + idx2(i, j - 1), -ih2)
-            if j < n - 1:
-                add(k, off + idx2(i, j + 1), -ih2)
-            if i > 0:
-                add(k, off + idx2(i - 1, j), -ih2)
-            else:
-                diag += 1.0
-            if i < n - 1:
-                add(k, off + idx2(i + 1, j), -ih2)
-            else:
-                diag += 1.0
-            add(k, k, diag * ih2 + shift)
-
-    m = grid.n_u1_interior + grid.n_u2_interior
-    A = sp.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(m, m)
-    )
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
-
-
 def laplacian_load(grid: StaggeredGrid, bc: DirichletBC):
     """Boundary contribution to the right-hand side of A u = b.
 
@@ -200,7 +122,8 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, bc: DirichletBC,
 
     u1, u2 are full face arrays whose boundary faces already hold the normal
     Dirichlet values; tangential ghosts come from bc.  Returns interior-shaped
-    arrays.  Equivalent to A u - load(bc) for the assembled pair.
+    arrays.  Equivalent to A u - load(bc), with A the interior-face operator
+    and load from :func:`laplacian_load`.
     """
     n, h = grid.n, grid.h
     ih2 = 1.0 / h ** 2
@@ -367,8 +290,9 @@ class VelocityPoisson:
     """Solver for (-Laplacian + shift) on interior velocity faces.
 
     method "dst": exact solve by sine-transform diagonalization (default).
-    method "cg": hand-written conjugate gradients on the assembled matrix.
-    Both paths solve the identical linear system.
+    method "cg": matrix-free conjugate gradients on
+    :func:`apply_velocity_laplacian` with zero boundary values, a reference
+    that shares no code with the transform path.
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0,
@@ -388,9 +312,6 @@ class VelocityPoisson:
             lam_cell = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / n)) / h ** 2
             self._den1 = lam_face[:, None] + lam_cell[None, :] + shift
             self._den2 = lam_cell[:, None] + lam_face[None, :] + shift
-            self._A = None
-        else:
-            self._A = assemble_velocity_laplacian(grid, shift)
 
     def solve(self, b1: np.ndarray, b2: np.ndarray):
         """Solve for interior-face arrays from interior-shaped right sides."""
@@ -402,14 +323,19 @@ class VelocityPoisson:
             f2 /= self._den2
             x2 = idst(idst(f2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
             return x1, x2
-        n = self.grid.n
+        grid, n = self.grid, self.grid.n
+        cut = grid.n_u1_interior
+        bc = DirichletBC.zero(grid)
+
+        def matvec(v):
+            u1 = np.zeros((n + 1, n))
+            u2 = np.zeros((n, n + 1))
+            u1[1:n, :] = v[:cut].reshape(n - 1, n)
+            u2[:, 1:n] = v[cut:].reshape(n, n - 1)
+            r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=self.shift)
+            return np.concatenate([r1.ravel(), r2.ravel()])
+
         b = np.concatenate([b1.ravel(), b2.ravel()])
-        res = cg_solve(self._A, b, rel_tol=self.cg_tol, max_iter=self.cg_max_iter)
+        res = cg_solve(matvec, b, rel_tol=self.cg_tol, max_iter=self.cg_max_iter)
         self.inner_iterations += res.iterations
-        cut = self.grid.n_u1_interior
         return res.x[:cut].reshape(n - 1, n), res.x[cut:].reshape(n, n - 1)
-
-
-def write_matrix_market(path, A) -> None:
-    """Dump a sparse matrix in Matrix-Market text format (debugging aid)."""
-    mmwrite(str(path), sp.csr_matrix(A))

@@ -16,14 +16,12 @@ gradients on request).
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .boundary import BoundaryData, compatibility_defect, l2_norm_gamma
+from .boundary import BoundaryData, compatibility_defect
 from .errors import IncompatibleBoundaryData, IncompatibleSource, NonConvergence
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
 from .operators import (
@@ -43,8 +41,6 @@ __all__ = [
     "solve_homogeneous",
     "solve_boundary",
     "residual_report",
-    "append_run_log",
-    "RUN_LOG_COLUMNS",
 ]
 
 
@@ -52,7 +48,7 @@ __all__ = [
 class SolverOptions:
     """Tolerances and method selection shared by all saddle solves."""
 
-    method: str = "dst"        # velocity solve path: "dst" (exact) or "cg"
+    method: str = "dst"        # velocity solve: "dst" (exact) or "cg" (reference)
     div_tol: float = 1e-8      # outer stop: max-norm of the divergence defect
     mom_tol: float = 1e-8      # relative momentum residual the caller may assert
     cg_tol: float = 1e-12      # inner CG relative tolerance (method="cg")
@@ -174,11 +170,15 @@ def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
     """Stokes with zero boundary values, interior forcing f, divergence h_src.
 
     h_src must have zero discrete mean (solvability); otherwise
-    IncompatibleSource is raised.
+    IncompatibleSource is raised.  Non-finite f or h_src raises ValueError.
     """
+    if f is not None and not (np.isfinite(f.u1).all() and np.isfinite(f.u2).all()):
+        raise ValueError("forcing has non-finite values")
     src = None
     if h_src is not None:
         src = h_src.p
+        if not np.isfinite(src).all():
+            raise ValueError("divergence source has non-finite values")
         total = grid.h ** 2 * float(src.sum())
         scale = max(1.0, float(np.abs(src).max()))
         if abs(total) > 1e-12 * scale:
@@ -239,31 +239,3 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
         "boundary_mismatch": mismatch,
         "pressure_mean": sol.pressure.mean(),
     }
-
-
-RUN_LOG_COLUMNS = ["n", "eps", "iters", "div_norm", "mom_res", "u_l2", "g_l2", "ratio"]
-
-
-def append_run_log(path, n: int, eps: float, sol: StokesSolution,
-                   g: BoundaryData) -> dict:
-    """Append one solve record to a comma-separated run log; returns the row."""
-    u_l2 = l2_norm_omega(sol.velocity)
-    g_l2 = l2_norm_gamma(g)
-    row = {
-        "n": n,
-        "eps": eps,
-        "iters": sol.diagnostics.get("outer_iterations"),
-        "div_norm": sol.diagnostics.get("div_max"),
-        "mom_res": sol.diagnostics.get("mom_res"),
-        "u_l2": u_l2,
-        "g_l2": g_l2,
-        "ratio": u_l2 / g_l2 if g_l2 > 0 else float("nan"),
-    }
-    path = Path(path)
-    new = not path.exists()
-    with path.open("a", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=RUN_LOG_COLUMNS)
-        if new:
-            w.writeheader()
-        w.writerow(row)
-    return row

@@ -1,4 +1,4 @@
-"""Cross-check the symbolic forcings against high-order finite differences."""
+"""Cross-check the closed-form forcings against high-order finite differences."""
 
 import numpy as np
 import pytest
@@ -75,8 +75,8 @@ def test_time_dependent_forcing_matches_fd():
 
 
 def test_biharmonic_stream_formula():
-    # the generated callable evaluates the expanded polynomial, so rounding
-    # differs from the factored form at machine precision
+    # the callable may group the polynomial differently, so rounding can
+    # differ from this factored form at machine precision
     psi = biharmonic_stream()
     for x, y in PTS:
         assert psi(x, y) == pytest.approx((x * (1 - x) * y * (1 - y)) ** 2,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 from scipy.linalg import hilbert
 
 from vws.boundary import outward_normal_data
@@ -10,13 +9,11 @@ from vws.operators import (
     DirichletBC,
     VelocityPoisson,
     apply_velocity_laplacian,
-    assemble_velocity_laplacian,
     boundary_divergence,
     cg_solve,
     divergence,
     gradient,
     stream_curl,
-    write_matrix_market,
 )
 
 from support import observed_orders
@@ -193,24 +190,3 @@ def test_poisson_dst_matches_cg():
     den = np.sqrt((w_dst[0] ** 2).sum() + (w_dst[1] ** 2).sum())
     assert num / den <= 1e-9
 
-
-def test_assembled_matrix_matches_apply():
-    rng = np.random.default_rng(17)
-    n = 8
-    grid = build_grid(n)
-    A = assemble_velocity_laplacian(grid)
-    u1, u2 = _random_interior(rng, n)
-    x = np.concatenate([u1[1:n, :].ravel(), u2[:, 1:n].ravel()])
-    y = A @ x
-    r1, r2 = apply_velocity_laplacian(grid, u1, u2, DirichletBC.zero(grid))
-    ref = np.concatenate([r1.ravel(), r2.ravel()])
-    assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    grid = build_grid(4)
-    A = assemble_velocity_laplacian(grid)
-    path = tmp_path / "lap.mtx"
-    write_matrix_market(path, A)
-    back = scipy.io.mmread(str(path)).tocsr()
-    assert (abs(A - back)).max() <= 1e-12

@@ -13,12 +13,10 @@ from vws.errors import (
     IncompatibleSource,
     UnderResolvedWarning,
 )
-from vws.grid import PressureField, build_grid, l2_norm_omega
+from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
 from vws.stokes import (
-    RUN_LOG_COLUMNS,
     SolverOptions,
-    append_run_log,
     residual_report,
     solve_boundary,
     solve_homogeneous,
@@ -125,13 +123,21 @@ def test_cg_velocity_path_matches_dst():
     assert gap <= 1e-6 * l2_norm_omega(sol_dst.velocity)
 
 
-def test_run_log(tmp_path):
-    grid, g = _lid(32)
-    sol = solve_boundary(grid, g)
-    path = tmp_path / "runs.csv"
-    row = append_run_log(path, 32, 0.1, sol, g)
-    append_run_log(path, 32, 0.1, sol, g)
-    assert set(RUN_LOG_COLUMNS) <= set(row)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == RUN_LOG_COLUMNS
-    assert len(lines) == 3
+
+def test_rejects_non_finite_forcing():
+    # a NaN forcing used to come back as a NaN velocity with no error
+    grid = build_grid(16)
+    _, f, _ = stationary_fields(grid)
+    u1 = f.u1.copy()
+    u1[5, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_homogeneous(grid, f=VelocityField(grid, u1, f.u2))
+
+
+def test_rejects_non_finite_divergence_source():
+    # +inf and -inf cancel to a NaN mean, which slipped past the mean check
+    grid = build_grid(16)
+    arr = np.zeros((16, 16))
+    arr[2, 2], arr[9, 9] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_homogeneous(grid, h_src=PressureField(grid, arr))
