@@ -10,6 +10,7 @@ from vws.operators import (
     VelocityPoisson,
     apply_velocity_laplacian,
     boundary_divergence,
+    cahouet_chabard,
     cg_solve,
     divergence,
     gradient,
@@ -190,3 +191,20 @@ def test_poisson_dst_matches_cg():
     den = np.sqrt((w_dst[0] ** 2).sum() + (w_dst[1] ** 2).sum())
     assert num / den <= 1e-9
 
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_neumann_laplacian_is_dct_diagonal(n):
+    # cahouet_chabard(grid, s) maps r = -Delta_N p to r + s p exactly when
+    # its cosine-transform eigen-decomposition of Delta_N is the operator
+    # -divergence(gradient) with boundary faces held at zero
+    rng = np.random.default_rng(n)
+    grid = build_grid(n)
+    p = rng.standard_normal((n, n))
+    p -= p.mean()
+    r = -divergence(gradient(PressureField(grid, p))).p
+    for shift in (1e4, 1e6):
+        z = cahouet_chabard(grid, shift)(r)
+        want = r + shift * p
+        assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
+    # constants are the kernel: the preconditioned residual keeps zero mean
+    assert np.abs(cahouet_chabard(grid, 1e4)(np.ones((n, n)))).max() <= 1e-12

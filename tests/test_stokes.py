@@ -11,10 +11,12 @@ from vws.boundary import (
 from vws.errors import (
     IncompatibleBoundaryData,
     IncompatibleSource,
+    NonConvergence,
     UnderResolvedWarning,
 )
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
+from vws.operators import DirichletBC, VelocityPoisson
 from vws.stokes import (
     SolverOptions,
     residual_report,
@@ -106,8 +108,6 @@ def test_balanced_source_accepted():
 
 def test_warm_start_pressure():
     grid, g = _lid(32)
-    from vws.operators import DirichletBC
-
     bc = DirichletBC.from_boundary_data(g)
     u1a, u2a, pa, diag_a = solve_saddle(grid, bc, None, None, None)
     u1b, u2b, pb, diag_b = solve_saddle(grid, bc, None, None, None, p0=pa)
@@ -121,6 +121,33 @@ def test_cg_velocity_path_matches_dst():
     sol_cg = solve_boundary(grid, g, opts=SolverOptions(method="cg"))
     gap = l2_norm_omega(sol_dst.velocity - sol_cg.velocity)
     assert gap <= 1e-6 * l2_norm_omega(sol_dst.velocity)
+    assert sol_dst.diagnostics["preconditioner"] == "none"
+
+
+def test_cg_velocity_path_matches_dst_shifted():
+    grid, g = _lid(32)
+    bc = DirichletBC.from_boundary_data(g)
+    u1d, u2d, _, _ = solve_saddle(grid, bc, None, None, None, shift=1024.0)
+    u1c, u2c, _, _ = solve_saddle(grid, bc, None, None, None, shift=1024.0,
+                                  opts=SolverOptions(method="cg"))
+    dst_vel = VelocityField(grid, u1d, u2d)
+    gap = l2_norm_omega(dst_vel - VelocityField(grid, u1c, u2c))
+    assert gap <= 1e-6 * l2_norm_omega(dst_vel)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_shifted_uzawa_iterations_bounded(n):
+    # plain Uzawa CG needs up to 155 outer iterations here (n=128, shift
+    # 16384); Cahouet-Chabard keeps the count flat in n and in the shift
+    grid, g = _lid(n)
+    bc = DirichletBC.from_boundary_data(g)
+    opts = SolverOptions()
+    for shift in (64.0, 1024.0, 16384.0):
+        _, _, _, diag = solve_saddle(grid, bc, None, None, None, shift=shift,
+                                     opts=opts)
+        assert diag["preconditioner"] == "cahouet-chabard"
+        assert diag["outer_iterations"] <= 20
+        assert diag["div_max"] <= opts.div_tol
 
 
 
@@ -141,3 +168,30 @@ def test_rejects_non_finite_divergence_source():
     arr[2, 2], arr[9, 9] = np.inf, -np.inf
     with pytest.raises(ValueError, match="non-finite"):
         solve_homogeneous(grid, h_src=PressureField(grid, arr))
+
+
+def test_saddle_rejects_non_finite_forcing_with_shift():
+    # the time marches call solve_saddle directly; a NaN forcing used to
+    # come back as a NaN velocity after 0 outer iterations
+    grid = build_grid(16)
+    bc = DirichletBC.zero(grid)
+    f1 = np.zeros((15, 16))
+    f2 = np.zeros((16, 15))
+    f1[4, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_saddle(grid, bc, f1, f2, None, shift=10.0)
+
+
+@pytest.mark.parametrize("shift", [0.0, 10.0])
+def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
+    # a Schur complement that maps every direction to zero gives q.Sq = 0,
+    # which used to surface as a bare ZeroDivisionError
+    grid = build_grid(16)
+    src = np.zeros((16, 16))
+    src[2, 2], src[9, 9] = 1.0, -1.0
+    monkeypatch.setattr(VelocityPoisson, "solve",
+                        lambda self, b1, b2: (np.zeros_like(b1), np.zeros_like(b2)))
+    with pytest.raises(NonConvergence, match="breakdown") as info:
+        solve_saddle(grid, DirichletBC.zero(grid), None, None, src, shift=shift)
+    assert info.value.best_x is not None
+    assert info.value.residual == pytest.approx(1.0)
