@@ -21,14 +21,17 @@ path on the same stencil is kept as an independent reference; tests pin the
 two against each other.
 
 The cell-centred Neumann Laplacian (divergence of the interior-face gradient)
-is diagonalized the same way by the type-II cosine basis; its inverse on
-zero-mean fields gives the Cahouet-Chabard preconditioner for the shifted
-pressure Schur complement.
+is diagonalized the same way by the type-II cosine basis.  Its inverse on
+zero-mean fields gives the Cahouet-Chabard map, the exact inverse of the
+pressure Schur complement with free-slip walls; a closed-form boundary
+capacitance matrix corrects it to the exact inverse for no-slip walls at
+every shift (:class:`SchurInverse`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dctn, dst, idctn, idst
@@ -49,7 +52,8 @@ __all__ = [
     "cg_solve",
     "CGResult",
     "VelocityPoisson",
-    "cahouet_chabard",
+    "SchurInverse",
+    "schur_inverse",
 ]
 
 
@@ -72,6 +76,12 @@ class DirichletBC:
     u1_top: np.ndarray     # (n-1,)
     u2_left: np.ndarray    # (n-1,) tangential u2 at (0, j h), j = 1..n-1
     u2_right: np.ndarray   # (n-1,)
+
+    def __post_init__(self):
+        for name in ("u1_left", "u1_right", "u2_bottom", "u2_top",
+                     "u1_bottom", "u1_top", "u2_left", "u2_right"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite values")
 
     @classmethod
     def zero(cls, grid: StaggeredGrid) -> "DirichletBC":
@@ -347,26 +357,136 @@ class VelocityPoisson:
         return res.x[:cut].reshape(n - 1, n), res.x[cut:].reshape(n, n - 1)
 
 
-def cahouet_chabard(grid: StaggeredGrid, shift: float):
-    """Cahouet-Chabard preconditioner r -> r + shift (-Delta_N)^+ r, zero mean.
+def _neumann_inverse(mu: np.ndarray) -> np.ndarray:
+    """(-Delta_N)^+ in the 2-D type-II cosine modes: 1/(mu_k + mu_l), 0 at (0, 0)."""
+    inv_lam = mu[:, None] + mu[None, :]
+    inv_lam[0, 0] = np.inf
+    return np.reciprocal(inv_lam, out=inv_lam)
 
-    Approximates the inverse of the shifted pressure Schur complement
-    -D (shift - Laplacian)^{-1} G, which behaves like the identity at small
-    shift and like shift (-Delta_N)^{-1} at large shift.  Delta_N is the
-    5-point cell-centred Neumann Laplacian, D G with boundary faces held at
-    zero; its eigenvalues are lambda_k + lambda_l with
-    lambda_k = (2 - 2 cos(k pi/n))/h^2, k = 0..n-1, and its eigenvectors are
-    the type-II cosine modes, so the pseudo-inverse (constant mode dropped)
-    takes one forward and one inverse 2-D transform.
+
+def _capacitance_sectors(n: int, shift: float):
+    """Closed-form capacitance matrix K of the no-slip walls, by parity sector.
+
+    The no-slip operator is the free-slip one (tangential ghost +u) plus
+    2/h^2 on the m = 4(n-1) wall-adjacent tangential faces.  In the type-I
+    sine modes along each wall, K = (h^2/2) I + U^T A_fs^{-1} U
+    - U^T G [L (L + shift)]^+ G^T U, L = -Delta_N, has, with
+    D_kl = (mu_k + mu_l)(mu_k + mu_l + shift):
+
+    * u1-u1 and u2-u2 blocks diagonal per wall mode, entry
+      (h^2/2) + sum_l mu_l w_l^2 / D_kl;
+    * a dense u1-u2 block, entry -sqrt(mu_k mu_l) w_k w_l / D_kl,
+
+    where w_l = sqrt(2) psi_l(0) is the weight of cosine mode l on the even
+    (bottom + top, left + right) or odd (bottom - top, ...) wall pair; since
+    psi_l(n-1) = (-1)^l psi_l(0), even pairs see only even l.  The u1 pair of
+    parity a and the u2 pair of parity b couple only through u1 modes k of
+    parity b and u2 modes l of parity a, so K splits into four sectors.
+
+    Returns mu (the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n, 2) with
+    column a the weights of parity a, and per sector the tuple
+    (a, b, k, l, d1, c, d2): u1 modes k, u2 modes l, the diagonals d1, d2
+    and the coupling block c.
     """
-    n, h = grid.n, grid.h
-    lam = (2.0 - 2.0 * np.cos(np.arange(n) * np.pi / n)) / h ** 2
-    den = lam[:, None] + lam[None, :]
-    den[0, 0] = np.inf
+    h = 1.0 / n
+    modes = np.arange(n)
+    mu = (2.0 - 2.0 * np.cos(modes * np.pi / n)) / h ** 2
+    psi0 = np.sqrt(2.0 / n) * np.cos(modes * np.pi / (2 * n))
+    psi0[0] = np.sqrt(1.0 / n)
+    parity = modes % 2
+    w = np.zeros((n, 2))
+    w[modes, parity] = np.sqrt(2.0) * psi0
+    inv_lam = _neumann_inverse(mu)
+    # 1 / D = inv_lam^2 / (1 + shift inv_lam), built in place: the n^2
+    # temporaries set the peak memory of the build
+    inv_d = shift * inv_lam
+    inv_d += 1.0
+    np.divide(inv_lam, inv_d, out=inv_d)
+    inv_d *= inv_lam
+    sectors = []
+    for a in (0, 1):
+        for b in (0, 1):
+            k = modes[1:][parity[1:] == b]
+            l = modes[1:][parity[1:] == a]
+            d1 = 0.5 * h * h + inv_d[k] @ (mu * w[:, a] ** 2)
+            d2 = 0.5 * h * h + (mu * w[:, b] ** 2) @ inv_d[:, l]
+            c = -np.outer(np.sqrt(mu[k]) * w[k, b], np.sqrt(mu[l]) * w[l, a])
+            c *= inv_d[np.ix_(k, l)]
+            sectors.append((a, b, k, l, d1, c, d2))
+    return mu, w, sectors
 
-    def apply(r):
-        z = r + shift * idctn(dctn(r, type=2, norm="ortho") / den,
-                              type=2, norm="ortho")
-        return z - z.mean()
 
-    return apply
+class SchurInverse:
+    """Exact inverse of the pressure Schur complement S = -D (A + shift)^{-1} G.
+
+    A is the no-slip velocity Laplacian.  With free-slip walls the velocity
+    operator commutes with the gradient, so that Schur complement is
+    L (L + shift)^{-1}, L = -Delta_N, whose inverse on zero-mean fields is
+    the Cahouet-Chabard map CC = I + shift L^+.  No slip adds a rank-m
+    diagonal on the wall faces, and two Woodbury steps give
+
+        S^{-1} = CC + B0^T K^{-1} B0,   B0 = U^T G L^+,
+
+    with K the capacitance matrix of :func:`_capacitance_sectors`.  L is
+    diagonal in the 2-D type-II cosine modes, and the wall values of G q are
+    sums of those modes weighted by w, so an application takes one forward
+    and one inverse 2-D transform; K^{-1} is applied per sector by block
+    elimination of its diagonal u1 part, with the inverse of the dense
+    Schur complement of that part stored.  The result has zero mean.
+    """
+
+    def __init__(self, n: int, shift: float):
+        self.shift = shift
+        self._mu, self._w, sectors = _capacitance_sectors(n, shift)
+        self._root_mu = np.sqrt(self._mu)
+        self._sectors = []
+        for a, b, k, l, d1, c, d2 in sectors:
+            e = c / d1[:, None]
+            s2 = np.linalg.inv(np.diag(d2) - c.T @ e)
+            self._sectors.append((a, b, k, l, 1.0 / d1, e, 0.5 * (s2 + s2.T)))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached arrays."""
+        arrays = [self._mu, self._w, self._root_mu]
+        for sector in self._sectors:
+            arrays += sector[2:]
+        return sum(a.nbytes for a in arrays)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        r_hat = dctn(r, type=2, norm="ortho")
+        r_hat[0, 0] = 0.0
+        # rebuilt per call: cheaper than holding another n^2 array in the cache
+        inv_lam = _neumann_inverse(self._mu)
+        q_hat = r_hat * inv_lam
+        # B0 r: wall values of -G q, q = L^+ r, per wall pair and sine mode
+        e1 = self._root_mu[:, None] * (q_hat @ self._w)
+        e2 = self._root_mu[:, None] * (q_hat.T @ self._w)
+        y1 = np.zeros_like(e1)
+        y2 = np.zeros_like(e2)
+        for a, b, k, l, d1_inv, e, s2_inv in self._sectors:
+            r1, r2 = e1[k, a], e2[l, b]
+            x2 = s2_inv @ (r2 - e.T @ r1)
+            y1[k, a] = d1_inv * r1 - e @ x2
+            y2[l, b] = x2
+        # B0^T y = L^+ G^T U y, added to CC r = r + shift q; in place, since
+        # the n^2 temporaries set the peak memory of a solve
+        y1 *= self._root_mu[:, None]
+        y2 *= self._root_mu[:, None]
+        z_hat = y1 @ self._w.T
+        z_hat += self._w @ y2.T
+        z_hat *= inv_lam
+        q_hat *= self.shift
+        z_hat += q_hat
+        z_hat += r_hat
+        return idctn(z_hat, type=2, norm="ortho", overwrite_x=True)
+
+
+@lru_cache(maxsize=8)
+def schur_inverse(grid: StaggeredGrid, shift: float = 0.0) -> SchurInverse:
+    """The exact pressure-Schur inverse for ``grid`` and ``shift``, cached.
+
+    The build is closed-form (no velocity solve) and holds about
+    2 n^2 floats; the cache keeps the last few (n, shift) pairs.
+    """
+    return SchurInverse(grid.n, float(shift))

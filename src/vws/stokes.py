@@ -13,13 +13,16 @@ re-centers the pressure to zero mean.  Each application of S takes one
 velocity Laplacian solve (exact sine-transform solve by default, conjugate
 gradients on request).
 
-With a shift (A = -Laplacian + shift, one implicit time step) S loses its
-mesh-independent conditioning as the shift grows, so the CG is preconditioned
-by Cahouet-Chabard, S^{-1} ~ I + shift (-Delta_N)^{-1}, applied exactly by a
-2-D cosine transform; the stopping rule stays on the unpreconditioned
-residual.  At shift 0 the iteration is plain CG.  A breakdown (a search
+The CG is preconditioned by the exact inverse of S at every shift
+(:class:`vws.operators.SchurInverse`): the Cahouet-Chabard map
+I + shift (-Delta_N)^+, which inverts the free-slip Schur complement, plus a
+boundary capacitance correction for the no-slip walls, applied with one pair
+of 2-D cosine transforms.  The first step therefore lands on the solution up
+to rounding; the stopping rule stays on the unpreconditioned residual, and
+any nonzero initial defect takes at least one step.  A breakdown (a search
 direction with q.Sq <= 0, or a preconditioned residual product r.z that is
-not positive and finite) raises NonConvergence instead of dividing.
+not positive and finite) raises NonConvergence instead of dividing.  The
+diagnostics flag a true divergence defect above div_tol (``div_tol_met``).
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .operators import (
     VelocityPoisson,
     apply_velocity_laplacian,
     boundary_divergence,
-    cahouet_chabard,
     divergence,
     divergence_interior,
     laplacian_load,
+    schur_inverse,
 )
 
 __all__ = [
@@ -95,7 +98,7 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     t0 = time.perf_counter()
     poisson = VelocityPoisson(grid, shift=shift, method=opts.method,
                               cg_tol=opts.cg_tol, cg_max_iter=opts.cg_max_iter)
-    precond = cahouet_chabard(grid, shift) if shift > 0.0 else (lambda r: r)
+    precond = schur_inverse(grid, shift)
 
     load1, load2 = laplacian_load(grid, bc)
     b1 = load1 if f1 is None else f1 + load1
@@ -121,7 +124,7 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     else:
         r = rhs.copy()
     res = float(np.abs(r).max())
-    if res > opts.div_tol:
+    if res > 0.0:
         best_p, best_res = p.copy(), res
 
         def fail(why, iterations):
@@ -132,7 +135,7 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
             )
 
         z = precond(r)
-        q = z.copy()
+        q = z
         rz = float((r * z).sum())
         for outer in range(1, opts.max_outer + 1):
             Sq = schur(q)
@@ -144,6 +147,9 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
             p += alpha * q
             p -= p.mean()
             r -= alpha * Sq
+            # the rounding residue in the constant mode scales with the
+            # data, not with r, and the preconditioner cannot remove it
+            r -= r.mean()
             res = float(np.abs(r).max())
             if res < best_res:
                 best_p, best_res = p.copy(), res
@@ -176,15 +182,17 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     m2 = (b2 - load2) - r2 - g2
     mom_abs = h * float(np.sqrt((m1 ** 2).sum() + (m2 ** 2).sum()))
     b_scale = h * float(np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum()))
+    div_max = float(np.abs(div_defect).max())
     diag = {
         "outer_iterations": outer,
         "inner_iterations": poisson.inner_iterations,
-        "div_max": float(np.abs(div_defect).max()),
+        "div_max": div_max,
+        "div_tol_met": div_max <= opts.div_tol,
         "mom_res": mom_abs,
         "mom_res_rel": mom_abs / b_scale if b_scale > 0.0 else 0.0,
         "wall_time": time.perf_counter() - t0,
         "method": opts.method,
-        "preconditioner": "cahouet-chabard" if shift > 0.0 else "none",
+        "preconditioner": "capacitance",
     }
     return u1, u2, p - p.mean(), diag
 

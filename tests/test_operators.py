@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
+from scipy.fft import dctn
 from scipy.linalg import hilbert
 
+from vws import operators
 from vws.boundary import outward_normal_data
 from vws.errors import NonConvergence
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
     DirichletBC,
+    SchurInverse,
     VelocityPoisson,
     apply_velocity_laplacian,
     boundary_divergence,
-    cahouet_chabard,
     cg_solve,
     divergence,
+    divergence_interior,
     gradient,
+    schur_inverse,
     stream_curl,
 )
+from vws.operators import _capacitance_sectors, _neumann_inverse
 
 from support import observed_orders
 
@@ -194,17 +199,121 @@ def test_poisson_dst_matches_cg():
 
 @pytest.mark.parametrize("n", [16, 48])
 def test_neumann_laplacian_is_dct_diagonal(n):
-    # cahouet_chabard(grid, s) maps r = -Delta_N p to r + s p exactly when
-    # its cosine-transform eigen-decomposition of Delta_N is the operator
-    # -divergence(gradient) with boundary faces held at zero
+    # SchurInverse applies (-Delta_N)^+ as 1/(mu_k + mu_l) on the 2-D type-II
+    # cosine modes; that holds when Delta_N is -divergence(gradient) with
+    # boundary faces held at zero
     rng = np.random.default_rng(n)
     grid = build_grid(n)
     p = rng.standard_normal((n, n))
     p -= p.mean()
     r = -divergence(gradient(PressureField(grid, p))).p
-    for shift in (1e4, 1e6):
-        z = cahouet_chabard(grid, shift)(r)
-        want = r + shift * p
-        assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
+    inv_lam = _neumann_inverse(_capacitance_sectors(n, 0.0)[0])
+    p_hat = dctn(p, type=2, norm="ortho")
+    got = inv_lam * dctn(r, type=2, norm="ortho")
+    assert np.linalg.norm(got - p_hat) <= 1e-12 * np.linalg.norm(p_hat)
     # constants are the kernel: the preconditioned residual keeps zero mean
-    assert np.abs(cahouet_chabard(grid, 1e4)(np.ones((n, n)))).max() <= 1e-12
+    assert np.abs(schur_inverse(grid, 1e4)(np.ones((n, n)))).max() <= 1e-12
+
+
+def _dense_schur(grid, shift):
+    """S = -D (A + shift)^{-1} G, column by column through the DST solve."""
+    n = grid.n
+    poisson = VelocityPoisson(grid, shift=shift)
+    cols = []
+    for e in np.eye(n * n):
+        g = gradient(PressureField(grid, e.reshape(n, n)))
+        w1, w2 = poisson.solve(g.u1[1:n, :], g.u2[:, 1:n])
+        cols.append(-divergence_interior(grid, w1, w2).ravel())
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("shift", [0.0, 64.0, 4096.0])
+@pytest.mark.parametrize("n", [8, 12])
+def test_schur_inverse_is_exact(n, shift):
+    grid = build_grid(n)
+    S = _dense_schur(grid, shift)
+    M = schur_inverse(grid, shift)
+    MS = np.column_stack([M(col.reshape(n, n)).ravel() for col in S.T])
+    # identity on zero-mean fields, constants to zero
+    want = np.eye(n * n) - 1.0 / (n * n)
+    assert np.abs(MS - want).max() <= 1e-12
+
+
+def _wall_modes(n):
+    """Orthonormal wall-face basis in the order of the capacitance matrix.
+
+    Columns run over (component u1, u2) x (pair parity 0, 1) x (sine mode
+    1..n-1); rows are interior faces, u1 then u2.  Parity 0 is the sum of
+    the two opposite walls, parity 1 their difference.
+    """
+    i = np.arange(1, n)
+    cols = []
+    for comp in (0, 1):
+        for a in (0, 1):
+            for k in range(1, n):
+                phi = np.sqrt(2.0 / n) * np.sin(k * np.pi * i / n) / np.sqrt(2.0)
+                u1 = np.zeros((n - 1, n))
+                u2 = np.zeros((n, n - 1))
+                if comp == 0:
+                    u1[:, 0], u1[:, -1] = phi, (-1) ** a * phi
+                else:
+                    u2[0, :], u2[-1, :] = phi, (-1) ** a * phi
+                cols.append(np.concatenate([u1.ravel(), u2.ravel()]))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("shift", [0.0, 64.0, 4096.0])
+@pytest.mark.parametrize("n", [8, 12])
+def test_capacitance_matrix_matches_probe(n, shift):
+    grid, h = build_grid(n), 1.0 / n
+    bc = DirichletBC.zero(grid)
+    cut = grid.n_u1_interior
+
+    def apply_a(v):
+        u1 = np.zeros((n + 1, n))
+        u2 = np.zeros((n, n + 1))
+        u1[1:n, :] = v[:cut].reshape(n - 1, n)
+        u2[:, 1:n] = v[cut:].reshape(n, n - 1)
+        r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=shift)
+        return np.concatenate([r1.ravel(), r2.ravel()])
+
+    def grad(p):
+        g = gradient(PressureField(grid, p.reshape(n, n)))
+        return np.concatenate([g.u1[1:n, :].ravel(), g.u2[:, 1:n].ravel()])
+
+    A = np.column_stack([apply_a(e) for e in np.eye(2 * cut)])
+    G = np.column_stack([grad(e) for e in np.eye(n * n)])
+    U = _wall_modes(n)
+    A_fs = A - (2.0 / h ** 2) * U @ U.T
+    L = G.T @ G
+    # free slip commutes with the gradient
+    A_fs_G = A_fs @ G
+    gap = np.abs(A_fs_G - G @ (L + shift * np.eye(n * n))).max()
+    assert gap <= 1e-12 * np.abs(A_fs_G).max()
+    K_probe = (0.5 * h * h * np.eye(U.shape[1]) + U.T @ np.linalg.solve(A_fs, U)
+               - U.T @ G @ np.linalg.pinv(L @ (L + shift * np.eye(n * n))) @ G.T @ U)
+
+    m = n - 1
+    K = np.zeros_like(K_probe)
+    for a, b, k, l, d1, c, d2 in _capacitance_sectors(n, shift)[2]:
+        i1 = a * m + k - 1
+        i2 = 2 * m + b * m + l - 1
+        K[i1, i1] = d1
+        K[i2, i2] = d2
+        K[np.ix_(i1, i2)] = c
+        K[np.ix_(i2, i1)] = c.T
+    assert np.abs(K - K_probe).max() <= 1e-12 * np.abs(K_probe).max()
+
+
+def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
+    # the build is closed-form: it must not run the velocity solve, the
+    # Laplacian apply or CG, whose calls the benchmark tracer counts per op
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder called a solver entry point")
+
+    monkeypatch.setattr(VelocityPoisson, "solve", refuse)
+    monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
+    monkeypatch.setattr(operators, "cg_solve", refuse)
+    assert SchurInverse(256, 0.0).nbytes <= 2_000_000
+    grid = build_grid(32)
+    assert schur_inverse(grid, 64.0) is schur_inverse(build_grid(32), 64)

@@ -1,7 +1,10 @@
+import dataclasses
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vws.boundary import (
     BoundaryData,
@@ -121,7 +124,7 @@ def test_cg_velocity_path_matches_dst():
     sol_cg = solve_boundary(grid, g, opts=SolverOptions(method="cg"))
     gap = l2_norm_omega(sol_dst.velocity - sol_cg.velocity)
     assert gap <= 1e-6 * l2_norm_omega(sol_dst.velocity)
-    assert sol_dst.diagnostics["preconditioner"] == "none"
+    assert sol_dst.diagnostics["preconditioner"] == "capacitance"
 
 
 def test_cg_velocity_path_matches_dst_shifted():
@@ -138,17 +141,70 @@ def test_cg_velocity_path_matches_dst_shifted():
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_shifted_uzawa_iterations_bounded(n):
     # plain Uzawa CG needs up to 155 outer iterations here (n=128, shift
-    # 16384); Cahouet-Chabard keeps the count flat in n and in the shift
+    # 16384); the exact Schur inverse needs one at every shift
     grid, g = _lid(n)
     bc = DirichletBC.from_boundary_data(g)
     opts = SolverOptions()
-    for shift in (64.0, 1024.0, 16384.0):
+    for shift in (0.0, 64.0, 1024.0, 16384.0):
         _, _, _, diag = solve_saddle(grid, bc, None, None, None, shift=shift,
                                      opts=opts)
-        assert diag["preconditioner"] == "cahouet-chabard"
-        assert diag["outer_iterations"] <= 20
+        assert diag["preconditioner"] == "capacitance"
+        assert diag["outer_iterations"] <= 2
         assert diag["div_max"] <= opts.div_tol
+        assert diag["div_tol_met"]
 
+
+def test_tiny_data_takes_a_step():
+    # scaled by 1e-9 the initial defect sat below div_tol, so Uzawa stopped
+    # after 0 outer iterations with the velocity off by 130% relative
+    grid, g = _lid(32)
+    want = solve_boundary(grid, g).velocity * 1e-9
+    sol = solve_boundary(grid, g * 1e-9)
+    assert sol.diagnostics["outer_iterations"] >= 1
+    assert l2_norm_omega(sol.velocity - want) <= 1e-10 * l2_norm_omega(want)
+
+
+@lru_cache(maxsize=1)
+def _unit_lid_solution():
+    grid, g = _lid(32)
+    return grid, g, solve_boundary(grid, g).velocity
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-12.0, max_value=9.0))
+@example(log_alpha=8.9375)
+def test_velocity_is_linear_in_data(log_alpha):
+    # u(alpha g) = alpha u(g) across 21 decades of data scale.  At 10^8.9375
+    # the rounding left in the constant mode of the Uzawa residual once held
+    # it above div_tol until the 500-iteration cap
+    alpha = 10.0 ** log_alpha
+    grid, g, u = _unit_lid_solution()
+    want = u * alpha
+    got = solve_boundary(grid, g * alpha).velocity
+    assert l2_norm_omega(got - want) <= 1e-10 * l2_norm_omega(want)
+
+
+def test_div_tol_met_flags_a_missed_tolerance():
+    # at 1e9 times the lid the rounding floor of the divergence defect sits
+    # above the absolute div_tol; the diagnostics must say so
+    grid, g = _lid(32)
+    assert solve_boundary(grid, g).diagnostics["div_tol_met"] is True
+    big = solve_boundary(grid, g * 1e9).diagnostics
+    assert big["div_max"] > SolverOptions().div_tol
+    assert big["div_tol_met"] is False
+
+
+@pytest.mark.parametrize("side", ["u1_bottom", "u1_left"])
+def test_dirichlet_bc_rejects_non_finite(side):
+    # a NaN in a DirichletBC built directly, not through BoundaryData, used
+    # to come back as a NaN velocity after 0 outer iterations
+    grid = build_grid(16)
+    bc = DirichletBC.zero(grid)
+    bad = getattr(bc, side).copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_saddle(grid, dataclasses.replace(bc, **{side: bad}),
+                     None, None, None, shift=10.0)
 
 
 def test_rejects_non_finite_forcing():
