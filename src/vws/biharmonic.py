@@ -33,7 +33,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .boundary import SIDES, BoundaryData
-from .grid import StaggeredGrid, VelocityField, write_field
+from .grid import StaggeredGrid, VelocityField
 from .operators import CGResult, cg_solve, stream_curl
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "simply_supported_inverse",
     "solve_biharmonic",
     "velocity_from_stream",
-    "write_stream",
 ]
 
 
@@ -190,7 +189,3 @@ def solve_biharmonic(grid: StaggeredGrid, g: BoundaryData,
 def velocity_from_stream(stream: StreamFunction) -> VelocityField:
     """Face velocities (dPsi/dy, -dPsi/dx); exactly divergence-free."""
     return stream_curl(stream.grid, stream.psi)
-
-
-def write_stream(path, stream: StreamFunction) -> None:
-    write_field(path, stream.psi, stream.grid.n, "node")

@@ -12,14 +12,12 @@ perimeter of length 4).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import UnderResolvedWarning
+from .errors import IncompatibleBoundaryData, UnderResolvedWarning
 from .grid import StaggeredGrid
 
 __all__ = [
@@ -35,10 +33,9 @@ __all__ = [
     "corner_variant",
     "outward_normal_data",
     "compatibility_defect",
+    "require_compatible",
     "project_compatible",
     "l2_norm_gamma",
-    "write_boundary_data",
-    "read_boundary_data",
 ]
 
 SIDES = ("bottom", "right", "top", "left")
@@ -228,6 +225,21 @@ def compatibility_defect(g: BoundaryData) -> float:
     return float(sum(h * g.normal_part(s).sum() for s in SIDES))
 
 
+def require_compatible(g: BoundaryData, what: str = "boundary data") -> None:
+    """Raise IncompatibleBoundaryData unless the net flux is rounding-level.
+
+    The bound follows the data: |defect| <= 1e-12 h sum |g . n| over all
+    samples, so exactly compatible data pass at any scale and incompatible
+    data fail at any scale.
+    """
+    h = g.grid.h
+    scale = h * sum(float(np.abs(g.normal_part(s)).sum()) for s in SIDES)
+    defect = compatibility_defect(g)
+    if abs(defect) > 1e-12 * scale:
+        raise IncompatibleBoundaryData(
+            f"{what} has net flux {defect:.3e}; project it first")
+
+
 def project_compatible(g: BoundaryData) -> BoundaryData:
     """Remove the flux defect uniformly from the normal component.
 
@@ -244,25 +256,3 @@ def l2_norm_gamma(g: BoundaryData) -> float:
     h = g.grid.h
     s = sum(float(np.sum(g.samples[side] ** 2)) for side in SIDES)
     return float(np.sqrt(h * s))
-
-
-def write_boundary_data(path, g: BoundaryData) -> None:
-    """Text round-trip format: one row (side, index, g1, g2) per sample."""
-    with Path(path).open("w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["side", "index", "g1", "g2"])
-        for side in SIDES:
-            for i, (g1, g2) in enumerate(g.samples[side]):
-                w.writerow([side, i, repr(float(g1)), repr(float(g2))])
-
-
-def read_boundary_data(path, grid: StaggeredGrid) -> BoundaryData:
-    samples = {s: np.zeros((grid.n, 2)) for s in SIDES}
-    with Path(path).open(newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if header != ["side", "index", "g1", "g2"]:
-            raise ValueError(f"unexpected boundary-data header {header}")
-        for side, idx, g1, g2 in r:
-            samples[side][int(idx)] = (float(g1), float(g2))
-    return BoundaryData(grid, samples)

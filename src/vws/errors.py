@@ -2,7 +2,7 @@
 
 
 class NonConvergence(RuntimeError):
-    """An iterative solve ran out of iterations.
+    """A solve ran out of iterations or missed its tolerance.
 
     Carries the best iterate seen so far together with its residual so a
     caller can inspect or keep it.

@@ -5,19 +5,24 @@ Forward problem on Q_T = Omega x (0, T):
     du/dt - Laplace(u) + grad(p) = f,  div u = 0,  u = g(t) on the wall,
     u(0) = u0   (zero data: f = 0, u0 = 0).
 
-Each implicit step is one shifted Stokes saddle solve, so the stationary
-kernel does all the work: implicit Euler uses shift 1/dt with slice-(k+1)
-boundary data; Crank-Nicolson uses shift 2/dt plus the explicit discrete
-Laplacian of the previous step (algebraically the trapezoidal rule, with each
-boundary slice entering at weight 1/2).
+Each implicit step is one direct shifted Stokes saddle solve
+(:func:`vws.stokes.solve_saddle`, two velocity Poisson solves), so the
+stationary kernel does all the work: implicit Euler uses shift 1/dt with
+slice-(k+1) boundary data; Crank-Nicolson uses shift 2/dt plus the explicit
+discrete Laplacian of the previous step (algebraically the trapezoidal rule,
+with each boundary slice entering at weight 1/2).
 
 The backward adjoint problem
 
     -dv/dt - Laplace(v) + grad(q) = u,  v(T) = 0,  v = 0 on the wall
 
-is the same kernel marched under time reversal.  On top of these sit the
-space-time energy-estimate ratio |u|_{Q_T} / |g|_{Gamma_T} and the space-time
-tangential pairing
+is the same step loop marched under time reversal: the forcing trajectory
+is read backwards and the boundary values are zero.  ``evolve_lifted`` and
+``solve_adjoint_backward`` are thin wrappers over that one loop, which
+carries no state between steps but the velocity.
+
+On top of these sit the space-time energy-estimate ratio
+|u|_{Q_T} / |g|_{Gamma_T} and the space-time tangential pairing
 
     L_u(g1) = -integral over Q_T of u . (dv/dt + Laplace(v)),
 
@@ -29,19 +34,15 @@ and its value does not depend on which lift was used.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .boundary import (SIDES, BoundaryData, compatibility_defect,
-                       l2_norm_gamma, smoothstep)
-from .errors import (IncompatibleBoundaryData, NonConvergence,
-                     ZeroBoundaryData)
-from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
-                   write_field)
-from .operators import DirichletBC, apply_velocity_laplacian, divergence
+from .boundary import (SIDES, BoundaryData, l2_norm_gamma, require_compatible,
+                       smoothstep)
+from .errors import NonConvergence, ZeroBoundaryData
+from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
+from .operators import DirichletBC, apply_velocity_laplacian
 from .stokes import SolverOptions, solve_saddle
 from .traces import TangentialBoundaryData, lift_tangential, perturbation_field
 
@@ -146,24 +147,6 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         return np.array([l2_norm_omega(u) for u in self.velocities])
 
-    def save(self, directory, stride: int = 1) -> None:
-        """One field file pair per saved step plus an index CSV."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        rows = []
-        n = self.grid.n
-        for k in range(0, len(self.times), stride):
-            u = self.velocities[k]
-            write_field(directory / f"step{k:05d}_u1.dat", u.u1, n, "u1")
-            write_field(directory / f"step{k:05d}_u2.dat", u.u2, n, "u2")
-            div_max = float(np.abs(divergence(u).p).max())
-            rows.append({"step": k, "time": self.times[k],
-                         "u_norm": l2_norm_omega(u), "div_max": div_max})
-        with open(directory / "index.csv", "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["step", "time", "u_norm", "div_max"])
-            w.writeheader()
-            w.writerows(rows)
-
 
 def _check_steps(T: float, dt: float) -> int:
     if dt <= 0.0 or T <= 0.0:
@@ -179,13 +162,71 @@ def _interior(u: VelocityField):
     return u.u1[1:n, :], u.u2[:, 1:n]
 
 
-def _slice_bc(g: TimeBoundaryData, k: int, dt: float) -> tuple:
+def _slice_bc(g: TimeBoundaryData, k: int, dt: float) -> DirichletBC:
     gk = g.at(k, dt)
-    defect = compatibility_defect(gk)
-    if abs(defect) > 1e-10:
-        raise IncompatibleBoundaryData(
-            f"boundary slice at step {k} has net flux {defect:.3e}")
-    return gk, DirichletBC.from_boundary_data(gk)
+    require_compatible(gk, f"boundary slice at step {k}")
+    return DirichletBC.from_boundary_data(gk)
+
+
+def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
+           u0: VelocityField, force, slice_bc, backward: bool,
+           opts: SolverOptions | None) -> Trajectory:
+    """The implicit step loop shared by both time directions.
+
+    Node j of the march is time index j forward and m - j backward.
+    force(j) -> (f1, f2) interior forcing at node j, or force=None;
+    slice_bc(j) -> DirichletBC at node j.  The trajectory comes back in
+    forward time order either way.
+    """
+    if scheme not in ("euler", "cn"):
+        raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
+    m = len(times) - 1
+    shift = (1.0 if scheme == "euler" else 2.0) / dt
+    u = u0
+    bc_prev = slice_bc(0)
+    velocities = [u]
+    pressures = [None]
+    diags = []
+    for j in range(m):
+        k = m - 1 - j if backward else j + 1     # time index being produced
+        u1i, u2i = _interior(u)
+        if scheme == "euler":
+            f1 = u1i / dt
+            f2 = u2i / dt
+            if force is not None:
+                e1, e2 = force(j + 1)
+                f1 = f1 + e1
+                f2 = f2 + e2
+        else:
+            a1, a2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc_prev)
+            f1 = (2.0 / dt) * u1i - a1
+            f2 = (2.0 / dt) * u2i - a2
+            if force is not None:
+                e1a, e2a = force(j)
+                e1b, e2b = force(j + 1)
+                f1 = f1 + e1a + e1b
+                f2 = f2 + e2a + e2b
+        bc_next = slice_bc(j + 1)
+        try:
+            u1, u2, p, diag = solve_saddle(grid, bc_next, f1, f2, None,
+                                           shift=shift, opts=opts)
+        except NonConvergence as exc:
+            direction = "backward" if backward else "forward"
+            raise NonConvergence(
+                f"{direction} step {j + 1}/{m} (t={times[k]:.6g}): {exc}",
+                best_x=exc.best_x, residual=exc.residual,
+                iterations=exc.iterations) from exc
+        u = VelocityField(grid, u1, u2)
+        velocities.append(u)
+        pressures.append(PressureField(grid, p if scheme == "euler" else 0.5 * p))
+        diag["step"] = k
+        diags.append(diag)
+        bc_prev = bc_next
+    if backward:
+        velocities.reverse()
+        pressures.reverse()
+        diags.reverse()
+    return Trajectory(grid, scheme, dt, times, velocities, pressures, diags)
 
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -196,54 +237,12 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
 
     The zero-data problem (evolve) is the force=None, u0=None case.
     """
-    if scheme not in ("euler", "cn"):
-        raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
-    opts = opts or SolverOptions()
     m = _check_steps(T, dt)
-    u = u0 if u0 is not None else VelocityField.zeros(grid)
     times = np.arange(m + 1) * dt
-    shift = (1.0 if scheme == "euler" else 2.0) / dt
-
-    g_prev, bc_prev = _slice_bc(g, 0, dt)
-    velocities = [u]
-    pressures = [None]
-    diags = []
-    p_warm = None
-    for k in range(m):
-        u1i, u2i = _interior(u)
-        if scheme == "euler":
-            f1 = u1i / dt
-            f2 = u2i / dt
-            if force is not None:
-                e1, e2 = force(times[k + 1])
-                f1 = f1 + e1
-                f2 = f2 + e2
-        else:
-            a1, a2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc_prev)
-            f1 = (2.0 / dt) * u1i - a1
-            f2 = (2.0 / dt) * u2i - a2
-            if force is not None:
-                e1a, e2a = force(times[k])
-                e1b, e2b = force(times[k + 1])
-                f1 = f1 + e1a + e1b
-                f2 = f2 + e2a + e2b
-        g_next, bc_next = _slice_bc(g, k + 1, dt)
-        try:
-            u1, u2, p, diag = solve_saddle(grid, bc_next, f1, f2, None,
-                                           shift=shift, opts=opts, p0=p_warm)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"step {k + 1}/{m} (t={times[k + 1]:.6g}): {exc}",
-                best_x=exc.best_x, residual=exc.residual,
-                iterations=exc.iterations) from exc
-        p_warm = p
-        u = VelocityField(grid, u1, u2)
-        velocities.append(u)
-        pressures.append(PressureField(grid, p if scheme == "euler" else 0.5 * p))
-        diag["step"] = k + 1
-        diags.append(diag)
-        g_prev, bc_prev = g_next, bc_next
-    return Trajectory(grid, scheme, dt, times, velocities, pressures, diags)
+    march_force = None if force is None else (lambda j: force(times[j]))
+    return _march(grid, scheme, dt, times,
+                  u0 if u0 is not None else VelocityField.zeros(grid),
+                  march_force, lambda j: _slice_bc(g, j, dt), False, opts)
 
 
 def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -257,53 +256,16 @@ def solve_adjoint_backward(grid: StaggeredGrid, u_traj: Trajectory,
                            opts: SolverOptions | None = None) -> Trajectory:
     """Backward dual march: -dv/dt - Laplace(v) + grad(q) = u, v(T) = 0.
 
-    Reversing time turns this into the forward kernel with the forcing
+    Reversing time turns this into the forward step loop with the forcing
     trajectory read backwards and homogeneous boundary values; the result is
     returned in forward time order (entry k is v(t_k), entry -1 is zero).
     """
-    opts = opts or SolverOptions()
-    scheme = scheme or u_traj.scheme
-    dt = u_traj.dt
     m = u_traj.steps
-    shift = (1.0 if scheme == "euler" else 2.0) / dt
     bc0 = DirichletBC.zero(grid)
-    v = VelocityField.zeros(grid)
-    velocities = [v]
-    pressures = [None]
-    diags = []
-    p_warm = None
-    for j in range(m):
-        k = m - 1 - j          # time index being produced
-        v1i, v2i = _interior(v)
-        if scheme == "euler":
-            s1, s2 = _interior(u_traj.velocities[k])
-            f1 = v1i / dt + s1
-            f2 = v2i / dt + s2
-        else:
-            a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, bc0)
-            s1a, s2a = _interior(u_traj.velocities[k + 1])
-            s1b, s2b = _interior(u_traj.velocities[k])
-            f1 = (2.0 / dt) * v1i - a1 + s1a + s1b
-            f2 = (2.0 / dt) * v2i - a2 + s2a + s2b
-        try:
-            v1, v2, q, diag = solve_saddle(grid, bc0, f1, f2, None,
-                                           shift=shift, opts=opts, p0=p_warm)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"backward step for t_{k} : {exc}",
-                best_x=exc.best_x, residual=exc.residual,
-                iterations=exc.iterations) from exc
-        p_warm = q
-        v = VelocityField(grid, v1, v2)
-        velocities.append(v)
-        pressures.append(PressureField(grid, q if scheme == "euler" else 0.5 * q))
-        diag["step"] = k
-        diags.append(diag)
-    velocities.reverse()
-    pressures.reverse()
-    diags.reverse()
-    return Trajectory(grid, scheme, dt, u_traj.times.copy(),
-                      velocities, pressures, diags)
+    return _march(grid, scheme or u_traj.scheme, u_traj.dt, u_traj.times.copy(),
+                  VelocityField.zeros(grid),
+                  lambda j: _interior(u_traj.velocities[m - j]),
+                  lambda j: bc0, True, opts)
 
 
 # --- space-time functionals --------------------------------------------------

@@ -18,10 +18,7 @@ that choice a component identically equal to one has L2 norm exactly one.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,14 +29,7 @@ __all__ = [
     "build_grid",
     "l2_norm_omega",
     "max_norm",
-    "write_field",
-    "read_field",
 ]
-
-_MAGIC = b"MACF"
-# component tags used in the binary header
-_TAGS = {"u1": 1, "u2": 2, "p": 3, "node": 4}
-_TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -208,32 +198,3 @@ def max_norm(field) -> float:
     if isinstance(field, PressureField):
         return float(np.abs(field.p).max())
     raise TypeError(f"cannot take a max norm of {type(field).__name__}")
-
-
-# --- binary field files ---------------------------------------------------
-#
-# 16-byte header: magic "MACF" | uint32 n | uint32 component tag | 4 zero bytes,
-# all little-endian, followed by the row-major float64 payload.  A JSON sidecar
-# (same path + ".json") records n, the component name, and the array shape.
-
-def write_field(path, array: np.ndarray, n: int, component: str) -> None:
-    if component not in _TAGS:
-        raise ValueError(f"unknown component {component!r}")
-    path = Path(path)
-    header = struct.pack("<4sII4x", _MAGIC, n, _TAGS[component])
-    payload = np.ascontiguousarray(array, dtype="<f8")
-    path.write_bytes(header + payload.tobytes())
-    sidecar = {"n": int(n), "component": component, "shape": list(array.shape)}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
-
-
-def read_field(path):
-    """Read a field file; returns (array, n, component name)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    magic, n, tag = struct.unpack("<4sII4x", raw[:16])
-    if magic != _MAGIC:
-        raise ValueError(f"{path} is not a field file (bad magic {magic!r})")
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    data = np.frombuffer(raw[16:], dtype="<f8").reshape(sidecar["shape"]).copy()
-    return data, int(n), _TAG_NAMES[tag]

@@ -13,3 +13,14 @@ def find_assertion(report, name):
 def observed_orders(values):
     v = np.asarray(values, dtype=float)
     return [float(np.log2(v[k] / v[k + 1])) for k in range(len(v) - 1)]
+
+
+def count_poisson_solves(monkeypatch):
+    """Count VelocityPoisson.solve calls; returns the list each call extends."""
+    from vws.operators import VelocityPoisson
+
+    calls = []
+    solve = VelocityPoisson.solve
+    monkeypatch.setattr(VelocityPoisson, "solve",
+                        lambda self, b1, b2: calls.append(1) or solve(self, b1, b2))
+    return calls

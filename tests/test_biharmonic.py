@@ -10,7 +10,6 @@ from vws.biharmonic import (
     simply_supported_inverse,
     solve_biharmonic,
     velocity_from_stream,
-    write_stream,
 )
 from vws.boundary import (
     BoundaryData,
@@ -19,7 +18,7 @@ from vws.boundary import (
     rotation_data,
 )
 from vws.errors import NonTangentialData, UnderResolvedWarning
-from vws.grid import build_grid, l2_norm_omega, read_field
+from vws.grid import build_grid, l2_norm_omega
 from vws.manufactured import biharmonic_source, biharmonic_stream
 from vws.operators import divergence
 from vws.stokes import SolverOptions, solve_boundary
@@ -133,7 +132,7 @@ def test_tight_tolerance_equivalence():
     g = _lid(grid)
     st = solve_biharmonic(grid, g, rel_tol=1e-13)
     u_bi = velocity_from_stream(st)
-    opts = SolverOptions(div_tol=1e-13, cg_tol=1e-14)
+    opts = SolverOptions(div_tol=1e-13)
     u_mac = solve_boundary(grid, g, opts=opts).velocity
     assert l2_norm_omega(u_bi - u_mac) <= 1e-9
 
@@ -180,14 +179,3 @@ def test_stream_shape_validation():
     grid = build_grid(16)
     with pytest.raises(ValueError):
         StreamFunction(grid, np.zeros((4, 4)))
-
-
-def test_write_stream_round_trip(tmp_path):
-    grid = build_grid(8)
-    src = biharmonic_source()(grid.nodes()[:, None], grid.nodes()[None, :])
-    st = solve_biharmonic(grid, BoundaryData.zeros(grid), f_nodes=src)
-    path = tmp_path / "psi.dat"
-    write_stream(path, st)
-    arr, n, component = read_field(path)
-    assert n == 8 and component == "node"
-    assert np.array_equal(arr, st.psi)

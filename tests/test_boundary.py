@@ -13,10 +13,8 @@ from vws.boundary import (
     l2_norm_gamma,
     outward_normal_data,
     project_compatible,
-    read_boundary_data,
     rotation_data,
     smoothstep,
-    write_boundary_data,
 )
 from vws.errors import UnderResolvedWarning
 from vws.grid import build_grid
@@ -124,16 +122,6 @@ def test_normal_tangential_split():
         tg = g.tangential_part(side)
         assert np.allclose(nt ** 2 + tg ** 2,
                            (g.samples[side] ** 2).sum(axis=1), atol=1e-13)
-
-
-def test_write_read_roundtrip(tmp_path):
-    grid = build_grid(8)
-    g = rotation_data(grid)
-    path = tmp_path / "g.txt"
-    write_boundary_data(path, g)
-    back = read_boundary_data(path, grid)
-    for side in SIDES:
-        assert np.allclose(back.samples[side], g.samples[side], atol=1e-12)
 
 
 def test_rejects_non_finite_samples():

@@ -1,11 +1,11 @@
-import csv
 import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from vws.boundary import BoundaryData, cavity_g, cavity_g_eps, outward_normal_data, rotation_data
+from vws.boundary import (BoundaryData, cavity_g, cavity_g_eps, outward_normal_data,
+                          project_compatible, rotation_data)
 from vws.errors import (
     IncompatibleBoundaryData,
     UnderResolvedWarning,
@@ -29,14 +29,14 @@ from vws.evolution import (
     spacetime_velocity_norm,
     trapezoid_weights,
 )
-from vws.grid import VelocityField, build_grid, l2_norm_omega, read_field
+from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import time_dependent_forcing, time_dependent_solution
 from vws.boundary import SIDES
 from vws.stokes import solve_boundary
 from vws.traces import TangentialBoundaryData
 from vws.transposition import solve_adjoint
 
-from support import observed_orders
+from support import count_poisson_solves, observed_orders
 
 
 def _lid(grid, eps=0.1):
@@ -117,6 +117,33 @@ def test_slice_with_net_flux_rejected():
     tb = TimeBoundaryData.from_slices(grid, slices)
     with pytest.raises(IncompatibleBoundaryData):
         evolve(grid, tb, 1.0, 1.0)
+
+
+def test_slice_checks_follow_the_data_scale():
+    # exactly compatible slices pass at any scale, a tiny net flux fails;
+    # an absolute 1e-10 bound got both wrong
+    grid = build_grid(32)
+    rng = np.random.default_rng(0)
+    g = project_compatible(BoundaryData(
+        grid, {side: rng.standard_normal((32, 2)) for side in SIDES}))
+    evolve(grid, TimeBoundaryData.constant(g * 1e8), 0.25, 0.125)
+    tiny = TimeBoundaryData.constant(outward_normal_data(grid) * 1e-11)
+    with pytest.raises(IncompatibleBoundaryData):
+        evolve(grid, tiny, 0.25, 0.125)
+
+
+def test_march_takes_two_poisson_solves_per_step(monkeypatch):
+    # a forward plus backward Crank-Nicolson march of m steps is 2m saddle
+    # solves of two velocity solves each, with no warm start
+    calls = count_poisson_solves(monkeypatch)
+    grid = build_grid(16)
+    m = 8
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
+    traj = evolve(grid, tb, 0.5, 0.5 / m, scheme="cn")
+    back = solve_adjoint_backward(grid, traj)
+    assert len(calls) == 4 * m
+    assert [d["step"] for d in traj.diagnostics] == list(range(1, m + 1))
+    assert [d["step"] for d in back.diagnostics] == list(range(m))
 
 
 def test_forced_cn_final_error_frozen():
@@ -236,20 +263,3 @@ def test_spacetime_norms_of_constant_trajectory():
 
     assert spacetime_boundary_norm(tb, T, T / m) == pytest.approx(
         l2_norm_gamma(g) * np.sqrt(T), rel=1e-12)
-
-
-def test_trajectory_save_round_trip(tmp_path):
-    grid = build_grid(8)
-    tb = TimeBoundaryData.ramped(cavity_g(grid), smooth_ramp(0.25))
-    traj = evolve(grid, tb, 0.5, 0.125, scheme="euler")
-    traj.save(tmp_path)
-    with open(tmp_path / "index.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == traj.steps + 1
-    assert [int(r["step"]) for r in rows] == list(range(traj.steps + 1))
-    k = traj.steps
-    arr, n, component = read_field(tmp_path / f"step{k:05d}_u1.dat")
-    assert n == 8 and component == "u1"
-    assert np.array_equal(arr, traj.final().u1)
-    assert float(rows[-1]["u_norm"]) == pytest.approx(
-        l2_norm_omega(traj.final()), rel=1e-12)

@@ -7,8 +7,6 @@ from vws.grid import (
     build_grid,
     l2_norm_omega,
     max_norm,
-    read_field,
-    write_field,
 )
 
 
@@ -82,26 +80,3 @@ def test_pressure_zero_mean():
     grid = build_grid(8)
     p = PressureField.from_function(grid, lambda x, y: x).zero_mean()
     assert abs(p.mean()) <= 1e-15
-
-
-def test_write_read_roundtrip(tmp_path):
-    grid = build_grid(8)
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((9, 8))
-    path = tmp_path / "field_u1.dat"
-    write_field(path, arr, 8, "u1")
-    back, n, comp = read_field(path)
-    assert n == 8 and comp == "u1"
-    assert np.array_equal(back, arr)
-
-
-def test_write_field_rejects_unknown_component(tmp_path):
-    with pytest.raises(ValueError):
-        write_field(tmp_path / "x.dat", np.zeros((3, 3)), 3, "vorticity")
-
-
-def test_read_field_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.dat"
-    path.write_bytes(b"nope" + bytes(24))
-    with pytest.raises(ValueError):
-        read_field(path)
