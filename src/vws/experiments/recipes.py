@@ -92,7 +92,7 @@ RECIPE_NS = {
     "eps-sweep": (),
     "transposition": (32, 64, 128),
     "traces": (32, 64, 128),
-    "biharmonic": (32, 64, 128),
+    "biharmonic": (32, 64, 128, 256),
     "evolution-orders": (32,),
     "evolution-estimate": (16, 32, 64),
 }
@@ -613,9 +613,9 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     orders = _orders(errs)
     rep.metric("mms_errors", errs)
     rep.metric("mms_orders", orders)
-    rep.check_ge("mms_order", min(orders), 1.5,
+    rep.check_ge("mms_order", min(orders), 1.9,
                  f"orders {[f'{o:.3f}' for o in orders]}")
-    rep.check_le("cross_gap", max(r[2] for r in rows), 1e-8,
+    rep.check_le("cross_gap", max(r[2] for r in rows), 1e-10,
                  "curl of the clamped stream matches the mixed solve")
     rep.check_le("curl_divergence", max(r[3] for r in rows), 1e-13)
 

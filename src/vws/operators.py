@@ -26,6 +26,12 @@ zero-mean fields gives the Cahouet-Chabard map, the exact inverse of the
 pressure Schur complement with free-slip walls; a closed-form boundary
 capacitance matrix corrects it to the exact inverse for no-slip walls at
 every shift (:class:`SchurInverse`).
+
+That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
+couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
+so both split into four parity sectors with the same closed form
+(:func:`_parity_sectors`) and are inverted by the same per-sector block
+elimination (:class:`_SectorInverse`).
 """
 
 from __future__ import annotations
@@ -364,6 +370,74 @@ def _neumann_inverse(mu: np.ndarray) -> np.ndarray:
     return np.reciprocal(inv_lam, out=inv_lam)
 
 
+def _parity_sectors(inv_d: np.ndarray, weight: np.ndarray, modes: np.ndarray,
+                    delta: float, sign: float) -> list:
+    """Closed-form wall capacitance matrix K, split into four parity sectors.
+
+    Both capacitance matrices here (the no-slip pressure correction of
+    :class:`SchurInverse` and the clamped plate of :mod:`vws.biharmonic`)
+    couple a first and a second pair of opposite walls through a 2-D
+    spectral inverse ``inv_d``, in the sine modes ``modes`` along the walls.
+    A wall pair is taken as the even (sum) or odd (difference) combination
+    of its two walls; ``weight[:, a]`` is the weight of each mode normal to
+    the walls on the pair of parity a, and a mode has parity ``mode % 2``.
+
+    * Each pair's block is diagonal per mode k:
+      delta + sum_l weight_la^2 inv_d[k, l].
+    * The coupling of first-pair mode k and second-pair mode l is dense:
+      sign weight_kb weight_la inv_d[k, l].
+
+    The coupling is nonzero only for first-pair modes of parity b and
+    second-pair modes of parity a, so K splits into four sectors (a, b),
+    returned as tuples (a, b, k, l, d1, c, d2): first-pair modes k,
+    second-pair modes l, the diagonals d1, d2 and the coupling block c.
+    """
+    parity = modes % 2
+    sectors = []
+    for a in (0, 1):
+        for b in (0, 1):
+            k = modes[parity == b]
+            l = modes[parity == a]
+            d1 = delta + inv_d[k] @ weight[:, a] ** 2
+            d2 = delta + weight[:, b] ** 2 @ inv_d[:, l]
+            c = sign * np.outer(weight[k, b], weight[l, a])
+            c *= inv_d[np.ix_(k, l)]
+            sectors.append((a, b, k, l, d1, c, d2))
+    return sectors
+
+
+class _SectorInverse:
+    """K^{-1} for the sectors of :func:`_parity_sectors`.
+
+    Each sector is inverted by block elimination of its diagonal first-pair
+    part; the inverse of the dense Schur complement D2 - C^T D1^{-1} C of
+    that part is stored.
+    """
+
+    def __init__(self, sectors: list):
+        self._sectors = []
+        for a, b, k, l, d1, c, d2 in sectors:
+            e = c / d1[:, None]
+            s2 = np.linalg.inv(np.diag(d2) - c.T @ e)
+            self._sectors.append((a, b, k, l, 1.0 / d1, e, 0.5 * (s2 + s2.T)))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the factored sectors."""
+        return sum(x.nbytes for sector in self._sectors for x in sector[2:])
+
+    def __call__(self, r1: np.ndarray, r2: np.ndarray):
+        """(y1, y2) = K^{-1} (r1, r2); r1[k, a] is first-pair mode k, parity a."""
+        y1 = np.zeros_like(r1)
+        y2 = np.zeros_like(r2)
+        for a, b, k, l, d1_inv, e, s2_inv in self._sectors:
+            f1, f2 = r1[k, a], r2[l, b]
+            x2 = s2_inv @ (f2 - e.T @ f1)
+            y1[k, a] = d1_inv * f1 - e @ x2
+            y2[l, b] = x2
+        return y1, y2
+
+
 def _capacitance_sectors(n: int, shift: float):
     """Closed-form capacitance matrix K of the no-slip walls, by parity sector.
 
@@ -379,23 +453,20 @@ def _capacitance_sectors(n: int, shift: float):
 
     where w_l = sqrt(2) psi_l(0) is the weight of cosine mode l on the even
     (bottom + top, left + right) or odd (bottom - top, ...) wall pair; since
-    psi_l(n-1) = (-1)^l psi_l(0), even pairs see only even l.  The u1 pair of
-    parity a and the u2 pair of parity b couple only through u1 modes k of
-    parity b and u2 modes l of parity a, so K splits into four sectors.
+    psi_l(n-1) = (-1)^l psi_l(0), even pairs see only even l.  These are the
+    sectors of :func:`_parity_sectors` with the u1 pair first, weights
+    sqrt(mu) w and the sine modes 1..n-1.
 
     Returns mu (the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n, 2) with
-    column a the weights of parity a, and per sector the tuple
-    (a, b, k, l, d1, c, d2): u1 modes k, u2 modes l, the diagonals d1, d2
-    and the coupling block c.
+    column a the weights of parity a, and the sectors.
     """
     h = 1.0 / n
     modes = np.arange(n)
     mu = (2.0 - 2.0 * np.cos(modes * np.pi / n)) / h ** 2
     psi0 = np.sqrt(2.0 / n) * np.cos(modes * np.pi / (2 * n))
     psi0[0] = np.sqrt(1.0 / n)
-    parity = modes % 2
     w = np.zeros((n, 2))
-    w[modes, parity] = np.sqrt(2.0) * psi0
+    w[modes, modes % 2] = np.sqrt(2.0) * psi0
     inv_lam = _neumann_inverse(mu)
     # 1 / D = inv_lam^2 / (1 + shift inv_lam), built in place: the n^2
     # temporaries set the peak memory of the build
@@ -403,16 +474,8 @@ def _capacitance_sectors(n: int, shift: float):
     inv_d += 1.0
     np.divide(inv_lam, inv_d, out=inv_d)
     inv_d *= inv_lam
-    sectors = []
-    for a in (0, 1):
-        for b in (0, 1):
-            k = modes[1:][parity[1:] == b]
-            l = modes[1:][parity[1:] == a]
-            d1 = 0.5 * h * h + inv_d[k] @ (mu * w[:, a] ** 2)
-            d2 = 0.5 * h * h + (mu * w[:, b] ** 2) @ inv_d[:, l]
-            c = -np.outer(np.sqrt(mu[k]) * w[k, b], np.sqrt(mu[l]) * w[l, a])
-            c *= inv_d[np.ix_(k, l)]
-            sectors.append((a, b, k, l, d1, c, d2))
+    sectors = _parity_sectors(inv_d, np.sqrt(mu)[:, None] * w, modes[1:],
+                              0.5 * h * h, -1.0)
     return mu, w, sectors
 
 
@@ -430,28 +493,21 @@ class SchurInverse:
     with K the capacitance matrix of :func:`_capacitance_sectors`.  L is
     diagonal in the 2-D type-II cosine modes, and the wall values of G q are
     sums of those modes weighted by w, so an application takes one forward
-    and one inverse 2-D transform; K^{-1} is applied per sector by block
-    elimination of its diagonal u1 part, with the inverse of the dense
-    Schur complement of that part stored.  The result has zero mean.
+    and one inverse 2-D transform; K^{-1} is applied per sector by
+    :class:`_SectorInverse`.  The result has zero mean.
     """
 
     def __init__(self, n: int, shift: float):
         self.shift = shift
         self._mu, self._w, sectors = _capacitance_sectors(n, shift)
+        self._k_inv = _SectorInverse(sectors)
         self._root_mu = np.sqrt(self._mu)
-        self._sectors = []
-        for a, b, k, l, d1, c, d2 in sectors:
-            e = c / d1[:, None]
-            s2 = np.linalg.inv(np.diag(d2) - c.T @ e)
-            self._sectors.append((a, b, k, l, 1.0 / d1, e, 0.5 * (s2 + s2.T)))
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
         arrays = [self._mu, self._w, self._root_mu]
-        for sector in self._sectors:
-            arrays += sector[2:]
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r_hat = dctn(r, type=2, norm="ortho")
@@ -462,13 +518,7 @@ class SchurInverse:
         # B0 r: wall values of -G q, q = L^+ r, per wall pair and sine mode
         e1 = self._root_mu[:, None] * (q_hat @ self._w)
         e2 = self._root_mu[:, None] * (q_hat.T @ self._w)
-        y1 = np.zeros_like(e1)
-        y2 = np.zeros_like(e2)
-        for a, b, k, l, d1_inv, e, s2_inv in self._sectors:
-            r1, r2 = e1[k, a], e2[l, b]
-            x2 = s2_inv @ (r2 - e.T @ r1)
-            y1[k, a] = d1_inv * r1 - e @ x2
-            y2[l, b] = x2
+        y1, y2 = self._k_inv(e1, e2)
         # B0^T y = L^+ G^T U y, added to CC r = r + shift q; in place, since
         # the n^2 temporaries set the peak memory of a solve
         y1 *= self._root_mu[:, None]

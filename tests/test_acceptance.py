@@ -99,9 +99,9 @@ def test_08_stream_function_crosscheck(recipe_runs, capsys):
     rep, _ = recipe_runs["biharmonic"]
     gap = find_assertion(rep, "cross_gap").value
     div = find_assertion(rep, "curl_divergence").value
-    ok = gap <= 1e-8 and div <= 1e-13
+    ok = gap <= 1e-10 and div <= 1e-13
     _emit(capsys, "stream-function cross-check",
-          ok, f"velocity gap {gap:.2e} (<= 1e-08), "
+          ok, f"velocity gap {gap:.2e} (<= 1e-10), "
               f"curl divergence {div:.2e} (<= 1e-13)")
 
 

@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from vws import biharmonic, operators
 from vws.biharmonic import (
     StreamFunction,
+    _clamped_plate_inverse,
+    _plate_capacitance_sectors,
     apply_biharmonic,
     biharmonic_load,
     simply_supported_inverse,
@@ -17,7 +20,7 @@ from vws.boundary import (
     outward_normal_data,
     rotation_data,
 )
-from vws.errors import NonTangentialData, UnderResolvedWarning
+from vws.errors import NonConvergence, NonTangentialData, UnderResolvedWarning
 from vws.grid import build_grid, l2_norm_omega
 from vws.manufactured import biharmonic_source, biharmonic_stream
 from vws.operators import divergence
@@ -108,11 +111,128 @@ def test_simply_supported_inverse_is_exact():
 
 
 def test_lid_iterations_mesh_independent():
-    # measured 17, 24 and 32; a count that grows like n^2 fails at n = 64
+    # one direct step at every n, on the capacitance path
     for n in (32, 64, 128):
         grid = build_grid(n)
         st = solve_biharmonic(grid, _lid(grid))
-        assert st.diagnostics["iterations"] <= 60
+        assert st.diagnostics["iterations"] == 1
+        assert st.diagnostics["path"] == "capacitance"
+
+
+def _pair_modes(n):
+    """Orthonormal wall-line basis in the order of the plate capacitance.
+
+    Columns run over (left/right pair, bottom/top pair) x (parity 0, 1) x
+    (sine mode 1..n-1); rows are interior nodes.  Parity 0 is the sum of the
+    two opposite lines, parity 1 their difference; every line is full, so
+    the corner nodes lie on two lines.
+    """
+    j = np.arange(1, n)
+    cols = []
+    for pair in (0, 1):
+        for a in (0, 1):
+            for k in range(1, n):
+                phi = np.sin(k * np.pi * j / n) / np.sqrt(n)
+                x = np.zeros((n - 1, n - 1))
+                if pair == 0:
+                    x[0, :], x[-1, :] = phi, (-1) ** a * phi
+                else:
+                    x[:, 0], x[:, -1] = phi, (-1) ** a * phi
+                cols.append(x.ravel())
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_plate_capacitance_matches_probe(n):
+    grid, h = build_grid(n), 1.0 / n
+    m = n - 1
+    eye = np.eye(m * m)
+    A = np.column_stack([apply_biharmonic(grid, e.reshape(m, m)).ravel()
+                         for e in eye])
+    M = np.column_stack([simply_supported_inverse(grid)(e) for e in eye])
+    U = _pair_modes(n)
+    # orthonormal within each pair; the pairs overlap at the corners
+    for half in (U[:, :2 * m], U[:, 2 * m:]):
+        assert np.abs(half.T @ half - np.eye(2 * m)).max() <= 1e-13
+    # clamped = simply supported + 2/h^4 on every line a node lies on
+    split = np.linalg.inv(M) + (2.0 / h ** 4) * U @ U.T
+    assert np.abs(A - split).max() <= 1e-10 * np.abs(A).max()
+    K_probe = 0.5 * h ** 4 * np.eye(4 * m) + U.T @ M @ U
+
+    K = np.zeros_like(K_probe)
+    for a, b, k, l, d1, c, d2 in _plate_capacitance_sectors(n)[2]:
+        i1 = a * m + k
+        i2 = 2 * m + b * m + l
+        K[i1, i1] = d1
+        K[i2, i2] = d2
+        K[np.ix_(i1, i2)] = c
+        K[np.ix_(i2, i1)] = c.T
+    assert np.abs(K - K_probe).max() <= 1e-12 * np.abs(K_probe).max()
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_plate_inverse_is_exact(n):
+    # measured relative residuals 1.7e-13, 2.0e-12, 8.8e-12 and round trips
+    # 2.0e-14, 2.5e-13, 3.2e-12 (the condition number grows like n^4)
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n - 1, n - 1))
+    psi = _clamped_plate_inverse(grid)(b)
+    assert np.abs(apply_biharmonic(grid, psi) - b).max() <= 1e-10 * np.abs(b).max()
+    x = rng.standard_normal((n - 1, n - 1))
+    back = _clamped_plate_inverse(grid)(apply_biharmonic(grid, x))
+    assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()
+
+
+def test_plate_mms_returns_at_n256():
+    # the old iterative solve raised here: its residual floored above
+    # rel_tol = 1e-8 of max|b|
+    assert _mms_err(256) <= 2.5e-7
+
+
+def test_solve_is_direct_with_one_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plate solve called cg_solve")
+
+    monkeypatch.setattr(operators, "cg_solve", refuse)
+    calls = []
+    apply = biharmonic.apply_biharmonic
+    monkeypatch.setattr(biharmonic, "apply_biharmonic",
+                        lambda grid, x: calls.append(1) or apply(grid, x))
+    grid = build_grid(32)
+    st = solve_biharmonic(grid, _lid(grid))
+    assert len(calls) == 1
+    assert st.diagnostics["iterations"] == 1
+    assert st.diagnostics["rel_residual"] <= 1e-15
+
+
+def test_plate_inverse_is_small_cached_and_untraced(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("builder called a solver entry point")
+
+    monkeypatch.setattr(biharmonic, "apply_biharmonic", refuse)
+    monkeypatch.setattr(operators, "cg_solve", refuse)
+    assert biharmonic._ClampedPlateInverse(256).nbytes <= 2_000_000
+    assert _clamped_plate_inverse(build_grid(32)) is _clamped_plate_inverse(build_grid(32))
+
+
+@pytest.mark.parametrize("case", ["lid", "mms"])
+def test_perturbed_solve_raises(monkeypatch, case):
+    # a smooth 0.1% error moves the residual little: on the n = 64 MMS it
+    # reads 1.6e-9 of the scale, so the default tolerance must sit below that
+    grid = build_grid(64)
+    z = grid.nodes()
+    if case == "lid":
+        g, src = _lid(grid), None
+    else:
+        g, src = BoundaryData.zeros(grid), biharmonic_source()(z[:, None], z[None, :])
+    exact = _clamped_plate_inverse(grid)
+    monkeypatch.setattr(biharmonic, "_clamped_plate_inverse",
+                        lambda grid: lambda rhs: 1.001 * exact(rhs))
+    with pytest.raises(NonConvergence, match="clamped plate") as info:
+        solve_biharmonic(grid, g, f_nodes=src)
+    assert info.value.best_x.shape == (63, 63)
+    assert info.value.residual > 0.0
 
 
 def test_cross_check_against_saddle_solver():
@@ -121,7 +241,7 @@ def test_cross_check_against_saddle_solver():
     st = solve_biharmonic(grid, g)
     u_bi = velocity_from_stream(st)
     u_mac = solve_boundary(grid, g).velocity
-    assert l2_norm_omega(u_bi - u_mac) <= 1e-8
+    assert l2_norm_omega(u_bi - u_mac) <= 1e-10
     assert np.abs(divergence(u_bi).p).max() <= 1e-13
 
 
@@ -144,6 +264,16 @@ def test_rejects_data_with_normal_component():
         solve_biharmonic(grid, g)
 
 
+def test_normal_part_check_follows_the_data_scale():
+    grid = build_grid(16)
+    with pytest.raises(NonTangentialData):
+        solve_biharmonic(grid, outward_normal_data(grid) * 1e-13)
+    g = _lid(grid)
+    big = solve_biharmonic(grid, g * 1e12)
+    ref = solve_biharmonic(grid, g)
+    assert np.abs(big.psi - 1e12 * ref.psi).max() <= 1e-12 * 1e12 * np.abs(ref.psi).max()
+
+
 def test_lid_vortex_location_frozen():
     grid = build_grid(64)
     st = solve_biharmonic(grid, _lid(grid))
@@ -158,6 +288,7 @@ def test_zero_data_gives_zero_stream():
     st = solve_biharmonic(grid, BoundaryData.zeros(grid))
     assert np.abs(st.psi).max() == 0.0
     assert st.diagnostics["iterations"] == 0
+    assert st.diagnostics["path"] == "capacitance"
 
 
 def test_load_shape_validation():
