@@ -32,8 +32,9 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
     """Per-metric relative differences between two runs of the same recipe.
 
     Raises RecipeMismatch if the directories hold different recipes.  Returns
-    a dict with the diffs, the metrics beyond tol, and any assertions whose
-    pass/fail state flipped.
+    a dict with the diffs, the metrics beyond tol, any assertions whose
+    pass/fail state flipped, and any assertions present in both runs whose
+    threshold differs (as name -> [threshold_a, threshold_b]).
     """
     sa = load_summary(dir_a)
     sb = load_summary(dir_b)
@@ -51,12 +52,13 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
         else:
             diffs[key] = float("inf")
 
-    flips = []
-    aa = {x["name"]: x["passed"] for x in sa.get("assertions", [])}
-    ab = {x["name"]: x["passed"] for x in sb.get("assertions", [])}
-    for name in sorted(set(aa) | set(ab)):
-        if aa.get(name) != ab.get(name):
-            flips.append(name)
+    aa = {x["name"]: x for x in sa.get("assertions", [])}
+    ab = {x["name"]: x for x in sb.get("assertions", [])}
+    flips = [name for name in sorted(set(aa) | set(ab))
+             if aa.get(name, {}).get("passed") != ab.get(name, {}).get("passed")]
+    thresholds = {name: [aa[name]["threshold"], ab[name]["threshold"]]
+                  for name in sorted(set(aa) & set(ab))
+                  if aa[name]["threshold"] != ab[name]["threshold"]}
 
     exceeds = sorted(k for k, d in diffs.items() if d > tol)
     return {
@@ -66,7 +68,8 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
         "max_rel_diff": max(diffs.values()) if diffs else 0.0,
         "exceeds": exceeds,
         "assertion_flips": flips,
-        "match": not exceeds and not flips,
+        "threshold_changes": thresholds,
+        "match": not exceeds and not flips and not thresholds,
     }
 
 
@@ -77,5 +80,7 @@ def format_comparison(result: dict) -> str:
         lines.append(f"{mark}{key}: rel diff {d:.3e}")
     if result["assertion_flips"]:
         lines.append("assertion flips: " + ", ".join(result["assertion_flips"]))
+    for name, (ta, tb) in result["threshold_changes"].items():
+        lines.append(f"threshold changed: {name}: {ta:g} -> {tb:g}")
     lines.append("MATCH" if result["match"] else "DIFFERS")
     return "\n".join(lines)

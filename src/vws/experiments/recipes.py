@@ -91,7 +91,7 @@ RECIPE_NS = {
     "compatibility": (64,),
     "eps-sweep": (),
     "transposition": (32, 64, 128),
-    "traces": (32, 64, 128),
+    "traces": (32, 64, 128, 256, 512),
     "biharmonic": (32, 64, 128, 256),
     "evolution-orders": (32,),
     "evolution-estimate": (16, 32, 64),
@@ -541,13 +541,13 @@ def run_traces(cfg: ExperimentConfig) -> RecipeReport:
     orders = _orders(gaps)
     rep.metric("probe_gaps", gaps)
     rep.metric("probe_gap_orders", orders)
-    rep.check_ge("probe_gap_order", min(orders), 0.8,
+    rep.check_ge("probe_gap_order", min(orders), 0.85,
                  f"orders {[f'{o:.3f}' for o in orders]}")
 
     rts = [c["roundtrip"] for c in cases]
     rt_orders = _orders(rts)
     rep.metric("roundtrip_errors", rts)
-    rep.check_ge("lift_roundtrip_order", min(rt_orders), 1.5,
+    rep.check_ge("lift_roundtrip_order", min(rt_orders), 1.9,
                  f"orders {[f'{o:.3f}' for o in rt_orders]}")
     rep.check_le("lift_divergence", max(c["div_lift"] for c in cases), 1e-12)
 

@@ -183,6 +183,24 @@ def test_compare_detects_drift_and_flips(tmp_path):
     assert "DIFFERS" in text and "> gap" in text
 
 
+def test_compare_lists_threshold_changes(tmp_path):
+    ra = RecipeReport("traces")
+    rb = RecipeReport("traces")
+    for rep, bound in ((ra, 0.8), (rb, 0.85)):
+        rep.metric("gap", [1.0, 0.5])
+        rep.check_ge("order", 1.0, bound)
+        rep.check_le("divergence", 1e-14, 1e-12)
+    ra.write(tmp_path / "a")
+    rb.write(tmp_path / "b")
+    result = compare_runs(tmp_path / "a", tmp_path / "b")
+    assert result["max_rel_diff"] == 0.0 and not result["assertion_flips"]
+    assert result["threshold_changes"] == {"order": [0.8, 0.85]}
+    assert not result["match"]
+    text = format_comparison(result)
+    assert "threshold changed: order: 0.8 -> 0.85" in text
+    assert "DIFFERS" in text
+
+
 def test_pmap_preserves_order():
     items = [-3, -1, -2, -5]
     assert _pmap(abs, items, workers=1) == [3, 1, 2, 5]

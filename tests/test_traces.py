@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vws.boundary import SIDES, rotation_data
+from vws import traces
+from vws.boundary import SIDES, cavity_g, rotation_data
 from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.operators import divergence
 from vws.stokes import solve_boundary
@@ -14,6 +18,7 @@ from vws.traces import (
     negative_control_field,
     normal_trace,
     pairing_L,
+    pairing_with_field,
     perturbation_field,
     probe_set,
 )
@@ -58,6 +63,21 @@ def test_lift_roundtrip_frozen():
         )
     assert worst == pytest.approx(2.4047365601e-3, rel=1e-3)
     assert np.abs(divergence(lift).p).max() <= 1e-12
+
+
+def test_lift_puts_each_profile_on_its_own_wall():
+    # distinct profiles per side: a lift that swapped the roles of the wall
+    # and across-wall factors would move the bottom data onto the left wall
+    grid = build_grid(32)
+    s = grid.x_centers()
+    prof = {"bottom": np.sin(np.pi * s), "right": np.full(32, 0.3),
+            "top": np.cos(np.pi * s), "left": s}
+    dvdn = normal_derivative_on_gamma(
+        lift_tangential(TangentialBoundaryData(grid, prof)))
+    mask = (s > 0.25) & (s < 0.75)
+    for sd in SIDES:
+        assert np.abs(dvdn.tangential_part(sd) - prof[sd])[mask].max() <= 2.5e-3
+        assert np.abs(dvdn.normal_part(sd))[mask].max() <= 2.5e-3
 
 
 def test_lift_vanishes_on_walls():
@@ -155,3 +175,92 @@ def test_pairing_of_zero_probe_is_zero():
     u = solve_boundary(grid, rotation_data(grid)).velocity
     empty = TangentialBoundaryData(grid, {})
     assert pairing_L(u, empty) == 0.0
+
+
+def test_tangential_data_rejects_non_finite():
+    grid = build_grid(16)
+    for bad in (np.nan, np.inf, -np.inf):
+        prof = np.ones(16)
+        prof[5] = bad
+        with pytest.raises(ValueError,
+                           match="profile for left has non-finite values"):
+            TangentialBoundaryData(grid, {"left": prof})
+
+
+def _oracle(u, g1):
+    return pairing_with_field(u, lift_tangential(g1))
+
+
+def _test_probes(grid):
+    # the 20 single-side probes, a four-sided probe, a seeded random profile
+    s = grid.x_centers()
+    rng = np.random.default_rng(0)
+    return [g1 for _, g1, _ in probe_set(grid)] + [
+        TangentialBoundaryData(grid, {sd: np.sin(np.pi * s) + 0.3
+                                      for sd in SIDES}),
+        TangentialBoundaryData(grid, {sd: rng.standard_normal(grid.n)
+                                      for sd in SIDES}),
+    ]
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("data", [cavity_g, rotation_data])
+def test_closed_form_pairing_matches_lift(n, data):
+    grid = build_grid(n)
+    u = solve_boundary(grid, data(grid)).velocity
+    probes = _test_probes(grid)
+    ref = np.array([_oracle(u, g1) for g1 in probes])
+    val = np.array([pairing_L(u, g1) for g1 in probes])
+    # relative to the largest pairing of the field: for the lid, the probes
+    # on the three resting walls pair to rounding-level values
+    assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_closed_form_pairing_builds_no_lift(monkeypatch):
+    grid = build_grid(256)
+    u = solve_boundary(grid, rotation_data(grid)).velocity
+    g1 = _test_probes(grid)[-2]     # the four-sided probe
+    ref = _oracle(u, g1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pairing_L built a lift")
+
+    monkeypatch.setattr(traces, "stream_curl", forbidden)
+    monkeypatch.setattr(traces, "apply_velocity_laplacian", forbidden)
+    assert pairing_L(u, g1) == pytest.approx(ref, rel=1e-12)
+
+
+@functools.cache
+def _rotation_field(n):
+    grid = build_grid(n)
+    return grid, solve_boundary(grid, rotation_data(grid)).velocity
+
+
+def _positive_profiles(n, seed, mask):
+    # unit mean plus noise: each side pairs to about 1/2 with the rotation
+    # field, so sums never cancel and relative bounds stay meaningful
+    rng = np.random.default_rng(seed)
+    return {sd: 1.0 + 0.5 * rng.standard_normal(n)
+            for k, sd in enumerate(SIDES) if mask >> k & 1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 15), st.integers(1, 15),
+       st.floats(min_value=-6.0, max_value=6.0),
+       st.floats(min_value=-6.0, max_value=6.0))
+def test_pairing_is_bilinear(seed1, seed2, mask1, mask2, log_alpha, log_beta):
+    grid, u = _rotation_field(32)
+    p1 = _positive_profiles(grid.n, seed1, mask1)
+    p2 = _positive_profiles(grid.n, seed2, mask2)
+    g1, g2 = TangentialBoundaryData(grid, p1), TangentialBoundaryData(grid, p2)
+    base1, base2 = pairing_L(u, g1), pairing_L(u, g2)
+    alpha, beta = 10.0 ** log_alpha, 10.0 ** log_beta
+
+    assert pairing_L(u * alpha, g1) == pytest.approx(alpha * base1, rel=1e-12)
+    scaled = TangentialBoundaryData(grid, {sd: beta * p for sd, p in p1.items()})
+    assert pairing_L(u, scaled) == pytest.approx(beta * base1, rel=1e-12)
+    both = TangentialBoundaryData(
+        grid, {sd: p1.get(sd, 0.0) + p2.get(sd, 0.0) for sd in p1.keys() | p2.keys()})
+    assert abs(pairing_L(u, both) - base1 - base2) <= 1e-12 * (
+        abs(base1) + abs(base2))
