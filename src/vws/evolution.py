@@ -43,7 +43,7 @@ from .boundary import (SIDES, BoundaryData, l2_norm_gamma, require_compatible,
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
 from .operators import DirichletBC, apply_velocity_laplacian
-from .stokes import SolverOptions, solve_saddle
+from .stokes import solve_saddle
 from .traces import TangentialBoundaryData, lift_tangential, perturbation_field
 
 __all__ = [
@@ -157,11 +157,6 @@ def _check_steps(T: float, dt: float) -> int:
     return m
 
 
-def _interior(u: VelocityField):
-    n = u.grid.n
-    return u.u1[1:n, :], u.u2[:, 1:n]
-
-
 def _slice_bc(g: TimeBoundaryData, k: int, dt: float) -> DirichletBC:
     gk = g.at(k, dt)
     require_compatible(gk, f"boundary slice at step {k}")
@@ -169,8 +164,7 @@ def _slice_bc(g: TimeBoundaryData, k: int, dt: float) -> DirichletBC:
 
 
 def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
-           u0: VelocityField, force, slice_bc, backward: bool,
-           opts: SolverOptions | None) -> Trajectory:
+           u0: VelocityField, force, slice_bc, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions.
 
     Node j of the march is time index j forward and m - j backward.
@@ -189,7 +183,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
     diags = []
     for j in range(m):
         k = m - 1 - j if backward else j + 1     # time index being produced
-        u1i, u2i = _interior(u)
+        u1i, u2i = u.interior()
         if scheme == "euler":
             f1 = u1i / dt
             f2 = u2i / dt
@@ -209,7 +203,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         bc_next = slice_bc(j + 1)
         try:
             u1, u2, p, diag = solve_saddle(grid, bc_next, f1, f2, None,
-                                           shift=shift, opts=opts)
+                                           shift=shift)
         except NonConvergence as exc:
             direction = "backward" if backward else "forward"
             raise NonConvergence(
@@ -231,8 +225,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
                   scheme: str = "euler", force=None,
-                  u0: VelocityField | None = None,
-                  opts: SolverOptions | None = None) -> Trajectory:
+                  u0: VelocityField | None = None) -> Trajectory:
     """March the forced problem: force(t) -> (f1, f2) interior arrays, u(0) = u0.
 
     The zero-data problem (evolve) is the force=None, u0=None case.
@@ -242,18 +235,17 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     march_force = None if force is None else (lambda j: force(times[j]))
     return _march(grid, scheme, dt, times,
                   u0 if u0 is not None else VelocityField.zeros(grid),
-                  march_force, lambda j: _slice_bc(g, j, dt), False, opts)
+                  march_force, lambda j: _slice_bc(g, j, dt), False)
 
 
 def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
-           scheme: str = "euler", opts: SolverOptions | None = None) -> Trajectory:
+           scheme: str = "euler") -> Trajectory:
     """Zero-forced, zero-initial-state evolution driven by boundary data."""
-    return evolve_lifted(grid, g, T, dt, scheme=scheme, opts=opts)
+    return evolve_lifted(grid, g, T, dt, scheme=scheme)
 
 
 def solve_adjoint_backward(grid: StaggeredGrid, u_traj: Trajectory,
-                           scheme: str | None = None,
-                           opts: SolverOptions | None = None) -> Trajectory:
+                           scheme: str | None = None) -> Trajectory:
     """Backward dual march: -dv/dt - Laplace(v) + grad(q) = u, v(T) = 0.
 
     Reversing time turns this into the forward step loop with the forcing
@@ -264,8 +256,8 @@ def solve_adjoint_backward(grid: StaggeredGrid, u_traj: Trajectory,
     bc0 = DirichletBC.zero(grid)
     return _march(grid, scheme or u_traj.scheme, u_traj.dt, u_traj.times.copy(),
                   VelocityField.zeros(grid),
-                  lambda j: _interior(u_traj.velocities[m - j]),
-                  lambda j: bc0, True, opts)
+                  lambda j: u_traj.velocities[m - j].interior(),
+                  lambda j: bc0, True)
 
 
 # --- space-time functionals --------------------------------------------------
@@ -290,14 +282,13 @@ def spacetime_boundary_norm(g: TimeBoundaryData, T: float, dt: float) -> float:
 
 def spacetime_estimate_ratio(grid: StaggeredGrid, g: TimeBoundaryData,
                              T: float, dt: float, scheme: str = "euler",
-                             opts: SolverOptions | None = None,
                              traj: Trajectory | None = None) -> float:
     """|u|_{L2(Q_T)} / |g|_{L2(0,T; L2(Gamma))} for the zero-data evolution."""
     g_norm = spacetime_boundary_norm(g, T, dt)
     if g_norm == 0.0:
         raise ZeroBoundaryData("space-time ratio undefined for zero data")
     if traj is None:
-        traj = evolve(grid, g, T, dt, scheme=scheme, opts=opts)
+        traj = evolve(grid, g, T, dt, scheme=scheme)
     return spacetime_velocity_norm(traj) / g_norm
 
 
@@ -322,11 +313,11 @@ def _volume_pairings(traj: Trajectory, w_field: VelocityField):
     n, h = grid.n, grid.h
     a1, a2 = apply_velocity_laplacian(grid, w_field.u1, w_field.u2,
                                       DirichletBC.zero(grid))
-    w1, w2 = _interior(w_field)
+    w1, w2 = w_field.interior()
     uw = np.empty(traj.steps + 1)
     ulw = np.empty(traj.steps + 1)
     for k, u in enumerate(traj.velocities):
-        u1i, u2i = _interior(u)
+        u1i, u2i = u.interior()
         uw[k] = h * h * (float(np.sum(u1i * w1)) + float(np.sum(u2i * w2)))
         ulw[k] = -h * h * (float(np.sum(u1i * a1)) + float(np.sum(u2i * a2)))
     return uw, ulw
@@ -370,7 +361,7 @@ def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
 
 
 def spacetime_independence_gap(traj: Trajectory, modulation,
-                               seed: int = 0, scale: float = 1.0) -> float:
+                               seed: int = 0) -> float:
     """Pairing difference when the lift is perturbed by a time-modulated
     random solenoidal field with zero boundary values and normal derivative.
 
@@ -378,7 +369,7 @@ def spacetime_independence_gap(traj: Trajectory, modulation,
     problem; the discrete value measures the scheme's integration-by-parts
     defect.  Fields that do not solve the problem leave an O(1) residue.
     """
-    w_field = perturbation_field(traj.grid, seed=seed, scale=scale)
+    w_field = perturbation_field(traj.grid, seed=seed)
     mvals, dm = _modulation_samples(modulation, traj.times)
     uw, ulw = _volume_pairings(traj, w_field)
     w = trapezoid_weights(traj.steps, traj.dt)

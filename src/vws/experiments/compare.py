@@ -34,7 +34,8 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
     Raises RecipeMismatch if the directories hold different recipes.  Returns
     a dict with the diffs, the metrics beyond tol, any assertions whose
     pass/fail state flipped, and any assertions present in both runs whose
-    threshold differs (as name -> [threshold_a, threshold_b]).
+    threshold differs by more than tol, relative (as name ->
+    [threshold_a, threshold_b]); some thresholds are measured values.
     """
     sa = load_summary(dir_a)
     sb = load_summary(dir_b)
@@ -58,7 +59,8 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
              if aa.get(name, {}).get("passed") != ab.get(name, {}).get("passed")]
     thresholds = {name: [aa[name]["threshold"], ab[name]["threshold"]]
                   for name in sorted(set(aa) & set(ab))
-                  if aa[name]["threshold"] != ab[name]["threshold"]}
+                  if _rel_diff([aa[name]["threshold"]],
+                               [ab[name]["threshold"]]) > tol}
 
     exceeds = sorted(k for k, d in diffs.items() if d > tol)
     return {

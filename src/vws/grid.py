@@ -9,7 +9,9 @@ Layout, with n cells per direction and h = 1/n:
 
 The first index is always x, the second y.  Faces with i = 0 or i = n (for u1)
 and j = 0 or j = n (for u2) lie on the boundary; they store prescribed normal
-velocities.  The interior unknowns are u1[1:n, :] and u2[:, 1:n].
+velocities.  The interior unknowns are u1[1:n, :] and u2[:, 1:n];
+VelocityField.interior and VelocityField.from_interior convert between the
+interior-shaped arrays and the full face field.
 
 Discrete integrals over the square use the owned-volume measure: every face
 owns an h x h box, halved for boundary faces (which own half a box).  With
@@ -117,6 +119,21 @@ class VelocityField:
         x2, y2 = np.meshgrid(grid.x_centers(), grid.y_faces(), indexing="ij")
         return cls(grid, np.asarray(f1(x1, y1), dtype=float),
                    np.asarray(f2(x2, y2), dtype=float))
+
+    @classmethod
+    def from_interior(cls, grid, u1_int, u2_int) -> "VelocityField":
+        """Field with the given interior faces and zero wall faces."""
+        n = grid.n
+        u1 = np.zeros((n + 1, n))
+        u2 = np.zeros((n, n + 1))
+        u1[1:n, :] = u1_int
+        u2[:, 1:n] = u2_int
+        return cls(grid, u1, u2)
+
+    def interior(self):
+        """Read-only views of the interior faces, shapes (n-1, n) and (n, n-1)."""
+        n = self.grid.n
+        return self.u1[1:n, :], self.u2[:, 1:n]
 
     def __add__(self, other: "VelocityField") -> "VelocityField":
         return VelocityField(self.grid, self.u1 + other.u1, self.u2 + other.u2)

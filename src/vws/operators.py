@@ -9,7 +9,11 @@ tangential components are imposed through ghost-cell reflection
 which keeps the eliminated operator symmetric (the elimination only adds
 +1/h^2 to the diagonal) and moves 2 g / h^2 into the load vector.
 
-Divergence and gradient are exact adjoints of each other under the natural
+There is one divergence and one gradient.  :func:`cell_divergence` takes the
+full face arrays, so prescribed wall faces count in it like any other face;
+:func:`face_gradient` gives the interior faces of the gradient, whose wall
+faces are zero.  :func:`divergence` and :func:`gradient` wrap them for the
+field types.  They are exact adjoints of each other under the natural
 Euclidean pairing: <grad p, w> = -<p, div w> for any w vanishing on boundary
 faces, with no quadrature fudge factors.
 
@@ -50,9 +54,9 @@ __all__ = [
     "DirichletBC",
     "apply_velocity_laplacian",
     "laplacian_load",
+    "cell_divergence",
     "divergence",
-    "divergence_interior",
-    "boundary_divergence",
+    "face_gradient",
     "gradient",
     "stream_curl",
     "cg_solve",
@@ -173,34 +177,20 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, bc: DirichletBC,
     return r1, r2
 
 
+def cell_divergence(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
+    """Cell divergence of full face arrays, boundary faces included."""
+    return (u1[1:, :] - u1[:-1, :]) / h + (u2[:, 1:] - u2[:, :-1]) / h
+
+
 def divergence(vel: VelocityField) -> PressureField:
-    """Cell-centered divergence of a full face field (boundary faces included)."""
+    """Cell-centered divergence of a face field (see :func:`cell_divergence`)."""
     g = vel.grid
-    d = (vel.u1[1:, :] - vel.u1[:-1, :]) / g.h + (vel.u2[:, 1:] - vel.u2[:, :-1]) / g.h
-    return PressureField(g, d)
+    return PressureField(g, cell_divergence(vel.u1, vel.u2, g.h))
 
 
-def divergence_interior(grid: StaggeredGrid, u1_int, u2_int):
-    """Divergence of interior-face values with boundary faces taken as zero."""
-    h = grid.h
-    n = grid.n
-    d = np.zeros((n, n))
-    d[:-1, :] += u1_int / h
-    d[1:, :] -= u1_int / h
-    d[:, :-1] += u2_int / h
-    d[:, 1:] -= u2_int / h
-    return d
-
-
-def boundary_divergence(grid: StaggeredGrid, bc: DirichletBC):
-    """Contribution of prescribed boundary faces to the cell divergence."""
-    n, h = grid.n, grid.h
-    d = np.zeros((n, n))
-    d[0, :] -= bc.u1_left / h
-    d[-1, :] += bc.u1_right / h
-    d[:, 0] -= bc.u2_bottom / h
-    d[:, -1] += bc.u2_top / h
-    return d
+def face_gradient(p: np.ndarray, h: float):
+    """Gradient of a cell array at the interior faces: (n-1, n), (n, n-1)."""
+    return (p[1:, :] - p[:-1, :]) / h, (p[:, 1:] - p[:, :-1]) / h
 
 
 def gradient(p: PressureField) -> VelocityField:
@@ -209,13 +199,7 @@ def gradient(p: PressureField) -> VelocityField:
     Adjoint identity: <gradient(p), w> = -<p, divergence(w)> exactly, for any
     w that vanishes on boundary faces.
     """
-    g = p.grid
-    n, h = g.n, g.h
-    u1 = np.zeros((n + 1, n))
-    u2 = np.zeros((n, n + 1))
-    u1[1:n, :] = (p.p[1:, :] - p.p[:-1, :]) / h
-    u2[:, 1:n] = (p.p[:, 1:] - p.p[:, :-1]) / h
-    return VelocityField(g, u1, u2)
+    return VelocityField.from_interior(p.grid, *face_gradient(p.p, p.grid.h))
 
 
 def stream_curl(grid: StaggeredGrid, psi: np.ndarray) -> VelocityField:
@@ -239,19 +223,18 @@ class CGResult:
     rel_residual: float   # residual / ||b||
 
 
-def cg_solve(A, b, rel_tol: float = 1e-10, max_iter: int | None = None,
-             x0=None, precond=None) -> CGResult:
+def cg_solve(A, b, rel_tol: float = 1e-10,
+             max_iter: int | None = None) -> CGResult:
     """Conjugate gradients for SPD systems.
 
     A may be anything with matrix-vector product via ``A @ x`` or a callable.
-    ``precond`` is an SPD preconditioner given as a callable r -> M^-1 r
-    (Jacobi scaling is ``lambda r: r / d``).  The stopping rule is on the
-    true, unpreconditioned residual ||b - A x|| <= rel_tol ||b||, checked
-    whenever the recursive residual passes the target or stops improving.
-    Raises NonConvergence carrying the best iterate seen and its true
-    residual when the iteration cap is hit, or at once when a true-residual
-    check fails without improving on the previous one (rel_tol below the
-    rounding floor of the system).
+    The iteration starts from zero.  The stopping rule is on the true
+    residual ||b - A x|| <= rel_tol ||b||, checked whenever the recursive
+    residual passes the target or stops improving.  Raises NonConvergence
+    carrying the best iterate seen and its true residual when the iteration
+    cap is hit, or at once when a true-residual check fails without
+    improving on the previous one (rel_tol below the rounding floor of the
+    system).
     """
     matvec = A if callable(A) else (lambda v: A @ v)
     b = np.asarray(b, dtype=float).ravel()
@@ -261,17 +244,16 @@ def cg_solve(A, b, rel_tol: float = 1e-10, max_iter: int | None = None,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return CGResult(np.zeros(m), 0, 0.0, 0.0)
-    x = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
-    r = b - matvec(x) if x.any() else b.copy()
+    x = np.zeros(m)
+    r = b.copy()
     tol = rel_tol * bnorm
-    z = r if precond is None else precond(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     best_x, best_res, best_it = x.copy(), float(np.linalg.norm(r)), 0
     last_true, next_check, it = np.inf, 0, 0
     for it in range(1, max_iter + 1):
         Ap = matvec(p)
-        alpha = rz / float(p @ Ap)
+        alpha = rr / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
         res = float(np.linalg.norm(r))
@@ -293,10 +275,9 @@ def cg_solve(A, b, rel_tol: float = 1e-10, max_iter: int | None = None,
                 break
             last_true, next_check = res_true, 2 * it
             r = r_true
-        z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     else:
         why = "iteration cap reached"
     # the recursive residual of best_x may sit far below its true residual
@@ -318,15 +299,13 @@ class VelocityPoisson:
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0,
-                 method: str = "dst", cg_tol: float = 1e-12,
-                 cg_max_iter: int | None = None):
+                 method: str = "dst", cg_tol: float = 1e-12):
         if method not in ("dst", "cg"):
             raise ValueError(f"unknown method {method!r}")
         self.grid = grid
         self.shift = shift
         self.method = method
         self.cg_tol = cg_tol
-        self.cg_max_iter = cg_max_iter
         self.inner_iterations = 0  # cumulative, cg path only
         n, h = grid.n, grid.h
         if method == "dst":
@@ -350,15 +329,13 @@ class VelocityPoisson:
         bc = DirichletBC.zero(grid)
 
         def matvec(v):
-            u1 = np.zeros((n + 1, n))
-            u2 = np.zeros((n, n + 1))
-            u1[1:n, :] = v[:cut].reshape(n - 1, n)
-            u2[:, 1:n] = v[cut:].reshape(n, n - 1)
-            r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=self.shift)
+            u = VelocityField.from_interior(grid, v[:cut].reshape(n - 1, n),
+                                            v[cut:].reshape(n, n - 1))
+            r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc, shift=self.shift)
             return np.concatenate([r1.ravel(), r2.ravel()])
 
         b = np.concatenate([b1.ravel(), b2.ravel()])
-        res = cg_solve(matvec, b, rel_tol=self.cg_tol, max_iter=self.cg_max_iter)
+        res = cg_solve(matvec, b, rel_tol=self.cg_tol)
         self.inner_iterations += res.iterations
         return res.x[:cut].reshape(n - 1, n), res.x[cut:].reshape(n, n - 1)
 

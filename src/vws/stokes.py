@@ -10,14 +10,21 @@ semidefinite with kernel = constants.  :class:`vws.operators.SchurInverse`
 inverts S exactly at every shift (the Cahouet-Chabard map
 I + shift (-Delta_N)^+, which inverts the free-slip complement, plus a
 boundary capacitance correction for the no-slip walls, applied with one pair
-of 2-D cosine transforms), so the solve is direct:
+of 2-D cosine transforms), so the solve is direct.  Every step works on the face field u that is
+returned, with D the one cell divergence of full face arrays
+(:func:`vws.operators.cell_divergence`), so prescribed wall faces count in
+it and the source c of the constraint D u = c is just h_src:
 
-    1. rhs = c - D A^{-1} b, re-centred to zero mean;
-    2. p = S^{-1} rhs;
-    3. u = A^{-1} (b - G p);
-    4. the true divergence defect max|c - D u| must be at most div_tol times
-       the data scale max(max|c|, max|D A^{-1} b|); a miss raises
-       NonConvergence carrying p and the defect.
+    1. the interior faces of u get w = A^{-1} b while its wall faces are still
+       zero, and D w is taken there;
+    2. the wall faces get the prescribed normal values; rhs = h_src - D u is
+       then the Schur right-hand side c - D w of the interior unknowns,
+       re-centred to zero mean;
+    3. p = S^{-1} rhs;
+    4. the interior faces of u get A^{-1} (b - G p);
+    5. the divergence defect max|h_src - D u| of the returned field must be at
+       most div_tol times the data scale max(max|rhs + D w|, max|D w|); a
+       miss, a NaN included, raises NonConvergence carrying p and the defect.
 
 A solve therefore costs two velocity Laplacian solves (exact sine-transform
 solve by default, conjugate gradients on request).
@@ -37,9 +44,9 @@ from .operators import (
     DirichletBC,
     VelocityPoisson,
     apply_velocity_laplacian,
-    boundary_divergence,
+    cell_divergence,
     divergence,
-    divergence_interior,
+    face_gradient,
     laplacian_load,
     schur_inverse,
 )
@@ -70,8 +77,23 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _grad_interior(p: np.ndarray, h: float):
-    return (p[1:, :] - p[:-1, :]) / h, (p[:, 1:] - p[:, :-1]) / h
+def _divergence_defect(u1, u2, h: float, h_src) -> np.ndarray:
+    """h_src - D u for full face arrays; h_src None means zero."""
+    d = cell_divergence(u1, u2, h)
+    return -d if h_src is None else h_src - d
+
+
+def _momentum_residual(grid: StaggeredGrid, u1, u2, p, bc: DirichletBC,
+                       f1, f2, shift: float = 0.0) -> float:
+    """h-weighted 2-norm of f - (-Laplacian + shift) u - G p, interior faces."""
+    r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=shift)
+    g1, g2 = face_gradient(p, grid.h)
+    r1 += g1
+    r2 += g2
+    if f1 is not None:
+        r1 -= f1
+        r2 -= f2
+    return grid.h * float(np.sqrt((r1 ** 2).sum() + (r2 ** 2).sum()))
 
 
 def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
@@ -80,10 +102,11 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
     the returned velocity hold the prescribed normal values from bc.
-    Non-finite f1, f2 or h_src raises ValueError; a divergence defect above
-    div_tol of the data scale raises NonConvergence.
+    Non-finite shift, f1, f2 or h_src raises ValueError; a divergence defect
+    of the returned velocity above div_tol of the data scale, or a
+    non-finite one, raises NonConvergence.
     """
-    for name, a in (("forcing", f1), ("forcing", f2),
+    for name, a in (("shift", shift), ("forcing", f1), ("forcing", f2),
                     ("divergence source", h_src)):
         if a is not None and not np.isfinite(a).all():
             raise ValueError(f"{name} has non-finite values")
@@ -95,44 +118,38 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     # it is allocated before the temporaries, which then free as one block
     u1 = np.zeros((n + 1, n))
     u2 = np.zeros((n, n + 1))
-    u1[0, :] = bc.u1_left
-    u1[n, :] = bc.u1_right
-    u2[:, 0] = bc.u2_bottom
-    u2[:, n] = bc.u2_top
 
     load1, load2 = laplacian_load(grid, bc)
     b1 = load1 if f1 is None else f1 + load1
     b2 = load2 if f2 is None else f2 + load2
-    c = -boundary_divergence(grid, bc)
-    if h_src is not None:
-        c = c + h_src
+    b_scale = h * float(np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum()))
 
-    w1, w2 = poisson.solve(b1, b2)
-    dw = divergence_interior(grid, w1, w2)
-    rhs = c - dw
+    u1[1:n, :], u2[:, 1:n] = poisson.solve(b1, b2)
+    dw = cell_divergence(u1, u2, h)
+    u1[0, :] = bc.u1_left
+    u1[n, :] = bc.u1_right
+    u2[:, 0] = bc.u2_bottom
+    u2[:, n] = bc.u2_top
+    rhs = _divergence_defect(u1, u2, h, h_src)
+    scale = max(float(np.abs(rhs + dw).max()), float(np.abs(dw).max()))
     rhs -= rhs.mean()
     p = schur_inverse(grid, shift)(rhs)
     p -= p.mean()
-    g1, g2 = _grad_interior(p, h)
-    u1_int, u2_int = poisson.solve(b1 - g1, b2 - g2)
-    u1[1:n, :] = u1_int
-    u2[:, 1:n] = u2_int
+    g1, g2 = face_gradient(p, h)
+    b1 -= g1
+    b2 -= g2
+    u1[1:n, :], u2[:, 1:n] = poisson.solve(b1, b2)
 
     # one exact pressure step, none for zero data
     steps = int(rhs.any())
-    div_max = float(np.abs(c - divergence_interior(grid, u1_int, u2_int)).max())
-    scale = max(float(np.abs(c).max()), float(np.abs(dw).max()))
-    if div_max > opts.div_tol * scale:
+    div_max = float(np.abs(_divergence_defect(u1, u2, h, h_src)).max())
+    if not div_max <= opts.div_tol * scale:
         raise NonConvergence(
             f"saddle solve: divergence defect {div_max:.3e} above "
             f"{opts.div_tol:.1e} of the data scale {scale:.3e}",
             best_x=p, residual=div_max, iterations=steps,
         )
-    r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=shift)
-    m1 = (b1 - load1) - r1 - g1
-    m2 = (b2 - load2) - r2 - g2
-    mom_abs = h * float(np.sqrt((m1 ** 2).sum() + (m2 ** 2).sum()))
-    b_scale = h * float(np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum()))
+    mom_abs = _momentum_residual(grid, u1, u2, p, bc, f1, f2, shift)
     diag = {
         "outer_iterations": steps,
         "inner_iterations": poisson.inner_iterations,
@@ -144,12 +161,6 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
         "preconditioner": "capacitance",
     }
     return u1, u2, p, diag
-
-
-def _as_interior(grid, f: VelocityField | None):
-    if f is None:
-        return None, None
-    return f.u1[1:grid.n, :].copy(), f.u2[:, 1:grid.n].copy()
 
 
 def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
@@ -172,7 +183,7 @@ def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
             raise IncompatibleSource(
                 f"divergence source has nonzero mean {total:.3e}"
             )
-    f1, f2 = _as_interior(grid, f)
+    f1, f2 = (None, None) if f is None else f.interior()
     bc = DirichletBC.zero(grid)
     u1, u2, p, diag = solve_saddle(grid, bc, f1, f2, src, opts=opts)
     return StokesSolution(grid, VelocityField(grid, u1, u2),
@@ -200,16 +211,12 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     """Recompute residuals of a solution against its data."""
     grid = sol.grid
     bc = DirichletBC.zero(grid) if g is None else DirichletBC.from_boundary_data(g)
-    f1, f2 = _as_interior(grid, f)
-    r1, r2 = apply_velocity_laplacian(grid, sol.velocity.u1, sol.velocity.u2, bc)
-    g1, g2 = _grad_interior(sol.pressure.p, grid.h)
-    m1 = -r1 - g1 if f1 is None else f1 - r1 - g1
-    m2 = -r2 - g2 if f2 is None else f2 - r2 - g2
-    mom = grid.h * float(np.sqrt((m1 ** 2).sum() + (m2 ** 2).sum()))
+    f1, f2 = (None, None) if f is None else f.interior()
+    u1, u2 = sol.velocity.u1, sol.velocity.u2
+    mom = _momentum_residual(grid, u1, u2, sol.pressure.p, bc, f1, f2)
     div = divergence(sol.velocity)
     mismatch = 0.0
     if g is not None:
-        u1, u2 = sol.velocity.u1, sol.velocity.u2
         mismatch = max(
             float(np.abs(u1[0, :] - bc.u1_left).max()),
             float(np.abs(u1[-1, :] - bc.u1_right).max()),

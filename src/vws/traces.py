@@ -161,11 +161,9 @@ def lift_tangential(g1: TangentialBoundaryData) -> VelocityField:
 def pairing_with_field(u: VelocityField, v: VelocityField) -> float:
     """Discrete integral of u . Laplace(v) for a lift-like v (v = 0 on walls)."""
     grid = u.grid
-    n, h = grid.n, grid.h
     a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, DirichletBC.zero(grid))
-    return -h * h * float(
-        np.sum(u.u1[1:n, :] * a1) + np.sum(u.u2[:, 1:n] * a2)
-    )
+    u1, u2 = u.interior()
+    return -grid.h ** 2 * float(np.sum(u1 * a1) + np.sum(u2 * a2))
 
 
 def _node_second_difference(a: np.ndarray, h: float) -> np.ndarray:
@@ -192,7 +190,7 @@ def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
                     - (L_G Da).U2 b_int - Da.U2 (L_D b)].
     """
     n, h = u.grid.n, u.grid.h
-    u1, u2 = u.u1[1:n, :], u.u2[:, 1:n]
+    u1, u2 = u.interior()
     total = 0.0
     for a, b in _lift_factors(g1):
         da, db = np.diff(a) / h, np.diff(b) / h
@@ -254,7 +252,7 @@ def perturbation_field(grid: StaggeredGrid, seed: int = 0,
 
 
 def lifting_independence_gap(u: VelocityField, g1: TangentialBoundaryData,
-                             seed: int = 0, scale: float = 1.0) -> float:
+                             seed: int = 0) -> float:
     """|L_u via one lift - L_u via a perturbed lift|.
 
     The second lift adds a random solenoidal field with vanishing boundary
@@ -262,7 +260,7 @@ def lifting_independence_gap(u: VelocityField, g1: TangentialBoundaryData,
     unchanged; the returned gap is pure discretization error for discrete
     Stokes fields u, and O(1) for fields that are not.
     """
-    w = perturbation_field(u.grid, seed=seed, scale=scale)
+    w = perturbation_field(u.grid, seed=seed)
     return abs(pairing_with_field(u, w))
 
 

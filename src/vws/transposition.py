@@ -24,7 +24,8 @@ import numpy as np
 from .boundary import SIDES, BoundaryData, l2_norm_gamma
 from .errors import ZeroBoundaryData
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
-from .stokes import SolverOptions, StokesSolution, solve_boundary, solve_homogeneous
+from .operators import face_gradient
+from .stokes import StokesSolution, solve_boundary, solve_homogeneous
 
 __all__ = [
     "solve_adjoint",
@@ -36,10 +37,9 @@ __all__ = [
 ]
 
 
-def solve_adjoint(grid: StaggeredGrid, u_rhs: VelocityField,
-                  opts: SolverOptions | None = None) -> StokesSolution:
+def solve_adjoint(grid: StaggeredGrid, u_rhs: VelocityField) -> StokesSolution:
     """Adjoint Stokes solve with interior forcing u_rhs and zero boundary data."""
-    return solve_homogeneous(grid, f=u_rhs, opts=opts)
+    return solve_homogeneous(grid, f=u_rhs)
 
 
 def normal_derivative_on_gamma(v: VelocityField) -> BoundaryData:
@@ -91,7 +91,6 @@ def boundary_pressure(q: PressureField) -> dict:
 
 
 def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
-                           opts: SolverOptions | None = None,
                            u: VelocityField | None = None) -> dict:
     """Evaluate both sides of the duality identity for boundary data g.
 
@@ -101,8 +100,8 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
     the split of the boundary integral into its two terms.
     """
     if u is None:
-        u = solve_boundary(grid, g, opts=opts).velocity
-    adj = solve_adjoint(grid, u, opts=opts)
+        u = solve_boundary(grid, g).velocity
+    adj = solve_adjoint(grid, u)
     dvdn = normal_derivative_on_gamma(adj.velocity)
     q_b = boundary_pressure(adj.pressure)
     h = grid.h
@@ -124,30 +123,24 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
 
 
 def estimate_ratio(grid: StaggeredGrid, g: BoundaryData,
-                   opts: SolverOptions | None = None,
                    sol: StokesSolution | None = None) -> float:
     """|u|_Omega / |g|_Gamma for the rough-data solve driven by g."""
     g_norm = l2_norm_gamma(g)
     if g_norm == 0.0:
         raise ZeroBoundaryData("estimate ratio is undefined for zero data")
     if sol is None:
-        sol = solve_boundary(grid, g, opts=opts)
+        sol = solve_boundary(grid, g)
     return l2_norm_omega(sol.velocity) / g_norm
 
 
-def adjoint_gradient_pairing(grid: StaggeredGrid, g: BoundaryData,
-                             opts: SolverOptions | None = None) -> float:
+def adjoint_gradient_pairing(grid: StaggeredGrid, g: BoundaryData) -> float:
     """Discrete integral of u . grad(q) for the adjoint pair of u = solve(g).
 
     For g = 0 this vanishes identically (the uniqueness mechanism: the only
     very weak solution with zero data is zero).
     """
-    u = solve_boundary(grid, g, opts=opts).velocity
-    adj = solve_adjoint(grid, u, opts=opts)
-    n, h = grid.n, grid.h
-    q = adj.pressure.p
-    g1 = (q[1:, :] - q[:-1, :]) / h
-    g2 = (q[:, 1:] - q[:, :-1]) / h
-    return h * h * float(
-        np.sum(u.u1[1:n, :] * g1) + np.sum(u.u2[:, 1:n] * g2)
-    )
+    u = solve_boundary(grid, g).velocity
+    adj = solve_adjoint(grid, u)
+    g1, g2 = face_gradient(adj.pressure.p, grid.h)
+    u1, u2 = u.interior()
+    return grid.h ** 2 * float(np.sum(u1 * g1) + np.sum(u2 * g2))

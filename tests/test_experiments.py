@@ -201,6 +201,22 @@ def test_compare_lists_threshold_changes(tmp_path):
     assert "DIFFERS" in text
 
 
+def test_compare_takes_rounding_level_threshold_changes_as_match(tmp_path):
+    # some thresholds are measured values (independence_decays is checked
+    # against the first gap), so they move at rounding level with the code
+    ra = RecipeReport("traces")
+    rb = RecipeReport("traces")
+    for rep, bound in ((ra, 0.82807), (rb, 0.82807 + 1e-15)):
+        rep.metric("gap", [0.8, 0.4])
+        rep.check_le("independence_decays", 0.4, bound)
+    ra.write(tmp_path / "a")
+    rb.write(tmp_path / "b")
+    result = compare_runs(tmp_path / "a", tmp_path / "b", tol=1e-8)
+    assert result["threshold_changes"] == {}
+    assert result["match"]
+    assert format_comparison(result).endswith("MATCH")
+
+
 def test_pmap_preserves_order():
     items = [-3, -1, -2, -5]
     assert _pmap(abs, items, workers=1) == [3, 1, 2, 5]

@@ -40,6 +40,25 @@ def test_fields_are_read_only():
         u.u1[0, 0] = 1.0
 
 
+def test_interior_views_and_round_trip():
+    n = 8
+    grid = build_grid(n)
+    rng = np.random.default_rng(1)
+    u1_int = rng.standard_normal((n - 1, n))
+    u2_int = rng.standard_normal((n, n - 1))
+    u = VelocityField.from_interior(grid, u1_int, u2_int)
+    assert not u.u1[[0, n], :].any() and not u.u2[:, [0, n]].any()
+    v1, v2 = u.interior()
+    assert np.array_equal(v1, u1_int) and np.array_equal(v2, u2_int)
+    # views into the field, not copies, and read-only like the field
+    assert np.shares_memory(v1, u.u1) and np.shares_memory(v2, u.u2)
+    for v in (v1, v2):
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+    w = VelocityField.from_interior(grid, *u.interior())
+    assert np.array_equal(w.u1, u.u1) and np.array_equal(w.u2, u.u2)
+
+
 def test_norm_of_constant_field():
     # face weights integrate constants exactly: |(1,1)| = sqrt(2)
     grid = build_grid(16)

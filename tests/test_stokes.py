@@ -12,6 +12,7 @@ from vws.boundary import (
     cavity_g_eps,
     outward_normal_data,
     project_compatible,
+    rotation_data,
 )
 from vws.errors import (
     IncompatibleBoundaryData,
@@ -21,7 +22,7 @@ from vws.errors import (
 )
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
-from vws.operators import DirichletBC, VelocityPoisson
+from vws.operators import DirichletBC, VelocityPoisson, divergence
 from vws.stokes import (
     SolverOptions,
     residual_report,
@@ -353,3 +354,58 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
         solve_saddle(grid, DirichletBC.zero(grid), None, None, src, shift=shift)
     assert info.value.best_x is not None
     assert info.value.residual == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+def test_saddle_rejects_non_finite_shift(shift):
+    # a NaN or infinite shift used to come back as an all-NaN velocity
+    grid = build_grid(16)
+    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    with pytest.raises(ValueError, match="shift"):
+        solve_saddle(grid, bc, None, None, None, shift=shift)
+
+
+def test_singular_shift_raises_nonconvergence():
+    # minus the smallest eigenvalue of the velocity Laplacian makes the
+    # velocity solve divide by zero; the NaN defect failed no comparison and
+    # the all-NaN velocity came back with div_max = nan
+    n = 16
+    grid = build_grid(n)
+    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    shift = -2.0 * (2.0 - 2.0 * np.cos(np.pi / n)) * n ** 2
+    with np.errstate(all="ignore"), pytest.raises(NonConvergence,
+                                                   match="divergence defect"):
+        solve_saddle(grid, bc, None, None, None, shift=shift)
+
+
+@pytest.mark.parametrize("shift", [0.0, 64.0])
+@pytest.mark.parametrize("n", [16, 32])
+def test_div_max_is_the_defect_of_the_returned_field(n, shift):
+    # normal and tangential wall data, a forcing and a zero-mean source: the
+    # reported defect is the one divergence applied to the returned field
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    f1, f2 = _random_forcing(grid, n + 1)
+    src = rng.standard_normal((n, n))
+    src -= src.mean()
+    u1, u2, _, diag = solve_saddle(grid, bc, f1, f2, src, shift=shift)
+    defect = src - divergence(VelocityField(grid, u1, u2)).p
+    assert diag["div_max"] == float(np.abs(defect).max())
+    assert u1[0, :] == pytest.approx(bc.u1_left, abs=0.0)
+    assert u2[:, n] == pytest.approx(bc.u2_top, abs=0.0)
+
+
+def test_residual_report_matches_the_solver_momentum_residual():
+    grid = build_grid(32)
+    _, f, _ = stationary_fields(grid)
+    sol = solve_homogeneous(grid, f=f)
+    rep = residual_report(sol, f=f)
+    assert rep["momentum_res"] == pytest.approx(sol.diagnostics["mom_res"],
+                                                rel=1e-12)
+    g = rotation_data(grid)
+    sol = solve_boundary(grid, g)
+    rep = residual_report(sol, g=g)
+    assert rep["momentum_res"] == pytest.approx(sol.diagnostics["mom_res"],
+                                                rel=1e-12)
+    assert rep["div_max"] == sol.diagnostics["div_max"]
