@@ -117,11 +117,6 @@ class TimeBoundaryData:
             return self.slices[k]
         return self.spatial * float(self.ramp(k * dt))
 
-    def is_trivial(self) -> bool:
-        if self.slices is not None:
-            return all(s.is_zero() for s in self.slices)
-        return self.spatial.is_zero()
-
 
 # --- trajectories -----------------------------------------------------------
 

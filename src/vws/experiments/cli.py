@@ -26,9 +26,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="output root directory (default: runs/)")
     sp.add_argument("--seed", dest="seed", default=None, type=int,
                     help="seed for randomized probes")
-    sp.add_argument("--workers", dest="workers", default=None, type=int,
-                    help="parallel workers for independent cases "
-                         "(capped by VWS_WORKERS)")
     sp.add_argument("--config", dest="config", default=None,
                     help="INI file with a [vws] section and per-recipe "
                          "sections; flags override it")
@@ -72,15 +69,15 @@ def main(argv=None) -> int:
         "scheme": args.scheme,
         "out": args.out,
         "seed": args.seed,
-        "workers": args.workers,
         "allow_underresolved": args.allow_underresolved,
     }
-    cfg = resolve_config(args.command, config_path=args.config,
-                         overrides=overrides)
     try:
+        cfg = resolve_config(args.command, config_path=args.config,
+                             overrides=overrides)
         report = run_recipe(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     for line in report.lines():
         print(line)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,7 +19,6 @@ class ExperimentConfig:
     scheme: str = "cn"
     out: Path = Path("runs")
     seed: int = 0
-    workers: int = 1
     allow_underresolved: bool = False
 
     def out_dir(self) -> Path:
@@ -52,7 +50,6 @@ _KEY_PARSERS = {
     "scheme": ("scheme", str),
     "out": ("out", Path),
     "seed": ("seed", int),
-    "workers": ("workers", int),
     "allow_underresolved": ("allow_underresolved",
                             lambda v: str(v).lower() in ("1", "true", "yes")),
 }
@@ -81,9 +78,6 @@ def resolve_config(recipe: str, config_path=None, overrides: dict | None = None
             cfg = _apply(cfg, sections[recipe])
     if overrides:
         cfg = _apply(cfg, {k: v for k, v in overrides.items() if v is not None})
-    env_cap = os.environ.get("VWS_WORKERS")
-    if env_cap:
-        cfg = replace(cfg, workers=max(1, min(cfg.workers, int(env_cap))))
     return cfg
 
 

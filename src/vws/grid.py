@@ -68,19 +68,6 @@ class StaggeredGrid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.h
 
-    # --- unknown counts ---------------------------------------------------
-    @property
-    def n_u1_interior(self) -> int:
-        return (self.n - 1) * self.n
-
-    @property
-    def n_u2_interior(self) -> int:
-        return self.n * (self.n - 1)
-
-    @property
-    def n_cells(self) -> int:
-        return self.n * self.n
-
 
 def build_grid(n: int) -> StaggeredGrid:
     """Validate n and build the grid.  Grids coarser than 4 cells are refused."""

@@ -20,16 +20,16 @@ faces, with no quadrature fudge factors.
 The (optionally shifted) velocity Laplacian is solved exactly by
 sine-transform diagonalization: the uniform-grid operator separates, and the
 ghost-modified rows are exactly the half-offset Dirichlet boundary closure,
-which the type-II sine basis diagonalizes.  A matrix-free conjugate-gradient
-path on the same stencil is kept as an independent reference; tests pin the
-two against each other.
+which the type-II sine basis diagonalizes.  Tests pin it against the dense
+operator assembled column by column from :func:`apply_velocity_laplacian`.
 
 The cell-centred Neumann Laplacian (divergence of the interior-face gradient)
 is diagonalized the same way by the type-II cosine basis.  Its inverse on
 zero-mean fields gives the Cahouet-Chabard map, the exact inverse of the
 pressure Schur complement with free-slip walls; a closed-form boundary
 capacitance matrix corrects it to the exact inverse for no-slip walls at
-every shift (:class:`SchurInverse`).
+every shift (:class:`SchurInverse`).  :func:`saddle_inverses` caches both
+exact inverses per (grid, shift) and refuses a singular shift.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -63,7 +63,7 @@ __all__ = [
     "CGResult",
     "VelocityPoisson",
     "SchurInverse",
-    "schur_inverse",
+    "saddle_inverses",
 ]
 
 
@@ -290,54 +290,38 @@ def cg_solve(A, b, rel_tol: float = 1e-10,
 
 
 class VelocityPoisson:
-    """Solver for (-Laplacian + shift) on interior velocity faces.
+    """Exact solve of (-Laplacian + shift) on interior velocity faces.
 
-    method "dst": exact solve by sine-transform diagonalization (default).
-    method "cg": matrix-free conjugate gradients on
-    :func:`apply_velocity_laplacian` with zero boundary values, a reference
-    that shares no code with the transform path.
+    The operator is diagonal in sine modes; a non-finite shift, or one that
+    zeroes an eigenvalue (the operator is singular), raises ValueError.
     """
 
-    def __init__(self, grid: StaggeredGrid, shift: float = 0.0,
-                 method: str = "dst", cg_tol: float = 1e-12):
-        if method not in ("dst", "cg"):
-            raise ValueError(f"unknown method {method!r}")
-        self.grid = grid
-        self.shift = shift
-        self.method = method
-        self.cg_tol = cg_tol
-        self.inner_iterations = 0  # cumulative, cg path only
+    def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
+        if not np.isfinite(shift):
+            raise ValueError("shift has non-finite values")
         n, h = grid.n, grid.h
-        if method == "dst":
-            lam_face = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
-            lam_cell = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / n)) / h ** 2
-            self._den1 = lam_face[:, None] + lam_cell[None, :] + shift
-            self._den2 = lam_cell[:, None] + lam_face[None, :] + shift
+        lam_face = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
+        lam_cell = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / n)) / h ** 2
+        # u1 denominators; those of u2 are their transpose
+        self._den = lam_face[:, None] + lam_cell[None, :] + shift
+        if not self._den.all():
+            raise ValueError(
+                f"shift {shift!r} makes the velocity Laplacian singular")
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the denominators."""
+        return self._den.nbytes
 
     def solve(self, b1: np.ndarray, b2: np.ndarray):
         """Solve for interior-face arrays from interior-shaped right sides."""
-        if self.method == "dst":
-            f1 = dst(dst(b1, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-            f1 /= self._den1
-            x1 = idst(idst(f1, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
-            f2 = dst(dst(b2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-            f2 /= self._den2
-            x2 = idst(idst(f2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-            return x1, x2
-        grid, n = self.grid, self.grid.n
-        cut = grid.n_u1_interior
-        bc = DirichletBC.zero(grid)
-
-        def matvec(v):
-            u = VelocityField.from_interior(grid, v[:cut].reshape(n - 1, n),
-                                            v[cut:].reshape(n, n - 1))
-            r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc, shift=self.shift)
-            return np.concatenate([r1.ravel(), r2.ravel()])
-
-        b = np.concatenate([b1.ravel(), b2.ravel()])
-        res = cg_solve(matvec, b, rel_tol=self.cg_tol)
-        self.inner_iterations += res.iterations
-        return res.x[:cut].reshape(n - 1, n), res.x[cut:].reshape(n, n - 1)
+        f1 = dst(dst(b1, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+        f1 /= self._den
+        x1 = idst(idst(f1, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
+        f2 = dst(dst(b2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+        f2 /= self._den.T
+        x2 = idst(idst(f2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+        return x1, x2
 
 
 def _neumann_inverse(mu: np.ndarray) -> np.ndarray:
@@ -434,6 +418,9 @@ def _capacitance_sectors(n: int, shift: float):
     sectors of :func:`_parity_sectors` with the u1 pair first, weights
     sqrt(mu) w and the sine modes 1..n-1.
 
+    A shift that zeroes a factor mu_k + mu_l + shift, (k, l) != (0, 0),
+    raises ValueError.
+
     Returns mu (the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n, 2) with
     column a the weights of parity a, and the sectors.
     """
@@ -445,12 +432,15 @@ def _capacitance_sectors(n: int, shift: float):
     w = np.zeros((n, 2))
     w[modes, modes % 2] = np.sqrt(2.0) * psi0
     inv_lam = _neumann_inverse(mu)
-    # 1 / D = inv_lam^2 / (1 + shift inv_lam), built in place: the n^2
-    # temporaries set the peak memory of the build
-    inv_d = shift * inv_lam
-    inv_d += 1.0
+    # 1 / D = inv_lam / (mu_k + mu_l + shift), built in place: the n^2
+    # temporaries set the peak memory of the build.  The constant mode
+    # (0, 0) is the kernel of L and is never inverted
+    inv_d = mu[:, None] + mu[None, :] + shift
+    inv_d[0, 0] = 1.0
+    if not inv_d.all():
+        raise ValueError(
+            f"shift {shift!r} makes the pressure Schur complement singular")
     np.divide(inv_lam, inv_d, out=inv_d)
-    inv_d *= inv_lam
     sectors = _parity_sectors(inv_d, np.sqrt(mu)[:, None] * w, modes[1:],
                               0.5 * h * h, -1.0)
     return mu, w, sectors
@@ -510,10 +500,13 @@ class SchurInverse:
 
 
 @lru_cache(maxsize=8)
-def schur_inverse(grid: StaggeredGrid, shift: float = 0.0) -> SchurInverse:
-    """The exact pressure-Schur inverse for ``grid`` and ``shift``, cached.
+def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0):
+    """(VelocityPoisson, SchurInverse) for ``grid`` and ``shift``, cached.
 
-    The build is closed-form (no velocity solve) and holds about
-    2 n^2 floats; the cache keeps the last few (n, shift) pairs.
+    Both builds are closed-form (no solve) and together hold about 3 n^2
+    floats; the cache keeps the last few (n, shift) pairs.  The Poisson
+    denominators are built first: a non-finite shift, or one at which either
+    inverse is singular, raises ValueError, and nothing is cached.
     """
-    return SchurInverse(grid.n, float(shift))
+    shift = float(shift)
+    return VelocityPoisson(grid, shift), SchurInverse(grid.n, shift)

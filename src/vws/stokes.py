@@ -26,8 +26,9 @@ it and the source c of the constraint D u = c is just h_src:
        most div_tol times the data scale max(max|rhs + D w|, max|D w|); a
        miss, a NaN included, raises NonConvergence carrying p and the defect.
 
-A solve therefore costs two velocity Laplacian solves (exact sine-transform
-solve by default, conjugate gradients on request).
+A solve therefore costs two exact sine-transform velocity Laplacian solves.
+Both inverses are built once per (grid, shift) by
+:func:`vws.operators.saddle_inverses`, which refuses a singular shift.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from .errors import IncompatibleSource, NonConvergence
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
 from .operators import (
     DirichletBC,
-    VelocityPoisson,
     apply_velocity_laplacian,
     cell_divergence,
     divergence,
     face_gradient,
     laplacian_load,
-    schur_inverse,
+    saddle_inverses,
 )
 
 __all__ = [
@@ -63,9 +63,8 @@ __all__ = [
 
 @dataclass
 class SolverOptions:
-    """Method selection and tolerance shared by all saddle solves."""
+    """Tolerance shared by all saddle solves."""
 
-    method: str = "dst"        # velocity solve: "dst" (exact) or "cg" (reference)
     div_tol: float = 1e-8      # max divergence defect, relative to the data
 
 
@@ -102,18 +101,19 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
     the returned velocity hold the prescribed normal values from bc.
-    Non-finite shift, f1, f2 or h_src raises ValueError; a divergence defect
+    Non-finite shift, f1, f2 or h_src, or a shift at which the velocity or
+    Schur operator is singular, raises ValueError; a divergence defect
     of the returned velocity above div_tol of the data scale, or a
     non-finite one, raises NonConvergence.
     """
-    for name, a in (("shift", shift), ("forcing", f1), ("forcing", f2),
+    for name, a in (("forcing", f1), ("forcing", f2),
                     ("divergence source", h_src)):
         if a is not None and not np.isfinite(a).all():
             raise ValueError(f"{name} has non-finite values")
     opts = opts or SolverOptions()
     n, h = grid.n, grid.h
     t0 = time.perf_counter()
-    poisson = VelocityPoisson(grid, shift=shift, method=opts.method)
+    poisson, schur = saddle_inverses(grid, shift)
     # the returned velocity outlives the call (a march keeps every step), so
     # it is allocated before the temporaries, which then free as one block
     u1 = np.zeros((n + 1, n))
@@ -133,7 +133,7 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     rhs = _divergence_defect(u1, u2, h, h_src)
     scale = max(float(np.abs(rhs + dw).max()), float(np.abs(dw).max()))
     rhs -= rhs.mean()
-    p = schur_inverse(grid, shift)(rhs)
+    p = schur(rhs)
     p -= p.mean()
     g1, g2 = face_gradient(p, h)
     b1 -= g1
@@ -152,13 +152,10 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     mom_abs = _momentum_residual(grid, u1, u2, p, bc, f1, f2, shift)
     diag = {
         "outer_iterations": steps,
-        "inner_iterations": poisson.inner_iterations,
         "div_max": div_max,
         "mom_res": mom_abs,
         "mom_res_rel": mom_abs / b_scale if b_scale > 0.0 else 0.0,
         "wall_time": time.perf_counter() - t0,
-        "method": opts.method,
-        "preconditioner": "capacitance",
     }
     return u1, u2, p, diag
 

@@ -1,4 +1,3 @@
-import os
 import time
 
 import pytest
@@ -11,10 +10,9 @@ from vws.experiments.recipes import RECIPES
 def recipe_runs(tmp_path_factory):
     """Run every recipe once; acceptance tests share the results."""
     out = tmp_path_factory.mktemp("recipe_runs")
-    workers = min(4, os.cpu_count() or 1)
     runs = {}
     for name in RECIPES:
-        cfg = ExperimentConfig(recipe=name, out=out, workers=workers)
+        cfg = ExperimentConfig(recipe=name, out=out)
         t0 = time.perf_counter()
         rep = RECIPES[name](cfg)
         elapsed = time.perf_counter() - t0

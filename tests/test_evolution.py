@@ -86,8 +86,6 @@ def test_time_boundary_data_modes():
     tb = TimeBoundaryData.ramped(g, smooth_ramp(0.5))
     gk = tb.at(8, 1.0 / 32)            # t = 0.25, ramp = 1/2
     assert np.allclose(gk.samples["top"], 0.5 * g.samples["top"])
-    assert not tb.is_trivial()
-    assert TimeBoundaryData.constant(BoundaryData.zeros(grid)).is_trivial()
     slices = [BoundaryData.zeros(grid), g]
     tbs = TimeBoundaryData.from_slices(grid, slices)
     assert tbs.at(1, 0.5) is slices[1]

@@ -10,7 +10,7 @@ from vws.experiments.config import (
     check_resolution,
     resolve_config,
 )
-from vws.experiments.recipes import RECIPE_ORDER, RECIPES, _pmap, run_recipe
+from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary
 from vws.experiments.svg import line_plot
 
@@ -18,7 +18,6 @@ from vws.experiments.svg import line_plot
 CONFIG_TEXT = """\
 [vws]
 seed = 3
-workers = 4
 scheme = euler
 
 [uniqueness]
@@ -37,7 +36,6 @@ def test_config_precedence(tmp_path):
     path = _config_file(tmp_path)
     cfg = resolve_config("uniqueness", config_path=path)
     assert cfg.seed == 5               # recipe section beats [vws]
-    assert cfg.workers == 4
     assert cfg.ns == (8, 16)
     assert cfg.scheme == "euler"
 
@@ -56,7 +54,6 @@ def test_config_defaults():
     assert cfg.ns is None
     assert cfg.eps_list == (0.1, 0.05, 0.025, 0.0125)
     assert cfg.scheme == "cn"
-    assert cfg.workers == 1
     assert not cfg.allow_underresolved
     assert cfg.out_dir().name == "transposition"
 
@@ -68,13 +65,15 @@ def test_unknown_config_key(tmp_path):
         resolve_config("uniqueness", config_path=path)
 
 
-def test_workers_env_cap(monkeypatch, tmp_path):
-    monkeypatch.setenv("VWS_WORKERS", "2")
-    cfg = resolve_config("uniqueness", config_path=_config_file(tmp_path))
-    assert cfg.workers == 2
-    monkeypatch.setenv("VWS_WORKERS", "8")
-    cfg = resolve_config("uniqueness", config_path=_config_file(tmp_path))
-    assert cfg.workers == 4            # the cap never raises the count
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    # recipes run in one process; a file that still sets workers is a usage
+    # error (exit 2), not a traceback
+    path = tmp_path / "old.ini"
+    path.write_text("[vws]\nworkers = 4\n")
+    assert cli_main(["uniqueness", "--config", str(path),
+                     "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown configuration key 'workers'\n"
 
 
 def test_resolution_guard():
@@ -215,12 +214,6 @@ def test_compare_takes_rounding_level_threshold_changes_as_match(tmp_path):
     assert result["threshold_changes"] == {}
     assert result["match"]
     assert format_comparison(result).endswith("MATCH")
-
-
-def test_pmap_preserves_order():
-    items = [-3, -1, -2, -5]
-    assert _pmap(abs, items, workers=1) == [3, 1, 2, 5]
-    assert _pmap(abs, items, workers=2) == [3, 1, 2, 5]
 
 
 def test_report_round_trip(tmp_path):

@@ -15,12 +15,12 @@ from vws.operators import (
     cg_solve,
     divergence,
     gradient,
-    schur_inverse,
+    saddle_inverses,
     stream_curl,
 )
 from vws.operators import _capacitance_sectors, _neumann_inverse
 
-from support import observed_orders
+from support import dense_face_gradient, dense_velocity_laplacian, observed_orders
 
 
 def _random_interior(rng, n):
@@ -178,18 +178,19 @@ def test_cg_stall_below_rounding_floor_raises_early():
         np.linalg.norm(np.ones(12) - H @ best), rel=1e-12)
 
 
-def test_poisson_dst_matches_cg():
+@pytest.mark.parametrize("shift", [0.0, 64.0])
+def test_poisson_dst_matches_dense(shift):
+    # the dense operator shares no code with the transforms
     rng = np.random.default_rng(21)
     n = 16
     grid = build_grid(n)
     f1 = rng.standard_normal((n - 1, n))
     f2 = rng.standard_normal((n, n - 1))
-    w_dst = VelocityPoisson(grid, method="dst").solve(f1, f2)
-    w_cg = VelocityPoisson(grid, method="cg", cg_tol=1e-13).solve(f1, f2)
-    num = np.sqrt(((w_dst[0] - w_cg[0]) ** 2).sum()
-                  + ((w_dst[1] - w_cg[1]) ** 2).sum())
-    den = np.sqrt((w_dst[0] ** 2).sum() + (w_dst[1] ** 2).sum())
-    assert num / den <= 1e-9
+    w = VelocityPoisson(grid, shift).solve(f1, f2)
+    w = np.concatenate([w[0].ravel(), w[1].ravel()])
+    ref = np.linalg.solve(dense_velocity_laplacian(grid, shift),
+                          np.concatenate([f1.ravel(), f2.ravel()]))
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("n", [16, 48])
@@ -207,7 +208,7 @@ def test_neumann_laplacian_is_dct_diagonal(n):
     got = inv_lam * dctn(r, type=2, norm="ortho")
     assert np.linalg.norm(got - p_hat) <= 1e-12 * np.linalg.norm(p_hat)
     # constants are the kernel: the preconditioned residual keeps zero mean
-    assert np.abs(schur_inverse(grid, 1e4)(np.ones((n, n)))).max() <= 1e-12
+    assert np.abs(saddle_inverses(grid, 1e4)[1](np.ones((n, n)))).max() <= 1e-12
 
 
 def _dense_schur(grid, shift):
@@ -227,7 +228,7 @@ def _dense_schur(grid, shift):
 def test_schur_inverse_is_exact(n, shift):
     grid = build_grid(n)
     S = _dense_schur(grid, shift)
-    M = schur_inverse(grid, shift)
+    _, M = saddle_inverses(grid, shift)
     MS = np.column_stack([M(col.reshape(n, n)).ravel() for col in S.T])
     # identity on zero-mean fields, constants to zero
     want = np.eye(n * n) - 1.0 / (n * n)
@@ -261,23 +262,8 @@ def _wall_modes(n):
 @pytest.mark.parametrize("n", [8, 12])
 def test_capacitance_matrix_matches_probe(n, shift):
     grid, h = build_grid(n), 1.0 / n
-    bc = DirichletBC.zero(grid)
-    cut = grid.n_u1_interior
-
-    def apply_a(v):
-        u1 = np.zeros((n + 1, n))
-        u2 = np.zeros((n, n + 1))
-        u1[1:n, :] = v[:cut].reshape(n - 1, n)
-        u2[:, 1:n] = v[cut:].reshape(n, n - 1)
-        r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=shift)
-        return np.concatenate([r1.ravel(), r2.ravel()])
-
-    def grad(p):
-        g = gradient(PressureField(grid, p.reshape(n, n)))
-        return np.concatenate([g.u1[1:n, :].ravel(), g.u2[:, 1:n].ravel()])
-
-    A = np.column_stack([apply_a(e) for e in np.eye(2 * cut)])
-    G = np.column_stack([grad(e) for e in np.eye(n * n)])
+    A = dense_velocity_laplacian(grid, shift)
+    G = dense_face_gradient(grid)
     U = _wall_modes(n)
     A_fs = A - (2.0 / h ** 2) * U @ U.T
     L = G.T @ G
@@ -310,5 +296,7 @@ def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
     monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
     monkeypatch.setattr(operators, "cg_solve", refuse)
     assert SchurInverse(256, 0.0).nbytes <= 2_000_000
+    # the Poisson denominators add n^2 floats: one array, not one per component
+    assert sum(a.nbytes for a in saddle_inverses(build_grid(256), 0.0)) <= 2_000_000
     grid = build_grid(32)
-    assert schur_inverse(grid, 64.0) is schur_inverse(build_grid(32), 64)
+    assert saddle_inverses(grid, 64.0) is saddle_inverses(build_grid(32), 64)

@@ -22,7 +22,13 @@ from vws.errors import (
 )
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
-from vws.operators import DirichletBC, VelocityPoisson, divergence
+from vws.operators import (
+    DirichletBC,
+    VelocityPoisson,
+    divergence,
+    laplacian_load,
+    saddle_inverses,
+)
 from vws.stokes import (
     SolverOptions,
     residual_report,
@@ -31,7 +37,12 @@ from vws.stokes import (
     solve_saddle,
 )
 
-from support import count_poisson_solves, observed_orders
+from support import (
+    count_poisson_solves,
+    dense_face_gradient,
+    dense_velocity_laplacian,
+    observed_orders,
+)
 
 
 def _lid(n, eps=0.1):
@@ -112,24 +123,40 @@ def test_balanced_source_accepted():
     assert div > 0.0  # source drives a flow
 
 
-def test_cg_velocity_path_matches_dst():
-    grid, g = _lid(32)
-    sol_dst = solve_boundary(grid, g)
-    sol_cg = solve_boundary(grid, g, opts=SolverOptions(method="cg"))
-    gap = l2_norm_omega(sol_dst.velocity - sol_cg.velocity)
-    assert gap <= 1e-6 * l2_norm_omega(sol_dst.velocity)
-    assert sol_dst.diagnostics["preconditioner"] == "capacitance"
+@pytest.mark.parametrize("shift", [0.0, 1024.0])
+@pytest.mark.parametrize("n", [8, 16])
+def test_saddle_solve_matches_dense_kkt(n, shift):
+    # the dense KKT system [[A, G], [-G^T, 0]], bordered to pin the pressure
+    # mean, shares no code with the transform and Schur inverses
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    f1, f2 = _random_forcing(grid, n + 3)
+    src = rng.standard_normal((n, n))
+    src -= src.mean()
+    u1, u2, p, _ = solve_saddle(grid, bc, f1, f2, src, shift=shift)
 
+    A = dense_velocity_laplacian(grid, shift)
+    G = dense_face_gradient(grid)
+    m, k = G.shape
+    load1, load2 = laplacian_load(grid, bc)
+    w1, w2 = np.zeros((n + 1, n)), np.zeros((n, n + 1))
+    w1[0, :], w1[n, :] = bc.u1_left, bc.u1_right
+    w2[:, 0], w2[:, n] = bc.u2_bottom, bc.u2_top
+    c = src - divergence(VelocityField(grid, w1, w2)).p
+    kkt = np.zeros((m + k + 1, m + k + 1))
+    kkt[:m, :m] = A
+    kkt[:m, m:m + k] = G
+    kkt[m:m + k, :m] = -G.T
+    kkt[m:m + k, -1] = 1.0
+    kkt[-1, m:m + k] = 1.0
+    rhs = np.concatenate([(f1 + load1).ravel(), (f2 + load2).ravel(),
+                          c.ravel(), [0.0]])
+    x = np.linalg.solve(kkt, rhs)
 
-def test_cg_velocity_path_matches_dst_shifted():
-    grid, g = _lid(32)
-    bc = DirichletBC.from_boundary_data(g)
-    u1d, u2d, _, _ = solve_saddle(grid, bc, None, None, None, shift=1024.0)
-    u1c, u2c, _, _ = solve_saddle(grid, bc, None, None, None, shift=1024.0,
-                                  opts=SolverOptions(method="cg"))
-    dst_vel = VelocityField(grid, u1d, u2d)
-    gap = l2_norm_omega(dst_vel - VelocityField(grid, u1c, u2c))
-    assert gap <= 1e-6 * l2_norm_omega(dst_vel)
+    u = np.concatenate([u1[1:n, :].ravel(), u2[:, 1:n].ravel()])
+    assert np.abs(u - x[:m]).max() <= 1e-10 * np.abs(x[:m]).max()
+    assert np.abs(p.ravel() - x[m:m + k]).max() <= 1e-10 * np.abs(x[m:m + k]).max()
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
@@ -142,7 +169,6 @@ def test_shifted_uzawa_iterations_bounded(n):
     for shift in (0.0, 64.0, 1024.0, 16384.0):
         _, _, _, diag = solve_saddle(grid, bc, None, None, None, shift=shift,
                                      opts=opts)
-        assert diag["preconditioner"] == "capacitance"
         assert diag["outer_iterations"] == 1
         assert diag["div_max"] <= opts.div_tol
 
@@ -205,8 +231,9 @@ def test_saddle_solve_takes_two_poisson_solves(monkeypatch):
 
 
 def test_solver_options_hold_method_and_tolerance():
+    # the velocity solve has one method; the tolerance is the only option
     fields = [f.name for f in dataclasses.fields(SolverOptions)]
-    assert fields == ["method", "div_tol"]
+    assert fields == ["div_tol"]
     assert SolverOptions().div_tol == 1e-8
 
 
@@ -366,16 +393,20 @@ def test_saddle_rejects_non_finite_shift(shift):
 
 
 def test_singular_shift_raises_nonconvergence():
-    # minus the smallest eigenvalue of the velocity Laplacian makes the
-    # velocity solve divide by zero; the NaN defect failed no comparison and
-    # the all-NaN velocity came back with div_max = nan
+    # -2 mu_1 zeroes a denominator of the velocity solve and -mu_1 one of the
+    # Schur inverse.  Both used to divide by zero (numpy warnings, made
+    # errors by the suite), leave a NaN-bearing inverse in the cache and
+    # raise NonConvergence only after the solve; the build now refuses the
+    # shift first and caches nothing
     n = 16
     grid = build_grid(n)
     bc = DirichletBC.from_boundary_data(rotation_data(grid))
-    shift = -2.0 * (2.0 - 2.0 * np.cos(np.pi / n)) * n ** 2
-    with np.errstate(all="ignore"), pytest.raises(NonConvergence,
-                                                   match="divergence defect"):
-        solve_saddle(grid, bc, None, None, None, shift=shift)
+    mu_1 = (2.0 - 2.0 * np.cos(np.pi / n)) * n ** 2
+    saddle_inverses.cache_clear()
+    for shift, which in ((-2.0 * mu_1, "velocity"), (-mu_1, "Schur")):
+        with pytest.raises(ValueError, match=f"{which}.* singular"):
+            solve_saddle(grid, bc, None, None, None, shift=shift)
+    assert saddle_inverses.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("shift", [0.0, 64.0])
