@@ -302,24 +302,24 @@ class VelocityPoisson:
         n, h = grid.n, grid.h
         lam_face = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
         lam_cell = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / n)) / h ** 2
-        # u1 denominators; those of u2 are their transpose
-        self._den = lam_face[:, None] + lam_cell[None, :] + shift
-        if not self._den.all():
+        self._den1 = lam_face[:, None] + lam_cell[None, :] + shift
+        self._den2 = self._den1.T.copy()  # contiguous: a strided divide is slower
+        if not self._den1.all():
             raise ValueError(
                 f"shift {shift!r} makes the velocity Laplacian singular")
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the denominators."""
-        return self._den.nbytes
+        return self._den1.nbytes + self._den2.nbytes
 
     def solve(self, b1: np.ndarray, b2: np.ndarray):
         """Solve for interior-face arrays from interior-shaped right sides."""
         f1 = dst(dst(b1, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-        f1 /= self._den
+        f1 /= self._den1
         x1 = idst(idst(f1, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
         f2 = dst(dst(b2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-        f2 /= self._den.T
+        f2 /= self._den2
         x2 = idst(idst(f2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
         return x1, x2
 
@@ -503,7 +503,7 @@ class SchurInverse:
 def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0):
     """(VelocityPoisson, SchurInverse) for ``grid`` and ``shift``, cached.
 
-    Both builds are closed-form (no solve) and together hold about 3 n^2
+    Both builds are closed-form (no solve) and together hold about 4 n^2
     floats; the cache keeps the last few (n, shift) pairs.  The Poisson
     denominators are built first: a non-finite shift, or one at which either
     inverse is singular, raises ValueError, and nothing is cached.
