@@ -110,9 +110,6 @@ class BoundaryData:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(np.all(self.samples[s] == 0.0) for s in SIDES)
-
 
 def smoothstep(s):
     """Quintic smoothstep: 0 for s <= 0, 1 for s >= 1, C2 across the joins."""

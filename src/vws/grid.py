@@ -166,20 +166,6 @@ class PressureField:
         return PressureField(self.grid, self.p - other.p)
 
 
-def _face_weights_u1(grid: StaggeredGrid) -> np.ndarray:
-    w = np.full((grid.n + 1, grid.n), grid.h ** 2)
-    w[0, :] *= 0.5
-    w[-1, :] *= 0.5
-    return w
-
-
-def _face_weights_u2(grid: StaggeredGrid) -> np.ndarray:
-    w = np.full((grid.n, grid.n + 1), grid.h ** 2)
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
-    return w
-
-
 def l2_norm_omega(field) -> float:
     """Discrete L2(Omega) norm under the owned-volume measure.
 
@@ -187,10 +173,11 @@ def l2_norm_omega(field) -> float:
     half a cell.  Pressure: all cells own a full h^2 box.
     """
     if isinstance(field, VelocityField):
-        g = field.grid
-        s = float(np.sum(_face_weights_u1(g) * field.u1 ** 2))
-        s += float(np.sum(_face_weights_u2(g) * field.u2 ** 2))
-        return float(np.sqrt(s))
+        u1, u2 = field.u1, field.u2
+        walls = (u1[0], u1[-1], u2[:, 0], u2[:, -1])
+        s = np.vdot(u1, u1) + np.vdot(u2, u2)
+        s -= 0.5 * sum(np.vdot(w, w) for w in walls)
+        return float(np.sqrt(field.grid.h ** 2 * s))
     if isinstance(field, PressureField):
         return float(np.sqrt(field.grid.h ** 2 * np.sum(field.p ** 2)))
     raise TypeError(f"cannot take an Omega norm of {type(field).__name__}")

@@ -20,8 +20,10 @@ faces, with no quadrature fudge factors.
 The (optionally shifted) velocity Laplacian is solved exactly by
 sine-transform diagonalization: the uniform-grid operator separates, and the
 ghost-modified rows are exactly the half-offset Dirichlet boundary closure,
-which the type-II sine basis diagonalizes.  Tests pin it against the dense
-operator assembled column by column from :func:`apply_velocity_laplacian`.
+which the type-II sine basis diagonalizes.  Transposed, u2 has u1's layout
+and eigenvalues, so one stacked transform chain and one denominator array
+serve both.  Tests pin it against the dense operator assembled column by
+column from :func:`apply_velocity_laplacian`.
 
 The cell-centred Neumann Laplacian (divergence of the interior-face gradient)
 is diagonalized the same way by the type-II cosine basis.  Its inverse on
@@ -292,8 +294,10 @@ def cg_solve(A, b, rel_tol: float = 1e-10,
 class VelocityPoisson:
     """Exact solve of (-Laplacian + shift) on interior velocity faces.
 
-    The operator is diagonal in sine modes; a non-finite shift, or one that
-    zeroes an eigenvalue (the operator is singular), raises ValueError.
+    The operator is diagonal in sine modes.  u2 transposed has u1's layout,
+    transform types and denominators, so :meth:`solve` runs one transform
+    chain over the stack (u1, u2.T).  A non-finite shift, or one that zeroes
+    an eigenvalue (the operator is singular), raises ValueError.
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
@@ -302,26 +306,27 @@ class VelocityPoisson:
         n, h = grid.n, grid.h
         lam_face = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
         lam_cell = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / n)) / h ** 2
-        self._den1 = lam_face[:, None] + lam_cell[None, :] + shift
-        self._den2 = self._den1.T.copy()  # contiguous: a strided divide is slower
-        if not self._den1.all():
+        self._den = lam_face[:, None] + lam_cell[None, :] + shift
+        if not self._den.all():
             raise ValueError(
                 f"shift {shift!r} makes the velocity Laplacian singular")
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the denominators."""
-        return self._den1.nbytes + self._den2.nbytes
+        return self._den.nbytes
 
     def solve(self, b1: np.ndarray, b2: np.ndarray):
-        """Solve for interior-face arrays from interior-shaped right sides."""
-        f1 = dst(dst(b1, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-        f1 /= self._den1
-        x1 = idst(idst(f1, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
-        f2 = dst(dst(b2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-        f2 /= self._den2
-        x2 = idst(idst(f2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-        return x1, x2
+        """Interior-face solution of interior-shaped right sides b1, b2 (kept)."""
+        f = np.empty((2,) + b1.shape)
+        f[0] = b1
+        f[1] = b2.T
+        f = dst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
+        f = dst(f, type=2, axis=2, norm="ortho", overwrite_x=True)
+        f /= self._den
+        f = idst(f, type=2, axis=2, norm="ortho", overwrite_x=True)
+        f = idst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
+        return f[0], f[1].T
 
 
 def _neumann_inverse(mu: np.ndarray) -> np.ndarray:
@@ -503,7 +508,7 @@ class SchurInverse:
 def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0):
     """(VelocityPoisson, SchurInverse) for ``grid`` and ``shift``, cached.
 
-    Both builds are closed-form (no solve) and together hold about 4 n^2
+    Both builds are closed-form (no solve) and together hold about 3 n^2
     floats; the cache keeps the last few (n, shift) pairs.  The Poisson
     denominators are built first: a non-finite shift, or one at which either
     inverse is singular, raises ValueError, and nothing is cached.

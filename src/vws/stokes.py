@@ -3,31 +3,33 @@
 The saddle problem
 
     A u + G p = b        (momentum, A = -Laplacian + shift, Dirichlet data)
-    D u       = c        (divergence constraint)
+    D u       = h_src    (divergence constraint)
 
 reduces to the pressure Schur complement S = -D A^{-1} G, symmetric positive
 semidefinite with kernel = constants.  :class:`vws.operators.SchurInverse`
 inverts S exactly at every shift (the Cahouet-Chabard map
 I + shift (-Delta_N)^+, which inverts the free-slip complement, plus a
 boundary capacitance correction for the no-slip walls, applied with one pair
-of 2-D cosine transforms), so the solve is direct.  Every step works on the face field u that is
-returned, with D the one cell divergence of full face arrays
-(:func:`vws.operators.cell_divergence`), so prescribed wall faces count in
-it and the source c of the constraint D u = c is just h_src:
+of 2-D cosine transforms), so the solve is direct.  Every step works on the
+face field u that is returned, with D the one cell divergence of full face
+arrays (:func:`vws.operators.cell_divergence`), so prescribed wall faces
+count in it.  The wall faces reach only the border cells, each with a
+wall flux +-(normal value)/h, so the interior unknowns see D w = c, with
+c = h_src less those fluxes:
 
     1. the interior faces of u get w = A^{-1} b while its wall faces are still
        zero, and D w is taken there;
-    2. the wall faces get the prescribed normal values; rhs = h_src - D u is
-       then the Schur right-hand side c - D w of the interior unknowns,
-       re-centred to zero mean;
+    2. rhs = c - D w, re-centred to zero mean;
     3. p = S^{-1} rhs;
-    4. the interior faces of u get A^{-1} (b - G p);
+    4. the wall faces of u get the prescribed normal values and its interior
+       faces A^{-1} (b - G p);
     5. the divergence defect max|h_src - D u| of the returned field must be at
-       most div_tol times the data scale max(max|rhs + D w|, max|D w|); a
-       miss, a NaN included, raises NonConvergence carrying p and the defect.
+       most div_tol times the data scale max(max|c|, max|D w|); a miss, a NaN
+       included, raises NonConvergence carrying p and the defect.
 
-A solve therefore costs two exact sine-transform velocity Laplacian solves.
-Both inverses are built once per (grid, shift) by
+A solve therefore costs two exact sine-transform velocity Laplacian solves,
+one Schur apply and two cell divergences; :func:`residual_report` computes
+the momentum residual on demand.  Both inverses are built once per (grid, shift) by
 :func:`vws.operators.saddle_inverses`, which refuses a singular shift.
 """
 
@@ -76,25 +78,6 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _divergence_defect(u1, u2, h: float, h_src) -> np.ndarray:
-    """h_src - D u for full face arrays; h_src None means zero."""
-    d = cell_divergence(u1, u2, h)
-    return -d if h_src is None else h_src - d
-
-
-def _momentum_residual(grid: StaggeredGrid, u1, u2, p, bc: DirichletBC,
-                       f1, f2, shift: float = 0.0) -> float:
-    """h-weighted 2-norm of f - (-Laplacian + shift) u - G p, interior faces."""
-    r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=shift)
-    g1, g2 = face_gradient(p, grid.h)
-    r1 += g1
-    r2 += g2
-    if f1 is not None:
-        r1 -= f1
-        r2 -= f2
-    return grid.h * float(np.sqrt((r1 ** 2).sum() + (r2 ** 2).sum()))
-
-
 def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
                  shift: float = 0.0, opts: SolverOptions | None = None):
     """Core saddle solve.  f1, f2 interior-shaped forcing; h_src cell-shaped.
@@ -122,19 +105,22 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
     load1, load2 = laplacian_load(grid, bc)
     b1 = load1 if f1 is None else f1 + load1
     b2 = load2 if f2 is None else f2 + load2
-    b_scale = h * float(np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum()))
 
     u1[1:n, :], u2[:, 1:n] = poisson.solve(b1, b2)
     dw = cell_divergence(u1, u2, h)
-    u1[0, :] = bc.u1_left
-    u1[n, :] = bc.u1_right
-    u2[:, 0] = bc.u2_bottom
-    u2[:, n] = bc.u2_top
-    rhs = _divergence_defect(u1, u2, h, h_src)
-    scale = max(float(np.abs(rhs + dw).max()), float(np.abs(dw).max()))
+    # c = h_src less the wall fluxes, which reach the border cells only
+    rhs = np.zeros((n, n)) if h_src is None else h_src.copy()
+    rhs[0, :] += bc.u1_left / h
+    rhs[n - 1, :] -= bc.u1_right / h
+    rhs[:, 0] += bc.u2_bottom / h
+    rhs[:, n - 1] -= bc.u2_top / h
+    scale = max(float(np.abs(rhs).max()), float(np.abs(dw).max()))
+    rhs -= dw
     rhs -= rhs.mean()
     p = schur(rhs)
     p -= p.mean()
+    u1[0, :], u1[n, :] = bc.u1_left, bc.u1_right
+    u2[:, 0], u2[:, n] = bc.u2_bottom, bc.u2_top
     g1, g2 = face_gradient(p, h)
     b1 -= g1
     b2 -= g2
@@ -142,19 +128,19 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
 
     # one exact pressure step, none for zero data
     steps = int(rhs.any())
-    div_max = float(np.abs(_divergence_defect(u1, u2, h, h_src)).max())
+    defect = cell_divergence(u1, u2, h)
+    if h_src is not None:
+        defect -= h_src
+    div_max = float(np.abs(defect).max())
     if not div_max <= opts.div_tol * scale:
         raise NonConvergence(
             f"saddle solve: divergence defect {div_max:.3e} above "
             f"{opts.div_tol:.1e} of the data scale {scale:.3e}",
             best_x=p, residual=div_max, iterations=steps,
         )
-    mom_abs = _momentum_residual(grid, u1, u2, p, bc, f1, f2, shift)
     diag = {
         "outer_iterations": steps,
         "div_max": div_max,
-        "mom_res": mom_abs,
-        "mom_res_rel": mom_abs / b_scale if b_scale > 0.0 else 0.0,
         "wall_time": time.perf_counter() - t0,
     }
     return u1, u2, p, diag
@@ -205,12 +191,27 @@ def solve_boundary(grid: StaggeredGrid, g: BoundaryData,
 
 def residual_report(sol: StokesSolution, f: VelocityField | None = None,
                     g: BoundaryData | None = None) -> dict:
-    """Recompute residuals of a solution against its data."""
+    """Recompute residuals of a solution against its data.
+
+    momentum_res is h ||f - A u - G p|| over the interior faces (shift 0);
+    momentum_res_rel divides it by h ||f + load|| (0 when that is 0).
+    """
     grid = sol.grid
     bc = DirichletBC.zero(grid) if g is None else DirichletBC.from_boundary_data(g)
-    f1, f2 = (None, None) if f is None else f.interior()
     u1, u2 = sol.velocity.u1, sol.velocity.u2
-    mom = _momentum_residual(grid, u1, u2, sol.pressure.p, bc, f1, f2)
+    r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc)  # A u - load
+    b1, b2 = laplacian_load(grid, bc)
+    g1, g2 = face_gradient(sol.pressure.p, grid.h)
+    r1 += g1
+    r2 += g2
+    if f is not None:
+        f1, f2 = f.interior()
+        r1 -= f1
+        r2 -= f2
+        b1 += f1
+        b2 += f2
+    mom = grid.h * float(np.sqrt((r1 ** 2).sum() + (r2 ** 2).sum()))
+    b_scale = grid.h * float(np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum()))
     div = divergence(sol.velocity)
     mismatch = 0.0
     if g is not None:
@@ -222,6 +223,7 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
         )
     return {
         "momentum_res": mom,
+        "momentum_res_rel": mom / b_scale if b_scale > 0.0 else 0.0,
         "div_max": float(np.abs(div.p).max()),
         "div_l2": l2_norm_omega(div),
         "boundary_mismatch": mismatch,

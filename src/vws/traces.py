@@ -38,6 +38,8 @@ below) and is the reference the closed form is tested against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .boundary import SIDES, TANGENTS, BoundaryData, smoothstep
@@ -119,16 +121,22 @@ def _midpoints_to_nodes(t: np.ndarray) -> np.ndarray:
     return np.concatenate([[t[0]], 0.5 * (t[:-1] + t[1:]), [t[-1]]])
 
 
+@lru_cache(maxsize=8)
+def _lift_profiles(grid: StaggeredGrid) -> np.ndarray:
+    """Read-only node rows: the corner taper and -1/2 d^2 chi(d) from 0."""
+    z = grid.nodes()
+    rows = np.stack([_corner_taper(z, grid.h), -0.5 * z ** 2 * _wall_cutoff(z)])
+    rows.flags.writeable = False
+    return rows
+
+
 def _lift_factors(g1: TangentialBoundaryData):
     """Yield (a, b) per side with a nonzero profile; Psi = sum of outer(a, b).
 
     One factor is the tapered wall profile at the nodes, the other the
     across-wall profile -1/2 d^2 chi(d); the first index of Psi runs along x.
     """
-    grid = g1.grid
-    z = grid.nodes()
-    taper = _corner_taper(z, grid.h)
-    prof0 = -0.5 * z ** 2 * _wall_cutoff(z)          # distance from coordinate 0
+    taper, prof0 = _lift_profiles(g1.grid)
     prof1 = prof0[::-1]                              # distance from coordinate 1
     for side, across in (("bottom", prof0), ("top", prof1),
                          ("left", prof0), ("right", prof1)):

@@ -105,12 +105,12 @@ def test_boundary_arithmetic_and_zeros():
     grid = build_grid(16)
     g = cavity_g(grid)
     z = BoundaryData.zeros(grid)
-    assert z.is_zero()
-    assert not g.is_zero()
+    assert not any(z.samples[s].any() for s in SIDES)
+    assert g.samples["top"].any()
     two = g + g
     assert np.allclose(two.samples["top"], 2.0 * g.samples["top"], atol=1e-15)
     diff = two - g * 2.0
-    assert diff.is_zero()
+    assert not any(diff.samples[s].any() for s in SIDES)
     assert np.array_equal(g.arc("top"), grid.x_centers())
 
 

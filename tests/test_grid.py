@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vws.grid import (
     PressureField,
@@ -66,6 +67,23 @@ def test_norm_of_constant_field():
     assert abs(l2_norm_omega(ones) - np.sqrt(2.0)) <= 1e-13
     p = PressureField(grid, np.ones((16, 16)))
     assert abs(l2_norm_omega(p) - 1.0) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([4, 7, 64]), st.integers(0, 2 ** 32 - 1))
+def test_norm_equals_the_owned_volume_weighted_sum(n, seed):
+    # the closed form h^2 (sum u^2 - 1/2 sum wall faces^2) against explicit
+    # weights: an h x h box per face, half of one for wall faces
+    rng = np.random.default_rng(seed)
+    grid = build_grid(n)
+    v = VelocityField(grid, rng.standard_normal((n + 1, n)),
+                      rng.standard_normal((n, n + 1)))
+    w1 = np.full((n + 1, n), grid.h ** 2)
+    w1[[0, -1], :] *= 0.5
+    w2 = np.full((n, n + 1), grid.h ** 2)
+    w2[:, [0, -1]] *= 0.5
+    want = np.sqrt(np.sum(w1 * v.u1 ** 2) + np.sum(w2 * v.u2 ** 2))
+    assert abs(l2_norm_omega(v) - want) <= 1e-14 * want
 
 
 def test_norm_approximates_integral():
