@@ -3,7 +3,7 @@
 Forward problem on Q_T = Omega x (0, T):
 
     du/dt - Laplace(u) + grad(p) = f,  div u = 0,  u = g(t) on the wall,
-    u(0) = u0   (zero data: f = 0, u0 = 0).
+    u(0) = 0   (zero data: f = 0).
 
 Each implicit step is one direct shifted Stokes saddle solve
 (:func:`vws.stokes.solve_saddle`, two velocity Poisson solves), so the
@@ -159,8 +159,8 @@ def _slice_bc(g: TimeBoundaryData, k: int, dt: float) -> DirichletBC:
 
 
 def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
-           u0: VelocityField, force, slice_bc, backward: bool) -> Trajectory:
-    """The implicit step loop shared by both time directions.
+           force, slice_bc, backward: bool) -> Trajectory:
+    """The implicit step loop shared by both time directions, from zero.
 
     Node j of the march is time index j forward and m - j backward.
     force(j) -> (f1, f2) interior forcing at node j, or force=None;
@@ -171,7 +171,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     m = len(times) - 1
     shift = (1.0 if scheme == "euler" else 2.0) / dt
-    u = u0
+    u = VelocityField.zeros(grid)
     bc_prev = slice_bc(0)
     velocities = [u]
     pressures = [None]
@@ -219,18 +219,16 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
 
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
-                  scheme: str = "euler", force=None,
-                  u0: VelocityField | None = None) -> Trajectory:
-    """March the forced problem: force(t) -> (f1, f2) interior arrays, u(0) = u0.
+                  scheme: str = "euler", force=None) -> Trajectory:
+    """March the forced problem: force(t) -> (f1, f2) interior arrays, u(0) = 0.
 
-    The zero-data problem (evolve) is the force=None, u0=None case.
+    The zero-data problem (evolve) is the force=None case.
     """
     m = _check_steps(T, dt)
     times = np.arange(m + 1) * dt
     march_force = None if force is None else (lambda j: force(times[j]))
-    return _march(grid, scheme, dt, times,
-                  u0 if u0 is not None else VelocityField.zeros(grid),
-                  march_force, lambda j: _slice_bc(g, j, dt), False)
+    return _march(grid, scheme, dt, times, march_force,
+                  lambda j: _slice_bc(g, j, dt), False)
 
 
 def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -239,18 +237,18 @@ def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     return evolve_lifted(grid, g, T, dt, scheme=scheme)
 
 
-def solve_adjoint_backward(grid: StaggeredGrid, u_traj: Trajectory,
-                           scheme: str | None = None) -> Trajectory:
+def solve_adjoint_backward(grid: StaggeredGrid,
+                           u_traj: Trajectory) -> Trajectory:
     """Backward dual march: -dv/dt - Laplace(v) + grad(q) = u, v(T) = 0.
 
-    Reversing time turns this into the forward step loop with the forcing
-    trajectory read backwards and homogeneous boundary values; the result is
-    returned in forward time order (entry k is v(t_k), entry -1 is zero).
+    Reversing time turns this into the forward step loop, in the scheme of
+    u_traj, with the forcing trajectory read backwards and homogeneous
+    boundary values; the result is returned in forward time order (entry k
+    is v(t_k), entry -1 is zero).
     """
     m = u_traj.steps
     bc0 = DirichletBC.zero(grid)
-    return _march(grid, scheme or u_traj.scheme, u_traj.dt, u_traj.times.copy(),
-                  VelocityField.zeros(grid),
+    return _march(grid, u_traj.scheme, u_traj.dt, u_traj.times.copy(),
                   lambda j: u_traj.velocities[m - j].interior(),
                   lambda j: bc0, True)
 

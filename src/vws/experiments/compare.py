@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from ..errors import RecipeMismatch
 from .report import load_summary
 
@@ -19,12 +21,17 @@ def _numeric_items(metrics: dict):
 
 
 def _rel_diff(a: list, b: list) -> float:
+    """Worst relative difference; equal values (inf with inf, NaN with NaN)
+    differ by 0, any other pair with a non-finite entry by inf."""
     if len(a) != len(b):
         return float("inf")
     worst = 0.0
     for x, y in zip(a, b):
-        scale = max(abs(x), abs(y), 1e-300)
-        worst = max(worst, abs(x - y) / scale)
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return float("inf")
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1e-300))
     return worst
 
 

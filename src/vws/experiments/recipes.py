@@ -2,9 +2,12 @@
 
 A recipe is a function ExperimentConfig -> RecipeReport.  Recipes never stop
 at the first failure; every assertion is evaluated and recorded so a single
-run documents the full state of the claim it checks.  All randomness is
-seeded from the configuration, and the cases of a recipe run in order in one
-process.
+run documents the full state of the claim it checks.  Each recipe solves its
+cases in order in one process, collects one ladder per quantity, and hands
+each ladder to the RecipeReport verdict API (check_le, check_ge, check_order,
+check_decreasing), which reduces it with NaN-propagating reductions: a NaN at
+any rung fails the assertion.  All randomness is seeded from the
+configuration.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from ..transposition import (
     transposition_identity,
 )
 from .config import ExperimentConfig, check_resolution
-from .report import RecipeReport
+from .report import RecipeReport, orders
 from .svg import line_plot
 
 SOFT_BUDGET_SECONDS = 1800.0
@@ -103,9 +106,13 @@ def _ns(cfg: ExperimentConfig) -> tuple:
     return RECIPE_NS.get(cfg.recipe, (16, 32, 64))
 
 
-def _orders(values) -> list:
-    v = np.asarray(values, dtype=float)
-    return [float(np.log2(v[k] / v[k + 1])) for k in range(len(v) - 1)]
+def _layer_eps(cfg: ExperimentConfig) -> float:
+    """The first layer width; the finest grid of an explicit ladder must
+    resolve it."""
+    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
+    if cfg.ns:
+        check_resolution(cfg, eps, max(cfg.ns))
+    return eps
 
 
 @contextlib.contextmanager
@@ -129,15 +136,15 @@ def run_uniqueness(cfg: ExperimentConfig) -> RecipeReport:
         echo = adjoint_gradient_pairing(grid, cavity_g(grid))
         rows.append((n, l2_norm_omega(sol.velocity), abs(echo)))
     rep.table("stationary", ["n", "u_l2", "gradient_echo"], rows)
-    rep.check_le("stationary_zero", max(r[1] for r in rows), 1e-12,
+    rep.check_le("stationary_zero", [r[1] for r in rows], 1e-12,
                  f"max |u| over n={list(ns)}")
-    rep.check_le("gradient_echo", max(r[2] for r in rows), 1e-10,
+    rep.check_le("gradient_echo", [r[2] for r in rows], 1e-10,
                  "adjoint velocity vs pressure gradient orthogonality")
 
     grid = build_grid(ns[0])
     tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
     traj = evolve(grid, tb, 0.25, 1.0 / 16)
-    rep.check_le("evolution_zero", float(max(traj.norms())), 1e-12,
+    rep.check_le("evolution_zero", traj.norms(), 1e-12,
                  f"n={ns[0]}, 4 steps of dt=1/16")
     rep.metric("ns", list(ns))
     return rep
@@ -159,21 +166,14 @@ def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
     rep.table("errors", ["n", "h", "err_u", "err_p"], rows)
     err_u = [r[2] for r in rows]
     err_p = [r[3] for r in rows]
-    ord_u = _orders(err_u)
-    ord_p = _orders(err_p)
-    rep.metric("orders_u", ord_u)
-    rep.metric("orders_p", ord_p)
     rep.metric("err_u", err_u)
     rep.metric("err_p", err_p)
-    rep.check_ge("velocity_order", min(ord_u), 1.8,
-                 f"pairwise orders {[f'{o:.3f}' for o in ord_u]}")
-    rep.check_ge("pressure_order", min(ord_p), 1.8,
-                 f"pairwise orders {[f'{o:.3f}' for o in ord_p]}")
+    rep.check_order("velocity_order", err_u, 1.8, metric="orders_u")
+    rep.check_order("pressure_order", err_p, 1.8, metric="orders_p")
     hs = [r[1] for r in rows]
-    plot = cfg.out_dir() / "mms_convergence.svg"
-    plot.parent.mkdir(parents=True, exist_ok=True)
-    line_plot(plot, [("velocity", hs, err_u), ("pressure", hs, err_p),
-                     ("h^2", hs, [err_u[0] * (h / hs[0]) ** 2 for h in hs])],
+    line_plot(cfg.out_dir() / "mms_convergence.svg",
+              [("velocity", hs, err_u), ("pressure", hs, err_p),
+               ("h^2", hs, [err_u[0] * (h / hs[0]) ** 2 for h in hs])],
               title="manufactured solution errors", xlabel="h",
               ylabel="L2 error", logx=True, logy=True)
     return rep
@@ -242,10 +242,10 @@ def run_operator_algebra(cfg: ExperimentConfig) -> RecipeReport:
     rep.table("identities", ["n", "adjointness", "div_grad_duality",
                              "curl_div_max", "dst_vs_dense"],
               list(zip(ns, adj, dual, curl_div, dst_dense)))
-    rep.check_le("adjointness", max(adj), 1e-12)
-    rep.check_le("div_grad_duality", max(dual), 1e-12)
-    rep.check_le("curl_divergence", max(curl_div), 1e-12)
-    rep.check_le("dst_vs_dense", max(dst_dense), 1e-12)
+    rep.check_le("adjointness", adj, 1e-12)
+    rep.check_le("div_grad_duality", dual, 1e-12)
+    rep.check_le("curl_divergence", curl_div, 1e-12)
+    rep.check_le("dst_vs_dense", dst_dense, 1e-12)
 
     # small SPD system with a closed-form solution
     A = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
@@ -271,20 +271,15 @@ def run_compatibility(cfg: ExperimentConfig) -> RecipeReport:
     rep = RecipeReport("compatibility")
     n = max(_ns(cfg))
     grid = build_grid(n)
-    rows = []
-    worst = 0.0
     with _quiet():
         cases = [("lid", cavity_g(grid)), ("rotation", rotation_data(grid))]
         for eps in cfg.eps_list:
             cases.append((f"lid_eps_{eps:g}", cavity_g_eps(grid, eps)))
         for which in ("corner_01", "corner_11"):
             cases.append((which, corner_variant(grid, which, eps=0.05)))
-    for label, g in cases:
-        d = abs(compatibility_defect(g))
-        rows.append((label, n, d))
-        worst = max(worst, d)
+    rows = [(label, n, abs(compatibility_defect(g))) for label, g in cases]
     rep.table("defects", ["case", "n", "net_flux"], rows)
-    rep.check_le("family_defects", worst, 1e-13)
+    rep.check_le("family_defects", [r[2] for r in rows], 1e-13)
 
     bad = outward_normal_data(grid)
     raw = compatibility_defect(bad)
@@ -293,9 +288,9 @@ def run_compatibility(cfg: ExperimentConfig) -> RecipeReport:
     fixed = project_compatible(bad)
     rep.check_le("projection", abs(compatibility_defect(fixed)), 1e-13)
     twice = project_compatible(fixed)
-    delta = max(float(np.abs(twice.samples[s] - fixed.samples[s]).max())
-                for s in SIDES)
-    rep.check_le("projection_idempotent", delta, 1e-15)
+    rep.check_le("projection_idempotent",
+                 [np.abs(twice.samples[s] - fixed.samples[s]) for s in SIDES],
+                 1e-15)
     return rep
 
 
@@ -309,16 +304,7 @@ def _sweep_case(eps: float, n: int):
     grid = build_grid(n)
     with _quiet():
         g = cavity_g_eps(grid, eps)
-    sol = solve_boundary(grid, g)
-    return {
-        "eps": eps,
-        "n": n,
-        "u1": sol.velocity.u1,
-        "u2": sol.velocity.u2,
-        "g_l2": l2_norm_gamma(g),
-        "iters": sol.diagnostics.get("outer_iterations"),
-        "div_max": sol.diagnostics.get("div_max"),
-    }
+    return g, solve_boundary(grid, g)
 
 
 def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
@@ -344,25 +330,25 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
 
     ratio_rows = []
     for eps in eps_list:
-        r = results[(eps, _resolved_n(eps))]
-        u_l2 = _vel_norm(r)
-        ratio_rows.append((eps, r["n"], u_l2, r["g_l2"], u_l2 / r["g_l2"],
-                           r["iters"], r["div_max"]))
+        n = _resolved_n(eps)
+        g, sol = results[(eps, n)]
+        u_l2, g_l2 = l2_norm_omega(sol.velocity), l2_norm_gamma(g)
+        ratio_rows.append((eps, n, u_l2, g_l2, u_l2 / g_l2,
+                           sol.diagnostics.get("outer_iterations"),
+                           sol.diagnostics.get("div_max")))
     rep.table("ratios", ["eps", "n", "u_l2", "g_l2", "ratio", "iters",
                          "div_max"], ratio_rows)
     ratios = [row[4] for row in ratio_rows]
     rep.metric("ratios", ratios)
-    rep.check_le("ratio_bounded", max(ratios), 2.0 * ratios[0],
+    rep.check_le("ratio_bounded", ratios, 2.0 * ratios[0],
                  f"ratios {[f'{r:.4f}' for r in ratios]}")
 
     pair_rows = []
     for a, b in zip(eps_list, eps_list[1:]):
         n = _resolved_n(b)
-        ra, rb = results[(a, n)], results[(b, n)]
-        diff = _vel_diff_norm(ra, rb)
-        grid = build_grid(n)
-        with _quiet():
-            g_diff = l2_norm_gamma(cavity_g_eps(grid, a) - cavity_g_eps(grid, b))
+        (ga, sa), (gb, sb) = results[(a, n)], results[(b, n)]
+        diff = l2_norm_omega(sa.velocity - sb.velocity)
+        g_diff = l2_norm_gamma(ga - gb)
         pair_rows.append((a, b, n, diff, g_diff, diff / g_diff))
     rep.table("pairs", ["eps_a", "eps_b", "n", "u_diff", "g_diff", "quotient"],
               pair_rows)
@@ -370,14 +356,13 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     diffs = [row[3] for row in pair_rows]
     rep.metric("difference_quotients", quotients)
     rep.metric("cauchy_differences", diffs)
-    rep.check_le("single_constant", max(quotients), 2.0 * quotients[0],
+    rep.check_le("single_constant", quotients, 2.0 * quotients[0],
                  f"quotients {[f'{q:.4f}' for q in quotients]}")
-    dec = all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
-    rep.check("cauchy_decreasing", dec, float(max(np.diff(diffs))), 0.0,
+    steps = np.diff(diffs)
+    rep.check("cauchy_decreasing", np.all(steps < 0.0), steps.max(), 0.0,
               f"differences {[f'{d:.4e}' for d in diffs]}")
 
     out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     line_plot(out / "ratio_vs_eps.svg",
               [("|u|/|g|", eps_list, ratios)],
               title="estimate ratio across layer widths", xlabel="eps",
@@ -389,17 +374,6 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     return rep
 
 
-def _vel_norm(r) -> float:
-    grid = build_grid(r["n"])
-    return l2_norm_omega(VelocityField(grid, r["u1"], r["u2"]))
-
-
-def _vel_diff_norm(ra, rb) -> float:
-    grid = build_grid(ra["n"])
-    return l2_norm_omega(VelocityField(grid, ra["u1"] - rb["u1"],
-                                       ra["u2"] - rb["u2"]))
-
-
 # -------------------------------------------------------------- transposition
 
 def _identity_case(case: str, n: int, eps: float):
@@ -409,8 +383,9 @@ def _identity_case(case: str, n: int, eps: float):
     else:
         with _quiet():
             g = cavity_g_eps(grid, eps)
-    r = transposition_identity(grid, g)
-    ratio = estimate_ratio(grid, g)
+    sol = solve_boundary(grid, g)
+    r = transposition_identity(grid, g, u=sol.velocity)
+    ratio = estimate_ratio(grid, g, sol=sol)
     return (n, case, r["lhs"], r["rhs"], r["rel_gap"], ratio)
 
 
@@ -418,10 +393,7 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     """Interior norm vs boundary integrals through the adjoint problem."""
     rep = RecipeReport("transposition")
     ns = _ns(cfg)
-    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
-    if cfg.ns:
-        # the finest grid of a user-chosen ladder must resolve the layer
-        check_resolution(cfg, eps, max(ns))
+    eps = _layer_eps(cfg)
     rows = [_identity_case(case, n, eps)
             for case in ("rotation", "lid") for n in ns]
     rep.table("identity_log", ["n", "case", "lhs", "rhs", "rel_gap", "ratio"],
@@ -430,14 +402,10 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     for case in ("rotation", "lid"):
         gaps = [r[4] for r in rows if r[1] == case]
         rep.metric(f"gaps_{case}", gaps)
-        dec = all(b < a for a, b in zip(gaps, gaps[1:]))
-        rep.check(f"{case}_gap_decreasing", dec, gaps[-1], gaps[0],
-                  f"gaps {[f'{g:.4e}' for g in gaps]}")
+        rep.check_decreasing(f"{case}_gap_decreasing", gaps)
     rot_gaps = [r[4] for r in rows if r[1] == "rotation"]
-    orders = _orders(rot_gaps)
-    rep.metric("rotation_gap_orders", orders)
-    rep.check_ge("rotation_gap_order", min(orders), 0.9,
-                 f"orders {[f'{o:.3f}' for o in orders]}")
+    rep.check_order("rotation_gap_order", rot_gaps, 0.9,
+                    metric="rotation_gap_orders")
     lid_rows = [r for r in rows if r[1] == "lid"]
     finest = lid_rows[-1]
     if finest[0] >= 128:
@@ -449,10 +417,8 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     echo = abs(adjoint_gradient_pairing(grid, cavity_g(grid)))
     rep.check_le("gradient_echo", echo, 1e-10)
 
-    out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     hs = [1.0 / n for n in ns]
-    line_plot(out / "identity_gap.svg",
+    line_plot(cfg.out_dir() / "identity_gap.svg",
               [("rotation", hs, rot_gaps),
                ("lid", hs, [r[4] for r in lid_rows])],
               title="transposition identity relative gap", xlabel="h",
@@ -467,13 +433,11 @@ def _traces_case(n: int, seed: int):
     s = grid.x_centers()
     u = solve_boundary(grid, rotation_data(grid)).velocity
 
-    worst = 0.0
     probe_rows = []
     for pid, g1, fn in probe_set(grid):
         val = pairing_L(u, g1)
         ref = 0.5 * line_integral(fn)
         probe_rows.append((n, pid, val, ref, abs(val - ref)))
-        worst = max(worst, abs(val - ref))
 
     g1 = TangentialBoundaryData(grid, {sd: np.sin(np.pi * s) + 0.3
                                        for sd in SIDES})
@@ -483,18 +447,17 @@ def _traces_case(n: int, seed: int):
     # coarse grids
     margin = min(8.0 / n, 0.375)
     mask = (s > margin) & (s < 1.0 - margin)
-    rt = 0.0
-    for sd in SIDES:
-        t_err = np.abs(dvdn.tangential_part(sd) - g1.profiles[sd])[mask]
-        n_err = np.abs(dvdn.normal_part(sd))[mask]
-        rt = max(rt, float(t_err.max()), float(n_err.max()))
+    rt_errs = [np.abs(dvdn.tangential_part(sd) - g1.profiles[sd])[mask]
+               for sd in SIDES]
+    rt_errs += [np.abs(dvdn.normal_part(sd))[mask] for sd in SIDES]
     div_lift = float(np.abs(divergence(lift).p).max())
 
     probe = TangentialBoundaryData(grid, {sd: np.sin(np.pi * s) for sd in SIDES})
     gap = lifting_independence_gap(u, probe, seed=seed)
     ctrl = lifting_independence_gap(negative_control_field(grid, seed=seed),
                                     probe, seed=seed)
-    return {"n": n, "worst_gap": worst, "roundtrip": rt, "div_lift": div_lift,
+    return {"n": n, "worst_gap": float(np.max([r[4] for r in probe_rows])),
+            "roundtrip": float(np.max(rt_errs)), "div_lift": div_lift,
             "indep_stokes": gap, "indep_control": ctrl,
             "probe_rows": probe_rows}
 
@@ -514,37 +477,27 @@ def run_traces(cfg: ExperimentConfig) -> RecipeReport:
                 c["indep_stokes"], c["indep_control"]) for c in cases])
 
     gaps = [c["worst_gap"] for c in cases]
-    orders = _orders(gaps)
     rep.metric("probe_gaps", gaps)
-    rep.metric("probe_gap_orders", orders)
-    rep.check_ge("probe_gap_order", min(orders), 0.85,
-                 f"orders {[f'{o:.3f}' for o in orders]}")
+    rep.check_order("probe_gap_order", gaps, 0.85, metric="probe_gap_orders")
 
     rts = [c["roundtrip"] for c in cases]
-    rt_orders = _orders(rts)
     rep.metric("roundtrip_errors", rts)
-    rep.check_ge("lift_roundtrip_order", min(rt_orders), 1.9,
-                 f"orders {[f'{o:.3f}' for o in rt_orders]}")
-    rep.check_le("lift_divergence", max(c["div_lift"] for c in cases), 1e-12)
+    rep.check_order("lift_roundtrip_order", rts, 1.9)
+    rep.check_le("lift_divergence", [c["div_lift"] for c in cases], 1e-12)
 
     stokes = [c["indep_stokes"] for c in cases]
     ctrl = [c["indep_control"] for c in cases]
     rep.metric("indep_stokes", stokes)
     rep.metric("indep_control", ctrl)
-    dec = all(b < a for a, b in zip(stokes, stokes[1:]))
-    rep.check("independence_decays", dec, stokes[-1], stokes[0],
-              f"stokes gaps {[f'{g:.4f}' for g in stokes]}")
-    floor = 2.0 * math.pi ** 2
-    rep.check_ge("control_floor", min(ctrl), floor,
+    rep.check_decreasing("independence_decays", stokes)
+    rep.check_ge("control_floor", ctrl, 2.0 * math.pi ** 2,
                  "energy of the control field stays above the "
                  "Dirichlet-eigenvalue bound")
-    rep.check_le("separation", max(stokes) / min(ctrl), 0.25,
+    rep.check_le("separation", np.max(stokes) / np.min(ctrl), 0.25,
                  "independence gap separates solutions from non-solutions")
 
-    out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     hs = [1.0 / c["n"] for c in cases]
-    line_plot(out / "trace_recovery.svg",
+    line_plot(cfg.out_dir() / "trace_recovery.svg",
               [("worst probe gap", hs, gaps), ("lift round-trip", hs, rts),
                ("independence (solution)", hs, stokes)],
               title="trace recovery diagnostics", xlabel="h", ylabel="error",
@@ -576,33 +529,25 @@ def _biharmonic_case(n: int, eps: float):
 def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     """Stream-function route: fourth-order problem cross-checks the mixed one."""
     rep = RecipeReport("biharmonic")
-    ns = _ns(cfg)
-    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
-    if cfg.ns:
-        check_resolution(cfg, eps, max(ns))
-    rows = [_biharmonic_case(n, eps) for n in ns]
+    eps = _layer_eps(cfg)
+    rows = [_biharmonic_case(n, eps) for n in _ns(cfg)]
     rep.table("results", ["n", "mms_err", "cross_gap", "div_max",
                           "ext_x", "ext_y", "ext_value"], rows)
 
     errs = [r[1] for r in rows]
-    orders = _orders(errs)
     rep.metric("mms_errors", errs)
-    rep.metric("mms_orders", orders)
-    rep.check_ge("mms_order", min(orders), 1.9,
-                 f"orders {[f'{o:.3f}' for o in orders]}")
-    rep.check_le("cross_gap", max(r[2] for r in rows), 1e-10,
+    rep.check_order("mms_order", errs, 1.9, metric="mms_orders")
+    rep.check_le("cross_gap", [r[2] for r in rows], 1e-10,
                  "curl of the clamped stream matches the mixed solve")
-    rep.check_le("curl_divergence", max(r[3] for r in rows), 1e-13)
+    rep.check_le("curl_divergence", [r[3] for r in rows], 1e-13)
 
     n, _, _, _, x0, y0, val = rows[-1]
     rep.metric("extremum", [x0, y0, val])
     rep.check_ge("vortex_above_midheight", y0, 0.5,
                  f"stream extremum at ({x0:.3f}, {y0:.3f}), value {val:.4f}")
 
-    out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     hs = [1.0 / r[0] for r in rows]
-    line_plot(out / "biharmonic.svg",
+    line_plot(cfg.out_dir() / "biharmonic.svg",
               [("clamped-plate error", hs, errs),
                ("cross-check gap", hs, [max(r[2], 1e-16) for r in rows])],
               title="stream-function diagnostics", xlabel="h", ylabel="error",
@@ -643,27 +588,24 @@ def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
                                  force=force)
             finals[m] = traj.final()
         diffs = [l2_norm_omega(finals[m] - finals[2 * m]) for m in ms[:-1]]
-        orders = _orders(diffs)
-        for m, d, o in zip(ms[:-1], diffs, orders + [float("nan")]):
+        ords = orders(diffs)
+        for m, d, o in zip(ms[:-1], diffs, ords + [float("nan")]):
             rows.append((scheme, m, T / m, d, o))
         rep.metric(f"{scheme}_diffs", diffs)
-        rep.metric(f"{scheme}_orders", orders)
+        rep.metric(f"{scheme}_orders", ords)
         lo, hi = windows[scheme]
         rep.check(f"{scheme}_order",
-                  all(lo <= o <= hi for o in orders),
-                  float(np.mean(orders)), hi,
+                  all(lo <= o <= hi for o in ords),
+                  float(np.mean(ords)), hi,
                   f"window [{lo}, {hi}], orders "
-                  f"{[f'{o:.3f}' for o in orders]}")
+                  f"{[f'{o:.3f}' for o in ords]}")
     rep.table("self_differences", ["scheme", "m", "dt", "final_diff", "order"],
               rows)
 
-    out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     dts = [T / m for m in ms[:-1]]
-    series = []
-    for scheme in ("euler", "cn"):
-        series.append((scheme, dts, rep.metrics[f"{scheme}_diffs"]))
-    line_plot(out / "temporal_orders.svg", series,
+    series = [(scheme, dts, rep.metrics[f"{scheme}_diffs"])
+              for scheme in ("euler", "cn")]
+    line_plot(cfg.out_dir() / "temporal_orders.svg", series,
               title="final-slice self differences", xlabel="dt",
               ylabel="L2 difference", logx=True, logy=True)
     return rep
@@ -690,9 +632,7 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     rep = RecipeReport("evolution-estimate")
     ns = _ns(cfg)
     T, dt = cfg.T, cfg.dt
-    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
-    if cfg.ns:
-        check_resolution(cfg, eps, max(ns))
+    eps = _layer_eps(cfg)
     n0 = 32 if 32 in ns else ns[len(ns) // 2]
     grid = build_grid(n0)
     with _quiet():
@@ -703,7 +643,9 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     ratio = spacetime_estimate_ratio(grid, tb, T, dt, scheme=cfg.scheme)
     tb3 = TimeBoundaryData.ramped(g_sp * 3.0, smooth_ramp(0.5))
     ratio3 = spacetime_estimate_ratio(grid, tb3, T, dt, scheme=cfg.scheme)
-    stat_ratio = estimate_ratio(grid, g_sp)
+    sol_sp = solve_boundary(grid, g_sp)
+    stat = sol_sp.velocity
+    stat_ratio = estimate_ratio(grid, g_sp, sol=sol_sp)
     rep.metric("spacetime_ratio", ratio)
     rep.metric("stationary_ratio", stat_ratio)
     rep.check_le("ratio_bounded", ratio, 2.0 * stat_ratio,
@@ -712,27 +654,23 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
                  "tripling the data leaves the ratio unchanged")
 
     # relaxation toward the stationary solution under constant data
-    stat = solve_boundary(grid, g_sp).velocity
     traj = evolve(grid, TimeBoundaryData.constant(g_sp), T, 1.0 / 64,
                   scheme="euler")
     errs = np.array([l2_norm_omega(u - stat) for u in traj.velocities[1:]])
-    creep = float(np.diff(errs).max())
     rep.table("relaxation", ["step", "error"],
               list(zip(range(1, len(errs) + 1), errs)))
-    rep.check_le("relaxation_monotone", creep, 1e-11,
+    rep.check_le("relaxation_monotone", np.diff(errs), 1e-11,
                  "error never grows beyond solver-floor creep")
     rel_final = float(errs[-1] / l2_norm_omega(stat))
     rep.check_le("relaxation_final", rel_final, 0.05)
 
     # backward march with constant forcing reproduces the stationary adjoint
-    u_rhs = solve_boundary(grid, g_sp).velocity
     m_back = int(round(2.0 / dt))
-    vels = [u_rhs for _ in range(m_back + 1)]
     traj_c = Trajectory(grid, "euler", 2.0 / m_back,
-                        np.arange(m_back + 1) * (2.0 / m_back), vels,
-                        [None] * (m_back + 1))
-    back = solve_adjoint_backward(grid, traj_c, scheme="euler")
-    v_stat = solve_adjoint(grid, u_rhs).velocity
+                        np.arange(m_back + 1) * (2.0 / m_back),
+                        [stat] * (m_back + 1), [None] * (m_back + 1))
+    back = solve_adjoint_backward(grid, traj_c)
+    v_stat = solve_adjoint(grid, stat).velocity
     back_gap = (l2_norm_omega(back.velocities[0] - v_stat)
                 / l2_norm_omega(v_stat))
     rep.check_le("backward_consistency", back_gap, 0.05,
@@ -743,19 +681,13 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     rep.table("pairing", ["n", "m", "pairing", "reference", "gap",
                           "independence"], rows)
     gaps = [r[4] for r in rows]
-    orders = _orders(gaps)
     rep.metric("pairing_gaps", gaps)
-    rep.metric("pairing_orders", orders)
-    rep.check_ge("pairing_order", min(orders), 0.8,
-                 f"orders {[f'{o:.3f}' for o in orders]}")
+    rep.check_order("pairing_order", gaps, 0.8, metric="pairing_orders")
     indep = [r[5] for r in rows]
     rep.metric("independence", indep)
-    dec = all(b < a for a, b in zip(indep, indep[1:]))
-    rep.check("independence_decays", dec, indep[-1], indep[0],
-              f"gaps {[f'{g:.4f}' for g in indep]}")
+    rep.check_decreasing("independence_decays", indep)
 
     out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     line_plot(out / "relaxation.svg",
               [("|u(t) - u_stat|", list(range(1, len(errs) + 1)),
                 np.maximum(errs, 1e-16))],

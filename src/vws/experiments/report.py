@@ -2,6 +2,11 @@
 
 Every recipe produces one RecipeReport.  Assertions carry the measured value
 and the threshold it was checked against so a failure is machine readable.
+
+The verdict API turns a number or a ladder (one value per grid or step size)
+into one assertion: check_le / check_ge record the worst entry, check_order
+the smallest pairwise observed order, check_decreasing a strict fall.  The
+reductions propagate NaN, so a NaN anywhere in a ladder fails its assertion.
 """
 
 from __future__ import annotations
@@ -10,6 +15,14 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
+
+
+def orders(values) -> list:
+    """Observed orders log2(v[k] / v[k+1]) of a ladder halving h each rung."""
+    v = np.asarray(values, dtype=float)
+    return [float(o) for o in np.log2(v[:-1] / v[1:])]
 
 
 @dataclass
@@ -55,11 +68,30 @@ class RecipeReport:
         self.assertions.append(
             Assertion(name, bool(passed), float(value), float(threshold), detail))
 
-    def check_le(self, name, value, threshold, detail=""):
-        self.check(name, value <= threshold, value, threshold, detail)
+    def check_le(self, name, values, threshold, detail=""):
+        """Every entry of a number or ladder is <= threshold; records the max."""
+        worst = float(np.max(values))
+        self.check(name, worst <= threshold, worst, threshold, detail)
 
-    def check_ge(self, name, value, threshold, detail=""):
-        self.check(name, value >= threshold, value, threshold, detail)
+    def check_ge(self, name, values, threshold, detail=""):
+        """Every entry of a number or ladder is >= threshold; records the min."""
+        worst = float(np.min(values))
+        self.check(name, worst >= threshold, worst, threshold, detail)
+
+    def check_order(self, name, values, minimum, metric=None):
+        """Every pairwise observed order of a ladder is >= minimum; the orders
+        are recorded under metric when one is named."""
+        ords = orders(values)
+        if metric:
+            self.metric(metric, ords)
+        self.check_ge(name, ords, minimum,
+                      f"orders {[f'{o:.3f}' for o in ords]}")
+
+    def check_decreasing(self, name, values):
+        """The ladder falls strictly; records value = last, threshold = first."""
+        v = np.asarray(values, dtype=float)
+        self.check(name, np.all(v[1:] < v[:-1]), v[-1], v[0],
+                   f"ladder {[f'{x:.4g}' for x in v]}")
 
     def metric(self, name: str, value) -> None:
         self.metrics[name] = value

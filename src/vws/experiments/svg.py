@@ -136,6 +136,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         parts.append(_text(lx + 24, ly, label, size=10))
     parts.append("</svg>")
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(parts) + "\n")
     return path
 

@@ -232,9 +232,9 @@ def probe_set(grid: StaggeredGrid) -> list:
     return probes
 
 
-def line_integral(fn, npts: int = 4097) -> float:
-    """Composite-trapezoid integral of fn over the unit interval."""
-    s = np.linspace(0.0, 1.0, npts)
+def line_integral(fn) -> float:
+    """Composite-trapezoid integral of fn over the unit interval, 4097 points."""
+    s = np.linspace(0.0, 1.0, 4097)
     return float(np.trapezoid(fn(s), s))
 
 

@@ -10,11 +10,6 @@ def find_assertion(report, name):
     raise KeyError(f"no assertion {name!r} in recipe {report.recipe!r}")
 
 
-def observed_orders(values):
-    v = np.asarray(values, dtype=float)
-    return [float(np.log2(v[k] / v[k + 1])) for k in range(len(v) - 1)]
-
-
 def count_poisson_solves(monkeypatch):
     """Count VelocityPoisson.solve calls; returns the list each call extends."""
     from vws.operators import VelocityPoisson

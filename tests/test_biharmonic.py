@@ -25,8 +25,7 @@ from vws.grid import build_grid, l2_norm_omega
 from vws.manufactured import biharmonic_source, biharmonic_stream
 from vws.operators import divergence
 from vws.stokes import SolverOptions, solve_boundary
-
-from support import observed_orders
+from vws.experiments.report import orders
 
 
 def _lid(grid, eps=0.1):
@@ -48,7 +47,7 @@ def test_clamped_plate_mms_frozen():
     errs = [_mms_err(n) for n in (16, 32)]
     assert errs[0] == pytest.approx(5.992852e-5, rel=1e-3)
     assert errs[1] == pytest.approx(1.503265e-5, rel=1e-3)
-    assert observed_orders(errs)[0] >= 1.5
+    assert orders(errs)[0] >= 1.5
 
 
 def test_stencil_interior_truncation_frozen():
@@ -64,7 +63,7 @@ def test_stencil_interior_truncation_frozen():
         errs.append(np.abs(out[2:-2, 2:-2] - src[3:-3, 3:-3]).max())
     assert errs[0] == pytest.approx(3.112793e-2, rel=1e-3)
     assert errs[1] == pytest.approx(7.804871e-3, rel=1e-3)
-    assert observed_orders(errs)[0] >= 1.9
+    assert orders(errs)[0] >= 1.9
 
 
 def test_operator_symmetric_positive():

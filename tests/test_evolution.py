@@ -35,8 +35,9 @@ from vws.boundary import SIDES
 from vws.stokes import solve_boundary
 from vws.traces import TangentialBoundaryData
 from vws.transposition import solve_adjoint
+from vws.experiments.report import orders
 
-from support import count_poisson_solves, observed_orders
+from support import count_poisson_solves
 
 
 def _lid(grid, eps=0.1):
@@ -159,7 +160,7 @@ def test_temporal_orders_by_self_difference():
         diffs = [l2_norm_omega(_forced_final(scheme, m)
                                - _forced_final(scheme, 2 * m))
                  for m in (8, 16)]
-        order = observed_orders(diffs)[0]
+        order = orders(diffs)[0]
         assert lo <= order <= hi, f"{scheme}: order {order}"
 
 
@@ -193,7 +194,7 @@ def test_backward_march_matches_stationary_adjoint():
     vels = [u_rhs for _ in range(m + 1)]
     traj = Trajectory(grid, "euler", 2.0 / m, np.arange(m + 1) * (2.0 / m),
                       vels, [None] * (m + 1))
-    back = solve_adjoint_backward(grid, traj, scheme="euler")
+    back = solve_adjoint_backward(grid, traj)
     v_stat = solve_adjoint(grid, u_rhs).velocity
     gap = l2_norm_omega(back.velocities[0] - v_stat) / l2_norm_omega(v_stat)
     assert gap <= 1e-5
@@ -218,7 +219,7 @@ def test_spacetime_pairing_frozen():
     assert indeps[1] < indeps[0]
     assert gaps[0] == pytest.approx(9.530e-2, rel=2e-3)
     assert gaps[1] == pytest.approx(1.871e-2, rel=2e-3)
-    assert observed_orders(gaps)[0] >= 0.8
+    assert orders(gaps)[0] >= 0.8
 
 
 def test_spacetime_ratio_frozen_and_scale_invariant():

@@ -14,6 +14,10 @@ from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary
 from vws.experiments.svg import line_plot
 
+from support import count_poisson_solves
+
+NAN, INF = float("nan"), float("inf")
+
 
 CONFIG_TEXT = """\
 [vws]
@@ -165,12 +169,14 @@ def test_compare_rejects_recipe_mismatch(tmp_path):
         compare_runs(tmp_path / "a", tmp_path / "b")
 
 
-def test_compare_detects_drift_and_flips(tmp_path):
+@pytest.mark.parametrize("gap_b", [[1.0, NAN], [1.0, INF], [1.0, 0.75]],
+                         ids=["nan", "inf", "drift"])
+def test_compare_detects_drift_and_flips(tmp_path, gap_b):
     ra = RecipeReport("traces")
     ra.metric("gap", [1.0, 0.5])
     ra.check_le("bound", 0.5, 1.0)
     rb = RecipeReport("traces")
-    rb.metric("gap", [1.0, 0.75])
+    rb.metric("gap", gap_b)
     rb.check_le("bound", 2.0, 1.0)
     ra.write(tmp_path / "a")
     rb.write(tmp_path / "b")
@@ -180,6 +186,17 @@ def test_compare_detects_drift_and_flips(tmp_path):
     assert not result["match"]
     text = format_comparison(result)
     assert "DIFFERS" in text and "> gap" in text
+
+
+def test_compare_reads_equal_non_finite_values_as_match(tmp_path):
+    for out in ("a", "b"):
+        rep = RecipeReport("traces")
+        rep.metric("gap", [NAN, INF])
+        rep.check_le("bound", 0.5, NAN)
+        rep.write(tmp_path / out)
+    result = compare_runs(tmp_path / "a", tmp_path / "b")
+    assert result["max_rel_diff"] == 0.0 and result["match"]
+    assert format_comparison(result).endswith("MATCH")
 
 
 def test_compare_lists_threshold_changes(tmp_path):
@@ -239,6 +256,60 @@ def test_load_summary_missing(tmp_path):
         load_summary(tmp_path)
 
 
+@pytest.mark.parametrize("check, ladder, worst, passed", [
+    ("check_le", [0.1, NAN, 0.2], NAN, False),
+    ("check_le", [0.1, 0.3, 0.2], 0.3, True),
+    ("check_ge", [2.0, NAN], NAN, False),
+    ("check_ge", [2.0, 0.5, 3.0], 0.5, False),
+])
+def test_checks_record_the_worst_rung_and_fail_on_nan(check, ladder, worst,
+                                                      passed):
+    # the builtin min([2.0, nan]) is 2.0: a NaN after the first rung must
+    # still fail
+    rep = RecipeReport("demo")
+    getattr(rep, check)("x", ladder, 1.0)
+    a = rep.assertions[0]
+    assert a.passed is passed
+    assert a.value == pytest.approx(worst, nan_ok=True)
+    assert a.threshold == 1.0
+
+
+def test_check_order_records_orders_and_fails_on_nan():
+    rep = RecipeReport("demo")
+    rep.check_order("fine", [1.0, 0.25, 0.0625], 1.9, metric="fine_orders")
+    rep.check_order("broken", [1.0, 0.25, NAN], 1.9)
+    fine, broken = rep.assertions
+    assert rep.metrics == {"fine_orders": [2.0, 2.0]}
+    assert fine.passed and fine.value == 2.0 and fine.threshold == 1.9
+    assert fine.detail == "orders ['2.000', '2.000']"
+    assert not broken.passed
+    assert broken.value == pytest.approx(NAN, nan_ok=True)
+
+
+@pytest.mark.parametrize("ladder, passed", [
+    ([0.8, 0.4, 0.2], True),
+    ([0.8, 0.4, 0.4], False),
+    ([0.8, 0.9, 0.2], False),
+    ([0.8, NAN, 0.2], False),
+])
+def test_check_decreasing(ladder, passed):
+    rep = RecipeReport("demo")
+    rep.check_decreasing("falls", ladder)
+    a = rep.assertions[0]
+    assert a.passed is passed
+    assert (a.value, a.threshold) == (ladder[-1], ladder[0])
+
+
+def test_transposition_solves_each_case_once(tmp_path, monkeypatch):
+    # a rough-data and an adjoint saddle solve for each of 2 cases x 2 grids,
+    # two more for the gradient echo: 10 saddle solves of 2 Poisson solves
+    calls = count_poisson_solves(monkeypatch)
+    cfg = ExperimentConfig(recipe="transposition", ns=(16, 32), out=tmp_path,
+                           allow_underresolved=True)
+    run_recipe(cfg)
+    assert len(calls) == 20
+
+
 def test_assertion_line_format():
     a = Assertion("gap", True, 0.125, 1.0, "why")
     assert a.line() == "PASS  gap: value=0.125 threshold=1  (why)"
@@ -267,7 +338,7 @@ def test_svg_line_plot(tmp_path):
     assert "polyline" in text
     assert "demo" in text
 
-    linear = tmp_path / "linear.svg"
+    linear = tmp_path / "new" / "nested" / "linear.svg"
     line_plot(linear, [("c", [0.0, 1.0, 2.0], [3.0, 1.0, 2.0])],
               title="lin", xlabel="x", ylabel="y")
     assert "polyline" in linear.read_text()

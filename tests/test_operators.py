@@ -19,8 +19,9 @@ from vws.operators import (
     stream_curl,
 )
 from vws.operators import _capacitance_sectors, _neumann_inverse
+from vws.experiments.report import orders
 
-from support import dense_face_gradient, dense_velocity_laplacian, observed_orders
+from support import dense_face_gradient, dense_velocity_laplacian
 
 
 def _random_interior(rng, n):
@@ -82,7 +83,7 @@ def test_laplacian_truncation_order():
         errs.append(max(np.abs(r1 - ex.u1[1:n, :]).max(),
                         np.abs(r2 - ex.u2[:, 1:n]).max()))
     assert errs[0] == pytest.approx(1.583016e-02, rel=1e-3)
-    assert observed_orders(errs)[0] >= 1.9
+    assert orders(errs)[0] >= 1.9
 
 
 def test_div_grad_duality():

@@ -37,12 +37,12 @@ from vws.stokes import (
     solve_homogeneous,
     solve_saddle,
 )
+from vws.experiments.report import orders
 
 from support import (
     count_poisson_solves,
     dense_face_gradient,
     dense_velocity_laplacian,
-    observed_orders,
 )
 
 
@@ -62,7 +62,7 @@ def test_manufactured_errors_frozen():
         errs.append(l2_norm_omega(sol.velocity - u_ex))
     assert errs[0] == pytest.approx(2.49149670129e-2, rel=1e-3)
     assert errs[1] == pytest.approx(6.19272344388e-3, rel=1e-3)
-    assert observed_orders(errs)[0] >= 1.8
+    assert orders(errs)[0] >= 1.8
 
 
 def test_manufactured_pressure_order():
@@ -73,7 +73,7 @@ def test_manufactured_pressure_order():
         sol = solve_homogeneous(grid, f=f)
         p = PressureField(grid, sol.pressure.p).zero_mean()
         errs.append(l2_norm_omega(PressureField(grid, p.p - p_ex.p)))
-    assert observed_orders(errs)[0] >= 1.8
+    assert orders(errs)[0] >= 1.8
 
 
 def test_zero_data_zero_solution():

@@ -23,8 +23,7 @@ from vws.traces import (
     probe_set,
 )
 from vws.transposition import normal_derivative_on_gamma
-
-from support import observed_orders
+from vws.experiments.report import orders
 
 
 def _worst_probe_gap(n):
@@ -42,7 +41,7 @@ def test_probe_recovery_frozen():
     gaps = [_worst_probe_gap(n) for n in (32, 64)]
     assert gaps[0] == pytest.approx(0.11421029667, rel=1e-3)
     assert gaps[1] == pytest.approx(0.0616103880541, rel=1e-3)
-    assert observed_orders(gaps)[0] >= 0.8
+    assert orders(gaps)[0] >= 0.8
 
 
 def test_lift_roundtrip_frozen():

@@ -16,8 +16,7 @@ from vws.transposition import (
     solve_adjoint,
     transposition_identity,
 )
-
-from support import observed_orders
+from vws.experiments.report import orders
 
 
 def _lid(n, eps=0.1):
@@ -37,7 +36,7 @@ def test_identity_rotation_frozen():
         gaps.append(r["rel_gap"])
     assert gaps[0] == pytest.approx(5.80400894007e-2, rel=1e-3)
     assert gaps[1] == pytest.approx(3.02995257767e-2, rel=1e-3)
-    assert observed_orders(gaps)[0] >= 0.8
+    assert orders(gaps)[0] >= 0.8
 
 
 def test_identity_lhs_is_velocity_norm():
@@ -91,7 +90,7 @@ def test_normal_derivative_recovery_frozen():
         assert np.abs(dvdn.normal_part("bottom")).max() <= 0.02
     assert errs[0] == pytest.approx(4.775010e-2, rel=1e-3)
     assert errs[1] == pytest.approx(1.190263e-2, rel=1e-3)
-    assert observed_orders(errs)[0] >= 1.9
+    assert orders(errs)[0] >= 1.9
 
 
 def test_boundary_pressure_extrapolation_order():
@@ -109,7 +108,7 @@ def test_boundary_pressure_extrapolation_order():
             np.abs(bp["right"] + np.cos(np.pi * x)).max(),
         ))
     assert errs[0] == pytest.approx(3.600587e-3, rel=1e-3)
-    assert observed_orders(errs)[0] >= 1.9
+    assert orders(errs)[0] >= 1.9
 
 
 def test_gradient_echo_tangential_data():
