@@ -5,12 +5,14 @@ Forward problem on Q_T = Omega x (0, T):
     du/dt - Laplace(u) + grad(p) = f,  div u = 0,  u = g(t) on the wall,
     u(0) = 0   (zero data: f = 0).
 
-Each implicit step is one direct shifted Stokes saddle solve
-(:func:`vws.stokes.solve_saddle`, two velocity Poisson solves), so the
-stationary kernel does all the work: implicit Euler uses shift 1/dt with
-slice-(k+1) boundary data; Crank-Nicolson uses shift 2/dt plus the explicit
-discrete Laplacian of the previous step (algebraically the trapezoidal rule,
-with each boundary slice entering at weight 1/2).
+Each implicit step is one direct shifted Stokes saddle solve in the modes of
+the cached :class:`vws.operators.SaddleInverse`, so the stationary kernel
+does all the work: implicit Euler uses shift 1/dt with slice-(k+1) boundary
+data; Crank-Nicolson uses shift 2/dt plus the explicit discrete Laplacian of
+the previous step (algebraically the trapezoidal rule, with each boundary
+slice entering at weight 1/2).  The previous velocity is kept in the
+solver's modes, where that explicit term is formed, so a step transforms
+only its loads and forcing.
 
 The backward adjoint problem
 
@@ -34,6 +36,8 @@ and its value does not depend on which lift was used.
 
 from __future__ import annotations
 
+import dataclasses
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +46,9 @@ from .boundary import (SIDES, BoundaryData, l2_norm_gamma, require_compatible,
                        smoothstep)
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
-from .operators import DirichletBC, apply_velocity_laplacian
-from .stokes import solve_saddle
+from .operators import (DirichletBC, apply_velocity_laplacian, laplacian_load,
+                        saddle_inverses)
+from .stokes import SolverOptions
 from .traces import TangentialBoundaryData, lift_tangential, perturbation_field
 
 __all__ = [
@@ -166,39 +171,52 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
     force(j) -> (f1, f2) interior forcing at node j, or force=None;
     slice_bc(j) -> DirichletBC at node j.  The trajectory comes back in
     forward time order either way.
+
+    The previous velocity stays in the solver's modes, where its explicit
+    term (u/dt for Euler, (2/dt - A) u for Crank-Nicolson) is formed.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     m = len(times) - 1
     shift = (1.0 if scheme == "euler" else 2.0) / dt
+    inv = saddle_inverses(grid, shift)
+    div_tol = SolverOptions().div_tol
     u = VelocityField.zeros(grid)
+    u_hat = None                                 # modes of the zero start
     bc_prev = slice_bc(0)
     velocities = [u]
     pressures = [None]
     diags = []
     for j in range(m):
+        t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
-        u1i, u2i = u.interior()
-        if scheme == "euler":
-            f1 = u1i / dt
-            f2 = u2i / dt
-            if force is not None:
-                e1, e2 = force(j + 1)
-                f1 = f1 + e1
-                f2 = f2 + e2
-        else:
-            a1, a2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc_prev)
-            f1 = (2.0 / dt) * u1i - a1
-            f2 = (2.0 / dt) * u2i - a2
-            if force is not None:
-                e1a, e2a = force(j)
-                e1b, e2b = force(j + 1)
-                f1 = f1 + e1a + e1b
-                f2 = f2 + e2a + e2b
         bc_next = slice_bc(j + 1)
+        b, b1, b2 = inv.face_stack()
+        laplacian_load(grid, bc_next, out=(b1, b2))
+        nodes = (j + 1,)
+        if scheme == "cn":
+            # the load of the explicit half step takes the normal wall values
+            # of the previous velocity and the tangential ones of its slice
+            laplacian_load(grid, dataclasses.replace(
+                bc_prev, u1_left=u.u1[0], u1_right=u.u1[-1],
+                u2_bottom=u.u2[:, 0], u2_top=u.u2[:, -1]), out=(b1, b2))
+            nodes = (j, j + 1)
+        if force is not None:
+            for node in nodes:
+                e1, e2 = force(node)
+                b1 += e1
+                b2 += e2
+            if not (np.isfinite(b1).all() and np.isfinite(b2).all()):
+                raise ValueError("forcing has non-finite values")
+        b_hat = inv.to_modes(b)
+        if u_hat is not None:
+            if scheme == "euler":
+                b_hat += u_hat / dt
+            else:
+                b_hat -= inv.laplacian_modes(u_hat, -shift)
         try:
-            u1, u2, p, diag = solve_saddle(grid, bc_next, f1, f2, None,
-                                           shift=shift)
+            u1, u2, p, diag, u_hat = inv.solve(bc_next, b_hat, None, div_tol,
+                                               keep_modes=True)
         except NonConvergence as exc:
             direction = "backward" if backward else "forward"
             raise NonConvergence(
@@ -208,6 +226,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         u = VelocityField(grid, u1, u2)
         velocities.append(u)
         pressures.append(PressureField(grid, p if scheme == "euler" else 0.5 * p))
+        diag["wall_time"] = time.perf_counter() - t0
         diag["step"] = k
         diags.append(diag)
         bc_prev = bc_next

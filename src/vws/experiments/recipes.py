@@ -80,7 +80,7 @@ from ..transposition import (
     transposition_identity,
 )
 from .config import ExperimentConfig, check_resolution
-from .report import RecipeReport, orders
+from .report import RecipeReport, orders, rungs
 from .svg import line_plot
 
 SOFT_BUDGET_SECONDS = 1800.0
@@ -318,8 +318,8 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     """
     rep = RecipeReport("eps-sweep")
     eps_list = sorted(cfg.eps_list, reverse=True)
-    if len(eps_list) < 2:
-        raise ValueError("eps sweep needs at least two layer widths")
+    # the Cauchy decrease compares the differences of consecutive widths
+    rungs(eps_list, 3, "cauchy_decreasing (layer widths)")
     for eps in eps_list:
         check_resolution(cfg, eps, _resolved_n(eps))
 
@@ -358,7 +358,7 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     rep.metric("cauchy_differences", diffs)
     rep.check_le("single_constant", quotients, 2.0 * quotients[0],
                  f"quotients {[f'{q:.4f}' for q in quotients]}")
-    steps = np.diff(diffs)
+    steps = np.diff(rungs(diffs, 2, "cauchy_decreasing"))
     rep.check("cauchy_decreasing", np.all(steps < 0.0), steps.max(), 0.0,
               f"differences {[f'{d:.4e}' for d in diffs]}")
 
@@ -588,7 +588,7 @@ def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
                                  force=force)
             finals[m] = traj.final()
         diffs = [l2_norm_omega(finals[m] - finals[2 * m]) for m in ms[:-1]]
-        ords = orders(diffs)
+        ords = orders(diffs, f"{scheme}_order")
         for m, d, o in zip(ms[:-1], diffs, ords + [float("nan")]):
             rows.append((scheme, m, T / m, d, o))
         rep.metric(f"{scheme}_diffs", diffs)

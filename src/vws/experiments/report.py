@@ -7,6 +7,9 @@ The verdict API turns a number or a ladder (one value per grid or step size)
 into one assertion: check_le / check_ge record the worst entry, check_order
 the smallest pairwise observed order, check_decreasing a strict fall.  The
 reductions propagate NaN, so a NaN anywhere in a ladder fails its assertion.
+A ladder too short for its assertion (no rung for a bound, one rung for an
+order or a fall) raises ValueError naming the assertion and the rungs it
+needs.
 """
 
 from __future__ import annotations
@@ -19,9 +22,19 @@ from pathlib import Path
 import numpy as np
 
 
-def orders(values) -> list:
-    """Observed orders log2(v[k] / v[k+1]) of a ladder halving h each rung."""
+def rungs(values, need: int, name: str) -> np.ndarray:
+    """values as a float array; ValueError naming the assertion ``name``
+    when the ladder has fewer than ``need`` rungs."""
     v = np.asarray(values, dtype=float)
+    if v.size < need:
+        raise ValueError(f"{name} needs a ladder of at least {need} "
+                         f"rung{'s' if need > 1 else ''}, got {v.size}")
+    return v
+
+
+def orders(values, name: str = "an observed order") -> list:
+    """Observed orders log2(v[k] / v[k+1]) of a ladder halving h each rung."""
+    v = rungs(values, 2, name)
     return [float(o) for o in np.log2(v[:-1] / v[1:])]
 
 
@@ -70,18 +83,18 @@ class RecipeReport:
 
     def check_le(self, name, values, threshold, detail=""):
         """Every entry of a number or ladder is <= threshold; records the max."""
-        worst = float(np.max(values))
+        worst = float(np.max(rungs(values, 1, name)))
         self.check(name, worst <= threshold, worst, threshold, detail)
 
     def check_ge(self, name, values, threshold, detail=""):
         """Every entry of a number or ladder is >= threshold; records the min."""
-        worst = float(np.min(values))
+        worst = float(np.min(rungs(values, 1, name)))
         self.check(name, worst >= threshold, worst, threshold, detail)
 
     def check_order(self, name, values, minimum, metric=None):
         """Every pairwise observed order of a ladder is >= minimum; the orders
         are recorded under metric when one is named."""
-        ords = orders(values)
+        ords = orders(values, name)
         if metric:
             self.metric(metric, ords)
         self.check_ge(name, ords, minimum,
@@ -89,7 +102,7 @@ class RecipeReport:
 
     def check_decreasing(self, name, values):
         """The ladder falls strictly; records value = last, threshold = first."""
-        v = np.asarray(values, dtype=float)
+        v = rungs(values, 2, name)
         self.check(name, np.all(v[1:] < v[:-1]), v[-1], v[0],
                    f"ladder {[f'{x:.4g}' for x in v]}")
 

@@ -17,21 +17,13 @@ field types.  They are exact adjoints of each other under the natural
 Euclidean pairing: <grad p, w> = -<p, div w> for any w vanishing on boundary
 faces, with no quadrature fudge factors.
 
-The (optionally shifted) velocity Laplacian is solved exactly by
-sine-transform diagonalization: the uniform-grid operator separates, and the
-ghost-modified rows are exactly the half-offset Dirichlet boundary closure,
-which the type-II sine basis diagonalizes.  Transposed, u2 has u1's layout
-and eigenvalues, so one stacked transform chain and one denominator array
-serve both.  Tests pin it against the dense operator assembled column by
-column from :func:`apply_velocity_laplacian`.
-
-The cell-centred Neumann Laplacian (divergence of the interior-face gradient)
-is diagonalized the same way by the type-II cosine basis.  Its inverse on
-zero-mean fields gives the Cahouet-Chabard map, the exact inverse of the
-pressure Schur complement with free-slip walls; a closed-form boundary
-capacitance matrix corrects it to the exact inverse for no-slip walls at
-every shift (:class:`SchurInverse`).  :func:`saddle_inverses` caches both
-exact inverses per (grid, shift) and refuses a singular shift.
+The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
+where the gradient, the divergence and the free-slip velocity Laplacian are
+diagonal; the no-slip walls and the pressure Schur complement are closed-form
+capacitance corrections.  Tests pin its velocity inverse and Laplacian
+against the dense operator assembled column by column from
+:func:`apply_velocity_laplacian`.  :func:`saddle_inverses` caches one solver
+per (grid, shift) and refuses a singular shift.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -46,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, dst, idctn, idst
+from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from .boundary import BoundaryData
 from .errors import NonConvergence
@@ -63,8 +55,8 @@ __all__ = [
     "stream_curl",
     "cg_solve",
     "CGResult",
+    "SaddleInverse",
     "VelocityPoisson",
-    "SchurInverse",
     "saddle_inverses",
 ]
 
@@ -123,16 +115,18 @@ class DirichletBC:
         )
 
 
-def laplacian_load(grid: StaggeredGrid, bc: DirichletBC):
+def laplacian_load(grid: StaggeredGrid, bc: DirichletBC, out=None):
     """Boundary contribution to the right-hand side of A u = b.
 
     Returns interior-shaped arrays (b1, b2): Dirichlet neighbors contribute
-    g/h^2, eliminated tangential ghosts contribute 2 g/h^2.
+    g/h^2, eliminated tangential ghosts contribute 2 g/h^2.  Given out, a
+    pair of interior-shaped arrays, the load is added to them in place.
     """
     n, h = grid.n, grid.h
     ih2 = 1.0 / h ** 2
-    b1 = np.zeros((n - 1, n))
-    b2 = np.zeros((n, n - 1))
+    if out is None:
+        out = np.zeros((n - 1, n)), np.zeros((n, n - 1))
+    b1, b2 = out
     b1[0, :] += bc.u1_left * ih2
     b1[-1, :] += bc.u1_right * ih2
     b1[:, 0] += 2.0 * bc.u1_bottom * ih2
@@ -179,9 +173,20 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, bc: DirichletBC,
     return r1, r2
 
 
-def cell_divergence(u1: np.ndarray, u2: np.ndarray, h: float) -> np.ndarray:
-    """Cell divergence of full face arrays, boundary faces included."""
-    return (u1[1:, :] - u1[:-1, :]) / h + (u2[:, 1:] - u2[:, :-1]) / h
+def cell_divergence(u1: np.ndarray, u2: np.ndarray, h: float,
+                    out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """Cell divergence of full face arrays, boundary faces included.
+
+    (u1[i+1] - u1[i]) / h + (u2[j+1] - u2[j]) / h, written to out when
+    given; scratch, a cell-shaped array, then spares the one temporary.
+    """
+    d = np.subtract(u1[1:, :], u1[:-1, :], out=out)
+    d /= h
+    t = np.subtract(u2[:, 1:], u2[:, :-1], out=scratch)
+    t /= h
+    d += t
+    return d
 
 
 def divergence(vel: VelocityField) -> PressureField:
@@ -291,44 +296,6 @@ def cg_solve(A, b, rel_tol: float = 1e-10,
     )
 
 
-class VelocityPoisson:
-    """Exact solve of (-Laplacian + shift) on interior velocity faces.
-
-    The operator is diagonal in sine modes.  u2 transposed has u1's layout,
-    transform types and denominators, so :meth:`solve` runs one transform
-    chain over the stack (u1, u2.T).  A non-finite shift, or one that zeroes
-    an eigenvalue (the operator is singular), raises ValueError.
-    """
-
-    def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
-        if not np.isfinite(shift):
-            raise ValueError("shift has non-finite values")
-        n, h = grid.n, grid.h
-        lam_face = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
-        lam_cell = (2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / n)) / h ** 2
-        self._den = lam_face[:, None] + lam_cell[None, :] + shift
-        if not self._den.all():
-            raise ValueError(
-                f"shift {shift!r} makes the velocity Laplacian singular")
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the denominators."""
-        return self._den.nbytes
-
-    def solve(self, b1: np.ndarray, b2: np.ndarray):
-        """Interior-face solution of interior-shaped right sides b1, b2 (kept)."""
-        f = np.empty((2,) + b1.shape)
-        f[0] = b1
-        f[1] = b2.T
-        f = dst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
-        f = dst(f, type=2, axis=2, norm="ortho", overwrite_x=True)
-        f /= self._den
-        f = idst(f, type=2, axis=2, norm="ortho", overwrite_x=True)
-        f = idst(f, type=1, axis=1, norm="ortho", overwrite_x=True)
-        return f[0], f[1].T
-
-
 def _neumann_inverse(mu: np.ndarray) -> np.ndarray:
     """(-Delta_N)^+ in the 2-D type-II cosine modes: 1/(mu_k + mu_l), 0 at (0, 0)."""
     inv_lam = mu[:, None] + mu[None, :]
@@ -341,7 +308,7 @@ def _parity_sectors(inv_d: np.ndarray, weight: np.ndarray, modes: np.ndarray,
     """Closed-form wall capacitance matrix K, split into four parity sectors.
 
     Both capacitance matrices here (the no-slip pressure correction of
-    :class:`SchurInverse` and the clamped plate of :mod:`vws.biharmonic`)
+    :class:`SaddleInverse` and the clamped plate of :mod:`vws.biharmonic`)
     couple a first and a second pair of opposite walls through a 2-D
     spectral inverse ``inv_d``, in the sine modes ``modes`` along the walls.
     A wall pair is taken as the even (sum) or odd (difference) combination
@@ -451,67 +418,227 @@ def _capacitance_sectors(n: int, shift: float):
     return mu, w, sectors
 
 
-class SchurInverse:
-    """Exact inverse of the pressure Schur complement S = -D (A + shift)^{-1} G.
+class SaddleInverse:
+    """Exact direct solve of the shifted saddle problem, in one basis.
 
-    A is the no-slip velocity Laplacian.  With free-slip walls the velocity
-    operator commutes with the gradient, so that Schur complement is
-    L (L + shift)^{-1}, L = -Delta_N, whose inverse on zero-mean fields is
-    the Cahouet-Chabard map CC = I + shift L^+.  No slip adds a rank-m
-    diagonal on the wall faces, and two Woodbury steps give
+    A velocity component takes type-I sine modes along its normal direction
+    and type-II cosine modes along the other; u2 transposed has u1's layout,
+    so both run through one stacked transform chain.  The pressure takes
+    type-II cosine modes.  There, with mu_k = (2 - 2 cos(k pi/n))/h^2:
 
-        S^{-1} = CC + B0^T K^{-1} B0,   B0 = U^T G L^+,
+    * G and D = -G^T are diagonal, -sqrt(mu_k) and sqrt(mu_k) for the mode
+      k normal to the face;
+    * the free-slip velocity operator A_fs (tangential ghost +u) is diagonal,
+      mu_k + mu_l + shift.  No slip adds 2/h^2 on the 4(n-1) wall-adjacent
+      tangential faces U, so A^{-1} = A_fs^{-1} - A_fs^{-1} U C^{-1} U^T
+      A_fs^{-1} (Woodbury), with C = (h^2/2) I + U^T A_fs^{-1} U diagonal
+      per wall mode and parity;
+    * S = -D A^{-1} G has the exact inverse CC + B0^T K^{-1} B0: CC = I +
+      shift L^+, L = mu_k + mu_l, the Cahouet-Chabard map that inverts the
+      free-slip complement, B0 = U^T G L^+, and K the capacitance matrix of
+      :func:`_capacitance_sectors`, applied by :class:`_SectorInverse`.
 
-    with K the capacitance matrix of :func:`_capacitance_sectors`.  L is
-    diagonal in the 2-D type-II cosine modes, and the wall values of G q are
-    sums of those modes weighted by w, so an application takes one forward
-    and one inverse 2-D transform; K^{-1} is applied per sector by
-    :class:`_SectorInverse`.  The result has zero mean.
+    :meth:`solve` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p) in
+    these modes.  A non-finite shift, or one at which the velocity Laplacian
+    or the Schur complement is singular, raises ValueError.
     """
 
-    def __init__(self, n: int, shift: float):
-        self.shift = shift
+    def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
+        if not np.isfinite(shift):
+            raise ValueError("shift has non-finite values")
+        n, h = grid.n, grid.h
+        self.grid, self.shift = grid, shift
+        # the no-slip velocity Laplacian is diagonal in the type-I by type-II
+        # sine modes: mu_k + nu_l + shift, nu_l = mu_l for l < n, 4/h^2 for l = n
+        mu = (2.0 - 2.0 * np.cos(np.arange(n) * np.pi / n)) / h ** 2
+        nu = np.append(mu[1:], 4.0 / h ** 2)
+        if not (mu[1:, None] + nu[None, :] + shift).all():
+            raise ValueError(
+                f"shift {shift!r} makes the velocity Laplacian singular")
         self._mu, self._w, sectors = _capacitance_sectors(n, shift)
         self._k_inv = _SectorInverse(sectors)
         self._root_mu = np.sqrt(self._mu)
+        # A_fs^{-1}: its denominators are among those the Schur build checked
+        inv_den = self._mu[1:, None] + self._mu[None, :] + shift
+        self._inv_den = np.reciprocal(inv_den, out=inv_den)
+        self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
-        arrays = [self._mu, self._w, self._root_mu]
+        arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r_hat = dctn(r, type=2, norm="ortho")
-        r_hat[0, 0] = 0.0
-        # rebuilt per call: cheaper than holding another n^2 array in the cache
-        inv_lam = _neumann_inverse(self._mu)
-        q_hat = r_hat * inv_lam
+    def face_stack(self):
+        """A zeroed stack x of (u1, u2.T) interior faces and its views
+        (x1, x2), interior-shaped (x2 is x[1] transposed)."""
+        n = self.grid.n
+        x = np.zeros((2, n - 1, n))
+        return x, x[0], x[1].T
+
+    def to_modes(self, x: np.ndarray) -> np.ndarray:
+        """The modes of a stack x of (u1, u2.T) interior faces, in place."""
+        x = dst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
+        return dct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
+
+    def from_modes(self, x: np.ndarray):
+        """Interior-face arrays (x1, x2) of stacked modes x (overwritten)."""
+        x = idct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
+        x = idst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
+        return x[0], x[1].T
+
+    def velocity_solve(self, x: np.ndarray, scratch=None) -> np.ndarray:
+        """x <- A^{-1} x in place, for the modes of one or both components.
+
+        scratch, an array of x's shape, is overwritten; one is allocated
+        when it is not given.
+        """
+        x *= self._inv_den
+        y = (x @ self._w) * self._c_inv
+        t = np.matmul(y, self._w.T, out=scratch)
+        t *= self._inv_den
+        x -= t
+        return x
+
+    def laplacian_modes(self, x: np.ndarray, shift: float) -> np.ndarray:
+        """(-Laplacian + shift) x for stacked modes x, zero wall values.
+
+        Diagonal for free-slip walls, plus 2/h^2 on the wall-adjacent
+        tangential faces.
+        """
+        out = x * (self._mu[1:, None] + self._mu[None, :] + shift)
+        out += ((x @ self._w) * (2.0 * self.grid.n ** 2)) @ self._w.T
+        return out
+
+    def schur_solve(self, r: np.ndarray, out: np.ndarray,
+                    lam: np.ndarray) -> np.ndarray:
+        """out <- S^{-1} r in the cosine modes; r and lam (n, n) are overwritten.
+
+        The mean (mode (0, 0)) of r is dropped and that of the result is zero.
+        """
+        mu, w, root_mu = self._mu, self._w, self._root_mu[:, None]
+        r[0, 0] = 0.0
+        # L, whose constant mode (0, 0) is never inverted
+        np.add(mu[:, None], mu[None, :], out=lam)
+        lam[0, 0] = 1.0
+        r /= lam
         # B0 r: wall values of -G q, q = L^+ r, per wall pair and sine mode
-        e1 = self._root_mu[:, None] * (q_hat @ self._w)
-        e2 = self._root_mu[:, None] * (q_hat.T @ self._w)
-        y1, y2 = self._k_inv(e1, e2)
-        # B0^T y = L^+ G^T U y, added to CC r = r + shift q; in place, since
-        # the n^2 temporaries set the peak memory of a solve
-        y1 *= self._root_mu[:, None]
-        y2 *= self._root_mu[:, None]
-        z_hat = y1 @ self._w.T
-        z_hat += self._w @ y2.T
-        z_hat *= inv_lam
-        q_hat *= self.shift
-        z_hat += q_hat
-        z_hat += r_hat
-        return idctn(z_hat, type=2, norm="ortho", overwrite_x=True)
+        y1, y2 = self._k_inv(root_mu * (r @ w), root_mu * (r.T @ w))
+        y1 *= root_mu
+        y2 *= root_mu
+        # B0^T y = L^+ G^T U y, added to CC r = (L + shift) q
+        np.matmul(np.hstack([y1, w]), np.vstack([w.T, y2.T]), out=out)
+        out /= lam
+        lam += self.shift
+        r *= lam
+        out += r
+        return out
+
+    def solve(self, bc: DirichletBC, b_hat: np.ndarray, h_src, div_tol: float,
+              keep_modes: bool = False):
+        """Direct saddle solve from the stacked modes b_hat of the momentum
+        right side (load included; overwritten).
+
+        Returns (u1_full, u2_full, p_cells, diagnostics, u_hat): the wall
+        faces of u hold the normal values of bc, and u_hat is b_hat holding
+        the modes of the interior velocity when keep_modes is set, else
+        None.  The divergence defect max|h_src - D u| of the returned field
+        must be at most div_tol times the data scale max(max|c|, max|D w|),
+        c = h_src less the wall fluxes and w = A^{-1} b; a miss, a NaN
+        included, raises NonConvergence carrying p and the defect.
+        """
+        n, h = self.grid.n, self.grid.h
+        # the returned arrays outlive the call (a march keeps every step), so
+        # they are allocated first; until they are filled they are scratch
+        u1 = np.empty((n + 1, n))
+        u2 = np.empty((n, n + 1))
+        p = np.empty((n, n))
+        # c = h_src less the wall fluxes, which reach the border cells only
+        c = p
+        if h_src is None:
+            c.fill(0.0)
+        else:
+            c[...] = h_src
+        c[0, :] += bc.u1_left / h
+        c[n - 1, :] -= bc.u1_right / h
+        c[:, 0] += bc.u2_bottom / h
+        c[:, n - 1] -= bc.u2_top / h
+        c_max = max(float(c.max()), -float(c.min()))
+        c = dctn(c, type=2, norm="ortho", overwrite_x=True)
+
+        # q holds D w, then p: both come back to the cells in one transform
+        q = np.empty((2, n, n))
+        q_face = q.reshape(2, -1)[:, :(n - 1) * n].reshape(b_hat.shape)
+        w_hat = self.velocity_solve(b_hat, scratch=q_face)
+        root_mu = self._root_mu[1:, None]
+        dw = q[0]
+        dw[0] = 0.0
+        np.multiply(root_mu, w_hat[0], out=dw[1:])
+        np.multiply(root_mu, w_hat[1], out=u1[:n - 1])
+        dw[:, 1:] += u1[:n - 1].T
+        c -= dw
+        c[0, 0] = 0.0
+        # one exact pressure step, none for zero data
+        steps = int(c.any())
+        self.schur_solve(c, q[1], u1[:n])
+
+        # u = w + A^{-1}(-G p), one component at a time in the free u2 and
+        # p; then q goes back to the cells
+        g = u2.reshape(-1)[:(n - 1) * n].reshape(n - 1, n)
+        for x, gp in zip(w_hat, (q[1, 1:], q[1, :, 1:].T)):
+            np.multiply(root_mu, gp, out=g)
+            x += self.velocity_solve(g, scratch=p[:n - 1])
+        q = idctn(q, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
+        scale = max(c_max, float(q[0].max()), -float(q[0].min()))
+        p[...] = q[1]
+        x1, x2 = self.from_modes(w_hat.copy() if keep_modes else w_hat)
+        u1[0, :], u1[n, :] = bc.u1_left, bc.u1_right
+        u2[:, 0], u2[:, n] = bc.u2_bottom, bc.u2_top
+        u1[1:n, :] = x1
+        u2[:, 1:n] = x2
+
+        defect = cell_divergence(u1, u2, h, out=q[0], scratch=q[1])
+        if h_src is not None:
+            defect -= h_src
+        div_max = float(np.abs(defect, out=defect).max())
+        if not div_max <= div_tol * scale:
+            raise NonConvergence(
+                f"saddle solve: divergence defect {div_max:.3e} above "
+                f"{div_tol:.1e} of the data scale {scale:.3e}",
+                best_x=p, residual=div_max, iterations=steps,
+            )
+        diag = {"outer_iterations": steps, "div_max": div_max}
+        return u1, u2, p, diag, (w_hat if keep_modes else None)
+
+
+class VelocityPoisson:
+    """Exact solve of (-Laplacian + shift) on interior velocity faces.
+
+    A thin wrapper over the modal A^{-1} of :class:`SaddleInverse`, between
+    one forward and one inverse transform.  A non-finite shift, or one at
+    which the no-slip or the free-slip operator is singular, raises
+    ValueError.
+    """
+
+    def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
+        self._inv = saddle_inverses(grid, shift)
+
+    def solve(self, b1: np.ndarray, b2: np.ndarray):
+        """Interior-face solution of interior-shaped right sides b1, b2 (kept)."""
+        inv = self._inv
+        x, x1, x2 = inv.face_stack()
+        x1 += b1
+        x2 += b2
+        return inv.from_modes(inv.velocity_solve(inv.to_modes(x)))
 
 
 @lru_cache(maxsize=8)
-def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0):
-    """(VelocityPoisson, SchurInverse) for ``grid`` and ``shift``, cached.
+def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0) -> SaddleInverse:
+    """The :class:`SaddleInverse` of ``grid`` and ``shift``, cached.
 
-    Both builds are closed-form (no solve) and together hold about 3 n^2
-    floats; the cache keeps the last few (n, shift) pairs.  The Poisson
-    denominators are built first: a non-finite shift, or one at which either
-    inverse is singular, raises ValueError, and nothing is cached.
+    The build is closed-form (no solve) and holds about 2.4 n^2 floats; the
+    cache keeps the last few (n, shift) pairs.  A non-finite shift, or one
+    at which the velocity Laplacian or the Schur complement is singular,
+    raises ValueError, and nothing is cached.
     """
-    shift = float(shift)
-    return VelocityPoisson(grid, shift), SchurInverse(grid.n, shift)
+    return SaddleInverse(grid, float(shift))

@@ -6,30 +6,28 @@ The saddle problem
     D u       = h_src    (divergence constraint)
 
 reduces to the pressure Schur complement S = -D A^{-1} G, symmetric positive
-semidefinite with kernel = constants.  :class:`vws.operators.SchurInverse`
-inverts S exactly at every shift (the Cahouet-Chabard map
-I + shift (-Delta_N)^+, which inverts the free-slip complement, plus a
-boundary capacitance correction for the no-slip walls, applied with one pair
-of 2-D cosine transforms), so the solve is direct.  Every step works on the
-face field u that is returned, with D the one cell divergence of full face
-arrays (:func:`vws.operators.cell_divergence`), so prescribed wall faces
-count in it.  The wall faces reach only the border cells, each with a
-wall flux +-(normal value)/h, so the interior unknowns see D w = c, with
-c = h_src less those fluxes:
+semidefinite with kernel = constants.  :class:`vws.operators.SaddleInverse`
+inverts A and S exactly at every shift and solves the whole system in one
+basis, where D and G are diagonal and A is diagonal up to a wall
+correction.  D is the one cell divergence of full face arrays
+(:func:`vws.operators.cell_divergence`), so prescribed wall faces count in
+it.  The wall faces reach only the border cells, each with a wall flux
++-(normal value)/h, so the interior unknowns see D w = c, with c = h_src
+less those fluxes:
 
-    1. the interior faces of u get w = A^{-1} b while its wall faces are still
-       zero, and D w is taken there;
+    1. w = A^{-1} b on the interior faces, and D w;
     2. rhs = c - D w, re-centred to zero mean;
     3. p = S^{-1} rhs;
     4. the wall faces of u get the prescribed normal values and its interior
-       faces A^{-1} (b - G p);
+       faces w - A^{-1} G p;
     5. the divergence defect max|h_src - D u| of the returned field must be at
        most div_tol times the data scale max(max|c|, max|D w|); a miss, a NaN
        included, raises NonConvergence carrying p and the defect.
 
-A solve therefore costs two exact sine-transform velocity Laplacian solves,
-one Schur apply and two cell divergences; :func:`residual_report` computes
-the momentum residual on demand.  Both inverses are built once per (grid, shift) by
+Steps 1-4 run in the modes, so a solve costs one forward transform of b and
+of c, one inverse transform of u and one of D w and p stacked, plus the
+cell divergence of step 5; :func:`residual_report` computes the momentum
+residual on demand.  The solver is built once per (grid, shift) by
 :func:`vws.operators.saddle_inverses`, which refuses a singular shift.
 """
 
@@ -41,12 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryData, require_compatible
-from .errors import IncompatibleSource, NonConvergence
+from .errors import IncompatibleSource
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
 from .operators import (
     DirichletBC,
     apply_velocity_laplacian,
-    cell_divergence,
     divergence,
     face_gradient,
     laplacian_load,
@@ -94,55 +91,16 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
         if a is not None and not np.isfinite(a).all():
             raise ValueError(f"{name} has non-finite values")
     opts = opts or SolverOptions()
-    n, h = grid.n, grid.h
     t0 = time.perf_counter()
-    poisson, schur = saddle_inverses(grid, shift)
-    # the returned velocity outlives the call (a march keeps every step), so
-    # it is allocated before the temporaries, which then free as one block
-    u1 = np.zeros((n + 1, n))
-    u2 = np.zeros((n, n + 1))
-
-    load1, load2 = laplacian_load(grid, bc)
-    b1 = load1 if f1 is None else f1 + load1
-    b2 = load2 if f2 is None else f2 + load2
-
-    u1[1:n, :], u2[:, 1:n] = poisson.solve(b1, b2)
-    dw = cell_divergence(u1, u2, h)
-    # c = h_src less the wall fluxes, which reach the border cells only
-    rhs = np.zeros((n, n)) if h_src is None else h_src.copy()
-    rhs[0, :] += bc.u1_left / h
-    rhs[n - 1, :] -= bc.u1_right / h
-    rhs[:, 0] += bc.u2_bottom / h
-    rhs[:, n - 1] -= bc.u2_top / h
-    scale = max(float(np.abs(rhs).max()), float(np.abs(dw).max()))
-    rhs -= dw
-    rhs -= rhs.mean()
-    p = schur(rhs)
-    p -= p.mean()
-    u1[0, :], u1[n, :] = bc.u1_left, bc.u1_right
-    u2[:, 0], u2[:, n] = bc.u2_bottom, bc.u2_top
-    g1, g2 = face_gradient(p, h)
-    b1 -= g1
-    b2 -= g2
-    u1[1:n, :], u2[:, 1:n] = poisson.solve(b1, b2)
-
-    # one exact pressure step, none for zero data
-    steps = int(rhs.any())
-    defect = cell_divergence(u1, u2, h)
-    if h_src is not None:
-        defect -= h_src
-    div_max = float(np.abs(defect).max())
-    if not div_max <= opts.div_tol * scale:
-        raise NonConvergence(
-            f"saddle solve: divergence defect {div_max:.3e} above "
-            f"{opts.div_tol:.1e} of the data scale {scale:.3e}",
-            best_x=p, residual=div_max, iterations=steps,
-        )
-    diag = {
-        "outer_iterations": steps,
-        "div_max": div_max,
-        "wall_time": time.perf_counter() - t0,
-    }
+    inv = saddle_inverses(grid, shift)
+    b, b1, b2 = inv.face_stack()
+    laplacian_load(grid, bc, out=(b1, b2))
+    if f1 is not None:
+        b1 += f1
+    if f2 is not None:
+        b2 += f2
+    u1, u2, p, diag, _ = inv.solve(bc, inv.to_modes(b), h_src, opts.div_tol)
+    diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
 
 

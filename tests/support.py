@@ -10,14 +10,19 @@ def find_assertion(report, name):
     raise KeyError(f"no assertion {name!r} in recipe {report.recipe!r}")
 
 
-def count_poisson_solves(monkeypatch):
-    """Count VelocityPoisson.solve calls; returns the list each call extends."""
-    from vws.operators import VelocityPoisson
+def count_saddle_solves(monkeypatch):
+    """Count modal saddle solves (SaddleInverse.solve calls); returns the
+    list each call extends."""
+    from vws.operators import SaddleInverse
 
     calls = []
-    solve = VelocityPoisson.solve
-    monkeypatch.setattr(VelocityPoisson, "solve",
-                        lambda self, b1, b2: calls.append(1) or solve(self, b1, b2))
+    solve = SaddleInverse.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaddleInverse, "solve", counted)
     return calls
 
 

@@ -37,7 +37,7 @@ from vws.traces import TangentialBoundaryData
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
 
-from support import count_poisson_solves
+from support import count_saddle_solves
 
 
 def _lid(grid, eps=0.1):
@@ -131,18 +131,54 @@ def test_slice_checks_follow_the_data_scale():
         evolve(grid, tiny, 0.25, 0.125)
 
 
-def test_march_takes_two_poisson_solves_per_step(monkeypatch):
-    # a forward plus backward Crank-Nicolson march of m steps is 2m saddle
-    # solves of two velocity solves each, with no warm start
-    calls = count_poisson_solves(monkeypatch)
+def test_march_takes_one_modal_solve_per_step(monkeypatch):
+    # a forward plus backward Crank-Nicolson march of m steps is 2m modal
+    # saddle solves, with no warm start
+    calls = count_saddle_solves(monkeypatch)
     grid = build_grid(16)
     m = 8
     tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
     traj = evolve(grid, tb, 0.5, 0.5 / m, scheme="cn")
     back = solve_adjoint_backward(grid, traj)
-    assert len(calls) == 4 * m
+    assert len(calls) == 2 * m
     assert [d["step"] for d in traj.diagnostics] == list(range(1, m + 1))
     assert [d["step"] for d in back.diagnostics] == list(range(m))
+    assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
+
+
+def test_cn_march_forms_its_explicit_term_in_modes(monkeypatch):
+    # the explicit Laplacian of the previous step is taken in the solver's
+    # modes, so a march never applies the face-space Laplacian
+    from vws import evolution, operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("march applied the face-space Laplacian")
+
+    monkeypatch.setattr(evolution, "apply_velocity_laplacian", refuse)
+    monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
+    grid = build_grid(16)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
+    traj = evolve(grid, tb, 0.5, 0.0625, scheme="cn")
+    solve_adjoint_backward(grid, traj)
+    evolve_lifted(grid, tb, 0.5, 0.0625, scheme="cn", force=_force(grid))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "cn"])
+def test_march_rejects_non_finite_forcing(scheme):
+    # the march transforms its forcing itself; a NaN must not come back as a
+    # NaN trajectory
+    grid = build_grid(16)
+    tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
+    force = _force(grid)
+
+    def bad(t):
+        f1, f2 = force(t)
+        if t > 0.1:
+            f2[3, 4] = np.nan
+        return f1, f2
+
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_lifted(grid, tb, 0.25, 0.0625, scheme=scheme, force=bad)
 
 
 def test_forced_cn_final_error_frozen():

@@ -11,10 +11,10 @@ from vws.experiments.config import (
     resolve_config,
 )
 from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
-from vws.experiments.report import Assertion, RecipeReport, load_summary
+from vws.experiments.report import Assertion, RecipeReport, load_summary, orders
 from vws.experiments.svg import line_plot
 
-from support import count_poisson_solves
+from support import count_saddle_solves
 
 NAN, INF = float("nan"), float("inf")
 
@@ -300,14 +300,47 @@ def test_check_decreasing(ladder, passed):
     assert (a.value, a.threshold) == (ladder[-1], ladder[0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda rep: rep.check_le("bound", [], 1.0),
+    lambda rep: rep.check_ge("bound", [], 1.0),
+    lambda rep: rep.check_order("bound", [0.5], 1.9),
+    lambda rep: rep.check_decreasing("bound", [0.5]),
+])
+def test_short_ladders_raise_naming_the_assertion(call):
+    # an empty bound ladder, or a single rung for an order or a fall, used to
+    # pass vacuously or die in a numpy reduction
+    with pytest.raises(ValueError, match=r"^bound needs a ladder of at least"):
+        call(RecipeReport("demo"))
+
+
+def test_orders_need_two_rungs():
+    with pytest.raises(ValueError, match="at least 2 rungs, got 1"):
+        orders([0.5])
+    assert orders([1.0, 0.25]) == [2.0]
+
+
+@pytest.mark.parametrize("argv, assertion", [
+    (["eps-sweep", "--eps", "0.1,0.05"], "cauchy_decreasing"),
+    (["mms-stationary", "--n", "16"], "velocity_order"),
+    (["transposition", "--n", "16", "--allow-underresolved"],
+     "gap_decreasing"),
+    (["traces", "--n", "32"], "probe_gap_order"),
+])
+def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
+                                                        argv, assertion):
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert assertion in err and "needs a ladder of at least" in err
+
+
 def test_transposition_solves_each_case_once(tmp_path, monkeypatch):
     # a rough-data and an adjoint saddle solve for each of 2 cases x 2 grids,
-    # two more for the gradient echo: 10 saddle solves of 2 Poisson solves
-    calls = count_poisson_solves(monkeypatch)
+    # two more for the gradient echo: 10 saddle solves
+    calls = count_saddle_solves(monkeypatch)
     cfg = ExperimentConfig(recipe="transposition", ns=(16, 32), out=tmp_path,
                            allow_underresolved=True)
     run_recipe(cfg)
-    assert len(calls) == 20
+    assert len(calls) == 10
 
 
 def test_assertion_line_format():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.fft import dctn
+from scipy.fft import dctn, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
@@ -9,7 +9,7 @@ from vws.errors import NonConvergence
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
     DirichletBC,
-    SchurInverse,
+    SaddleInverse,
     VelocityPoisson,
     apply_velocity_laplacian,
     cg_solve,
@@ -179,7 +179,7 @@ def test_cg_stall_below_rounding_floor_raises_early():
         np.linalg.norm(np.ones(12) - H @ best), rel=1e-12)
 
 
-@pytest.mark.parametrize("shift", [0.0, 64.0])
+@pytest.mark.parametrize("shift", [0.0, 64.0, 4096.0])
 def test_poisson_dst_matches_dense(shift):
     # the dense operator shares no code with the transforms
     rng = np.random.default_rng(21)
@@ -197,9 +197,17 @@ def test_poisson_dst_matches_dense(shift):
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _schur_apply(inv, r):
+    """S^{-1} r on the cells, through the solver's modal Schur inverse."""
+    n = r.shape[0]
+    out = inv.schur_solve(dctn(r, type=2, norm="ortho"), np.empty((n, n)),
+                          np.empty((n, n)))
+    return idctn(out, type=2, norm="ortho")
+
+
 @pytest.mark.parametrize("n", [16, 48])
 def test_neumann_laplacian_is_dct_diagonal(n):
-    # SchurInverse applies (-Delta_N)^+ as 1/(mu_k + mu_l) on the 2-D type-II
+    # the Schur inverse applies (-Delta_N)^+ as 1/(mu_k + mu_l) on the 2-D type-II
     # cosine modes; that holds when Delta_N is -divergence(gradient) with
     # boundary faces held at zero
     rng = np.random.default_rng(n)
@@ -212,7 +220,8 @@ def test_neumann_laplacian_is_dct_diagonal(n):
     got = inv_lam * dctn(r, type=2, norm="ortho")
     assert np.linalg.norm(got - p_hat) <= 1e-12 * np.linalg.norm(p_hat)
     # constants are the kernel: the preconditioned residual keeps zero mean
-    assert np.abs(saddle_inverses(grid, 1e4)[1](np.ones((n, n)))).max() <= 1e-12
+    ones = np.ones((n, n))
+    assert np.abs(_schur_apply(saddle_inverses(grid, 1e4), ones)).max() <= 1e-12
 
 
 def _dense_schur(grid, shift):
@@ -232,8 +241,9 @@ def _dense_schur(grid, shift):
 def test_schur_inverse_is_exact(n, shift):
     grid = build_grid(n)
     S = _dense_schur(grid, shift)
-    _, M = saddle_inverses(grid, shift)
-    MS = np.column_stack([M(col.reshape(n, n)).ravel() for col in S.T])
+    inv = saddle_inverses(grid, shift)
+    MS = np.column_stack([_schur_apply(inv, col.reshape(n, n)).ravel()
+                          for col in S.T])
     # identity on zero-mean fields, constants to zero
     want = np.eye(n * n) - 1.0 / (n * n)
     assert np.abs(MS - want).max() <= 1e-12
@@ -297,10 +307,32 @@ def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
         raise AssertionError("builder called a solver entry point")
 
     monkeypatch.setattr(VelocityPoisson, "solve", refuse)
+    monkeypatch.setattr(SaddleInverse, "solve", refuse)
     monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
     monkeypatch.setattr(operators, "cg_solve", refuse)
-    assert SchurInverse(256, 0.0).nbytes <= 2_000_000
-    # the cached entry adds the one n^2 array of Poisson denominators
-    assert sum(a.nbytes for a in saddle_inverses(build_grid(256), 0.0)) <= 1_700_000
+    # the Schur sectors plus one n^2 array of velocity denominators; no
+    # workspace is cached
+    saddle_inverses.cache_clear()
+    assert saddle_inverses(build_grid(256), 0.0).nbytes <= 1_700_000
     grid = build_grid(32)
     assert saddle_inverses(grid, 64.0) is saddle_inverses(build_grid(32), 64)
+
+
+@pytest.mark.parametrize("shift", [0.0, 64.0, -30.0])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_modal_laplacian_matches_face_laplacian(n, shift):
+    # the march forms its explicit term with the modal Laplacian: the
+    # free-slip diagonal plus the wall correction must be the face operator
+    grid = build_grid(n)
+    inv = saddle_inverses(grid, 0.0)
+    rng = np.random.default_rng(n)
+    u1, u2 = _random_interior(rng, n)
+    x, x1, x2 = inv.face_stack()
+    x1 += u1[1:n, :]
+    x2 += u2[:, 1:n]
+    got = inv.from_modes(inv.laplacian_modes(inv.to_modes(x), shift))
+    want = apply_velocity_laplacian(grid, u1, u2, DirichletBC.zero(grid),
+                                    shift=shift)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+

@@ -24,7 +24,7 @@ from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
 from vws.operators import (
     DirichletBC,
-    VelocityPoisson,
+    SaddleInverse,
     divergence,
     laplacian_load,
     saddle_inverses,
@@ -40,7 +40,7 @@ from vws.stokes import (
 from vws.experiments.report import orders
 
 from support import (
-    count_poisson_solves,
+    count_saddle_solves,
     dense_face_gradient,
     dense_velocity_laplacian,
 )
@@ -213,23 +213,29 @@ def test_div_tol_met_flags_a_missed_tolerance(monkeypatch):
     big = solve_boundary(grid, g * 1e9)
     want = u * 1e9
     assert l2_norm_omega(big.velocity - want) <= 1e-12 * l2_norm_omega(want)
-    solve = VelocityPoisson.solve
-    monkeypatch.setattr(VelocityPoisson, "solve",
-                        lambda self, b1, b2: tuple(1.001 * x for x in
-                                                   solve(self, b1, b2)))
+    # the solver's modal velocity inverse, off by 0.1%
+    velocity_solve = SaddleInverse.velocity_solve
+
+    def off(self, x, scratch=None):
+        x = velocity_solve(self, x, scratch)
+        x *= 1.001
+        return x
+
+    monkeypatch.setattr(SaddleInverse, "velocity_solve", off)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_boundary(grid, g)
     assert info.value.residual > SolverOptions().div_tol
 
 
-def test_saddle_solve_takes_two_poisson_solves(monkeypatch):
-    # one solve for D A^{-1} b and one for the velocity; the Uzawa loop
-    # took three
-    calls = count_poisson_solves(monkeypatch)
+def test_saddle_solve_takes_one_modal_solve(monkeypatch):
+    # D A^{-1} b, the pressure and the velocity all come from one modal
+    # solve; the Uzawa loop took three velocity solves, the two-basis
+    # direct solve two
+    calls = count_saddle_solves(monkeypatch)
     grid, g = _lid(32)
     solve_saddle(grid, DirichletBC.from_boundary_data(g), None, None, None,
                  shift=64.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_solver_options_hold_method_and_tolerance():
@@ -377,8 +383,11 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
     grid = build_grid(16)
     src = np.zeros((16, 16))
     src[2, 2], src[9, 9] = 1.0, -1.0
-    monkeypatch.setattr(VelocityPoisson, "solve",
-                        lambda self, b1, b2: (np.zeros_like(b1), np.zeros_like(b2)))
+    def zero(self, x, scratch=None):
+        x[...] = 0.0
+        return x
+
+    monkeypatch.setattr(SaddleInverse, "velocity_solve", zero)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_saddle(grid, DirichletBC.zero(grid), None, None, src, shift=shift)
     assert info.value.best_x is not None
