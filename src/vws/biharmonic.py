@@ -45,7 +45,6 @@ __all__ = [
     "StreamFunction",
     "apply_biharmonic",
     "biharmonic_load",
-    "simply_supported_inverse",
     "solve_biharmonic",
     "velocity_from_stream",
 ]
@@ -102,31 +101,6 @@ def apply_biharmonic(grid: StaggeredGrid, psi_int: np.ndarray) -> np.ndarray:
     return out / h ** 4
 
 
-def _simply_supported_spectrum(n: int) -> np.ndarray:
-    """Eigenvalues (lambda_k + lambda_l)^2 of L_D^2 on the 2-D DST-I modes."""
-    h = 1.0 / n
-    lam = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
-    return (lam[:, None] + lam[None, :]) ** 2
-
-
-def simply_supported_inverse(grid: StaggeredGrid):
-    """Exact inverse of L_D^2 on flattened interior node values, by DST-I.
-
-    L_D is the 5-point Dirichlet Laplacian on the (n-1)^2 interior nodes; its
-    eigenvalues are lambda_i + lambda_j with lambda_k = (2 - 2 cos(k pi/n))/h^2
-    and its eigenvectors are the type-I sine modes, so the simply-supported
-    plate L_D^2 is inverted by one forward and one inverse 2-D transform.
-    """
-    n = grid.n
-    den = _simply_supported_spectrum(n)
-
-    def apply(r):
-        f = dstn(r.reshape(n - 1, n - 1), type=1, norm="ortho")
-        return idstn(f / den, type=1, norm="ortho").ravel()
-
-    return apply
-
-
 def _plate_capacitance_sectors(n: int):
     """Closed-form capacitance matrix K = (h^4/2) I + U^T L_D^-2 U, by sector.
 
@@ -137,7 +111,8 @@ def _plate_capacitance_sectors(n: int):
     sqrt(2/n) sin(k i pi/n), k = 1..n-1; since phi_k(n-1) =
     (-1)^(k+1) phi_k(1), the even pair sees the odd modes k with weight
     w_k = sqrt(2) phi_k(1), the odd pair the even ones.  With
-    D_kl = (lambda_k + lambda_l)^2, K has
+    D_kl = (lambda_k + lambda_l)^2 the spectrum of L_D^2 on the 2-D DST-I
+    modes, lambda_k = (2 - 2 cos(k pi/n))/h^2, K has
 
     * blocks diagonal per mode between parallel lines, entry
       (h^4/2) + sum_l w_l^2 / D_kl;
@@ -147,7 +122,9 @@ def _plate_capacitance_sectors(n: int):
     k - 1.  Returns the spectrum D, the weights w (n-1, 2) with column a
     those of parity a, and the sectors.
     """
-    den = _simply_supported_spectrum(n)
+    h = 1.0 / n
+    lam = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
+    den = (lam[:, None] + lam[None, :]) ** 2
     modes = np.arange(n - 1)
     w = np.zeros((n - 1, 2))
     w[modes, modes % 2] = 2.0 / np.sqrt(n) * np.sin((modes + 1) * np.pi / n)

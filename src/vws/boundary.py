@@ -85,10 +85,6 @@ class BoundaryData:
         s = grid.x_centers()
         return cls(grid, {side: np.asarray(funcs[side](s), dtype=float) for side in SIDES})
 
-    def arc(self, side: str) -> np.ndarray:
-        """Sample positions along the side, as the in-side coordinate in (0,1)."""
-        return self.grid.x_centers()
-
     def normal_part(self, side: str) -> np.ndarray:
         return self.samples[side] @ NORMALS[side]
 

@@ -28,10 +28,17 @@ On top of these sit the space-time energy-estimate ratio
 
     L_u(g1) = -integral over Q_T of u . (dv/dt + Laplace(v)),
 
-with v a time-modulated tangential lift vanishing at t = T; for u driven by
-boundary data g it equals minus the Gamma_T integral of (g.tau)(g1.tau)
-(integrate by parts in t and x; u(0) = 0 and v(T) = 0 kill the endpoints),
-and its value does not depend on which lift was used.
+with v = m(t) R g1 a time-modulated tangential lift vanishing at t = T; for
+u driven by boundary data g it equals minus the Gamma_T integral of
+(g.tau)(g1.tau) (integrate by parts in t and x; u(0) = 0 and v(T) = 0 kill
+the endpoints), and its value does not depend on which lift was used.  The
+test function is separable and the trapezoid rule linear, so with the time
+sums U_m = sum_k w_k m(t_k) u^k and U_d = sum_k w_k m'(t_k) u^k
+
+    L_u(g1) = -(<U_d, R g1>_h + integral of U_m . Laplace(R g1)),
+
+two stationary pairings that vws.traces evaluates from the lift factors
+without building R g1.
 """
 
 from __future__ import annotations
@@ -46,10 +53,10 @@ from .boundary import (SIDES, BoundaryData, l2_norm_gamma, require_compatible,
                        smoothstep)
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
-from .operators import (DirichletBC, apply_velocity_laplacian, laplacian_load,
-                        saddle_inverses)
+from .operators import DirichletBC, laplacian_load, saddle_inverses
 from .stokes import SolverOptions
-from .traces import TangentialBoundaryData, lift_tangential, perturbation_field
+from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
+                     perturbation_field)
 
 __all__ = [
     "TimeBoundaryData",
@@ -319,20 +326,20 @@ def _modulation_samples(modulation, times: np.ndarray):
     return mvals, dm
 
 
-def _volume_pairings(traj: Trajectory, w_field: VelocityField):
-    """<u^k, w> and <u^k, Laplace_h w> for all steps, interior h^2 weights."""
-    grid = traj.grid
-    n, h = grid.n, grid.h
-    a1, a2 = apply_velocity_laplacian(grid, w_field.u1, w_field.u2,
-                                      DirichletBC.zero(grid))
-    w1, w2 = w_field.interior()
-    uw = np.empty(traj.steps + 1)
-    ulw = np.empty(traj.steps + 1)
-    for k, u in enumerate(traj.velocities):
-        u1i, u2i = u.interior()
-        uw[k] = h * h * (float(np.sum(u1i * w1)) + float(np.sum(u2i * w2)))
-        ulw[k] = -h * h * (float(np.sum(u1i * a1)) + float(np.sum(u2i * a2)))
-    return uw, ulw
+def _time_sums(traj: Trajectory, modulation):
+    """(sum_k w_k m(t_k) u^k, sum_k w_k m'(t_k) u^k) over the trapezoid
+    weights w_k, as fields; wall faces are summed like any other face."""
+    mvals, dm = _modulation_samples(modulation, traj.times)
+    w = trapezoid_weights(traj.steps, traj.dt)
+    u0 = traj.velocities[0]
+    m1, m2 = np.zeros_like(u0.u1), np.zeros_like(u0.u2)
+    d1, d2 = np.zeros_like(u0.u1), np.zeros_like(u0.u2)
+    for wk, mk, dk, u in zip(w, mvals, dm, traj.velocities):
+        m1 += (wk * mk) * u.u1
+        m2 += (wk * mk) * u.u2
+        d1 += (wk * dk) * u.u1
+        d2 += (wk * dk) * u.u2
+    return VelocityField(traj.grid, m1, m2), VelocityField(traj.grid, d1, d2)
 
 
 def spacetime_pairing(traj: Trajectory, g1: TangentialBoundaryData,
@@ -342,12 +349,11 @@ def spacetime_pairing(traj: Trajectory, g1: TangentialBoundaryData,
     v^k = modulation(t_k) * lift(g1); the time derivative uses centered
     differences (one-sided second order at the ends), the Laplacian the
     zero-boundary discrete operator.  modulation must vanish at t = T.
+    Evaluated as -(<U_d, R g1>_h + L_{U_m}(g1)) on the time sums (see the
+    module docstring), so no lift is built.
     """
-    lift = lift_tangential(g1)
-    mvals, dm = _modulation_samples(modulation, traj.times)
-    uw, ulw = _volume_pairings(traj, lift)
-    w = trapezoid_weights(traj.steps, traj.dt)
-    return -float(np.sum(w * (dm * uw + mvals * ulw)))
+    u_m, u_d = _time_sums(traj, modulation)
+    return -(_lift_pairings(u_d, g1)[0] + _lift_pairings(u_m, g1)[1])
 
 
 def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
@@ -382,7 +388,7 @@ def spacetime_independence_gap(traj: Trajectory, modulation,
     defect.  Fields that do not solve the problem leave an O(1) residue.
     """
     w_field = perturbation_field(traj.grid, seed=seed)
-    mvals, dm = _modulation_samples(modulation, traj.times)
-    uw, ulw = _volume_pairings(traj, w_field)
-    w = trapezoid_weights(traj.steps, traj.dt)
-    return abs(float(np.sum(w * (dm * uw + mvals * ulw))))
+    u_m, u_d = _time_sums(traj, modulation)
+    (d1, d2), (w1, w2) = u_d.interior(), w_field.interior()
+    mass = traj.grid.h ** 2 * float(np.vdot(d1, w1) + np.vdot(d2, w2))
+    return abs(mass + pairing_with_field(u_m, w_field))

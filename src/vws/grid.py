@@ -30,7 +30,6 @@ __all__ = [
     "PressureField",
     "build_grid",
     "l2_norm_omega",
-    "max_norm",
 ]
 
 
@@ -181,11 +180,3 @@ def l2_norm_omega(field) -> float:
     if isinstance(field, PressureField):
         return float(np.sqrt(field.grid.h ** 2 * np.sum(field.p ** 2)))
     raise TypeError(f"cannot take an Omega norm of {type(field).__name__}")
-
-
-def max_norm(field) -> float:
-    if isinstance(field, VelocityField):
-        return float(max(np.abs(field.u1).max(), np.abs(field.u2).max()))
-    if isinstance(field, PressureField):
-        return float(np.abs(field.p).max())
-    raise TypeError(f"cannot take a max norm of {type(field).__name__}")

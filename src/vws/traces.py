@@ -31,9 +31,11 @@ outer product is a pair of outer products, and the zero-data MAC Laplacian
 acts on outer(a, c) as outer(L_D a, c) + outer(a, L_G c), with L_D the node
 and L_G the ghost-closed cell second difference.  pairing_L therefore
 evaluates L_u(g1) in closed form from the 1-D factors: four bilinear forms in
-u, one pass over u per nonzero side, O(n^2) flops and no lift built.
-pairing_with_field pairs u with an arbitrary field (the perturbed lifts
-below) and is the reference the closed form is tested against.
+u, one pass over u per nonzero side, O(n^2) flops and no lift built.  The
+same pass gives the mass pairing <u, R g1>_h, which the space-time pairing
+of vws.evolution needs beside it.  pairing_with_field pairs u with an
+arbitrary field (the perturbed lifts below) and is the reference the closed
+form is tested against.
 """
 
 from __future__ import annotations
@@ -185,6 +187,29 @@ def _cell_second_difference(c: np.ndarray, h: float) -> np.ndarray:
     return (2.0 * c - pad[:-2] - pad[2:]) / (h * h)
 
 
+def _lift_pairings(u: VelocityField, g1: TangentialBoundaryData):
+    """(<u, R g1>_h, integral of u . Laplace(R g1)) from the lift factors.
+
+    With U1, U2 the interior faces of u and (a, b) each side's factors, the
+    lift's interior faces are outer(a_int, Db) and -outer(Da, b_int), so
+
+        <u, R g1>_h = h^2 sum_s [a_int.U1 Db - Da.U2 b_int],
+
+    which reuses the products the Laplacian pairing forms anyway.
+    """
+    n, h = u.grid.n, u.grid.h
+    u1, u2 = u.interior()
+    mass = total = 0.0
+    for a, b in _lift_factors(g1):
+        da, db = np.diff(a) / h, np.diff(b) / h
+        r1 = u1 @ np.column_stack([db, _cell_second_difference(db, h)])
+        r2 = np.stack([_cell_second_difference(da, h), da]) @ u2
+        mass += a[1:n] @ r1[:, 0] - r2[1] @ b[1:n]
+        total += (_node_second_difference(a, h) @ r1[:, 0] + a[1:n] @ r1[:, 1]
+                  - r2[0] @ b[1:n] - r2[1] @ _node_second_difference(b, h))
+    return h * h * float(mass), -h * h * float(total)
+
+
 def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
     """Weak tangential pairing: integral of u . Laplace(R g1).
 
@@ -197,16 +222,7 @@ def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
         -h^2 sum_s [(L_D a).U1 Db + a_int.U1 (L_G Db)
                     - (L_G Da).U2 b_int - Da.U2 (L_D b)].
     """
-    n, h = u.grid.n, u.grid.h
-    u1, u2 = u.interior()
-    total = 0.0
-    for a, b in _lift_factors(g1):
-        da, db = np.diff(a) / h, np.diff(b) / h
-        r1 = u1 @ np.column_stack([db, _cell_second_difference(db, h)])
-        r2 = np.stack([_cell_second_difference(da, h), da]) @ u2
-        total += (_node_second_difference(a, h) @ r1[:, 0] + a[1:n] @ r1[:, 1]
-                  - r2[0] @ b[1:n] - r2[1] @ _node_second_difference(b, h))
-    return -h * h * float(total)
+    return _lift_pairings(u, g1)[1]
 
 
 def probe_set(grid: StaggeredGrid) -> list:
@@ -259,14 +275,14 @@ def perturbation_field(grid: StaggeredGrid, seed: int = 0,
     return w * (scale / l2_norm_omega(w))
 
 
-def lifting_independence_gap(u: VelocityField, g1: TangentialBoundaryData,
-                             seed: int = 0) -> float:
+def lifting_independence_gap(u: VelocityField, seed: int = 0) -> float:
     """|L_u via one lift - L_u via a perturbed lift|.
 
-    The second lift adds a random solenoidal field with vanishing boundary
+    The second lift adds a random solenoidal field w with vanishing boundary
     values and normal derivative, so in the continuum the pairing is
-    unchanged; the returned gap is pure discretization error for discrete
-    Stokes fields u, and O(1) for fields that are not.
+    unchanged; by linearity the gap is |pairing_with_field(u, w)| whatever
+    the data of the first lift.  It is pure discretization error for
+    discrete Stokes fields u, and O(1) for fields that are not.
     """
     w = perturbation_field(u.grid, seed=seed)
     return abs(pairing_with_field(u, w))

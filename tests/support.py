@@ -28,20 +28,12 @@ def count_saddle_solves(monkeypatch):
 
 def dense_velocity_laplacian(grid, shift=0.0):
     """(-Laplacian + shift) on the interior faces (u1, then u2) as a dense
-    matrix, column by column from apply_velocity_laplacian."""
-    from vws.grid import VelocityField
-    from vws.operators import DirichletBC, apply_velocity_laplacian
+    matrix: the operator-algebra recipe's matrix, shifted on the diagonal."""
+    from vws.experiments.recipes import _dense_velocity_laplacian
 
-    n = grid.n
-    bc = DirichletBC.zero(grid)
-    cut = (n - 1) * n
-    cols = []
-    for e in np.eye(2 * cut):
-        u = VelocityField.from_interior(grid, e[:cut].reshape(n - 1, n),
-                                        e[cut:].reshape(n, n - 1))
-        r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc, shift=shift)
-        cols.append(np.concatenate([r1.ravel(), r2.ravel()]))
-    return np.column_stack(cols)
+    A = _dense_velocity_laplacian(grid)
+    A[np.diag_indices_from(A)] += shift
+    return A
 
 
 def dense_face_gradient(grid):

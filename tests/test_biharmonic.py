@@ -10,7 +10,6 @@ from vws.biharmonic import (
     _plate_capacitance_sectors,
     apply_biharmonic,
     biharmonic_load,
-    simply_supported_inverse,
     solve_biharmonic,
     velocity_from_stream,
 )
@@ -101,14 +100,6 @@ def test_operator_splits_as_simply_supported_plus_wall_diagonal():
         assert np.abs(diff - expected).max() <= 1e-12 / grid.h ** 4
 
 
-def test_simply_supported_inverse_is_exact():
-    grid = build_grid(12)
-    x = np.random.default_rng(5).standard_normal((11, 11))
-    y = _dirichlet_laplacian(grid, _dirichlet_laplacian(grid, x))
-    back = simply_supported_inverse(grid)(y.ravel()).reshape(11, 11)
-    assert np.abs(back - x).max() <= 1e-11 * np.abs(x).max()
-
-
 def test_lid_iterations_mesh_independent():
     # one direct step at every n, on the capacitance path
     for n in (32, 64, 128):
@@ -148,7 +139,11 @@ def test_plate_capacitance_matches_probe(n):
     eye = np.eye(m * m)
     A = np.column_stack([apply_biharmonic(grid, e.reshape(m, m)).ravel()
                          for e in eye])
-    M = np.column_stack([simply_supported_inverse(grid)(e) for e in eye])
+    # the simply-supported plate L_D^2 as a dense matrix, from the 5-point
+    # stencil: a reference that shares no code with the transform path
+    L = np.column_stack([_dirichlet_laplacian(grid, e.reshape(m, m)).ravel()
+                         for e in eye])
+    M = np.linalg.inv(L @ L)
     U = _pair_modes(n)
     # orthonormal within each pair; the pairs overlap at the corners
     for half in (U[:, :2 * m], U[:, 2 * m:]):

@@ -111,7 +111,6 @@ def test_boundary_arithmetic_and_zeros():
     assert np.allclose(two.samples["top"], 2.0 * g.samples["top"], atol=1e-15)
     diff = two - g * 2.0
     assert not any(diff.samples[s].any() for s in SIDES)
-    assert np.array_equal(g.arc("top"), grid.x_centers())
 
 
 def test_normal_tangential_split():

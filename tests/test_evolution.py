@@ -14,6 +14,7 @@ from vws.errors import (
 from vws.evolution import (
     TimeBoundaryData,
     Trajectory,
+    _modulation_samples,
     bump_ramp,
     evolve,
     evolve_lifted,
@@ -33,7 +34,8 @@ from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import time_dependent_forcing, time_dependent_solution
 from vws.boundary import SIDES
 from vws.stokes import solve_boundary
-from vws.traces import TangentialBoundaryData
+from vws.operators import DirichletBC, apply_velocity_laplacian
+from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_field
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
 
@@ -149,13 +151,13 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
 def test_cn_march_forms_its_explicit_term_in_modes(monkeypatch):
     # the explicit Laplacian of the previous step is taken in the solver's
     # modes, so a march never applies the face-space Laplacian
-    from vws import evolution, operators
+    from vws import operators, traces
 
     def refuse(*args, **kwargs):
         raise AssertionError("march applied the face-space Laplacian")
 
-    monkeypatch.setattr(evolution, "apply_velocity_laplacian", refuse)
     monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
+    monkeypatch.setattr(traces, "apply_velocity_laplacian", refuse)
     grid = build_grid(16)
     tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
     traj = evolve(grid, tb, 0.5, 0.0625, scheme="cn")
@@ -256,6 +258,65 @@ def test_spacetime_pairing_frozen():
     assert gaps[0] == pytest.approx(9.530e-2, rel=2e-3)
     assert gaps[1] == pytest.approx(1.871e-2, rel=2e-3)
     assert orders(gaps)[0] >= 0.8
+
+
+def _per_step_pairing(traj, v, modulation):
+    """sum_k w_k (m'_k <u^k, v>_h + m_k <u^k, Laplace_h v>), one step at a
+    time, with the face-space Laplacian of v."""
+    grid, h = traj.grid, traj.grid.h
+    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, DirichletBC.zero(grid))
+    v1, v2 = v.interior()
+    mvals, dm = _modulation_samples(modulation, traj.times)
+    w = trapezoid_weights(traj.steps, traj.dt)
+    total = 0.0
+    for wk, mk, dk, u in zip(w, mvals, dm, traj.velocities):
+        u1, u2 = u.interior()
+        uv = h * h * (np.sum(u1 * v1) + np.sum(u2 * v2))
+        ulv = -h * h * (np.sum(u1 * a1) + np.sum(u2 * a2))
+        total += wk * (dk * uv + mk * ulv)
+    return float(total)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "cn"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_spacetime_functionals_match_per_step_pairing(scheme, n):
+    # the time sums carry the wall faces of the rotation data along; the
+    # pairing and the gap must equal the step-by-step sums to rounding
+    grid = build_grid(n)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.5))
+    traj = evolve(grid, tb, 1.0, 1.0 / n, scheme=scheme)
+    assert np.abs(traj.velocities[-1].u1[0]).max() > 0.1
+    s = grid.x_centers()
+    probe = TangentialBoundaryData(grid, {sd: np.sin(np.pi * s) + 0.3
+                                          for sd in SIDES})
+    for mod in (final_zero_modulation(1.0),
+                lambda t: np.cos(0.5 * np.pi * t)):
+        ref = -_per_step_pairing(traj, lift_tangential(probe), mod)
+        assert spacetime_pairing(traj, probe, mod) == pytest.approx(
+            ref, rel=1e-13)
+        gap = abs(_per_step_pairing(traj, perturbation_field(grid, seed=5),
+                                    mod))
+        assert spacetime_independence_gap(traj, mod, seed=5) == pytest.approx(
+            gap, rel=1e-13)
+
+
+def test_spacetime_pairing_builds_no_lift(monkeypatch):
+    from vws import traces
+
+    grid = build_grid(32)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.5))
+    traj = evolve(grid, tb, 1.0, 1.0 / 32, scheme="cn")
+    s = grid.x_centers()
+    probe = TangentialBoundaryData(grid, {sd: np.sin(np.pi * s)
+                                          for sd in SIDES})
+    mod = final_zero_modulation(1.0)
+    ref = -_per_step_pairing(traj, lift_tangential(probe), mod)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spacetime_pairing built a lift")
+
+    monkeypatch.setattr(traces, "stream_curl", forbidden)
+    assert spacetime_pairing(traj, probe, mod) == pytest.approx(ref, rel=1e-13)
 
 
 def test_spacetime_ratio_frozen_and_scale_invariant():

@@ -325,12 +325,18 @@ def test_orders_need_two_rungs():
     (["transposition", "--n", "16", "--allow-underresolved"],
      "gap_decreasing"),
     (["traces", "--n", "32"], "probe_gap_order"),
+    (["biharmonic", "--n", "256"], "mms_order"),
+    (["evolution-estimate", "--n", "128"], "pairing_order"),
 ])
 def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
-                                                        argv, assertion):
+                                                        monkeypatch, argv,
+                                                        assertion):
+    # the ladder is refused before the first solve, not after the last
+    calls = count_saddle_solves(monkeypatch)
     assert cli_main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert assertion in err and "needs a ladder of at least" in err
+    assert calls == []
 
 
 def test_transposition_solves_each_case_once(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from vws.grid import (
     VelocityField,
     build_grid,
     l2_norm_omega,
-    max_norm,
 )
 
 
@@ -92,14 +91,6 @@ def test_norm_approximates_integral():
     grid = build_grid(64)
     v = VelocityField.from_functions(grid, f, f)
     assert abs(l2_norm_omega(v) - np.sqrt(0.5)) <= 1e-3
-
-
-def test_max_norm():
-    grid = build_grid(8)
-    u1 = np.zeros((9, 8))
-    u1[4, 3] = -7.0
-    v = VelocityField(grid, u1, np.zeros((8, 9)))
-    assert max_norm(v) == 7.0
 
 
 def test_field_arithmetic():
