@@ -38,7 +38,7 @@ from scipy.fft import dstn, idstn
 
 from .boundary import SIDES, BoundaryData
 from .errors import NonConvergence, NonTangentialData
-from .grid import StaggeredGrid, VelocityField
+from .grid import StaggeredGrid, VelocityField, require_same_grid
 from .operators import _parity_sectors, _SectorInverse, stream_curl
 
 __all__ = [
@@ -200,21 +200,21 @@ def biharmonic_load(grid: StaggeredGrid, g: BoundaryData,
 
 
 def solve_biharmonic(grid: StaggeredGrid, g: BoundaryData,
-                     f_nodes: np.ndarray | None = None,
-                     rel_tol: float = 1e-12) -> StreamFunction:
+                     f_nodes: np.ndarray | None = None) -> StreamFunction:
     """Clamped-plate solve for the stream function of tangential data g.
 
     A direct solve of the symmetric positive definite 13-point system by the
     cached :class:`_ClampedPlateInverse`, checked by one application of the
-    operator: the residual must meet max|b - A psi| <= rel_tol
+    operator: the residual must meet max|b - A psi| <= 1e-12
     (max|b| + (64/h^4) max|psi|), a backward error against the data and the
     operator scale (the stencil weights sum to 64 in absolute value).  The
-    solve itself reaches about 3e-16 at n = 16..512; the default rel_tol
-    keeps four decades above that, since a smooth error in psi barely moves
-    the residual (psi scaled by 1.001 on the n = 64 plate MMS reads 1.6e-9).
+    solve itself reaches about 3e-16 at n = 16..512; the bound keeps four
+    decades above that, since a smooth error in psi barely moves the
+    residual (psi scaled by 1.001 on the n = 64 plate MMS reads 1.6e-9).
     A miss raises NonConvergence carrying psi.  Data with a normal part above
-    1e-12 of max|g| raise NonTangentialData.
+    1e-12 of max|g| raise NonTangentialData, g on another grid ValueError.
     """
+    require_same_grid(grid, g)
     n, h = grid.n, grid.h
     worst = max(float(np.abs(g.normal_part(s)).max()) for s in SIDES)
     size = max(float(np.abs(g.samples[s]).max()) for s in SIDES)
@@ -230,9 +230,9 @@ def solve_biharmonic(grid: StaggeredGrid, g: BoundaryData,
     # one direct step, none for zero data
     steps = int(rhs.any())
     # written to fail on a NaN residual too
-    if not residual <= rel_tol * scale:
+    if not residual <= 1e-12 * scale:
         raise NonConvergence(
-            f"clamped plate: residual {residual:.3e} above {rel_tol:.1e} "
+            f"clamped plate: residual {residual:.3e} above 1e-12 "
             f"of the data and operator scale {scale:.3e}",
             best_x=psi_int, residual=residual, iterations=steps,
         )

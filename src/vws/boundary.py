@@ -54,6 +54,15 @@ TANGENTS = {
 PERIMETER = 4.0
 
 
+def _require_sides(per_side: dict, missing_ok: bool) -> None:
+    """Raise ValueError naming any key that is not a side, or, unless
+    missing_ok, any side without an entry."""
+    unknown = sorted(map(str, set(per_side) - set(SIDES)))
+    missing = [] if missing_ok else [s for s in SIDES if s not in per_side]
+    if unknown or missing:
+        raise ValueError(f"sides must be {SIDES}; unknown {unknown}, missing {missing}")
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Velocity samples (g1, g2) at boundary face midpoints, one array per side."""
@@ -63,6 +72,7 @@ class BoundaryData:
 
     def __post_init__(self):
         n = self.grid.n
+        _require_sides(self.samples, missing_ok=False)
         clean = {}
         for side in SIDES:
             a = np.ascontiguousarray(self.samples[side], dtype=float)
@@ -78,12 +88,6 @@ class BoundaryData:
     def zeros(cls, grid: StaggeredGrid) -> "BoundaryData":
         z = {s: np.zeros((grid.n, 2)) for s in SIDES}
         return cls(grid, z)
-
-    @classmethod
-    def from_functions(cls, grid, funcs) -> "BoundaryData":
-        """funcs: side -> callable(s) -> (n,2), s the arclength parameter in [0,1]."""
-        s = grid.x_centers()
-        return cls(grid, {side: np.asarray(funcs[side](s), dtype=float) for side in SIDES})
 
     def normal_part(self, side: str) -> np.ndarray:
         return self.samples[side] @ NORMALS[side]

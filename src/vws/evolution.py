@@ -52,7 +52,8 @@ import numpy as np
 from .boundary import (SIDES, BoundaryData, l2_norm_gamma, require_compatible,
                        smoothstep)
 from .errors import NonConvergence, ZeroBoundaryData
-from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
+from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
+                   require_same_grid)
 from .operators import DirichletBC, laplacian_load, saddle_inverses
 from .stokes import SolverOptions
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
@@ -62,8 +63,6 @@ __all__ = [
     "TimeBoundaryData",
     "Trajectory",
     "smooth_ramp",
-    "bump_ramp",
-    "hard_start",
     "evolve",
     "evolve_lifted",
     "solve_adjoint_backward",
@@ -85,49 +84,29 @@ def smooth_ramp(t0: float):
     return lambda t: smoothstep(np.asarray(t, dtype=float) / t0)
 
 
-def bump_ramp(t0: float, t1: float):
-    """C2 profile rising on [0, t0], flat at 1, descending to 0 on [t1-t0, t1]."""
-    def r(t):
-        t = np.asarray(t, dtype=float)
-        return smoothstep(t / t0) * smoothstep((t1 - t) / t0)
-    return r
-
-
-def hard_start():
-    """Profile identically 1; the data jumps on at t=0 (stress-test mode)."""
-    return lambda t: np.ones_like(np.asarray(t, dtype=float))
-
-
 class TimeBoundaryData:
-    """Boundary data on Gamma x [0, T]: ramp(t) times a spatial profile,
-    or an explicit list of per-step slices."""
+    """Boundary data on Gamma x [0, T]: ramp(t) times a spatial profile."""
 
-    def __init__(self, grid: StaggeredGrid, spatial: BoundaryData | None = None,
-                 ramp=None, slices: list | None = None):
-        if (spatial is None) == (slices is None):
-            raise ValueError("give either spatial (+ramp) or explicit slices")
-        self.grid = grid
+    def __init__(self, spatial: BoundaryData, ramp=None):
+        self.grid = spatial.grid
         self.spatial = spatial
         self.ramp = ramp if ramp is not None else (lambda t: 1.0)
-        self.slices = slices
 
     @classmethod
     def constant(cls, spatial: BoundaryData) -> "TimeBoundaryData":
-        return cls(spatial.grid, spatial=spatial)
+        return cls(spatial)
 
     @classmethod
     def ramped(cls, spatial: BoundaryData, ramp) -> "TimeBoundaryData":
-        return cls(spatial.grid, spatial=spatial, ramp=ramp)
-
-    @classmethod
-    def from_slices(cls, grid: StaggeredGrid, slices: list) -> "TimeBoundaryData":
-        return cls(grid, slices=list(slices))
+        return cls(spatial, ramp)
 
     def at(self, k: int, dt: float) -> BoundaryData:
-        """Boundary slice at time node t_k = k dt."""
-        if self.slices is not None:
-            return self.slices[k]
-        return self.spatial * float(self.ramp(k * dt))
+        """Boundary slice at time node t_k = k dt; a non-finite ramp value
+        raises ValueError."""
+        r = float(self.ramp(k * dt))
+        if not np.isfinite(r):
+            raise ValueError(f"ramp is {r} at t={k * dt:g}")
+        return self.spatial * r
 
 
 # --- trajectories -----------------------------------------------------------
@@ -156,8 +135,9 @@ class Trajectory:
 
 
 def _check_steps(T: float, dt: float) -> int:
-    if dt <= 0.0 or T <= 0.0:
-        raise ValueError("T and dt must be positive")
+    # NaN fails every comparison; the last one catches an overflowing ratio
+    if not (0.0 < T < np.inf and 0.0 < dt < np.inf and T / dt < np.inf):
+        raise ValueError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
     m = round(T / dt)
     if m < 1 or abs(m * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integral number of steps of dt={dt}")
@@ -211,6 +191,8 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         if force is not None:
             for node in nodes:
                 e1, e2 = force(node)
+                if np.shape(e1) != b1.shape or np.shape(e2) != b2.shape:
+                    raise ValueError(f"forcing must have shapes {b1.shape}, {b2.shape}")
                 b1 += e1
                 b2 += e2
             if not (np.isfinite(b1).all() and np.isfinite(b2).all()):
@@ -248,8 +230,10 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
                   scheme: str = "euler", force=None) -> Trajectory:
     """March the forced problem: force(t) -> (f1, f2) interior arrays, u(0) = 0.
 
-    The zero-data problem (evolve) is the force=None case.
+    The zero-data problem (evolve) is the force=None case.  Bad T, dt,
+    ramp values or forcing, or g on another grid, raise ValueError.
     """
+    require_same_grid(grid, g)
     m = _check_steps(T, dt)
     times = np.arange(m + 1) * dt
     march_force = None if force is None else (lambda j: force(times[j]))
@@ -270,8 +254,9 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     Reversing time turns this into the forward step loop, in the scheme of
     u_traj, with the forcing trajectory read backwards and homogeneous
     boundary values; the result is returned in forward time order (entry k
-    is v(t_k), entry -1 is zero).
+    is v(t_k), entry -1 is zero).  u_traj on another grid raises ValueError.
     """
+    require_same_grid(grid, u_traj)
     m = u_traj.steps
     bc0 = DirichletBC.zero(grid)
     return _march(grid, u_traj.scheme, u_traj.dt, u_traj.times.copy(),
@@ -303,6 +288,7 @@ def spacetime_estimate_ratio(grid: StaggeredGrid, g: TimeBoundaryData,
                              T: float, dt: float, scheme: str = "euler",
                              traj: Trajectory | None = None) -> float:
     """|u|_{L2(Q_T)} / |g|_{L2(0,T; L2(Gamma))} for the zero-data evolution."""
+    require_same_grid(grid, g, traj)
     g_norm = spacetime_boundary_norm(g, T, dt)
     if g_norm == 0.0:
         raise ZeroBoundaryData("space-time ratio undefined for zero data")
@@ -317,7 +303,13 @@ def final_zero_modulation(T: float):
 
 
 def _modulation_samples(modulation, times: np.ndarray):
+    """m(t_k) and its second-order differences m'(t_k); needs two steps."""
+    if len(times) < 3:
+        raise ValueError(f"a space-time functional needs at least two steps, "
+                         f"got {len(times) - 1}")
     mvals = np.array([float(modulation(t)) for t in times])
+    if not np.isfinite(mvals).all():
+        raise ValueError("modulation has non-finite values")
     dt = times[1] - times[0]
     dm = np.empty_like(mvals)
     dm[1:-1] = (mvals[2:] - mvals[:-2]) / (2.0 * dt)
@@ -350,8 +342,10 @@ def spacetime_pairing(traj: Trajectory, g1: TangentialBoundaryData,
     differences (one-sided second order at the ends), the Laplacian the
     zero-boundary discrete operator.  modulation must vanish at t = T.
     Evaluated as -(<U_d, R g1>_h + L_{U_m}(g1)) on the time sums (see the
-    module docstring), so no lift is built.
+    module docstring), so no lift is built.  A trajectory of fewer than two
+    steps, a non-finite modulation or g1 on another grid raises ValueError.
     """
+    require_same_grid(traj.grid, g1)
     u_m, u_d = _time_sums(traj, modulation)
     return -(_lift_pairings(u_d, g1)[0] + _lift_pairings(u_m, g1)[1])
 
@@ -360,16 +354,18 @@ def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
                                 modulation, T: float, dt: float) -> float:
     """Boundary quadrature of -(g.tau)(g1.tau) m(t) over Gamma x [0,T].
 
-    The continuum value of spacetime_pairing for u driven by g.
+    The continuum value of spacetime_pairing for u driven by g; it takes
+    the same checks.
     """
     grid = g.grid
+    require_same_grid(grid, g1)
     m = _check_steps(T, dt)
     w = trapezoid_weights(m, dt)
+    mvals, _ = _modulation_samples(modulation, np.arange(m + 1) * dt)
     h = grid.h
     total = 0.0
-    for k in range(m + 1):
+    for k, mv in enumerate(mvals):
         gk = g.at(k, dt)
-        mv = float(modulation(k * dt))
         ring = sum(
             float(np.sum(gk.tangential_part(s) * g1.profiles[s]))
             for s in SIDES
@@ -386,6 +382,7 @@ def spacetime_independence_gap(traj: Trajectory, modulation,
     Zero in the continuum for velocity trajectories solving the zero-forced
     problem; the discrete value measures the scheme's integration-by-parts
     defect.  Fields that do not solve the problem leave an O(1) residue.
+    Fewer than two steps or a non-finite modulation raise ValueError.
     """
     w_field = perturbation_field(traj.grid, seed=seed)
     u_m, u_d = _time_sums(traj, modulation)

@@ -29,6 +29,7 @@ __all__ = [
     "VelocityField",
     "PressureField",
     "build_grid",
+    "require_same_grid",
     "l2_norm_omega",
 ]
 
@@ -75,6 +76,14 @@ def build_grid(n: int) -> StaggeredGrid:
     if n < 4:
         raise ValueError(f"cell count must be at least 4, got {n}")
     return StaggeredGrid(int(n))
+
+
+def require_same_grid(grid: StaggeredGrid, *items) -> None:
+    """Raise ValueError unless every item (a field or data) or None is on grid."""
+    for item in items:
+        if item is not None and item.grid.n != grid.n:
+            raise ValueError(f"{type(item).__name__} on an n={item.grid.n} grid "
+                             f"passed with an n={grid.n} grid")
 
 
 @dataclass(frozen=True)
@@ -145,10 +154,6 @@ class PressureField:
         if self.p.shape != (n, n):
             raise ValueError(f"field shape {self.p.shape} does not match n={n}")
         object.__setattr__(self, "p", _freeze(self.p))
-
-    @classmethod
-    def zeros(cls, grid: StaggeredGrid) -> "PressureField":
-        return cls(grid, np.zeros((grid.n, grid.n)))
 
     @classmethod
     def from_function(cls, grid, f) -> "PressureField":

@@ -40,7 +40,8 @@ import numpy as np
 
 from .boundary import BoundaryData, require_compatible
 from .errors import IncompatibleSource
-from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
+from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
+                   require_same_grid)
 from .operators import (
     DirichletBC,
     apply_velocity_laplacian,
@@ -76,21 +77,23 @@ class StokesSolution:
 
 
 def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
-                 shift: float = 0.0, opts: SolverOptions | None = None):
+                 shift: float = 0.0):
     """Core saddle solve.  f1, f2 interior-shaped forcing; h_src cell-shaped.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
     the returned velocity hold the prescribed normal values from bc.
-    Non-finite shift, f1, f2 or h_src, or a shift at which the velocity or
-    Schur operator is singular, raises ValueError; a divergence defect
-    of the returned velocity above div_tol of the data scale, or a
+    A bc of another grid, a misshapen or non-finite f1, f2 or h_src, a
+    non-finite shift, or a shift at which the velocity or Schur operator is
+    singular, raises ValueError; a divergence defect of the returned
+    velocity above SolverOptions().div_tol of the data scale, or a
     non-finite one, raises NonConvergence.
     """
-    for name, a in (("forcing", f1), ("forcing", f2),
-                    ("divergence source", h_src)):
-        if a is not None and not np.isfinite(a).all():
-            raise ValueError(f"{name} has non-finite values")
-    opts = opts or SolverOptions()
+    require_same_grid(grid, bc)
+    n = grid.n
+    for name, a, shape in (("forcing", f1, (n - 1, n)), ("forcing", f2, (n, n - 1)),
+                           ("divergence source", h_src, (n, n))):
+        if a is not None and (np.shape(a) != shape or not np.isfinite(a).all()):
+            raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
     t0 = time.perf_counter()
     inv = saddle_inverses(grid, shift)
     b, b1, b2 = inv.face_stack()
@@ -99,20 +102,21 @@ def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
         b1 += f1
     if f2 is not None:
         b2 += f2
-    u1, u2, p, diag, _ = inv.solve(bc, inv.to_modes(b), h_src, opts.div_tol)
+    u1, u2, p, diag, _ = inv.solve(bc, inv.to_modes(b), h_src,
+                                   SolverOptions().div_tol)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
 
 
 def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
-                      h_src: PressureField | None = None,
-                      opts: SolverOptions | None = None) -> StokesSolution:
+                      h_src: PressureField | None = None) -> StokesSolution:
     """Stokes with zero boundary values, interior forcing f, divergence h_src.
 
     h_src must have zero discrete mean (solvability; to 1e-12 of
     h^2 sum |h_src|); otherwise IncompatibleSource is raised.  Non-finite f
-    (interior faces) or h_src raises ValueError.
+    (interior faces) or h_src, or either on another grid, raises ValueError.
     """
+    require_same_grid(grid, f, h_src)
     src = None
     if h_src is not None:
         src = h_src.p
@@ -126,23 +130,23 @@ def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
             )
     f1, f2 = (None, None) if f is None else f.interior()
     bc = DirichletBC.zero(grid)
-    u1, u2, p, diag = solve_saddle(grid, bc, f1, f2, src, opts=opts)
+    u1, u2, p, diag = solve_saddle(grid, bc, f1, f2, src)
     return StokesSolution(grid, VelocityField(grid, u1, u2),
                           PressureField(grid, p), diag)
 
 
-def solve_boundary(grid: StaggeredGrid, g: BoundaryData,
-                   opts: SolverOptions | None = None) -> StokesSolution:
+def solve_boundary(grid: StaggeredGrid, g: BoundaryData) -> StokesSolution:
     """Stokes driven by boundary velocity data alone.
 
     g must be compatible (net flux at most 1e-12 of h sum |g . n|);
-    otherwise IncompatibleBoundaryData is raised.  Normal samples land
-    exactly on boundary faces; tangential samples act through ghost
-    reflection.
+    otherwise IncompatibleBoundaryData is raised, and g on another grid
+    raises ValueError.  Normal samples land exactly on boundary faces;
+    tangential samples act through ghost reflection.
     """
+    require_same_grid(grid, g)
     require_compatible(g)
     bc = DirichletBC.from_boundary_data(g)
-    u1, u2, p, diag = solve_saddle(grid, bc, None, None, None, opts=opts)
+    u1, u2, p, diag = solve_saddle(grid, bc, None, None, None)
     return StokesSolution(grid, VelocityField(grid, u1, u2),
                           PressureField(grid, p), diag)
 

@@ -44,13 +44,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import SIDES, TANGENTS, BoundaryData, smoothstep
-from .grid import StaggeredGrid, VelocityField, l2_norm_omega
+from .boundary import SIDES, _require_sides, smoothstep
+from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
 from .operators import DirichletBC, apply_velocity_laplacian, stream_curl
 
 __all__ = [
     "TangentialBoundaryData",
-    "normal_trace",
     "lift_tangential",
     "lift_stream",
     "pairing_L",
@@ -67,11 +66,12 @@ class TangentialBoundaryData:
     """Purely tangential boundary data, stored as scalar profiles per side.
 
     profiles[side] holds (g1 . tau) at face midpoints, with tau the
-    counterclockwise unit tangent.  Vector samples reconstructed from this
-    type satisfy g1 . n = 0 exactly, by construction.
+    counterclockwise unit tangent, so g1 . n = 0 by construction.  A side
+    without a profile is zero; a key that is not a side raises ValueError.
     """
 
     def __init__(self, grid: StaggeredGrid, profiles: dict):
+        _require_sides(profiles, missing_ok=True)
         self.grid = grid
         store = {}
         for side in SIDES:
@@ -84,28 +84,6 @@ class TangentialBoundaryData:
             a.flags.writeable = False
             store[side] = a
         self.profiles = store
-
-    def to_boundary_data(self) -> BoundaryData:
-        samples = {
-            side: np.outer(self.profiles[side], np.asarray(TANGENTS[side], float))
-            for side in SIDES
-        }
-        return BoundaryData(self.grid, samples)
-
-    @classmethod
-    def from_boundary_data(cls, g: BoundaryData) -> "TangentialBoundaryData":
-        return cls(g.grid, {side: g.tangential_part(side) for side in SIDES})
-
-
-def normal_trace(u: VelocityField) -> dict:
-    """u . n per side, read off the boundary faces where it lives exactly."""
-    n = u.grid.n
-    return {
-        "bottom": -u.u2[:, 0].copy(),
-        "top": u.u2[:, n].copy(),
-        "left": -u.u1[0, :].copy(),
-        "right": u.u1[n, :].copy(),
-    }
 
 
 def _wall_cutoff(d: np.ndarray) -> np.ndarray:
@@ -171,6 +149,7 @@ def lift_tangential(g1: TangentialBoundaryData) -> VelocityField:
 def pairing_with_field(u: VelocityField, v: VelocityField) -> float:
     """Discrete integral of u . Laplace(v) for a lift-like v (v = 0 on walls)."""
     grid = u.grid
+    require_same_grid(grid, v)
     a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, DirichletBC.zero(grid))
     u1, u2 = u.interior()
     return -grid.h ** 2 * float(np.sum(u1 * a1) + np.sum(u2 * a2))
@@ -221,7 +200,10 @@ def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
 
         -h^2 sum_s [(L_D a).U1 Db + a_int.U1 (L_G Db)
                     - (L_G Da).U2 b_int - Da.U2 (L_D b)].
+
+    g1 on another grid than u raises ValueError.
     """
+    require_same_grid(u.grid, g1)
     return _lift_pairings(u, g1)[1]
 
 
@@ -254,14 +236,13 @@ def line_integral(fn) -> float:
     return float(np.trapezoid(fn(s), s))
 
 
-def perturbation_field(grid: StaggeredGrid, seed: int = 0,
-                       scale: float = 1.0) -> VelocityField:
+def perturbation_field(grid: StaggeredGrid, seed: int = 0) -> VelocityField:
     """Random smooth solenoidal field vanishing to second order at the walls.
 
     Curl of (x(1-x)y(1-y))^3 times a seeded random cubic, so both the field
     and its gradient vanish on the boundary: adding it to a lift changes
     neither the boundary values nor the normal derivative.  Normalized to
-    L2 norm `scale` so gaps measured against it are comparable across seeds.
+    unit L2 norm so gaps measured against it are comparable across seeds.
     """
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((4, 4))
@@ -272,7 +253,7 @@ def perturbation_field(grid: StaggeredGrid, seed: int = 0,
         for k in range(4) for l in range(4)
     )
     w = stream_curl(grid, np.outer(bump, bump) * poly)
-    return w * (scale / l2_norm_omega(w))
+    return w * (1.0 / l2_norm_omega(w))
 
 
 def lifting_independence_gap(u: VelocityField, seed: int = 0) -> float:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .boundary import SIDES, BoundaryData, l2_norm_gamma
 from .errors import ZeroBoundaryData
-from .grid import PressureField, StaggeredGrid, VelocityField, l2_norm_omega
+from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
+                   require_same_grid)
 from .operators import face_gradient
 from .stokes import StokesSolution, solve_boundary, solve_homogeneous
 
@@ -97,8 +98,12 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
     Solves the rough-data problem (unless u is supplied), then the adjoint
     problem with the solution as forcing, and compares |u|^2 against the
     boundary integral of (g.n) q - g . dv/dn.  Returns lhs, rhs, rel_gap and
-    the split of the boundary integral into its two terms.
+    the split of the boundary integral into its two terms.  Zero data
+    raises ZeroBoundaryData, g or u on another grid ValueError.
     """
+    require_same_grid(grid, g, u)
+    if l2_norm_gamma(g) == 0.0:
+        raise ZeroBoundaryData("duality gap is undefined for zero data")
     if u is None:
         u = solve_boundary(grid, g).velocity
     adj = solve_adjoint(grid, u)
@@ -124,7 +129,9 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
 
 def estimate_ratio(grid: StaggeredGrid, g: BoundaryData,
                    sol: StokesSolution | None = None) -> float:
-    """|u|_Omega / |g|_Gamma for the rough-data solve driven by g."""
+    """|u|_Omega / |g|_Gamma for the rough-data solve driven by g; zero
+    data raises ZeroBoundaryData, g or sol on another grid ValueError."""
+    require_same_grid(grid, g, sol)
     g_norm = l2_norm_gamma(g)
     if g_norm == 0.0:
         raise ZeroBoundaryData("estimate ratio is undefined for zero data")

@@ -1,0 +1,217 @@
+"""Typed errors at the public entry points.
+
+Each entry point returns finite values or raises ValueError (ZeroBoundaryData
+is one) or NonConvergence: never an IndexError, a KeyError, an OverflowError
+or a numpy broadcasting error, and never a silent wrong value.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vws.biharmonic import solve_biharmonic
+from vws.boundary import SIDES, BoundaryData, cavity_g, l2_norm_gamma
+from vws.errors import NonConvergence, ZeroBoundaryData
+from vws.evolution import (
+    TimeBoundaryData,
+    evolve,
+    evolve_lifted,
+    final_zero_modulation,
+    smooth_ramp,
+    solve_adjoint_backward,
+    spacetime_estimate_ratio,
+    spacetime_independence_gap,
+    spacetime_pairing,
+    spacetime_pairing_reference,
+)
+from vws.grid import build_grid, l2_norm_omega
+from vws.operators import DirichletBC
+from vws.stokes import solve_boundary, solve_homogeneous, solve_saddle
+from vws.traces import TangentialBoundaryData, pairing_L, pairing_with_field
+from vws.transposition import estimate_ratio, transposition_identity
+
+DT = 0.125
+
+
+@lru_cache(maxsize=None)
+def _velocity(n):
+    grid = build_grid(n)
+    return solve_boundary(grid, cavity_g(grid)).velocity
+
+
+@lru_cache(maxsize=None)
+def _trajectory(n, steps):
+    grid = build_grid(n)
+    tb = TimeBoundaryData.ramped(cavity_g(grid), smooth_ramp(0.25))
+    return evolve(grid, tb, steps * DT, DT, scheme="cn")
+
+
+def _probe(n):
+    return TangentialBoundaryData(build_grid(n), {"top": np.ones(n)})
+
+
+# --- one test per defect ------------------------------------------------------
+
+def test_boundary_data_names_unknown_and_missing_sides():
+    grid = build_grid(8)
+    with pytest.raises(ValueError, match="unknown \\['north'\\]"):
+        BoundaryData(grid, {"north": np.zeros((8, 2))})
+    three = {s: np.zeros((8, 2)) for s in SIDES[:3]}
+    with pytest.raises(ValueError, match="missing \\['left'\\]"):
+        BoundaryData(grid, three)
+
+
+def test_tangential_data_rejects_unknown_sides_and_zeros_missing_ones():
+    grid = build_grid(8)
+    with pytest.raises(ValueError, match="unknown \\['north'\\]"):
+        TangentialBoundaryData(grid, {"north": np.ones(8)})
+    top = TangentialBoundaryData(grid, {"top": np.ones(8)})
+    assert all(not top.profiles[s].any() for s in ("bottom", "right", "left"))
+
+
+_CROSS_GRID = {
+    "solve_boundary": lambda a, b: solve_boundary(a, cavity_g(b)),
+    "solve_homogeneous": lambda a, b: solve_homogeneous(a, f=_velocity(b.n)),
+    "solve_saddle": lambda a, b: solve_saddle(a, DirichletBC.zero(b), None, None, None),
+    "transposition_identity": lambda a, b: transposition_identity(
+        a, cavity_g(a), u=_velocity(b.n)),
+    "estimate_ratio": lambda a, b: estimate_ratio(a, cavity_g(b)),
+    "pairing_L": lambda a, b: pairing_L(_velocity(a.n), _probe(b.n)),
+    "pairing_with_field": lambda a, b: pairing_with_field(_velocity(a.n),
+                                                          _velocity(b.n)),
+    "evolve": lambda a, b: evolve(a, TimeBoundaryData.constant(cavity_g(b)),
+                                  2 * DT, DT),
+    "solve_adjoint_backward": lambda a, b: solve_adjoint_backward(
+        a, _trajectory(b.n, 2)),
+    "spacetime_pairing": lambda a, b: spacetime_pairing(
+        _trajectory(a.n, 2), _probe(b.n), final_zero_modulation(2 * DT)),
+    "spacetime_estimate_ratio": lambda a, b: spacetime_estimate_ratio(
+        a, TimeBoundaryData.constant(cavity_g(b)), 2 * DT, DT),
+    "solve_biharmonic": lambda a, b: solve_biharmonic(a, cavity_g(b)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CROSS_GRID))
+def test_entry_points_name_both_grids(entry):
+    with pytest.raises(ValueError, match="n=8 grid passed with an n=16 grid"):
+        _CROSS_GRID[entry](build_grid(16), build_grid(8))
+
+
+def test_duality_gap_of_zero_data_raises():
+    grid = build_grid(8)
+    with pytest.raises(ZeroBoundaryData):
+        transposition_identity(grid, BoundaryData.zeros(grid))
+
+
+def test_spacetime_functionals_need_two_steps():
+    traj = _trajectory(8, 1)
+    mod = final_zero_modulation(DT)
+    with pytest.raises(ValueError, match="at least two steps, got 1"):
+        spacetime_pairing(traj, _probe(8), mod)
+    with pytest.raises(ValueError, match="at least two steps, got 1"):
+        spacetime_independence_gap(traj, mod)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_modulation_raises(bad):
+    traj = _trajectory(8, 2)
+    mod = lambda t: bad if t > 0.0 else 1.0
+    tb = TimeBoundaryData.constant(cavity_g(build_grid(8)))
+    for call in (lambda: spacetime_pairing(traj, _probe(8), mod),
+                 lambda: spacetime_independence_gap(traj, mod),
+                 lambda: spacetime_pairing_reference(tb, _probe(8), mod, 2 * DT, DT)):
+        with pytest.raises(ValueError, match="modulation has non-finite"):
+            call()
+
+
+@pytest.mark.parametrize("T, dt", [(np.inf, DT), (np.nan, DT), (1.0, np.nan),
+                                   (np.inf, np.inf)])
+def test_non_finite_step_data_raises(T, dt):
+    grid = build_grid(8)
+    tb = TimeBoundaryData.constant(cavity_g(grid))
+    with pytest.raises(ValueError, match="finite and positive"):
+        evolve(grid, tb, T, dt)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_ramp_raises(bad):
+    grid = build_grid(8)
+    tb = TimeBoundaryData.ramped(cavity_g(grid), lambda t: bad if t > 0.0 else 0.0)
+    with pytest.raises(ValueError, match="ramp is"):
+        evolve(grid, tb, 2 * DT, DT)
+
+
+def test_misshapen_forcing_raises():
+    # a row of n values broadcast silently over the (n-1, n) interior faces
+    grid = build_grid(8)
+    tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
+    row = lambda t: (np.ones(8), np.zeros((8, 7)))
+    with pytest.raises(ValueError, match="forcing must have shapes"):
+        evolve_lifted(grid, tb, 2 * DT, DT, force=row)
+    with pytest.raises(ValueError, match="shape other than"):
+        solve_saddle(grid, DirichletBC.zero(grid), np.ones(8), None, None)
+
+
+# --- the sweep ------------------------------------------------------------------
+
+_SIDE_KEYS = st.lists(st.sampled_from(SIDES + ("north", "Top")), unique=True,
+                      max_size=5)
+_BAD = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _cases(draw):
+    """(entry name, thunk): a call with drawn grids, keys, lengths and values."""
+    na, nb = draw(st.sampled_from([4, 8])), draw(st.sampled_from([4, 8]))
+    a, b = build_grid(na), build_grid(nb)
+    keys = draw(_SIDE_KEYS)
+    steps = draw(st.integers(1, 3))
+    T = draw(st.one_of(st.just(steps * DT), _BAD))
+    dt = draw(st.one_of(st.just(DT), _BAD))
+    ramp_value = draw(st.one_of(st.just(1.0), _BAD))
+    mod_value = draw(st.one_of(st.just(None), _BAD))
+    scale = draw(st.sampled_from([0.0, 1.0]))
+    ramp = lambda t: ramp_value if t > 0.0 else 0.0
+    mod = final_zero_modulation(steps * DT) if mod_value is None else (
+        lambda t: mod_value)
+    g = cavity_g(b) * scale
+    tb = TimeBoundaryData.ramped(g, ramp)
+    calls = {
+        "BoundaryData": lambda: l2_norm_gamma(
+            BoundaryData(a, {k: np.ones((na, 2)) for k in keys})),
+        "TangentialBoundaryData": lambda: pairing_L(
+            _velocity(na), TangentialBoundaryData(a, {k: np.ones(na) for k in keys})),
+        "solve_boundary": lambda: l2_norm_omega(solve_boundary(a, g).velocity),
+        "solve_homogeneous": lambda: l2_norm_omega(
+            solve_homogeneous(a, f=_velocity(nb) * scale).velocity),
+        "transposition_identity": lambda: list(
+            transposition_identity(a, cavity_g(a) * scale, u=_velocity(nb)).values()),
+        "estimate_ratio": lambda: estimate_ratio(a, g),
+        "pairing_L": lambda: pairing_L(_velocity(na), _probe(nb)),
+        "pairing_with_field": lambda: pairing_with_field(_velocity(na), _velocity(nb)),
+        "evolve": lambda: evolve(a, tb, T, dt, scheme="cn").norms(),
+        "solve_adjoint_backward": lambda: solve_adjoint_backward(
+            a, _trajectory(nb, steps)).norms(),
+        "spacetime_pairing": lambda: spacetime_pairing(
+            _trajectory(na, steps), _probe(nb), mod),
+        "spacetime_independence_gap": lambda: spacetime_independence_gap(
+            _trajectory(na, steps), mod),
+        "spacetime_estimate_ratio": lambda: spacetime_estimate_ratio(a, tb, T, dt),
+        "solve_biharmonic": lambda: solve_biharmonic(a, g).psi,
+    }
+    name = draw(st.sampled_from(sorted(calls)))
+    return name, calls[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cases())
+def test_entry_points_fail_only_with_typed_errors(case):
+    name, call = case
+    try:
+        result = call()
+    except (ValueError, NonConvergence) as exc:
+        assert "broadcast" not in str(exc), f"{name}: {exc}"
+        return
+    assert np.isfinite(np.asarray(result, dtype=float)).all(), name

@@ -23,7 +23,7 @@ from vws.errors import NonConvergence, NonTangentialData, UnderResolvedWarning
 from vws.grid import build_grid, l2_norm_omega
 from vws.manufactured import biharmonic_source, biharmonic_stream
 from vws.operators import divergence
-from vws.stokes import SolverOptions, solve_boundary
+from vws.stokes import solve_boundary
 from vws.experiments.report import orders
 
 
@@ -240,15 +240,16 @@ def test_cross_check_against_saddle_solver():
 
 
 def test_tight_tolerance_equivalence():
-    # the two discretizations agree algebraically; with tight solver
-    # tolerances the gap sits at rounding level
+    # the two discretizations agree algebraically; both solves are direct,
+    # so their defects and the gap already sit at rounding level
     grid = build_grid(16)
     g = _lid(grid)
-    st = solve_biharmonic(grid, g, rel_tol=1e-13)
+    st = solve_biharmonic(grid, g)
+    assert st.diagnostics["rel_residual"] <= 1e-13
     u_bi = velocity_from_stream(st)
-    opts = SolverOptions(div_tol=1e-13)
-    u_mac = solve_boundary(grid, g, opts=opts).velocity
-    assert l2_norm_omega(u_bi - u_mac) <= 1e-9
+    sol = solve_boundary(grid, g)
+    assert sol.diagnostics["div_max"] <= 1e-13
+    assert l2_norm_omega(u_bi - sol.velocity) <= 1e-9
 
 
 def test_rejects_data_with_normal_component():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vws.boundary import (BoundaryData, cavity_g, cavity_g_eps, outward_normal_data,
-                          project_compatible, rotation_data)
+                          project_compatible, rotation_data, smoothstep)
 from vws.errors import (
     IncompatibleBoundaryData,
     UnderResolvedWarning,
@@ -15,11 +15,9 @@ from vws.evolution import (
     TimeBoundaryData,
     Trajectory,
     _modulation_samples,
-    bump_ramp,
     evolve,
     evolve_lifted,
     final_zero_modulation,
-    hard_start,
     smooth_ramp,
     solve_adjoint_backward,
     spacetime_boundary_norm,
@@ -74,24 +72,18 @@ def test_time_profiles():
     assert float(r(0.25)) == pytest.approx(0.5)
     assert float(r(0.5)) == 1.0
     assert float(r(2.0)) == 1.0
-    b = bump_ramp(0.25, 0.5)
-    assert float(b(0.0)) == 0.0
-    assert float(b(0.25)) == 1.0
-    assert float(b(0.5)) == 0.0
-    assert float(hard_start()(0.0)) == 1.0
 
 
 def test_time_boundary_data_modes():
     grid = build_grid(8)
     g = rotation_data(grid)
-    with pytest.raises(ValueError):
-        TimeBoundaryData(grid)
     tb = TimeBoundaryData.ramped(g, smooth_ramp(0.5))
+    assert tb.grid is grid
     gk = tb.at(8, 1.0 / 32)            # t = 0.25, ramp = 1/2
     assert np.allclose(gk.samples["top"], 0.5 * g.samples["top"])
-    slices = [BoundaryData.zeros(grid), g]
-    tbs = TimeBoundaryData.from_slices(grid, slices)
-    assert tbs.at(1, 0.5) is slices[1]
+    gc = TimeBoundaryData.constant(g).at(5, 0.1)
+    for side in SIDES:
+        assert np.array_equal(gc.samples[side], g.samples[side])
 
 
 def test_zero_data_evolves_to_zero():
@@ -113,9 +105,9 @@ def test_step_validation():
 
 
 def test_slice_with_net_flux_rejected():
+    # slice 0 is zero, slice 1 the outward normal data
     grid = build_grid(8)
-    slices = [BoundaryData.zeros(grid), outward_normal_data(grid)]
-    tb = TimeBoundaryData.from_slices(grid, slices)
+    tb = TimeBoundaryData.ramped(outward_normal_data(grid), lambda t: t)
     with pytest.raises(IncompatibleBoundaryData):
         evolve(grid, tb, 1.0, 1.0)
 
@@ -215,8 +207,10 @@ def test_relaxation_to_stationary_flow():
 
 
 def test_bump_ramp_energy_decays_after_shutoff():
+    # C2 bump: rises on [0, 1/4], falls back to zero on [1/4, 1/2]
     grid = build_grid(16)
-    tb = TimeBoundaryData.ramped(cavity_g(grid), bump_ramp(0.25, 0.5))
+    tb = TimeBoundaryData.ramped(
+        cavity_g(grid), lambda t: smoothstep(t / 0.25) * smoothstep((0.5 - t) / 0.25))
     traj = evolve(grid, tb, 1.0, 1.0 / 32, scheme="euler")
     norms = traj.norms()
     # data is identically zero from t = 1/2 (step 16) on

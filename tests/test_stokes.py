@@ -167,12 +167,10 @@ def test_shifted_uzawa_iterations_bounded(n):
     # 16384); the exact Schur inverse solves directly at every shift
     grid, g = _lid(n)
     bc = DirichletBC.from_boundary_data(g)
-    opts = SolverOptions()
     for shift in (0.0, 64.0, 1024.0, 16384.0):
-        _, _, _, diag = solve_saddle(grid, bc, None, None, None, shift=shift,
-                                     opts=opts)
+        _, _, _, diag = solve_saddle(grid, bc, None, None, None, shift=shift)
         assert diag["outer_iterations"] == 1
-        assert diag["div_max"] <= opts.div_tol
+        assert diag["div_max"] <= SolverOptions().div_tol
 
 
 def test_tiny_data_takes_a_step():
