@@ -43,19 +43,17 @@ without building R g1.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (SIDES, BoundaryData, l2_norm_gamma, require_compatible,
-                       smoothstep)
+from .boundary import (SIDES, TANGENTS, BoundaryData, l2_norm_gamma,
+                       require_compatible, smoothstep)
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
-from .operators import DirichletBC, laplacian_load, saddle_inverses
-from .stokes import SolverOptions
+from .operators import laplacian_load, saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
                      perturbation_field)
 
@@ -134,29 +132,36 @@ class Trajectory:
         return np.array([l2_norm_omega(u) for u in self.velocities])
 
 
+# a march keeps every step, so longer ones are refused
+_MAX_STEPS = 10 ** 6
+
+
 def _check_steps(T: float, dt: float) -> int:
     # NaN fails every comparison; the last one catches an overflowing ratio
     if not (0.0 < T < np.inf and 0.0 < dt < np.inf and T / dt < np.inf):
         raise ValueError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
     m = round(T / dt)
+    if m > _MAX_STEPS:
+        raise ValueError(f"T={T} and dt={dt} make {T / dt:.3g} steps, "
+                         f"more than {_MAX_STEPS}")
     if m < 1 or abs(m * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integral number of steps of dt={dt}")
     return m
 
 
-def _slice_bc(g: TimeBoundaryData, k: int, dt: float) -> DirichletBC:
+def _slice(g: TimeBoundaryData, k: int, dt: float) -> BoundaryData:
     gk = g.at(k, dt)
     require_compatible(gk, f"boundary slice at step {k}")
-    return DirichletBC.from_boundary_data(gk)
+    return gk
 
 
 def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
-           force, slice_bc, backward: bool) -> Trajectory:
+           force, slice_g, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
 
     Node j of the march is time index j forward and m - j backward.
     force(j) -> (f1, f2) interior forcing at node j, or force=None;
-    slice_bc(j) -> DirichletBC at node j.  The trajectory comes back in
+    slice_g(j) -> BoundaryData at node j.  The trajectory comes back in
     forward time order either way.
 
     The previous velocity stays in the solver's modes, where its explicit
@@ -167,26 +172,26 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
     m = len(times) - 1
     shift = (1.0 if scheme == "euler" else 2.0) / dt
     inv = saddle_inverses(grid, shift)
-    div_tol = SolverOptions().div_tol
-    u = VelocityField.zeros(grid)
     u_hat = None                                 # modes of the zero start
-    bc_prev = slice_bc(0)
-    velocities = [u]
+    # the load of the Crank-Nicolson explicit half step takes the normal wall
+    # values of the previous velocity and the tangential ones of its slice.
+    # Each solve copies its slice's normals onto the wall faces, so from the
+    # second step on that is the previous slice; the zero start has none
+    g0 = slice_g(0)
+    g_prev = BoundaryData(grid, {s: g0.samples[s] * np.abs(TANGENTS[s])
+                                 for s in SIDES})
+    velocities = [VelocityField.zeros(grid)]
     pressures = [None]
     diags = []
     for j in range(m):
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
-        bc_next = slice_bc(j + 1)
+        g_next = slice_g(j + 1)
         b, b1, b2 = inv.face_stack()
-        laplacian_load(grid, bc_next, out=(b1, b2))
+        laplacian_load(grid, g_next, out=(b1, b2))
         nodes = (j + 1,)
         if scheme == "cn":
-            # the load of the explicit half step takes the normal wall values
-            # of the previous velocity and the tangential ones of its slice
-            laplacian_load(grid, dataclasses.replace(
-                bc_prev, u1_left=u.u1[0], u1_right=u.u1[-1],
-                u2_bottom=u.u2[:, 0], u2_top=u.u2[:, -1]), out=(b1, b2))
+            laplacian_load(grid, g_prev, out=(b1, b2))
             nodes = (j, j + 1)
         if force is not None:
             for node in nodes:
@@ -204,7 +209,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
             else:
                 b_hat -= inv.laplacian_modes(u_hat, -shift)
         try:
-            u1, u2, p, diag, u_hat = inv.solve(bc_next, b_hat, None, div_tol,
+            u1, u2, p, diag, u_hat = inv.solve(g_next, b_hat, None,
                                                keep_modes=True)
         except NonConvergence as exc:
             direction = "backward" if backward else "forward"
@@ -212,13 +217,12 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
                 f"{direction} step {j + 1}/{m} (t={times[k]:.6g}): {exc}",
                 best_x=exc.best_x, residual=exc.residual,
                 iterations=exc.iterations) from exc
-        u = VelocityField(grid, u1, u2)
-        velocities.append(u)
+        velocities.append(VelocityField(grid, u1, u2))
         pressures.append(PressureField(grid, p if scheme == "euler" else 0.5 * p))
         diag["wall_time"] = time.perf_counter() - t0
         diag["step"] = k
         diags.append(diag)
-        bc_prev = bc_next
+        g_prev = g_next
     if backward:
         velocities.reverse()
         pressures.reverse()
@@ -231,14 +235,15 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     """March the forced problem: force(t) -> (f1, f2) interior arrays, u(0) = 0.
 
     The zero-data problem (evolve) is the force=None case.  Bad T, dt,
-    ramp values or forcing, or g on another grid, raise ValueError.
+    ramp values or forcing, more than 10**6 steps, or g on another grid,
+    raise ValueError.
     """
     require_same_grid(grid, g)
     m = _check_steps(T, dt)
     times = np.arange(m + 1) * dt
     march_force = None if force is None else (lambda j: force(times[j]))
     return _march(grid, scheme, dt, times, march_force,
-                  lambda j: _slice_bc(g, j, dt), False)
+                  lambda j: _slice(g, j, dt), False)
 
 
 def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -258,10 +263,10 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     """
     require_same_grid(grid, u_traj)
     m = u_traj.steps
-    bc0 = DirichletBC.zero(grid)
+    g0 = BoundaryData.zeros(grid)
     return _march(grid, u_traj.scheme, u_traj.dt, u_traj.times.copy(),
                   lambda j: u_traj.velocities[m - j].interior(),
-                  lambda j: bc0, True)
+                  lambda j: g0, True)
 
 
 # --- space-time functionals --------------------------------------------------

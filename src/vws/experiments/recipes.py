@@ -54,7 +54,6 @@ from ..manufactured import (
     time_dependent_forcing,
 )
 from ..operators import (
-    DirichletBC,
     VelocityPoisson,
     apply_velocity_laplacian,
     cg_solve,
@@ -186,13 +185,13 @@ def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
 def _dense_velocity_laplacian(grid) -> np.ndarray:
     """-Laplacian on the interior faces (u1, then u2), column by column."""
     n = grid.n
-    bc = DirichletBC.zero(grid)
+    zero = BoundaryData.zeros(grid)
     cut = (n - 1) * n
     cols = []
     for e in np.eye(2 * cut):
         u = VelocityField.from_interior(grid, e[:cut].reshape(n - 1, n),
                                         e[cut:].reshape(n, n - 1))
-        r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc)
+        r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, zero)
         cols.append(np.concatenate([r1.ravel(), r2.ravel()]))
     return np.column_stack(cols)
 
@@ -209,14 +208,14 @@ def run_operator_algebra(cfg: ExperimentConfig) -> RecipeReport:
     dst_dense = []
     for n in ns:
         grid = build_grid(n)
-        bc = DirichletBC.zero(grid)
+        zero = BoundaryData.zeros(grid)
         u = VelocityField.from_interior(grid, rng.standard_normal((n - 1, n)),
                                         rng.standard_normal((n, n - 1)))
         v = VelocityField.from_interior(grid, rng.standard_normal((n - 1, n)),
                                         rng.standard_normal((n, n - 1)))
         (u1, u2), (v1, v2) = u.interior(), v.interior()
-        Au1, Au2 = apply_velocity_laplacian(grid, u.u1, u.u2, bc)
-        Av1, Av2 = apply_velocity_laplacian(grid, v.u1, v.u2, bc)
+        Au1, Au2 = apply_velocity_laplacian(grid, u.u1, u.u2, zero)
+        Av1, Av2 = apply_velocity_laplacian(grid, v.u1, v.u2, zero)
         lhs = float((Au1 * v1).sum() + (Au2 * v2).sum())
         rhs = float((u1 * Av1).sum() + (u2 * Av2).sum())
         adj.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))

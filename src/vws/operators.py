@@ -1,13 +1,16 @@
 """Discrete operators on the MAC grid: Laplacian, divergence, gradient, solvers.
 
-The velocity Laplacian acts on interior faces.  Dirichlet data enters two ways:
+The velocity Laplacian acts on interior faces.  The boundary data g, a
+:class:`vws.boundary.BoundaryData` of midpoint samples, enters two ways:
 normal components sit exactly on boundary faces (a plain Dirichlet neighbor),
 tangential components are imposed through ghost-cell reflection
 
     u_ghost = 2 g - u_interior
 
-which keeps the eliminated operator symmetric (the elimination only adds
-+1/h^2 to the diagonal) and moves 2 g / h^2 into the load vector.
+at the interior face abscissae, where 2 g is the sum of the two adjacent
+midpoint samples.  This keeps the eliminated operator symmetric (the
+elimination only adds +1/h^2 to the diagonal) and moves 2 g / h^2 into the
+load vector.  Only this module reads where the wall values sit.
 
 There is one divergence and one gradient.  :func:`cell_divergence` takes the
 full face arrays, so prescribed wall faces count in it like any other face;
@@ -45,7 +48,7 @@ from .errors import NonConvergence
 from .grid import StaggeredGrid, VelocityField, PressureField
 
 __all__ = [
-    "DirichletBC",
+    "DIV_TOL",
     "apply_velocity_laplacian",
     "laplacian_load",
     "cell_divergence",
@@ -60,103 +63,63 @@ __all__ = [
     "saddle_inverses",
 ]
 
-
-@dataclass(frozen=True)
-class DirichletBC:
-    """Prescribed velocity values at the locations the stencils need them.
-
-    Normal components at boundary faces (exact sample positions); tangential
-    components at the ghost-reflection abscissae (i h along bottom/top, j h
-    along left/right, corners excluded), obtained by averaging the two
-    adjacent midpoint samples.
-    """
-
-    grid: StaggeredGrid
-    u1_left: np.ndarray    # (n,)   u1 at (0, (j+1/2)h)
-    u1_right: np.ndarray   # (n,)
-    u2_bottom: np.ndarray  # (n,)   u2 at ((i+1/2)h, 0)
-    u2_top: np.ndarray     # (n,)
-    u1_bottom: np.ndarray  # (n-1,) tangential u1 at (i h, 0), i = 1..n-1
-    u1_top: np.ndarray     # (n-1,)
-    u2_left: np.ndarray    # (n-1,) tangential u2 at (0, j h), j = 1..n-1
-    u2_right: np.ndarray   # (n-1,)
-
-    def __post_init__(self):
-        for name in ("u1_left", "u1_right", "u2_bottom", "u2_top",
-                     "u1_bottom", "u1_top", "u2_left", "u2_right"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has non-finite values")
-
-    @classmethod
-    def zero(cls, grid: StaggeredGrid) -> "DirichletBC":
-        n = grid.n
-        z_n = np.zeros(n)
-        z_m = np.zeros(n - 1)
-        return cls(grid, z_n, z_n.copy(), z_n.copy(), z_n.copy(),
-                   z_m, z_m.copy(), z_m.copy(), z_m.copy())
-
-    @classmethod
-    def from_boundary_data(cls, g: BoundaryData) -> "DirichletBC":
-        s = g.samples
-
-        def mid(a):  # midpoint samples -> values at interior face abscissae
-            return 0.5 * (a[:-1] + a[1:])
-
-        return cls(
-            g.grid,
-            u1_left=s["left"][:, 0].copy(),
-            u1_right=s["right"][:, 0].copy(),
-            u2_bottom=s["bottom"][:, 1].copy(),
-            u2_top=s["top"][:, 1].copy(),
-            u1_bottom=mid(s["bottom"][:, 0]),
-            u1_top=mid(s["top"][:, 0]),
-            u2_left=mid(s["left"][:, 1]),
-            u2_right=mid(s["right"][:, 1]),
-        )
+# the largest divergence defect a saddle solve may return, relative to the data
+DIV_TOL = 1e-8
 
 
-def laplacian_load(grid: StaggeredGrid, bc: DirichletBC, out=None):
+def _twice_tangential(a: np.ndarray) -> np.ndarray:
+    """Twice the tangential value at the interior face abscissae (i h along
+    bottom/top, j h along left/right, corners excluded): the sum of the two
+    adjacent midpoint samples."""
+    return a[:-1] + a[1:]
+
+
+def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     """Boundary contribution to the right-hand side of A u = b.
 
-    Returns interior-shaped arrays (b1, b2): Dirichlet neighbors contribute
-    g/h^2, eliminated tangential ghosts contribute 2 g/h^2.  Given out, a
-    pair of interior-shaped arrays, the load is added to them in place.
+    Returns interior-shaped arrays (b1, b2): the normal samples of g, which
+    sit on the wall faces, are Dirichlet neighbors and contribute g/h^2;
+    eliminated tangential ghosts contribute 2 g/h^2, with 2 g at an interior
+    face abscissa the sum of the two adjacent midpoint samples.  Given out,
+    a pair of interior-shaped arrays, the load is added to them in place.
     """
-    n, h = grid.n, grid.h
-    ih2 = 1.0 / h ** 2
+    n = grid.n
+    ih2 = 1.0 / grid.h ** 2
+    s = g.samples
     if out is None:
         out = np.zeros((n - 1, n)), np.zeros((n, n - 1))
     b1, b2 = out
-    b1[0, :] += bc.u1_left * ih2
-    b1[-1, :] += bc.u1_right * ih2
-    b1[:, 0] += 2.0 * bc.u1_bottom * ih2
-    b1[:, -1] += 2.0 * bc.u1_top * ih2
-    b2[:, 0] += bc.u2_bottom * ih2
-    b2[:, -1] += bc.u2_top * ih2
-    b2[0, :] += 2.0 * bc.u2_left * ih2
-    b2[-1, :] += 2.0 * bc.u2_right * ih2
+    b1[0, :] += s["left"][:, 0] * ih2
+    b1[-1, :] += s["right"][:, 0] * ih2
+    b1[:, 0] += _twice_tangential(s["bottom"][:, 0]) * ih2
+    b1[:, -1] += _twice_tangential(s["top"][:, 0]) * ih2
+    b2[:, 0] += s["bottom"][:, 1] * ih2
+    b2[:, -1] += s["top"][:, 1] * ih2
+    b2[0, :] += _twice_tangential(s["left"][:, 1]) * ih2
+    b2[-1, :] += _twice_tangential(s["right"][:, 1]) * ih2
     return b1, b2
 
 
-def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, bc: DirichletBC,
+def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData,
                              shift: float = 0.0):
     """Matrix-free (-Laplacian + shift) u at interior faces.
 
     u1, u2 are full face arrays whose boundary faces already hold the normal
-    Dirichlet values; tangential ghosts come from bc.  Returns interior-shaped
-    arrays.  Equivalent to A u - load(bc), with A the interior-face operator
+    Dirichlet values; tangential ghosts come from g.  Returns interior-shaped
+    arrays.  Equivalent to A u - load(g), with A the interior-face operator
     and load from :func:`laplacian_load`.
     """
     n, h = grid.n, grid.h
     ih2 = 1.0 / h ** 2
+    s = g.samples
 
     # u1 with ghost columns below/above
     u1p = np.empty((n + 1, n + 2))
     u1p[:, 1:-1] = u1
     u1p[:, 0] = -u1[:, 0]
     u1p[:, -1] = -u1[:, -1]
-    u1p[1:n, 0] += 2.0 * bc.u1_bottom
-    u1p[1:n, -1] += 2.0 * bc.u1_top
+    u1p[1:n, 0] += _twice_tangential(s["bottom"][:, 0])
+    u1p[1:n, -1] += _twice_tangential(s["top"][:, 0])
     c = u1p[1:n, 1:-1]
     r1 = (4.0 * c - u1p[0:n - 1, 1:-1] - u1p[2:n + 1, 1:-1]
           - u1p[1:n, 0:-2] - u1p[1:n, 2:]) * ih2 + shift * c
@@ -165,8 +128,8 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, bc: DirichletBC,
     u2p[1:-1, :] = u2
     u2p[0, :] = -u2[0, :]
     u2p[-1, :] = -u2[-1, :]
-    u2p[0, 1:n] += 2.0 * bc.u2_left
-    u2p[-1, 1:n] += 2.0 * bc.u2_right
+    u2p[0, 1:n] += _twice_tangential(s["left"][:, 1])
+    u2p[-1, 1:n] += _twice_tangential(s["right"][:, 1])
     c = u2p[1:-1, 1:n]
     r2 = (4.0 * c - u2p[0:n, 1:n] - u2p[2:n + 2, 1:n]
           - u2p[1:-1, 0:n - 1] - u2p[1:-1, 2:n + 1]) * ih2 + shift * c
@@ -534,16 +497,16 @@ class SaddleInverse:
         out += r
         return out
 
-    def solve(self, bc: DirichletBC, b_hat: np.ndarray, h_src, div_tol: float,
+    def solve(self, g: BoundaryData, b_hat: np.ndarray, h_src,
               keep_modes: bool = False):
         """Direct saddle solve from the stacked modes b_hat of the momentum
         right side (load included; overwritten).
 
         Returns (u1_full, u2_full, p_cells, diagnostics, u_hat): the wall
-        faces of u hold the normal values of bc, and u_hat is b_hat holding
+        faces of u hold the normal samples of g, and u_hat is b_hat holding
         the modes of the interior velocity when keep_modes is set, else
         None.  The divergence defect max|h_src - D u| of the returned field
-        must be at most div_tol times the data scale max(max|c|, max|D w|),
+        must be at most DIV_TOL times the data scale max(max|c|, max|D w|),
         c = h_src less the wall fluxes and w = A^{-1} b; a miss, a NaN
         included, raises NonConvergence carrying p and the defect.
         """
@@ -559,10 +522,12 @@ class SaddleInverse:
             c.fill(0.0)
         else:
             c[...] = h_src
-        c[0, :] += bc.u1_left / h
-        c[n - 1, :] -= bc.u1_right / h
-        c[:, 0] += bc.u2_bottom / h
-        c[:, n - 1] -= bc.u2_top / h
+        left, right = g.samples["left"][:, 0], g.samples["right"][:, 0]
+        bottom, top = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
+        c[0, :] += left / h
+        c[n - 1, :] -= right / h
+        c[:, 0] += bottom / h
+        c[:, n - 1] -= top / h
         c_max = max(float(c.max()), -float(c.min()))
         c = dctn(c, type=2, norm="ortho", overwrite_x=True)
 
@@ -592,8 +557,8 @@ class SaddleInverse:
         scale = max(c_max, float(q[0].max()), -float(q[0].min()))
         p[...] = q[1]
         x1, x2 = self.from_modes(w_hat.copy() if keep_modes else w_hat)
-        u1[0, :], u1[n, :] = bc.u1_left, bc.u1_right
-        u2[:, 0], u2[:, n] = bc.u2_bottom, bc.u2_top
+        u1[0, :], u1[n, :] = left, right
+        u2[:, 0], u2[:, n] = bottom, top
         u1[1:n, :] = x1
         u2[:, 1:n] = x2
 
@@ -601,10 +566,10 @@ class SaddleInverse:
         if h_src is not None:
             defect -= h_src
         div_max = float(np.abs(defect, out=defect).max())
-        if not div_max <= div_tol * scale:
+        if not div_max <= DIV_TOL * scale:
             raise NonConvergence(
                 f"saddle solve: divergence defect {div_max:.3e} above "
-                f"{div_tol:.1e} of the data scale {scale:.3e}",
+                f"{DIV_TOL:.1e} of the data scale {scale:.3e}",
                 best_x=p, residual=div_max, iterations=steps,
             )
         diag = {"outer_iterations": steps, "div_max": div_max}

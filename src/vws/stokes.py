@@ -13,7 +13,9 @@ correction.  D is the one cell divergence of full face arrays
 (:func:`vws.operators.cell_divergence`), so prescribed wall faces count in
 it.  The wall faces reach only the border cells, each with a wall flux
 +-(normal value)/h, so the interior unknowns see D w = c, with c = h_src
-less those fluxes:
+less those fluxes.  Summed over the cells, D u = h_src reads
+h^2 sum h_src = h sum g . n, so :func:`solve_saddle` refuses data that miss
+it beyond rounding before it solves anything.  Then:
 
     1. w = A^{-1} b on the interior faces, and D w;
     2. rhs = c - D w, re-centred to zero mean;
@@ -21,7 +23,7 @@ less those fluxes:
     4. the wall faces of u get the prescribed normal values and its interior
        faces w - A^{-1} G p;
     5. the divergence defect max|h_src - D u| of the returned field must be at
-       most div_tol times the data scale max(max|c|, max|D w|); a miss, a NaN
+       most DIV_TOL times the data scale max(max|c|, max|D w|); a miss, a NaN
        included, raises NonConvergence carrying p and the defect.
 
 Steps 1-4 run in the modes, so a solve costs one forward transform of b and
@@ -38,12 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryData, require_compatible
-from .errors import IncompatibleSource
+from .boundary import SIDES, BoundaryData, compatibility_defect
+from .errors import IncompatibleBoundaryData, IncompatibleSource
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import (
-    DirichletBC,
+    DIV_TOL,
     apply_velocity_laplacian,
     divergence,
     face_gradient,
@@ -65,7 +67,7 @@ __all__ = [
 class SolverOptions:
     """Tolerance shared by all saddle solves."""
 
-    div_tol: float = 1e-8      # max divergence defect, relative to the data
+    div_tol: float = DIV_TOL   # max divergence defect, relative to the data
 
 
 @dataclass
@@ -76,34 +78,44 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_saddle(grid: StaggeredGrid, bc: DirichletBC, f1, f2, h_src,
+def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
                  shift: float = 0.0):
     """Core saddle solve.  f1, f2 interior-shaped forcing; h_src cell-shaped.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
-    the returned velocity hold the prescribed normal values from bc.
-    A bc of another grid, a misshapen or non-finite f1, f2 or h_src, a
-    non-finite shift, or a shift at which the velocity or Schur operator is
-    singular, raises ValueError; a divergence defect of the returned
-    velocity above SolverOptions().div_tol of the data scale, or a
+    the returned velocity hold the normal samples of g.  A g of another
+    grid, a misshapen or non-finite f1, f2 or h_src, a non-finite shift, or
+    a shift at which the velocity or Schur operator is singular, raises
+    ValueError.  Solvability asks h^2 sum h_src = h sum g . n to 1e-12 of
+    h^2 sum |h_src| + h sum |g . n|; a miss raises IncompatibleBoundaryData
+    without a source and IncompatibleSource with one.  A divergence defect
+    of the returned velocity above DIV_TOL of the data scale, or a
     non-finite one, raises NonConvergence.
     """
-    require_same_grid(grid, bc)
-    n = grid.n
+    require_same_grid(grid, g)
+    n, h = grid.n, grid.h
     for name, a, shape in (("forcing", f1, (n - 1, n)), ("forcing", f2, (n, n - 1)),
                            ("divergence source", h_src, (n, n))):
         if a is not None and (np.shape(a) != shape or not np.isfinite(a).all()):
             raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
+    net = compatibility_defect(g)
+    scale = h * sum(float(np.abs(g.normal_part(s)).sum()) for s in SIDES)
+    if h_src is not None:
+        net -= h * h * float(np.sum(h_src))
+        scale += h * h * float(np.abs(h_src).sum())
+    if abs(net) > 1e-12 * scale:
+        error = IncompatibleBoundaryData if h_src is None else IncompatibleSource
+        raise error(f"net boundary flux less the divergence source total is "
+                    f"{net:.3e}; project the data first")
     t0 = time.perf_counter()
     inv = saddle_inverses(grid, shift)
     b, b1, b2 = inv.face_stack()
-    laplacian_load(grid, bc, out=(b1, b2))
+    laplacian_load(grid, g, out=(b1, b2))
     if f1 is not None:
         b1 += f1
     if f2 is not None:
         b2 += f2
-    u1, u2, p, diag, _ = inv.solve(bc, inv.to_modes(b), h_src,
-                                   SolverOptions().div_tol)
+    u1, u2, p, diag, _ = inv.solve(g, inv.to_modes(b), h_src)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
 
@@ -112,25 +124,14 @@ def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
                       h_src: PressureField | None = None) -> StokesSolution:
     """Stokes with zero boundary values, interior forcing f, divergence h_src.
 
-    h_src must have zero discrete mean (solvability; to 1e-12 of
-    h^2 sum |h_src|); otherwise IncompatibleSource is raised.  Non-finite f
-    (interior faces) or h_src, or either on another grid, raises ValueError.
+    h_src must have zero discrete mean (to 1e-12 of h^2 sum |h_src|);
+    otherwise IncompatibleSource is raised.  Non-finite f (interior faces)
+    or h_src, or either on another grid, raises ValueError.
     """
     require_same_grid(grid, f, h_src)
-    src = None
-    if h_src is not None:
-        src = h_src.p
-        # a non-finite total fails no comparison and solve_saddle rejects it
-        with np.errstate(invalid="ignore"):
-            total = grid.h ** 2 * float(src.sum())
-        scale = grid.h ** 2 * float(np.abs(src).sum())
-        if abs(total) > 1e-12 * scale:
-            raise IncompatibleSource(
-                f"divergence source has nonzero mean {total:.3e}"
-            )
     f1, f2 = (None, None) if f is None else f.interior()
-    bc = DirichletBC.zero(grid)
-    u1, u2, p, diag = solve_saddle(grid, bc, f1, f2, src)
+    u1, u2, p, diag = solve_saddle(grid, BoundaryData.zeros(grid), f1, f2,
+                                   None if h_src is None else h_src.p)
     return StokesSolution(grid, VelocityField(grid, u1, u2),
                           PressureField(grid, p), diag)
 
@@ -143,10 +144,7 @@ def solve_boundary(grid: StaggeredGrid, g: BoundaryData) -> StokesSolution:
     raises ValueError.  Normal samples land exactly on boundary faces;
     tangential samples act through ghost reflection.
     """
-    require_same_grid(grid, g)
-    require_compatible(g)
-    bc = DirichletBC.from_boundary_data(g)
-    u1, u2, p, diag = solve_saddle(grid, bc, None, None, None)
+    u1, u2, p, diag = solve_saddle(grid, g, None, None, None)
     return StokesSolution(grid, VelocityField(grid, u1, u2),
                           PressureField(grid, p), diag)
 
@@ -159,10 +157,10 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     momentum_res_rel divides it by h ||f + load|| (0 when that is 0).
     """
     grid = sol.grid
-    bc = DirichletBC.zero(grid) if g is None else DirichletBC.from_boundary_data(g)
+    data = BoundaryData.zeros(grid) if g is None else g
     u1, u2 = sol.velocity.u1, sol.velocity.u2
-    r1, r2 = apply_velocity_laplacian(grid, u1, u2, bc)  # A u - load
-    b1, b2 = laplacian_load(grid, bc)
+    r1, r2 = apply_velocity_laplacian(grid, u1, u2, data)  # A u - load
+    b1, b2 = laplacian_load(grid, data)
     g1, g2 = face_gradient(sol.pressure.p, grid.h)
     r1 += g1
     r2 += g2
@@ -177,11 +175,12 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     div = divergence(sol.velocity)
     mismatch = 0.0
     if g is not None:
+        s = g.samples
         mismatch = max(
-            float(np.abs(u1[0, :] - bc.u1_left).max()),
-            float(np.abs(u1[-1, :] - bc.u1_right).max()),
-            float(np.abs(u2[:, 0] - bc.u2_bottom).max()),
-            float(np.abs(u2[:, -1] - bc.u2_top).max()),
+            float(np.abs(u1[0, :] - s["left"][:, 0]).max()),
+            float(np.abs(u1[-1, :] - s["right"][:, 0]).max()),
+            float(np.abs(u2[:, 0] - s["bottom"][:, 1]).max()),
+            float(np.abs(u2[:, -1] - s["top"][:, 1]).max()),
         )
     return {
         "momentum_res": mom,

@@ -44,9 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import SIDES, _require_sides, smoothstep
+from .boundary import SIDES, BoundaryData, _require_sides, smoothstep
 from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
-from .operators import DirichletBC, apply_velocity_laplacian, stream_curl
+from .operators import apply_velocity_laplacian, stream_curl
 
 __all__ = [
     "TangentialBoundaryData",
@@ -150,7 +150,7 @@ def pairing_with_field(u: VelocityField, v: VelocityField) -> float:
     """Discrete integral of u . Laplace(v) for a lift-like v (v = 0 on walls)."""
     grid = u.grid
     require_same_grid(grid, v)
-    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, DirichletBC.zero(grid))
+    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, BoundaryData.zeros(grid))
     u1, u2 = u.interior()
     return -grid.h ** 2 * float(np.sum(u1 * a1) + np.sum(u2 * a2))
 

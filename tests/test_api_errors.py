@@ -21,13 +21,13 @@ from vws.evolution import (
     final_zero_modulation,
     smooth_ramp,
     solve_adjoint_backward,
+    spacetime_boundary_norm,
     spacetime_estimate_ratio,
     spacetime_independence_gap,
     spacetime_pairing,
     spacetime_pairing_reference,
 )
 from vws.grid import build_grid, l2_norm_omega
-from vws.operators import DirichletBC
 from vws.stokes import solve_boundary, solve_homogeneous, solve_saddle
 from vws.traces import TangentialBoundaryData, pairing_L, pairing_with_field
 from vws.transposition import estimate_ratio, transposition_identity
@@ -74,7 +74,7 @@ def test_tangential_data_rejects_unknown_sides_and_zeros_missing_ones():
 _CROSS_GRID = {
     "solve_boundary": lambda a, b: solve_boundary(a, cavity_g(b)),
     "solve_homogeneous": lambda a, b: solve_homogeneous(a, f=_velocity(b.n)),
-    "solve_saddle": lambda a, b: solve_saddle(a, DirichletBC.zero(b), None, None, None),
+    "solve_saddle": lambda a, b: solve_saddle(a, BoundaryData.zeros(b), None, None, None),
     "transposition_identity": lambda a, b: transposition_identity(
         a, cavity_g(a), u=_velocity(b.n)),
     "estimate_ratio": lambda a, b: estimate_ratio(a, cavity_g(b)),
@@ -135,6 +135,21 @@ def test_non_finite_step_data_raises(T, dt):
         evolve(grid, tb, T, dt)
 
 
+@pytest.mark.parametrize("dt", [1e-15, 1e-300])
+def test_step_count_ceiling(dt):
+    # 1e15 steps asked for a 7.11 PiB time axis (MemoryError), 1e300 for an
+    # array above numpy's maximum size
+    grid = build_grid(8)
+    tb = TimeBoundaryData.constant(cavity_g(grid))
+    for call in (lambda: evolve(grid, tb, 1.0, dt),
+                 lambda: spacetime_boundary_norm(tb, 1.0, dt),
+                 lambda: spacetime_pairing_reference(
+                     tb, _probe(8), final_zero_modulation(1.0), 1.0, dt)):
+        with pytest.raises(ValueError, match=f"T=1.0 and dt={dt} make .* steps, "
+                                             "more than 1000000"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_ramp_raises(bad):
     grid = build_grid(8)
@@ -151,7 +166,7 @@ def test_misshapen_forcing_raises():
     with pytest.raises(ValueError, match="forcing must have shapes"):
         evolve_lifted(grid, tb, 2 * DT, DT, force=row)
     with pytest.raises(ValueError, match="shape other than"):
-        solve_saddle(grid, DirichletBC.zero(grid), np.ones(8), None, None)
+        solve_saddle(grid, BoundaryData.zeros(grid), np.ones(8), None, None)
 
 
 # --- the sweep ------------------------------------------------------------------
@@ -169,7 +184,7 @@ def _cases(draw):
     keys = draw(_SIDE_KEYS)
     steps = draw(st.integers(1, 3))
     T = draw(st.one_of(st.just(steps * DT), _BAD))
-    dt = draw(st.one_of(st.just(DT), _BAD))
+    dt = draw(st.one_of(st.just(DT), _BAD, st.sampled_from([1e-15, 1e-300])))
     ramp_value = draw(st.one_of(st.just(1.0), _BAD))
     mod_value = draw(st.one_of(st.just(None), _BAD))
     scale = draw(st.sampled_from([0.0, 1.0]))

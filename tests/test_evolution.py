@@ -30,9 +30,9 @@ from vws.evolution import (
 )
 from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import time_dependent_forcing, time_dependent_solution
-from vws.boundary import SIDES
-from vws.stokes import solve_boundary
-from vws.operators import DirichletBC, apply_velocity_laplacian
+from vws.boundary import SIDES, TANGENTS
+from vws.stokes import solve_boundary, solve_saddle
+from vws.operators import apply_velocity_laplacian, laplacian_load
 from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_field
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
@@ -157,6 +157,22 @@ def test_cn_march_forms_its_explicit_term_in_modes(monkeypatch):
     evolve_lifted(grid, tb, 0.5, 0.0625, scheme="cn", force=_force(grid))
 
 
+def test_first_cn_step_takes_no_wall_normals():
+    # the explicit half step of the first Crank-Nicolson step sees the zero
+    # start, whose wall faces hold no normal values, and the tangential
+    # values of g(0); no other test tells it from one that loads all of g(0)
+    grid = build_grid(16)
+    g, dt = rotation_data(grid), 0.0625
+    traj = evolve(grid, TimeBoundaryData.constant(g), 2 * dt, dt, scheme="cn")
+    tangential = BoundaryData(grid, {s: g.samples[s] * np.abs(TANGENTS[s])
+                                     for s in SIDES})
+    f1, f2 = laplacian_load(grid, tangential)
+    u1, u2, _, _ = solve_saddle(grid, g, f1, f2, None, shift=2.0 / dt)
+    got = traj.velocities[1]
+    assert np.abs(got.u1 - u1).max() <= 1e-13 * np.abs(u1).max()
+    assert np.abs(got.u2 - u2).max() <= 1e-13 * np.abs(u2).max()
+
+
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
 def test_march_rejects_non_finite_forcing(scheme):
     # the march transforms its forcing itself; a NaN must not come back as a
@@ -258,7 +274,7 @@ def _per_step_pairing(traj, v, modulation):
     """sum_k w_k (m'_k <u^k, v>_h + m_k <u^k, Laplace_h v>), one step at a
     time, with the face-space Laplacian of v."""
     grid, h = traj.grid, traj.grid.h
-    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, DirichletBC.zero(grid))
+    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, BoundaryData.zeros(grid))
     v1, v2 = v.interior()
     mvals, dm = _modulation_samples(modulation, traj.times)
     w = trapezoid_weights(traj.steps, traj.dt)

@@ -4,11 +4,10 @@ from scipy.fft import dctn, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
-from vws.boundary import outward_normal_data
+from vws.boundary import BoundaryData, outward_normal_data
 from vws.errors import NonConvergence
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
-    DirichletBC,
     SaddleInverse,
     VelocityPoisson,
     apply_velocity_laplacian,
@@ -36,12 +35,12 @@ def test_laplacian_self_adjoint():
     rng = np.random.default_rng(11)
     for n in (8, 12, 16):
         grid = build_grid(n)
-        bc = DirichletBC.zero(grid)
+        g = BoundaryData.zeros(grid)
         for _ in range(3):
             u1, u2 = _random_interior(rng, n)
             v1, v2 = _random_interior(rng, n)
-            Au1, Au2 = apply_velocity_laplacian(grid, u1, u2, bc)
-            Av1, Av2 = apply_velocity_laplacian(grid, v1, v2, bc)
+            Au1, Au2 = apply_velocity_laplacian(grid, u1, u2, g)
+            Av1, Av2 = apply_velocity_laplacian(grid, v1, v2, g)
             lhs = (Au1 * v1[1:n, :]).sum() + (Au2 * v2[:, 1:n]).sum()
             rhs = (u1[1:n, :] * Av1).sum() + (u2[:, 1:n] * Av2).sum()
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -50,9 +49,9 @@ def test_laplacian_self_adjoint():
 def test_laplacian_positive():
     rng = np.random.default_rng(3)
     grid = build_grid(12)
-    bc = DirichletBC.zero(grid)
+    g = BoundaryData.zeros(grid)
     u1, u2 = _random_interior(rng, 12)
-    Au1, Au2 = apply_velocity_laplacian(grid, u1, u2, bc)
+    Au1, Au2 = apply_velocity_laplacian(grid, u1, u2, g)
     energy = (Au1 * u1[1:12, :]).sum() + (Au2 * u2[:, 1:12]).sum()
     assert energy > 0.0
 
@@ -61,10 +60,10 @@ def test_laplacian_shift():
     rng = np.random.default_rng(5)
     n = 8
     grid = build_grid(n)
-    bc = DirichletBC.zero(grid)
+    g = BoundaryData.zeros(grid)
     u1, u2 = _random_interior(rng, n)
-    a1, a2 = apply_velocity_laplacian(grid, u1, u2, bc)
-    s1, s2 = apply_velocity_laplacian(grid, u1, u2, bc, shift=3.5)
+    a1, a2 = apply_velocity_laplacian(grid, u1, u2, g)
+    s1, s2 = apply_velocity_laplacian(grid, u1, u2, g, shift=3.5)
     assert np.allclose(s1, a1 + 3.5 * u1[1:n, :], atol=1e-12)
     assert np.allclose(s2, a2 + 3.5 * u2[:, 1:n], atol=1e-12)
 
@@ -78,7 +77,7 @@ def test_laplacian_truncation_order():
         grid = build_grid(n)
         v = VelocityField.from_functions(grid, f, f)
         r1, r2 = apply_velocity_laplacian(grid, v.u1, v.u2,
-                                          DirichletBC.zero(grid))
+                                          BoundaryData.zeros(grid))
         ex = VelocityField.from_functions(grid, lap, lap)
         errs.append(max(np.abs(r1 - ex.u1[1:n, :]).max(),
                         np.abs(r2 - ex.u2[:, 1:n]).max()))
@@ -118,11 +117,11 @@ def test_boundary_divergence_counts_flux():
     # wall faces count in the divergence like any other face
     n = 32
     grid = build_grid(n)
-    bc = DirichletBC.from_boundary_data(outward_normal_data(grid))
+    g = outward_normal_data(grid)
     u1 = np.zeros((n + 1, n))
     u2 = np.zeros((n, n + 1))
-    u1[0, :], u1[n, :] = bc.u1_left, bc.u1_right
-    u2[:, 0], u2[:, n] = bc.u2_bottom, bc.u2_top
+    u1[0, :], u1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
+    u2[:, 0], u2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
     total = grid.h ** 2 * divergence(VelocityField(grid, u1, u2)).p.sum()
     assert abs(total - 4.0) <= 1e-12
 
@@ -331,7 +330,7 @@ def test_modal_laplacian_matches_face_laplacian(n, shift):
     x1 += u1[1:n, :]
     x2 += u2[:, 1:n]
     got = inv.from_modes(inv.laplacian_modes(inv.to_modes(x), shift))
-    want = apply_velocity_laplacian(grid, u1, u2, DirichletBC.zero(grid),
+    want = apply_velocity_laplacian(grid, u1, u2, BoundaryData.zeros(grid),
                                     shift=shift)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()

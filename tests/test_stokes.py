@@ -23,7 +23,6 @@ from vws.errors import (
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
 from vws.operators import (
-    DirichletBC,
     SaddleInverse,
     divergence,
     laplacian_load,
@@ -116,6 +115,23 @@ def test_incompatible_source_rejected():
         solve_homogeneous(grid, h_src=h_src)
 
 
+@pytest.mark.parametrize("shift", [0.0, 64.0])
+def test_saddle_solve_checks_solvability(shift):
+    # a wall flux the source does not balance is a solvability failure, not
+    # a solver miss: it used to come back as NonConvergence ("divergence
+    # defect 4.000e+00"); a source that balances it solves
+    grid = build_grid(16)
+    g = outward_normal_data(grid)           # net outflow h sum g . n = 4
+    with pytest.raises(IncompatibleBoundaryData, match="net boundary flux"):
+        solve_saddle(grid, g, None, None, None, shift=shift)
+    with pytest.raises(IncompatibleSource, match="net boundary flux"):
+        solve_saddle(grid, g, None, None, np.zeros((16, 16)), shift=shift)
+    src = np.full((16, 16), 4.0)            # h^2 sum src = 4
+    u1, u2, _, diag = solve_saddle(grid, g, None, None, src, shift=shift)
+    defect = src - divergence(VelocityField(grid, u1, u2)).p
+    assert np.abs(defect).max() == diag["div_max"] <= 1e-12
+
+
 def test_balanced_source_accepted():
     grid = build_grid(16)
     arr = np.zeros((16, 16))
@@ -132,19 +148,19 @@ def test_saddle_solve_matches_dense_kkt(n, shift):
     # mean, shares no code with the transform and Schur inverses
     grid = build_grid(n)
     rng = np.random.default_rng(n)
-    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    g = rotation_data(grid)
     f1, f2 = _random_forcing(grid, n + 3)
     src = rng.standard_normal((n, n))
     src -= src.mean()
-    u1, u2, p, _ = solve_saddle(grid, bc, f1, f2, src, shift=shift)
+    u1, u2, p, _ = solve_saddle(grid, g, f1, f2, src, shift=shift)
 
     A = dense_velocity_laplacian(grid, shift)
     G = dense_face_gradient(grid)
     m, k = G.shape
-    load1, load2 = laplacian_load(grid, bc)
+    load1, load2 = laplacian_load(grid, g)
     w1, w2 = np.zeros((n + 1, n)), np.zeros((n, n + 1))
-    w1[0, :], w1[n, :] = bc.u1_left, bc.u1_right
-    w2[:, 0], w2[:, n] = bc.u2_bottom, bc.u2_top
+    w1[0, :], w1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
+    w2[:, 0], w2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
     c = src - divergence(VelocityField(grid, w1, w2)).p
     kkt = np.zeros((m + k + 1, m + k + 1))
     kkt[:m, :m] = A
@@ -166,9 +182,8 @@ def test_shifted_uzawa_iterations_bounded(n):
     # plain Uzawa CG needs up to 155 outer iterations here (n=128, shift
     # 16384); the exact Schur inverse solves directly at every shift
     grid, g = _lid(n)
-    bc = DirichletBC.from_boundary_data(g)
     for shift in (0.0, 64.0, 1024.0, 16384.0):
-        _, _, _, diag = solve_saddle(grid, bc, None, None, None, shift=shift)
+        _, _, _, diag = solve_saddle(grid, g, None, None, None, shift=shift)
         assert diag["outer_iterations"] == 1
         assert diag["div_max"] <= SolverOptions().div_tol
 
@@ -231,8 +246,7 @@ def test_saddle_solve_takes_one_modal_solve(monkeypatch):
     # direct solve two
     calls = count_saddle_solves(monkeypatch)
     grid, g = _lid(32)
-    solve_saddle(grid, DirichletBC.from_boundary_data(g), None, None, None,
-                 shift=64.0)
+    solve_saddle(grid, g, None, None, None, shift=64.0)
     assert len(calls) == 1
 
 
@@ -281,7 +295,7 @@ def _inner(grid, a, b):
 
 
 def _forced_velocity(grid, f, shift):
-    u1, u2, _, _ = solve_saddle(grid, DirichletBC.zero(grid), f[0], f[1], None,
+    u1, u2, _, _ = solve_saddle(grid, BoundaryData.zeros(grid), f[0], f[1], None,
                                 shift=shift)
     return u1[1:grid.n, :], u2[:, 1:grid.n]
 
@@ -329,19 +343,6 @@ def test_solution_operator_is_symmetric(seed_f, seed_w, shift):
     assert abs(lhs - rhs) <= 1e-12 * bound
 
 
-@pytest.mark.parametrize("side", ["u1_bottom", "u1_left"])
-def test_dirichlet_bc_rejects_non_finite(side):
-    # a NaN in a DirichletBC built directly, not through BoundaryData, used
-    # to come back as a NaN velocity after 0 outer iterations
-    grid = build_grid(16)
-    bc = DirichletBC.zero(grid)
-    bad = getattr(bc, side).copy()
-    bad[3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_saddle(grid, dataclasses.replace(bc, **{side: bad}),
-                     None, None, None, shift=10.0)
-
-
 def test_rejects_non_finite_forcing():
     # a NaN forcing used to come back as a NaN velocity with no error
     grid = build_grid(16)
@@ -365,12 +366,12 @@ def test_saddle_rejects_non_finite_forcing_with_shift():
     # the time marches call solve_saddle directly; a NaN forcing used to
     # come back as a NaN velocity after 0 outer iterations
     grid = build_grid(16)
-    bc = DirichletBC.zero(grid)
+    g = BoundaryData.zeros(grid)
     f1 = np.zeros((15, 16))
     f2 = np.zeros((16, 15))
     f1[4, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        solve_saddle(grid, bc, f1, f2, None, shift=10.0)
+        solve_saddle(grid, g, f1, f2, None, shift=10.0)
 
 
 @pytest.mark.parametrize("shift", [0.0, 10.0])
@@ -387,7 +388,7 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
 
     monkeypatch.setattr(SaddleInverse, "velocity_solve", zero)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
-        solve_saddle(grid, DirichletBC.zero(grid), None, None, src, shift=shift)
+        solve_saddle(grid, BoundaryData.zeros(grid), None, None, src, shift=shift)
     assert info.value.best_x is not None
     assert info.value.residual == pytest.approx(1.0)
 
@@ -396,9 +397,9 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
 def test_saddle_rejects_non_finite_shift(shift):
     # a NaN or infinite shift used to come back as an all-NaN velocity
     grid = build_grid(16)
-    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    g = rotation_data(grid)
     with pytest.raises(ValueError, match="shift"):
-        solve_saddle(grid, bc, None, None, None, shift=shift)
+        solve_saddle(grid, g, None, None, None, shift=shift)
 
 
 def test_singular_shift_raises_nonconvergence():
@@ -409,12 +410,12 @@ def test_singular_shift_raises_nonconvergence():
     # shift first and caches nothing
     n = 16
     grid = build_grid(n)
-    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    g = rotation_data(grid)
     mu_1 = (2.0 - 2.0 * np.cos(np.pi / n)) * n ** 2
     saddle_inverses.cache_clear()
     for shift, which in ((-2.0 * mu_1, "velocity"), (-mu_1, "Schur")):
         with pytest.raises(ValueError, match=f"{which}.* singular"):
-            solve_saddle(grid, bc, None, None, None, shift=shift)
+            solve_saddle(grid, g, None, None, None, shift=shift)
     assert saddle_inverses.cache_info().currsize == 0
 
 
@@ -425,15 +426,15 @@ def test_div_max_is_the_defect_of_the_returned_field(n, shift):
     # reported defect is the one divergence applied to the returned field
     grid = build_grid(n)
     rng = np.random.default_rng(n)
-    bc = DirichletBC.from_boundary_data(rotation_data(grid))
+    g = rotation_data(grid)
     f1, f2 = _random_forcing(grid, n + 1)
     src = rng.standard_normal((n, n))
     src -= src.mean()
-    u1, u2, _, diag = solve_saddle(grid, bc, f1, f2, src, shift=shift)
+    u1, u2, _, diag = solve_saddle(grid, g, f1, f2, src, shift=shift)
     defect = src - divergence(VelocityField(grid, u1, u2)).p
     assert diag["div_max"] == float(np.abs(defect).max())
-    assert u1[0, :] == pytest.approx(bc.u1_left, abs=0.0)
-    assert u2[:, n] == pytest.approx(bc.u2_top, abs=0.0)
+    assert u1[0, :] == pytest.approx(g.samples["left"][:, 0], abs=0.0)
+    assert u2[:, n] == pytest.approx(g.samples["top"][:, 1], abs=0.0)
 
 
 def test_residual_report_momentum_residual_flags_a_wrong_pressure():
