@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleBoundaryData, UnderResolvedWarning
+from .errors import UnderResolvedWarning
 from .grid import StaggeredGrid
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "corner_variant",
     "outward_normal_data",
     "compatibility_defect",
-    "require_compatible",
     "project_compatible",
     "l2_norm_gamma",
 ]
@@ -130,7 +129,7 @@ def cavity_eps_profile(x, eps: float):
 
     Vanishes at both ends of the lid and rises to ~1 over a layer of width eps.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x, dtype=float)
     return 1.0 - sigma(x) * np.exp(-x / eps) - sigma(1.0 - x) * np.exp(-(1.0 - x) / eps)
@@ -168,8 +167,11 @@ def corner_variant(grid: StaggeredGrid, which: str, eps: float = 0.0) -> Boundar
     profile decays near x = 0 only (1 - sigma(x) e^{-x/eps}), leaving the
     corner at (1,1) matched by the ramp.  corner_11 is the mirror image (ramp
     on the left side, decay near x = 1).  The ramp has net outflow, so the
-    result is projected back onto compatible data.
+    result is projected back onto compatible data.  eps = 0 gives the
+    unregularised lid; a negative or NaN eps raises ValueError.
     """
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be zero or positive, got {eps}")
     g = {s: np.zeros((grid.n, 2)) for s in SIDES}
     x = grid.x_centers()
     if which == "corner_01":
@@ -220,21 +222,6 @@ def compatibility_defect(g: BoundaryData) -> float:
     """Net boundary flux: sum over all samples of h * (g . n)."""
     h = g.grid.h
     return float(sum(h * g.normal_part(s).sum() for s in SIDES))
-
-
-def require_compatible(g: BoundaryData, what: str = "boundary data") -> None:
-    """Raise IncompatibleBoundaryData unless the net flux is rounding-level.
-
-    The bound follows the data: |defect| <= 1e-12 h sum |g . n| over all
-    samples, so exactly compatible data pass at any scale and incompatible
-    data fail at any scale.
-    """
-    h = g.grid.h
-    scale = h * sum(float(np.abs(g.normal_part(s)).sum()) for s in SIDES)
-    defect = compatibility_defect(g)
-    if abs(defect) > 1e-12 * scale:
-        raise IncompatibleBoundaryData(
-            f"{what} has net flux {defect:.3e}; project it first")
 
 
 def project_compatible(g: BoundaryData) -> BoundaryData:

@@ -48,8 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (SIDES, TANGENTS, BoundaryData, l2_norm_gamma,
-                       require_compatible, smoothstep)
+from .boundary import SIDES, BoundaryData, l2_norm_gamma, smoothstep
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
@@ -149,12 +148,6 @@ def _check_steps(T: float, dt: float) -> int:
     return m
 
 
-def _slice(g: TimeBoundaryData, k: int, dt: float) -> BoundaryData:
-    gk = g.at(k, dt)
-    require_compatible(gk, f"boundary slice at step {k}")
-    return gk
-
-
 def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
            force, slice_g, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
@@ -173,13 +166,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
     shift = (1.0 if scheme == "euler" else 2.0) / dt
     inv = saddle_inverses(grid, shift)
     u_hat = None                                 # modes of the zero start
-    # the load of the Crank-Nicolson explicit half step takes the normal wall
-    # values of the previous velocity and the tangential ones of its slice.
-    # Each solve copies its slice's normals onto the wall faces, so from the
-    # second step on that is the previous slice; the zero start has none
-    g0 = slice_g(0)
-    g_prev = BoundaryData(grid, {s: g0.samples[s] * np.abs(TANGENTS[s])
-                                 for s in SIDES})
+    g_prev = slice_g(0)
     velocities = [VelocityField.zeros(grid)]
     pressures = [None]
     diags = []
@@ -187,36 +174,30 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
         g_next = slice_g(j + 1)
-        b, b1, b2 = inv.face_stack()
-        laplacian_load(grid, g_next, out=(b1, b2))
-        nodes = (j + 1,)
+        nodes = (j + 1,) if scheme == "euler" else (j, j + 1)
+        forces, explicit = [], None
         if scheme == "cn":
-            laplacian_load(grid, g_prev, out=(b1, b2))
-            nodes = (j, j + 1)
+            # the explicit half step loads the normal wall values of the
+            # previous velocity, which each solve copies from its slice (the
+            # zero start has none), then the tangential values of its slice
+            forces = [laplacian_load(grid, g_prev, normal=False)]
+            if u_hat is not None:
+                forces.insert(0, laplacian_load(grid, g_prev, tangential=False))
+                explicit = -inv.laplacian_modes(u_hat, -shift)
+        elif u_hat is not None:
+            explicit = u_hat / dt
         if force is not None:
-            for node in nodes:
-                e1, e2 = force(node)
-                if np.shape(e1) != b1.shape or np.shape(e2) != b2.shape:
-                    raise ValueError(f"forcing must have shapes {b1.shape}, {b2.shape}")
-                b1 += e1
-                b2 += e2
-            if not (np.isfinite(b1).all() and np.isfinite(b2).all()):
-                raise ValueError("forcing has non-finite values")
-        b_hat = inv.to_modes(b)
-        if u_hat is not None:
-            if scheme == "euler":
-                b_hat += u_hat / dt
-            else:
-                b_hat -= inv.laplacian_modes(u_hat, -shift)
+            forces += [force(node) for node in nodes]
         try:
-            u1, u2, p, diag, u_hat = inv.solve(g_next, b_hat, None,
+            u1, u2, p, diag, u_hat = inv.solve(g_next, forces, None, explicit,
                                                keep_modes=True)
-        except NonConvergence as exc:
+        except (NonConvergence, ValueError) as exc:
             direction = "backward" if backward else "forward"
-            raise NonConvergence(
-                f"{direction} step {j + 1}/{m} (t={times[k]:.6g}): {exc}",
-                best_x=exc.best_x, residual=exc.residual,
-                iterations=exc.iterations) from exc
+            where = f"{direction} step {j + 1}/{m} (t={times[k]:.6g}): {exc}"
+            if not isinstance(exc, NonConvergence):
+                raise type(exc)(where) from exc
+            raise NonConvergence(where, best_x=exc.best_x, residual=exc.residual,
+                                 iterations=exc.iterations) from exc
         velocities.append(VelocityField(grid, u1, u2))
         pressures.append(PressureField(grid, p if scheme == "euler" else 0.5 * p))
         diag["wall_time"] = time.perf_counter() - t0
@@ -243,7 +224,7 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     times = np.arange(m + 1) * dt
     march_force = None if force is None else (lambda j: force(times[j]))
     return _march(grid, scheme, dt, times, march_force,
-                  lambda j: _slice(g, j, dt), False)
+                  lambda j: g.at(j, dt), False)
 
 
 def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,

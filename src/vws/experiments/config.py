@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,6 +21,14 @@ class ExperimentConfig:
     out: Path = Path("runs")
     seed: int = 0
     allow_underresolved: bool = False
+
+    def __post_init__(self):
+        for key, value in [("T", self.T), ("dt", self.dt),
+                           *(("eps", eps) for eps in self.eps_list)]:
+            if not 0.0 < value < math.inf:       # NaN fails it too
+                raise ValueError(f"{key} must be finite and positive, got {value}")
+        if len(set(self.eps_list)) < len(self.eps_list):
+            raise ValueError(f"eps values must be distinct, got {self.eps_list}")
 
     def out_dir(self) -> Path:
         return Path(self.out) / self.recipe

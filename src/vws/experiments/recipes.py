@@ -100,10 +100,14 @@ RECIPE_NS = {
 
 
 def _ns(cfg: ExperimentConfig, need: int = 1, name: str = "grid ladder") -> tuple:
-    """The grid ladder; a ladder shorter than the ``need`` rungs of the
-    assertion ``name`` is refused before anything is solved."""
+    """The grid ladder; one shorter than the ``need`` rungs of the assertion
+    ``name``, or for a trend (need >= 2) one that does not halve h at each
+    rung, is refused before anything is solved."""
     ns = tuple(cfg.ns) if cfg.ns else RECIPE_NS.get(cfg.recipe, (16, 32, 64))
     rungs(ns, need, name)
+    if need >= 2 and any(b != 2 * a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"{name} needs a ladder of at least {need} rungs, "
+                         f"each twice the one before, got {ns}")
     return ns
 
 

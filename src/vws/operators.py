@@ -10,7 +10,8 @@ tangential components are imposed through ghost-cell reflection
 at the interior face abscissae, where 2 g is the sum of the two adjacent
 midpoint samples.  This keeps the eliminated operator symmetric (the
 elimination only adds +1/h^2 to the diagonal) and moves 2 g / h^2 into the
-load vector.  Only this module reads where the wall values sit.
+load vector.  Of the solves, only this module reads where the wall values
+sit; ``stokes.residual_report`` and ``normal_derivative_on_gamma`` do too.
 
 There is one divergence and one gradient.  :func:`cell_divergence` takes the
 full face arrays, so prescribed wall faces count in it like any other face;
@@ -23,8 +24,9 @@ faces, with no quadrature fudge factors.
 The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
-capacitance corrections.  Tests pin its velocity inverse and Laplacian
-against the dense operator assembled column by column from
+capacitance corrections.  Its ``solve`` builds and checks the right side of
+every stationary solve and time step.  Tests pin its velocity inverse and
+Laplacian against the dense operator assembled column by column from
 :func:`apply_velocity_laplacian`.  :func:`saddle_inverses` caches one solver
 per (grid, shift) and refuses a singular shift.
 
@@ -44,7 +46,7 @@ import numpy as np
 from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from .boundary import BoundaryData
-from .errors import NonConvergence
+from .errors import IncompatibleBoundaryData, IncompatibleSource, NonConvergence
 from .grid import StaggeredGrid, VelocityField, PressureField
 
 __all__ = [
@@ -74,7 +76,13 @@ def _twice_tangential(a: np.ndarray) -> np.ndarray:
     return a[:-1] + a[1:]
 
 
-def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
+def _require_finite(name: str, a, shape: tuple) -> None:
+    if np.shape(a) != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
+
+
+def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None,
+                   normal: bool = True, tangential: bool = True):
     """Boundary contribution to the right-hand side of A u = b.
 
     Returns interior-shaped arrays (b1, b2): the normal samples of g, which
@@ -82,6 +90,7 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     eliminated tangential ghosts contribute 2 g/h^2, with 2 g at an interior
     face abscissa the sum of the two adjacent midpoint samples.  Given out,
     a pair of interior-shaped arrays, the load is added to them in place.
+    normal or tangential False leaves that part of g out.
     """
     n = grid.n
     ih2 = 1.0 / grid.h ** 2
@@ -89,14 +98,16 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     if out is None:
         out = np.zeros((n - 1, n)), np.zeros((n, n - 1))
     b1, b2 = out
-    b1[0, :] += s["left"][:, 0] * ih2
-    b1[-1, :] += s["right"][:, 0] * ih2
-    b1[:, 0] += _twice_tangential(s["bottom"][:, 0]) * ih2
-    b1[:, -1] += _twice_tangential(s["top"][:, 0]) * ih2
-    b2[:, 0] += s["bottom"][:, 1] * ih2
-    b2[:, -1] += s["top"][:, 1] * ih2
-    b2[0, :] += _twice_tangential(s["left"][:, 1]) * ih2
-    b2[-1, :] += _twice_tangential(s["right"][:, 1]) * ih2
+    if normal:
+        b1[0, :] += s["left"][:, 0] * ih2
+        b1[-1, :] += s["right"][:, 0] * ih2
+        b2[:, 0] += s["bottom"][:, 1] * ih2
+        b2[:, -1] += s["top"][:, 1] * ih2
+    if tangential:
+        b1[:, 0] += _twice_tangential(s["bottom"][:, 0]) * ih2
+        b1[:, -1] += _twice_tangential(s["top"][:, 0]) * ih2
+        b2[0, :] += _twice_tangential(s["left"][:, 1]) * ih2
+        b2[-1, :] += _twice_tangential(s["right"][:, 1]) * ih2
     return b1, b2
 
 
@@ -497,20 +508,35 @@ class SaddleInverse:
         out += r
         return out
 
-    def solve(self, g: BoundaryData, b_hat: np.ndarray, h_src,
+    def solve(self, g: BoundaryData, forces=(), h_src=None, explicit=None,
               keep_modes: bool = False):
-        """Direct saddle solve from the stacked modes b_hat of the momentum
-        right side (load included; overwritten).
+        """Direct saddle solve of A u + G p = b, D u = h_src.
+
+        b is the load of g, plus each interior-shaped pair (f1, f2) of forces
+        in order (either may be None), plus the stacked modes explicit.  A
+        misshapen or non-finite pair or h_src raises ValueError; data that
+        miss h^2 sum h_src = h sum g . n by more than 1e-12 of h^2 sum
+        |h_src| + h sum |g . n| raise IncompatibleBoundaryData without a
+        source and IncompatibleSource with one.
 
         Returns (u1_full, u2_full, p_cells, diagnostics, u_hat): the wall
-        faces of u hold the normal samples of g, and u_hat is b_hat holding
-        the modes of the interior velocity when keep_modes is set, else
-        None.  The divergence defect max|h_src - D u| of the returned field
-        must be at most DIV_TOL times the data scale max(max|c|, max|D w|),
-        c = h_src less the wall fluxes and w = A^{-1} b; a miss, a NaN
-        included, raises NonConvergence carrying p and the defect.
+        faces of u hold the normal samples of g, and u_hat holds the modes
+        of the interior velocity when keep_modes is set, else None.  The
+        divergence defect max|h_src - D u| of the returned field must be at
+        most DIV_TOL times the data scale max(max|c|, max|D w|), c = h_src
+        less the wall fluxes and w = A^{-1} b; a miss, a NaN included,
+        raises NonConvergence carrying p and the defect.
         """
         n, h = self.grid.n, self.grid.h
+        b, b1, b2 = self.face_stack()
+        laplacian_load(self.grid, g, out=(b1, b2))
+        for pair in forces:
+            for f, bk in zip(pair, (b1, b2)):
+                if f is not None:
+                    _require_finite("forcing", f, bk.shape)
+                    bk += f
+        if h_src is not None:
+            _require_finite("divergence source", h_src, (n, n))
         # the returned arrays outlive the call (a march keeps every step), so
         # they are allocated first; until they are filled they are scratch
         u1 = np.empty((n + 1, n))
@@ -528,8 +554,20 @@ class SaddleInverse:
         c[n - 1, :] -= right / h
         c[:, 0] += bottom / h
         c[:, n - 1] -= top / h
+        # h^2 sum c is minus the net flux h sum g . n less h^2 sum h_src
+        net = -h * h * float(c.sum())
+        scale = h * sum(float(np.abs(a).sum()) for a in (left, right, bottom, top))
+        if h_src is not None:
+            scale += h * h * float(np.abs(h_src).sum())
+        if abs(net) > 1e-12 * scale:
+            error = IncompatibleBoundaryData if h_src is None else IncompatibleSource
+            raise error(f"net boundary flux less the divergence source total is "
+                        f"{net:.3e}; project the data first")
         c_max = max(float(c.max()), -float(c.min()))
         c = dctn(c, type=2, norm="ortho", overwrite_x=True)
+        b_hat = self.to_modes(b)
+        if explicit is not None:
+            b_hat += explicit
 
         # q holds D w, then p: both come back to the cells in one transform
         q = np.empty((2, n, n))

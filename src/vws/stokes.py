@@ -14,8 +14,9 @@ correction.  D is the one cell divergence of full face arrays
 it.  The wall faces reach only the border cells, each with a wall flux
 +-(normal value)/h, so the interior unknowns see D w = c, with c = h_src
 less those fluxes.  Summed over the cells, D u = h_src reads
-h^2 sum h_src = h sum g . n, so :func:`solve_saddle` refuses data that miss
-it beyond rounding before it solves anything.  Then:
+h^2 sum h_src = h sum g . n, so :meth:`vws.operators.SaddleInverse.solve`,
+which every stationary solve and every time step goes through, refuses data
+that miss it beyond rounding before it solves anything.  Then:
 
     1. w = A^{-1} b on the interior faces, and D w;
     2. rhs = c - D w, re-centred to zero mean;
@@ -40,8 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SIDES, BoundaryData, compatibility_defect
-from .errors import IncompatibleBoundaryData, IncompatibleSource
+from .boundary import BoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import (
@@ -84,38 +84,17 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
     the returned velocity hold the normal samples of g.  A g of another
-    grid, a misshapen or non-finite f1, f2 or h_src, a non-finite shift, or
-    a shift at which the velocity or Schur operator is singular, raises
-    ValueError.  Solvability asks h^2 sum h_src = h sum g . n to 1e-12 of
-    h^2 sum |h_src| + h sum |g . n|; a miss raises IncompatibleBoundaryData
-    without a source and IncompatibleSource with one.  A divergence defect
-    of the returned velocity above DIV_TOL of the data scale, or a
-    non-finite one, raises NonConvergence.
+    grid, a non-finite shift, or a shift at which the velocity or Schur
+    operator is singular, raises ValueError.  The data are checked by
+    :meth:`vws.operators.SaddleInverse.solve`, as in every time step: a
+    misshapen or non-finite f1, f2 or h_src raises ValueError, unsolvable
+    data raise IncompatibleBoundaryData without a source and
+    IncompatibleSource with one, and a divergence defect above DIV_TOL of
+    the data scale, or a non-finite one, raises NonConvergence.
     """
     require_same_grid(grid, g)
-    n, h = grid.n, grid.h
-    for name, a, shape in (("forcing", f1, (n - 1, n)), ("forcing", f2, (n, n - 1)),
-                           ("divergence source", h_src, (n, n))):
-        if a is not None and (np.shape(a) != shape or not np.isfinite(a).all()):
-            raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
-    net = compatibility_defect(g)
-    scale = h * sum(float(np.abs(g.normal_part(s)).sum()) for s in SIDES)
-    if h_src is not None:
-        net -= h * h * float(np.sum(h_src))
-        scale += h * h * float(np.abs(h_src).sum())
-    if abs(net) > 1e-12 * scale:
-        error = IncompatibleBoundaryData if h_src is None else IncompatibleSource
-        raise error(f"net boundary flux less the divergence source total is "
-                    f"{net:.3e}; project the data first")
     t0 = time.perf_counter()
-    inv = saddle_inverses(grid, shift)
-    b, b1, b2 = inv.face_stack()
-    laplacian_load(grid, g, out=(b1, b2))
-    if f1 is not None:
-        b1 += f1
-    if f2 is not None:
-        b2 += f2
-    u1, u2, p, diag, _ = inv.solve(g, inv.to_modes(b), h_src)
+    u1, u2, p, diag, _ = saddle_inverses(grid, shift).solve(g, [(f1, f2)], h_src)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vws.biharmonic import solve_biharmonic
-from vws.boundary import SIDES, BoundaryData, cavity_g, l2_norm_gamma
+from vws.boundary import (SIDES, BoundaryData, cavity_g, cavity_g_eps,
+                          corner_variant, l2_norm_gamma)
 from vws.errors import NonConvergence, ZeroBoundaryData
 from vws.evolution import (
     TimeBoundaryData,
@@ -99,6 +100,19 @@ def test_entry_points_name_both_grids(entry):
         _CROSS_GRID[entry](build_grid(16), build_grid(8))
 
 
+@pytest.mark.parametrize("eps", [np.nan, -1.0])
+def test_corner_variant_rejects_bad_eps(eps):
+    # both returned exactly the eps = 0 samples
+    with pytest.raises(ValueError, match=f"eps must be zero or positive, got {eps}"):
+        corner_variant(build_grid(16), "corner_01", eps=eps)
+
+
+def test_nan_layer_width_names_eps():
+    # a NaN eps used to surface as non-finite boundary values on the top side
+    with pytest.raises(ValueError, match="eps must be positive, got nan"):
+        cavity_g_eps(build_grid(16), np.nan)
+
+
 def test_duality_gap_of_zero_data_raises():
     grid = build_grid(8)
     with pytest.raises(ZeroBoundaryData):
@@ -163,9 +177,11 @@ def test_misshapen_forcing_raises():
     grid = build_grid(8)
     tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
     row = lambda t: (np.ones(8), np.zeros((8, 7)))
-    with pytest.raises(ValueError, match="forcing must have shapes"):
+    # both entry points run the one check of SaddleInverse.solve
+    message = "forcing has non-finite values or a shape other than \\(7, 8\\)"
+    with pytest.raises(ValueError, match=message):
         evolve_lifted(grid, tb, 2 * DT, DT, force=row)
-    with pytest.raises(ValueError, match="shape other than"):
+    with pytest.raises(ValueError, match=message):
         solve_saddle(grid, BoundaryData.zeros(grid), np.ones(8), None, None)
 
 

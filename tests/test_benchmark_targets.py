@@ -2,8 +2,10 @@
 
 perfbench/tracer.py wraps named package functions and perfbench/workloads.py
 calls others through module attributes; a name that is gone fails every
-benchmark run at import.  These tests load both files read-only (no bytecode
-is written next to them) and check every name they use.
+benchmark run at import, and an entry point that returns something else
+than the tracer's hooks read fails every traced run.  These tests load both
+files read-only (no bytecode is written next to them), check every name they
+use and run one traced op of each workload.
 """
 
 import importlib.util
@@ -42,3 +44,32 @@ def test_workloads_import_and_build(monkeypatch):
     assert workloads.DIV_TOL > 0.0
     for cls in workloads.WORKLOADS.values():
         cls()
+
+
+# per workload, per-layer metrics that one traced op must reach
+_TRACED = {
+    "steady-duality": lambda m: m["stokes.solves"] >= 1,
+    "plate-crosscheck": lambda m: m["stokes.solves"] >= 1
+    and m["biharmonic.cg_iterations"] >= 1,
+    "unsteady-adjoint": lambda m: m["evolution.steps"] == 32,
+}
+
+
+def test_one_traced_op_per_workload(monkeypatch):
+    tracer = _load("tracer", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    assert sorted(workloads.WORKLOADS) == sorted(_TRACED)
+    for name, cls in workloads.WORKLOADS.items():
+        w = cls()
+        w.setup()
+        t = tracer.Tracer()
+        t.install()
+        try:
+            t.begin_op(0)
+            w.op(w.choices[0], 1.0)
+            t.end_op()
+        finally:
+            t.uninstall()
+        table = tracer.layer_table(t.spans, t.counts, 1)
+        metrics = {k: v for k, (v, _) in tracer.per_layer_metrics(table).items()}
+        assert _TRACED[name](metrics), (name, metrics)

@@ -105,10 +105,12 @@ def test_step_validation():
 
 
 def test_slice_with_net_flux_rejected():
-    # slice 0 is zero, slice 1 the outward normal data
+    # slice 0 is zero, slice 1 the outward normal data; the step's solve
+    # makes the one solvability check of every saddle solve
     grid = build_grid(8)
     tb = TimeBoundaryData.ramped(outward_normal_data(grid), lambda t: t)
-    with pytest.raises(IncompatibleBoundaryData):
+    with pytest.raises(IncompatibleBoundaryData,
+                       match=r"forward step 1/1 \(t=1\): net boundary flux"):
         evolve(grid, tb, 1.0, 1.0)
 
 

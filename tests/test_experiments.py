@@ -327,6 +327,9 @@ def test_orders_need_two_rungs():
     (["traces", "--n", "32"], "probe_gap_order"),
     (["biharmonic", "--n", "256"], "mms_order"),
     (["evolution-estimate", "--n", "128"], "pairing_order"),
+    # an order of a ladder that does not halve h read 4.01 at (16, 64)
+    (["mms-stationary", "--n", "16,64"], "velocity_order"),
+    (["traces", "--n", "32,48"], "probe_gap_order"),
 ])
 def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
                                                         monkeypatch, argv,
@@ -336,6 +339,23 @@ def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
     assert cli_main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert assertion in err and "needs a ladder of at least" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a zero or repeated width divided by zero, a NaN final time failed to
+    # round, and a negative width asked for a negative cell count
+    (["eps-sweep", "--eps", "0,0.1,0.05"], "eps must be finite and positive, got 0.0"),
+    (["eps-sweep", "--eps", "0.1,0.05,0.05"], "eps values must be distinct"),
+    (["eps-sweep", "--eps=-0.1,0.1,0.05"], "eps must be finite and positive, got -0.1"),
+    (["evolution-orders", "--dt", "0"], "dt must be finite and positive, got 0.0"),
+    (["evolution-orders", "--T", "nan"], "T must be finite and positive, got nan"),
+])
+def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+    calls = count_saddle_solves(monkeypatch)
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
     assert calls == []
 
 

@@ -4,7 +4,8 @@ from scipy.fft import dctn, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
-from vws.boundary import BoundaryData, outward_normal_data
+from vws.boundary import (NORMALS, SIDES, TANGENTS, BoundaryData,
+                          outward_normal_data, rotation_data)
 from vws.errors import NonConvergence
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
@@ -14,6 +15,7 @@ from vws.operators import (
     cg_solve,
     divergence,
     gradient,
+    laplacian_load,
     saddle_inverses,
     stream_curl,
 )
@@ -29,6 +31,21 @@ def _random_interior(rng, n):
     u1[1:n, :] = rng.standard_normal((n - 1, n))
     u2[:, 1:n] = rng.standard_normal((n, n - 1))
     return u1, u2
+
+
+def test_load_parts_are_the_loads_of_the_parts_of_g():
+    # the Crank-Nicolson march loads the two parts of a slice separately
+    grid = build_grid(8)
+    g = rotation_data(grid)
+    whole = laplacian_load(grid, g)
+    parts = [laplacian_load(grid, g, tangential=False),
+             laplacian_load(grid, g, normal=False)]
+    for part, axes in zip(parts, (NORMALS, TANGENTS)):
+        kept = BoundaryData(grid, {s: g.samples[s] * np.abs(axes[s]) for s in SIDES})
+        for got, want in zip(part, laplacian_load(grid, kept)):
+            assert np.array_equal(got, want)
+    for (n_k, t_k), b_k in zip(zip(*parts), whole):
+        assert np.array_equal(n_k + t_k, b_k)
 
 
 def test_laplacian_self_adjoint():
