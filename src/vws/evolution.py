@@ -10,9 +10,10 @@ the cached :class:`vws.operators.SaddleInverse`, so the stationary kernel
 does all the work: implicit Euler uses shift 1/dt with slice-(k+1) boundary
 data; Crank-Nicolson uses shift 2/dt plus the explicit discrete Laplacian of
 the previous step (algebraically the trapezoidal rule, with each boundary
-slice entering at weight 1/2).  The previous velocity is kept in the
-solver's modes, where that explicit term is formed, so a step transforms
-only its loads and forcing.
+slice entering at weight 1/2).  The march forms either scheme's explicit
+term on the faces of the previous velocity, for Crank-Nicolson with the one
+velocity Laplacian :func:`vws.operators.apply_velocity_laplacian`, and passes
+it to the solve as forcing, so a step is one saddle solve.
 
 The backward adjoint problem
 
@@ -52,7 +53,7 @@ from .boundary import SIDES, BoundaryData, l2_norm_gamma, smoothstep
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
-from .operators import laplacian_load, saddle_inverses
+from .operators import apply_velocity_laplacian, saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
                      perturbation_field)
 
@@ -157,15 +158,17 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
     slice_g(j) -> BoundaryData at node j.  The trajectory comes back in
     forward time order either way.
 
-    The previous velocity stays in the solver's modes, where its explicit
-    term (u/dt for Euler, (2/dt - A) u for Crank-Nicolson) is formed.
+    Each step passes its explicit term as its first forcing pair: u/dt for
+    Euler, and for Crank-Nicolson (2/dt - A) u + load(g), the negated
+    apply_velocity_laplacian of the previous velocity u and slice g at shift
+    -2/dt.  The wall faces of u hold the normal values of g, none at the
+    zero start, so the first step loads only the tangential values of g(0).
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     m = len(times) - 1
     shift = (1.0 if scheme == "euler" else 2.0) / dt
     inv = saddle_inverses(grid, shift)
-    u_hat = None                                 # modes of the zero start
     g_prev = slice_g(0)
     velocities = [VelocityField.zeros(grid)]
     pressures = [None]
@@ -174,23 +177,20 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
         g_next = slice_g(j + 1)
-        nodes = (j + 1,) if scheme == "euler" else (j, j + 1)
-        forces, explicit = [], None
-        if scheme == "cn":
-            # the explicit half step loads the normal wall values of the
-            # previous velocity, which each solve copies from its slice (the
-            # zero start has none), then the tangential values of its slice
-            forces = [laplacian_load(grid, g_prev, normal=False)]
-            if u_hat is not None:
-                forces.insert(0, laplacian_load(grid, g_prev, tangential=False))
-                explicit = -inv.laplacian_modes(u_hat, -shift)
-        elif u_hat is not None:
-            explicit = u_hat / dt
+        u = velocities[-1]
+        if scheme == "euler":
+            nodes = (j + 1,)
+            forces = [tuple(a / dt for a in u.interior())]
+        else:
+            nodes = (j, j + 1)
+            # negated in place: two more temporaries per step fragment the
+            # heap around the kept trajectory (~2 MB more peak RSS at n = 64)
+            r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, g_prev, -shift)
+            forces = [(np.negative(r1, out=r1), np.negative(r2, out=r2))]
         if force is not None:
             forces += [force(node) for node in nodes]
         try:
-            u1, u2, p, diag, u_hat = inv.solve(g_next, forces, None, explicit,
-                                               keep_modes=True)
+            u1, u2, p, diag = inv.solve(g_next, forces)
         except (NonConvergence, ValueError) as exc:
             direction = "backward" if backward else "forward"
             where = f"{direction} step {j + 1}/{m} (t={times[k]:.6g}): {exc}"
@@ -273,8 +273,15 @@ def spacetime_boundary_norm(g: TimeBoundaryData, T: float, dt: float) -> float:
 def spacetime_estimate_ratio(grid: StaggeredGrid, g: TimeBoundaryData,
                              T: float, dt: float, scheme: str = "euler",
                              traj: Trajectory | None = None) -> float:
-    """|u|_{L2(Q_T)} / |g|_{L2(0,T; L2(Gamma))} for the zero-data evolution."""
+    """|u|_{L2(Q_T)} / |g|_{L2(0,T; L2(Gamma))} for the zero-data evolution.
+
+    Given traj, its step count and dt must be those of T and dt, else
+    ValueError; scheme is read only when traj is None.
+    """
     require_same_grid(grid, g, traj)
+    if traj is not None and (traj.steps, traj.dt) != (_check_steps(T, dt), dt):
+        raise ValueError(f"trajectory has T={traj.times[-1]}, dt={traj.dt}, "
+                         f"not T={T}, dt={dt}")
     g_norm = spacetime_boundary_norm(g, T, dt)
     if g_norm == 0.0:
         raise ZeroBoundaryData("space-time ratio undefined for zero data")
@@ -289,13 +296,17 @@ def final_zero_modulation(T: float):
 
 
 def _modulation_samples(modulation, times: np.ndarray):
-    """m(t_k) and its second-order differences m'(t_k); needs two steps."""
+    """m(t_k) and its second-order differences m'(t_k); needs two steps and
+    |m(T)| at most 1e-9 of max_k |m(t_k)|."""
     if len(times) < 3:
         raise ValueError(f"a space-time functional needs at least two steps, "
                          f"got {len(times) - 1}")
     mvals = np.array([float(modulation(t)) for t in times])
     if not np.isfinite(mvals).all():
         raise ValueError("modulation has non-finite values")
+    if abs(mvals[-1]) > 1e-9 * np.abs(mvals).max():
+        raise ValueError(f"modulation must vanish at t = T, got "
+                         f"m({times[-1]:g}) = {mvals[-1]:g}")
     dt = times[1] - times[0]
     dm = np.empty_like(mvals)
     dm[1:-1] = (mvals[2:] - mvals[:-2]) / (2.0 * dt)
@@ -329,7 +340,8 @@ def spacetime_pairing(traj: Trajectory, g1: TangentialBoundaryData,
     zero-boundary discrete operator.  modulation must vanish at t = T.
     Evaluated as -(<U_d, R g1>_h + L_{U_m}(g1)) on the time sums (see the
     module docstring), so no lift is built.  A trajectory of fewer than two
-    steps, a non-finite modulation or g1 on another grid raises ValueError.
+    steps, a non-finite modulation or one that does not vanish at T, or g1
+    on another grid raises ValueError.
     """
     require_same_grid(traj.grid, g1)
     u_m, u_d = _time_sums(traj, modulation)
@@ -368,7 +380,8 @@ def spacetime_independence_gap(traj: Trajectory, modulation,
     Zero in the continuum for velocity trajectories solving the zero-forced
     problem; the discrete value measures the scheme's integration-by-parts
     defect.  Fields that do not solve the problem leave an O(1) residue.
-    Fewer than two steps or a non-finite modulation raise ValueError.
+    Fewer than two steps, or a non-finite modulation or one that does not
+    vanish at T, raise ValueError.
     """
     w_field = perturbation_field(traj.grid, seed=seed)
     u_m, u_d = _time_sums(traj, modulation)

@@ -25,10 +25,11 @@ The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  Its ``solve`` builds and checks the right side of
-every stationary solve and time step.  Tests pin its velocity inverse and
-Laplacian against the dense operator assembled column by column from
-:func:`apply_velocity_laplacian`.  :func:`saddle_inverses` caches one solver
-per (grid, shift) and refuses a singular shift.
+every stationary solve and time step; a time step forms its explicit term
+with :func:`apply_velocity_laplacian`, the one velocity Laplacian.  Tests pin
+the velocity inverse against the dense operator assembled column by column
+from that stencil.  :func:`saddle_inverses` caches one solver per (grid,
+shift) and refuses a singular shift.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -81,8 +82,7 @@ def _require_finite(name: str, a, shape: tuple) -> None:
         raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
 
 
-def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None,
-                   normal: bool = True, tangential: bool = True):
+def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     """Boundary contribution to the right-hand side of A u = b.
 
     Returns interior-shaped arrays (b1, b2): the normal samples of g, which
@@ -90,7 +90,6 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None,
     eliminated tangential ghosts contribute 2 g/h^2, with 2 g at an interior
     face abscissa the sum of the two adjacent midpoint samples.  Given out,
     a pair of interior-shaped arrays, the load is added to them in place.
-    normal or tangential False leaves that part of g out.
     """
     n = grid.n
     ih2 = 1.0 / grid.h ** 2
@@ -98,16 +97,14 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None,
     if out is None:
         out = np.zeros((n - 1, n)), np.zeros((n, n - 1))
     b1, b2 = out
-    if normal:
-        b1[0, :] += s["left"][:, 0] * ih2
-        b1[-1, :] += s["right"][:, 0] * ih2
-        b2[:, 0] += s["bottom"][:, 1] * ih2
-        b2[:, -1] += s["top"][:, 1] * ih2
-    if tangential:
-        b1[:, 0] += _twice_tangential(s["bottom"][:, 0]) * ih2
-        b1[:, -1] += _twice_tangential(s["top"][:, 0]) * ih2
-        b2[0, :] += _twice_tangential(s["left"][:, 1]) * ih2
-        b2[-1, :] += _twice_tangential(s["right"][:, 1]) * ih2
+    b1[0, :] += s["left"][:, 0] * ih2
+    b1[-1, :] += s["right"][:, 0] * ih2
+    b2[:, 0] += s["bottom"][:, 1] * ih2
+    b2[:, -1] += s["top"][:, 1] * ih2
+    b1[:, 0] += _twice_tangential(s["bottom"][:, 0]) * ih2
+    b1[:, -1] += _twice_tangential(s["top"][:, 0]) * ih2
+    b2[0, :] += _twice_tangential(s["left"][:, 1]) * ih2
+    b2[-1, :] += _twice_tangential(s["right"][:, 1]) * ih2
     return b1, b2
 
 
@@ -474,16 +471,6 @@ class SaddleInverse:
         x -= t
         return x
 
-    def laplacian_modes(self, x: np.ndarray, shift: float) -> np.ndarray:
-        """(-Laplacian + shift) x for stacked modes x, zero wall values.
-
-        Diagonal for free-slip walls, plus 2/h^2 on the wall-adjacent
-        tangential faces.
-        """
-        out = x * (self._mu[1:, None] + self._mu[None, :] + shift)
-        out += ((x @ self._w) * (2.0 * self.grid.n ** 2)) @ self._w.T
-        return out
-
     def schur_solve(self, r: np.ndarray, out: np.ndarray,
                     lam: np.ndarray) -> np.ndarray:
         """out <- S^{-1} r in the cosine modes; r and lam (n, n) are overwritten.
@@ -508,24 +495,23 @@ class SaddleInverse:
         out += r
         return out
 
-    def solve(self, g: BoundaryData, forces=(), h_src=None, explicit=None,
-              keep_modes: bool = False):
+    def solve(self, g: BoundaryData, forces=(), h_src=None):
         """Direct saddle solve of A u + G p = b, D u = h_src.
 
-        b is the load of g, plus each interior-shaped pair (f1, f2) of forces
-        in order (either may be None), plus the stacked modes explicit.  A
-        misshapen or non-finite pair or h_src raises ValueError; data that
-        miss h^2 sum h_src = h sum g . n by more than 1e-12 of h^2 sum
-        |h_src| + h sum |g . n| raise IncompatibleBoundaryData without a
-        source and IncompatibleSource with one.
+        b is the load of g plus each interior-shaped pair (f1, f2) of forces,
+        in order (either may be None); a time step passes its explicit term
+        as the first pair.  A misshapen or non-finite pair or h_src raises
+        ValueError; data that miss h^2 sum h_src = h sum g . n by more than
+        1e-12 of h^2 sum |h_src| + h sum |g . n| raise
+        IncompatibleBoundaryData without a source and IncompatibleSource
+        with one.
 
-        Returns (u1_full, u2_full, p_cells, diagnostics, u_hat): the wall
-        faces of u hold the normal samples of g, and u_hat holds the modes
-        of the interior velocity when keep_modes is set, else None.  The
-        divergence defect max|h_src - D u| of the returned field must be at
-        most DIV_TOL times the data scale max(max|c|, max|D w|), c = h_src
-        less the wall fluxes and w = A^{-1} b; a miss, a NaN included,
-        raises NonConvergence carrying p and the defect.
+        Returns (u1_full, u2_full, p_cells, diagnostics), the wall faces of
+        u holding the normal samples of g.  The divergence defect
+        max|h_src - D u| of the returned field must be at most DIV_TOL times
+        the data scale max(max|c|, max|D w|), c = h_src less the wall fluxes
+        and w = A^{-1} b; a miss, a NaN included, raises NonConvergence
+        carrying p and the defect.
         """
         n, h = self.grid.n, self.grid.h
         b, b1, b2 = self.face_stack()
@@ -566,8 +552,6 @@ class SaddleInverse:
         c_max = max(float(c.max()), -float(c.min()))
         c = dctn(c, type=2, norm="ortho", overwrite_x=True)
         b_hat = self.to_modes(b)
-        if explicit is not None:
-            b_hat += explicit
 
         # q holds D w, then p: both come back to the cells in one transform
         q = np.empty((2, n, n))
@@ -594,7 +578,7 @@ class SaddleInverse:
         q = idctn(q, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
         scale = max(c_max, float(q[0].max()), -float(q[0].min()))
         p[...] = q[1]
-        x1, x2 = self.from_modes(w_hat.copy() if keep_modes else w_hat)
+        x1, x2 = self.from_modes(w_hat)
         u1[0, :], u1[n, :] = left, right
         u2[:, 0], u2[:, n] = bottom, top
         u1[1:n, :] = x1
@@ -611,7 +595,7 @@ class SaddleInverse:
                 best_x=p, residual=div_max, iterations=steps,
             )
         diag = {"outer_iterations": steps, "div_max": div_max}
-        return u1, u2, p, diag, (w_hat if keep_modes else None)
+        return u1, u2, p, diag
 
 
 class VelocityPoisson:

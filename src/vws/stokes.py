@@ -94,7 +94,7 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
     """
     require_same_grid(grid, g)
     t0 = time.perf_counter()
-    u1, u2, p, diag, _ = saddle_inverses(grid, shift).solve(g, [(f1, f2)], h_src)
+    u1, u2, p, diag = saddle_inverses(grid, shift).solve(g, [(f1, f2)], h_src)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
 

@@ -140,6 +140,30 @@ def test_non_finite_modulation_raises(bad):
             call()
 
 
+def test_modulation_must_vanish_at_final_time():
+    # m = 1 gave a pairing that is not the space-time functional, with no
+    # error, in all three
+    traj = _trajectory(8, 2)
+    mod = lambda t: 1.0
+    tb = TimeBoundaryData.constant(cavity_g(build_grid(8)))
+    for call in (lambda: spacetime_pairing(traj, _probe(8), mod),
+                 lambda: spacetime_independence_gap(traj, mod),
+                 lambda: spacetime_pairing_reference(tb, _probe(8), mod, 2 * DT, DT)):
+        with pytest.raises(ValueError, match="modulation must vanish at t = T"):
+            call()
+
+
+@pytest.mark.parametrize("T, dt", [(4 * DT, DT), (2 * DT, DT / 2)])
+def test_estimate_ratio_refuses_a_trajectory_of_other_steps(T, dt):
+    # a trajectory of T = 2 DT, dt = DT passed with another T gave a wrong
+    # ratio, and with another dt the ratio of the trajectory's own dt
+    traj = _trajectory(8, 2)
+    tb = TimeBoundaryData.ramped(cavity_g(build_grid(8)), smooth_ramp(0.25))
+    with pytest.raises(ValueError, match=f"trajectory has T={2 * DT}, dt={DT}, "
+                                         f"not T={T}, dt={dt}"):
+        spacetime_estimate_ratio(traj.grid, tb, T, dt, traj=traj)
+
+
 @pytest.mark.parametrize("T, dt", [(np.inf, DT), (np.nan, DT), (1.0, np.nan),
                                    (np.inf, np.inf)])
 def test_non_finite_step_data_raises(T, dt):

@@ -51,7 +51,10 @@ _TRACED = {
     "steady-duality": lambda m: m["stokes.solves"] >= 1,
     "plate-crosscheck": lambda m: m["stokes.solves"] >= 1
     and m["biharmonic.cg_iterations"] >= 1,
-    "unsteady-adjoint": lambda m: m["evolution.steps"] == 32,
+    # each Crank-Nicolson step forms its explicit term with one face-space
+    # Laplacian apply
+    "unsteady-adjoint": lambda m: m["evolution.steps"] == 32
+    and m["operators.laplacian_apply_calls"] == 32,
 }
 
 

@@ -142,37 +142,23 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
     assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
 
 
-def test_cn_march_forms_its_explicit_term_in_modes(monkeypatch):
-    # the explicit Laplacian of the previous step is taken in the solver's
-    # modes, so a march never applies the face-space Laplacian
-    from vws import operators, traces
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("march applied the face-space Laplacian")
-
-    monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
-    monkeypatch.setattr(traces, "apply_velocity_laplacian", refuse)
-    grid = build_grid(16)
-    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
-    traj = evolve(grid, tb, 0.5, 0.0625, scheme="cn")
-    solve_adjoint_backward(grid, traj)
-    evolve_lifted(grid, tb, 0.5, 0.0625, scheme="cn", force=_force(grid))
-
-
 def test_first_cn_step_takes_no_wall_normals():
     # the explicit half step of the first Crank-Nicolson step sees the zero
     # start, whose wall faces hold no normal values, and the tangential
-    # values of g(0); no other test tells it from one that loads all of g(0)
+    # values of g(0); no other test tells it from one that loads all of g(0).
+    # From the second step on, the previous velocity carries the wall normals
     grid = build_grid(16)
     g, dt = rotation_data(grid), 0.0625
     traj = evolve(grid, TimeBoundaryData.constant(g), 2 * dt, dt, scheme="cn")
     tangential = BoundaryData(grid, {s: g.samples[s] * np.abs(TANGENTS[s])
                                      for s in SIDES})
-    f1, f2 = laplacian_load(grid, tangential)
-    u1, u2, _, _ = solve_saddle(grid, g, f1, f2, None, shift=2.0 / dt)
-    got = traj.velocities[1]
-    assert np.abs(got.u1 - u1).max() <= 1e-13 * np.abs(u1).max()
-    assert np.abs(got.u2 - u2).max() <= 1e-13 * np.abs(u2).max()
+    u_prev = traj.velocities[1]
+    r1, r2 = apply_velocity_laplacian(grid, u_prev.u1, u_prev.u2, g, -2.0 / dt)
+    for got, (f1, f2) in zip(traj.velocities[1:],
+                             [laplacian_load(grid, tangential), (-r1, -r2)]):
+        u1, u2, _, _ = solve_saddle(grid, g, f1, f2, None, shift=2.0 / dt)
+        assert np.abs(got.u1 - u1).max() <= 1e-13 * np.abs(u1).max()
+        assert np.abs(got.u2 - u2).max() <= 1e-13 * np.abs(u2).max()
 
 
 @pytest.mark.parametrize("scheme", ["euler", "cn"])

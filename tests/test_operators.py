@@ -4,8 +4,7 @@ from scipy.fft import dctn, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
-from vws.boundary import (NORMALS, SIDES, TANGENTS, BoundaryData,
-                          outward_normal_data, rotation_data)
+from vws.boundary import BoundaryData, outward_normal_data
 from vws.errors import NonConvergence
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
@@ -15,7 +14,6 @@ from vws.operators import (
     cg_solve,
     divergence,
     gradient,
-    laplacian_load,
     saddle_inverses,
     stream_curl,
 )
@@ -31,21 +29,6 @@ def _random_interior(rng, n):
     u1[1:n, :] = rng.standard_normal((n - 1, n))
     u2[:, 1:n] = rng.standard_normal((n, n - 1))
     return u1, u2
-
-
-def test_load_parts_are_the_loads_of_the_parts_of_g():
-    # the Crank-Nicolson march loads the two parts of a slice separately
-    grid = build_grid(8)
-    g = rotation_data(grid)
-    whole = laplacian_load(grid, g)
-    parts = [laplacian_load(grid, g, tangential=False),
-             laplacian_load(grid, g, normal=False)]
-    for part, axes in zip(parts, (NORMALS, TANGENTS)):
-        kept = BoundaryData(grid, {s: g.samples[s] * np.abs(axes[s]) for s in SIDES})
-        for got, want in zip(part, laplacian_load(grid, kept)):
-            assert np.array_equal(got, want)
-    for (n_k, t_k), b_k in zip(zip(*parts), whole):
-        assert np.array_equal(n_k + t_k, b_k)
 
 
 def test_laplacian_self_adjoint():
@@ -332,23 +315,3 @@ def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
     assert saddle_inverses(build_grid(256), 0.0).nbytes <= 1_700_000
     grid = build_grid(32)
     assert saddle_inverses(grid, 64.0) is saddle_inverses(build_grid(32), 64)
-
-
-@pytest.mark.parametrize("shift", [0.0, 64.0, -30.0])
-@pytest.mark.parametrize("n", [8, 16, 64])
-def test_modal_laplacian_matches_face_laplacian(n, shift):
-    # the march forms its explicit term with the modal Laplacian: the
-    # free-slip diagonal plus the wall correction must be the face operator
-    grid = build_grid(n)
-    inv = saddle_inverses(grid, 0.0)
-    rng = np.random.default_rng(n)
-    u1, u2 = _random_interior(rng, n)
-    x, x1, x2 = inv.face_stack()
-    x1 += u1[1:n, :]
-    x2 += u2[:, 1:n]
-    got = inv.from_modes(inv.laplacian_modes(inv.to_modes(x), shift))
-    want = apply_velocity_laplacian(grid, u1, u2, BoundaryData.zeros(grid),
-                                    shift=shift)
-    for a, b in zip(got, want):
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
-
