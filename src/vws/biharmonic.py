@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .boundary import SIDES, BoundaryData
+from .boundary import SIDES, BoundaryData, _pair_sum, wall
 from .errors import NonConvergence, NonTangentialData
 from .grid import StaggeredGrid, VelocityField, require_same_grid
 from .operators import _parity_sectors, _SectorInverse, stream_curl
@@ -82,10 +82,8 @@ def apply_biharmonic(grid: StaggeredGrid, psi_int: np.ndarray) -> np.ndarray:
     n, h = grid.n, grid.h
     p = np.zeros((n + 3, n + 3))
     p[2:n + 1, 2:n + 1] = psi_int
-    p[0, :] = p[2, :]
-    p[n + 2, :] = p[n, :]
-    p[:, 0] = p[:, 2]
-    p[:, n + 2] = p[:, n]
+    for side in SIDES:
+        wall(p, side)[...] = wall(p, side, 2)
     c = p[2:n + 1, 2:n + 1]
     e, w = p[3:n + 2, 2:n + 1], p[1:n, 2:n + 1]
     nn, ss = p[2:n + 1, 3:n + 2], p[2:n + 1, 1:n]
@@ -167,18 +165,10 @@ def _clamped_plate_inverse(grid: StaggeredGrid) -> _ClampedPlateInverse:
     return _ClampedPlateInverse(grid.n)
 
 
-def _tangential_node_values(g: BoundaryData) -> dict:
-    """g.tau averaged from face midpoints to the interior boundary nodes."""
-    out = {}
-    for side in SIDES:
-        t = g.tangential_part(side)
-        out[side] = 0.5 * (t[:-1] + t[1:])
-    return out
-
-
 def biharmonic_load(grid: StaggeredGrid, g: BoundaryData,
                     f_nodes: np.ndarray | None = None) -> np.ndarray:
-    """Right-hand side at interior nodes: source plus eliminated ghost data."""
+    """Right-hand side at interior nodes: source plus eliminated ghost data,
+    2 (g.tau)/h^3 next to each wall, g.tau averaged to the nodes."""
     n, h = grid.n, grid.h
     rhs = np.zeros((n - 1, n - 1))
     if f_nodes is not None:
@@ -190,12 +180,9 @@ def biharmonic_load(grid: StaggeredGrid, g: BoundaryData,
             raise ValueError("source must be node-shaped or interior-node-shaped")
         if not np.isfinite(f_nodes).all():
             raise ValueError("source has non-finite values")
-    t = _tangential_node_values(g)
     c = 2.0 / h ** 3
-    rhs[:, 0] += c * t["bottom"]
-    rhs[:, -1] += c * t["top"]
-    rhs[0, :] += c * t["left"]
-    rhs[-1, :] += c * t["right"]
+    for side in SIDES:
+        wall(rhs, side)[...] += c * (0.5 * _pair_sum(g.tangential_part(side)))
     return rhs
 
 

@@ -6,6 +6,9 @@ left/right.  Sides are oriented counterclockwise; outward normals and CCW
 tangents are fixed per side.  Corner points never carry samples, so corner
 values never enter any quadrature.
 
+Where a side sits on the grid arrays is read, by every per-side stencil of
+the package, from ``AXIS`` (the coordinate normal to it) and :func:`wall`.
+
 The discrete boundary measure is h per sample (composite midpoint rule on the
 perimeter of length 4).
 """
@@ -24,6 +27,8 @@ __all__ = [
     "SIDES",
     "NORMALS",
     "TANGENTS",
+    "AXIS",
+    "wall",
     "BoundaryData",
     "sigma",
     "smoothstep",
@@ -50,7 +55,24 @@ TANGENTS = {
     "top": np.array([-1.0, 0.0]),
     "left": np.array([0.0, -1.0]),
 }
+# the coordinate normal to each side: 0 for the u1 faces, 1 for the u2 faces
+AXIS = {"bottom": 1, "right": 0, "top": 1, "left": 0}
 PERIMETER = 4.0
+
+
+def wall(a: np.ndarray, side: str, depth: int = 0) -> np.ndarray:
+    """The view of a face, cell, node or interior-shaped array ``depth``
+    lines in from ``side`` (counted along AXIS[side] from the first entry on
+    bottom/left, from the last on right/top), ordered as the samples are."""
+    axis = AXIS[side]
+    k = depth if NORMALS[side][axis] < 0.0 else -1 - depth
+    return a[k] if axis == 0 else a[:, k]
+
+
+def _pair_sum(a: np.ndarray) -> np.ndarray:
+    """a[:-1] + a[1:]: twice the mean of each pair of neighbours, which takes
+    values at the midpoints along a side to the nodes between them and back."""
+    return a[:-1] + a[1:]
 
 
 def _require_sides(per_side: dict, missing_ok: bool) -> None:

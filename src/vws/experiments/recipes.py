@@ -67,8 +67,8 @@ from ..traces import (
     lift_tangential,
     lifting_independence_gap,
     line_integral,
-    negative_control_field,
     pairing_L,
+    perturbation_field,
     probe_set,
 )
 from ..transposition import (
@@ -458,7 +458,7 @@ def _traces_case(n: int, seed: int):
     div_lift = float(np.abs(divergence(lift).p).max())
 
     gap = lifting_independence_gap(u, seed=seed)
-    ctrl = lifting_independence_gap(negative_control_field(grid, seed=seed),
+    ctrl = lifting_independence_gap(perturbation_field(grid, seed=seed),
                                     seed=seed)
     return {"n": n, "worst_gap": float(np.max([r[4] for r in probe_rows])),
             "roundtrip": float(np.max(rt_errs)), "div_lift": div_lift,

@@ -10,8 +10,9 @@ tangential components are imposed through ghost-cell reflection
 at the interior face abscissae, where 2 g is the sum of the two adjacent
 midpoint samples.  This keeps the eliminated operator symmetric (the
 elimination only adds +1/h^2 to the diagonal) and moves 2 g / h^2 into the
-load vector.  Of the solves, only this module reads where the wall values
-sit; ``stokes.residual_report`` and ``normal_derivative_on_gamma`` do too.
+load vector.  Where each side's values sit on the face arrays is read from
+:data:`vws.boundary.AXIS` and :func:`vws.boundary.wall`, which every
+per-side stencil of the package shares.
 
 There is one divergence and one gradient.  :func:`cell_divergence` takes the
 full face arrays, so prescribed wall faces count in it like any other face;
@@ -46,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
-from .boundary import BoundaryData
+from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, IncompatibleSource, NonConvergence
 from .grid import StaggeredGrid, VelocityField, PressureField
 
@@ -70,13 +71,6 @@ __all__ = [
 DIV_TOL = 1e-8
 
 
-def _twice_tangential(a: np.ndarray) -> np.ndarray:
-    """Twice the tangential value at the interior face abscissae (i h along
-    bottom/top, j h along left/right, corners excluded): the sum of the two
-    adjacent midpoint samples."""
-    return a[:-1] + a[1:]
-
-
 def _require_finite(name: str, a, shape: tuple) -> None:
     if np.shape(a) != shape or not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
@@ -93,19 +87,13 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     """
     n = grid.n
     ih2 = 1.0 / grid.h ** 2
-    s = g.samples
     if out is None:
         out = np.zeros((n - 1, n)), np.zeros((n, n - 1))
-    b1, b2 = out
-    b1[0, :] += s["left"][:, 0] * ih2
-    b1[-1, :] += s["right"][:, 0] * ih2
-    b2[:, 0] += s["bottom"][:, 1] * ih2
-    b2[:, -1] += s["top"][:, 1] * ih2
-    b1[:, 0] += _twice_tangential(s["bottom"][:, 0]) * ih2
-    b1[:, -1] += _twice_tangential(s["top"][:, 0]) * ih2
-    b2[0, :] += _twice_tangential(s["left"][:, 1]) * ih2
-    b2[-1, :] += _twice_tangential(s["right"][:, 1]) * ih2
-    return b1, b2
+    for side in SIDES:
+        a, s = AXIS[side], g.samples[side]
+        wall(out[a], side)[...] += s[:, a] * ih2
+        wall(out[1 - a], side)[...] += _pair_sum(s[:, 1 - a]) * ih2
+    return out
 
 
 def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData,
@@ -119,29 +107,27 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData,
     """
     n, h = grid.n, grid.h
     ih2 = 1.0 / h ** 2
-    s = g.samples
-
-    # u1 with ghost columns below/above
-    u1p = np.empty((n + 1, n + 2))
-    u1p[:, 1:-1] = u1
-    u1p[:, 0] = -u1[:, 0]
-    u1p[:, -1] = -u1[:, -1]
-    u1p[1:n, 0] += _twice_tangential(s["bottom"][:, 0])
-    u1p[1:n, -1] += _twice_tangential(s["top"][:, 0])
-    c = u1p[1:n, 1:-1]
-    r1 = (4.0 * c - u1p[0:n - 1, 1:-1] - u1p[2:n + 1, 1:-1]
-          - u1p[1:n, 0:-2] - u1p[1:n, 2:]) * ih2 + shift * c
-
-    u2p = np.empty((n + 2, n + 1))
-    u2p[1:-1, :] = u2
-    u2p[0, :] = -u2[0, :]
-    u2p[-1, :] = -u2[-1, :]
-    u2p[0, 1:n] += _twice_tangential(s["left"][:, 1])
-    u2p[-1, 1:n] += _twice_tangential(s["right"][:, 1])
-    c = u2p[1:-1, 1:n]
-    r2 = (4.0 * c - u2p[0:n, 1:n] - u2p[2:n + 2, 1:n]
-          - u2p[1:-1, 0:n - 1] - u2p[1:-1, 2:n + 1]) * ih2 + shift * c
-    return r1, r2
+    r = []
+    for t, u in enumerate((u1, u2)):
+        # u padded with a ghost line beyond each wall it runs along, so that
+        # its interior faces are up[1:-1, 1:-1]
+        up = np.empty((n + 1 + t, n + 2 - t))
+        up[t:n + 1, 1 - t:n + 1] = u
+        for side in SIDES:
+            if AXIS[side] != t:
+                ghost = wall(up, side)
+                ghost[...] = -wall(u, side)
+                ghost[1:n] += _pair_sum(g.samples[side][:, t])
+        # (4 c - x- - x+ - y- - y+) / h^2 + shift c in place, in that order:
+        # a time step runs this, and full-size temporaries raise the heap peak
+        c = up[1:-1, 1:-1]
+        rt = 4.0 * c
+        for nb in (up[:-2, 1:-1], up[2:, 1:-1], up[1:-1, :-2], up[1:-1, 2:]):
+            rt -= nb
+        rt *= ih2
+        rt += shift * c
+        r.append(rt)
+    return tuple(r)
 
 
 def cell_divergence(u1: np.ndarray, u2: np.ndarray, h: float,
@@ -528,21 +514,22 @@ class SaddleInverse:
         u1 = np.empty((n + 1, n))
         u2 = np.empty((n, n + 1))
         p = np.empty((n, n))
-        # c = h_src less the wall fluxes, which reach the border cells only
+        # c = h_src less the wall fluxes (g . n)/h, which reach the border
+        # cells only; the u1 walls go first, so that a corner cell adds its
+        # two fluxes in one fixed order
         c = p
         if h_src is None:
             c.fill(0.0)
         else:
             c[...] = h_src
-        left, right = g.samples["left"][:, 0], g.samples["right"][:, 0]
-        bottom, top = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
-        c[0, :] += left / h
-        c[n - 1, :] -= right / h
-        c[:, 0] += bottom / h
-        c[:, n - 1] -= top / h
+        scale = 0.0
+        for side in sorted(SIDES, key=AXIS.get):
+            flux = g.normal_part(side)
+            wall(c, side)[...] -= flux / h
+            scale += float(np.abs(flux).sum())
         # h^2 sum c is minus the net flux h sum g . n less h^2 sum h_src
         net = -h * h * float(c.sum())
-        scale = h * sum(float(np.abs(a).sum()) for a in (left, right, bottom, top))
+        scale *= h
         if h_src is not None:
             scale += h * h * float(np.abs(h_src).sum())
         if abs(net) > 1e-12 * scale:
@@ -571,16 +558,17 @@ class SaddleInverse:
 
         # u = w + A^{-1}(-G p), one component at a time in the free u2 and
         # p; then q goes back to the cells
-        g = u2.reshape(-1)[:(n - 1) * n].reshape(n - 1, n)
+        y = u2.reshape(-1)[:(n - 1) * n].reshape(n - 1, n)
         for x, gp in zip(w_hat, (q[1, 1:], q[1, :, 1:].T)):
-            np.multiply(root_mu, gp, out=g)
-            x += self.velocity_solve(g, scratch=p[:n - 1])
+            np.multiply(root_mu, gp, out=y)
+            x += self.velocity_solve(y, scratch=p[:n - 1])
         q = idctn(q, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
         scale = max(c_max, float(q[0].max()), -float(q[0].min()))
         p[...] = q[1]
         x1, x2 = self.from_modes(w_hat)
-        u1[0, :], u1[n, :] = left, right
-        u2[:, 0], u2[:, n] = bottom, top
+        for side in SIDES:
+            a = AXIS[side]
+            wall((u1, u2)[a], side)[...] = g.samples[side][:, a]
         u1[1:n, :] = x1
         u2[:, 1:n] = x2
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryData
+from .boundary import AXIS, SIDES, BoundaryData, wall
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import (
@@ -133,9 +133,14 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     """Recompute residuals of a solution against its data.
 
     momentum_res is h ||f - A u - G p|| over the interior faces (shift 0);
-    momentum_res_rel divides it by h ||f + load|| (0 when that is 0).
+    momentum_res_rel divides it by h ||f + load|| (0 when that is 0).  f or
+    g on another grid, or f with non-finite interior faces, raises
+    ValueError.
     """
     grid = sol.grid
+    require_same_grid(grid, f, g)
+    if f is not None and not all(np.isfinite(a).all() for a in f.interior()):
+        raise ValueError("forcing has non-finite values")
     data = BoundaryData.zeros(grid) if g is None else g
     u1, u2 = sol.velocity.u1, sol.velocity.u2
     r1, r2 = apply_velocity_laplacian(grid, u1, u2, data)  # A u - load
@@ -154,13 +159,10 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     div = divergence(sol.velocity)
     mismatch = 0.0
     if g is not None:
-        s = g.samples
-        mismatch = max(
-            float(np.abs(u1[0, :] - s["left"][:, 0]).max()),
-            float(np.abs(u1[-1, :] - s["right"][:, 0]).max()),
-            float(np.abs(u2[:, 0] - s["bottom"][:, 1]).max()),
-            float(np.abs(u2[:, -1] - s["top"][:, 1]).max()),
-        )
+        for side in SIDES:
+            a = AXIS[side]
+            miss = np.abs(wall((u1, u2)[a], side) - g.samples[side][:, a])
+            mismatch = max(mismatch, float(miss.max()))
     return {
         "momentum_res": mom,
         "momentum_res_rel": mom / b_scale if b_scale > 0.0 else 0.0,

@@ -44,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import SIDES, BoundaryData, _require_sides, smoothstep
+from .boundary import (AXIS, SIDES, BoundaryData, _pair_sum, _require_sides,
+                       smoothstep)
 from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
 from .operators import apply_velocity_laplacian, stream_curl
 
@@ -57,7 +58,6 @@ __all__ = [
     "probe_set",
     "perturbation_field",
     "lifting_independence_gap",
-    "negative_control_field",
     "line_integral",
 ]
 
@@ -98,7 +98,7 @@ def _corner_taper(s: np.ndarray, h: float) -> np.ndarray:
 
 def _midpoints_to_nodes(t: np.ndarray) -> np.ndarray:
     # end values never matter: the corner taper vanishes there
-    return np.concatenate([[t[0]], 0.5 * (t[:-1] + t[1:]), [t[-1]]])
+    return np.concatenate([[t[0]], 0.5 * _pair_sum(t), [t[-1]]])
 
 
 @lru_cache(maxsize=8)
@@ -123,7 +123,7 @@ def _lift_factors(g1: TangentialBoundaryData):
         if not g1.profiles[side].any():
             continue
         along = _midpoints_to_nodes(g1.profiles[side]) * taper
-        yield (along, across) if side in ("bottom", "top") else (across, along)
+        yield (along, across) if AXIS[side] else (across, along)
 
 
 def lift_stream(g1: TangentialBoundaryData) -> np.ndarray:
@@ -263,19 +263,12 @@ def lifting_independence_gap(u: VelocityField, seed: int = 0) -> float:
     values and normal derivative, so in the continuum the pairing is
     unchanged; by linearity the gap is |pairing_with_field(u, w)| whatever
     the data of the first lift.  It is pure discretization error for
-    discrete Stokes fields u, and O(1) for fields that are not.
+    discrete Stokes fields u, and O(1) for fields that are not: for u = w
+    itself (the perturbation field of the same seed, a negative control) it
+    is |<w, Laplace_h w>| = |grad w|^2 >= 2 pi^2 |w|^2 (Dirichlet-eigenvalue
+    bound), which stays away from zero under refinement while the
+    Stokes-field gap decays.
     """
     w = perturbation_field(u.grid, seed=seed)
     return abs(pairing_with_field(u, w))
 
-
-def negative_control_field(grid: StaggeredGrid, seed: int = 7) -> VelocityField:
-    """Fixed random smooth field that is NOT a Stokes solution.
-
-    Returns the seeded perturbation field itself.  Measured against a
-    perturbed lift drawn with the same seed, the independence gap equals
-    |<w, Laplace_h w>| = |grad w|^2 >= 2 pi^2 |w|^2 (Dirichlet-eigenvalue
-    bound), so it provably stays away from zero under refinement while the
-    Stokes-field gap decays.
-    """
-    return perturbation_field(grid, seed=seed)

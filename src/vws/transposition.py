@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import SIDES, BoundaryData, l2_norm_gamma
+from .boundary import (AXIS, SIDES, BoundaryData, _pair_sum, l2_norm_gamma,
+                       wall)
 from .errors import ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
@@ -46,32 +47,23 @@ def solve_adjoint(grid: StaggeredGrid, u_rhs: VelocityField) -> StokesSolution:
 def normal_derivative_on_gamma(v: VelocityField) -> BoundaryData:
     """Outward normal derivative of both components at boundary face midpoints.
 
-    Assumes v vanishes on the boundary (adjoint solutions, liftings).  Normal
-    components use the one-sided three-point stencil through the stored zero
-    boundary face; tangential components fit a quadratic through the wall zero
-    and the first two interior faces, then average to midpoints.  Both are
-    exact for quadratics in the wall distance.
+    Assumes v vanishes on the boundary (adjoint solutions, liftings).  With
+    w_d a component's line d in from the side, the normal one takes the
+    one-sided stencil -(-3 w_0 + 4 w_1 - w_2)/2h through the zero wall face,
+    the tangential one -(9 w_0 - w_1)/3h (a quadratic through the wall zero),
+    averaged to midpoints.  Both are exact for quadratics in the wall distance.
     """
     g = v.grid
-    n, h = g.n, g.h
-    u1, u2 = v.u1, v.u2
-
-    def mid(a):
-        return 0.5 * (a[:-1] + a[1:])
-
-    out = {s: np.zeros((n, 2)) for s in SIDES}
-    # bottom: d/dn = -d/dy at y = 0
-    out["bottom"][:, 1] = -(-3.0 * u2[:, 0] + 4.0 * u2[:, 1] - u2[:, 2]) / (2.0 * h)
-    out["bottom"][:, 0] = -mid((9.0 * u1[:, 0] - u1[:, 1]) / (3.0 * h))
-    # top: d/dn = +d/dy at y = 1
-    out["top"][:, 1] = (3.0 * u2[:, n] - 4.0 * u2[:, n - 1] + u2[:, n - 2]) / (2.0 * h)
-    out["top"][:, 0] = mid(-(9.0 * u1[:, n - 1] - u1[:, n - 2]) / (3.0 * h))
-    # left: d/dn = -d/dx at x = 0
-    out["left"][:, 0] = -(-3.0 * u1[0, :] + 4.0 * u1[1, :] - u1[2, :]) / (2.0 * h)
-    out["left"][:, 1] = -mid((9.0 * u2[0, :] - u2[1, :]) / (3.0 * h))
-    # right: d/dn = +d/dx at x = 1
-    out["right"][:, 0] = (3.0 * u1[n, :] - 4.0 * u1[n - 1, :] + u1[n - 2, :]) / (2.0 * h)
-    out["right"][:, 1] = mid(-(9.0 * u2[n - 1, :] - u2[n - 2, :]) / (3.0 * h))
+    h = g.h
+    u = (v.u1, v.u2)
+    out = {}
+    for side in SIDES:
+        a = AXIS[side]
+        w0, w1, w2 = (wall(u[a], side, d) for d in range(3))
+        t0, t1 = wall(u[1 - a], side), wall(u[1 - a], side, 1)
+        dn = out[side] = np.empty((g.n, 2))
+        dn[:, a] = -(-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h)
+        dn[:, 1 - a] = -0.5 * _pair_sum((9.0 * t0 - t1) / (3.0 * h))
     return BoundaryData(g, out)
 
 
@@ -82,13 +74,7 @@ def boundary_pressure(q: PressureField) -> dict:
     face midpoints; returns side -> (n,) array.
     """
     p = q.p
-    n = q.grid.n
-    return {
-        "bottom": 1.5 * p[:, 0] - 0.5 * p[:, 1],
-        "top": 1.5 * p[:, n - 1] - 0.5 * p[:, n - 2],
-        "left": 1.5 * p[0, :] - 0.5 * p[1, :],
-        "right": 1.5 * p[n - 1, :] - 0.5 * p[n - 2, :],
-    }
+    return {side: 1.5 * wall(p, side) - 0.5 * wall(p, side, 1) for side in SIDES}
 
 
 def transposition_identity(grid: StaggeredGrid, g: BoundaryData,

@@ -28,8 +28,9 @@ from vws.evolution import (
     spacetime_pairing,
     spacetime_pairing_reference,
 )
-from vws.grid import build_grid, l2_norm_omega
-from vws.stokes import solve_boundary, solve_homogeneous, solve_saddle
+from vws.grid import VelocityField, build_grid, l2_norm_omega
+from vws.stokes import (residual_report, solve_boundary, solve_homogeneous,
+                        solve_saddle)
 from vws.traces import TangentialBoundaryData, pairing_L, pairing_with_field
 from vws.transposition import estimate_ratio, transposition_identity
 
@@ -207,6 +208,28 @@ def test_misshapen_forcing_raises():
         evolve_lifted(grid, tb, 2 * DT, DT, force=row)
     with pytest.raises(ValueError, match=message):
         solve_saddle(grid, BoundaryData.zeros(grid), np.ones(8), None, None)
+
+
+def test_residual_report_rejects_non_finite_forcing():
+    # a NaN in f gave momentum_res = nan with momentum_res_rel = 0.0, which
+    # reads as a perfect residual
+    grid = build_grid(8)
+    sol = solve_boundary(grid, cavity_g(grid))
+    u1 = np.zeros((9, 8))
+    u1[3, 4] = np.nan
+    f = VelocityField(grid, u1, np.zeros((8, 9)))
+    with pytest.raises(ValueError, match="forcing has non-finite values"):
+        residual_report(sol, f=f, g=cavity_g(grid))
+
+
+def test_residual_report_names_both_grids():
+    # f or g of another grid raised a numpy broadcasting error
+    grid = build_grid(16)
+    sol = solve_boundary(grid, cavity_g(grid))
+    coarse = build_grid(8)
+    for f, g in ((VelocityField.zeros(coarse), None), (None, cavity_g(coarse))):
+        with pytest.raises(ValueError, match="n=8 grid passed with an n=16 grid"):
+            residual_report(sol, f=f, g=g)
 
 
 # --- the sweep ------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from vws.boundary import (
+    AXIS,
     BoundaryData,
+    NORMALS,
     SIDES,
     cavity_g,
     cavity_g_eps,
@@ -15,6 +17,7 @@ from vws.boundary import (
     project_compatible,
     rotation_data,
     smoothstep,
+    wall,
 )
 from vws.errors import UnderResolvedWarning
 from vws.grid import build_grid
@@ -134,3 +137,23 @@ def test_rejects_non_finite_samples():
     with pytest.raises(ValueError, match="non-finite"), \
             np.errstate(invalid="ignore"):
         cavity_g(grid) * np.inf
+
+
+def test_wall_lines_of_face_and_cell_arrays():
+    # u1 faces (n+1, n): the left and right walls are rows 0 and n
+    n = 4
+    u1 = np.arange(float((n + 1) * n)).reshape(n + 1, n)
+    p = np.arange(float(n * n)).reshape(n, n)
+    expect = {
+        "bottom": (u1[:, 1], p[:, 1]),
+        "right": (u1[n - 1], p[n - 2]),
+        "top": (u1[:, n - 2], p[:, n - 2]),
+        "left": (u1[1], p[1]),
+    }
+    for side in SIDES:
+        assert AXIS[side] == int(np.flatnonzero(NORMALS[side])[0])
+        assert np.array_equal(wall(u1, side, 1), expect[side][0])
+        assert np.array_equal(wall(p, side, 1), expect[side][1])
+    # a view: writing through it writes the array
+    wall(p, "top")[...] = -1.0
+    assert np.all(p[:, n - 1] == -1.0)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vws.boundary import cavity_g, cavity_g_eps, rotation_data
+from vws.boundary import SIDES, cavity_g, cavity_g_eps, rotation_data
 from vws.errors import UnderResolvedWarning, ZeroBoundaryData
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_solution
@@ -109,6 +109,34 @@ def test_boundary_pressure_extrapolation_order():
         ))
     assert errs[0] == pytest.approx(3.600587e-3, rel=1e-3)
     assert orders(errs)[0] >= 1.9
+
+
+# the distance to each side
+_WALL_DISTANCE = {
+    "bottom": lambda x, y: y,
+    "right": lambda x, y: 1.0 - x,
+    "top": lambda x, y: 1.0 - y,
+    "left": lambda x, y: x,
+}
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("n", [8, 32])
+def test_boundary_stencils_exact_on_every_side(side, n):
+    # v = c d + e d^2 and p = a + b d in the distance d to the side: the
+    # outward derivative is -c there and the wall pressure a
+    grid = build_grid(n)
+    d = _WALL_DISTANCE[side]
+    c, e = np.array([0.7, -1.3]), np.array([2.1, 0.4])
+    v = VelocityField.from_functions(
+        grid,
+        lambda x, y: c[0] * d(x, y) + e[0] * d(x, y) ** 2,
+        lambda x, y: c[1] * d(x, y) + e[1] * d(x, y) ** 2,
+    )
+    dvdn = normal_derivative_on_gamma(v).samples[side]
+    assert np.abs(dvdn + c).max() <= 1e-14
+    p = PressureField.from_function(grid, lambda x, y: 0.3 - 1.7 * d(x, y))
+    assert np.abs(boundary_pressure(p)[side] - 0.3).max() <= 1e-14
 
 
 def test_gradient_echo_tangential_data():
