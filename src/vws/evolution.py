@@ -5,15 +5,13 @@ Forward problem on Q_T = Omega x (0, T):
     du/dt - Laplace(u) + grad(p) = f,  div u = 0,  u = g(t) on the wall,
     u(0) = 0   (zero data: f = 0).
 
-Each implicit step is one direct shifted Stokes saddle solve in the modes of
-the cached :class:`vws.operators.SaddleInverse`, so the stationary kernel
-does all the work: implicit Euler uses shift 1/dt with slice-(k+1) boundary
-data; Crank-Nicolson uses shift 2/dt plus the explicit discrete Laplacian of
-the previous step (algebraically the trapezoidal rule, with each boundary
-slice entering at weight 1/2).  The march forms either scheme's explicit
-term on the faces of the previous velocity, for Crank-Nicolson with the one
-velocity Laplacian :func:`vws.operators.apply_velocity_laplacian`, and passes
-it to the solve as forcing, so a step is one saddle solve.
+Each implicit step is one shifted saddle solve by the cached
+:class:`vws.operators.SaddleInverse`: at shift s = c/dt it solves
+(A + s) z + G P = c s u^k + load(g) + f, with g and f at t_{k+1} for implicit
+Euler (c = 1, u^{k+1} = z) and summed over t_k, t_{k+1} for Crank-Nicolson
+(c = 2).  That is the implicit midpoint rule, algebraically the trapezoidal
+rule: z = u^k + u^{k+1} is twice the midpoint velocity, u^{k+1} = z - u^k,
+and P/2 is the half-step pressure.  No step applies a Laplacian.
 
 The backward adjoint problem
 
@@ -49,11 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SIDES, BoundaryData, l2_norm_gamma, smoothstep
+from .boundary import SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
-from .operators import apply_velocity_laplacian, saddle_inverses
+from .operators import saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
                      perturbation_field)
 
@@ -111,7 +109,9 @@ class TimeBoundaryData:
 
 @dataclass
 class Trajectory:
-    """Per-step fields of one evolution run; step 0 is the initial state."""
+    """Per-step fields of one evolution run, one velocity per time k dt (else
+    ValueError); step 0 is the initial state, and a Crank-Nicolson pressure
+    is that of the half step ending at its time."""
 
     grid: StaggeredGrid
     scheme: str
@@ -120,6 +120,14 @@ class Trajectory:
     velocities: list
     pressures: list
     diagnostics: list = field(default_factory=list)
+
+    def __post_init__(self):
+        m = len(self.times)
+        if len(self.velocities) != m:
+            raise ValueError(f"{len(self.velocities)} velocities for {m} times")
+        drift = np.abs(np.asarray(self.times) - np.arange(m) * self.dt)
+        if not (m and drift.max() <= 1e-9 * abs(self.times[-1])):
+            raise ValueError(f"times are not k dt for dt={self.dt}")
 
     @property
     def steps(self) -> int:
@@ -149,7 +157,7 @@ def _check_steps(T: float, dt: float) -> int:
     return m
 
 
-def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
+def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
            force, slice_g, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
 
@@ -158,18 +166,16 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
     slice_g(j) -> BoundaryData at node j.  The trajectory comes back in
     forward time order either way.
 
-    Each step passes its explicit term as its first forcing pair: u/dt for
-    Euler, and for Crank-Nicolson (2/dt - A) u + load(g), the negated
-    apply_velocity_laplacian of the previous velocity u and slice g at shift
-    -2/dt.  The wall faces of u hold the normal values of g, none at the
-    zero start, so the first step loads only the tangential values of g(0).
+    A step is the saddle solve of the module docstring, c s u^k its first
+    forcing pair.  The zero start's wall faces hold no normal values, so
+    the first Crank-Nicolson step loads only the tangential part of g(0).
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
-    m = len(times) - 1
-    shift = (1.0 if scheme == "euler" else 2.0) / dt
-    inv = saddle_inverses(grid, shift)
-    g_prev = slice_g(0)
+    c = 1 if scheme == "euler" else 2
+    inv = saddle_inverses(grid, c / dt)
+    g0 = slice_g(0)
+    g_prev = BoundaryData(grid, {s: g0.samples[s] * np.abs(TANGENTS[s]) for s in SIDES})
     velocities = [VelocityField.zeros(grid)]
     pressures = [None]
     diags = []
@@ -178,37 +184,34 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, times: np.ndarray,
         k = m - 1 - j if backward else j + 1     # time index being produced
         g_next = slice_g(j + 1)
         u = velocities[-1]
-        if scheme == "euler":
-            nodes = (j + 1,)
-            forces = [tuple(a / dt for a in u.interior())]
-        else:
-            nodes = (j, j + 1)
-            # negated in place: two more temporaries per step fragment the
-            # heap around the kept trajectory (~2 MB more peak RSS at n = 64)
-            r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, g_prev, -shift)
-            forces = [(np.negative(r1, out=r1), np.negative(r2, out=r2))]
+        # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
+        forces = [tuple(a / (dt / c ** 2) for a in u.interior())]
         if force is not None:
-            forces += [force(node) for node in nodes]
+            forces += [force(node) for node in range(j + 2 - c, j + 2)]
         try:
-            u1, u2, p, diag = inv.solve(g_next, forces)
+            u1, u2, p, diag = inv.solve(g_next if c == 1 else g_prev + g_next, forces)
         except (NonConvergence, ValueError) as exc:
             direction = "backward" if backward else "forward"
-            where = f"{direction} step {j + 1}/{m} (t={times[k]:.6g}): {exc}"
+            where = f"{direction} step {j + 1}/{m} (t={k * dt:.6g}): {exc}"
             if not isinstance(exc, NonConvergence):
                 raise type(exc)(where) from exc
             raise NonConvergence(where, best_x=exc.best_x, residual=exc.residual,
                                  iterations=exc.iterations) from exc
+        if c == 2:
+            u1 -= u.u1
+            u2 -= u.u2
+            p *= 0.5
         velocities.append(VelocityField(grid, u1, u2))
-        pressures.append(PressureField(grid, p if scheme == "euler" else 0.5 * p))
+        pressures.append(PressureField(grid, p))
         diag["wall_time"] = time.perf_counter() - t0
         diag["step"] = k
         diags.append(diag)
         g_prev = g_next
     if backward:
-        velocities.reverse()
-        pressures.reverse()
-        diags.reverse()
-    return Trajectory(grid, scheme, dt, times, velocities, pressures, diags)
+        for fields in (velocities, pressures, diags):
+            fields.reverse()
+    return Trajectory(grid, scheme, dt, np.arange(m + 1) * dt, velocities,
+                      pressures, diags)
 
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -221,9 +224,8 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     """
     require_same_grid(grid, g)
     m = _check_steps(T, dt)
-    times = np.arange(m + 1) * dt
-    march_force = None if force is None else (lambda j: force(times[j]))
-    return _march(grid, scheme, dt, times, march_force,
+    march_force = None if force is None else (lambda j: force(j * dt))
+    return _march(grid, scheme, dt, m, march_force,
                   lambda j: g.at(j, dt), False)
 
 
@@ -245,7 +247,7 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     require_same_grid(grid, u_traj)
     m = u_traj.steps
     g0 = BoundaryData.zeros(grid)
-    return _march(grid, u_traj.scheme, u_traj.dt, u_traj.times.copy(),
+    return _march(grid, u_traj.scheme, u_traj.dt, m,
                   lambda j: u_traj.velocities[m - j].interior(),
                   lambda j: g0, True)
 
@@ -360,15 +362,12 @@ def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
     m = _check_steps(T, dt)
     w = trapezoid_weights(m, dt)
     mvals, _ = _modulation_samples(modulation, np.arange(m + 1) * dt)
-    h = grid.h
     total = 0.0
     for k, mv in enumerate(mvals):
         gk = g.at(k, dt)
-        ring = sum(
-            float(np.sum(gk.tangential_part(s) * g1.profiles[s]))
-            for s in SIDES
-        )
-        total += w[k] * mv * h * ring
+        ring = sum(float(np.sum(gk.tangential_part(s) * g1.profiles[s]))
+                   for s in SIDES)
+        total += w[k] * mv * grid.h * ring
     return -total
 
 

@@ -177,8 +177,11 @@ def l2_norm_omega(field) -> float:
     half a cell.  Pressure: all cells own a full h^2 box.
     """
     if isinstance(field, VelocityField):
+        # here, not at the top: vws.boundary imports this module
+        from .boundary import AXIS, SIDES, wall
         u1, u2 = field.u1, field.u2
-        walls = (u1[0], u1[-1], u2[:, 0], u2[:, -1])
+        walls = [wall((u1, u2)[AXIS[side]], side)
+                 for side in sorted(SIDES, key=AXIS.get)]
         s = np.vdot(u1, u1) + np.vdot(u2, u2)
         s -= 0.5 * sum(np.vdot(w, w) for w in walls)
         return float(np.sqrt(field.grid.h ** 2 * s))

@@ -26,11 +26,11 @@ The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  Its ``solve`` builds and checks the right side of
-every stationary solve and time step; a time step forms its explicit term
-with :func:`apply_velocity_laplacian`, the one velocity Laplacian.  Tests pin
-the velocity inverse against the dense operator assembled column by column
-from that stencil.  :func:`saddle_inverses` caches one solver per (grid,
-shift) and refuses a singular shift.
+every stationary solve and time step, and a time step applies no Laplacian.
+:func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
+residuals and pairings; tests pin the velocity inverse against the dense
+operator assembled column by column from it.  :func:`saddle_inverses` caches
+one solver per (grid, shift) and refuses a singular shift.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -96,9 +96,8 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     return out
 
 
-def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData,
-                             shift: float = 0.0):
-    """Matrix-free (-Laplacian + shift) u at interior faces.
+def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData):
+    """Matrix-free -Laplacian u at interior faces.
 
     u1, u2 are full face arrays whose boundary faces already hold the normal
     Dirichlet values; tangential ghosts come from g.  Returns interior-shaped
@@ -118,14 +117,13 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData,
                 ghost = wall(up, side)
                 ghost[...] = -wall(u, side)
                 ghost[1:n] += _pair_sum(g.samples[side][:, t])
-        # (4 c - x- - x+ - y- - y+) / h^2 + shift c in place, in that order:
-        # a time step runs this, and full-size temporaries raise the heap peak
-        c = up[1:-1, 1:-1]
-        rt = 4.0 * c
+        # (4 c - x- - x+ - y- - y+) / h^2, summed in place in this order;
+        # another order changes the rounding of every residual and pairing
+        # built on it
+        rt = 4.0 * up[1:-1, 1:-1]
         for nb in (up[:-2, 1:-1], up[2:, 1:-1], up[1:-1, :-2], up[1:-1, 2:]):
             rt -= nb
         rt *= ih2
-        rt += shift * c
         r.append(rt)
     return tuple(r)
 

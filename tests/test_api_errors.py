@@ -17,6 +17,7 @@ from vws.boundary import (SIDES, BoundaryData, cavity_g, cavity_g_eps,
 from vws.errors import NonConvergence, ZeroBoundaryData
 from vws.evolution import (
     TimeBoundaryData,
+    Trajectory,
     evolve,
     evolve_lifted,
     final_zero_modulation,
@@ -208,6 +209,25 @@ def test_misshapen_forcing_raises():
         evolve_lifted(grid, tb, 2 * DT, DT, force=row)
     with pytest.raises(ValueError, match=message):
         solve_saddle(grid, BoundaryData.zeros(grid), np.ones(8), None, None)
+
+
+def test_trajectory_takes_one_velocity_per_time():
+    # 9 velocities at 5 times: the backward march read entries 4 ... 1
+    grid = build_grid(8)
+    vels = [VelocityField.zeros(grid)] * 9
+    with pytest.raises(ValueError, match="9 velocities for 5 times"):
+        solve_adjoint_backward(grid, Trajectory(grid, "euler", DT, np.arange(5) * DT,
+                                                vels, [None] * 9))
+
+
+def test_trajectory_times_are_steps_of_dt():
+    # dt = 0.1 at times 0.25 apart: the backward march stepped by 0.1 and
+    # labelled the result up to t = 1
+    grid = build_grid(8)
+    vels = [VelocityField.zeros(grid)] * 5
+    with pytest.raises(ValueError, match="not k dt"):
+        solve_adjoint_backward(grid, Trajectory(grid, "euler", 0.1, np.arange(5) * 0.25,
+                                                vels, [None] * 5))
 
 
 def test_residual_report_rejects_non_finite_forcing():

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vws.boundary import (BoundaryData, cavity_g, cavity_g_eps, outward_normal_data,
                           project_compatible, rotation_data, smoothstep)
@@ -30,9 +31,9 @@ from vws.evolution import (
 )
 from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import time_dependent_forcing, time_dependent_solution
-from vws.boundary import SIDES, TANGENTS
+from vws.boundary import AXIS, SIDES, wall
 from vws.stokes import solve_boundary, solve_saddle
-from vws.operators import apply_velocity_laplacian, laplacian_load
+from vws.operators import apply_velocity_laplacian
 from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_field
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
@@ -142,23 +143,53 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
     assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
 
 
+def _trapezoid_step(grid, dt, u, g, f1, f2, g_next):
+    """One Crank-Nicolson step in trapezoid form: the saddle solve at shift
+    2/dt of (2/dt - A) u + load(g) + f, the explicit half step formed by the
+    velocity Laplacian on the faces of u (its wall normals, g's tangents)."""
+    r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, g)
+    (v1, v2), s = u.interior(), 2.0 / dt
+    return solve_saddle(grid, g_next, s * v1 - r1 + f1, s * v2 - r2 + f2, None,
+                        shift=s)[:2]
+
+
+def _close(got, ref, rel):
+    for a, b in zip((got.u1, got.u2), ref):
+        assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
 def test_first_cn_step_takes_no_wall_normals():
-    # the explicit half step of the first Crank-Nicolson step sees the zero
-    # start, whose wall faces hold no normal values, and the tangential
-    # values of g(0); no other test tells it from one that loads all of g(0).
-    # From the second step on, the previous velocity carries the wall normals
+    # every Crank-Nicolson step, forward and backward, is the trapezoid step
+    # of the previous velocity.  The zero start's wall faces hold no normal
+    # values, so the first step sees only the tangential values of g(0); no
+    # other test tells that from a step that loads all of g(0).  From then
+    # on each velocity's wall faces hold the normal samples of its slice
     grid = build_grid(16)
-    g, dt = rotation_data(grid), 0.0625
-    traj = evolve(grid, TimeBoundaryData.constant(g), 2 * dt, dt, scheme="cn")
-    tangential = BoundaryData(grid, {s: g.samples[s] * np.abs(TANGENTS[s])
-                                     for s in SIDES})
-    u_prev = traj.velocities[1]
-    r1, r2 = apply_velocity_laplacian(grid, u_prev.u1, u_prev.u2, g, -2.0 / dt)
-    for got, (f1, f2) in zip(traj.velocities[1:],
-                             [laplacian_load(grid, tangential), (-r1, -r2)]):
-        u1, u2, _, _ = solve_saddle(grid, g, f1, f2, None, shift=2.0 / dt)
-        assert np.abs(got.u1 - u1).max() <= 1e-13 * np.abs(u1).max()
-        assert np.abs(got.u2 - u2).max() <= 1e-13 * np.abs(u2).max()
+    T, m = 0.7, 8
+    dt = T / m
+    tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
+    force = _force(grid)
+    traj = evolve_lifted(grid, tb, T, dt, scheme="cn", force=force)
+    g_max = max(np.abs(tb.at(k, dt).samples[s]).max()
+                for k in range(m + 1) for s in SIDES)
+    for k in range(m):
+        f1, f2 = (a + b for a, b in zip(force(k * dt), force((k + 1) * dt)))
+        ref = _trapezoid_step(grid, dt, traj.velocities[k], tb.at(k, dt),
+                              f1, f2, tb.at(k + 1, dt))
+        _close(traj.velocities[k + 1], ref, 1e-12)
+        u, gk = traj.velocities[k + 1], tb.at(k + 1, dt)
+        for side in SIDES:
+            a = AXIS[side]
+            drift = wall((u.u1, u.u2)[a], side) - gk.samples[side][:, a]
+            assert np.abs(drift).max() <= 1e-15 * g_max
+    back = solve_adjoint_backward(grid, traj)
+    zero = BoundaryData.zeros(grid)
+    for k in range(m - 1, -1, -1):
+        f1, f2 = (a + b for a, b in zip(traj.velocities[k].interior(),
+                                        traj.velocities[k + 1].interior()))
+        ref = _trapezoid_step(grid, dt, back.velocities[k + 1], zero, f1, f2,
+                              zero)
+        _close(back.velocities[k], ref, 1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
@@ -235,6 +266,46 @@ def test_backward_march_matches_stationary_adjoint():
     gap = l2_norm_omega(back.velocities[0] - v_stat) / l2_norm_omega(v_stat)
     assert gap <= 1e-5
     assert l2_norm_omega(back.velocities[-1]) == 0.0
+
+
+def _dot_h(h, a, b):
+    return h * h * sum(float(np.vdot(x, y)) for x, y in zip(a, b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16]),
+       m=st.integers(2, 6), scheme=st.sampled_from(["euler", "cn"]))
+def test_backward_march_is_the_exact_discrete_adjoint(seed, n, m, scheme):
+    # the forward march with random interior forcing F and zero data, and the
+    # backward march forced by its velocities u, satisfy
+    #   Euler: sum_{k=1..m} <F^k, v^k>_h = sum_{k=1..m-1} |u^k|_h^2
+    #   CN:    sum_{k=1..m} <F^{k-1} + F^k, v^k>_h
+    #              = sum_{k=1..m-1} <u^k, u^k + u^{k+1}>_h
+    # to rounding, at a dt that is no power of two
+    grid, T = build_grid(n), 0.7
+    dt = T / m
+    rng = np.random.default_rng(seed)
+    F = [(rng.standard_normal((n - 1, n)), rng.standard_normal((n, n - 1)))
+         for _ in range(m + 1)]
+    tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
+    traj = evolve_lifted(grid, tb, T, dt, scheme=scheme,
+                         force=lambda t: F[round(t / dt)])
+    back = solve_adjoint_backward(grid, traj)
+    u = [x.interior() for x in traj.velocities]
+    v = [x.interior() for x in back.velocities]
+    w = u
+    if scheme == "cn":
+        add = lambda a, b: tuple(x + y for x, y in zip(a, b))
+        F = [None] + [add(F[k - 1], F[k]) for k in range(1, m + 1)]
+        w = [None] + [add(u[k], u[k + 1]) for k in range(1, m)]
+    h = grid.h
+    norm = lambda a: np.sqrt(_dot_h(h, a, a))
+    lhs = sum(_dot_h(h, F[k], v[k]) for k in range(1, m + 1))
+    rhs = sum(_dot_h(h, u[k], w[k]) for k in range(1, m))
+    # each term bounded by Cauchy-Schwarz
+    scale = (sum(norm(F[k]) * norm(v[k]) for k in range(1, m + 1))
+             + sum(norm(u[k]) * norm(w[k]) for k in range(1, m)))
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_spacetime_pairing_frozen():

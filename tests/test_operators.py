@@ -56,18 +56,6 @@ def test_laplacian_positive():
     assert energy > 0.0
 
 
-def test_laplacian_shift():
-    rng = np.random.default_rng(5)
-    n = 8
-    grid = build_grid(n)
-    g = BoundaryData.zeros(grid)
-    u1, u2 = _random_interior(rng, n)
-    a1, a2 = apply_velocity_laplacian(grid, u1, u2, g)
-    s1, s2 = apply_velocity_laplacian(grid, u1, u2, g, shift=3.5)
-    assert np.allclose(s1, a1 + 3.5 * u1[1:n, :], atol=1e-12)
-    assert np.allclose(s2, a2 + 3.5 * u2[:, 1:n], atol=1e-12)
-
-
 def test_laplacian_truncation_order():
     # reflected ghosts make the wall-tangential rows second order too
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
