@@ -179,13 +179,17 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     velocities = [VelocityField.zeros(grid)]
     pressures = [None]
     diags = []
+    # the explicit term, rewritten every step: the solve copies its forces
+    explicit = np.empty((grid.n - 1, grid.n)), np.empty((grid.n, grid.n - 1))
     for j in range(m):
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
         g_next = slice_g(j + 1)
         u = velocities[-1]
         # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
-        forces = [tuple(a / (dt / c ** 2) for a in u.interior())]
+        for a, e in zip(u.interior(), explicit):
+            np.divide(a, dt / c ** 2, out=e)
+        forces = [explicit]
         if force is not None:
             forces += [force(node) for node in range(j + 2 - c, j + 2)]
         try:

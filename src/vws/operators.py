@@ -373,6 +373,13 @@ def _capacitance_sectors(n: int, shift: float):
     return mu, w, sectors
 
 
+def _end_modes(transform, kind: int, m: int) -> np.ndarray:
+    """(m, 2): the orthonormal transform of the unit vectors e_0 and e_{m-1}."""
+    e = np.zeros((m, 2))
+    e[0, 0] = e[-1, 1] = 1.0
+    return transform(e, type=kind, axis=0, norm="ortho")
+
+
 class SaddleInverse:
     """Exact direct solve of the shifted saddle problem, in one basis.
 
@@ -417,11 +424,16 @@ class SaddleInverse:
         inv_den = self._mu[1:, None] + self._mu[None, :] + shift
         self._inv_den = np.reciprocal(inv_den, out=inv_den)
         self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
+        # the 1-D modes of the first and last unit vectors, as columns: type-II
+        # cosine of length n (psi_k(0) and (-1)^k psi_k(0)), type-I sine of n - 1
+        self._cos_ends = _end_modes(dct, 2, n)
+        self._sin_ends = _end_modes(dst, 1, n - 1)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
-        arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv]
+        arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv,
+                  self._cos_ends, self._sin_ends]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
     def face_stack(self):
@@ -435,6 +447,35 @@ class SaddleInverse:
         """The modes of a stack x of (u1, u2.T) interior faces, in place."""
         x = dst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
         return dct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
+
+    def border_to_modes(self, x: np.ndarray, out: np.ndarray,
+                        sine: bool = False) -> np.ndarray:
+        """The modes of x, nonzero on its first and last lines only, in out.
+
+        x is a cell array (type-II cosine modes along both axes) or, with
+        sine, a stack of (u1, u2.T) interior faces (the modes of
+        :meth:`to_modes`).  With r_0, r_1 the first and last rows of an
+        (m, n) slice and l_0, l_1 the inner parts of its first and last
+        columns, x = e_0 r_0^T + e_{m-1} r_1^T + l_0 e_0^T + l_1 e_{n-1}^T,
+        so its modes are one (m, 4) @ (4, n) product of 1-D transforms,
+        [T e_0, T e_{m-1}, T l_0, T l_1] @ [C r_0; C r_1; C e_0; C e_{n-1}],
+        with C the cosine and T the transform along the first axis.  out
+        may be x.
+        """
+        *stack, m, n = x.shape
+        left = np.empty((*stack, m, 4))
+        right = np.empty((*stack, 4, n))
+        left[..., :2] = self._sin_ends if sine else self._cos_ends
+        right[..., 2:, :] = self._cos_ends.T
+        right[..., :2, :] = dct(x[..., [0, -1], :], type=2, axis=-1,
+                                norm="ortho", overwrite_x=True)
+        cols = x[..., [0, -1]]
+        cols[..., [0, -1], :] = 0.0
+        if sine:
+            left[..., 2:] = dst(cols, type=1, axis=-2, norm="ortho", overwrite_x=True)
+        else:
+            left[..., 2:] = dct(cols, type=2, axis=-2, norm="ortho", overwrite_x=True)
+        return np.matmul(left, right, out=out)
 
     def from_modes(self, x: np.ndarray):
         """Interior-face arrays (x1, x2) of stacked modes x (overwritten)."""
@@ -496,15 +537,21 @@ class SaddleInverse:
         the data scale max(max|c|, max|D w|), c = h_src less the wall fluxes
         and w = A^{-1} b; a miss, a NaN included, raises NonConvergence
         carrying p and the defect.
+
+        b and c go to the modes by one 2-D transform each, unless they hold
+        border data only: without forces b, and without h_src c, take the
+        closed form of :meth:`border_to_modes`, and a zero c none.
         """
         n, h = self.grid.n, self.grid.h
         b, b1, b2 = self.face_stack()
         laplacian_load(self.grid, g, out=(b1, b2))
+        forced = False
         for pair in forces:
             for f, bk in zip(pair, (b1, b2)):
                 if f is not None:
                     _require_finite("forcing", f, bk.shape)
                     bk += f
+                    forced = True
         if h_src is not None:
             _require_finite("divergence source", h_src, (n, n))
         # the returned arrays outlive the call (a march keeps every step), so
@@ -535,8 +582,15 @@ class SaddleInverse:
             raise error(f"net boundary flux less the divergence source total is "
                         f"{net:.3e}; project the data first")
         c_max = max(float(c.max()), -float(c.min()))
-        c = dctn(c, type=2, norm="ortho", overwrite_x=True)
-        b_hat = self.to_modes(b)
+        # the load of g and the wall fluxes live on the border lines only
+        if h_src is not None:
+            c = dctn(c, type=2, norm="ortho", overwrite_x=True)
+        elif c_max > 0.0:
+            self.border_to_modes(c, out=c)
+        if forced:
+            b_hat = self.to_modes(b)
+        else:
+            b_hat = self.border_to_modes(b, out=b, sine=True)
 
         # q holds D w, then p: both come back to the cells in one transform
         q = np.empty((2, n, n))

@@ -29,8 +29,12 @@ that miss it beyond rounding before it solves anything.  Then:
 
 Steps 1-4 run in the modes, so a solve costs one forward transform of b and
 of c, one inverse transform of u and one of D w and p stacked, plus the
-cell divergence of step 5; :func:`residual_report` computes the momentum
-residual on demand.  The solver is built once per (grid, shift) by
+cell divergence of step 5.  Without forcing, b is the load of g, and without
+h_src, c holds the wall fluxes: both then live on their border lines, and
+their forward transforms are closed-form products of 1-D transforms of those
+lines; a zero c, as in every adjoint solve and for tangential data, takes no
+transform at all.  :func:`residual_report` computes the momentum residual on
+demand.  The solver is built once per (grid, shift) by
 :func:`vws.operators.saddle_inverses`, which refuses a singular shift.
 """
 

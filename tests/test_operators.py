@@ -4,7 +4,7 @@ from scipy.fft import dctn, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
-from vws.boundary import BoundaryData, outward_normal_data
+from vws.boundary import BoundaryData, outward_normal_data, rotation_data
 from vws.errors import NonConvergence
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
@@ -303,3 +303,43 @@ def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
     assert saddle_inverses(build_grid(256), 0.0).nbytes <= 1_700_000
     grid = build_grid(32)
     assert saddle_inverses(grid, 64.0) is saddle_inverses(build_grid(32), 64)
+
+
+def _border_only(rng, shape):
+    x = rng.standard_normal(shape)
+    x[..., 1:-1, 1:-1] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 33, 64])
+def test_border_closed_forms_match_2d_transforms(n):
+    # random arrays nonzero on their first and last lines only: the cells
+    # of c against dctn, the face stack of b against to_modes
+    inv = saddle_inverses(build_grid(n), 0.0)
+    rng = np.random.default_rng(n)
+    for x, sine in ((_border_only(rng, (n, n)), False),
+                    (_border_only(rng, (2, n - 1, n)), True)):
+        want = inv.to_modes(x.copy()) if sine else dctn(x, type=2, norm="ortho")
+        got = inv.border_to_modes(x, out=x, sine=sine)
+        assert got is x
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_border_data_take_no_2d_forward_transform(monkeypatch):
+    # boundary data alone take the closed forms for b and c; zero data with
+    # forcing leave c zero, which takes no transform at all
+    grid = build_grid(16)
+    inv = saddle_inverses(grid, 0.0)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((15, 16)), rng.standard_normal((16, 15))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("2-D forward transform of border data")
+
+    monkeypatch.setattr(operators, "dctn", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(SaddleInverse, "to_modes", refuse)
+        assert inv.solve(rotation_data(grid))[3]["outer_iterations"] == 1
+    assert inv.solve(BoundaryData.zeros(grid), [f])[3]["outer_iterations"] == 1
+    with pytest.raises(AssertionError, match="border data"):
+        inv.solve(rotation_data(grid), (), np.zeros((16, 16)))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from vws.boundary import (
     SIDES,
     BoundaryData,
+    cavity_g,
     cavity_g_eps,
     outward_normal_data,
     project_compatible,
@@ -142,39 +143,48 @@ def test_balanced_source_accepted():
 
 
 @pytest.mark.parametrize("shift", [0.0, 1024.0])
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [4, 5, 8, 16])
 def test_saddle_solve_matches_dense_kkt(n, shift):
     # the dense KKT system [[A, G], [-G^T, 0]], bordered to pin the pressure
-    # mean, shares no code with the transform and Schur inverses
+    # mean, shares no code with the transform and Schur inverses.  Forcing
+    # and source each present or absent: without them the right sides take
+    # the border closed forms, and the lid without a source has c = 0.  The
+    # rotation alone is a Stokes flow with p = 0 at shift 0, so the lid is
+    # added to it
     grid = build_grid(n)
     rng = np.random.default_rng(n)
-    g = rotation_data(grid)
     f1, f2 = _random_forcing(grid, n + 3)
     src = rng.standard_normal((n, n))
     src -= src.mean()
-    u1, u2, p, _ = solve_saddle(grid, g, f1, f2, src, shift=shift)
 
     A = dense_velocity_laplacian(grid, shift)
     G = dense_face_gradient(grid)
     m, k = G.shape
-    load1, load2 = laplacian_load(grid, g)
-    w1, w2 = np.zeros((n + 1, n)), np.zeros((n, n + 1))
-    w1[0, :], w1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
-    w2[:, 0], w2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
-    c = src - divergence(VelocityField(grid, w1, w2)).p
     kkt = np.zeros((m + k + 1, m + k + 1))
     kkt[:m, :m] = A
     kkt[:m, m:m + k] = G
     kkt[m:m + k, :m] = -G.T
     kkt[m:m + k, -1] = 1.0
     kkt[-1, m:m + k] = 1.0
-    rhs = np.concatenate([(f1 + load1).ravel(), (f2 + load2).ravel(),
-                          c.ravel(), [0.0]])
-    x = np.linalg.solve(kkt, rhs)
+    cases, rhs = [], []
+    for g in (rotation_data(grid) + cavity_g(grid), cavity_g(grid)):
+        load1, load2 = laplacian_load(grid, g)
+        w1, w2 = np.zeros((n + 1, n)), np.zeros((n, n + 1))
+        w1[0, :], w1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
+        w2[:, 0], w2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
+        flux = divergence(VelocityField(grid, w1, w2)).p
+        for f in ((f1, f2), (None, None)):
+            for h_src in (src, None):
+                cases.append(solve_saddle(grid, g, *f, h_src, shift=shift))
+                b1, b2 = (load1, load2) if f[0] is None else (load1 + f1, load2 + f2)
+                c = -flux if h_src is None else h_src - flux
+                rhs.append(np.concatenate([b1.ravel(), b2.ravel(), c.ravel(), [0.0]]))
+    x = np.linalg.solve(kkt, np.column_stack(rhs))
 
-    u = np.concatenate([u1[1:n, :].ravel(), u2[:, 1:n].ravel()])
-    assert np.abs(u - x[:m]).max() <= 1e-10 * np.abs(x[:m]).max()
-    assert np.abs(p.ravel() - x[m:m + k]).max() <= 1e-10 * np.abs(x[m:m + k]).max()
+    for (u1, u2, p, _), xj in zip(cases, x.T):
+        u = np.concatenate([u1[1:n, :].ravel(), u2[:, 1:n].ravel()])
+        assert np.abs(u - xj[:m]).max() <= 1e-10 * np.abs(xj[:m]).max()
+        assert np.abs(p.ravel() - xj[m:m + k]).max() <= 1e-10 * np.abs(xj[m:m + k]).max()
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

@@ -172,7 +172,7 @@ def _test_probes(grid):
     ]
 
 
-@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("n", [4, 8, 32, 64, 128])
 @pytest.mark.parametrize("data", [cavity_g, rotation_data])
 def test_closed_form_pairing_matches_lift(n, data):
     grid = build_grid(n)
@@ -183,6 +183,25 @@ def test_closed_form_pairing_matches_lift(n, data):
     # relative to the largest pairing of the field: for the lid, the probes
     # on the three resting walls pair to rounding-level values
     assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [4, 8, 32, 64])
+def test_closed_form_mass_pairing_matches_lift(n):
+    # <u, R g1>_h against the built lift over the interior faces, for a
+    # random field, which is no Stokes flow and fills the wall strips; the
+    # Laplacian pairing of the same call against its oracle too
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    u = VelocityField(grid, rng.standard_normal((n + 1, n)),
+                      rng.standard_normal((n, n + 1)))
+    ref, val = [], []
+    for g1 in _test_probes(grid):
+        lift = lift_tangential(g1)
+        mass = sum(float(np.sum(a * b)) for a, b in zip(u.interior(), lift.interior()))
+        ref.append((grid.h ** 2 * mass, pairing_with_field(u, lift)))
+        val.append(traces._lift_pairings(u, g1))
+    ref, val = np.array(ref), np.array(val)
+    assert np.all(np.abs(val - ref) <= 1e-12 * np.abs(ref).max(axis=0))
 
 
 def test_closed_form_pairing_builds_no_lift(monkeypatch):
