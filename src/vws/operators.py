@@ -373,11 +373,7 @@ def _capacitance_sectors(n: int, shift: float):
     return mu, w, sectors
 
 
-def _end_modes(transform, kind: int, m: int) -> np.ndarray:
-    """(m, 2): the orthonormal transform of the unit vectors e_0 and e_{m-1}."""
-    e = np.zeros((m, 2))
-    e[0, 0] = e[-1, 1] = 1.0
-    return transform(e, type=kind, axis=0, norm="ortho")
+_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 class SaddleInverse:
@@ -424,16 +420,17 @@ class SaddleInverse:
         inv_den = self._mu[1:, None] + self._mu[None, :] + shift
         self._inv_den = np.reciprocal(inv_den, out=inv_den)
         self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
-        # the 1-D modes of the first and last unit vectors, as columns: type-II
-        # cosine of length n (psi_k(0) and (-1)^k psi_k(0)), type-I sine of n - 1
-        self._cos_ends = _end_modes(dct, 2, n)
-        self._sin_ends = _end_modes(dst, 1, n - 1)
+        # the type-I sine modes of the first and last unit vectors of length
+        # n - 1, as columns: sqrt(2/n) sin(k pi/n) and (-1)^(k+1) times it
+        k = np.arange(1, n)
+        s = np.sqrt(2.0 / n) * np.sin(k * np.pi / n)
+        self._sin_ends = np.column_stack([s, np.where(k % 2, s, -s)])
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
         arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv,
-                  self._cos_ends, self._sin_ends]
+                  self._sin_ends]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
     def face_stack(self):
@@ -448,25 +445,27 @@ class SaddleInverse:
         x = dst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
         return dct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
 
-    def border_to_modes(self, x: np.ndarray, out: np.ndarray,
-                        sine: bool = False) -> np.ndarray:
-        """The modes of x, nonzero on its first and last lines only, in out.
+    def border_to_modes(self, x: np.ndarray) -> np.ndarray:
+        """The modes of x, nonzero on its first and last lines only, in place.
 
-        x is a cell array (type-II cosine modes along both axes) or, with
-        sine, a stack of (u1, u2.T) interior faces (the modes of
+        x is an (n, n) cell array (type-II cosine modes along both axes) or a
+        (2, n - 1, n) stack of (u1, u2.T) interior faces (the modes of
         :meth:`to_modes`).  With r_0, r_1 the first and last rows of an
         (m, n) slice and l_0, l_1 the inner parts of its first and last
         columns, x = e_0 r_0^T + e_{m-1} r_1^T + l_0 e_0^T + l_1 e_{n-1}^T,
         so its modes are one (m, 4) @ (4, n) product of 1-D transforms,
         [T e_0, T e_{m-1}, T l_0, T l_1] @ [C r_0; C r_1; C e_0; C e_{n-1}],
-        with C the cosine and T the transform along the first axis.  out
-        may be x.
+        with C the cosine and T the transform along the first axis.
         """
+        sine = x.ndim == 3
         *stack, m, n = x.shape
+        # C e_0 and C e_{n-1} are psi_k(0) and (-1)^k psi_k(0): the sum and
+        # difference of the capacitance weights' parity columns, over sqrt(2)
+        cos_ends = self._w @ _SUM_DIFF
         left = np.empty((*stack, m, 4))
         right = np.empty((*stack, 4, n))
-        left[..., :2] = self._sin_ends if sine else self._cos_ends
-        right[..., 2:, :] = self._cos_ends.T
+        left[..., :2] = self._sin_ends if sine else cos_ends
+        right[..., 2:, :] = cos_ends.T
         right[..., :2, :] = dct(x[..., [0, -1], :], type=2, axis=-1,
                                 norm="ortho", overwrite_x=True)
         cols = x[..., [0, -1]]
@@ -475,7 +474,7 @@ class SaddleInverse:
             left[..., 2:] = dst(cols, type=1, axis=-2, norm="ortho", overwrite_x=True)
         else:
             left[..., 2:] = dct(cols, type=2, axis=-2, norm="ortho", overwrite_x=True)
-        return np.matmul(left, right, out=out)
+        return np.matmul(left, right, out=x)
 
     def from_modes(self, x: np.ndarray):
         """Interior-face arrays (x1, x2) of stacked modes x (overwritten)."""
@@ -586,11 +585,11 @@ class SaddleInverse:
         if h_src is not None:
             c = dctn(c, type=2, norm="ortho", overwrite_x=True)
         elif c_max > 0.0:
-            self.border_to_modes(c, out=c)
+            self.border_to_modes(c)
         if forced:
             b_hat = self.to_modes(b)
         else:
-            b_hat = self.border_to_modes(b, out=b, sine=True)
+            b_hat = self.border_to_modes(b)
 
         # q holds D w, then p: both come back to the cells in one transform
         q = np.empty((2, n, n))

@@ -31,18 +31,18 @@ outer product is a pair of outer products, and the zero-data MAC Laplacian
 acts on outer(a, c) as outer(L_D a, c) + outer(a, L_G c), with L_D the node
 and L_G the ghost-closed cell second difference.  pairing_L therefore
 evaluates L_u(g1) in closed form from the 1-D factors: four bilinear forms in
-u and no lift built.  The data are immutable, so their 1-D weights are built
-once, with the data; the across-wall profile vanishes from d = 1/4 on, so
-each form reads only the wall strip where its weights are nonzero, about a
-quarter of u per nonzero side.  The same forms give the mass pairing
-<u, R g1>_h, which the space-time pairing of vws.evolution needs beside it.
-pairing_with_field pairs u with an arbitrary field (the perturbed lifts
-below) and is the reference the closed form is tested against.
+u, one pass over u per component and nonzero side, O(n^2) flops and no lift
+built.  The data are immutable, so their 1-D weights are built once, with
+the data.  The same forms give the mass pairing <u, R g1>_h, which the
+space-time pairing of vws.evolution needs beside it.  pairing_with_field
+pairs u with an arbitrary field (the perturbed lifts below) and is the
+reference the closed form is tested against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,8 +70,8 @@ class TangentialBoundaryData:
     profiles[side] holds (g1 . tau) at face midpoints, with tau the
     counterclockwise unit tangent, so g1 . n = 0 by construction.  A side
     without a profile is zero; a key that is not a side raises ValueError.
-    The profiles are read-only, so the weights of every pairing with the
-    data are built here, once.
+    The profiles are read-only, arrays and mapping alike, so the weights of
+    every pairing with the data are built here, once.
     """
 
     def __init__(self, grid: StaggeredGrid, profiles: dict):
@@ -87,9 +87,14 @@ class TangentialBoundaryData:
             a = a.copy()
             a.flags.writeable = False
             store[side] = a
-        self.profiles = store
+        self._profiles = MappingProxyType(store)
         self._forms = tuple(_pairing_forms(a, b, grid)
                             for a, b in _lift_factors(self))
+
+    @property
+    def profiles(self) -> MappingProxyType:
+        """The read-only profile of each side."""
+        return self._profiles
 
 
 def _wall_cutoff(d: np.ndarray) -> np.ndarray:
@@ -172,23 +177,14 @@ def _cell_second_difference(c: np.ndarray, h: float) -> np.ndarray:
     return (2.0 * c - pad[:-2] - pad[2:]) / (h * h)
 
 
-def _support(w: np.ndarray) -> slice:
-    """The slice from the first to the last column of w with a nonzero entry."""
-    k = np.flatnonzero(w.any(axis=0))
-    return slice(k[0], k[-1] + 1) if k.size else slice(0, 0)
-
-
 def _pairing_forms(a: np.ndarray, b: np.ndarray, grid: StaggeredGrid):
     """The 1-D weights of one side's factors (a, b), one form per component.
 
-    Each form is (rows, cols, left, right): the component's interior faces U
-    enter only as the 2 x 2 product left @ U[rows, cols] @ right, with
+    Each form is (left, right): the component's interior faces U enter only
+    as the 2 x 2 product left @ U @ right, with
 
         u1: left = [a_int; L_D a],   right = [Db, L_G Db]
-        u2: left = [L_G Da; Da],     right = [b_int, L_D b],
-
-    restricted to where the weights are nonzero.  The across-wall factor
-    vanishes from d = 1/4 on, so one of rows and cols is the wall strip.
+        u2: left = [L_G Da; Da],     right = [b_int, L_D b].
     """
     n, h = grid.n, grid.h
     da, db = np.diff(a) / h, np.diff(b) / h
@@ -198,9 +194,7 @@ def _pairing_forms(a: np.ndarray, b: np.ndarray, grid: StaggeredGrid):
              (db, _cell_second_difference(db, h))),
             ((_cell_second_difference(da, h), da),
              (b[1:n], _node_second_difference(b, h)))):
-        left, right = np.stack(left), np.stack(right)
-        rows, cols = _support(left), _support(right)
-        forms.append((rows, cols, left[:, rows].copy(), right[:, cols].T.copy()))
+        forms.append((np.stack(left), np.column_stack(right)))
     return tuple(forms)
 
 
@@ -218,8 +212,8 @@ def _lift_pairings(u: VelocityField, g1: TangentialBoundaryData):
     h = u.grid.h
     mass = total = 0.0
     for form in g1._forms:
-        m1, m2 = (left @ (uc[rows, cols] @ right)
-                  for uc, (rows, cols, left, right) in zip(u.interior(), form))
+        m1, m2 = (left @ (uc @ right)
+                  for uc, (left, right) in zip(u.interior(), form))
         mass += m1[0, 0] - m2[1, 0]
         total += m1[1, 0] + m1[0, 1] - m2[0, 0] - m2[1, 1]
     return h * h * float(mass), -h * h * float(total)

@@ -133,6 +133,18 @@ def test_tangential_data_shape_check():
         TangentialBoundaryData(grid, {"bottom": np.zeros(7)})
 
 
+def test_tangential_data_profiles_are_read_only():
+    # the pairing weights are built from the profiles once, at construction
+    grid = build_grid(8)
+    g1 = TangentialBoundaryData(grid, {"top": np.ones(8)})
+    with pytest.raises(TypeError):
+        g1.profiles["top"] = np.zeros(8)
+    with pytest.raises(AttributeError):
+        g1.profiles = {}
+    with pytest.raises(ValueError):
+        g1.profiles["top"][0] = 0.0
+
+
 def test_line_integral_quadrature():
     assert line_integral(lambda s: np.sin(np.pi * s)) == pytest.approx(
         2.0 / np.pi, abs=1e-7)
@@ -188,7 +200,7 @@ def test_closed_form_pairing_matches_lift(n, data):
 @pytest.mark.parametrize("n", [4, 8, 32, 64])
 def test_closed_form_mass_pairing_matches_lift(n):
     # <u, R g1>_h against the built lift over the interior faces, for a
-    # random field, which is no Stokes flow and fills the wall strips; the
+    # random field, which is no Stokes flow and fills the domain; the
     # Laplacian pairing of the same call against its oracle too
     grid = build_grid(n)
     rng = np.random.default_rng(n)
