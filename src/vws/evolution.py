@@ -13,6 +13,14 @@ Euler (c = 1, u^{k+1} = z) and summed over t_k, t_{k+1} for Crank-Nicolson
 rule: z = u^k + u^{k+1} is twice the midpoint velocity, u^{k+1} = z - u^k,
 and P/2 is the half-step pressure.  No step applies a Laplacian.
 
+The march runs in the solver's modes.  Boundary data are a ramp r(t) times
+one spatial profile g, so the modes of load(g) and of its wall fluxes are
+built and checked once per march, and a step scales them by its ramp sum;
+the velocity's interior modes are carried from step to step, so the
+explicit term c s u^k takes no transform, and each forcing node is
+transformed once.  A step's only forward transform is that of its new
+forcing node.
+
 The backward adjoint problem
 
     -dv/dt - Laplace(v) + grad(q) = u,  v(T) = 0,  v = 0 on the wall
@@ -20,7 +28,7 @@ The backward adjoint problem
 is the same step loop marched under time reversal: the forcing trajectory
 is read backwards and the boundary values are zero.  ``evolve_lifted`` and
 ``solve_adjoint_backward`` are thin wrappers over that one loop, which
-carries no state between steps but the velocity.
+carries no state between steps but the velocity and its modes.
 
 On top of these sit the space-time energy-estimate ratio
 |u|_{Q_T} / |g|_{Gamma_T} and the space-time tangential pairing
@@ -47,11 +55,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
-from .errors import NonConvergence, ZeroBoundaryData
+from .boundary import AXIS, SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
+from .errors import IncompatibleBoundaryData, NonConvergence, ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
-from .operators import saddle_inverses
+from .operators import _require_finite, saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
                      perturbation_field)
 
@@ -96,13 +104,22 @@ class TimeBoundaryData:
     def ramped(cls, spatial: BoundaryData, ramp) -> "TimeBoundaryData":
         return cls(spatial, ramp)
 
-    def at(self, k: int, dt: float) -> BoundaryData:
-        """Boundary slice at time node t_k = k dt; a non-finite ramp value
-        raises ValueError."""
+    def _ramp_at(self, k: int, dt: float) -> float:
         r = float(self.ramp(k * dt))
         if not np.isfinite(r):
             raise ValueError(f"ramp is {r} at t={k * dt:g}")
-        return self.spatial * r
+        return r
+
+    def at(self, k: int, dt: float) -> BoundaryData:
+        """Boundary slice at time node t_k = k dt; a non-finite ramp value
+        raises ValueError."""
+        return self.spatial * self._ramp_at(k, dt)
+
+    def ramp_samples(self, m: int, dt: float) -> np.ndarray:
+        """The ramp at the time nodes k dt, k = 0..m; the slice at node k is
+        that value times the spatial profile.  A non-finite value raises
+        ValueError."""
+        return np.array([self._ramp_at(k, dt) for k in range(m + 1)])
 
 
 # --- trajectories -----------------------------------------------------------
@@ -157,43 +174,90 @@ def _check_steps(T: float, dt: float) -> int:
     return m
 
 
+def _forcing_modes(inv, pair, out: np.ndarray) -> np.ndarray:
+    """The modes of one interior forcing pair (f1, f2), either None for zero,
+    written to the face stack out; a misshapen or non-finite array raises
+    ValueError."""
+    for f, x in zip(pair, (out[0], out[1].T)):
+        if f is None:
+            x.fill(0.0)
+        else:
+            _require_finite("forcing", f, x.shape)
+            x[...] = f
+    return inv.to_modes(out)
+
+
 def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
-           force, slice_g, backward: bool) -> Trajectory:
+           force, g: BoundaryData | None, ramp, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
 
     Node j of the march is time index j forward and m - j backward.
-    force(j) -> (f1, f2) interior forcing at node j, or force=None;
-    slice_g(j) -> BoundaryData at node j.  The trajectory comes back in
-    forward time order either way.
+    force(j) -> (f1, f2) interior forcing at node j, or force=None; the
+    boundary values at node j are ramp[j] g, or zero for g=None.  The
+    trajectory comes back in forward time order either way.
 
-    A step is the saddle solve of the module docstring, c s u^k its first
-    forcing pair.  The zero start's wall faces hold no normal values, so
-    the first Crank-Nicolson step loads only the tangential part of g(0).
+    A step is the saddle solve of the module docstring, marched in the
+    solver's modes: the velocity's interior modes u^k are carried from step
+    to step, and the modes of the load of g and of its wall fluxes are built
+    and checked once, so a step's right side is c s u^k + rho_j (load of g)
+    + the forcing modes, with rho_j = r_{j+1} for Euler and r_j + r_{j+1}
+    for Crank-Nicolson.  The zero start's wall faces hold no normal values,
+    so the first Crank-Nicolson step takes rho = r_1 and loads the
+    tangential part of g(0) apart.  Data whose net flux the solver refuses
+    raise at the first step with rho != 0.  Each forcing node is checked and
+    transformed once.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     c = 1 if scheme == "euler" else 2
     inv = saddle_inverses(grid, c / dt)
-    g0 = slice_g(0)
-    g_prev = BoundaryData(grid, {s: g0.samples[s] * np.abs(TANGENTS[s]) for s in SIDES})
+    n = grid.n
+    # the modes of u^k, of the next solution z, of the right side and of the
+    # forcing at two nodes (node j in slot j % 2), in one block
+    u_hat, z_hat, b_hat, *f_hat = np.zeros((5, 2, n - 1, n))
+    refused = None
+    if g is not None:
+        normals = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
+        try:
+            b_g, c_g, c_max_g = inv.right_side(g)
+        except IncompatibleBoundaryData as exc:
+            refused = exc
+        if c == 2 and ramp[0]:
+            tangential = {s: g.samples[s] * np.abs(TANGENTS[s]) for s in SIDES}
+            b_tan = inv.right_side(BoundaryData(grid, tangential))[0]
     velocities = [VelocityField.zeros(grid)]
     pressures = [None]
     diags = []
-    # the explicit term, rewritten every step: the solve copies its forces
-    explicit = np.empty((grid.n - 1, grid.n)), np.empty((grid.n, grid.n - 1))
     for j in range(m):
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
-        g_next = slice_g(j + 1)
         u = velocities[-1]
-        # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
-        for a, e in zip(u.interior(), explicit):
-            np.divide(a, dt / c ** 2, out=e)
-        forces = [explicit]
-        if force is not None:
-            forces += [force(node) for node in range(j + 2 - c, j + 2)]
         try:
-            u1, u2, p, diag = inv.solve(g_next if c == 1 else g_prev + g_next, forces)
+            # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
+            np.divide(u_hat, dt / c ** 2, out=b_hat)
+            if force is not None:
+                for node in range(j + 2 - c, j + 2):
+                    if node == j + 1 or j == 0:
+                        f_hat[node % 2] = _forcing_modes(inv, force(node),
+                                                         f_hat[node % 2])
+                    b_hat += f_hat[node % 2]
+            # c_hat comes back as the step's pressure, so it is a new array
+            walls, c_hat, c_max = None, np.zeros((n, n)), 0.0
+            if g is not None:
+                rho = ramp[j + 1] + (ramp[j] if c == 2 and j else 0.0)
+                if c == 2 and j == 0 and ramp[0]:
+                    b_hat += ramp[0] * b_tan
+                if rho:
+                    if refused is not None:
+                        raise refused
+                    # z_hat is free until the solve fills it
+                    b_hat += np.multiply(b_g, rho, out=z_hat)
+                    walls = {side: rho * a for side, a in normals.items()}
+                    if c_max_g:
+                        np.multiply(c_g, rho, out=c_hat)
+                        c_max = abs(rho) * c_max_g
+            u1, u2, p, diag = inv.solve_modes(b_hat, c_hat, c_max, walls,
+                                              modes=z_hat)
         except (NonConvergence, ValueError) as exc:
             direction = "backward" if backward else "forward"
             where = f"{direction} step {j + 1}/{m} (t={k * dt:.6g}): {exc}"
@@ -205,12 +269,13 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
             u1 -= u.u1
             u2 -= u.u2
             p *= 0.5
+            z_hat -= u_hat
+        u_hat, z_hat = z_hat, u_hat
         velocities.append(VelocityField(grid, u1, u2))
         pressures.append(PressureField(grid, p))
         diag["wall_time"] = time.perf_counter() - t0
         diag["step"] = k
         diags.append(diag)
-        g_prev = g_next
     if backward:
         for fields in (velocities, pressures, diags):
             fields.reverse()
@@ -229,8 +294,8 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     require_same_grid(grid, g)
     m = _check_steps(T, dt)
     march_force = None if force is None else (lambda j: force(j * dt))
-    return _march(grid, scheme, dt, m, march_force,
-                  lambda j: g.at(j, dt), False)
+    return _march(grid, scheme, dt, m, march_force, g.spatial,
+                  g.ramp_samples(m, dt), False)
 
 
 def evolve(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -250,10 +315,8 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     """
     require_same_grid(grid, u_traj)
     m = u_traj.steps
-    g0 = BoundaryData.zeros(grid)
     return _march(grid, u_traj.scheme, u_traj.dt, m,
-                  lambda j: u_traj.velocities[m - j].interior(),
-                  lambda j: g0, True)
+                  lambda j: u_traj.velocities[m - j].interior(), None, None, True)
 
 
 # --- space-time functionals --------------------------------------------------
@@ -270,10 +333,12 @@ def spacetime_velocity_norm(traj: Trajectory) -> float:
 
 
 def spacetime_boundary_norm(g: TimeBoundaryData, T: float, dt: float) -> float:
+    """sqrt(sum_k w_k |g(t_k)|_Gamma^2) = |g|_Gamma sqrt(sum_k w_k r_k^2)
+    over the ramp samples r_k."""
     m = _check_steps(T, dt)
+    r = g.ramp_samples(m, dt)
     w = trapezoid_weights(m, dt)
-    vals = np.array([l2_norm_gamma(g.at(k, dt)) for k in range(m + 1)])
-    return float(np.sqrt(np.sum(w * vals ** 2)))
+    return l2_norm_gamma(g.spatial) * float(np.sqrt(np.sum(w * r ** 2)))
 
 
 def spacetime_estimate_ratio(grid: StaggeredGrid, g: TimeBoundaryData,
@@ -366,13 +431,11 @@ def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
     m = _check_steps(T, dt)
     w = trapezoid_weights(m, dt)
     mvals, _ = _modulation_samples(modulation, np.arange(m + 1) * dt)
-    total = 0.0
-    for k, mv in enumerate(mvals):
-        gk = g.at(k, dt)
-        ring = sum(float(np.sum(gk.tangential_part(s) * g1.profiles[s]))
-                   for s in SIDES)
-        total += w[k] * mv * grid.h * ring
-    return -total
+    r = g.ramp_samples(m, dt)
+    # the slice at t_k is r_k g, so each ring sum is r_k times that of g
+    ring = sum(float(np.sum(g.spatial.tangential_part(s) * g1.profiles[s]))
+               for s in SIDES)
+    return -grid.h * ring * float(np.sum(w * mvals * r))
 
 
 def spacetime_independence_gap(traj: Trajectory, modulation,

@@ -25,8 +25,10 @@ faces, with no quadrature fudge factors.
 The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
-capacitance corrections.  Its ``solve`` builds and checks the right side of
-every stationary solve and time step, and a time step applies no Laplacian.
+capacitance corrections.  Its ``right_side`` builds and checks the right
+side of every stationary solve and of a time march's boundary data, and its
+``solve_modes``, the one modal core, runs every solve and time step from
+the modes of its right side; a time step applies no Laplacian.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
@@ -396,9 +398,11 @@ class SaddleInverse:
       free-slip complement, B0 = U^T G L^+, and K the capacitance matrix of
       :func:`_capacitance_sectors`, applied by :class:`_SectorInverse`.
 
-    :meth:`solve` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p) in
-    these modes.  A non-finite shift, or one at which the velocity Laplacian
-    or the Schur complement is singular, raises ValueError.
+    :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
+    in these modes, from the modes of b and c that :meth:`right_side`
+    builds and checks; :meth:`solve` is the two in sequence.  A non-finite
+    shift, or one at which the velocity Laplacian or the Schur complement
+    is singular, raises ValueError.
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
@@ -519,27 +523,22 @@ class SaddleInverse:
         out += r
         return out
 
-    def solve(self, g: BoundaryData, forces=(), h_src=None):
-        """Direct saddle solve of A u + G p = b, D u = h_src.
+    def right_side(self, g: BoundaryData, forces=(), h_src=None):
+        """The modes (b_hat, c_hat) of the right side of A u + G p = b,
+        D u = h_src, and its data scale c_max = max|c|.
 
         b is the load of g plus each interior-shaped pair (f1, f2) of forces,
-        in order (either may be None); a time step passes its explicit term
-        as the first pair.  A misshapen or non-finite pair or h_src raises
+        in order (either may be None); c is h_src less the wall fluxes
+        (g . n)/h.  A misshapen or non-finite pair or h_src raises
         ValueError; data that miss h^2 sum h_src = h sum g . n by more than
         1e-12 of h^2 sum |h_src| + h sum |g . n| raise
         IncompatibleBoundaryData without a source and IncompatibleSource
         with one.
 
-        Returns (u1_full, u2_full, p_cells, diagnostics), the wall faces of
-        u holding the normal samples of g.  The divergence defect
-        max|h_src - D u| of the returned field must be at most DIV_TOL times
-        the data scale max(max|c|, max|D w|), c = h_src less the wall fluxes
-        and w = A^{-1} b; a miss, a NaN included, raises NonConvergence
-        carrying p and the defect.
-
         b and c go to the modes by one 2-D transform each, unless they hold
         border data only: without forces b, and without h_src c, take the
-        closed form of :meth:`border_to_modes`, and a zero c none.
+        closed form of :meth:`border_to_modes`, and a zero c none.  Without
+        h_src, c is built, checked and read on its 4n - 4 border cells only.
         """
         n, h = self.grid.n, self.grid.h
         b, b1, b2 = self.face_stack()
@@ -551,28 +550,24 @@ class SaddleInverse:
                     _require_finite("forcing", f, bk.shape)
                     bk += f
                     forced = True
-        if h_src is not None:
-            _require_finite("divergence source", h_src, (n, n))
-        # the returned arrays outlive the call (a march keeps every step), so
-        # they are allocated first; until they are filled they are scratch
-        u1 = np.empty((n + 1, n))
-        u2 = np.empty((n, n + 1))
-        p = np.empty((n, n))
-        # c = h_src less the wall fluxes (g . n)/h, which reach the border
-        # cells only; the u1 walls go first, so that a corner cell adds its
-        # two fluxes in one fixed order
-        c = p
+        c = np.empty((n, n))
+        border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
         if h_src is None:
-            c.fill(0.0)
+            for line in border:
+                line.fill(0.0)
         else:
+            _require_finite("divergence source", h_src, (n, n))
             c[...] = h_src
+        # the wall fluxes reach the border cells only; the u1 walls go first,
+        # so that a corner cell adds its two fluxes in one fixed order
         scale = 0.0
         for side in sorted(SIDES, key=AXIS.get):
             flux = g.normal_part(side)
             wall(c, side)[...] -= flux / h
             scale += float(np.abs(flux).sum())
+        cells = c if h_src is not None else np.concatenate(border)
         # h^2 sum c is minus the net flux h sum g . n less h^2 sum h_src
-        net = -h * h * float(c.sum())
+        net = -h * h * float(cells.sum())
         scale *= h
         if h_src is not None:
             scale += h * h * float(np.abs(h_src).sum())
@@ -580,16 +575,45 @@ class SaddleInverse:
             error = IncompatibleBoundaryData if h_src is None else IncompatibleSource
             raise error(f"net boundary flux less the divergence source total is "
                         f"{net:.3e}; project the data first")
-        c_max = max(float(c.max()), -float(c.min()))
-        # the load of g and the wall fluxes live on the border lines only
+        c_max = max(float(cells.max()), -float(cells.min()))
         if h_src is not None:
             c = dctn(c, type=2, norm="ortho", overwrite_x=True)
         elif c_max > 0.0:
             self.border_to_modes(c)
-        if forced:
-            b_hat = self.to_modes(b)
         else:
-            b_hat = self.border_to_modes(b)
+            c.fill(0.0)
+        b_hat = self.to_modes(b) if forced else self.border_to_modes(b)
+        return b_hat, c, c_max
+
+    def solve(self, g: BoundaryData, forces=(), h_src=None):
+        """Direct saddle solve of A u + G p = b, D u = h_src: the right side
+        of :meth:`right_side`, with its checks, then :meth:`solve_modes`
+        with the normal samples of g on the wall faces."""
+        b_hat, c_hat, c_max = self.right_side(g, forces, h_src)
+        walls = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
+        return self.solve_modes(b_hat, c_hat, c_max, walls, h_src)
+
+    def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
+                    walls=None, h_src=None, modes=None):
+        """The saddle solve from the modes of its right side.
+
+        b_hat and c_hat are the modes of b and c (see :meth:`right_side`)
+        and c_max = max|c|; both arrays are overwritten, and c_hat's comes
+        back as the pressure.  walls maps each side to the normal values of u
+        on its wall faces (None: zero); h_src, when given, is the divergence
+        source.  modes, a face stack, receives the interior modes of u.
+
+        Returns (u1_full, u2_full, p_cells, diagnostics).  The divergence
+        defect max|h_src - D u| of the returned field must be at most DIV_TOL
+        times the data scale max(c_max, max|D w|), w = A^{-1} b; a miss, a
+        NaN included, raises NonConvergence carrying p and the defect.
+        """
+        n, h = self.grid.n, self.grid.h
+        # the returned arrays outlive the call (a march keeps every step);
+        # until they are filled they are scratch
+        u1 = np.empty((n + 1, n))
+        u2 = np.empty((n, n + 1))
+        p = c = c_hat
 
         # q holds D w, then p: both come back to the cells in one transform
         q = np.empty((2, n, n))
@@ -616,10 +640,11 @@ class SaddleInverse:
         q = idctn(q, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
         scale = max(c_max, float(q[0].max()), -float(q[0].min()))
         p[...] = q[1]
+        if modes is not None:
+            modes[...] = w_hat
         x1, x2 = self.from_modes(w_hat)
         for side in SIDES:
-            a = AXIS[side]
-            wall((u1, u2)[a], side)[...] = g.samples[side][:, a]
+            wall((u1, u2)[AXIS[side]], side)[...] = 0.0 if walls is None else walls[side]
         u1[1:n, :] = x1
         u2[:, 1:n] = x2
 

@@ -11,18 +11,19 @@ def find_assertion(report, name):
 
 
 def count_saddle_solves(monkeypatch):
-    """Count modal saddle solves (SaddleInverse.solve calls); returns the
+    """Count modal saddle solves (SaddleInverse.solve_modes calls, which
+    every stationary solve and every time step makes once); returns the
     list each call extends."""
     from vws.operators import SaddleInverse
 
     calls = []
-    solve = SaddleInverse.solve
+    solve_modes = SaddleInverse.solve_modes
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return solve(self, *args, **kwargs)
+        return solve_modes(self, *args, **kwargs)
 
-    monkeypatch.setattr(SaddleInverse, "solve", counted)
+    monkeypatch.setattr(SaddleInverse, "solve_modes", counted)
     return calls
 
 

@@ -106,13 +106,21 @@ def test_step_validation():
 
 
 def test_slice_with_net_flux_rejected():
-    # slice 0 is zero, slice 1 the outward normal data; the step's solve
-    # makes the one solvability check of every saddle solve
+    # slice 0 is zero, slice 1 the outward normal data; the march makes the
+    # solver's one solvability check and names the step that loads the data
     grid = build_grid(8)
     tb = TimeBoundaryData.ramped(outward_normal_data(grid), lambda t: t)
-    with pytest.raises(IncompatibleBoundaryData,
-                       match=r"forward step 1/1 \(t=1\): net boundary flux"):
-        evolve(grid, tb, 1.0, 1.0)
+    # zero slices up to t = 1/4: the first step that loads the data is the
+    # third, and the steps before it run
+    late = TimeBoundaryData.ramped(outward_normal_data(grid),
+                                   lambda t: max(t - 0.25, 0.0))
+    for scheme in ("euler", "cn"):
+        with pytest.raises(IncompatibleBoundaryData,
+                           match=r"forward step 1/1 \(t=1\): net boundary flux"):
+            evolve(grid, tb, 1.0, 1.0, scheme=scheme)
+        with pytest.raises(IncompatibleBoundaryData,
+                           match=r"forward step 3/8 \(t=0.375\): net boundary flux"):
+            evolve(grid, late, 1.0, 0.125, scheme=scheme)
 
 
 def test_slice_checks_follow_the_data_scale():
@@ -141,6 +149,71 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
     assert [d["step"] for d in traj.diagnostics] == list(range(1, m + 1))
     assert [d["step"] for d in back.diagnostics] == list(range(m))
     assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
+
+
+def test_unforced_march_takes_no_2d_forward_transform(monkeypatch):
+    # the boundary data enter every step through the border modes of g,
+    # built once per march, and the velocity's modes are carried between
+    # steps: nothing of an unforced march goes through a 2-D forward
+    # transform
+    from vws import operators
+    from vws.operators import SaddleInverse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("2-D forward transform in an unforced march")
+
+    monkeypatch.setattr(operators, "dctn", refuse)
+    monkeypatch.setattr(SaddleInverse, "to_modes", refuse)
+    grid = build_grid(16)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
+    for scheme in ("euler", "cn"):
+        traj = evolve(grid, tb, 0.5, 0.0625, scheme=scheme)
+        assert traj.norms()[-1] > 0.01
+
+
+@pytest.mark.parametrize("scheme", ["euler", "cn"])
+def test_backward_march_transforms_each_forcing_node_once(monkeypatch, scheme):
+    # the two Crank-Nicolson steps that read a node share its modes
+    from vws.operators import SaddleInverse
+
+    grid, m = build_grid(16), 8
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
+    traj = evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme)
+    calls = []
+    to_modes = SaddleInverse.to_modes
+
+    def counted(self, x):
+        calls.append(1)
+        return to_modes(self, x)
+
+    monkeypatch.setattr(SaddleInverse, "to_modes", counted)
+    solve_adjoint_backward(grid, traj)
+    assert len(calls) <= m + 1
+
+
+def test_euler_steps_match_per_step_saddle_solves():
+    # each forced implicit Euler step, forward and backward, is the saddle
+    # solve at shift 1/dt of u^k/dt plus the forcing and the data at t_{k+1}
+    grid = build_grid(16)
+    T, m = 0.7, 8
+    dt = T / m
+    tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
+    force = _force(grid)
+    traj = evolve_lifted(grid, tb, T, dt, scheme="euler", force=force)
+    s = 1.0 / dt
+    for k in range(m):
+        (u1, u2), (f1, f2) = traj.velocities[k].interior(), force((k + 1) * dt)
+        ref = solve_saddle(grid, tb.at(k + 1, dt), s * u1 + f1, s * u2 + f2,
+                           None, shift=s)[:2]
+        _close(traj.velocities[k + 1], ref, 1e-12)
+    back = solve_adjoint_backward(grid, traj)
+    zero = BoundaryData.zeros(grid)
+    for k in range(m - 1, -1, -1):
+        (v1, v2), (f1, f2) = (back.velocities[k + 1].interior(),
+                              traj.velocities[k].interior())
+        ref = solve_saddle(grid, zero, s * v1 + f1, s * v2 + f2, None,
+                           shift=s)[:2]
+        _close(back.velocities[k], ref, 1e-12)
 
 
 def _trapezoid_step(grid, dt, u, g, f1, f2, g_next):
