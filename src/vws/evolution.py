@@ -11,7 +11,10 @@ Each implicit step is one shifted saddle solve by the cached
 Euler (c = 1, u^{k+1} = z) and summed over t_k, t_{k+1} for Crank-Nicolson
 (c = 2).  That is the implicit midpoint rule, algebraically the trapezoidal
 rule: z = u^k + u^{k+1} is twice the midpoint velocity, u^{k+1} = z - u^k,
-and P/2 is the half-step pressure.  No step applies a Laplacian.
+and P/2 is the half-step pressure.  No step applies a Laplacian, and none
+brings its pressure back to the cells: the paper's evolution result bounds
+the velocity, and a very weak solution's pressure is only a distribution in
+time, so a trajectory keeps velocities alone.
 
 The march runs in the solver's modes.  Boundary data are a ramp r(t) times
 one spatial profile g, so the modes of load(g) and of its wall fluxes are
@@ -19,16 +22,21 @@ built and checked once per march, and a step scales them by its ramp sum;
 the velocity's interior modes are carried from step to step, so the
 explicit term c s u^k takes no transform, and each forcing node is
 transformed once.  A step's only forward transform is that of its new
-forcing node.
+forcing node, and its only inverse transform that of its velocity.  A
+forward march keeps each velocity's interior modes with it.
 
 The backward adjoint problem
 
     -dv/dt - Laplace(v) + grad(q) = u,  v(T) = 0,  v = 0 on the wall
 
 is the same step loop marched under time reversal: the forcing trajectory
-is read backwards and the boundary values are zero.  ``evolve_lifted`` and
-``solve_adjoint_backward`` are thin wrappers over that one loop, which
-carries no state between steps but the velocity and its modes.
+is read backwards and the boundary values are zero.  The forcing of the
+backward march is the forward march's own modes, so it takes no transform
+at all and stays the exact discrete adjoint of the forward steps; a
+trajectory built without modes is transformed once per node.
+``evolve_lifted`` and ``solve_adjoint_backward`` are thin wrappers over that
+one loop, which carries no state between steps but the velocity and its
+modes.
 
 On top of these sit the space-time energy-estimate ratio
 |u|_{Q_T} / |g|_{Gamma_T} and the space-time tangential pairing
@@ -57,7 +65,7 @@ import numpy as np
 
 from .boundary import AXIS, SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
 from .errors import IncompatibleBoundaryData, NonConvergence, ZeroBoundaryData
-from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
+from .grid import (StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import _require_finite, saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
@@ -127,8 +135,15 @@ class TimeBoundaryData:
 @dataclass
 class Trajectory:
     """Per-step fields of one evolution run, one velocity per time k dt (else
-    ValueError); step 0 is the initial state, and a Crank-Nicolson pressure
-    is that of the half step ending at its time."""
+    ValueError); step 0 is the initial state.
+
+    A march fills pressures with None: its steps leave their pressures in
+    the solver's modes.  modes, when given, holds the interior modes of each
+    velocity (the face stack of :meth:`vws.operators.SaddleInverse.to_modes`),
+    one (2, n - 1, n) array per time (else ValueError), made read-only; a
+    forward march keeps them, and the backward march reads them as its
+    forcing.  Without them that march transforms each velocity once.
+    """
 
     grid: StaggeredGrid
     scheme: str
@@ -137,6 +152,7 @@ class Trajectory:
     velocities: list
     pressures: list
     diagnostics: list = field(default_factory=list)
+    modes: list | None = None
 
     def __post_init__(self):
         m = len(self.times)
@@ -145,6 +161,15 @@ class Trajectory:
         drift = np.abs(np.asarray(self.times) - np.arange(m) * self.dt)
         if not (m and drift.max() <= 1e-9 * abs(self.times[-1])):
             raise ValueError(f"times are not k dt for dt={self.dt}")
+        if self.modes is not None:
+            shape = (2, self.grid.n - 1, self.grid.n)
+            if len(self.modes) != m:
+                raise ValueError(f"{len(self.modes)} modes for {m} times")
+            self.modes = [np.asarray(a, dtype=float) for a in self.modes]
+            for a in self.modes:
+                if a.shape != shape:
+                    raise ValueError(f"modes of shape {a.shape}, not {shape}")
+                a.flags.writeable = False
 
     @property
     def steps(self) -> int:
@@ -188,13 +213,16 @@ def _forcing_modes(inv, pair, out: np.ndarray) -> np.ndarray:
 
 
 def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
-           force, g: BoundaryData | None, ramp, backward: bool) -> Trajectory:
+           force, g: BoundaryData | None, ramp, backward: bool,
+           modal: bool = False) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
 
     Node j of the march is time index j forward and m - j backward.
-    force(j) -> (f1, f2) interior forcing at node j, or force=None; the
-    boundary values at node j are ramp[j] g, or zero for g=None.  The
-    trajectory comes back in forward time order either way.
+    force(j) -> (f1, f2) interior forcing at node j, or with modal=True its
+    interior modes (read, never written), or force=None; the boundary values
+    at node j are ramp[j] g, or zero for g=None.  The trajectory comes back
+    in forward time order either way; a forward march keeps each velocity's
+    interior modes, read-only like the velocities, as its modes.
 
     A step is the saddle solve of the module docstring, marched in the
     solver's modes: the velocity's interior modes u^k are carried from step
@@ -204,17 +232,22 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     for Crank-Nicolson.  The zero start's wall faces hold no normal values,
     so the first Crank-Nicolson step takes rho = r_1 and loads the
     tangential part of g(0) apart.  Data whose net flux the solver refuses
-    raise at the first step with rho != 0.  Each forcing node is checked and
-    transformed once.
+    raise at the first step with rho != 0.  Each forcing node given as
+    (f1, f2) is checked and transformed once.  Only the velocity comes back
+    to the cells: the steps' pressures are left in their modes, and the
+    trajectory's pressures are None.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     c = 1 if scheme == "euler" else 2
     inv = saddle_inverses(grid, c / dt)
     n = grid.n
-    # the modes of u^k, of the next solution z, of the right side and of the
-    # forcing at two nodes (node j in slot j % 2), in one block
-    u_hat, z_hat, b_hat, *f_hat = np.zeros((5, 2, n - 1, n))
+    # the modes of the right side and of the forcing at two nodes (node j in
+    # slot j % 2), in one block; c_hat, the modes of the continuity right
+    # side, is refilled every step
+    b_hat, *f_buf = np.empty((3, 2, n - 1, n))
+    f_hat = [None, None]
+    c_hat = np.empty((n, n))
     refused = None
     if g is not None:
         normals = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
@@ -226,23 +259,28 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
             tangential = {s: g.samples[s] * np.abs(TANGENTS[s]) for s in SIDES}
             b_tan = inv.right_side(BoundaryData(grid, tangential))[0]
     velocities = [VelocityField.zeros(grid)]
-    pressures = [None]
+    # the zero start's modes, which take no memory
+    u_hat = np.broadcast_to(0.0, (2, n - 1, n))
+    modes = None if backward else [u_hat]
     diags = []
     for j in range(m):
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
         u = velocities[-1]
+        # the modes of the next solution, which a forward march keeps
+        z_hat = np.empty((2, n - 1, n))
         try:
             # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
             np.divide(u_hat, dt / c ** 2, out=b_hat)
             if force is not None:
                 for node in range(j + 2 - c, j + 2):
+                    slot = node % 2
                     if node == j + 1 or j == 0:
-                        f_hat[node % 2] = _forcing_modes(inv, force(node),
-                                                         f_hat[node % 2])
-                    b_hat += f_hat[node % 2]
-            # c_hat comes back as the step's pressure, so it is a new array
-            walls, c_hat, c_max = None, np.zeros((n, n)), 0.0
+                        f_hat[slot] = (force(node) if modal else
+                                       _forcing_modes(inv, force(node), f_buf[slot]))
+                    b_hat += f_hat[slot]
+            walls, c_max = None, 0.0
+            c_hat.fill(0.0)
             if g is not None:
                 rho = ramp[j + 1] + (ramp[j] if c == 2 and j else 0.0)
                 if c == 2 and j == 0 and ramp[0]:
@@ -256,7 +294,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
                     if c_max_g:
                         np.multiply(c_g, rho, out=c_hat)
                         c_max = abs(rho) * c_max_g
-            u1, u2, p, diag = inv.solve_modes(b_hat, c_hat, c_max, walls,
+            u1, u2, _, diag = inv.solve_modes(b_hat, c_hat, c_max, walls,
                                               modes=z_hat)
         except (NonConvergence, ValueError) as exc:
             direction = "backward" if backward else "forward"
@@ -268,19 +306,19 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
         if c == 2:
             u1 -= u.u1
             u2 -= u.u2
-            p *= 0.5
             z_hat -= u_hat
-        u_hat, z_hat = z_hat, u_hat
         velocities.append(VelocityField(grid, u1, u2))
-        pressures.append(PressureField(grid, p))
+        if modes is not None:
+            modes.append(z_hat)
+        u_hat = z_hat
         diag["wall_time"] = time.perf_counter() - t0
         diag["step"] = k
         diags.append(diag)
     if backward:
-        for fields in (velocities, pressures, diags):
-            fields.reverse()
+        velocities.reverse()
+        diags.reverse()
     return Trajectory(grid, scheme, dt, np.arange(m + 1) * dt, velocities,
-                      pressures, diags)
+                      [None] * (m + 1), diags, modes)
 
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -311,12 +349,19 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     Reversing time turns this into the forward step loop, in the scheme of
     u_traj, with the forcing trajectory read backwards and homogeneous
     boundary values; the result is returned in forward time order (entry k
-    is v(t_k), entry -1 is zero).  u_traj on another grid raises ValueError.
+    is v(t_k), entry -1 is zero).  The forcing is u_traj's modes, read in
+    place, when it has them, else the transform of each of its velocities.
+    u_traj on another grid raises ValueError.
     """
     require_same_grid(grid, u_traj)
     m = u_traj.steps
-    return _march(grid, u_traj.scheme, u_traj.dt, m,
-                  lambda j: u_traj.velocities[m - j].interior(), None, None, True)
+    modal = u_traj.modes is not None
+    if modal:
+        force = lambda j: u_traj.modes[m - j]
+    else:
+        force = lambda j: u_traj.velocities[m - j].interior()
+    return _march(grid, u_traj.scheme, u_traj.dt, m, force, None, None, True,
+                  modal)
 
 
 # --- space-time functionals --------------------------------------------------

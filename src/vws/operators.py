@@ -28,7 +28,8 @@ diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  Its ``right_side`` builds and checks the right
 side of every stationary solve and of a time march's boundary data, and its
 ``solve_modes``, the one modal core, runs every solve and time step from
-the modes of its right side; a time step applies no Laplacian.
+the modes of its right side and brings only the velocity back to the cells;
+a time step applies no Laplacian.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
@@ -400,7 +401,8 @@ class SaddleInverse:
 
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
-    builds and checks; :meth:`solve` is the two in sequence.  A non-finite
+    builds and checks, and leaves p in its modes; :meth:`solve` is the two
+    in sequence and brings p to the cells.  A non-finite
     shift, or one at which the velocity Laplacian or the Schur complement
     is singular, raises ValueError.
     """
@@ -588,58 +590,79 @@ class SaddleInverse:
     def solve(self, g: BoundaryData, forces=(), h_src=None):
         """Direct saddle solve of A u + G p = b, D u = h_src: the right side
         of :meth:`right_side`, with its checks, then :meth:`solve_modes`
-        with the normal samples of g on the wall faces."""
+        with the normal samples of g on the wall faces, and the pressure's
+        modes brought back to the cells.
+
+        Returns (u1_full, u2_full, p_cells, diagnostics).
+        """
         b_hat, c_hat, c_max = self.right_side(g, forces, h_src)
         walls = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
-        return self.solve_modes(b_hat, c_hat, c_max, walls, h_src)
+        u1, u2, p_hat, diag = self.solve_modes(b_hat, c_hat, c_max, walls, h_src)
+        return u1, u2, idctn(p_hat, type=2, norm="ortho"), diag
+
+    def divergence_modes(self, w_hat: np.ndarray, out=None,
+                         scratch=None) -> np.ndarray:
+        """The cosine modes of D w, for w the interior faces of the stacked
+        modes w_hat and zero wall faces.
+
+        out (n, n) receives them and scratch (n - 1, n) is overwritten; each
+        is allocated when it is not given.
+        """
+        n = self.grid.n
+        root_mu = self._root_mu[1:, None]
+        dw = np.empty((n, n)) if out is None else out
+        dw[0] = 0.0
+        np.multiply(root_mu, w_hat[0], out=dw[1:])
+        dw[:, 1:] += np.multiply(root_mu, w_hat[1], out=scratch).T
+        return dw
 
     def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
                     walls=None, h_src=None, modes=None):
         """The saddle solve from the modes of its right side.
 
         b_hat and c_hat are the modes of b and c (see :meth:`right_side`)
-        and c_max = max|c|; both arrays are overwritten, and c_hat's comes
-        back as the pressure.  walls maps each side to the normal values of u
-        on its wall faces (None: zero); h_src, when given, is the divergence
-        source.  modes, a face stack, receives the interior modes of u.
+        and c_max = max|c|; both arrays are overwritten.  walls maps each
+        side to the normal values of u on its wall faces (None: zero);
+        h_src, when given, is the divergence source.  modes, a face stack,
+        receives the interior modes of u.
 
-        Returns (u1_full, u2_full, p_cells, diagnostics).  The divergence
-        defect max|h_src - D u| of the returned field must be at most DIV_TOL
-        times the data scale max(c_max, max|D w|), w = A^{-1} b; a miss, a
-        NaN included, raises NonConvergence carrying p and the defect.
+        Returns (u1_full, u2_full, p_hat, diagnostics), with p_hat the
+        pressure's cosine modes: only the velocity goes back to the cells.
+        The divergence defect max|h_src - D u| of the returned field
+        (diagnostics ``div_max``) must be at most DIV_TOL times the data
+        scale max(c_max, |D w|_2 / n), w = A^{-1} b, read from the modes of
+        D w: by Parseval the cell RMS of D w, never more than max|D w|.  A
+        miss, a NaN included, raises NonConvergence carrying the cell
+        pressure, transformed on that path only, and the defect.
         """
         n, h = self.grid.n, self.grid.h
-        # the returned arrays outlive the call (a march keeps every step);
-        # until they are filled they are scratch
-        u1 = np.empty((n + 1, n))
-        u2 = np.empty((n, n + 1))
-        p = c = c_hat
+        # D w (later the defect) and p are n^2 each, less than any array a
+        # march keeps, so each step's pair refills the holes the last left.
+        # u1 and u2 share one block, which outlives the call (a march keeps
+        # every step); until they are filled it is scratch, first for the
+        # velocity solve
+        dw, p = np.empty((n, n)), np.empty((n, n))
+        u12 = np.empty(2 * n * (n + 1))
+        u1 = u12[:n * (n + 1)].reshape(n + 1, n)
+        u2 = u12[n * (n + 1):].reshape(n, n + 1)
+        c = c_hat
 
-        # q holds D w, then p: both come back to the cells in one transform
-        q = np.empty((2, n, n))
-        q_face = q.reshape(2, -1)[:, :(n - 1) * n].reshape(b_hat.shape)
-        w_hat = self.velocity_solve(b_hat, scratch=q_face)
-        root_mu = self._root_mu[1:, None]
-        dw = q[0]
-        dw[0] = 0.0
-        np.multiply(root_mu, w_hat[0], out=dw[1:])
-        np.multiply(root_mu, w_hat[1], out=u1[:n - 1])
-        dw[:, 1:] += u1[:n - 1].T
+        w_hat = self.velocity_solve(
+            b_hat, scratch=u12[:b_hat.size].reshape(b_hat.shape))
+        self.divergence_modes(w_hat, out=dw, scratch=u1[:n - 1])
+        scale = max(c_max, float(np.linalg.norm(dw)) / n)
         c -= dw
         c[0, 0] = 0.0
         # one exact pressure step, none for zero data
         steps = int(c.any())
-        self.schur_solve(c, q[1], u1[:n])
+        self.schur_solve(c, p, u1[:n])
 
-        # u = w + A^{-1}(-G p), one component at a time in the free u2 and
-        # p; then q goes back to the cells
+        # u = w + A^{-1}(-G p), one component at a time in the free u2 and c
+        root_mu = self._root_mu[1:, None]
         y = u2.reshape(-1)[:(n - 1) * n].reshape(n - 1, n)
-        for x, gp in zip(w_hat, (q[1, 1:], q[1, :, 1:].T)):
+        for x, gp in zip(w_hat, (p[1:], p[:, 1:].T)):
             np.multiply(root_mu, gp, out=y)
-            x += self.velocity_solve(y, scratch=p[:n - 1])
-        q = idctn(q, type=2, axes=(1, 2), norm="ortho", overwrite_x=True)
-        scale = max(c_max, float(q[0].max()), -float(q[0].min()))
-        p[...] = q[1]
+            x += self.velocity_solve(y, scratch=c[:n - 1])
         if modes is not None:
             modes[...] = w_hat
         x1, x2 = self.from_modes(w_hat)
@@ -648,7 +671,7 @@ class SaddleInverse:
         u1[1:n, :] = x1
         u2[:, 1:n] = x2
 
-        defect = cell_divergence(u1, u2, h, out=q[0], scratch=q[1])
+        defect = cell_divergence(u1, u2, h, out=dw, scratch=c)
         if h_src is not None:
             defect -= h_src
         div_max = float(np.abs(defect, out=defect).max())
@@ -656,7 +679,8 @@ class SaddleInverse:
             raise NonConvergence(
                 f"saddle solve: divergence defect {div_max:.3e} above "
                 f"{DIV_TOL:.1e} of the data scale {scale:.3e}",
-                best_x=p, residual=div_max, iterations=steps,
+                best_x=idctn(p, type=2, norm="ortho"), residual=div_max,
+                iterations=steps,
             )
         diag = {"outer_iterations": steps, "div_max": div_max}
         return u1, u2, p, diag

@@ -24,20 +24,24 @@ that miss it beyond rounding before it solves anything.  Then:
     4. the wall faces of u get the prescribed normal values and its interior
        faces w - A^{-1} G p;
     5. the divergence defect max|h_src - D u| of the returned field must be at
-       most DIV_TOL times the data scale max(max|c|, max|D w|); a miss, a NaN
-       included, raises NonConvergence carrying p and the defect.
+       most DIV_TOL times the data scale max(max|c|, rms(D w)), the cell RMS
+       of D w read from its modes (Parseval), which never exceeds max|D w|;
+       a miss, a NaN included, raises NonConvergence carrying p and the
+       defect.
 
 Steps 1-4 run in the modes, so a solve costs one forward transform of b and
 of c (:meth:`vws.operators.SaddleInverse.right_side`), one inverse transform
-of u and one of D w and p stacked, plus the cell divergence of step 5
-(:meth:`vws.operators.SaddleInverse.solve_modes`).  Without forcing, b is
+of u, plus the cell divergence of step 5
+(:meth:`vws.operators.SaddleInverse.solve_modes`); a stationary solve adds
+one inverse transform of p, which a time step, keeping only its velocity,
+never makes.  Without forcing, b is
 the load of g, and without h_src, c holds the wall fluxes: both then live
 on their border lines, where c is also built and checked, and their forward
 transforms are closed-form products of 1-D transforms of those lines; a
 zero c, as in every adjoint solve and for tangential data, takes no
 transform at all.  A time march builds the right side of its boundary data
-once and steps in the modes, so its steps pay only the modal stage and the
-transform of their new forcing.  :func:`residual_report` computes the
+once and steps in the modes, so its steps pay only the modal stage, the
+inverse transform of u and the transform of their new forcing.  :func:`residual_report` computes the
 momentum residual on demand.  The solver is built once per (grid, shift) by
 :func:`vws.operators.saddle_inverses`, which refuses a singular shift.
 """

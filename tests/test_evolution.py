@@ -151,29 +151,43 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
     assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
 
 
-def test_unforced_march_takes_no_2d_forward_transform(monkeypatch):
+def test_march_makes_no_2d_transform(monkeypatch):
     # the boundary data enter every step through the border modes of g,
-    # built once per march, and the velocity's modes are carried between
-    # steps: nothing of an unforced march goes through a 2-D forward
-    # transform
+    # built once per march, the velocity's modes are carried between steps
+    # and the steps' pressures stay in their modes; the backward march of a
+    # marched trajectory reads its modes.  Nothing of an unforced march or of
+    # that backward march goes through a 2-D transform
     from vws import operators
     from vws.operators import SaddleInverse
 
     def refuse(*args, **kwargs):
-        raise AssertionError("2-D forward transform in an unforced march")
+        raise AssertionError("2-D transform in a march")
 
-    monkeypatch.setattr(operators, "dctn", refuse)
+    for name in ("dctn", "idctn"):
+        monkeypatch.setattr(operators, name, refuse)
     monkeypatch.setattr(SaddleInverse, "to_modes", refuse)
-    grid = build_grid(16)
+    grid, m = build_grid(16), 8
     tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
     for scheme in ("euler", "cn"):
-        traj = evolve(grid, tb, 0.5, 0.0625, scheme=scheme)
+        traj = evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme)
         assert traj.norms()[-1] > 0.01
+        back = solve_adjoint_backward(grid, traj)
+        assert back.norms()[0] > 0.0
+        assert traj.pressures == back.pressures == [None] * (m + 1)
+
+
+def _hand_built(traj, modes=None):
+    """The same velocities in a Trajectory built without the march."""
+    return Trajectory(traj.grid, traj.scheme, traj.dt, traj.times,
+                      list(traj.velocities), [None] * len(traj.times),
+                      modes=modes)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
 def test_backward_march_transforms_each_forcing_node_once(monkeypatch, scheme):
-    # the two Crank-Nicolson steps that read a node share its modes
+    # a marched trajectory hands its modes to the backward march, which then
+    # transforms nothing; a hand-built one is transformed once per node, the
+    # two Crank-Nicolson steps that read a node sharing its modes
     from vws.operators import SaddleInverse
 
     grid, m = build_grid(16), 8
@@ -188,7 +202,57 @@ def test_backward_march_transforms_each_forcing_node_once(monkeypatch, scheme):
 
     monkeypatch.setattr(SaddleInverse, "to_modes", counted)
     solve_adjoint_backward(grid, traj)
-    assert len(calls) <= m + 1
+    assert len(calls) == 0
+    solve_adjoint_backward(grid, _hand_built(traj))
+    assert 0 < len(calls) <= m + 1
+
+
+@pytest.mark.parametrize("scheme", ["euler", "cn"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_kept_modes_are_those_of_the_velocities(n, scheme):
+    # the backward march forced by the kept modes is the one forced by the
+    # transforms of the same velocities, and each kept mode is that transform
+    from vws.operators import saddle_inverses
+
+    grid, m = build_grid(n), 8
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
+    traj = evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme)
+    inv = saddle_inverses(grid, 0.0)
+    for u, u_hat in zip(traj.velocities, traj.modes):
+        x, x1, x2 = inv.face_stack()
+        x1[...], x2[...] = u.interior()
+        want = inv.to_modes(x)
+        assert np.abs(u_hat - want).max() <= 1e-13 * np.abs(want).max()
+    got = solve_adjoint_backward(grid, traj)
+    ref = solve_adjoint_backward(grid, _hand_built(traj))
+    for v, w in zip(got.velocities, ref.velocities):
+        _close(v, (w.u1, w.u2), 1e-13)
+
+
+def test_marched_fields_are_read_only():
+    # the backward march reads the kept modes in place, so neither they nor
+    # the velocities they mirror may change after the march
+    grid = build_grid(8)
+    tb = TimeBoundaryData.constant(rotation_data(grid))
+    traj = evolve(grid, tb, 0.5, 0.125, scheme="cn")
+    for a in (traj.velocities[2].u1, traj.velocities[2].u2, traj.modes[2]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
+def test_trajectory_refuses_misshapen_modes():
+    grid = build_grid(8)
+    traj = evolve(grid, TimeBoundaryData.constant(rotation_data(grid)), 0.5,
+                  0.125)
+    with pytest.raises(ValueError, match="4 modes for 5 times"):
+        _hand_built(traj, traj.modes[1:])
+    with pytest.raises(ValueError, match="not \\(2, 7, 8\\)"):
+        _hand_built(traj, [np.zeros((2, 8, 7))] * 5)
+    # given modes are made read-only like the march's
+    kept = _hand_built(traj, [np.zeros((2, 7, 8)) for _ in range(5)])
+    assert not kept.modes[0].flags.writeable
 
 
 def test_euler_steps_match_per_step_saddle_solves():

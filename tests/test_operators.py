@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import dctn, idctn
 from scipy.linalg import hilbert
 
@@ -342,3 +343,27 @@ def test_border_data_take_no_2d_forward_transform(monkeypatch):
     assert inv.solve(BoundaryData.zeros(grid), [f])[3]["outer_iterations"] == 1
     with pytest.raises(AssertionError, match="border data"):
         inv.solve(rotation_data(grid), (), np.zeros((16, 16)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([4, 5, 8, 33, 64]),
+       shift=st.sampled_from([0.0, 64.0]))
+def test_divergence_scale_is_the_cell_rms_of_d_w(seed, n, shift):
+    # solve_modes scales its divergence check by |D w|_2 / n, read from the
+    # modes of D w: by Parseval the cell RMS of D w, never above max|D w|,
+    # so the check is at least as tight as one scaled by max|D w|
+    grid = build_grid(n)
+    inv = saddle_inverses(grid, shift)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, n - 1, n)) * 10.0 ** rng.uniform(-6, 6)
+    w_hat = inv.velocity_solve(inv.to_modes(x))
+    dw_hat = inv.divergence_modes(w_hat)
+    # D w of the field w with zero wall faces, in the cells
+    w1, w2 = inv.from_modes(w_hat.copy())
+    dw = divergence(VelocityField.from_interior(grid, w1, w2)).p
+    cells = idctn(dw_hat, type=2, norm="ortho")
+    assert np.abs(cells - dw).max() <= 1e-12 * np.abs(dw).max()
+    rms_modes = float(np.linalg.norm(dw_hat)) / n
+    rms_cells = float(np.sqrt(np.mean(cells ** 2)))
+    assert abs(rms_modes - rms_cells) <= 1e-13 * rms_cells
+    assert rms_modes <= np.abs(cells).max()

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.fft import dctn, idctn
 
 from vws.boundary import (
     SIDES,
@@ -24,6 +26,7 @@ from vws.errors import (
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_fields
 from vws.operators import (
+    DIV_TOL,
     SaddleInverse,
     divergence,
     laplacian_load,
@@ -388,7 +391,8 @@ def test_saddle_rejects_non_finite_forcing_with_shift():
 def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
     # a velocity solve that returns zero leaves the whole divergence source
     # as the defect; the Uzawa loop once surfaced this as a bare
-    # ZeroDivisionError, the direct solve raises carrying its pressure
+    # ZeroDivisionError, the direct solve raises carrying its pressure in
+    # the cells, although a solve keeps it in its modes until it returns
     grid = build_grid(16)
     src = np.zeros((16, 16))
     src[2, 2], src[9, 9] = 1.0, -1.0
@@ -400,6 +404,14 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_saddle(grid, BoundaryData.zeros(grid), None, None, src, shift=shift)
     assert info.value.best_x is not None
+    assert info.value.best_x.shape == (16, 16)
+    # with w = 0 the pressure is S^{-1} h_src, whose modes no cell array
+    # of this source matches
+    inv = saddle_inverses(grid, shift)
+    p_hat = inv.schur_solve(dctn(src, type=2, norm="ortho"), np.empty((16, 16)),
+                            np.empty((16, 16)))
+    want = idctn(p_hat, type=2, norm="ortho")
+    assert np.abs(info.value.best_x - want).max() <= 1e-12 * np.abs(want).max()
     assert info.value.residual == pytest.approx(1.0)
 
 
@@ -465,3 +477,44 @@ def test_residual_report_momentum_residual_flags_a_wrong_pressure():
     wrong = StokesSolution(grid, sol.velocity,
                            PressureField(grid, sol.pressure.p + bump))
     assert residual_report(wrong, g=g)["momentum_res_rel"] >= 1e-3
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("shift", [0.0, 128.0])
+def test_divergence_defect_is_far_below_its_rms_scale(n, shift):
+    # the check scales by the cell RMS of D w, up to 300 times below the
+    # max|D w| it once read for the unregularised lid; the defects of
+    # rough and smooth data still sit three decades under the tolerance
+    grid = build_grid(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        data = (cavity_g(grid), cavity_g_eps(grid, 0.05), rotation_data(grid))
+    inv = saddle_inverses(grid, shift)
+    for g in data:
+        b_hat, _, c_max = inv.right_side(g)
+        dw_hat = inv.divergence_modes(inv.velocity_solve(b_hat))
+        scale = max(c_max, float(np.linalg.norm(dw_hat)) / n)
+        diag = solve_saddle(grid, g, None, None, None, shift=shift)[3]
+        assert diag["div_max"] <= 1e-3 * DIV_TOL * scale
+
+
+def test_divergence_check_quotes_the_rms_scale(monkeypatch):
+    # tangential lid data have c = 0, so the check's scale is the cell RMS
+    # of D w alone, about a seventh of the max|D w| it once read here
+    grid, g = _lid(64)
+    velocity_solve = SaddleInverse.velocity_solve
+
+    def off(self, x, scratch=None):
+        x = velocity_solve(self, x, scratch)
+        x *= 1.001
+        return x
+
+    monkeypatch.setattr(SaddleInverse, "velocity_solve", off)
+    inv = saddle_inverses(grid, 0.0)
+    b_hat, _, c_max = inv.right_side(g)
+    dw_hat = inv.divergence_modes(inv.velocity_solve(b_hat))
+    rms = float(np.linalg.norm(dw_hat)) / 64
+    peak = float(np.abs(idctn(dw_hat, type=2, norm="ortho")).max())
+    assert c_max == 0.0 and rms < 0.2 * peak
+    with pytest.raises(NonConvergence, match=re.escape(f"data scale {rms:.3e}")):
+        solve_boundary(grid, g)
