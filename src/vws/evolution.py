@@ -23,7 +23,8 @@ the velocity's interior modes are carried from step to step, so the
 explicit term c s u^k takes no transform, and each forcing node is
 transformed once.  A step's only forward transform is that of its new
 forcing node, and its only inverse transform that of its velocity.  A
-forward march keeps each velocity's interior modes with it.
+forward march's velocities keep their interior modes
+(:attr:`vws.grid.VelocityField.modes`), as every solved velocity does.
 
 The backward adjoint problem
 
@@ -31,9 +32,11 @@ The backward adjoint problem
 
 is the same step loop marched under time reversal: the forcing trajectory
 is read backwards and the boundary values are zero.  The forcing of the
-backward march is the forward march's own modes, so it takes no transform
-at all and stays the exact discrete adjoint of the forward steps; a
-trajectory built without modes is transformed once per node.
+backward march is the modes the forward velocities keep, so it takes no
+transform at all and stays the exact discrete adjoint of the forward steps;
+a velocity without modes (a hand-built trajectory) is transformed once.
+The backward march's own velocities keep no modes, so an adjoint trajectory
+holds its velocities alone.
 ``evolve_lifted`` and ``solve_adjoint_backward`` are thin wrappers over that
 one loop, which carries no state between steps but the velocity and its
 modes.
@@ -138,11 +141,8 @@ class Trajectory:
     ValueError); step 0 is the initial state.
 
     A march fills pressures with None: its steps leave their pressures in
-    the solver's modes.  modes, when given, holds the interior modes of each
-    velocity (the face stack of :meth:`vws.operators.SaddleInverse.to_modes`),
-    one (2, n - 1, n) array per time (else ValueError), made read-only; a
-    forward march keeps them, and the backward march reads them as its
-    forcing.  Without them that march transforms each velocity once.
+    the solver's modes.  A forward march's velocities keep their interior
+    modes, which the backward march reads as its forcing.
     """
 
     grid: StaggeredGrid
@@ -152,7 +152,6 @@ class Trajectory:
     velocities: list
     pressures: list
     diagnostics: list = field(default_factory=list)
-    modes: list | None = None
 
     def __post_init__(self):
         m = len(self.times)
@@ -161,15 +160,6 @@ class Trajectory:
         drift = np.abs(np.asarray(self.times) - np.arange(m) * self.dt)
         if not (m and drift.max() <= 1e-9 * abs(self.times[-1])):
             raise ValueError(f"times are not k dt for dt={self.dt}")
-        if self.modes is not None:
-            shape = (2, self.grid.n - 1, self.grid.n)
-            if len(self.modes) != m:
-                raise ValueError(f"{len(self.modes)} modes for {m} times")
-            self.modes = [np.asarray(a, dtype=float) for a in self.modes]
-            for a in self.modes:
-                if a.shape != shape:
-                    raise ValueError(f"modes of shape {a.shape}, not {shape}")
-                a.flags.writeable = False
 
     @property
     def steps(self) -> int:
@@ -199,30 +189,32 @@ def _check_steps(T: float, dt: float) -> int:
     return m
 
 
-def _forcing_modes(inv, pair, out: np.ndarray) -> np.ndarray:
-    """The modes of one interior forcing pair (f1, f2), either None for zero,
+def _forcing_modes(inv, f, out: np.ndarray) -> np.ndarray:
+    """The modes of one forcing node: f itself when it is a face stack of
+    modes, else those of the interior pair (f1, f2), either None for zero,
     written to the face stack out; a misshapen or non-finite array raises
     ValueError."""
-    for f, x in zip(pair, (out[0], out[1].T)):
-        if f is None:
+    if isinstance(f, np.ndarray):
+        return f
+    for fk, x in zip(f, (out[0], out[1].T)):
+        if fk is None:
             x.fill(0.0)
         else:
-            _require_finite("forcing", f, x.shape)
-            x[...] = f
+            _require_finite("forcing", fk, x.shape)
+            x[...] = fk
     return inv.to_modes(out)
 
 
 def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
-           force, g: BoundaryData | None, ramp, backward: bool,
-           modal: bool = False) -> Trajectory:
+           force, g: BoundaryData | None, ramp, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
 
     Node j of the march is time index j forward and m - j backward.
-    force(j) -> (f1, f2) interior forcing at node j, or with modal=True its
-    interior modes (read, never written), or force=None; the boundary values
-    at node j are ramp[j] g, or zero for g=None.  The trajectory comes back
-    in forward time order either way; a forward march keeps each velocity's
-    interior modes, read-only like the velocities, as its modes.
+    force(j) -> the interior forcing at node j, a pair (f1, f2) or the
+    modes a solved velocity keeps (read, never written), or force=None; the
+    boundary values at node j are ramp[j] g, or zero for g=None.  The
+    trajectory comes back in forward time order either way; a forward
+    march's velocities keep their interior modes, a backward one's none.
 
     A step is the saddle solve of the module docstring, marched in the
     solver's modes: the velocity's interior modes u^k are carried from step
@@ -233,19 +225,19 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     so the first Crank-Nicolson step takes rho = r_1 and loads the
     tangential part of g(0) apart.  Data whose net flux the solver refuses
     raise at the first step with rho != 0.  Each forcing node given as
-    (f1, f2) is checked and transformed once.  Only the velocity comes back
-    to the cells: the steps' pressures are left in their modes, and the
-    trajectory's pressures are None.
+    (f1, f2) is checked and transformed once, one given in modes not at
+    all.  Only the velocity comes back to the cells: the steps' pressures
+    are left in their modes, and the trajectory's pressures are None.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     c = 1 if scheme == "euler" else 2
     inv = saddle_inverses(grid, c / dt)
     n = grid.n
-    # the modes of the right side and of the forcing at two nodes (node j in
-    # slot j % 2), in one block; c_hat, the modes of the continuity right
-    # side, is refilled every step
-    b_hat, *f_buf = np.empty((3, 2, n - 1, n))
+    # scratch for the scaled boundary modes and the modes of the forcing at
+    # two nodes (node j in slot j % 2), in one block; c_hat, the modes of the
+    # continuity right side, is refilled every step
+    scratch, *f_buf = np.empty((3, 2, n - 1, n))
     f_hat = [None, None]
     c_hat = np.empty((n, n))
     refused = None
@@ -258,44 +250,43 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
         if c == 2 and ramp[0]:
             tangential = {s: g.samples[s] * np.abs(TANGENTS[s]) for s in SIDES}
             b_tan = inv.right_side(BoundaryData(grid, tangential))[0]
-    velocities = [VelocityField.zeros(grid)]
     # the zero start's modes, which take no memory
     u_hat = np.broadcast_to(0.0, (2, n - 1, n))
-    modes = None if backward else [u_hat]
+    velocities = [VelocityField.zeros(grid) if backward else
+                  VelocityField._solved(grid, np.zeros((n + 1, n)),
+                                        np.zeros((n, n + 1)), u_hat)]
     diags = []
     for j in range(m):
         t0 = time.perf_counter()
         k = m - 1 - j if backward else j + 1     # time index being produced
         u = velocities[-1]
-        # the modes of the next solution, which a forward march keeps
+        # the modes of the step's right side, which the solve turns into
+        # those of its solution, kept by a forward march
         z_hat = np.empty((2, n - 1, n))
         try:
             # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
-            np.divide(u_hat, dt / c ** 2, out=b_hat)
+            np.divide(u_hat, dt / c ** 2, out=z_hat)
             if force is not None:
                 for node in range(j + 2 - c, j + 2):
                     slot = node % 2
                     if node == j + 1 or j == 0:
-                        f_hat[slot] = (force(node) if modal else
-                                       _forcing_modes(inv, force(node), f_buf[slot]))
-                    b_hat += f_hat[slot]
+                        f_hat[slot] = _forcing_modes(inv, force(node), f_buf[slot])
+                    z_hat += f_hat[slot]
             walls, c_max = None, 0.0
             c_hat.fill(0.0)
             if g is not None:
                 rho = ramp[j + 1] + (ramp[j] if c == 2 and j else 0.0)
                 if c == 2 and j == 0 and ramp[0]:
-                    b_hat += ramp[0] * b_tan
+                    z_hat += ramp[0] * b_tan
                 if rho:
                     if refused is not None:
                         raise refused
-                    # z_hat is free until the solve fills it
-                    b_hat += np.multiply(b_g, rho, out=z_hat)
+                    z_hat += np.multiply(b_g, rho, out=scratch)
                     walls = {side: rho * a for side, a in normals.items()}
                     if c_max_g:
                         np.multiply(c_g, rho, out=c_hat)
                         c_max = abs(rho) * c_max_g
-            u1, u2, _, diag = inv.solve_modes(b_hat, c_hat, c_max, walls,
-                                              modes=z_hat)
+            u1, u2, _, diag = inv.solve_modes(z_hat, c_hat, c_max, walls)
         except (NonConvergence, ValueError) as exc:
             direction = "backward" if backward else "forward"
             where = f"{direction} step {j + 1}/{m} (t={k * dt:.6g}): {exc}"
@@ -307,9 +298,8 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
             u1 -= u.u1
             u2 -= u.u2
             z_hat -= u_hat
-        velocities.append(VelocityField(grid, u1, u2))
-        if modes is not None:
-            modes.append(z_hat)
+        velocities.append(VelocityField(grid, u1, u2) if backward else
+                          VelocityField._solved(grid, u1, u2, z_hat))
         u_hat = z_hat
         diag["wall_time"] = time.perf_counter() - t0
         diag["step"] = k
@@ -318,7 +308,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
         velocities.reverse()
         diags.reverse()
     return Trajectory(grid, scheme, dt, np.arange(m + 1) * dt, velocities,
-                      [None] * (m + 1), diags, modes)
+                      [None] * (m + 1), diags)
 
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
@@ -331,7 +321,8 @@ def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
     """
     require_same_grid(grid, g)
     m = _check_steps(T, dt)
-    march_force = None if force is None else (lambda j: force(j * dt))
+    # a pair, never a stack of modes, whatever force returns
+    march_force = None if force is None else (lambda j: tuple(force(j * dt)))
     return _march(grid, scheme, dt, m, march_force, g.spatial,
                   g.ramp_samples(m, dt), False)
 
@@ -349,19 +340,19 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     Reversing time turns this into the forward step loop, in the scheme of
     u_traj, with the forcing trajectory read backwards and homogeneous
     boundary values; the result is returned in forward time order (entry k
-    is v(t_k), entry -1 is zero).  The forcing is u_traj's modes, read in
-    place, when it has them, else the transform of each of its velocities.
-    u_traj on another grid raises ValueError.
+    is v(t_k), entry -1 is zero).  Each velocity of u_traj forces through
+    the modes it keeps, read in place, and one without them through its
+    transform; a non-finite one raises ValueError, as does u_traj on
+    another grid.
     """
     require_same_grid(grid, u_traj)
     m = u_traj.steps
-    modal = u_traj.modes is not None
-    if modal:
-        force = lambda j: u_traj.modes[m - j]
-    else:
-        force = lambda j: u_traj.velocities[m - j].interior()
-    return _march(grid, u_traj.scheme, u_traj.dt, m, force, None, None, True,
-                  modal)
+
+    def force(j):
+        u = u_traj.velocities[m - j]
+        return u.interior() if u.modes is None else u.modes
+
+    return _march(grid, u_traj.scheme, u_traj.dt, m, force, None, None, True)
 
 
 # --- space-time functionals --------------------------------------------------

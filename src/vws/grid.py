@@ -11,7 +11,10 @@ The first index is always x, the second y.  Faces with i = 0 or i = n (for u1)
 and j = 0 or j = n (for u2) lie on the boundary; they store prescribed normal
 velocities.  The interior unknowns are u1[1:n, :] and u2[:, 1:n];
 VelocityField.interior and VelocityField.from_interior convert between the
-interior-shaped arrays and the full face field.
+interior-shaped arrays and the full face field.  A velocity that a saddle
+solve returns also keeps the interior modes it was solved in
+(VelocityField.modes), so that a solve forced by it takes no forward
+transform; every other field has modes None.
 
 Discrete integrals over the square use the owned-volume measure: every face
 owns an h x h box, halved for boundary faces (which own half a box).  With
@@ -20,7 +23,7 @@ that choice a component identically equal to one has L2 norm exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,11 +91,19 @@ def require_same_grid(grid: StaggeredGrid, *items) -> None:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Face-valued velocity (u1, u2), boundary faces included."""
+    """Face-valued velocity (u1, u2), boundary faces included.
+
+    modes, read-only, is the (2, n-1, n) stack of interior modes
+    (:meth:`vws.operators.SaddleInverse.to_modes`) of a velocity a saddle
+    solve returned, and None for every other field: hand-built ones, zeros,
+    from_interior and the results of +, - and *.
+    """
 
     grid: StaggeredGrid
     u1: np.ndarray  # (n+1, n)
     u2: np.ndarray  # (n, n+1)
+    modes: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -102,6 +113,15 @@ class VelocityField:
             )
         object.__setattr__(self, "u1", _freeze(self.u1))
         object.__setattr__(self, "u2", _freeze(self.u2))
+
+    @classmethod
+    def _solved(cls, grid, u1, u2, modes: np.ndarray) -> "VelocityField":
+        """A solver's velocity with the interior modes it was solved in,
+        made read-only like the faces."""
+        u = cls(grid, u1, u2)
+        modes.flags.writeable = False
+        object.__setattr__(u, "modes", modes)
+        return u
 
     @classmethod
     def zeros(cls, grid: StaggeredGrid) -> "VelocityField":
@@ -186,5 +206,5 @@ def l2_norm_omega(field) -> float:
         s -= 0.5 * sum(np.vdot(w, w) for w in walls)
         return float(np.sqrt(field.grid.h ** 2 * s))
     if isinstance(field, PressureField):
-        return float(np.sqrt(field.grid.h ** 2 * np.sum(field.p ** 2)))
+        return float(np.sqrt(field.grid.h ** 2 * np.vdot(field.p, field.p)))
     raise TypeError(f"cannot take an Omega norm of {type(field).__name__}")

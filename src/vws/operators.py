@@ -28,8 +28,10 @@ diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  Its ``right_side`` builds and checks the right
 side of every stationary solve and of a time march's boundary data, and its
 ``solve_modes``, the one modal core, runs every solve and time step from
-the modes of its right side and brings only the velocity back to the cells;
-a time step applies no Laplacian.
+the modes of its right side and brings only the velocity back to the cells,
+leaving the velocity's interior modes in the right side's block, where a
+solved velocity keeps them for any solve it forces; a time step applies no
+Laplacian.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
@@ -401,8 +403,8 @@ class SaddleInverse:
 
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
-    builds and checks, and leaves p in its modes; :meth:`solve` is the two
-    in sequence and brings p to the cells.  A non-finite
+    builds and checks, and leaves p and the interior of u in their modes;
+    :meth:`solve` is the two in sequence and brings p to the cells.  A non-finite
     shift, or one at which the velocity Laplacian or the Schur complement
     is singular, raises ValueError.
     """
@@ -483,7 +485,7 @@ class SaddleInverse:
         return np.matmul(left, right, out=x)
 
     def from_modes(self, x: np.ndarray):
-        """Interior-face arrays (x1, x2) of stacked modes x (overwritten)."""
+        """Interior-face arrays (x1, x2) of stacked modes x, in place."""
         x = idct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
         x = idst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
         return x[0], x[1].T
@@ -525,33 +527,58 @@ class SaddleInverse:
         out += r
         return out
 
-    def right_side(self, g: BoundaryData, forces=(), h_src=None):
+    def right_side(self, g: BoundaryData, forces=(), h_src=None, out=None):
         """The modes (b_hat, c_hat) of the right side of A u + G p = b,
         D u = h_src, and its data scale c_max = max|c|.
 
-        b is the load of g plus each interior-shaped pair (f1, f2) of forces,
-        in order (either may be None); c is h_src less the wall fluxes
-        (g . n)/h.  A misshapen or non-finite pair or h_src raises
-        ValueError; data that miss h^2 sum h_src = h sum g . n by more than
-        1e-12 of h^2 sum |h_src| + h sum |g . n| raise
-        IncompatibleBoundaryData without a source and IncompatibleSource
-        with one.
+        b is the load of g plus each forcing of forces: an interior-shaped
+        pair (f1, f2), either of which may be None, or the interior modes of
+        a solved velocity, a (2, n - 1, n) face stack such as
+        :attr:`vws.grid.VelocityField.modes` (read, never written, and taken
+        as finite, as the solver made it).  c is h_src less the wall fluxes
+        (g . n)/h.  A misshapen or non-finite pair, a misshapen stack, or a
+        misshapen or non-finite h_src raises ValueError; data that miss
+        h^2 sum h_src = h sum g . n by more than 1e-12 of
+        h^2 sum |h_src| + h sum |g . n| raise IncompatibleBoundaryData
+        without a source and IncompatibleSource with one.
 
         b and c go to the modes by one 2-D transform each, unless they hold
-        border data only: without forces b, and without h_src c, take the
-        closed form of :meth:`border_to_modes`, and a zero c none.  Without
-        h_src, c is built, checked and read on its 4n - 4 border cells only.
+        border data only: without pairs b, and without h_src c, take the
+        closed form of :meth:`border_to_modes`, and a zero c none.  A
+        forcing in modes is added to the modes of the rest, so a solve
+        forced by a solved velocity takes no forward transform; with zero g
+        and no pair it is copied in, and no load is built.  Without h_src,
+        c is built, checked and read on its 4n - 4 border cells only.  out,
+        a (2, n - 1, n) array, receives b_hat; one is allocated when it is
+        not given.
         """
         n, h = self.grid.n, self.grid.h
-        b, b1, b2 = self.face_stack()
-        laplacian_load(self.grid, g, out=(b1, b2))
-        forced = False
-        for pair in forces:
-            for f, bk in zip(pair, (b1, b2)):
-                if f is not None:
-                    _require_finite("forcing", f, bk.shape)
-                    bk += f
-                    forced = True
+        shape = (2, n - 1, n)
+        stacks = [f for f in forces if isinstance(f, np.ndarray)]
+        pairs = [f for f in forces if not isinstance(f, np.ndarray)]
+        for f in stacks:
+            if f.shape != shape:
+                raise ValueError(f"forcing modes of shape {f.shape}, not {shape}")
+        forced = any(f is not None for pair in pairs for f in pair)
+        b = np.empty(shape) if out is None else out
+        if (stacks and not forced
+                and not any(a.any() for a in g.samples.values())):
+            b[...] = stacks.pop(0)
+        else:
+            b.fill(0.0)
+            b1, b2 = b[0], b[1].T
+            laplacian_load(self.grid, g, out=(b1, b2))
+            for pair in pairs:
+                for f, bk in zip(pair, (b1, b2)):
+                    if f is not None:
+                        _require_finite("forcing", f, bk.shape)
+                        bk += f
+            if forced:
+                self.to_modes(b)
+            else:
+                self.border_to_modes(b)
+        for f in stacks:
+            b += f
         c = np.empty((n, n))
         border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
         if h_src is None:
@@ -584,21 +611,22 @@ class SaddleInverse:
             self.border_to_modes(c)
         else:
             c.fill(0.0)
-        b_hat = self.to_modes(b) if forced else self.border_to_modes(b)
-        return b_hat, c, c_max
+        return b, c, c_max
 
-    def solve(self, g: BoundaryData, forces=(), h_src=None):
+    def solve(self, g: BoundaryData, forces=(), h_src=None, modes=None):
         """Direct saddle solve of A u + G p = b, D u = h_src: the right side
         of :meth:`right_side`, with its checks, then :meth:`solve_modes`
         with the normal samples of g on the wall faces, and the pressure's
-        modes brought back to the cells.
+        modes brought back to the cells.  modes, a face stack, receives the
+        interior modes of u, which a later solve forced by u reads in place
+        of a forward transform; a forcing given in modes takes none either.
 
         Returns (u1_full, u2_full, p_cells, diagnostics).
         """
-        b_hat, c_hat, c_max = self.right_side(g, forces, h_src)
+        b_hat, c_hat, c_max = self.right_side(g, forces, h_src, out=modes)
         walls = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
         u1, u2, p_hat, diag = self.solve_modes(b_hat, c_hat, c_max, walls, h_src)
-        return u1, u2, idctn(p_hat, type=2, norm="ortho"), diag
+        return u1, u2, idctn(p_hat, type=2, norm="ortho", overwrite_x=True), diag
 
     def divergence_modes(self, w_hat: np.ndarray, out=None,
                          scratch=None) -> np.ndarray:
@@ -617,14 +645,15 @@ class SaddleInverse:
         return dw
 
     def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
-                    walls=None, h_src=None, modes=None):
+                    walls=None, h_src=None):
         """The saddle solve from the modes of its right side.
 
         b_hat and c_hat are the modes of b and c (see :meth:`right_side`)
-        and c_max = max|c|; both arrays are overwritten.  walls maps each
-        side to the normal values of u on its wall faces (None: zero);
-        h_src, when given, is the divergence source.  modes, a face stack,
-        receives the interior modes of u.
+        and c_max = max|c|; b_hat is overwritten with the interior modes of
+        u, which a later solve forced by u reads in place of a forward
+        transform, and c_hat is scratch.  walls maps each side to the normal
+        values of u on its wall faces (None: zero); h_src, when given, is
+        the divergence source.
 
         Returns (u1_full, u2_full, p_hat, diagnostics), with p_hat the
         pressure's cosine modes: only the velocity goes back to the cells.
@@ -663,13 +692,18 @@ class SaddleInverse:
         for x, gp in zip(w_hat, (p[1:], p[:, 1:].T)):
             np.multiply(root_mu, gp, out=y)
             x += self.velocity_solve(y, scratch=c[:n - 1])
-        if modes is not None:
-            modes[...] = w_hat
-        x1, x2 = self.from_modes(w_hat)
+        # the interior faces from a copy of w_hat, the right side's block,
+        # which stays the modes of u.  The copy sits in the u1, u2 block so
+        # that its first half is u1's interior rows, which the stacked
+        # transform fills in place; its second half overlaps u2 and goes to
+        # the free c before u2 is written
+        x = u12[n:n + w_hat.size].reshape(w_hat.shape)
+        x[...] = w_hat
+        y = c[:n - 1]
+        y[...] = self.from_modes(x)[1].T
+        u2[:, 1:n] = y.T
         for side in SIDES:
             wall((u1, u2)[AXIS[side]], side)[...] = 0.0 if walls is None else walls[side]
-        u1[1:n, :] = x1
-        u2[:, 1:n] = x2
 
         defect = cell_divergence(u1, u2, h, out=dw, scratch=c)
         if h_src is not None:

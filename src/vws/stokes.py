@@ -39,10 +39,15 @@ the load of g, and without h_src, c holds the wall fluxes: both then live
 on their border lines, where c is also built and checked, and their forward
 transforms are closed-form products of 1-D transforms of those lines; a
 zero c, as in every adjoint solve and for tangential data, takes no
-transform at all.  A time march builds the right side of its boundary data
-once and steps in the modes, so its steps pay only the modal stage, the
-inverse transform of u and the transform of their new forcing.  :func:`residual_report` computes the
-momentum residual on demand.  The solver is built once per (grid, shift) by
+transform at all.  Every velocity a solve returns keeps its interior modes
+(:attr:`vws.grid.VelocityField.modes`), and a solve forced by a solved
+velocity, such as the adjoint solve of the duality identity, adds them to
+the modes of b: it takes no forward transform, and with zero g it builds no
+load.  A time march builds the right side of its boundary data once and
+steps in the modes, so its steps pay only the modal stage, the inverse
+transform of u and the transform of their new forcing.
+:func:`residual_report` computes the momentum residual on demand, from one
+residual pair and one load pair.  The solver is built once per (grid, shift) by
 :func:`vws.operators.saddle_inverses`, which refuses a singular shift.
 """
 
@@ -59,8 +64,7 @@ from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
 from .operators import (
     DIV_TOL,
     apply_velocity_laplacian,
-    divergence,
-    face_gradient,
+    cell_divergence,
     laplacian_load,
     saddle_inverses,
 )
@@ -91,24 +95,46 @@ class StokesSolution:
 
 
 def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
-                 shift: float = 0.0):
+                 shift: float = 0.0, *, f_modes=None, modes=None):
     """Core saddle solve.  f1, f2 interior-shaped forcing; h_src cell-shaped.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
-    the returned velocity hold the normal samples of g.  A g of another
-    grid, a non-finite shift, or a shift at which the velocity or Schur
-    operator is singular, raises ValueError.  The data are checked by
-    :meth:`vws.operators.SaddleInverse.solve`, as in every time step: a
-    misshapen or non-finite f1, f2 or h_src raises ValueError, unsolvable
-    data raise IncompatibleBoundaryData without a source and
-    IncompatibleSource with one, and a divergence defect above DIV_TOL of
-    the data scale, or a non-finite one, raises NonConvergence.
+    the returned velocity hold the normal samples of g.  f_modes, when
+    given, is further forcing as the interior modes of a solved velocity
+    (:attr:`vws.grid.VelocityField.modes`), added with no transform; modes,
+    a (2, n - 1, n) array, receives the interior modes of the returned
+    velocity.  A g of another grid, a non-finite shift, or a shift at which
+    the velocity or Schur operator is singular, raises ValueError.  The data
+    are checked by :meth:`vws.operators.SaddleInverse.solve`, as in every
+    time step: a misshapen or non-finite f1, f2 or h_src, or misshapen
+    f_modes, raises ValueError, unsolvable data raise
+    IncompatibleBoundaryData without a source and IncompatibleSource with
+    one, and a divergence defect above DIV_TOL of the data scale, or a
+    non-finite one, raises NonConvergence.
     """
     require_same_grid(grid, g)
     t0 = time.perf_counter()
-    u1, u2, p, diag = saddle_inverses(grid, shift).solve(g, [(f1, f2)], h_src)
+    forces = [(f1, f2)] if f_modes is None else [(f1, f2), f_modes]
+    u1, u2, p, diag = saddle_inverses(grid, shift).solve(g, forces, h_src, modes)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
+
+
+def _solution(grid: StaggeredGrid, g: BoundaryData, f: VelocityField | None,
+              h_src: PressureField | None) -> StokesSolution:
+    """The saddle solve at shift 0, its velocity keeping its modes; f is
+    read from its modes when it has them."""
+    f1 = f2 = f_modes = None
+    if f is not None and f.modes is not None:
+        f_modes = f.modes
+    elif f is not None:
+        f1, f2 = f.interior()
+    modes = np.empty((2, grid.n - 1, grid.n))
+    u1, u2, p, diag = solve_saddle(grid, g, f1, f2,
+                                   None if h_src is None else h_src.p,
+                                   f_modes=f_modes, modes=modes)
+    return StokesSolution(grid, VelocityField._solved(grid, u1, u2, modes),
+                          PressureField(grid, p), diag)
 
 
 def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
@@ -117,14 +143,11 @@ def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
 
     h_src must have zero discrete mean (to 1e-12 of h^2 sum |h_src|);
     otherwise IncompatibleSource is raised.  Non-finite f (interior faces)
-    or h_src, or either on another grid, raises ValueError.
+    or h_src, or either on another grid, raises ValueError.  A solved f
+    forces through the modes it keeps, with no forward transform.
     """
     require_same_grid(grid, f, h_src)
-    f1, f2 = (None, None) if f is None else f.interior()
-    u1, u2, p, diag = solve_saddle(grid, BoundaryData.zeros(grid), f1, f2,
-                                   None if h_src is None else h_src.p)
-    return StokesSolution(grid, VelocityField(grid, u1, u2),
-                          PressureField(grid, p), diag)
+    return _solution(grid, BoundaryData.zeros(grid), f, h_src)
 
 
 def solve_boundary(grid: StaggeredGrid, g: BoundaryData) -> StokesSolution:
@@ -135,9 +158,7 @@ def solve_boundary(grid: StaggeredGrid, g: BoundaryData) -> StokesSolution:
     raises ValueError.  Normal samples land exactly on boundary faces;
     tangential samples act through ghost reflection.
     """
-    u1, u2, p, diag = solve_saddle(grid, g, None, None, None)
-    return StokesSolution(grid, VelocityField(grid, u1, u2),
-                          PressureField(grid, p), diag)
+    return _solution(grid, g, None, None)
 
 
 def residual_report(sol: StokesSolution, f: VelocityField | None = None,
@@ -155,20 +176,29 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
         raise ValueError("forcing has non-finite values")
     data = BoundaryData.zeros(grid) if g is None else g
     u1, u2 = sol.velocity.u1, sol.velocity.u2
+    # the divergence first, so that its cells are free before the face pairs
+    div = cell_divergence(u1, u2, grid.h)
+    div_max = max(float(div.max()), -float(div.min()))
+    div_l2 = l2_norm_omega(PressureField(grid, div))
+    del div
+    # one residual pair and one load pair; the load pair, once its norm is
+    # read, holds the pressure gradient
     r1, r2 = apply_velocity_laplacian(grid, u1, u2, data)  # A u - load
     b1, b2 = laplacian_load(grid, data)
-    g1, g2 = face_gradient(sol.pressure.p, grid.h)
-    r1 += g1
-    r2 += g2
     if f is not None:
         f1, f2 = f.interior()
-        r1 -= f1
-        r2 -= f2
         b1 += f1
         b2 += f2
-    mom = grid.h * float(np.sqrt((r1 ** 2).sum() + (r2 ** 2).sum()))
-    b_scale = grid.h * float(np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum()))
-    div = divergence(sol.velocity)
+    b_scale = grid.h * float(np.sqrt(np.vdot(b1, b1) + np.vdot(b2, b2)))
+    p = sol.pressure.p
+    for r, gp in ((r1, np.subtract(p[1:, :], p[:-1, :], out=b1)),
+                  (r2, np.subtract(p[:, 1:], p[:, :-1], out=b2))):
+        gp /= grid.h
+        r += gp
+    if f is not None:
+        r1 -= f1
+        r2 -= f2
+    mom = grid.h * float(np.sqrt(np.vdot(r1, r1) + np.vdot(r2, r2)))
     mismatch = 0.0
     if g is not None:
         for side in SIDES:
@@ -178,8 +208,8 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     return {
         "momentum_res": mom,
         "momentum_res_rel": mom / b_scale if b_scale > 0.0 else 0.0,
-        "div_max": float(np.abs(div.p).max()),
-        "div_l2": l2_norm_omega(div),
+        "div_max": div_max,
+        "div_l2": div_l2,
         "boundary_mismatch": mismatch,
         "pressure_mean": sol.pressure.mean(),
     }

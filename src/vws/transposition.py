@@ -13,8 +13,14 @@ because div u = div v = 0 and v = 0 on the boundary.)
 
 This module solves the adjoint problem, extracts dv/dn and the boundary
 pressure by one-sided second-order stencils, and evaluates both sides of the
-identity.  The ratio |u|_Omega / |g|_Gamma realizes the a priori estimate the
-rough-data theory rests on.
+identity.  u is tested against the adjoint problem it forces itself: a
+solved u forces it through the interior modes it keeps
+(:attr:`vws.grid.VelocityField.modes`), so the adjoint solve takes no
+forward transform and, as its boundary data are zero, builds no load; the
+discrete adjoint stays exact because it reads the forward solve's own
+modes.  A hand-built u is transformed once.  The ratio
+|u|_Omega / |g|_Gamma realizes the a priori estimate the rough-data theory
+rests on.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ __all__ = [
 
 
 def solve_adjoint(grid: StaggeredGrid, u_rhs: VelocityField) -> StokesSolution:
-    """Adjoint Stokes solve with interior forcing u_rhs and zero boundary data."""
+    """Adjoint Stokes solve with interior forcing u_rhs and zero boundary
+    data; a solved u_rhs forces through its kept modes, with no forward
+    transform."""
     return solve_homogeneous(grid, f=u_rhs)
 
 

@@ -176,18 +176,20 @@ def test_march_makes_no_2d_transform(monkeypatch):
         assert traj.pressures == back.pressures == [None] * (m + 1)
 
 
-def _hand_built(traj, modes=None):
-    """The same velocities in a Trajectory built without the march."""
-    return Trajectory(traj.grid, traj.scheme, traj.dt, traj.times,
-                      list(traj.velocities), [None] * len(traj.times),
-                      modes=modes)
+def _hand_built(traj):
+    """The same velocities in a Trajectory built without the march: fresh
+    fields, which keep no modes."""
+    velocities = [VelocityField(traj.grid, u.u1, u.u2) for u in traj.velocities]
+    return Trajectory(traj.grid, traj.scheme, traj.dt, traj.times, velocities,
+                      [None] * len(traj.times))
 
 
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
 def test_backward_march_transforms_each_forcing_node_once(monkeypatch, scheme):
-    # a marched trajectory hands its modes to the backward march, which then
-    # transforms nothing; a hand-built one is transformed once per node, the
-    # two Crank-Nicolson steps that read a node sharing its modes
+    # a marched trajectory's velocities hand their modes to the backward
+    # march, which then transforms nothing; a hand-built one is transformed
+    # once per node, the two Crank-Nicolson steps that read a node sharing
+    # its modes
     from vws.operators import SaddleInverse
 
     grid, m = build_grid(16), 8
@@ -218,15 +220,17 @@ def test_kept_modes_are_those_of_the_velocities(n, scheme):
     tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
     traj = evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme)
     inv = saddle_inverses(grid, 0.0)
-    for u, u_hat in zip(traj.velocities, traj.modes):
+    for u in traj.velocities:
         x, x1, x2 = inv.face_stack()
         x1[...], x2[...] = u.interior()
         want = inv.to_modes(x)
-        assert np.abs(u_hat - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(u.modes - want).max() <= 1e-13 * np.abs(want).max()
     got = solve_adjoint_backward(grid, traj)
     ref = solve_adjoint_backward(grid, _hand_built(traj))
     for v, w in zip(got.velocities, ref.velocities):
         _close(v, (w.u1, w.u2), 1e-13)
+    # the backward march's own fields keep no modes
+    assert all(v.modes is None for v in got.velocities)
 
 
 def test_marched_fields_are_read_only():
@@ -235,24 +239,27 @@ def test_marched_fields_are_read_only():
     grid = build_grid(8)
     tb = TimeBoundaryData.constant(rotation_data(grid))
     traj = evolve(grid, tb, 0.5, 0.125, scheme="cn")
-    for a in (traj.velocities[2].u1, traj.velocities[2].u2, traj.modes[2]):
+    u = traj.velocities[2]
+    for a in (u.u1, u.u2, u.modes):
         with pytest.raises(ValueError, match="read-only"):
             a[1, 1] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             a *= 2.0
 
 
-def test_trajectory_refuses_misshapen_modes():
+def test_hand_built_non_finite_velocity_raises_value_error():
+    # a velocity without modes is transformed through the checked forcing
+    # path, so a NaN in it is a ValueError naming the data, not a
+    # NonConvergence from the solve that meets it
     grid = build_grid(8)
     traj = evolve(grid, TimeBoundaryData.constant(rotation_data(grid)), 0.5,
                   0.125)
-    with pytest.raises(ValueError, match="4 modes for 5 times"):
-        _hand_built(traj, traj.modes[1:])
-    with pytest.raises(ValueError, match="not \\(2, 7, 8\\)"):
-        _hand_built(traj, [np.zeros((2, 8, 7))] * 5)
-    # given modes are made read-only like the march's
-    kept = _hand_built(traj, [np.zeros((2, 7, 8)) for _ in range(5)])
-    assert not kept.modes[0].flags.writeable
+    hand = _hand_built(traj)
+    u1 = hand.velocities[2].u1.copy()
+    u1[3, 3] = np.nan
+    hand.velocities[2] = VelocityField(grid, u1, hand.velocities[2].u2)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_adjoint_backward(grid, hand)
 
 
 def test_euler_steps_match_per_step_saddle_solves():

@@ -104,6 +104,26 @@ def test_field_arithmetic():
     assert np.allclose((a + a).u2, b.u2, atol=1e-15)
 
 
+def test_only_solved_velocities_keep_modes():
+    # modes are set by the solver alone; every other field, and every
+    # result of arithmetic on a solved one, has none
+    from vws.boundary import rotation_data
+    from vws.stokes import solve_boundary
+
+    grid = build_grid(8)
+    rng = np.random.default_rng(3)
+    hand = VelocityField(grid, rng.standard_normal((9, 8)),
+                         rng.standard_normal((8, 9)))
+    u = solve_boundary(grid, rotation_data(grid)).velocity
+    assert u.modes is not None and u.modes.shape == (2, 7, 8)
+    for v in (hand, VelocityField.zeros(grid),
+              VelocityField.from_interior(grid, *hand.interior()),
+              VelocityField(grid, u.u1, u.u2), u + u, u - hand, 2.0 * u, u * 1.0):
+        assert v.modes is None
+    with pytest.raises(TypeError):
+        VelocityField(grid, u.u1, u.u2, u.modes)
+
+
 def test_pressure_zero_mean():
     grid = build_grid(8)
     p = PressureField.from_function(grid, lambda x, y: x).zero_mean()

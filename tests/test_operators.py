@@ -325,6 +325,25 @@ def test_border_closed_forms_match_2d_transforms(n):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_stack_transforms_work_in_place():
+    # the right side and the velocity's interior faces are transformed in
+    # the buffers that hold them, a view into a larger block included: the
+    # solver keeps the right side's block as the velocity's modes and reads
+    # u1's interior rows from a copy placed over them
+    n = 16
+    inv = saddle_inverses(build_grid(n), 0.0)
+    rng = np.random.default_rng(0)
+    block = np.zeros(2 * n * (n + 1))
+    x = block[n:n + 2 * (n - 1) * n].reshape(2, n - 1, n)
+    want = rng.standard_normal(x.shape)
+    x[...] = want
+    modes = inv.to_modes(want.copy())
+    inv.to_modes(x)
+    assert np.array_equal(x, modes)
+    inv.from_modes(x)
+    assert np.abs(x - want).max() <= 1e-14
+
+
 def test_border_data_take_no_2d_forward_transform(monkeypatch):
     # boundary data alone take the closed forms for b and c; zero data with
     # forcing leave c zero, which takes no transform at all

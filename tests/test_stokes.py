@@ -479,6 +479,32 @@ def test_residual_report_momentum_residual_flags_a_wrong_pressure():
     assert residual_report(wrong, g=g)["momentum_res_rel"] >= 1e-3
 
 
+def test_residual_report_matches_the_plain_recomputation():
+    # the report forms its residual in place and sums by dot products: its
+    # divergence maximum is the plain max|D u| bit for bit, and its norms
+    # equal the plain ones to rounding
+    from vws.operators import apply_velocity_laplacian, face_gradient
+
+    grid = build_grid(32)
+    _, f, _ = stationary_fields(grid)
+    g = rotation_data(grid)
+    u1, u2, p, _ = solve_saddle(grid, g, *f.interior(), None)
+    sol = StokesSolution(grid, VelocityField(grid, u1, u2), PressureField(grid, p))
+    rep = residual_report(sol, f=f, g=g)
+    r1, r2 = apply_velocity_laplacian(grid, u1, u2, g)
+    b1, b2 = laplacian_load(grid, g)
+    (g1, g2), (f1, f2) = face_gradient(p, grid.h), f.interior()
+    r1, r2, b1, b2 = r1 + g1 - f1, r2 + g2 - f2, b1 + f1, b2 + f2
+    mom = grid.h * np.sqrt((r1 ** 2).sum() + (r2 ** 2).sum())
+    b_scale = grid.h * np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum())
+    div = divergence(sol.velocity).p
+    assert rep["div_max"] == float(np.abs(div).max())
+    assert rep["div_l2"] == pytest.approx(grid.h * np.sqrt((div ** 2).sum()),
+                                          rel=1e-13)
+    assert rep["momentum_res"] == pytest.approx(mom, rel=1e-13)
+    assert rep["momentum_res_rel"] == pytest.approx(mom / b_scale, rel=1e-13)
+
+
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("shift", [0.0, 128.0])
 def test_divergence_defect_is_far_below_its_rms_scale(n, shift):

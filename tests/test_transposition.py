@@ -77,6 +77,71 @@ def test_adjoint_solves_homogeneous_problem():
     assert np.abs(sol.velocity.u1[-1, :]).max() == 0.0
 
 
+def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
+    # the adjoint solve reads the forward solve's kept modes: no forward
+    # transform, and, with zero boundary data, no load built or
+    # transformed; a fresh hand-built copy of the same velocity is transformed
+    # exactly once
+    from vws import operators
+    from vws.operators import SaddleInverse
+
+    grid, g = _lid(32)
+    g = g + rotation_data(grid)
+    u = solve_boundary(grid, g).velocity
+    fresh = VelocityField(grid, u.u1, u.u2)
+    want = transposition_identity(grid, g, u=fresh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forward transform or zero load in an adjoint solve")
+
+    for name in ("dctn", "laplacian_load"):
+        monkeypatch.setattr(operators, name, refuse)
+    for name in ("to_modes", "border_to_modes"):
+        monkeypatch.setattr(SaddleInverse, name, refuse)
+    got = transposition_identity(grid, g, u=u)
+    assert solve_adjoint(grid, u).velocity.modes is not None
+    monkeypatch.undo()
+    assert got["lhs"] == want["lhs"]
+    assert got["rhs"] == pytest.approx(want["rhs"], rel=1e-12)
+
+    calls = []
+    to_modes = SaddleInverse.to_modes
+
+    def counted(self, x):
+        calls.append(1)
+        return to_modes(self, x)
+
+    monkeypatch.setattr(SaddleInverse, "to_modes", counted)
+    solve_adjoint(grid, fresh)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_identity_from_kept_modes_matches_transformed(n):
+    # rotation data exercise the pressure term, the lid the tangential one;
+    # lhs and rhs agree whether the adjoint is forced by the kept modes or by
+    # the transform of the same velocity's faces
+    grid, lid = _lid(n)
+    g = lid + rotation_data(grid)
+    u = solve_boundary(grid, g).velocity
+    kept = transposition_identity(grid, g, u=u)
+    fresh = transposition_identity(grid, g, u=VelocityField(grid, u.u1, u.u2))
+    assert abs(kept["term_q"]) > 0.1 * abs(kept["term_dvdn"])
+    for key in ("lhs", "rhs", "term_q", "term_dvdn"):
+        assert abs(kept[key] - fresh[key]) <= 1e-12 * abs(fresh[key])
+
+
+def test_solution_modes_are_read_only():
+    grid = build_grid(16)
+    sol = solve_boundary(grid, rotation_data(grid))
+    adj = solve_adjoint(grid, sol.velocity)
+    for modes in (sol.velocity.modes, adj.velocity.modes):
+        with pytest.raises(ValueError, match="read-only"):
+            modes[0, 1, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            modes *= 2.0
+
+
 def test_normal_derivative_recovery_frozen():
     u1f, u2f, _ = stationary_solution()
     errs = []
