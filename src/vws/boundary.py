@@ -61,12 +61,13 @@ PERIMETER = 4.0
 
 
 def wall(a: np.ndarray, side: str, depth: int = 0) -> np.ndarray:
-    """The view of a face, cell, node or interior-shaped array ``depth``
-    lines in from ``side`` (counted along AXIS[side] from the first entry on
-    bottom/left, from the last on right/top), ordered as the samples are."""
+    """The view of a face, cell, node or interior-shaped array, or of each of
+    a stack, ``depth`` lines in from ``side`` (counted along AXIS[side] from
+    the first entry on bottom/left, from the last on right/top), ordered as
+    the samples are."""
     axis = AXIS[side]
     k = depth if NORMALS[side][axis] < 0.0 else -1 - depth
-    return a[k] if axis == 0 else a[:, k]
+    return a[..., k, :] if axis == 0 else a[..., k]
 
 
 def _pair_sum(a: np.ndarray) -> np.ndarray:

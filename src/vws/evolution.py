@@ -19,10 +19,10 @@ time, so a trajectory keeps velocities alone.
 The march runs in the solver's modes.  Boundary data are a ramp r(t) times
 one spatial profile g, so the modes of load(g) and of its wall fluxes are
 built and checked once per march, and a step scales them by its ramp sum;
-the velocity's interior modes are carried from step to step, so the
-explicit term c s u^k takes no transform, and each forcing node is
-transformed once.  A step's only forward transform is that of its new
-forcing node, and its only inverse transform that of its velocity.  A
+the velocity's interior modes are carried from step to step, so a step's
+only transform is that of its new forcing node.  The march steps in modes,
+then brings every velocity back to the cells, and checks every defect, in
+one cell stage: one stacked inverse transform for the whole march.  A
 forward march's velocities keep their interior modes
 (:attr:`vws.grid.VelocityField.modes`), as every solved velocity does.
 
@@ -30,16 +30,12 @@ The backward adjoint problem
 
     -dv/dt - Laplace(v) + grad(q) = u,  v(T) = 0,  v = 0 on the wall
 
-is the same step loop marched under time reversal: the forcing trajectory
-is read backwards and the boundary values are zero.  The forcing of the
-backward march is the modes the forward velocities keep, so it takes no
-transform at all and stays the exact discrete adjoint of the forward steps;
-a velocity without modes (a hand-built trajectory) is transformed once.
-The backward march's own velocities keep no modes, so an adjoint trajectory
-holds its velocities alone.
-``evolve_lifted`` and ``solve_adjoint_backward`` are thin wrappers over that
-one loop, which carries no state between steps but the velocity and its
-modes.
+is the same step loop marched under time reversal, with the forcing
+trajectory read backwards and zero boundary values.  Its forcing is the
+modes the forward velocities keep, so it takes no transform and stays the
+exact discrete adjoint of the forward steps; a velocity without modes (a
+hand-built trajectory) is transformed once.  Its own velocities keep none;
+``evolve_lifted`` and ``solve_adjoint_backward`` wrap that one loop.
 
 On top of these sit the space-time energy-estimate ratio
 |u|_{Q_T} / |g|_{Gamma_T} and the space-time tangential pairing
@@ -70,7 +66,7 @@ from .boundary import AXIS, SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smooth
 from .errors import IncompatibleBoundaryData, NonConvergence, ZeroBoundaryData
 from .grid import (StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
-from .operators import _require_finite, saddle_inverses
+from .operators import _require_finite, defect_miss, saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
                      perturbation_field)
 
@@ -216,18 +212,16 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     trajectory comes back in forward time order either way; a forward
     march's velocities keep their interior modes, a backward one's none.
 
-    A step is the saddle solve of the module docstring, marched in the
-    solver's modes: the velocity's interior modes u^k are carried from step
-    to step, and the modes of the load of g and of its wall fluxes are built
-    and checked once, so a step's right side is c s u^k + rho_j (load of g)
-    + the forcing modes, with rho_j = r_{j+1} for Euler and r_j + r_{j+1}
-    for Crank-Nicolson.  The zero start's wall faces hold no normal values,
-    so the first Crank-Nicolson step takes rho = r_1 and loads the
-    tangential part of g(0) apart.  Data whose net flux the solver refuses
-    raise at the first step with rho != 0.  Each forcing node given as
-    (f1, f2) is checked and transformed once, one given in modes not at
-    all.  Only the velocity comes back to the cells: the steps' pressures
-    are left in their modes, and the trajectory's pressures are None.
+    A step's right side, in modes, is c s u^k + rho_j (load of g) + the
+    forcing, with rho_j = r_{j+1} for Euler and r_j + r_{j+1} for
+    Crank-Nicolson; the zero start's wall faces hold no normal values, so
+    the first Crank-Nicolson step takes rho = r_1 and loads the tangential
+    part of g(0) apart.  Data whose net flux the solver refuses raise at the
+    first step with rho != 0.  The cell stage (module docstring) follows
+    the last step; the first defect miss raises NonConvergence carrying the
+    defect and the step's faces (z1, z2), and a non-finite data scale ends
+    the march at its step.  A step's ``wall_time`` is its modal time plus
+    1/m of the cell stage; the trajectory's pressures are None.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
@@ -242,7 +236,6 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     c_hat = np.empty((n, n))
     refused = None
     if g is not None:
-        normals = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
         try:
             b_g, c_g, c_max_g = inv.right_side(g)
         except IncompatibleBoundaryData as exc:
@@ -250,18 +243,19 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
         if c == 2 and ramp[0]:
             tangential = {s: g.samples[s] * np.abs(TANGENTS[s]) for s in SIDES}
             b_tan = inv.right_side(BoundaryData(grid, tangential))[0]
+    # the trajectory's cells, a velocity a row; a step's row first holds z's modes
+    u12 = np.zeros((m + 1, 2 * n * (n + 1)))
+    x, u1, u2 = inv.cell_views(u12)
     # the zero start's modes, which take no memory
     u_hat = np.broadcast_to(0.0, (2, n - 1, n))
-    velocities = [VelocityField.zeros(grid) if backward else
-                  VelocityField._solved(grid, np.zeros((n + 1, n)),
-                                        np.zeros((n, n + 1)), u_hat)]
-    diags = []
+    modes, rhos, solves = [u_hat], np.zeros(m), []
+    index = (lambda j: m - 1 - j) if backward else (lambda j: j + 1)  # time index
+    direction = "backward" if backward else "forward"
+    where = lambda j: f"{direction} step {j + 1}/{m} (t={index(j) * dt:.6g})"
     for j in range(m):
         t0 = time.perf_counter()
-        k = m - 1 - j if backward else j + 1     # time index being produced
-        u = velocities[-1]
         # the modes of the step's right side, which the solve turns into
-        # those of its solution, kept by a forward march
+        # those of its solution z, kept by a forward march
         z_hat = np.empty((2, n - 1, n))
         try:
             # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
@@ -272,7 +266,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
                     if node == j + 1 or j == 0:
                         f_hat[slot] = _forcing_modes(inv, force(node), f_buf[slot])
                     z_hat += f_hat[slot]
-            walls, c_max = None, 0.0
+            c_max = 0.0
             c_hat.fill(0.0)
             if g is not None:
                 rho = ramp[j + 1] + (ramp[j] if c == 2 and j else 0.0)
@@ -282,28 +276,43 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
                     if refused is not None:
                         raise refused
                     z_hat += np.multiply(b_g, rho, out=scratch)
-                    walls = {side: rho * a for side, a in normals.items()}
+                    rhos[j] = rho
                     if c_max_g:
                         np.multiply(c_g, rho, out=c_hat)
                         c_max = abs(rho) * c_max_g
-            u1, u2, _, diag = inv.solve_modes(z_hat, c_hat, c_max, walls)
-        except (NonConvergence, ValueError) as exc:
-            direction = "backward" if backward else "forward"
-            where = f"{direction} step {j + 1}/{m} (t={k * dt:.6g}): {exc}"
-            if not isinstance(exc, NonConvergence):
-                raise type(exc)(where) from exc
-            raise NonConvergence(where, best_x=exc.best_x, residual=exc.residual,
-                                 iterations=exc.iterations) from exc
+            _, scale, steps = inv.solve_modes(z_hat, c_hat, c_max, u12[j + 1])
+        except ValueError as exc:
+            raise type(exc)(f"{where(j)}: {exc}") from exc
+        x[j + 1] = z_hat
         if c == 2:
-            u1 -= u.u1
-            u2 -= u.u2
             z_hat -= u_hat
-        velocities.append(VelocityField(grid, u1, u2) if backward else
-                          VelocityField._solved(grid, u1, u2, z_hat))
+        modes.append(None if backward else z_hat)
         u_hat = z_hat
-        diag["wall_time"] = time.perf_counter() - t0
-        diag["step"] = k
-        diags.append(diag)
+        solves.append((scale, steps, time.perf_counter() - t0))
+        if not np.isfinite(scale):
+            break   # this step misses: no later one is solved
+
+    # the cell stage of every step solved, wall faces rho_j times g's normals
+    t0 = time.perf_counter()
+    k = len(solves)
+    walls = None if g is None else {
+        s: np.multiply.outer(rhos[:k], g.samples[s][:, AXIS[s]]) for s in SIDES}
+    defects = inv.to_cells(u12[1:k + 1], walls)
+    share = (time.perf_counter() - t0) / m
+    diags = []
+    for j, (div_max, (scale, steps, wall_time)) in enumerate(zip(defects, solves)):
+        if why := defect_miss(div_max, scale):
+            raise NonConvergence(f"{where(j)}: {why}", residual=div_max,
+                                 best_x=(u1[j + 1].copy(), u2[j + 1].copy()),
+                                 iterations=steps)
+        diags.append({"outer_iterations": steps, "div_max": float(div_max),
+                      "wall_time": wall_time + share, "step": index(j)})
+    if c == 2:
+        for j in range(m):   # u^{k+1} = z - u^k, in step order
+            u12[j + 1] -= u12[j]
+    velocities = [VelocityField(grid, a, b) if backward else
+                  VelocityField._solved(grid, a, b, z)
+                  for a, b, z in zip(u1, u2, modes)]
     if backward:
         velocities.reverse()
         diags.reverse()

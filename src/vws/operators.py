@@ -26,12 +26,12 @@ The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  Its ``right_side`` builds and checks the right
-side of every stationary solve and of a time march's boundary data, and its
-``solve_modes``, the one modal core, runs every solve and time step from
-the modes of its right side and brings only the velocity back to the cells,
-leaving the velocity's interior modes in the right side's block, where a
-solved velocity keeps them for any solve it forces; a time step applies no
-Laplacian.
+side of every stationary solve and of a time march's boundary data; its
+``solve_modes``, the one modal stage, runs every solve and time step in
+modes, leaving u's interior modes in the right side's block; its
+``to_cells``, the one cell stage, brings k solves' velocities back, and
+checks every defect, in one stacked inverse transform: k = 1 for a
+stationary solve, every step of a time march at once.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
@@ -74,6 +74,14 @@ __all__ = [
 
 # the largest divergence defect a saddle solve may return, relative to the data
 DIV_TOL = 1e-8
+
+
+def defect_miss(div_max: float, scale: float) -> str | None:
+    """Why a solve's divergence defect div_max is not at most DIV_TOL times
+    its data scale, which must be finite (a NaN defect misses); else None."""
+    if not div_max <= DIV_TOL * scale < np.inf:
+        return (f"saddle solve: divergence defect {div_max:.3e} above "
+                f"{DIV_TOL:.1e} of the data scale {scale:.3e}")
 
 
 def _require_finite(name: str, a, shape: tuple) -> None:
@@ -138,12 +146,13 @@ def cell_divergence(u1: np.ndarray, u2: np.ndarray, h: float,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Cell divergence of full face arrays, boundary faces included.
 
-    (u1[i+1] - u1[i]) / h + (u2[j+1] - u2[j]) / h, written to out when
-    given; scratch, a cell-shaped array, then spares the one temporary.
+    (u1[i+1] - u1[i]) / h + (u2[j+1] - u2[j]) / h over the last two axes,
+    written to out when given; scratch, a cell-shaped array, then spares
+    the one temporary.
     """
-    d = np.subtract(u1[1:, :], u1[:-1, :], out=out)
+    d = np.subtract(u1[..., 1:, :], u1[..., :-1, :], out=out)
     d /= h
-    t = np.subtract(u2[:, 1:], u2[:, :-1], out=scratch)
+    t = np.subtract(u2[..., 1:], u2[..., :-1], out=scratch)
     t /= h
     d += t
     return d
@@ -403,10 +412,10 @@ class SaddleInverse:
 
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
-    builds and checks, and leaves p and the interior of u in their modes;
-    :meth:`solve` is the two in sequence and brings p to the cells.  A non-finite
-    shift, or one at which the velocity Laplacian or the Schur complement
-    is singular, raises ValueError.
+    builds and checks; :meth:`to_cells` brings u to the cells, and
+    :meth:`solve` is the three in sequence.  A non-finite shift, or one at
+    which the velocity Laplacian or the Schur complement is singular,
+    raises ValueError.
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
@@ -485,10 +494,10 @@ class SaddleInverse:
         return np.matmul(left, right, out=x)
 
     def from_modes(self, x: np.ndarray):
-        """Interior-face arrays (x1, x2) of stacked modes x, in place."""
-        x = idct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
-        x = idst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
-        return x[0], x[1].T
+        """Faces (x1, x2) of stacked modes x, or of a stack of them, in place."""
+        x = idct(x, type=2, axis=-1, norm="ortho", overwrite_x=True)
+        x = idst(x, type=1, axis=-2, norm="ortho", overwrite_x=True)
+        return x[..., 0, :, :], x[..., 1, :, :].swapaxes(-1, -2)
 
     def velocity_solve(self, x: np.ndarray, scratch=None) -> np.ndarray:
         """x <- A^{-1} x in place, for the modes of one or both components.
@@ -614,19 +623,26 @@ class SaddleInverse:
         return b, c, c_max
 
     def solve(self, g: BoundaryData, forces=(), h_src=None, modes=None):
-        """Direct saddle solve of A u + G p = b, D u = h_src: the right side
-        of :meth:`right_side`, with its checks, then :meth:`solve_modes`
-        with the normal samples of g on the wall faces, and the pressure's
-        modes brought back to the cells.  modes, a face stack, receives the
-        interior modes of u, which a later solve forced by u reads in place
-        of a forward transform; a forcing given in modes takes none either.
+        """Direct saddle solve of A u + G p = b, D u = h_src: :meth:`right_side`,
+        :meth:`solve_modes`, then :meth:`to_cells` with k = 1 and the normal
+        samples of g on the wall faces.  modes, a face stack, receives the
+        interior modes of u.  A defect miss (:func:`defect_miss`) raises
+        NonConvergence carrying the cell pressure and the defect.
 
         Returns (u1_full, u2_full, p_cells, diagnostics).
         """
         b_hat, c_hat, c_max = self.right_side(g, forces, h_src, out=modes)
-        walls = {side: g.samples[side][:, AXIS[side]] for side in SIDES}
-        u1, u2, p_hat, diag = self.solve_modes(b_hat, c_hat, c_max, walls, h_src)
-        return u1, u2, idctn(p_hat, type=2, norm="ortho", overwrite_x=True), diag
+        u12 = np.empty((1, 2 * self.grid.n * (self.grid.n + 1)))
+        p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, u12[0])
+        del c_hat   # free before the cell stage's buffers
+        x, u1, u2 = self.cell_views(u12)
+        x[0] = b_hat
+        walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
+        div_max = float(self.to_cells(u12, walls, h_src)[0])
+        p = idctn(p, type=2, norm="ortho", overwrite_x=True)
+        if why := defect_miss(div_max, scale):
+            raise NonConvergence(why, best_x=p, residual=div_max, iterations=steps)
+        return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max}
 
     def divergence_modes(self, w_hat: np.ndarray, out=None,
                          scratch=None) -> np.ndarray:
@@ -645,79 +661,74 @@ class SaddleInverse:
         return dw
 
     def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
-                    walls=None, h_src=None):
-        """The saddle solve from the modes of its right side.
+                    work: np.ndarray):
+        """The modal stage of a saddle solve, from the modes of its right side.
 
         b_hat and c_hat are the modes of b and c (see :meth:`right_side`)
         and c_max = max|c|; b_hat is overwritten with the interior modes of
-        u, which a later solve forced by u reads in place of a forward
-        transform, and c_hat is scratch.  walls maps each side to the normal
-        values of u on its wall faces (None: zero); h_src, when given, is
-        the divergence source.
-
-        Returns (u1_full, u2_full, p_hat, diagnostics), with p_hat the
-        pressure's cosine modes: only the velocity goes back to the cells.
-        The divergence defect max|h_src - D u| of the returned field
-        (diagnostics ``div_max``) must be at most DIV_TOL times the data
-        scale max(c_max, |D w|_2 / n), w = A^{-1} b, read from the modes of
-        D w: by Parseval the cell RMS of D w, never more than max|D w|.  A
-        miss, a NaN included, raises NonConvergence carrying the cell
-        pressure, transformed on that path only, and the defect.
+        u; c_hat and work, a row of a :meth:`cell_views` block, are scratch.
+        Returns (p_hat, scale, steps): p's cosine modes, the data scale
+        max(c_max, |D w|_2 / n), w = A^{-1} b, read from the modes of D w
+        (by Parseval the cell RMS of D w, never more than max|D w|), and the
+        pressure steps (0 for zero data, else 1).
         """
-        n, h = self.grid.n, self.grid.h
-        # D w (later the defect) and p are n^2 each, less than any array a
-        # march keeps, so each step's pair refills the holes the last left.
-        # u1 and u2 share one block, which outlives the call (a march keeps
-        # every step); until they are filled it is scratch, first for the
-        # velocity solve
-        dw, p = np.empty((n, n)), np.empty((n, n))
-        u12 = np.empty(2 * n * (n + 1))
-        u1 = u12[:n * (n + 1)].reshape(n + 1, n)
-        u2 = u12[n * (n + 1):].reshape(n, n + 1)
+        n = self.grid.n
+        # D w, then p, which it leaves free
+        dw = p = np.empty((n, n))
+        work = work[:b_hat.size].reshape(b_hat.shape)
         c = c_hat
 
-        w_hat = self.velocity_solve(
-            b_hat, scratch=u12[:b_hat.size].reshape(b_hat.shape))
-        self.divergence_modes(w_hat, out=dw, scratch=u1[:n - 1])
+        w_hat = self.velocity_solve(b_hat, scratch=work)
+        self.divergence_modes(w_hat, out=dw, scratch=work[0])
         scale = max(c_max, float(np.linalg.norm(dw)) / n)
         c -= dw
         c[0, 0] = 0.0
         # one exact pressure step, none for zero data
         steps = int(c.any())
-        self.schur_solve(c, p, u1[:n])
+        self.schur_solve(c, p, work.reshape(-1)[:n * n].reshape(n, n))
 
-        # u = w + A^{-1}(-G p), one component at a time in the free u2 and c
+        # u = w + A^{-1}(-G p), one component at a time in the free work and c
         root_mu = self._root_mu[1:, None]
-        y = u2.reshape(-1)[:(n - 1) * n].reshape(n - 1, n)
+        y = work[0]
         for x, gp in zip(w_hat, (p[1:], p[:, 1:].T)):
             np.multiply(root_mu, gp, out=y)
             x += self.velocity_solve(y, scratch=c[:n - 1])
-        # the interior faces from a copy of w_hat, the right side's block,
-        # which stays the modes of u.  The copy sits in the u1, u2 block so
-        # that its first half is u1's interior rows, which the stacked
-        # transform fills in place; its second half overlaps u2 and goes to
-        # the free c before u2 is written
-        x = u12[n:n + w_hat.size].reshape(w_hat.shape)
-        x[...] = w_hat
-        y = c[:n - 1]
-        y[...] = self.from_modes(x)[1].T
-        u2[:, 1:n] = y.T
-        for side in SIDES:
-            wall((u1, u2)[AXIS[side]], side)[...] = 0.0 if walls is None else walls[side]
+        return p, scale, steps
 
-        defect = cell_divergence(u1, u2, h, out=dw, scratch=c)
-        if h_src is not None:
-            defect -= h_src
-        div_max = float(np.abs(defect, out=defect).max())
-        if not div_max <= DIV_TOL * scale:
-            raise NonConvergence(
-                f"saddle solve: divergence defect {div_max:.3e} above "
-                f"{DIV_TOL:.1e} of the data scale {scale:.3e}",
-                best_x=idctn(p, type=2, norm="ortho"), residual=div_max,
-                iterations=steps,
-            )
-        diag = {"outer_iterations": steps, "div_max": div_max}
-        return u1, u2, p, diag
+    def cell_views(self, u12: np.ndarray):
+        """Views (x, u1, u2) of a (k, 2 n (n + 1)) block, one velocity a row:
+        its modes x (k, 2, n - 1, n) at offset n, its faces u1 and u2."""
+        n, k, half = self.grid.n, len(u12), self.grid.n * (self.grid.n + 1)
+        return (u12[:, n:n + 2 * (n - 1) * n].reshape(k, 2, n - 1, n),
+                u12[:, :half].reshape(k, n + 1, n), u12[:, half:].reshape(k, n, n + 1))
+
+    def to_cells(self, u12: np.ndarray, walls=None, h_src=None) -> np.ndarray:
+        """The cell stage of k saddle solves: the velocities in the modes x
+        of a block of :meth:`cell_views` brought to its faces by one stacked
+        inverse transform, with walls[side][i], or zero for walls None, on
+        row i's wall faces.  Returns the k defects max|h_src - D u|, taken a
+        bounded chunk of rows at a time.
+        """
+        n, h, k = self.grid.n, self.grid.h, len(u12)
+        x, u1, u2 = self.cell_views(u12)
+        self.from_modes(x)
+        rows = max(1, min(k, 2 ** 15 // (n * n)))   # at most 256 kB a buffer
+        buf = np.empty((rows, n, n)), np.empty((rows, n, n))
+        defects = np.empty(k)
+        for a in range(0, k, rows):
+            s = slice(a, min(a + rows, k))
+            d, t = (b[:s.stop - a] for b in buf)
+            # u2 came back over the modes' second half, which it overlaps
+            np.copyto(t[:, :n - 1], x[s, 1])
+            u2[s, :, 1:n] = t[:, :n - 1].swapaxes(1, 2)
+            for side in SIDES:
+                wall((u1, u2)[AXIS[side]][s], side)[...] = (
+                    0.0 if walls is None else walls[side][s])
+            cell_divergence(u1[s], u2[s], h, out=d, scratch=t)
+            if h_src is not None:
+                d -= h_src
+            np.abs(d, out=d).max(axis=(1, 2), out=defects[s])
+        return defects
 
 
 class VelocityPoisson:

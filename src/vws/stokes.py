@@ -9,14 +9,12 @@ reduces to the pressure Schur complement S = -D A^{-1} G, symmetric positive
 semidefinite with kernel = constants.  :class:`vws.operators.SaddleInverse`
 inverts A and S exactly at every shift and solves the whole system in one
 basis, where D and G are diagonal and A is diagonal up to a wall
-correction.  D is the one cell divergence of full face arrays
-(:func:`vws.operators.cell_divergence`), so prescribed wall faces count in
-it.  The wall faces reach only the border cells, each with a wall flux
-+-(normal value)/h, so the interior unknowns see D w = c, with c = h_src
-less those fluxes.  Summed over the cells, D u = h_src reads
-h^2 sum h_src = h sum g . n, so :meth:`vws.operators.SaddleInverse.solve`,
-which every stationary solve and every time step goes through, refuses data
-that miss it beyond rounding before it solves anything.  Then:
+correction.  D (:func:`vws.operators.cell_divergence`) counts the wall
+faces, which reach only the border cells as fluxes +-(normal value)/h, so
+the interior unknowns see D w = c, with c = h_src less those fluxes.
+Summed over the cells, D u = h_src reads h^2 sum h_src = h sum g . n, which
+:meth:`vws.operators.SaddleInverse.right_side` checks to rounding for every
+stationary solve and time march before anything is solved.  Then:
 
     1. w = A^{-1} b on the interior faces, and D w;
     2. rhs = c - D w, re-centred to zero mean;
@@ -29,23 +27,19 @@ that miss it beyond rounding before it solves anything.  Then:
        a miss, a NaN included, raises NonConvergence carrying p and the
        defect.
 
-Steps 1-4 run in the modes, so a solve costs one forward transform of b and
-of c (:meth:`vws.operators.SaddleInverse.right_side`), one inverse transform
-of u, plus the cell divergence of step 5
-(:meth:`vws.operators.SaddleInverse.solve_modes`); a stationary solve adds
-one inverse transform of p, which a time step, keeping only its velocity,
-never makes.  Without forcing, b is
-the load of g, and without h_src, c holds the wall fluxes: both then live
-on their border lines, where c is also built and checked, and their forward
-transforms are closed-form products of 1-D transforms of those lines; a
-zero c, as in every adjoint solve and for tangential data, takes no
-transform at all.  Every velocity a solve returns keeps its interior modes
-(:attr:`vws.grid.VelocityField.modes`), and a solve forced by a solved
-velocity, such as the adjoint solve of the duality identity, adds them to
-the modes of b: it takes no forward transform, and with zero g it builds no
-load.  A time march builds the right side of its boundary data once and
-steps in the modes, so its steps pay only the modal stage, the inverse
-transform of u and the transform of their new forcing.
+Steps 1-4 are the modal stage (:meth:`vws.operators.SaddleInverse.solve_modes`),
+after one forward transform of b and of c
+(:meth:`vws.operators.SaddleInverse.right_side`); the cell stage
+(:meth:`vws.operators.SaddleInverse.to_cells`) brings u back and takes step
+5, and a stationary solve adds one inverse transform of p.  Without forcing,
+b is the load of g, and without h_src, c holds the wall fluxes: both then
+live on their border lines, and their forward transforms are closed-form
+products of 1-D transforms; a zero c takes none.  Every velocity a solve
+returns keeps its interior modes (:attr:`vws.grid.VelocityField.modes`),
+which a solve it forces adds to the modes of b with no transform.  A time
+march steps in modes, each step paying the modal stage and the transform of
+its new forcing, then brings every velocity back, and checks every defect,
+in one cell stage with one stacked inverse transform.
 :func:`residual_report` computes the momentum residual on demand, from one
 residual pair and one load pair.  The solver is built once per (grid, shift) by
 :func:`vws.operators.saddle_inverses`, which refuses a singular shift.

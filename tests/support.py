@@ -12,7 +12,9 @@ def find_assertion(report, name):
 
 def count_saddle_solves(monkeypatch):
     """Count modal saddle solves (SaddleInverse.solve_modes calls, which
-    every stationary solve and every time step makes once); returns the
+    every stationary solve and every time step makes once; a march then
+    brings all its steps to the cells, and checks every defect, in one cell
+    stage, SaddleInverse.to_cells, which this does not count); returns the
     list each call extends."""
     from vws.operators import SaddleInverse
 

@@ -9,6 +9,7 @@ from vws.boundary import (BoundaryData, cavity_g, cavity_g_eps, outward_normal_d
                           project_compatible, rotation_data, smoothstep)
 from vws.errors import (
     IncompatibleBoundaryData,
+    NonConvergence,
     UnderResolvedWarning,
     ZeroBoundaryData,
 )
@@ -33,7 +34,7 @@ from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import time_dependent_forcing, time_dependent_solution
 from vws.boundary import AXIS, SIDES, wall
 from vws.stokes import solve_boundary, solve_saddle
-from vws.operators import apply_velocity_laplacian
+from vws.operators import apply_velocity_laplacian, divergence, saddle_inverses
 from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_field
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
@@ -149,6 +150,118 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
     assert [d["step"] for d in traj.diagnostics] == list(range(1, m + 1))
     assert [d["step"] for d in back.diagnostics] == list(range(m))
     assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "cn"])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_march_brings_every_step_back_in_one_inverse_transform(monkeypatch,
+                                                               scheme, m):
+    # each step is one modal solve; the cell stage then takes the whole
+    # march to the cells in one stacked inverse transform pair
+    from vws import operators
+
+    idst = operators.idst
+    transforms = []
+
+    def counted(*args, **kwargs):
+        transforms.append(1)
+        return idst(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "idst", counted)
+    calls = count_saddle_solves(monkeypatch)
+    grid = build_grid(16)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
+    traj = evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme)
+    assert (len(calls), len(transforms)) == (m, 1)
+    back = solve_adjoint_backward(grid, traj)
+    assert (len(calls), len(transforms)) == (2 * m, 2)
+    for diag in traj.diagnostics + back.diagnostics:
+        assert set(diag) == {"outer_iterations", "div_max", "wall_time", "step"}
+        assert diag["wall_time"] > 0.0
+
+
+def test_cell_stage_of_a_stack_matches_one_row_at_a_time():
+    # the batched cell stage, over several buffer chunks (8 rows at n = 64),
+    # gives each row the faces and the defect of its own k = 1 stage, bit
+    # for bit
+    n, k = 64, 19
+    inv = saddle_inverses(build_grid(n), 4.0)
+    rng = np.random.default_rng(3)
+    u12 = np.empty((k, 2 * n * (n + 1)))
+    x, u1, u2 = inv.cell_views(u12)
+    x[...] = rng.standard_normal(x.shape)
+    rows = u12.copy()
+    walls = {side: rng.standard_normal((k, n)) for side in SIDES}
+    h_src = rng.standard_normal((n, n))
+    defects = inv.to_cells(u12, walls, h_src)
+    for i in range(k):
+        one = rows[i:i + 1]
+        d = inv.to_cells(one, {s: w[i:i + 1] for s, w in walls.items()}, h_src)
+        assert np.array_equal(one[0], u12[i]) and d[0] == defects[i]
+    assert np.all(defects > 0.0)
+
+
+def _zero_div_tol(monkeypatch):
+    from vws import operators
+
+    monkeypatch.setattr(operators, "DIV_TOL", 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "cn"])
+def test_march_defect_miss_raises_at_its_first_step(monkeypatch, scheme):
+    # with no defect allowed every step misses: the first one raises, named
+    # with its place in the march, carrying its defect and its faces (for
+    # the first step z = u^1 forward, v^(m-1) backward), as no cell
+    # pressure is formed
+    grid, m = build_grid(16), 8
+    tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
+    traj = evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme)
+    back = solve_adjoint_backward(grid, traj)
+    with monkeypatch.context() as mp:
+        _zero_div_tol(mp)
+        for march, where, want in (
+                (lambda: evolve(grid, tb, 0.5, 0.5 / m, scheme=scheme),
+                 "forward step 1/8 (t=0.0625)", traj.velocities[1]),
+                (lambda: solve_adjoint_backward(grid, traj),
+                 "backward step 1/8 (t=0.4375)", back.velocities[m - 1])):
+            with pytest.raises(NonConvergence) as info:
+                march()
+            assert str(info.value).startswith(f"{where}: saddle solve: divergence defect")
+            z1, z2 = info.value.best_x
+            assert np.array_equal(z1, want.u1) and np.array_equal(z2, want.u2)
+            assert info.value.residual == np.abs(divergence(want).p).max() > 0.0
+            assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_march_raises_at_the_step_that_goes_wrong(monkeypatch, backward, bad):
+    # a NaN velocity at step 3 misses the defect check there, not at a later
+    # step; a non-finite data scale at step 3 ends the march at that step,
+    # with no later step solved
+    from vws.operators import SaddleInverse
+
+    grid, m = build_grid(16), 8
+    tb = TimeBoundaryData.constant(rotation_data(grid))
+    traj = evolve(grid, tb, 0.5, 0.5 / m, scheme="cn")
+    solve_modes = SaddleInverse.solve_modes
+    calls = []
+
+    def spoiled(self, b_hat, *args):
+        calls.append(1)
+        p, scale, steps = solve_modes(self, b_hat, *args)
+        if len(calls) == 3 and bad == "nan":
+            b_hat[0, 2, 2] = np.nan
+        return p, np.inf if len(calls) == 3 and bad == "inf" else scale, steps
+
+    monkeypatch.setattr(SaddleInverse, "solve_modes", spoiled)
+    direction = "backward" if backward else "forward"
+    with pytest.raises(NonConvergence, match=f"^{direction} step 3/8 "):
+        if backward:
+            solve_adjoint_backward(grid, traj)
+        else:
+            evolve(grid, tb, 0.5, 0.5 / m, scheme="cn")
+    assert len(calls) == (3 if bad == "inf" else m)
 
 
 def test_march_makes_no_2d_transform(monkeypatch):

@@ -415,6 +415,23 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
     assert info.value.residual == pytest.approx(1.0)
 
 
+def test_non_finite_data_scale_raises_nonconvergence(monkeypatch):
+    # an infinite data scale would let any finite defect through; the
+    # stationary solve refuses it, carrying its cell pressure as ever
+    grid, g = _lid(16)
+    solve_modes = SaddleInverse.solve_modes
+
+    def unbounded(self, *args):
+        p, _, steps = solve_modes(self, *args)
+        return p, np.inf, steps
+
+    monkeypatch.setattr(SaddleInverse, "solve_modes", unbounded)
+    with pytest.raises(NonConvergence, match="data scale inf") as info:
+        solve_saddle(grid, g, None, None, None)
+    assert info.value.best_x.shape == (16, 16)
+    assert 0.0 < info.value.residual < 1e-12
+
+
 @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
 def test_saddle_rejects_non_finite_shift(shift):
     # a NaN or infinite shift used to come back as an all-NaN velocity
