@@ -40,8 +40,9 @@ one solver per (grid, shift) and refuses a singular shift.
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
 so both split into four parity sectors with the same closed form
-(:func:`_parity_sectors`) and are inverted by the same per-sector block
-elimination (:class:`_SectorInverse`).
+(:func:`_parity_sectors`) and are inverted by the same block elimination
+(:class:`_SectorInverse`), run on all four sectors at once as zero-padded
+stacks, with no loop over sectors.
 """
 
 from __future__ import annotations
@@ -309,35 +310,48 @@ def _parity_sectors(inv_d: np.ndarray, weight: np.ndarray, modes: np.ndarray,
 
 
 class _SectorInverse:
-    """K^{-1} for the sectors of :func:`_parity_sectors`.
+    """K^{-1} for the sectors of :func:`_parity_sectors`, all four at once.
 
     Each sector is inverted by block elimination of its diagonal first-pair
     part; the inverse of the dense Schur complement D2 - C^T D1^{-1} C of
-    that part is stored.
+    that part is stored.  The sectors are zero-padded to common sizes and
+    stacked, so a call is one gather per input, three batched products and
+    one scatter per output.  Sector (a, b) reads and writes the raveled
+    (r1, r2) entries 2k + a and 2l + b; a padded entry points at a zero slot
+    appended past the data (index -1), and rows in no sector come back zero.
     """
 
     def __init__(self, sectors: list):
-        self._sectors = []
-        for a, b, k, l, d1, c, d2 in sectors:
+        p, q = (max(len(s[i]) for s in sectors) for i in (2, 3))
+        self._i1, self._i2 = np.full((4, p), -1), np.full((4, q), -1)
+        self._d1_inv, self._e = np.zeros((4, p)), np.zeros((4, p, q))
+        self._s2_inv = np.zeros((4, q, q))
+        for j, (a, b, k, l, d1, c, d2) in enumerate(sectors):
             e = c / d1[:, None]
             s2 = np.linalg.inv(np.diag(d2) - c.T @ e)
-            self._sectors.append((a, b, k, l, 1.0 / d1, e, 0.5 * (s2 + s2.T)))
+            self._i1[j, :len(k)], self._i2[j, :len(l)] = 2 * k + a, 2 * l + b
+            self._d1_inv[j, :len(k)] = 1.0 / d1
+            self._e[j, :len(k), :len(l)] = e
+            self._s2_inv[j, :len(l), :len(l)] = 0.5 * (s2 + s2.T)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the factored sectors."""
-        return sum(x.nbytes for sector in self._sectors for x in sector[2:])
+        """Bytes held by the stacked sectors and their index maps."""
+        return sum(x.nbytes for x in vars(self).values())
 
     def __call__(self, r1: np.ndarray, r2: np.ndarray):
-        """(y1, y2) = K^{-1} (r1, r2); r1[k, a] is first-pair mode k, parity a."""
-        y1 = np.zeros_like(r1)
-        y2 = np.zeros_like(r2)
-        for a, b, k, l, d1_inv, e, s2_inv in self._sectors:
-            f1, f2 = r1[k, a], r2[l, b]
-            x2 = s2_inv @ (f2 - e.T @ f1)
-            y1[k, a] = d1_inv * f1 - e @ x2
-            y2[l, b] = x2
-        return y1, y2
+        """(y1, y2) = K^{-1} (r1, r2); r1[k, a] is first-pair mode k, parity a.
+        r1 and r2, of two columns each, are read, never written."""
+        f1 = np.concatenate((r1.ravel(), [0.0]))[self._i1]
+        f2 = np.concatenate((r2.ravel(), [0.0]))[self._i2]
+        # x2 = S2^{-1} (f2 - E^T f1), y1 = D1^{-1} f1 - E x2, per sector
+        f2 -= np.matmul(f1[:, None], self._e)[:, 0]
+        x2 = np.matmul(f2[:, None], self._s2_inv)
+        f1 *= self._d1_inv
+        f1 -= np.matmul(self._e, x2.swapaxes(1, 2))[..., 0]
+        y1, y2 = np.zeros(r1.size + 1), np.zeros(r2.size + 1)
+        y1[self._i1], y2[self._i2] = f1, x2[:, 0]
+        return y1[:-1].reshape(r1.shape), y2[:-1].reshape(r2.shape)
 
 
 def _capacitance_sectors(n: int, shift: float):
@@ -529,7 +543,8 @@ class SaddleInverse:
         y1 *= root_mu
         y2 *= root_mu
         # B0^T y = L^+ G^T U y, added to CC r = (L + shift) q
-        np.matmul(np.hstack([y1, w]), np.vstack([w.T, y2.T]), out=out)
+        np.matmul(np.concatenate((y1, w), axis=1),
+                  np.concatenate((w, y2), axis=1).T, out=out)
         out /= lam
         lam += self.shift
         r *= lam
@@ -756,7 +771,7 @@ class VelocityPoisson:
 def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0) -> SaddleInverse:
     """The :class:`SaddleInverse` of ``grid`` and ``shift``, cached.
 
-    The build is closed-form (no solve) and holds about 2.4 n^2 floats; the
+    The build is closed-form (no solve) and holds about 3 n^2 floats; the
     cache keeps the last few (n, shift) pairs.  A non-finite shift, or one
     at which the velocity Laplacian or the Schur complement is singular,
     raises ValueError, and nothing is cached.

@@ -26,6 +26,8 @@ from vws.operators import divergence
 from vws.stokes import solve_boundary
 from vws.experiments.report import orders
 
+from support import check_sector_inverse
+
 
 def _lid(grid, eps=0.1):
     with warnings.catch_warnings():
@@ -132,7 +134,7 @@ def _pair_modes(n):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 9, 12])
 def test_plate_capacitance_matches_probe(n):
     grid, h = build_grid(n), 1.0 / n
     m = n - 1
@@ -154,7 +156,8 @@ def test_plate_capacitance_matches_probe(n):
     K_probe = 0.5 * h ** 4 * np.eye(4 * m) + U.T @ M @ U
 
     K = np.zeros_like(K_probe)
-    for a, b, k, l, d1, c, d2 in _plate_capacitance_sectors(n)[2]:
+    sectors = _plate_capacitance_sectors(n)[2]
+    for a, b, k, l, d1, c, d2 in sectors:
         i1 = a * m + k
         i2 = 2 * m + b * m + l
         K[i1, i1] = d1
@@ -162,12 +165,15 @@ def test_plate_capacitance_matches_probe(n):
         K[np.ix_(i1, i2)] = c
         K[np.ix_(i2, i1)] = c.T
     assert np.abs(K - K_probe).max() <= 1e-12 * np.abs(K_probe).max()
+    # the stacked, padded inverse; every mode lies in a sector
+    check_sector_inverse(sectors, K, first_mode=0, seed=n)
 
 
-@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("n", [32, 33, 64, 128])
 def test_plate_inverse_is_exact(n):
-    # measured relative residuals 1.7e-13, 2.0e-12, 8.8e-12 and round trips
-    # 2.0e-14, 2.5e-13, 3.2e-12 (the condition number grows like n^4)
+    # measured relative residuals 1.3e-13, 1.4e-13, 1.6e-12, 7.9e-12 and
+    # round trips 2.0e-14, 2.6e-14, 2.5e-13, 3.2e-12 (the condition number
+    # grows like n^4); n = 33 has four equal parity sectors, the rest not
     grid = build_grid(n)
     rng = np.random.default_rng(n)
     b = rng.standard_normal((n - 1, n - 1))

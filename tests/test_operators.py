@@ -21,7 +21,9 @@ from vws.operators import (
 from vws.operators import _capacitance_sectors, _neumann_inverse
 from vws.experiments.report import orders
 
-from support import dense_face_gradient, dense_velocity_laplacian
+from support import (
+    check_sector_inverse, dense_face_gradient, dense_velocity_laplacian,
+)
 
 
 def _random_interior(rng, n):
@@ -225,7 +227,7 @@ def _dense_schur(grid, shift):
 
 
 @pytest.mark.parametrize("shift", [0.0, 64.0, 4096.0])
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 9, 12])
 def test_schur_inverse_is_exact(n, shift):
     grid = build_grid(n)
     S = _dense_schur(grid, shift)
@@ -261,7 +263,7 @@ def _wall_modes(n):
 
 
 @pytest.mark.parametrize("shift", [0.0, 64.0, 4096.0])
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 9, 12])
 def test_capacitance_matrix_matches_probe(n, shift):
     grid, h = build_grid(n), 1.0 / n
     A = dense_velocity_laplacian(grid, shift)
@@ -278,7 +280,8 @@ def test_capacitance_matrix_matches_probe(n, shift):
 
     m = n - 1
     K = np.zeros_like(K_probe)
-    for a, b, k, l, d1, c, d2 in _capacitance_sectors(n, shift)[2]:
+    sectors = _capacitance_sectors(n, shift)[2]
+    for a, b, k, l, d1, c, d2 in sectors:
         i1 = a * m + k - 1
         i2 = 2 * m + b * m + l - 1
         K[i1, i1] = d1
@@ -286,6 +289,8 @@ def test_capacitance_matrix_matches_probe(n, shift):
         K[np.ix_(i1, i2)] = c
         K[np.ix_(i2, i1)] = c.T
     assert np.abs(K - K_probe).max() <= 1e-12 * np.abs(K_probe).max()
+    # the stacked, padded inverse; mode 0 lies in no sector
+    check_sector_inverse(sectors, K, first_mode=1, seed=n)
 
 
 def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
