@@ -641,22 +641,26 @@ class SaddleInverse:
         """Direct saddle solve of A u + G p = b, D u = h_src: :meth:`right_side`,
         :meth:`solve_modes`, then :meth:`to_cells` with k = 1 and the normal
         samples of g on the wall faces.  modes, a face stack, receives the
-        interior modes of u.  A defect miss (:func:`defect_miss`) raises
+        interior modes of u; without it none are kept, and the right side is
+        built in the cell block.  A defect miss (:func:`defect_miss`) raises
         NonConvergence carrying the cell pressure and the defect.
 
-        Returns (u1_full, u2_full, p_cells, diagnostics).
+        Returns (u1_full, u2_full, p_hat, diagnostics), p_hat p's cosine modes.
         """
-        b_hat, c_hat, c_max = self.right_side(g, forces, h_src, out=modes)
         u12 = np.empty((1, 2 * self.grid.n * (self.grid.n + 1)))
-        p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, u12[0])
-        del c_hat   # free before the cell stage's buffers
         x, u1, u2 = self.cell_views(u12)
-        x[0] = b_hat
+        b_hat, c_hat, c_max = self.right_side(
+            g, forces, h_src, out=x[0] if modes is None else modes)
+        work = u12[0] if modes is not None else np.empty(b_hat.size)
+        p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, work)
+        del c_hat, work   # free before the cell stage's buffers
+        if modes is not None:
+            x[0] = b_hat
         walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
         div_max = float(self.to_cells(u12, walls, h_src)[0])
-        p = idctn(p, type=2, norm="ortho", overwrite_x=True)
         if why := defect_miss(div_max, scale):
-            raise NonConvergence(why, best_x=p, residual=div_max, iterations=steps)
+            raise NonConvergence(why, best_x=idctn(p, type=2, norm="ortho"),
+                                 residual=div_max, iterations=steps)
         return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max}
 
     def divergence_modes(self, w_hat: np.ndarray, out=None,

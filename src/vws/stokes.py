@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import idctn
 
 from .boundary import AXIS, SIDES, BoundaryData, wall
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
@@ -93,8 +94,9 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
     """Core saddle solve.  f1, f2 interior-shaped forcing; h_src cell-shaped.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
-    the returned velocity hold the normal samples of g.  f_modes, when
-    given, is further forcing as the interior modes of a solved velocity
+    the returned velocity hold the normal samples of g; p comes to the cells
+    here, from the modes SaddleInverse.solve returns.  f_modes, when given,
+    is further forcing as the interior modes of a solved velocity
     (:attr:`vws.grid.VelocityField.modes`), added with no transform; modes,
     a (2, n - 1, n) array, receives the interior modes of the returned
     velocity.  A g of another grid, a non-finite shift, or a shift at which
@@ -110,6 +112,7 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
     t0 = time.perf_counter()
     forces = [(f1, f2)] if f_modes is None else [(f1, f2), f_modes]
     u1, u2, p, diag = saddle_inverses(grid, shift).solve(g, forces, h_src, modes)
+    p = idctn(p, type=2, norm="ortho", overwrite_x=True)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
 

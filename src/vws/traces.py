@@ -31,12 +31,12 @@ outer product is a pair of outer products, and the zero-data MAC Laplacian
 acts on outer(a, c) as outer(L_D a, c) + outer(a, L_G c), with L_D the node
 and L_G the ghost-closed cell second difference.  pairing_L therefore
 evaluates L_u(g1) in closed form from the 1-D factors: four bilinear forms in
-u, one pass over u per component and nonzero side, O(n^2) flops and no lift
-built.  The data are immutable, so their 1-D weights are built once, with
-the data.  The same forms give the mass pairing <u, R g1>_h, which the
-space-time pairing of vws.evolution needs beside it.  pairing_with_field
-pairs u with an arbitrary field (the perturbed lifts below) and is the
-reference the closed form is tested against.
+u, one pass per component and nonzero side over that side's strip of u,
+O(n^2) flops and no lift built.  The data are immutable, so their 1-D
+weights and strip windows are built once, with them.  The same forms give
+the mass pairing <u, R g1>_h, which the space-time pairing of vws.evolution
+needs beside it.  pairing_with_field pairs u with an arbitrary field (the
+perturbed lifts below) and is the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .boundary import (AXIS, SIDES, BoundaryData, _pair_sum, _require_sides,
-                       smoothstep)
+from .boundary import (AXIS, NORMALS, SIDES, BoundaryData, _pair_sum,
+                       _require_sides, smoothstep)
 from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
 from .operators import apply_velocity_laplacian, stream_curl
 
@@ -128,12 +128,12 @@ def _lift_factors(g1: TangentialBoundaryData):
     across-wall profile -1/2 d^2 chi(d); the first index of Psi runs along x.
     """
     taper, prof0 = _lift_profiles(g1.grid)
-    prof1 = prof0[::-1]                              # distance from coordinate 1
-    for side, across in (("bottom", prof0), ("top", prof1),
-                         ("left", prof0), ("right", prof1)):
-        if not g1.profiles[side].any():
-            continue
+    for side in SIDES:
         along = _midpoints_to_nodes(g1.profiles[side]) * taper
+        if not along.any():     # no lift: no pairing window either
+            continue
+        # the distance from coordinate 0 on bottom/left, from 1 on top/right
+        across = prof0 if NORMALS[side][AXIS[side]] < 0.0 else prof0[::-1]
         yield (along, across) if AXIS[side] else (across, along)
 
 
@@ -180,11 +180,13 @@ def _cell_second_difference(c: np.ndarray, h: float) -> np.ndarray:
 def _pairing_forms(a: np.ndarray, b: np.ndarray, grid: StaggeredGrid):
     """The 1-D weights of one side's factors (a, b), one form per component.
 
-    Each form is (left, right): the component's interior faces U enter only
-    as the 2 x 2 product left @ U @ right, with
+    Each form is (left, right, window): the component's interior faces U
+    enter only as the 2 x 2 product left @ U[window] @ right, with
 
         u1: left = [a_int; L_D a],   right = [Db, L_G Db]
-        u2: left = [L_G Da; Da],     right = [b_int, L_D b].
+        u2: left = [L_G Da; Da],     right = [b_int, L_D b]
+
+    cut to the window where they are nonzero, the lift's strip.
     """
     n, h = grid.n, grid.h
     da, db = np.diff(a) / h, np.diff(b) / h
@@ -194,7 +196,10 @@ def _pairing_forms(a: np.ndarray, b: np.ndarray, grid: StaggeredGrid):
              (db, _cell_second_difference(db, h))),
             ((_cell_second_difference(da, h), da),
              (b[1:n], _node_second_difference(b, h)))):
-        forms.append((np.stack(left), np.column_stack(right)))
+        left, right = np.stack(left), np.column_stack(right)
+        rows, cols = (np.flatnonzero(w.any(axis=k)) for w, k in ((left, 0), (right, 1)))
+        rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+        forms.append((left[:, rows], right[cols], (rows, cols)))
     return tuple(forms)
 
 
@@ -212,8 +217,8 @@ def _lift_pairings(u: VelocityField, g1: TangentialBoundaryData):
     h = u.grid.h
     mass = total = 0.0
     for form in g1._forms:
-        m1, m2 = (left @ (uc @ right)
-                  for uc, (left, right) in zip(u.interior(), form))
+        m1, m2 = (left @ (uc[window] @ right)
+                  for uc, (left, right, window) in zip(u.interior(), form))
         mass += m1[0, 0] - m2[1, 0]
         total += m1[1, 0] + m1[0, 1] - m2[0, 0] - m2[1, 1]
     return h * h * float(mass), -h * h * float(total)
@@ -229,9 +234,11 @@ def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
     docstring): with U1, U2 the interior faces of u,
 
         -h^2 sum_s [(L_D a).U1 Db + a_int.U1 (L_G Db)
-                    - (L_G Da).U2 b_int - Da.U2 (L_D b)].
+                    - (L_G Da).U2 b_int - Da.U2 (L_D b)],
 
-    g1 on another grid than u raises ValueError.
+    each read over the window of U where its weights are nonzero, the side's
+    lift strip: a non-finite u outside the strip no longer reaches the
+    result.  g1 on another grid than u raises ValueError.
     """
     require_same_grid(u.grid, g1)
     return _lift_pairings(u, g1)[1]

@@ -10,6 +10,16 @@ def find_assertion(report, name):
     raise KeyError(f"no assertion {name!r} in recipe {report.recipe!r}")
 
 
+def refuse(monkeypatch, owner, names, why):
+    """Make the attribute of owner named names, or each of names, raise
+    AssertionError(why) when called."""
+    def refused(*args, **kwargs):
+        raise AssertionError(why)
+
+    for name in [names] if isinstance(names, str) else names:
+        monkeypatch.setattr(owner, name, refused)
+
+
 def count_saddle_solves(monkeypatch):
     """Count modal saddle solves (SaddleInverse.solve_modes calls, which
     every stationary solve and every time step makes once; a march then

@@ -26,7 +26,7 @@ from vws.operators import divergence
 from vws.stokes import solve_boundary
 from vws.experiments.report import orders
 
-from support import check_sector_inverse
+from support import check_sector_inverse, refuse
 
 
 def _lid(grid, eps=0.1):
@@ -191,10 +191,7 @@ def test_plate_mms_returns_at_n256():
 
 
 def test_solve_is_direct_with_one_check(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("plate solve called cg_solve")
-
-    monkeypatch.setattr(operators, "cg_solve", refuse)
+    refuse(monkeypatch, operators, "cg_solve", "plate solve called cg_solve")
     calls = []
     apply = biharmonic.apply_biharmonic
     monkeypatch.setattr(biharmonic, "apply_biharmonic",
@@ -207,11 +204,9 @@ def test_solve_is_direct_with_one_check(monkeypatch):
 
 
 def test_plate_inverse_is_small_cached_and_untraced(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("builder called a solver entry point")
-
-    monkeypatch.setattr(biharmonic, "apply_biharmonic", refuse)
-    monkeypatch.setattr(operators, "cg_solve", refuse)
+    why = "builder called a solver entry point"
+    refuse(monkeypatch, biharmonic, "apply_biharmonic", why)
+    refuse(monkeypatch, operators, "cg_solve", why)
     assert biharmonic._ClampedPlateInverse(256).nbytes <= 2_000_000
     assert _clamped_plate_inverse(build_grid(32)) is _clamped_plate_inverse(build_grid(32))
 

@@ -39,7 +39,7 @@ from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_fie
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
 
-from support import count_saddle_solves
+from support import count_saddle_solves, refuse
 
 
 def _lid(grid, eps=0.1):
@@ -273,12 +273,9 @@ def test_march_makes_no_2d_transform(monkeypatch):
     from vws import operators
     from vws.operators import SaddleInverse
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("2-D transform in a march")
-
-    for name in ("dctn", "idctn"):
-        monkeypatch.setattr(operators, name, refuse)
-    monkeypatch.setattr(SaddleInverse, "to_modes", refuse)
+    why = "2-D transform in a march"
+    refuse(monkeypatch, operators, ("dctn", "idctn"), why)
+    refuse(monkeypatch, SaddleInverse, "to_modes", why)
     grid, m = build_grid(16), 8
     tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
     for scheme in ("euler", "cn"):
@@ -638,10 +635,7 @@ def test_spacetime_pairing_builds_no_lift(monkeypatch):
     mod = final_zero_modulation(1.0)
     ref = -_per_step_pairing(traj, lift_tangential(probe), mod)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("spacetime_pairing built a lift")
-
-    monkeypatch.setattr(traces, "stream_curl", forbidden)
+    refuse(monkeypatch, traces, "stream_curl", "spacetime_pairing built a lift")
     assert spacetime_pairing(traj, probe, mod) == pytest.approx(ref, rel=1e-13)
 
 

@@ -22,7 +22,7 @@ from vws.operators import _capacitance_sectors, _neumann_inverse
 from vws.experiments.report import orders
 
 from support import (
-    check_sector_inverse, dense_face_gradient, dense_velocity_laplacian,
+    check_sector_inverse, dense_face_gradient, dense_velocity_laplacian, refuse,
 )
 
 
@@ -296,13 +296,10 @@ def test_capacitance_matrix_matches_probe(n, shift):
 def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
     # the build is closed-form: it must not run the velocity solve, the
     # Laplacian apply or CG, whose calls the benchmark tracer counts per op
-    def refuse(*args, **kwargs):
-        raise AssertionError("builder called a solver entry point")
-
-    monkeypatch.setattr(VelocityPoisson, "solve", refuse)
-    monkeypatch.setattr(SaddleInverse, "solve", refuse)
-    monkeypatch.setattr(operators, "apply_velocity_laplacian", refuse)
-    monkeypatch.setattr(operators, "cg_solve", refuse)
+    why = "builder called a solver entry point"
+    refuse(monkeypatch, VelocityPoisson, "solve", why)
+    refuse(monkeypatch, SaddleInverse, "solve", why)
+    refuse(monkeypatch, operators, ("apply_velocity_laplacian", "cg_solve"), why)
     # the Schur sectors plus one n^2 array of velocity denominators; no
     # workspace is cached
     saddle_inverses.cache_clear()
@@ -357,12 +354,10 @@ def test_border_data_take_no_2d_forward_transform(monkeypatch):
     rng = np.random.default_rng(5)
     f = rng.standard_normal((15, 16)), rng.standard_normal((16, 15))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("2-D forward transform of border data")
-
-    monkeypatch.setattr(operators, "dctn", refuse)
+    why = "2-D forward transform of border data"
+    refuse(monkeypatch, operators, "dctn", why)
     with monkeypatch.context() as m:
-        m.setattr(SaddleInverse, "to_modes", refuse)
+        refuse(m, SaddleInverse, "to_modes", why)
         assert inv.solve(rotation_data(grid))[3]["outer_iterations"] == 1
     assert inv.solve(BoundaryData.zeros(grid), [f])[3]["outer_iterations"] == 1
     with pytest.raises(AssertionError, match="border data"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vws import traces
-from vws.boundary import SIDES, cavity_g, rotation_data
+from vws.boundary import SIDES, cavity_g, rotation_data, wall
 from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.operators import divergence
 from vws.stokes import solve_boundary
@@ -22,6 +22,8 @@ from vws.traces import (
 )
 from vws.transposition import normal_derivative_on_gamma
 from vws.experiments.report import orders
+
+from support import refuse
 
 
 def _worst_probe_gap(n):
@@ -184,7 +186,8 @@ def _test_probes(grid):
     ]
 
 
-@pytest.mark.parametrize("n", [4, 8, 32, 64, 128])
+# n = 33 and 256 put the strip windows' ends mid-grid, at odd and large n
+@pytest.mark.parametrize("n", [4, 8, 32, 33, 64, 128, 256])
 @pytest.mark.parametrize("data", [cavity_g, rotation_data])
 def test_closed_form_pairing_matches_lift(n, data):
     grid = build_grid(n)
@@ -197,7 +200,7 @@ def test_closed_form_pairing_matches_lift(n, data):
     assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", [4, 8, 32, 64])
+@pytest.mark.parametrize("n", [4, 8, 32, 33, 64, 256])
 def test_closed_form_mass_pairing_matches_lift(n):
     # <u, R g1>_h against the built lift over the interior faces, for a
     # random field, which is no Stokes flow and fills the domain; the
@@ -222,12 +225,26 @@ def test_closed_form_pairing_builds_no_lift(monkeypatch):
     g1 = _test_probes(grid)[-2]     # the four-sided probe
     ref = _oracle(u, g1)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("pairing_L built a lift")
-
-    monkeypatch.setattr(traces, "stream_curl", forbidden)
-    monkeypatch.setattr(traces, "apply_velocity_laplacian", forbidden)
+    refuse(monkeypatch, traces, ("stream_curl", "apply_velocity_laplacian"),
+           "pairing_L built a lift")
     assert pairing_L(u, g1) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_pairing_reads_the_lift_strip_only(side):
+    # a NaN on the first interior line along the probe's wall reaches the
+    # pairing; one half the grid away from it lies outside the lift's strip
+    grid = build_grid(32)
+    u = solve_boundary(grid, rotation_data(grid)).velocity
+    g1 = TangentialBoundaryData(grid, {side: np.ones(32)})
+    for depth, nan_out in ((1, True), (16, False)):
+        faces = [u.u1.copy(), u.u2.copy()]
+        for k in range(2):
+            wall(faces[k], side, depth)[16] = np.nan
+        val = pairing_L(VelocityField(grid, *faces), g1)
+        assert np.isnan(val) == nan_out
+        if not nan_out:
+            assert val == pytest.approx(pairing_L(u, g1), rel=1e-12)
 
 
 @functools.cache

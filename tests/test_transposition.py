@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vws.boundary import SIDES, cavity_g, cavity_g_eps, rotation_data
-from vws.errors import UnderResolvedWarning, ZeroBoundaryData
+from vws import operators
+from vws.errors import NonConvergence, UnderResolvedWarning, ZeroBoundaryData
 from vws.grid import PressureField, VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import stationary_solution
 from vws.stokes import solve_boundary
@@ -17,6 +18,8 @@ from vws.transposition import (
     transposition_identity,
 )
 from vws.experiments.report import orders
+
+from support import count_saddle_solves, refuse
 
 
 def _lid(n, eps=0.1):
@@ -82,7 +85,6 @@ def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     # transform, and, with zero boundary data, no load built or
     # transformed; a fresh hand-built copy of the same velocity is transformed
     # exactly once
-    from vws import operators
     from vws.operators import SaddleInverse
 
     grid, g = _lid(32)
@@ -91,13 +93,9 @@ def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     fresh = VelocityField(grid, u.u1, u.u2)
     want = transposition_identity(grid, g, u=fresh)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("forward transform or zero load in an adjoint solve")
-
-    for name in ("dctn", "laplacian_load"):
-        monkeypatch.setattr(operators, name, refuse)
-    for name in ("to_modes", "border_to_modes"):
-        monkeypatch.setattr(SaddleInverse, name, refuse)
+    why = "forward transform or zero load in an adjoint solve"
+    refuse(monkeypatch, operators, ("dctn", "laplacian_load"), why)
+    refuse(monkeypatch, SaddleInverse, ("to_modes", "border_to_modes"), why)
     got = transposition_identity(grid, g, u=u)
     assert solve_adjoint(grid, u).velocity.modes is not None
     monkeypatch.undo()
@@ -129,6 +127,51 @@ def test_identity_from_kept_modes_matches_transformed(n):
     assert abs(kept["term_q"]) > 0.1 * abs(kept["term_dvdn"])
     for key in ("lhs", "rhs", "term_q", "term_dvdn"):
         assert abs(kept[key] - fresh[key]) <= 1e-12 * abs(fresh[key])
+
+
+def _full_path_identity(grid, g, u):
+    # the identity from the whole adjoint solution, its cell pressure
+    # included, and the public extraction stencils
+    adj = solve_adjoint(grid, u)
+    dvdn = normal_derivative_on_gamma(adj.velocity)
+    q_b = boundary_pressure(adj.pressure)
+    term_dvdn = grid.h * sum(float(np.sum(g.samples[s] * dvdn.samples[s]))
+                             for s in SIDES)
+    term_q = grid.h * sum(float(np.sum(g.normal_part(s) * q_b[s])) for s in SIDES)
+    return {"lhs": l2_norm_omega(u) ** 2, "rhs": term_q - term_dvdn,
+            "term_q": term_q, "term_dvdn": term_dvdn}
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+def test_identity_matches_full_adjoint_path(monkeypatch, n):
+    # one saddle solve whose pressure stays in modes but for its wall lines:
+    # no 2-D inverse transform, and the values of the full path
+    grid, lid = _lid(n)
+    g = lid + rotation_data(grid)
+    u = solve_boundary(grid, g).velocity
+    want = _full_path_identity(grid, g, u)
+    refuse(monkeypatch, operators, "idctn", "2-D pressure transform in the identity")
+    calls = count_saddle_solves(monkeypatch)
+    got = transposition_identity(grid, g, u=u)
+    assert len(calls) == 1
+    assert abs(want["term_q"]) > 0.1 * abs(want["term_dvdn"])
+    for key in ("lhs", "rhs", "term_q", "term_dvdn"):
+        assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+def test_identity_adjoint_keeps_its_defect_check(monkeypatch, n):
+    # the adjoint's divergence defect is checked in the cells as in every
+    # solve; a miss carries the cell pressure of the full path
+    grid, lid = _lid(n)
+    g = lid + rotation_data(grid)
+    u = solve_boundary(grid, g).velocity
+    want = solve_adjoint(grid, u).pressure.p
+    monkeypatch.setattr(operators, "DIV_TOL", 0.0)
+    with pytest.raises(NonConvergence, match="divergence defect") as info:
+        transposition_identity(grid, g, u=u)
+    assert 0.0 < info.value.residual
+    assert np.abs(info.value.best_x - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_solution_modes_are_read_only():
