@@ -20,7 +20,8 @@ The march runs in the solver's modes.  Boundary data are a ramp r(t) times
 one spatial profile g, so the modes of load(g) and of its wall fluxes are
 built and checked once per march, and a step scales them by its ramp sum;
 the velocity's interior modes are carried from step to step, so a step's
-only transform is that of its new forcing node.  The march steps in modes,
+only transform is that of its new forcing node, by
+:meth:`vws.operators.SaddleInverse.forcing_modes`.  The march steps in modes,
 then brings every velocity back to the cells, and checks every defect, in
 one cell stage: one stacked inverse transform for the whole march.  A
 forward march's velocities keep their interior modes
@@ -66,7 +67,7 @@ from .boundary import AXIS, SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smooth
 from .errors import IncompatibleBoundaryData, NonConvergence, ZeroBoundaryData
 from .grid import (StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
-from .operators import _require_finite, defect_miss, saddle_inverses
+from .operators import defect_miss, saddle_inverses
 from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
                      perturbation_field)
 
@@ -185,31 +186,15 @@ def _check_steps(T: float, dt: float) -> int:
     return m
 
 
-def _forcing_modes(inv, f, out: np.ndarray) -> np.ndarray:
-    """The modes of one forcing node: f itself when it is a face stack of
-    modes, else those of the interior pair (f1, f2), either None for zero,
-    written to the face stack out; a misshapen or non-finite array raises
-    ValueError."""
-    if isinstance(f, np.ndarray):
-        return f
-    for fk, x in zip(f, (out[0], out[1].T)):
-        if fk is None:
-            x.fill(0.0)
-        else:
-            _require_finite("forcing", fk, x.shape)
-            x[...] = fk
-    return inv.to_modes(out)
-
-
 def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
            force, g: BoundaryData | None, ramp, backward: bool) -> Trajectory:
     """The implicit step loop shared by both time directions, from zero.
 
     Node j of the march is time index j forward and m - j backward.
-    force(j) -> the interior forcing at node j, a pair (f1, f2) or the
-    modes a solved velocity keeps (read, never written), or force=None; the
-    boundary values at node j are ramp[j] g, or zero for g=None.  The
-    trajectory comes back in forward time order either way; a forward
+    force(j) -> the forcing at node j, as SaddleInverse.forcing_modes reads
+    it (kept modes read, never written), or force=None; the boundary
+    values at node j are ramp[j] g, or zero for g=None.  The trajectory
+    comes back in forward time order either way; a forward
     march's velocities keep their interior modes, a backward one's none.
 
     A step's right side, in modes, is c s u^k + rho_j (load of g) + the
@@ -264,7 +249,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
                 for node in range(j + 2 - c, j + 2):
                     slot = node % 2
                     if node == j + 1 or j == 0:
-                        f_hat[slot] = _forcing_modes(inv, force(node), f_buf[slot])
+                        f_hat[slot] = inv.forcing_modes(force(node), f_buf[slot])
                     z_hat += f_hat[slot]
             c_max = 0.0
             c_hat.fill(0.0)
@@ -322,16 +307,16 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,
                   scheme: str = "euler", force=None) -> Trajectory:
-    """March the forced problem: force(t) -> (f1, f2) interior arrays, u(0) = 0.
+    """March the forced problem: force(t) -> the interior forcing, u(0) = 0.
 
-    The zero-data problem (evolve) is the force=None case.  Bad T, dt,
-    ramp values or forcing, more than 10**6 steps, or g on another grid,
+    force(t) is a pair (f1, f2) or a velocity, as solve_saddle takes it;
+    force=None is the zero-data problem (evolve).  Bad T, dt, ramp values
+    or forcing, more than 10**6 steps, or g or a forcing on another grid,
     raise ValueError.
     """
     require_same_grid(grid, g)
     m = _check_steps(T, dt)
-    # a pair, never a stack of modes, whatever force returns
-    march_force = None if force is None else (lambda j: tuple(force(j * dt)))
+    march_force = None if force is None else (lambda j: force(j * dt))
     return _march(grid, scheme, dt, m, march_force, g.spatial,
                   g.ramp_samples(m, dt), False)
 
@@ -351,17 +336,13 @@ def solve_adjoint_backward(grid: StaggeredGrid,
     boundary values; the result is returned in forward time order (entry k
     is v(t_k), entry -1 is zero).  Each velocity of u_traj forces through
     the modes it keeps, read in place, and one without them through its
-    transform; a non-finite one raises ValueError, as does u_traj on
-    another grid.
+    transform; a non-finite one raises ValueError, as does u_traj or one
+    of its velocities on another grid.
     """
     require_same_grid(grid, u_traj)
     m = u_traj.steps
-
-    def force(j):
-        u = u_traj.velocities[m - j]
-        return u.interior() if u.modes is None else u.modes
-
-    return _march(grid, u_traj.scheme, u_traj.dt, m, force, None, None, True)
+    return _march(grid, u_traj.scheme, u_traj.dt, m,
+                  lambda j: u_traj.velocities[m - j], None, None, True)
 
 
 # --- space-time functionals --------------------------------------------------

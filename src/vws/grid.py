@@ -13,8 +13,8 @@ velocities.  The interior unknowns are u1[1:n, :] and u2[:, 1:n];
 VelocityField.interior and VelocityField.from_interior convert between the
 interior-shaped arrays and the full face field.  A velocity that a saddle
 solve returns also keeps the interior modes it was solved in
-(VelocityField.modes), so that a solve forced by it takes no forward
-transform; every other field has modes None.
+(VelocityField.modes), which SaddleInverse.forcing_modes hands to a solve
+it forces with no forward transform; every other field has modes None.
 
 Discrete integrals over the square use the owned-volume measure: every face
 owns an h x h box, halved for boundary faces (which own half a box).  With

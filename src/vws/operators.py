@@ -25,13 +25,14 @@ faces, with no quadrature fudge factors.
 The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
-capacitance corrections.  Its ``right_side`` builds and checks the right
-side of every stationary solve and of a time march's boundary data; its
-``solve_modes``, the one modal stage, runs every solve and time step in
-modes, leaving u's interior modes in the right side's block; its
-``to_cells``, the one cell stage, brings k solves' velocities back, and
-checks every defect, in one stacked inverse transform: k = 1 for a
-stationary solve, every step of a time march at once.
+capacitance corrections.  Its ``forcing_modes``, the one reader of a
+forcing's form, brings a forcing to the modes; its ``right_side`` builds
+and checks the right side of every stationary solve and of a time march's
+boundary data; its ``solve_modes``, the one modal stage, runs every solve
+and time step in modes, leaving u's interior modes in the right side's
+block; its ``to_cells``, the one cell stage, brings k solves' velocities
+back, and checks every defect, in one stacked inverse transform: k = 1 for
+a stationary solve, every step of a time march at once.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
@@ -55,7 +56,7 @@ from scipy.fft import dct, dctn, dst, idct, idctn, idst
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, IncompatibleSource, NonConvergence
-from .grid import StaggeredGrid, VelocityField, PressureField
+from .grid import PressureField, StaggeredGrid, VelocityField, require_same_grid
 
 __all__ = [
     "DIV_TOL",
@@ -464,13 +465,6 @@ class SaddleInverse:
                   self._sin_ends]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
-    def face_stack(self):
-        """A zeroed stack x of (u1, u2.T) interior faces and its views
-        (x1, x2), interior-shaped (x2 is x[1] transposed)."""
-        n = self.grid.n
-        x = np.zeros((2, n - 1, n))
-        return x, x[0], x[1].T
-
     def to_modes(self, x: np.ndarray) -> np.ndarray:
         """The modes of a stack x of (u1, u2.T) interior faces, in place."""
         x = dst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
@@ -551,58 +545,66 @@ class SaddleInverse:
         out += r
         return out
 
-    def right_side(self, g: BoundaryData, forces=(), h_src=None, out=None):
+    def forcing_modes(self, f, out=None) -> np.ndarray:
+        """The interior modes of a forcing f, a velocity or an interior pair
+        (f1, f2), either None for zero: the one reader of a forcing's form.
+
+        A velocity that keeps its modes (:attr:`vws.grid.VelocityField.modes`)
+        is returned as it is (read, never written, no transform); any other
+        velocity or pair is written to out, a (2, n - 1, n) stack of (u1,
+        u2.T) faces (allocated when not given), and transformed once.  A
+        velocity on another grid, or misshapen or non-finite faces, raise
+        ValueError.
+        """
+        if isinstance(f, VelocityField):
+            require_same_grid(self.grid, f)
+            if f.modes is not None:
+                return f.modes
+            f = f.interior()
+        n = self.grid.n
+        x = np.empty((2, n - 1, n)) if out is None else out
+        for fk, xk in zip(f, (x[0], x[1].T), strict=True):
+            if fk is None:
+                xk.fill(0.0)
+            else:
+                _require_finite("forcing", fk, xk.shape)
+                xk[...] = fk
+        return self.to_modes(x)
+
+    def right_side(self, g: BoundaryData, f_hat=None, h_src=None, out=None):
         """The modes (b_hat, c_hat) of the right side of A u + G p = b,
         D u = h_src, and its data scale c_max = max|c|.
 
-        b is the load of g plus each forcing of forces: an interior-shaped
-        pair (f1, f2), either of which may be None, or the interior modes of
-        a solved velocity, a (2, n - 1, n) face stack such as
-        :attr:`vws.grid.VelocityField.modes` (read, never written, and taken
-        as finite, as the solver made it).  c is h_src less the wall fluxes
-        (g . n)/h.  A misshapen or non-finite pair, a misshapen stack, or a
-        misshapen or non-finite h_src raises ValueError; data that miss
-        h^2 sum h_src = h sum g . n by more than 1e-12 of
-        h^2 sum |h_src| + h sum |g . n| raise IncompatibleBoundaryData
-        without a source and IncompatibleSource with one.
+        b is the load of g plus the forcing whose modes are f_hat, a
+        (2, n - 1, n) face stack (:meth:`forcing_modes`; read, never
+        written, taken as finite).  c is h_src less the wall fluxes
+        (g . n)/h.  A misshapen f_hat, or a misshapen or non-finite h_src,
+        raises ValueError; data that miss h^2 sum h_src = h sum g . n by
+        more than 1e-12 of h^2 sum |h_src| + h sum |g . n| raise
+        IncompatibleBoundaryData without a source and IncompatibleSource
+        with one.
 
-        b and c go to the modes by one 2-D transform each, unless they hold
-        border data only: without pairs b, and without h_src c, take the
-        closed form of :meth:`border_to_modes`, and a zero c none.  A
-        forcing in modes is added to the modes of the rest, so a solve
-        forced by a solved velocity takes no forward transform; with zero g
-        and no pair it is copied in, and no load is built.  Without h_src,
-        c is built, checked and read on its 4n - 4 border cells only.  out,
+        The load of g, and without h_src c, live on border lines and take
+        the closed form of :meth:`border_to_modes`, a zero c none; with
+        h_src, c takes one 2-D transform.  f_hat is added to the load's
+        modes, or with zero g copied in, no load built.  Without h_src, c
+        is built, checked and read on its 4n - 4 border cells only.  out,
         a (2, n - 1, n) array, receives b_hat; one is allocated when it is
         not given.
         """
         n, h = self.grid.n, self.grid.h
         shape = (2, n - 1, n)
-        stacks = [f for f in forces if isinstance(f, np.ndarray)]
-        pairs = [f for f in forces if not isinstance(f, np.ndarray)]
-        for f in stacks:
-            if f.shape != shape:
-                raise ValueError(f"forcing modes of shape {f.shape}, not {shape}")
-        forced = any(f is not None for pair in pairs for f in pair)
+        if f_hat is not None and f_hat.shape != shape:
+            raise ValueError(f"forcing modes of shape {f_hat.shape}, not {shape}")
         b = np.empty(shape) if out is None else out
-        if (stacks and not forced
-                and not any(a.any() for a in g.samples.values())):
-            b[...] = stacks.pop(0)
+        if f_hat is not None and not any(a.any() for a in g.samples.values()):
+            b[...] = f_hat
         else:
             b.fill(0.0)
-            b1, b2 = b[0], b[1].T
-            laplacian_load(self.grid, g, out=(b1, b2))
-            for pair in pairs:
-                for f, bk in zip(pair, (b1, b2)):
-                    if f is not None:
-                        _require_finite("forcing", f, bk.shape)
-                        bk += f
-            if forced:
-                self.to_modes(b)
-            else:
-                self.border_to_modes(b)
-        for f in stacks:
-            b += f
+            laplacian_load(self.grid, g, out=(b[0], b[1].T))
+            self.border_to_modes(b)
+            if f_hat is not None:
+                b += f_hat
         c = np.empty((n, n))
         border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
         if h_src is None:
@@ -637,20 +639,21 @@ class SaddleInverse:
             c.fill(0.0)
         return b, c, c_max
 
-    def solve(self, g: BoundaryData, forces=(), h_src=None, modes=None):
-        """Direct saddle solve of A u + G p = b, D u = h_src: :meth:`right_side`,
-        :meth:`solve_modes`, then :meth:`to_cells` with k = 1 and the normal
-        samples of g on the wall faces.  modes, a face stack, receives the
-        interior modes of u; without it none are kept, and the right side is
-        built in the cell block.  A defect miss (:func:`defect_miss`) raises
-        NonConvergence carrying the cell pressure and the defect.
+    def solve(self, g: BoundaryData, f_hat=None, h_src=None, modes=None):
+        """Direct saddle solve of A u + G p = b, D u = h_src: :meth:`right_side`
+        (f_hat the forcing's modes, :meth:`forcing_modes`), :meth:`solve_modes`,
+        then :meth:`to_cells` with k = 1 and the normal samples of g on the
+        wall faces.  modes, a face stack, receives the interior modes of u;
+        without it none are kept, and the right side is built in the cell
+        block.  A defect miss (:func:`defect_miss`) raises NonConvergence
+        carrying the cell pressure and the defect.
 
         Returns (u1_full, u2_full, p_hat, diagnostics), p_hat p's cosine modes.
         """
         u12 = np.empty((1, 2 * self.grid.n * (self.grid.n + 1)))
         x, u1, u2 = self.cell_views(u12)
         b_hat, c_hat, c_max = self.right_side(
-            g, forces, h_src, out=x[0] if modes is None else modes)
+            g, f_hat, h_src, out=x[0] if modes is None else modes)
         work = u12[0] if modes is not None else np.empty(b_hat.size)
         p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, work)
         del c_hat, work   # free before the cell stage's buffers
@@ -763,12 +766,10 @@ class VelocityPoisson:
         self._inv = saddle_inverses(grid, shift)
 
     def solve(self, b1: np.ndarray, b2: np.ndarray):
-        """Interior-face solution of interior-shaped right sides b1, b2 (kept)."""
+        """Interior-face solution of interior-shaped right sides b1, b2 (kept);
+        misshapen or non-finite ones raise ValueError."""
         inv = self._inv
-        x, x1, x2 = inv.face_stack()
-        x1 += b1
-        x2 += b2
-        return inv.from_modes(inv.velocity_solve(inv.to_modes(x)))
+        return inv.from_modes(inv.velocity_solve(inv.forcing_modes((b1, b2))))
 
 
 @lru_cache(maxsize=8)

@@ -28,15 +28,16 @@ stationary solve and time march before anything is solved.  Then:
        defect.
 
 Steps 1-4 are the modal stage (:meth:`vws.operators.SaddleInverse.solve_modes`),
-after one forward transform of b and of c
+after the forward transforms of b and of c
 (:meth:`vws.operators.SaddleInverse.right_side`); the cell stage
 (:meth:`vws.operators.SaddleInverse.to_cells`) brings u back and takes step
-5, and a stationary solve adds one inverse transform of p.  Without forcing,
-b is the load of g, and without h_src, c holds the wall fluxes: both then
-live on their border lines, and their forward transforms are closed-form
-products of 1-D transforms; a zero c takes none.  Every velocity a solve
-returns keeps its interior modes (:attr:`vws.grid.VelocityField.modes`),
-which a solve it forces adds to the modes of b with no transform.  A time
+5, and a stationary solve adds one inverse transform of p.  The load of g,
+and without h_src c, the wall fluxes, live on their border lines, so their
+forward transforms are closed-form products of 1-D transforms; a zero c
+takes none.  A forcing reaches b through
+:meth:`vws.operators.SaddleInverse.forcing_modes` alone, which reads the
+interior modes every solved velocity keeps
+(:attr:`vws.grid.VelocityField.modes`) with no transform.  A time
 march steps in modes, each step paying the modal stage and the transform of
 its new forcing, then brings every velocity back, and checks every defect,
 in one cell stage with one stacked inverse transform.
@@ -89,29 +90,29 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
-                 shift: float = 0.0, *, f_modes=None, modes=None):
-    """Core saddle solve.  f1, f2 interior-shaped forcing; h_src cell-shaped.
+def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, h_src,
+                 shift: float = 0.0, *, modes=None):
+    """Core saddle solve.  f the forcing, a velocity or an interior pair
+    (f1, f2), or None; h_src cell-shaped.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
     the returned velocity hold the normal samples of g; p comes to the cells
-    here, from the modes SaddleInverse.solve returns.  f_modes, when given,
-    is further forcing as the interior modes of a solved velocity
-    (:attr:`vws.grid.VelocityField.modes`), added with no transform; modes,
-    a (2, n - 1, n) array, receives the interior modes of the returned
-    velocity.  A g of another grid, a non-finite shift, or a shift at which
-    the velocity or Schur operator is singular, raises ValueError.  The data
-    are checked by :meth:`vws.operators.SaddleInverse.solve`, as in every
-    time step: a misshapen or non-finite f1, f2 or h_src, or misshapen
-    f_modes, raises ValueError, unsolvable data raise
-    IncompatibleBoundaryData without a source and IncompatibleSource with
-    one, and a divergence defect above DIV_TOL of the data scale, or a
+    here, from the modes SaddleInverse.solve returns.  f reaches the modes
+    by :meth:`vws.operators.SaddleInverse.forcing_modes`, a solved velocity
+    with no transform.  modes, a (2, n - 1, n) array, receives the interior
+    modes of the returned velocity.  A g or f of another grid, a non-finite
+    shift, or a shift at which the velocity or Schur operator is singular,
+    raises ValueError.  The data are checked as in every time step: a
+    misshapen or non-finite f or h_src raises ValueError, unsolvable data
+    raise IncompatibleBoundaryData without a source and IncompatibleSource
+    with one, and a divergence defect above DIV_TOL of the data scale, or a
     non-finite one, raises NonConvergence.
     """
     require_same_grid(grid, g)
     t0 = time.perf_counter()
-    forces = [(f1, f2)] if f_modes is None else [(f1, f2), f_modes]
-    u1, u2, p, diag = saddle_inverses(grid, shift).solve(g, forces, h_src, modes)
+    inv = saddle_inverses(grid, shift)
+    f_hat = None if f is None else inv.forcing_modes(f)
+    u1, u2, p, diag = inv.solve(g, f_hat, h_src, modes)
     p = idctn(p, type=2, norm="ortho", overwrite_x=True)
     diag["wall_time"] = time.perf_counter() - t0
     return u1, u2, p, diag
@@ -119,17 +120,10 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f1, f2, h_src,
 
 def _solution(grid: StaggeredGrid, g: BoundaryData, f: VelocityField | None,
               h_src: PressureField | None) -> StokesSolution:
-    """The saddle solve at shift 0, its velocity keeping its modes; f is
-    read from its modes when it has them."""
-    f1 = f2 = f_modes = None
-    if f is not None and f.modes is not None:
-        f_modes = f.modes
-    elif f is not None:
-        f1, f2 = f.interior()
+    """The saddle solve at shift 0, its velocity keeping its modes."""
     modes = np.empty((2, grid.n - 1, grid.n))
-    u1, u2, p, diag = solve_saddle(grid, g, f1, f2,
-                                   None if h_src is None else h_src.p,
-                                   f_modes=f_modes, modes=modes)
+    u1, u2, p, diag = solve_saddle(grid, g, f, None if h_src is None else h_src.p,
+                                   modes=modes)
     return StokesSolution(grid, VelocityField._solved(grid, u1, u2, modes),
                           PressureField(grid, p), diag)
 

@@ -13,8 +13,9 @@ because div u = div v = 0 and v = 0 on the boundary.)
 
 This module solves the adjoint problem, extracts dv/dn and the boundary
 pressure by one-sided second-order stencils, and evaluates both sides of the
-identity.  u is tested against the adjoint problem it forces itself: a
-solved u forces it through the interior modes it keeps
+identity.  u is tested against the adjoint problem it forces itself,
+brought to the modes by :meth:`vws.operators.SaddleInverse.forcing_modes`:
+a solved u forces it through the interior modes it keeps
 (:attr:`vws.grid.VelocityField.modes`), so the adjoint solve takes no
 forward transform and, as its boundary data are zero, builds no load; the
 discrete adjoint stays exact because it reads the forward solve's own
@@ -109,8 +110,8 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
         raise ZeroBoundaryData("duality gap is undefined for zero data")
     if u is None:
         u = solve_boundary(grid, g).velocity
-    v1, v2, q_hat, _ = saddle_inverses(grid, 0.0).solve(
-        BoundaryData.zeros(grid), [u.interior() if u.modes is None else u.modes])
+    inv = saddle_inverses(grid, 0.0)
+    v1, v2, q_hat, _ = inv.solve(BoundaryData.zeros(grid), inv.forcing_modes(u))
     dvdn = normal_derivative_on_gamma(VelocityField(grid, v1, v2))
     # q at cells 0, 1, n - 2 and n - 1 along each axis: a (4, n) product of
     # the cosine basis there, then a 1-D inverse transform of those lines

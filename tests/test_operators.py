@@ -359,9 +359,9 @@ def test_border_data_take_no_2d_forward_transform(monkeypatch):
     with monkeypatch.context() as m:
         refuse(m, SaddleInverse, "to_modes", why)
         assert inv.solve(rotation_data(grid))[3]["outer_iterations"] == 1
-    assert inv.solve(BoundaryData.zeros(grid), [f])[3]["outer_iterations"] == 1
+    assert inv.solve(BoundaryData.zeros(grid), inv.forcing_modes(f))[3]["outer_iterations"] == 1
     with pytest.raises(AssertionError, match="border data"):
-        inv.solve(rotation_data(grid), (), np.zeros((16, 16)))
+        inv.solve(rotation_data(grid), None, np.zeros((16, 16)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -46,6 +46,7 @@ from support import (
     count_saddle_solves,
     dense_face_gradient,
     dense_velocity_laplacian,
+    refuse,
 )
 
 
@@ -127,11 +128,11 @@ def test_saddle_solve_checks_solvability(shift):
     grid = build_grid(16)
     g = outward_normal_data(grid)           # net outflow h sum g . n = 4
     with pytest.raises(IncompatibleBoundaryData, match="net boundary flux"):
-        solve_saddle(grid, g, None, None, None, shift=shift)
+        solve_saddle(grid, g, None, None, shift=shift)
     with pytest.raises(IncompatibleSource, match="net boundary flux"):
-        solve_saddle(grid, g, None, None, np.zeros((16, 16)), shift=shift)
+        solve_saddle(grid, g, None, np.zeros((16, 16)), shift=shift)
     src = np.full((16, 16), 4.0)            # h^2 sum src = 4
-    u1, u2, _, diag = solve_saddle(grid, g, None, None, src, shift=shift)
+    u1, u2, _, diag = solve_saddle(grid, g, None, src, shift=shift)
     defect = src - divergence(VelocityField(grid, u1, u2)).p
     assert np.abs(defect).max() == diag["div_max"] <= 1e-12
 
@@ -150,13 +151,19 @@ def test_balanced_source_accepted():
 def test_saddle_solve_matches_dense_kkt(n, shift):
     # the dense KKT system [[A, G], [-G^T, 0]], bordered to pin the pressure
     # mean, shares no code with the transform and Schur inverses.  Forcing
-    # and source each present or absent: without them the right sides take
-    # the border closed forms, and the lid without a source has c = 0.  The
-    # rotation alone is a Stokes flow with p = 0 at shift 0, so the lid is
-    # added to it
+    # and source each present or absent: the load of g takes the border
+    # closed form, and the lid without a source has c = 0.  The forcing
+    # comes as a pair, as a hand-built velocity and as a solved one, whose
+    # kept modes join the load's with no transform.  The rotation alone is
+    # a Stokes flow with p = 0 at shift 0, so the lid is added to it
     grid = build_grid(n)
     rng = np.random.default_rng(n)
     f1, f2 = _random_forcing(grid, n + 3)
+    hand = VelocityField.from_interior(grid, f1, f2)
+    solved = solve_homogeneous(grid, f=hand).velocity
+    assert hand.modes is None and solved.modes is not None
+    forcings = [(None, (0.0, 0.0)), ((f1, f2), (f1, f2)), (hand, (f1, f2)),
+                (solved, solved.interior())]
     src = rng.standard_normal((n, n))
     src -= src.mean()
 
@@ -176,10 +183,10 @@ def test_saddle_solve_matches_dense_kkt(n, shift):
         w1[0, :], w1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
         w2[:, 0], w2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
         flux = divergence(VelocityField(grid, w1, w2)).p
-        for f in ((f1, f2), (None, None)):
+        for f, (e1, e2) in forcings:
             for h_src in (src, None):
-                cases.append(solve_saddle(grid, g, *f, h_src, shift=shift))
-                b1, b2 = (load1, load2) if f[0] is None else (load1 + f1, load2 + f2)
+                cases.append(solve_saddle(grid, g, f, h_src, shift=shift))
+                b1, b2 = load1 + e1, load2 + e2
                 c = -flux if h_src is None else h_src - flux
                 rhs.append(np.concatenate([b1.ravel(), b2.ravel(), c.ravel(), [0.0]]))
     x = np.linalg.solve(kkt, np.column_stack(rhs))
@@ -196,7 +203,7 @@ def test_shifted_uzawa_iterations_bounded(n):
     # 16384); the exact Schur inverse solves directly at every shift
     grid, g = _lid(n)
     for shift in (0.0, 64.0, 1024.0, 16384.0):
-        _, _, _, diag = solve_saddle(grid, g, None, None, None, shift=shift)
+        _, _, _, diag = solve_saddle(grid, g, None, None, shift=shift)
         assert diag["outer_iterations"] == 1
         assert diag["div_max"] <= SolverOptions().div_tol
 
@@ -259,7 +266,7 @@ def test_saddle_solve_takes_one_modal_solve(monkeypatch):
     # direct solve two
     calls = count_saddle_solves(monkeypatch)
     grid, g = _lid(32)
-    solve_saddle(grid, g, None, None, None, shift=64.0)
+    solve_saddle(grid, g, None, None, shift=64.0)
     assert len(calls) == 1
 
 
@@ -308,8 +315,7 @@ def _inner(grid, a, b):
 
 
 def _forced_velocity(grid, f, shift):
-    u1, u2, _, _ = solve_saddle(grid, BoundaryData.zeros(grid), f[0], f[1], None,
-                                shift=shift)
+    u1, u2, _, _ = solve_saddle(grid, BoundaryData.zeros(grid), f, None, shift=shift)
     return u1[1:grid.n, :], u2[:, 1:grid.n]
 
 
@@ -375,6 +381,38 @@ def test_rejects_non_finite_divergence_source():
         solve_homogeneous(grid, h_src=PressureField(grid, arr))
 
 
+def test_every_forcing_reaches_the_modes_through_one_method(monkeypatch):
+    # a forcing's form is read in SaddleInverse.forcing_modes alone: with it
+    # refused, every forced entry point fails, so that no second path from a
+    # forcing to the modes comes back, while unforced solves still run
+    from vws.evolution import (TimeBoundaryData, evolve, evolve_lifted,
+                               solve_adjoint_backward)
+    from vws.transposition import transposition_identity
+
+    grid = build_grid(8)
+    g = rotation_data(grid)
+    f = _random_forcing(grid, 3)
+    hand = VelocityField.from_interior(grid, *f)
+    solved = solve_boundary(grid, g).velocity
+    tb = TimeBoundaryData.constant(g)
+    traj = evolve(grid, tb, 0.25, 0.125)
+    why = "a forcing bypassed SaddleInverse.forcing_modes"
+    refuse(monkeypatch, SaddleInverse, "forcing_modes", why)
+    forced = [
+        lambda: solve_saddle(grid, BoundaryData.zeros(grid), f, None),
+        lambda: solve_homogeneous(grid, f=hand),
+        lambda: solve_homogeneous(grid, f=solved),
+        lambda: evolve_lifted(grid, tb, 0.25, 0.125, force=lambda t: f),
+        lambda: solve_adjoint_backward(grid, traj),
+        lambda: transposition_identity(grid, g),
+    ]
+    for call in forced:
+        with pytest.raises(AssertionError, match=why):
+            call()
+    assert solve_boundary(grid, g).diagnostics["outer_iterations"] == 1
+    assert evolve(grid, tb, 0.25, 0.125).norms()[-1] > 0.0
+
+
 def test_saddle_rejects_non_finite_forcing_with_shift():
     # the time marches call solve_saddle directly; a NaN forcing used to
     # come back as a NaN velocity after 0 outer iterations
@@ -384,7 +422,7 @@ def test_saddle_rejects_non_finite_forcing_with_shift():
     f2 = np.zeros((16, 15))
     f1[4, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        solve_saddle(grid, g, f1, f2, None, shift=10.0)
+        solve_saddle(grid, g, (f1, f2), None, shift=10.0)
 
 
 @pytest.mark.parametrize("shift", [0.0, 10.0])
@@ -402,7 +440,7 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
 
     monkeypatch.setattr(SaddleInverse, "velocity_solve", zero)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
-        solve_saddle(grid, BoundaryData.zeros(grid), None, None, src, shift=shift)
+        solve_saddle(grid, BoundaryData.zeros(grid), None, src, shift=shift)
     assert info.value.best_x is not None
     assert info.value.best_x.shape == (16, 16)
     # with w = 0 the pressure is S^{-1} h_src, whose modes no cell array
@@ -427,7 +465,7 @@ def test_non_finite_data_scale_raises_nonconvergence(monkeypatch):
 
     monkeypatch.setattr(SaddleInverse, "solve_modes", unbounded)
     with pytest.raises(NonConvergence, match="data scale inf") as info:
-        solve_saddle(grid, g, None, None, None)
+        solve_saddle(grid, g, None, None)
     assert info.value.best_x.shape == (16, 16)
     assert 0.0 < info.value.residual < 1e-12
 
@@ -438,7 +476,7 @@ def test_saddle_rejects_non_finite_shift(shift):
     grid = build_grid(16)
     g = rotation_data(grid)
     with pytest.raises(ValueError, match="shift"):
-        solve_saddle(grid, g, None, None, None, shift=shift)
+        solve_saddle(grid, g, None, None, shift=shift)
 
 
 def test_singular_shift_raises_nonconvergence():
@@ -454,7 +492,7 @@ def test_singular_shift_raises_nonconvergence():
     saddle_inverses.cache_clear()
     for shift, which in ((-2.0 * mu_1, "velocity"), (-mu_1, "Schur")):
         with pytest.raises(ValueError, match=f"{which}.* singular"):
-            solve_saddle(grid, g, None, None, None, shift=shift)
+            solve_saddle(grid, g, None, None, shift=shift)
     assert saddle_inverses.cache_info().currsize == 0
 
 
@@ -469,7 +507,7 @@ def test_div_max_is_the_defect_of_the_returned_field(n, shift):
     f1, f2 = _random_forcing(grid, n + 1)
     src = rng.standard_normal((n, n))
     src -= src.mean()
-    u1, u2, _, diag = solve_saddle(grid, g, f1, f2, src, shift=shift)
+    u1, u2, _, diag = solve_saddle(grid, g, (f1, f2), src, shift=shift)
     defect = src - divergence(VelocityField(grid, u1, u2)).p
     assert diag["div_max"] == float(np.abs(defect).max())
     assert u1[0, :] == pytest.approx(g.samples["left"][:, 0], abs=0.0)
@@ -505,7 +543,7 @@ def test_residual_report_matches_the_plain_recomputation():
     grid = build_grid(32)
     _, f, _ = stationary_fields(grid)
     g = rotation_data(grid)
-    u1, u2, p, _ = solve_saddle(grid, g, *f.interior(), None)
+    u1, u2, p, _ = solve_saddle(grid, g, f.interior(), None)
     sol = StokesSolution(grid, VelocityField(grid, u1, u2), PressureField(grid, p))
     rep = residual_report(sol, f=f, g=g)
     r1, r2 = apply_velocity_laplacian(grid, u1, u2, g)
@@ -537,7 +575,7 @@ def test_divergence_defect_is_far_below_its_rms_scale(n, shift):
         b_hat, _, c_max = inv.right_side(g)
         dw_hat = inv.divergence_modes(inv.velocity_solve(b_hat))
         scale = max(c_max, float(np.linalg.norm(dw_hat)) / n)
-        diag = solve_saddle(grid, g, None, None, None, shift=shift)[3]
+        diag = solve_saddle(grid, g, None, None, shift=shift)[3]
         assert diag["div_max"] <= 1e-3 * DIV_TOL * scale
 
 
