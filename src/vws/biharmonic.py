@@ -172,14 +172,12 @@ def biharmonic_load(grid: StaggeredGrid, g: BoundaryData,
     n, h = grid.n, grid.h
     rhs = np.zeros((n - 1, n - 1))
     if f_nodes is not None:
-        if f_nodes.shape == (n + 1, n + 1):
-            rhs += f_nodes[1:n, 1:n]
-        elif f_nodes.shape == (n - 1, n - 1):
-            rhs += f_nodes
-        else:
-            raise ValueError("source must be node-shaped or interior-node-shaped")
+        if f_nodes.shape != (n + 1, n + 1):
+            raise ValueError(f"source must be node-shaped {(n + 1, n + 1)}, "
+                             f"got {f_nodes.shape}")
         if not np.isfinite(f_nodes).all():
             raise ValueError("source has non-finite values")
+        rhs += f_nodes[1:n, 1:n]
     c = 2.0 / h ** 3
     for side in SIDES:
         wall(rhs, side)[...] += c * (0.5 * _pair_sum(g.tangential_part(side)))

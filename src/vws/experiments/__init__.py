@@ -1,4 +1,4 @@
-"""Reproducible experiment recipes with reports, plots, and a CLI."""
+"""Reproducible experiment recipes with CSV and JSON reports, and a CLI."""
 
 from .compare import compare_runs
 from .config import ExperimentConfig, resolve_config

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import RecipeMismatch
 from .compare import compare_runs, format_comparison
 from .config import resolve_config
 from .recipes import RECIPE_ORDER, run_recipe
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         try:
             result = compare_runs(args.dir_a, args.dir_b, tol=args.tol)
-        except (FileNotFoundError, RecipeMismatch) as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(format_comparison(result))

@@ -38,12 +38,16 @@ def _rel_diff(a: list, b: list) -> float:
 def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
     """Per-metric relative differences between two runs of the same recipe.
 
-    Raises RecipeMismatch if the directories hold different recipes.  Returns
+    Raises ValueError unless 0 <= tol < inf, so that a NaN or infinite
+    tolerance cannot pass every difference, and RecipeMismatch (a ValueError)
+    if the directories hold different recipes.  Returns
     a dict with the diffs, the metrics beyond tol, any assertions whose
     pass/fail state flipped, and any assertions present in both runs whose
     threshold differs by more than tol, relative (as name ->
     [threshold_a, threshold_b]); some thresholds are measured values.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     sa = load_summary(dir_a)
     sb = load_summary(dir_b)
     if sa["recipe"] != sb["recipe"]:

@@ -80,7 +80,6 @@ from ..transposition import (
 )
 from .config import ExperimentConfig, check_resolution
 from .report import RecipeReport, orders, rungs
-from .svg import line_plot
 
 SOFT_BUDGET_SECONDS = 1800.0
 
@@ -175,12 +174,6 @@ def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
     rep.metric("err_p", err_p)
     rep.check_order("velocity_order", err_u, 1.8, metric="orders_u")
     rep.check_order("pressure_order", err_p, 1.8, metric="orders_p")
-    hs = [r[1] for r in rows]
-    line_plot(cfg.out_dir() / "mms_convergence.svg",
-              [("velocity", hs, err_u), ("pressure", hs, err_p),
-               ("h^2", hs, [err_u[0] * (h / hs[0]) ** 2 for h in hs])],
-              title="manufactured solution errors", xlabel="h",
-              ylabel="L2 error", logx=True, logy=True)
     return rep
 
 
@@ -366,16 +359,6 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     steps = np.diff(rungs(diffs, 2, "cauchy_decreasing"))
     rep.check("cauchy_decreasing", np.all(steps < 0.0), steps.max(), 0.0,
               f"differences {[f'{d:.4e}' for d in diffs]}")
-
-    out = cfg.out_dir()
-    line_plot(out / "ratio_vs_eps.svg",
-              [("|u|/|g|", eps_list, ratios)],
-              title="estimate ratio across layer widths", xlabel="eps",
-              ylabel="ratio", logx=True)
-    line_plot(out / "cauchy_vs_eps.svg",
-              [("|u_a - u_b|", [row[1] for row in pair_rows], diffs)],
-              title="Cauchy differences", xlabel="eps_b", ylabel="L2 diff",
-              logx=True, logy=True)
     return rep
 
 
@@ -421,13 +404,6 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     grid = build_grid(ns[0])
     echo = abs(adjoint_gradient_pairing(grid, cavity_g(grid)))
     rep.check_le("gradient_echo", echo, 1e-10)
-
-    hs = [1.0 / n for n in ns]
-    line_plot(cfg.out_dir() / "identity_gap.svg",
-              [("rotation", hs, rot_gaps),
-               ("lid", hs, [r[4] for r in lid_rows])],
-              title="transposition identity relative gap", xlabel="h",
-              ylabel="|lhs-rhs|/lhs", logx=True, logy=True)
     return rep
 
 
@@ -499,13 +475,6 @@ def run_traces(cfg: ExperimentConfig) -> RecipeReport:
                  "Dirichlet-eigenvalue bound")
     rep.check_le("separation", np.max(stokes) / np.min(ctrl), 0.25,
                  "independence gap separates solutions from non-solutions")
-
-    hs = [1.0 / c["n"] for c in cases]
-    line_plot(cfg.out_dir() / "trace_recovery.svg",
-              [("worst probe gap", hs, gaps), ("lift round-trip", hs, rts),
-               ("independence (solution)", hs, stokes)],
-              title="trace recovery diagnostics", xlabel="h", ylabel="error",
-              logx=True, logy=True)
     return rep
 
 
@@ -550,13 +519,6 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     rep.metric("extremum", [x0, y0, val])
     rep.check_ge("vortex_above_midheight", y0, 0.5,
                  f"stream extremum at ({x0:.3f}, {y0:.3f}), value {val:.4f}")
-
-    hs = [1.0 / r[0] for r in rows]
-    line_plot(cfg.out_dir() / "biharmonic.svg",
-              [("clamped-plate error", hs, errs),
-               ("cross-check gap", hs, [max(r[2], 1e-16) for r in rows])],
-              title="stream-function diagnostics", xlabel="h", ylabel="error",
-              logx=True, logy=True)
     return rep
 
 
@@ -606,13 +568,6 @@ def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
                   f"{[f'{o:.3f}' for o in ords]}")
     rep.table("self_differences", ["scheme", "m", "dt", "final_diff", "order"],
               rows)
-
-    dts = [T / m for m in ms[:-1]]
-    series = [(scheme, dts, rep.metrics[f"{scheme}_diffs"])
-              for scheme in ("euler", "cn")]
-    line_plot(cfg.out_dir() / "temporal_orders.svg", series,
-              title="final-slice self differences", xlabel="dt",
-              ylabel="L2 difference", logx=True, logy=True)
     return rep
 
 
@@ -691,18 +646,6 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     indep = [r[5] for r in rows]
     rep.metric("independence", indep)
     rep.check_decreasing("independence_decays", indep)
-
-    out = cfg.out_dir()
-    line_plot(out / "relaxation.svg",
-              [("|u(t) - u_stat|", list(range(1, len(errs) + 1)),
-                np.maximum(errs, 1e-16))],
-              title="relaxation under constant data", xlabel="step",
-              ylabel="L2 error", logy=True)
-    line_plot(out / "spacetime_pairing.svg",
-              [("pairing gap", [1.0 / r[0] for r in rows],
-                [max(g, 1e-16) for g in gaps])],
-              title="space-time trace pairing", xlabel="h", ylabel="gap",
-              logx=True, logy=True)
     return rep
 
 
@@ -725,7 +668,8 @@ RECIPE_ORDER = list(RECIPES)
 
 
 def run_all(cfg: ExperimentConfig) -> RecipeReport:
-    """Every recipe in sequence; sub-reports land in their own directories."""
+    """Every recipe in sequence; sub-reports, tables included, land in their
+    own directories, and the merged report holds only the summaries."""
     rep = RecipeReport("all")
     from dataclasses import replace
 

@@ -113,6 +113,8 @@ class RecipeReport:
         self.tables[name] = (list(header), [list(r) for r in rows])
 
     def merge(self, other: "RecipeReport") -> None:
+        """Take other's assertions and metrics under its recipe's prefix;
+        its tables stay with the report that wrote them."""
         prefix = other.recipe
         for a in other.assertions:
             self.assertions.append(
@@ -120,8 +122,6 @@ class RecipeReport:
                           a.detail))
         for k, v in other.metrics.items():
             self.metrics[f"{prefix}/{k}"] = v
-        for k, v in other.tables.items():
-            self.tables[f"{prefix}_{k}"] = v
 
     def summary_dict(self) -> dict:
         return {

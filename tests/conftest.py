@@ -7,12 +7,17 @@ from vws.experiments.recipes import RECIPES
 
 
 @pytest.fixture(scope="session")
-def recipe_runs(tmp_path_factory):
+def recipe_out(tmp_path_factory):
+    """The root that recipe_runs writes under, one directory per recipe."""
+    return tmp_path_factory.mktemp("recipe_runs")
+
+
+@pytest.fixture(scope="session")
+def recipe_runs(recipe_out):
     """Run every recipe once; acceptance tests share the results."""
-    out = tmp_path_factory.mktemp("recipe_runs")
     runs = {}
     for name in RECIPES:
-        cfg = ExperimentConfig(recipe=name, out=out)
+        cfg = ExperimentConfig(recipe=name, out=recipe_out)
         t0 = time.perf_counter()
         rep = RECIPES[name](cfg)
         elapsed = time.perf_counter() - t0

@@ -290,8 +290,10 @@ def test_zero_data_gives_zero_stream():
 def test_load_shape_validation():
     grid = build_grid(16)
     g = BoundaryData.zeros(grid)
-    with pytest.raises(ValueError):
-        biharmonic_load(grid, g, f_nodes=np.zeros((5, 5)))
+    # only the node-shaped (n+1, n+1) source; interior-node arrays too
+    for shape in ((5, 5), (15, 15)):
+        with pytest.raises(ValueError, match="node-shaped"):
+            biharmonic_load(grid, g, f_nodes=np.zeros(shape))
 
 
 def test_rejects_non_finite_source():

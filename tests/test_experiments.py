@@ -1,5 +1,7 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from vws.errors import RecipeMismatch
@@ -12,7 +14,6 @@ from vws.experiments.config import (
 )
 from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary, orders
-from vws.experiments.svg import line_plot
 
 from support import count_saddle_solves
 
@@ -95,8 +96,8 @@ def test_run_recipe_writes_summary(tmp_path):
     rep = run_recipe(cfg)
     assert rep.passed
     outdir = tmp_path / "uniqueness"
-    assert (outdir / "summary.json").exists()
-    assert (outdir / "summary.txt").exists()
+    assert {p.name for p in outdir.iterdir()} == {
+        "stationary.csv", "summary.json", "summary.txt"}
     loaded = load_summary(outdir)
     assert loaded["recipe"] == "uniqueness"
     assert loaded["passed"] is True
@@ -139,6 +140,18 @@ def test_cli_compare_identical_runs(tmp_path, capsys):
                      str(b / "uniqueness")])
     assert code == 0
     assert "MATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_compare_refuses_a_tolerance_outside_0_inf(tmp_path, capsys, tol):
+    out = tmp_path / "runs"
+    assert cli_main(["uniqueness", "--n", "8", "--out", str(out)]) == 0
+    run = str(out / "uniqueness")
+    capsys.readouterr()
+    assert cli_main(["compare", run, run, "--tol", tol]) == 2
+    assert "error: tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert cli_main(["compare", run, run, "--tol", "0"]) == 0
+    assert capsys.readouterr().out.endswith("MATCH\n")
 
 
 def test_determinism_same_seed(tmp_path):
@@ -381,23 +394,59 @@ def test_merge_prefixes_names():
     child = RecipeReport("traces")
     child.check_le("gap", 0.1, 1.0)
     child.metric("m", 1.0)
+    child.table("probes", ["n", "gap"], [(8, 0.1)])
     parent.merge(child)
     assert parent.assertions[0].name == "traces/gap"
     assert parent.metrics == {"traces/m": 1.0}
+    # the child writes its own tables; the merged report keeps none
+    assert parent.tables == {}
 
 
-def test_svg_line_plot(tmp_path):
-    path = tmp_path / "plot.svg"
-    line_plot(path,
-              [("a", [1.0, 0.5, 0.25], [1e-1, 1e-2, 1e-3]),
-               ("b", [1.0, 0.5, 0.25], [2e-1, 0.0, 4e-3])],
-              title="demo", xlabel="h", ylabel="err", logx=True, logy=True)
-    text = path.read_text()
-    assert text.startswith("<svg") or "<svg" in text
-    assert "polyline" in text
-    assert "demo" in text
 
-    linear = tmp_path / "new" / "nested" / "linear.svg"
-    line_plot(linear, [("c", [0.0, 1.0, 2.0], [3.0, 1.0, 2.0])],
-              title="lin", xlabel="x", ylabel="y")
-    assert "polyline" in linear.read_text()
+# every series the recipes once drew as a plot, as (recipe, table, column,
+# summary metric or None, (column, value) selecting the rows or None)
+PLOTTED_SERIES = [
+    ("mms-stationary", "errors", "h", None, None),
+    ("mms-stationary", "errors", "err_u", "err_u", None),
+    ("mms-stationary", "errors", "err_p", "err_p", None),
+    ("eps-sweep", "ratios", "ratio", "ratios", None),
+    ("eps-sweep", "pairs", "u_diff", "cauchy_differences", None),
+    ("transposition", "identity_log", "rel_gap", "gaps_rotation",
+     ("case", "rotation")),
+    ("transposition", "identity_log", "rel_gap", "gaps_lid", ("case", "lid")),
+    ("traces", "convergence", "worst_probe_gap", "probe_gaps", None),
+    ("traces", "convergence", "lift_roundtrip", "roundtrip_errors", None),
+    ("traces", "convergence", "indep_stokes", "indep_stokes", None),
+    ("biharmonic", "results", "mms_err", "mms_errors", None),
+    ("biharmonic", "results", "cross_gap", None, None),
+    ("evolution-orders", "self_differences", "final_diff", "euler_diffs",
+     ("scheme", "euler")),
+    ("evolution-orders", "self_differences", "final_diff", "cn_diffs",
+     ("scheme", "cn")),
+    ("evolution-estimate", "relaxation", "error", None, None),
+    ("evolution-estimate", "pairing", "gap", "pairing_gaps", None),
+]
+
+
+@pytest.mark.parametrize("recipe, table, column, metric, where", PLOTTED_SERIES,
+                         ids=[f"{r[0]}-{r[2]}-{r[3]}" for r in PLOTTED_SERIES])
+def test_plotted_series_are_table_columns(recipe_runs, recipe_out, recipe,
+                                          table, column, metric, where):
+    with open(recipe_out / recipe / f"{table}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and column in rows[0]
+    if where:
+        rows = [r for r in rows if r[where[0]] == where[1]]
+    values = [float(r[column]) for r in rows]
+    if metric:
+        # CSV cells carry 12 significant digits
+        expected = load_summary(recipe_out / recipe)["metrics"][metric]
+        np.testing.assert_allclose(values, expected, rtol=1e-11, atol=0.0)
+
+
+def test_recipe_directories_hold_only_tables_and_summaries(recipe_runs,
+                                                           recipe_out):
+    for name, (rep, _) in recipe_runs.items():
+        files = {p.name for p in (recipe_out / name).iterdir()}
+        assert files == {f"{t}.csv" for t in rep.tables} | {
+            "summary.json", "summary.txt"}, name
