@@ -428,9 +428,12 @@ class SaddleInverse:
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
     builds and checks; :meth:`to_cells` brings u to the cells, and
-    :meth:`solve` is the three in sequence.  A non-finite shift, or one at
-    which the velocity Laplacian or the Schur complement is singular,
-    raises ValueError.
+    :meth:`solve` is the three in sequence.  :meth:`solve_homogeneous_modes`
+    is the first two for zero data, its defect checked in the modes, and
+    :meth:`velocity_wall_lines` and :meth:`pressure_wall_lines` bring back
+    only the lines by each wall.  A non-finite shift, or one at which the
+    velocity Laplacian or the Schur complement is singular, raises
+    ValueError.
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
@@ -452,17 +455,27 @@ class SaddleInverse:
         inv_den = self._mu[1:, None] + self._mu[None, :] + shift
         self._inv_den = np.reciprocal(inv_den, out=inv_den)
         self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
-        # the type-I sine modes of the first and last unit vectors of length
-        # n - 1, as columns: sqrt(2/n) sin(k pi/n) and (-1)^(k+1) times it
+        # the type-I sine modes of the unit vectors 0, 1, n - 3 and n - 2 of
+        # length n - 1, as rows: sqrt(2/n) sin(j k pi/n), j = 1, 2, and
+        # (-1)^(k+1) times them; the first and last are the border's ends
         k = np.arange(1, n)
-        s = np.sqrt(2.0 / n) * np.sin(k * np.pi / n)
-        self._sin_ends = np.column_stack([s, np.where(k % 2, s, -s)])
+        s = np.sqrt(2.0 / n) * np.sin(np.outer([1.0, 2.0], k) * np.pi / n)
+        self._sin_lines = np.vstack([s, np.where(k % 2, s, -s)[::-1]])
+        self._sin_ends = self._sin_lines[[0, 3]].T
+        # the type-II cosine modes of the unit vectors 0, 1, n - 2 and n - 1
+        # of length n, as columns: c_m cos(m (2j + 1) pi/2n), j = 0, 1, and
+        # (-1)^m times them
+        m = np.arange(n)[:, None]
+        c = np.sqrt(np.where(m, 2.0, 1.0) / n) * np.cos(
+            m * [1.0, 3.0] * np.pi / (2 * n))
+        self._cos_lines = np.hstack([c, np.where(m % 2, -c, c)[:, ::-1]])
+        self._zeros = BoundaryData.zeros(grid)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
         arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv,
-                  self._sin_ends]
+                  self._sin_lines, self._sin_ends, self._cos_lines]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
     def to_modes(self, x: np.ndarray) -> np.ndarray:
@@ -552,9 +565,9 @@ class SaddleInverse:
         A velocity that keeps its modes (:attr:`vws.grid.VelocityField.modes`)
         is returned as it is (read, never written, no transform); any other
         velocity or pair is written to out, a (2, n - 1, n) stack of (u1,
-        u2.T) faces (allocated when not given), and transformed once.  A
-        velocity on another grid, or misshapen or non-finite faces, raise
-        ValueError.
+        u2.T) faces (allocated when not given), and transformed once; the
+        modes returned need not be out itself.  A velocity on another grid,
+        or misshapen or non-finite faces, raise ValueError.
         """
         if isinstance(f, VelocityField):
             require_same_grid(self.grid, f)
@@ -661,10 +674,29 @@ class SaddleInverse:
             x[0] = b_hat
         walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
         div_max = float(self.to_cells(u12, walls, h_src)[0])
-        if why := defect_miss(div_max, scale):
-            raise NonConvergence(why, best_x=idctn(p, type=2, norm="ortho"),
-                                 residual=div_max, iterations=steps)
+        _check_defect(div_max, scale, p, steps)
         return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max}
+
+    def solve_homogeneous_modes(self, f_hat: np.ndarray):
+        """The saddle solve with zero data and no source forced by the modes
+        f_hat (:meth:`forcing_modes`), left in the modes: :meth:`right_side`
+        and :meth:`solve_modes`, with the defect check of :meth:`solve`.  D
+        is diagonal in the modes and the wall faces are zero, so the defect
+        max|D v| takes one inverse transform of D v's modes, and none of v.
+
+        Returns (v_hat, p_hat, div_max): the velocity's interior modes, a
+        (2, n - 1, n) stack, the pressure's cosine modes and the defect.  A
+        miss raises NonConvergence carrying the cell pressure and the defect.
+        """
+        n = self.grid.n
+        v_hat, work = np.empty((2, 2, n - 1, n))
+        b_hat, c_hat, c_max = self.right_side(self._zeros, f_hat, out=v_hat)
+        p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, work.reshape(-1))
+        dv = idctn(self.divergence_modes(b_hat, out=c_hat, scratch=work[0]),
+                   type=2, norm="ortho", overwrite_x=True)
+        div_max = max(float(dv.max()), -float(dv.min()))
+        _check_defect(div_max, scale, p, steps)
+        return v_hat, p, div_max
 
     def divergence_modes(self, w_hat: np.ndarray, out=None,
                          scratch=None) -> np.ndarray:
@@ -681,6 +713,36 @@ class SaddleInverse:
         np.multiply(root_mu, w_hat[0], out=dw[1:])
         dw[:, 1:] += np.multiply(root_mu, w_hat[1], out=scratch).T
         return dw
+
+    def velocity_wall_lines(self, v_hat: np.ndarray):
+        """The lines by each wall of the velocity whose interior modes are
+        v_hat, a (2, n - 1, n) stack, with zero wall faces: (normal,
+        tangential), each a pair indexed by the axis a across the walls.
+
+        normal[a] is the component normal to those walls on its faces 0, 1,
+        2, n - 2, n - 1 and n along axis a (u1 (6, n), u2 (n, 6)), and
+        tangential[a] the other on its cells 0, 1, n - 2 and n - 1 along it
+        (u2 (4, n + 1), u1 (n + 1, 4)), so that :func:`vws.boundary.wall`
+        reads lines 0 to 2 and 0 to 1 in from each side.  Each line takes a
+        basis product and a 1-D inverse transform.
+        """
+        n = self.grid.n
+        normal = np.zeros((2, 6, n))
+        normal[:, 1:5] = idct(self._sin_lines @ v_hat, type=2, norm="ortho",
+                              overwrite_x=True)
+        tangential = np.zeros((2, n + 1, 4))
+        tangential[:, 1:n] = idst(v_hat @ self._cos_lines, type=1, axis=1,
+                                  norm="ortho", overwrite_x=True)
+        return (normal[0], normal[1].T), (tangential[1].T, tangential[0])
+
+    def pressure_wall_lines(self, p_hat: np.ndarray):
+        """The cells 0, 1, n - 2 and n - 1 along each axis of the pressure
+        whose cosine modes are p_hat: rows (4, n) and columns (n, 4), from
+        one basis product per axis and a 1-D inverse transform."""
+        basis = self._cos_lines.T
+        rows, cols = idct(np.stack([basis @ p_hat, basis @ p_hat.T]), type=2,
+                          norm="ortho", overwrite_x=True)
+        return rows, cols.T
 
     def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
                     work: np.ndarray):
@@ -751,6 +813,14 @@ class SaddleInverse:
                 d -= h_src
             np.abs(d, out=d).max(axis=(1, 2), out=defects[s])
         return defects
+
+
+def _check_defect(div_max: float, scale: float, p_hat: np.ndarray,
+                  steps: int) -> None:
+    # a defect miss (defect_miss) raises NonConvergence with the cell pressure
+    if why := defect_miss(div_max, scale):
+        raise NonConvergence(why, best_x=idctn(p_hat, type=2, norm="ortho"),
+                             residual=div_max, iterations=steps)
 
 
 class VelocityPoisson:

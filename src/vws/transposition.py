@@ -20,16 +20,17 @@ a solved u forces it through the interior modes it keeps
 forward transform and, as its boundary data are zero, builds no load; the
 discrete adjoint stays exact because it reads the forward solve's own
 modes.  A hand-built u is transformed once.  The identity reads only wall
-traces: its adjoint keeps no modes, and of q only the two cell lines by
-each wall come back from its modes.  The ratio
-|u|_Omega / |g|_Gamma realizes the a priori estimate the rough-data theory
-rests on.
+traces, so its adjoint stays in its modes
+(:meth:`vws.operators.SaddleInverse.solve_homogeneous_modes`, its defect
+max|D v| from one n x n inverse transform of D v's modes): of v and q only
+the two lines by each wall come back, from a four-line basis product and a
+1-D inverse transform.  The ratio |u|_Omega / |g|_Gamma realizes the a priori
+estimate the rough-data theory rests on.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from .boundary import (AXIS, SIDES, BoundaryData, _pair_sum, l2_norm_gamma,
                        wall)
@@ -65,18 +66,24 @@ def normal_derivative_on_gamma(v: VelocityField) -> BoundaryData:
     the tangential one -(9 w_0 - w_1)/3h (a quadratic through the wall zero),
     averaged to midpoints.  Both are exact for quadratics in the wall distance.
     """
-    g = v.grid
-    h = g.h
-    u = (v.u1, v.u2)
+    return BoundaryData(v.grid, _wall_derivative(v.grid, (v.u1, v.u2), (v.u2, v.u1)))
+
+
+def _wall_derivative(grid: StaggeredGrid, normal, tangential) -> dict:
+    # side -> (n, 2), the stencils of normal_derivative_on_gamma on the lines
+    # wall(normal[a], side, d), d = 0, 1, 2 (0 the wall faces), of the
+    # component normal to the sides of AXIS a, and wall(tangential[a], side,
+    # d), d = 0, 1, of the other, n + 1 values each
+    h = grid.h
     out = {}
     for side in SIDES:
         a = AXIS[side]
-        w0, w1, w2 = (wall(u[a], side, d) for d in range(3))
-        t0, t1 = wall(u[1 - a], side), wall(u[1 - a], side, 1)
-        dn = out[side] = np.empty((g.n, 2))
+        w0, w1, w2 = (wall(normal[a], side, d) for d in range(3))
+        t0, t1 = wall(tangential[a], side), wall(tangential[a], side, 1)
+        dn = out[side] = np.empty((grid.n, 2))
         dn[:, a] = -(-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h)
         dn[:, 1 - a] = -0.5 * _pair_sum((9.0 * t0 - t1) / (3.0 * h))
-    return BoundaryData(g, out)
+    return out
 
 
 def boundary_pressure(q: PressureField) -> dict:
@@ -100,10 +107,12 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
 
     Solves the rough-data problem (unless u is supplied), then the adjoint
     problem with the solution as forcing, and compares |u|^2 against the
-    boundary integral of (g.n) q - g . dv/dn.  Returns lhs, rhs, rel_gap and
-    the split of the boundary integral into its two terms.  The adjoint
-    solve is checked as any (a defect miss raises NonConvergence).  Zero
-    data raises ZeroBoundaryData, g or u on another grid ValueError.
+    boundary integral of (g.n) q - g . dv/dn.  Returns lhs, rhs, rel_gap,
+    the split of the boundary integral into its two terms, and
+    adjoint_div_max, the adjoint's divergence defect max|D v|.  The adjoint
+    solve is checked as any (a defect miss raises NonConvergence carrying
+    the cell pressure).  Zero data raises ZeroBoundaryData, g or u on
+    another grid ValueError.
     """
     require_same_grid(grid, g, u)
     if l2_norm_gamma(g) == 0.0:
@@ -111,20 +120,14 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
     if u is None:
         u = solve_boundary(grid, g).velocity
     inv = saddle_inverses(grid, 0.0)
-    v1, v2, q_hat, _ = inv.solve(BoundaryData.zeros(grid), inv.forcing_modes(u))
-    dvdn = normal_derivative_on_gamma(VelocityField(grid, v1, v2))
-    # q at cells 0, 1, n - 2 and n - 1 along each axis: a (4, n) product of
-    # the cosine basis there, then a 1-D inverse transform of those lines
-    n = grid.n
-    basis = dct(np.vstack([np.eye(2, n), np.eye(2, n, n - 2)]), type=2, norm="ortho")
-    rows, cols = idct(np.stack([basis @ q_hat, basis @ q_hat.T]), type=2,
-                      norm="ortho", overwrite_x=True)
-    q_b = _extrapolated((rows, cols.T))
+    v_hat, q_hat, div_max = inv.solve_homogeneous_modes(inv.forcing_modes(u))
+    dvdn = _wall_derivative(grid, *inv.velocity_wall_lines(v_hat))
+    q_b = _extrapolated(inv.pressure_wall_lines(q_hat))
     h = grid.h
     term_dvdn = 0.0
     term_q = 0.0
     for side in SIDES:
-        term_dvdn += h * float(np.sum(g.samples[side] * dvdn.samples[side]))
+        term_dvdn += h * float(np.sum(g.samples[side] * dvdn[side]))
         term_q += h * float(np.sum(g.normal_part(side) * q_b[side]))
     lhs = l2_norm_omega(u) ** 2
     rhs = term_q - term_dvdn
@@ -135,6 +138,7 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
         "rel_gap": rel_gap,
         "term_dvdn": term_dvdn,
         "term_q": term_q,
+        "adjoint_div_max": div_max,
     }
 
 

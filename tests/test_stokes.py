@@ -241,7 +241,10 @@ def test_velocity_is_linear_in_data(log_alpha):
 def test_div_tol_met_flags_a_missed_tolerance(monkeypatch):
     # div_tol is relative to the data: the 1e9 lid, whose rounding-level
     # defect (1.4e-5) once read as a miss of an absolute 1e-8, returns
-    # exact, while a velocity solve that is truly off raises
+    # exact, while a velocity solve that is truly off raises, in the
+    # duality identity's adjoint, whose defect is read from its modes, too
+    from vws.transposition import transposition_identity
+
     grid, g, u = _unit_lid_solution()
     big = solve_boundary(grid, g * 1e9)
     want = u * 1e9
@@ -258,6 +261,8 @@ def test_div_tol_met_flags_a_missed_tolerance(monkeypatch):
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_boundary(grid, g)
     assert info.value.residual > SolverOptions().div_tol
+    with pytest.raises(NonConvergence, match="divergence defect"):
+        transposition_identity(grid, g, u=u)
 
 
 def test_saddle_solve_takes_one_modal_solve(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -142,24 +143,64 @@ def _full_path_identity(grid, g, u):
             "term_q": term_q, "term_dvdn": term_dvdn}
 
 
-@pytest.mark.parametrize("n", [16, 17, 64, 256])
+def _record_2d_inverse_transforms(monkeypatch):
+    # (transformed, defects): the arrays every idctn of the package is called
+    # on, and the modes of D v that divergence_modes returns for the velocity
+    # modes of a modal solve once that solve has returned (the D w it takes
+    # inside solve_modes, for the data scale, fills what becomes p's modes)
+    transformed, defects, solved = [], [], []
+    inv = operators.SaddleInverse
+    solve_modes, divergence_modes = inv.solve_modes, inv.divergence_modes
+
+    def recorded_solve(self, b_hat, *args, **kwargs):
+        result = solve_modes(self, b_hat, *args, **kwargs)
+        solved.append(b_hat)
+        return result
+
+    def recorded_divergence(self, w_hat, *args, **kwargs):
+        dw = divergence_modes(self, w_hat, *args, **kwargs)
+        if any(w_hat is v_hat for v_hat in solved):
+            defects.append(dw)
+        return dw
+
+    def counted(real):
+        def idctn(x, *args, **kwargs):
+            transformed.append(x)
+            return real(x, *args, **kwargs)
+        return idctn
+
+    monkeypatch.setattr(inv, "solve_modes", recorded_solve)
+    monkeypatch.setattr(inv, "divergence_modes", recorded_divergence)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("vws") and hasattr(module, "idctn"):
+            monkeypatch.setattr(module, "idctn", counted(module.idctn))
+    return transformed, defects
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 64, 256])
 def test_identity_matches_full_adjoint_path(monkeypatch, n):
-    # one saddle solve whose pressure stays in modes but for its wall lines:
-    # no 2-D inverse transform, and the values of the full path
+    # one modal saddle solve whose velocity and pressure stay in modes but
+    # for their wall lines: no velocity transform, one 2-D inverse transform,
+    # of D v for the defect check, and the values of the full path; at n = 4
+    # and 5 the lines by opposite walls overlap
     grid, lid = _lid(n)
     g = lid + rotation_data(grid)
     u = solve_boundary(grid, g).velocity
     want = _full_path_identity(grid, g, u)
-    refuse(monkeypatch, operators, "idctn", "2-D pressure transform in the identity")
+    refuse(monkeypatch, operators.SaddleInverse, ("from_modes", "to_cells"),
+           "velocity transform in the identity")
+    transformed, defects = _record_2d_inverse_transforms(monkeypatch)
     calls = count_saddle_solves(monkeypatch)
     got = transposition_identity(grid, g, u=u)
     assert len(calls) == 1
+    [dv] = transformed
+    assert dv.shape == (n, n) and any(dv is d for d in defects)
     assert abs(want["term_q"]) > 0.1 * abs(want["term_dvdn"])
     for key in ("lhs", "rhs", "term_q", "term_dvdn"):
         assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
 
 
-@pytest.mark.parametrize("n", [16, 17, 64, 256])
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 64, 256])
 def test_identity_adjoint_keeps_its_defect_check(monkeypatch, n):
     # the adjoint's divergence defect is checked in the cells as in every
     # solve; a miss carries the cell pressure of the full path
@@ -172,6 +213,20 @@ def test_identity_adjoint_keeps_its_defect_check(monkeypatch, n):
         transposition_identity(grid, g, u=u)
     assert 0.0 < info.value.residual
     assert np.abs(info.value.best_x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [4, 17, 64])
+def test_identity_reports_its_adjoint_defect(n):
+    # the defect it checked, max|D v|, is at rounding level, within DIV_TOL
+    # of the scale the adjoint solve reads: the cell RMS of D A^{-1} u
+    grid, lid = _lid(n)
+    g = lid + rotation_data(grid)
+    u = solve_boundary(grid, g).velocity
+    inv = operators.saddle_inverses(grid, 0.0)
+    dw = inv.divergence_modes(inv.velocity_solve(u.modes.copy()))
+    scale = float(np.linalg.norm(dw)) / n
+    div_max = transposition_identity(grid, g, u=u)["adjoint_div_max"]
+    assert 0.0 < div_max <= operators.DIV_TOL * scale
 
 
 def test_solution_modes_are_read_only():
