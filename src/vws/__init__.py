@@ -20,7 +20,6 @@ from .boundary import (
 )
 from .errors import (
     IncompatibleBoundaryData,
-    IncompatibleSource,
     NonConvergence,
     NonTangentialData,
     RecipeMismatch,

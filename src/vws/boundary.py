@@ -203,14 +203,14 @@ def corner_variant(grid: StaggeredGrid, which: str, eps: float = 0.0) -> Boundar
             g["top"][:, 0] = 1.0 - sigma(x) * np.exp(-x / eps)
         else:
             g["top"][:, 0] = 1.0
-        g["right"][:, 0] = grid.y_centers()
+        g["right"][:, 0] = x
     elif which == "corner_11":
         if eps > 0.0:
             _warn_if_underresolved(eps, grid)
             g["top"][:, 0] = 1.0 - sigma(1.0 - x) * np.exp(-(1.0 - x) / eps)
         else:
             g["top"][:, 0] = 1.0
-        g["left"][:, 0] = grid.y_centers()
+        g["left"][:, 0] = x
     else:
         raise ValueError(f"unknown corner variant {which!r}")
     return project_compatible(BoundaryData(grid, g))

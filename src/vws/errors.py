@@ -15,10 +15,6 @@ class NonConvergence(RuntimeError):
         self.iterations = iterations
 
 
-class IncompatibleSource(ValueError):
-    """Divergence source with nonzero mean: no discretely solvable problem."""
-
-
 class IncompatibleBoundaryData(ValueError):
     """Boundary data whose net flux through the boundary is not zero."""
 

@@ -53,23 +53,15 @@ class StaggeredGrid:
     def h(self) -> float:
         return 1.0 / self.n
 
-    # --- coordinate arrays ------------------------------------------------
-    def x_faces(self) -> np.ndarray:
-        """x coordinates of x-normal faces: i h, i = 0..n."""
+    # --- coordinate arrays, the same along either axis ----------------------
+    def nodes(self) -> np.ndarray:
+        """Node coordinates i h, i = 0..n: also those of the faces normal
+        to the axis."""
         return np.arange(self.n + 1) * self.h
-
-    def y_centers(self) -> np.ndarray:
-        """y coordinates of cell centers: (j+1/2) h, j = 0..n-1."""
-        return (np.arange(self.n) + 0.5) * self.h
 
     def x_centers(self) -> np.ndarray:
+        """Cell-center coordinates (j+1/2) h, j = 0..n-1, along either axis."""
         return (np.arange(self.n) + 0.5) * self.h
-
-    def y_faces(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.h
-
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.h
 
 
 def build_grid(n: int) -> StaggeredGrid:
@@ -130,8 +122,9 @@ class VelocityField:
     @classmethod
     def from_functions(cls, grid, f1, f2) -> "VelocityField":
         """Sample callables f(x, y) at the respective face positions."""
-        x1, y1 = np.meshgrid(grid.x_faces(), grid.y_centers(), indexing="ij")
-        x2, y2 = np.meshgrid(grid.x_centers(), grid.y_faces(), indexing="ij")
+        z, c = grid.nodes(), grid.x_centers()
+        x1, y1 = np.meshgrid(z, c, indexing="ij")
+        x2, y2 = np.meshgrid(c, z, indexing="ij")
         return cls(grid, np.asarray(f1(x1, y1), dtype=float),
                    np.asarray(f2(x2, y2), dtype=float))
 
@@ -177,7 +170,8 @@ class PressureField:
 
     @classmethod
     def from_function(cls, grid, f) -> "PressureField":
-        x, y = np.meshgrid(grid.x_centers(), grid.y_centers(), indexing="ij")
+        c = grid.x_centers()
+        x, y = np.meshgrid(c, c, indexing="ij")
         return cls(grid, np.asarray(f(x, y), dtype=float))
 
     def mean(self) -> float:

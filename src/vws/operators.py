@@ -52,10 +52,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dctn, dst, idct, idctn, idst
+from scipy.fft import dct, dst, idct, idctn, idst
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
-from .errors import IncompatibleBoundaryData, IncompatibleSource, NonConvergence
+from .errors import IncompatibleBoundaryData, NonConvergence
 from .grid import PressureField, StaggeredGrid, VelocityField, require_same_grid
 
 __all__ = [
@@ -374,8 +374,9 @@ def _capacitance_sectors(n: int, shift: float):
     sectors of :func:`_parity_sectors` with the u1 pair first, weights
     sqrt(mu) w and the sine modes 1..n-1.
 
-    A shift that zeroes a factor mu_k + mu_l + shift, (k, l) != (0, 0),
-    raises ValueError.
+    A shift that zeroes a denominator of the no-slip velocity Laplacian
+    (mu_k + nu_l + shift, k >= 1, nu_l = mu_l for l < n, 4/h^2 for l = n),
+    or a factor mu_k + mu_l + shift, (k, l) != (0, 0), raises ValueError.
 
     Returns mu (the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n, 2) with
     column a the weights of parity a, and the sectors.
@@ -383,6 +384,10 @@ def _capacitance_sectors(n: int, shift: float):
     h = 1.0 / n
     modes = np.arange(n)
     mu = (2.0 - 2.0 * np.cos(modes * np.pi / n)) / h ** 2
+    nu = np.append(mu[1:], 4.0 / h ** 2)
+    if not (mu[1:, None] + nu[None, :] + shift).all():
+        raise ValueError(
+            f"shift {shift!r} makes the velocity Laplacian singular")
     psi0 = np.sqrt(2.0 / n) * np.cos(modes * np.pi / (2 * n))
     psi0[0] = np.sqrt(1.0 / n)
     w = np.zeros((n, 2))
@@ -400,9 +405,6 @@ def _capacitance_sectors(n: int, shift: float):
     sectors = _parity_sectors(inv_d, np.sqrt(mu)[:, None] * w, modes[1:],
                               0.5 * h * h, -1.0)
     return mu, w, sectors
-
-
-_SUM_DIFF = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 class SaddleInverse:
@@ -428,8 +430,9 @@ class SaddleInverse:
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
     builds and checks; :meth:`to_cells` brings u to the cells, and
-    :meth:`solve` is the three in sequence.  :meth:`solve_homogeneous_modes`
-    is the first two for zero data, its defect checked in the modes, and
+    :func:`vws.stokes.solve_saddle` runs the three in sequence.
+    :meth:`solve_homogeneous_modes` is the first two for zero data, its
+    defect checked in the modes, and
     :meth:`velocity_wall_lines` and :meth:`pressure_wall_lines` bring back
     only the lines by each wall.  A non-finite shift, or one at which the
     velocity Laplacian or the Schur complement is singular, raises
@@ -441,13 +444,6 @@ class SaddleInverse:
             raise ValueError("shift has non-finite values")
         n, h = grid.n, grid.h
         self.grid, self.shift = grid, shift
-        # the no-slip velocity Laplacian is diagonal in the type-I by type-II
-        # sine modes: mu_k + nu_l + shift, nu_l = mu_l for l < n, 4/h^2 for l = n
-        mu = (2.0 - 2.0 * np.cos(np.arange(n) * np.pi / n)) / h ** 2
-        nu = np.append(mu[1:], 4.0 / h ** 2)
-        if not (mu[1:, None] + nu[None, :] + shift).all():
-            raise ValueError(
-                f"shift {shift!r} makes the velocity Laplacian singular")
         self._mu, self._w, sectors = _capacitance_sectors(n, shift)
         self._k_inv = _SectorInverse(sectors)
         self._root_mu = np.sqrt(self._mu)
@@ -461,7 +457,6 @@ class SaddleInverse:
         k = np.arange(1, n)
         s = np.sqrt(2.0 / n) * np.sin(np.outer([1.0, 2.0], k) * np.pi / n)
         self._sin_lines = np.vstack([s, np.where(k % 2, s, -s)[::-1]])
-        self._sin_ends = self._sin_lines[[0, 3]].T
         # the type-II cosine modes of the unit vectors 0, 1, n - 2 and n - 1
         # of length n, as columns: c_m cos(m (2j + 1) pi/2n), j = 0, 1, and
         # (-1)^m times them
@@ -475,7 +470,7 @@ class SaddleInverse:
     def nbytes(self) -> int:
         """Bytes held by the cached arrays."""
         arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv,
-                  self._sin_lines, self._sin_ends, self._cos_lines]
+                  self._sin_lines, self._cos_lines]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
     def to_modes(self, x: np.ndarray) -> np.ndarray:
@@ -497,12 +492,12 @@ class SaddleInverse:
         """
         sine = x.ndim == 3
         *stack, m, n = x.shape
-        # C e_0 and C e_{n-1} are psi_k(0) and (-1)^k psi_k(0): the sum and
-        # difference of the capacitance weights' parity columns, over sqrt(2)
-        cos_ends = self._w @ _SUM_DIFF
+        # C e_0 and C e_{n-1}, and the sine modes of the first and last unit
+        # vectors, are lines of the bases held for the wall lines
+        cos_ends = self._cos_lines[:, [0, 3]]
         left = np.empty((*stack, m, 4))
         right = np.empty((*stack, 4, n))
-        left[..., :2] = self._sin_ends if sine else cos_ends
+        left[..., :2] = self._sin_lines[[0, 3]].T if sine else cos_ends
         right[..., 2:, :] = cos_ends.T
         right[..., :2, :] = dct(x[..., [0, -1], :], type=2, axis=-1,
                                 norm="ortho", overwrite_x=True)
@@ -584,25 +579,21 @@ class SaddleInverse:
                 xk[...] = fk
         return self.to_modes(x)
 
-    def right_side(self, g: BoundaryData, f_hat=None, h_src=None, out=None):
+    def right_side(self, g: BoundaryData, f_hat=None, out=None):
         """The modes (b_hat, c_hat) of the right side of A u + G p = b,
-        D u = h_src, and its data scale c_max = max|c|.
+        D u = 0, and its data scale c_max = max|c|.
 
         b is the load of g plus the forcing whose modes are f_hat, a
         (2, n - 1, n) face stack (:meth:`forcing_modes`; read, never
-        written, taken as finite).  c is h_src less the wall fluxes
-        (g . n)/h.  A misshapen f_hat, or a misshapen or non-finite h_src,
-        raises ValueError; data that miss h^2 sum h_src = h sum g . n by
-        more than 1e-12 of h^2 sum |h_src| + h sum |g . n| raise
-        IncompatibleBoundaryData without a source and IncompatibleSource
-        with one.
+        written, taken as finite).  c is minus the wall fluxes (g . n)/h.
+        A misshapen f_hat raises ValueError; data whose net flux h sum g . n
+        exceeds 1e-12 of h sum |g . n| raise IncompatibleBoundaryData.
 
-        The load of g, and without h_src c, live on border lines and take
-        the closed form of :meth:`border_to_modes`, a zero c none; with
-        h_src, c takes one 2-D transform.  f_hat is added to the load's
-        modes, or with zero g copied in, no load built.  Without h_src, c
-        is built, checked and read on its 4n - 4 border cells only.  out,
-        a (2, n - 1, n) array, receives b_hat; one is allocated when it is
+        The load of g and c live on border lines and take the closed form
+        of :meth:`border_to_modes`, a zero c none; c is built, checked and
+        read on its 4n - 4 border cells only.  f_hat is added to the load's
+        modes, or with zero g copied in, no load built.  out, a
+        (2, n - 1, n) array, receives b_hat; one is allocated when it is
         not given.
         """
         n, h = self.grid.n, self.grid.h
@@ -620,12 +611,8 @@ class SaddleInverse:
                 b += f_hat
         c = np.empty((n, n))
         border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
-        if h_src is None:
-            for line in border:
-                line.fill(0.0)
-        else:
-            _require_finite("divergence source", h_src, (n, n))
-            c[...] = h_src
+        for line in border:
+            line.fill(0.0)
         # the wall fluxes reach the border cells only; the u1 walls go first,
         # so that a corner cell adds its two fluxes in one fixed order
         scale = 0.0
@@ -633,54 +620,23 @@ class SaddleInverse:
             flux = g.normal_part(side)
             wall(c, side)[...] -= flux / h
             scale += float(np.abs(flux).sum())
-        cells = c if h_src is not None else np.concatenate(border)
-        # h^2 sum c is minus the net flux h sum g . n less h^2 sum h_src
+        cells = np.concatenate(border)
+        # h^2 sum c is minus the net flux h sum g . n
         net = -h * h * float(cells.sum())
-        scale *= h
-        if h_src is not None:
-            scale += h * h * float(np.abs(h_src).sum())
-        if abs(net) > 1e-12 * scale:
-            error = IncompatibleBoundaryData if h_src is None else IncompatibleSource
-            raise error(f"net boundary flux less the divergence source total is "
-                        f"{net:.3e}; project the data first")
+        if abs(net) > 1e-12 * (h * scale):
+            raise IncompatibleBoundaryData(
+                f"net boundary flux is {net:.3e}; project the data first")
         c_max = max(float(cells.max()), -float(cells.min()))
-        if h_src is not None:
-            c = dctn(c, type=2, norm="ortho", overwrite_x=True)
-        elif c_max > 0.0:
+        if c_max > 0.0:
             self.border_to_modes(c)
         else:
             c.fill(0.0)
         return b, c, c_max
 
-    def solve(self, g: BoundaryData, f_hat=None, h_src=None, modes=None):
-        """Direct saddle solve of A u + G p = b, D u = h_src: :meth:`right_side`
-        (f_hat the forcing's modes, :meth:`forcing_modes`), :meth:`solve_modes`,
-        then :meth:`to_cells` with k = 1 and the normal samples of g on the
-        wall faces.  modes, a face stack, receives the interior modes of u;
-        without it none are kept, and the right side is built in the cell
-        block.  A defect miss (:func:`defect_miss`) raises NonConvergence
-        carrying the cell pressure and the defect.
-
-        Returns (u1_full, u2_full, p_hat, diagnostics), p_hat p's cosine modes.
-        """
-        u12 = np.empty((1, 2 * self.grid.n * (self.grid.n + 1)))
-        x, u1, u2 = self.cell_views(u12)
-        b_hat, c_hat, c_max = self.right_side(
-            g, f_hat, h_src, out=x[0] if modes is None else modes)
-        work = u12[0] if modes is not None else np.empty(b_hat.size)
-        p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, work)
-        del c_hat, work   # free before the cell stage's buffers
-        if modes is not None:
-            x[0] = b_hat
-        walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
-        div_max = float(self.to_cells(u12, walls, h_src)[0])
-        _check_defect(div_max, scale, p, steps)
-        return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max}
-
     def solve_homogeneous_modes(self, f_hat: np.ndarray):
-        """The saddle solve with zero data and no source forced by the modes
-        f_hat (:meth:`forcing_modes`), left in the modes: :meth:`right_side`
-        and :meth:`solve_modes`, with the defect check of :meth:`solve`.  D
+        """The saddle solve with zero data forced by the modes f_hat
+        (:meth:`forcing_modes`), left in the modes: :meth:`right_side` and
+        :meth:`solve_modes`, with the defect check of every solve.  D
         is diagonal in the modes and the wall faces are zero, so the defect
         max|D v| takes one inverse transform of D v's modes, and none of v.
 
@@ -786,12 +742,12 @@ class SaddleInverse:
         return (u12[:, n:n + 2 * (n - 1) * n].reshape(k, 2, n - 1, n),
                 u12[:, :half].reshape(k, n + 1, n), u12[:, half:].reshape(k, n, n + 1))
 
-    def to_cells(self, u12: np.ndarray, walls=None, h_src=None) -> np.ndarray:
+    def to_cells(self, u12: np.ndarray, walls=None) -> np.ndarray:
         """The cell stage of k saddle solves: the velocities in the modes x
         of a block of :meth:`cell_views` brought to its faces by one stacked
         inverse transform, with walls[side][i], or zero for walls None, on
-        row i's wall faces.  Returns the k defects max|h_src - D u|, taken a
-        bounded chunk of rows at a time.
+        row i's wall faces.  Returns the k defects max|D u|, taken a bounded
+        chunk of rows at a time.
         """
         n, h, k = self.grid.n, self.grid.h, len(u12)
         x, u1, u2 = self.cell_views(u12)
@@ -809,8 +765,6 @@ class SaddleInverse:
                 wall((u1, u2)[AXIS[side]][s], side)[...] = (
                     0.0 if walls is None else walls[side][s])
             cell_divergence(u1[s], u2[s], h, out=d, scratch=t)
-            if h_src is not None:
-                d -= h_src
             np.abs(d, out=d).max(axis=(1, 2), out=defects[s])
         return defects
 

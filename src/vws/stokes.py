@@ -3,7 +3,7 @@
 The saddle problem
 
     A u + G p = b        (momentum, A = -Laplacian + shift, Dirichlet data)
-    D u       = h_src    (divergence constraint)
+    D u       = 0        (divergence constraint)
 
 reduces to the pressure Schur complement S = -D A^{-1} G, symmetric positive
 semidefinite with kernel = constants.  :class:`vws.operators.SaddleInverse`
@@ -11,8 +11,8 @@ inverts A and S exactly at every shift and solves the whole system in one
 basis, where D and G are diagonal and A is diagonal up to a wall
 correction.  D (:func:`vws.operators.cell_divergence`) counts the wall
 faces, which reach only the border cells as fluxes +-(normal value)/h, so
-the interior unknowns see D w = c, with c = h_src less those fluxes.
-Summed over the cells, D u = h_src reads h^2 sum h_src = h sum g . n, which
+the interior unknowns see D w = c, with c the negated fluxes.  Summed over
+the cells, D u = 0 reads h sum g . n = 0, which
 :meth:`vws.operators.SaddleInverse.right_side` checks to rounding for every
 stationary solve and time march before anything is solved.  Then:
 
@@ -21,20 +21,20 @@ stationary solve and time march before anything is solved.  Then:
     3. p = S^{-1} rhs;
     4. the wall faces of u get the prescribed normal values and its interior
        faces w - A^{-1} G p;
-    5. the divergence defect max|h_src - D u| of the returned field must be at
-       most DIV_TOL times the data scale max(max|c|, rms(D w)), the cell RMS
-       of D w read from its modes (Parseval), which never exceeds max|D w|;
-       a miss, a NaN included, raises NonConvergence carrying p and the
+    5. the divergence defect max|D u| of the returned field must be at most
+       DIV_TOL times the data scale max(max|c|, rms(D w)), the cell RMS of
+       D w read from its modes (Parseval), which never exceeds max|D w|; a
+       miss, a NaN included, raises NonConvergence carrying p and the
        defect.
 
 Steps 1-4 are the modal stage (:meth:`vws.operators.SaddleInverse.solve_modes`),
 after the forward transforms of b and of c
 (:meth:`vws.operators.SaddleInverse.right_side`); the cell stage
 (:meth:`vws.operators.SaddleInverse.to_cells`) brings u back and takes step
-5, and a stationary solve adds one inverse transform of p.  The load of g,
-and without h_src c, the wall fluxes, live on their border lines, so their
-forward transforms are closed-form products of 1-D transforms; a zero c
-takes none.  A forcing reaches b through
+5, and :func:`solve_saddle`, which runs the three, adds one inverse
+transform of p.  The load of g and c, the wall fluxes, live on their border
+lines, so their forward transforms are closed-form products of 1-D
+transforms; a zero c takes none.  A forcing reaches b through
 :meth:`vws.operators.SaddleInverse.forcing_modes` alone, which reads the
 interior modes every solved velocity keeps
 (:attr:`vws.grid.VelocityField.modes`) with no transform.  A time
@@ -59,6 +59,7 @@ from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import (
     DIV_TOL,
+    _check_defect,
     apply_velocity_laplacian,
     cell_divergence,
     laplacian_load,
@@ -90,55 +91,64 @@ class StokesSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, h_src,
-                 shift: float = 0.0, *, modes=None):
+def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
+                 *, modes=None):
     """Core saddle solve.  f the forcing, a velocity or an interior pair
-    (f1, f2), or None; h_src cell-shaped.
+    (f1, f2), or None.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
-    the returned velocity hold the normal samples of g; p comes to the cells
-    here, from the modes SaddleInverse.solve returns.  f reaches the modes
+    the returned velocity hold the normal samples of g.  f reaches the modes
     by :meth:`vws.operators.SaddleInverse.forcing_modes`, a solved velocity
-    with no transform.  modes, a (2, n - 1, n) array, receives the interior
-    modes of the returned velocity.  A g or f of another grid, a non-finite
-    shift, or a shift at which the velocity or Schur operator is singular,
-    raises ValueError.  The data are checked as in every time step: a
-    misshapen or non-finite f or h_src raises ValueError, unsolvable data
-    raise IncompatibleBoundaryData without a source and IncompatibleSource
-    with one, and a divergence defect above DIV_TOL of the data scale, or a
-    non-finite one, raises NonConvergence.
+    with no transform; then :meth:`~vws.operators.SaddleInverse.right_side`,
+    :meth:`~vws.operators.SaddleInverse.solve_modes` and
+    :meth:`~vws.operators.SaddleInverse.to_cells` with k = 1, and p comes
+    to the cells from its modes.  modes, a (2, n - 1, n) array, receives
+    the interior modes of the returned velocity; one is allocated when it
+    is not given.  A g or f of another grid, a non-finite shift, or a shift
+    at which the velocity or Schur operator is singular, raises ValueError.
+    The data are checked as in every time step: a misshapen or non-finite f
+    raises ValueError, unsolvable data raise IncompatibleBoundaryData, and a
+    divergence defect above DIV_TOL of the data scale, or a non-finite one,
+    raises NonConvergence carrying the cell pressure and the defect.
     """
     require_same_grid(grid, g)
     t0 = time.perf_counter()
     inv = saddle_inverses(grid, shift)
     f_hat = None if f is None else inv.forcing_modes(f)
-    u1, u2, p, diag = inv.solve(g, f_hat, h_src, modes)
+    n = grid.n
+    u12 = np.empty((1, 2 * n * (n + 1)))
+    x, u1, u2 = inv.cell_views(u12)
+    b_hat, c_hat, c_max = inv.right_side(
+        g, f_hat, out=np.empty((2, n - 1, n)) if modes is None else modes)
+    p, scale, steps = inv.solve_modes(b_hat, c_hat, c_max, u12[0])
+    del c_hat   # free before the cell stage's buffers
+    x[0] = b_hat
+    walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
+    div_max = float(inv.to_cells(u12, walls)[0])
+    _check_defect(div_max, scale, p, steps)
     p = idctn(p, type=2, norm="ortho", overwrite_x=True)
-    diag["wall_time"] = time.perf_counter() - t0
-    return u1, u2, p, diag
+    return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max,
+                             "wall_time": time.perf_counter() - t0}
 
 
-def _solution(grid: StaggeredGrid, g: BoundaryData, f: VelocityField | None,
-              h_src: PressureField | None) -> StokesSolution:
+def _solution(grid: StaggeredGrid, g: BoundaryData,
+              f: VelocityField | None) -> StokesSolution:
     """The saddle solve at shift 0, its velocity keeping its modes."""
     modes = np.empty((2, grid.n - 1, grid.n))
-    u1, u2, p, diag = solve_saddle(grid, g, f, None if h_src is None else h_src.p,
-                                   modes=modes)
+    u1, u2, p, diag = solve_saddle(grid, g, f, modes=modes)
     return StokesSolution(grid, VelocityField._solved(grid, u1, u2, modes),
                           PressureField(grid, p), diag)
 
 
-def solve_homogeneous(grid: StaggeredGrid, f: VelocityField | None = None,
-                      h_src: PressureField | None = None) -> StokesSolution:
-    """Stokes with zero boundary values, interior forcing f, divergence h_src.
+def solve_homogeneous(grid: StaggeredGrid,
+                      f: VelocityField | None = None) -> StokesSolution:
+    """Stokes with zero boundary values and interior forcing f.
 
-    h_src must have zero discrete mean (to 1e-12 of h^2 sum |h_src|);
-    otherwise IncompatibleSource is raised.  Non-finite f (interior faces)
-    or h_src, or either on another grid, raises ValueError.  A solved f
-    forces through the modes it keeps, with no forward transform.
+    Non-finite f (interior faces), or f on another grid, raises ValueError.
+    A solved f forces through the modes it keeps, with no forward transform.
     """
-    require_same_grid(grid, f, h_src)
-    return _solution(grid, BoundaryData.zeros(grid), f, h_src)
+    require_same_grid(grid, f)
+    return _solution(grid, BoundaryData.zeros(grid), f)
 
 
 def solve_boundary(grid: StaggeredGrid, g: BoundaryData) -> StokesSolution:
@@ -149,7 +159,7 @@ def solve_boundary(grid: StaggeredGrid, g: BoundaryData) -> StokesSolution:
     raises ValueError.  Normal samples land exactly on boundary faces;
     tangential samples act through ghost reflection.
     """
-    return _solution(grid, g, None, None)
+    return _solution(grid, g, None)
 
 
 def residual_report(sol: StokesSolution, f: VelocityField | None = None,

@@ -20,6 +20,23 @@ def refuse(monkeypatch, owner, names, why):
         monkeypatch.setattr(owner, name, refused)
 
 
+def modules_binding(names):
+    """The vws modules, each imported, that bind any of names (the entry
+    module __main__, which runs the command line, aside)."""
+    import importlib
+    import pkgutil
+
+    import vws
+
+    found = []
+    for info in pkgutil.walk_packages(vws.__path__, "vws."):
+        if info.name != "vws.__main__":
+            module = importlib.import_module(info.name)
+            if any(hasattr(module, name) for name in names):
+                found.append(info.name)
+    return found
+
+
 def count_saddle_solves(monkeypatch):
     """Count modal saddle solves (SaddleInverse.solve_modes calls, which
     every stationary solve and every time step makes once; a march then

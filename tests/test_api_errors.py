@@ -77,9 +77,9 @@ def test_tangential_data_rejects_unknown_sides_and_zeros_missing_ones():
 _CROSS_GRID = {
     "solve_boundary": lambda a, b: solve_boundary(a, cavity_g(b)),
     "solve_homogeneous": lambda a, b: solve_homogeneous(a, f=_velocity(b.n)),
-    "solve_saddle": lambda a, b: solve_saddle(a, BoundaryData.zeros(b), None, None),
+    "solve_saddle": lambda a, b: solve_saddle(a, BoundaryData.zeros(b), None),
     "solve_saddle_forcing": lambda a, b: solve_saddle(
-        a, BoundaryData.zeros(a), _velocity(b.n), None),
+        a, BoundaryData.zeros(a), _velocity(b.n)),
     "transposition_identity": lambda a, b: transposition_identity(
         a, cavity_g(a), u=_velocity(b.n)),
     "estimate_ratio": lambda a, b: estimate_ratio(a, cavity_g(b)),
@@ -213,13 +213,13 @@ def test_misshapen_forcing_raises():
     with pytest.raises(ValueError, match=message):
         evolve_lifted(grid, tb, 2 * DT, DT, force=row)
     with pytest.raises(ValueError, match=message):
-        solve_saddle(grid, BoundaryData.zeros(grid), (np.ones(8), None), None)
+        solve_saddle(grid, BoundaryData.zeros(grid), (np.ones(8), None))
     # a pair of one member left the march's other component unset
     for bad in ((np.zeros((7, 8)),), (np.zeros((7, 8)), None, None)):
         with pytest.raises(ValueError):
             evolve_lifted(grid, tb, 2 * DT, DT, force=lambda t: bad)
         with pytest.raises(ValueError):
-            solve_saddle(grid, BoundaryData.zeros(grid), bad, None)
+            solve_saddle(grid, BoundaryData.zeros(grid), bad)
 
 
 def test_trajectory_takes_one_velocity_per_time():

@@ -39,7 +39,7 @@ from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_fie
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
 
-from support import count_saddle_solves, refuse
+from support import count_saddle_solves, modules_binding, refuse
 
 
 def _lid(grid, eps=0.1):
@@ -192,11 +192,10 @@ def test_cell_stage_of_a_stack_matches_one_row_at_a_time():
     x[...] = rng.standard_normal(x.shape)
     rows = u12.copy()
     walls = {side: rng.standard_normal((k, n)) for side in SIDES}
-    h_src = rng.standard_normal((n, n))
-    defects = inv.to_cells(u12, walls, h_src)
+    defects = inv.to_cells(u12, walls)
     for i in range(k):
         one = rows[i:i + 1]
-        d = inv.to_cells(one, {s: w[i:i + 1] for s, w in walls.items()}, h_src)
+        d = inv.to_cells(one, {s: w[i:i + 1] for s, w in walls.items()})
         assert np.array_equal(one[0], u12[i]) and d[0] == defects[i]
     assert np.all(defects > 0.0)
 
@@ -269,12 +268,14 @@ def test_march_makes_no_2d_transform(monkeypatch):
     # built once per march, the velocity's modes are carried between steps
     # and the steps' pressures stay in their modes; the backward march of a
     # marched trajectory reads its modes.  Nothing of an unforced march or of
-    # that backward march goes through a 2-D transform
+    # that backward march goes through a 2-D transform, and no module but
+    # the clamped plate's binds a 2-D forward one
     from vws import operators
     from vws.operators import SaddleInverse
 
+    assert modules_binding(("dctn", "dstn")) == ["vws.biharmonic"]
     why = "2-D transform in a march"
-    refuse(monkeypatch, operators, ("dctn", "idctn"), why)
+    refuse(monkeypatch, operators, "idctn", why)
     refuse(monkeypatch, SaddleInverse, "to_modes", why)
     grid, m = build_grid(16), 8
     tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)
@@ -383,14 +384,14 @@ def test_euler_steps_match_per_step_saddle_solves():
     for k in range(m):
         (u1, u2), (f1, f2) = traj.velocities[k].interior(), force((k + 1) * dt)
         ref = solve_saddle(grid, tb.at(k + 1, dt), (s * u1 + f1, s * u2 + f2),
-                           None, shift=s)[:2]
+                           shift=s)[:2]
         _close(traj.velocities[k + 1], ref, 1e-12)
     back = solve_adjoint_backward(grid, traj)
     zero = BoundaryData.zeros(grid)
     for k in range(m - 1, -1, -1):
         (v1, v2), (f1, f2) = (back.velocities[k + 1].interior(),
                               traj.velocities[k].interior())
-        ref = solve_saddle(grid, zero, (s * v1 + f1, s * v2 + f2), None,
+        ref = solve_saddle(grid, zero, (s * v1 + f1, s * v2 + f2),
                            shift=s)[:2]
         _close(back.velocities[k], ref, 1e-12)
 
@@ -401,7 +402,7 @@ def _trapezoid_step(grid, dt, u, g, f1, f2, g_next):
     velocity Laplacian on the faces of u (its wall normals, g's tangents)."""
     r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, g)
     (v1, v2), s = u.interior(), 2.0 / dt
-    return solve_saddle(grid, g_next, (s * v1 - r1 + f1, s * v2 - r2 + f2), None,
+    return solve_saddle(grid, g_next, (s * v1 - r1 + f1, s * v2 - r2 + f2),
                         shift=s)[:2]
 
 

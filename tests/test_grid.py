@@ -13,11 +13,13 @@ from vws.grid import (
 def test_geometry_n4():
     grid = build_grid(4)
     assert grid.h == 0.25
-    assert np.array_equal(grid.x_faces(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(grid.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.array_equal(grid.x_centers(), [0.125, 0.375, 0.625, 0.875])
-    assert np.array_equal(grid.nodes(), grid.x_faces())
-    assert np.array_equal(grid.y_faces(), grid.x_faces())
-    assert np.array_equal(grid.y_centers(), grid.x_centers())
+    # the faces sit at the nodes' coordinates along the axis they are normal to
+    u = VelocityField.from_functions(grid, lambda x, y: x + 10 * y,
+                                     lambda x, y: x + 10 * y)
+    assert np.array_equal(u.u1[:, 0], grid.nodes() + 10 * 0.125)
+    assert np.array_equal(u.u2[0, :], 0.125 + 10 * grid.nodes())
 
 
 def test_build_grid_rejects_tiny():

@@ -21,8 +21,11 @@ from vws.operators import (
 from vws.operators import _capacitance_sectors, _neumann_inverse
 from vws.experiments.report import orders
 
+from vws.stokes import solve_saddle
+
 from support import (
-    check_sector_inverse, dense_face_gradient, dense_velocity_laplacian, refuse,
+    check_sector_inverse, dense_face_gradient, dense_velocity_laplacian,
+    modules_binding, refuse,
 )
 
 
@@ -298,7 +301,7 @@ def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
     # Laplacian apply or CG, whose calls the benchmark tracer counts per op
     why = "builder called a solver entry point"
     refuse(monkeypatch, VelocityPoisson, "solve", why)
-    refuse(monkeypatch, SaddleInverse, "solve", why)
+    refuse(monkeypatch, SaddleInverse, "solve_modes", why)
     refuse(monkeypatch, operators, ("apply_velocity_laplacian", "cg_solve"), why)
     # the Schur sectors plus one n^2 array of velocity denominators; no
     # workspace is cached
@@ -347,21 +350,20 @@ def test_stack_transforms_work_in_place():
 
 
 def test_border_data_take_no_2d_forward_transform(monkeypatch):
+    # no module but the clamped plate's binds a 2-D forward transform, and
     # boundary data alone take the closed forms for b and c; zero data with
     # forcing leave c zero, which takes no transform at all
+    assert modules_binding(("dctn", "dstn")) == ["vws.biharmonic"]
     grid = build_grid(16)
-    inv = saddle_inverses(grid, 0.0)
     rng = np.random.default_rng(5)
     f = rng.standard_normal((15, 16)), rng.standard_normal((16, 15))
 
     why = "2-D forward transform of border data"
-    refuse(monkeypatch, operators, "dctn", why)
     with monkeypatch.context() as m:
         refuse(m, SaddleInverse, "to_modes", why)
-        assert inv.solve(rotation_data(grid))[3]["outer_iterations"] == 1
-    assert inv.solve(BoundaryData.zeros(grid), inv.forcing_modes(f))[3]["outer_iterations"] == 1
-    with pytest.raises(AssertionError, match="border data"):
-        inv.solve(rotation_data(grid), None, np.zeros((16, 16)))
+        assert solve_saddle(grid, rotation_data(grid), None)[3]["outer_iterations"] == 1
+    refuse(monkeypatch, SaddleInverse, "border_to_modes", why)
+    assert solve_saddle(grid, BoundaryData.zeros(grid), f)[3]["outer_iterations"] == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,6 @@ from vws.boundary import (
 )
 from vws.errors import (
     IncompatibleBoundaryData,
-    IncompatibleSource,
     NonConvergence,
     UnderResolvedWarning,
 )
@@ -113,37 +112,14 @@ def test_incompatible_boundary_rejected():
         solve_boundary(grid, outward_normal_data(grid))
 
 
-def test_incompatible_source_rejected():
-    grid = build_grid(16)
-    h_src = PressureField(grid, np.ones((16, 16)))
-    with pytest.raises(IncompatibleSource):
-        solve_homogeneous(grid, h_src=h_src)
-
-
 @pytest.mark.parametrize("shift", [0.0, 64.0])
 def test_saddle_solve_checks_solvability(shift):
-    # a wall flux the source does not balance is a solvability failure, not
-    # a solver miss: it used to come back as NonConvergence ("divergence
-    # defect 4.000e+00"); a source that balances it solves
+    # a net wall flux is a solvability failure, not a solver miss: it used
+    # to come back as NonConvergence ("divergence defect 4.000e+00")
     grid = build_grid(16)
     g = outward_normal_data(grid)           # net outflow h sum g . n = 4
     with pytest.raises(IncompatibleBoundaryData, match="net boundary flux"):
-        solve_saddle(grid, g, None, None, shift=shift)
-    with pytest.raises(IncompatibleSource, match="net boundary flux"):
-        solve_saddle(grid, g, None, np.zeros((16, 16)), shift=shift)
-    src = np.full((16, 16), 4.0)            # h^2 sum src = 4
-    u1, u2, _, diag = solve_saddle(grid, g, None, src, shift=shift)
-    defect = src - divergence(VelocityField(grid, u1, u2)).p
-    assert np.abs(defect).max() == diag["div_max"] <= 1e-12
-
-
-def test_balanced_source_accepted():
-    grid = build_grid(16)
-    arr = np.zeros((16, 16))
-    arr[2, 2], arr[9, 9] = 1.0, -1.0
-    sol = solve_homogeneous(grid, h_src=PressureField(grid, arr))
-    div = np.abs(sol.velocity.u1).max()
-    assert div > 0.0  # source drives a flow
+        solve_saddle(grid, g, None, shift=shift)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1024.0])
@@ -151,21 +127,18 @@ def test_balanced_source_accepted():
 def test_saddle_solve_matches_dense_kkt(n, shift):
     # the dense KKT system [[A, G], [-G^T, 0]], bordered to pin the pressure
     # mean, shares no code with the transform and Schur inverses.  Forcing
-    # and source each present or absent: the load of g takes the border
-    # closed form, and the lid without a source has c = 0.  The forcing
-    # comes as a pair, as a hand-built velocity and as a solved one, whose
-    # kept modes join the load's with no transform.  The rotation alone is
+    # present or absent: the load of g takes the border closed form, and
+    # the lid has c = 0.  The forcing comes as a pair, as a hand-built
+    # velocity and as a solved one, whose kept modes join the load's with
+    # no transform.  The rotation alone is
     # a Stokes flow with p = 0 at shift 0, so the lid is added to it
     grid = build_grid(n)
-    rng = np.random.default_rng(n)
     f1, f2 = _random_forcing(grid, n + 3)
     hand = VelocityField.from_interior(grid, f1, f2)
     solved = solve_homogeneous(grid, f=hand).velocity
     assert hand.modes is None and solved.modes is not None
     forcings = [(None, (0.0, 0.0)), ((f1, f2), (f1, f2)), (hand, (f1, f2)),
                 (solved, solved.interior())]
-    src = rng.standard_normal((n, n))
-    src -= src.mean()
 
     A = dense_velocity_laplacian(grid, shift)
     G = dense_face_gradient(grid)
@@ -179,16 +152,11 @@ def test_saddle_solve_matches_dense_kkt(n, shift):
     cases, rhs = [], []
     for g in (rotation_data(grid) + cavity_g(grid), cavity_g(grid)):
         load1, load2 = laplacian_load(grid, g)
-        w1, w2 = np.zeros((n + 1, n)), np.zeros((n, n + 1))
-        w1[0, :], w1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
-        w2[:, 0], w2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
-        flux = divergence(VelocityField(grid, w1, w2)).p
+        flux = divergence(VelocityField(grid, *_wall_faces(grid, g))).p
         for f, (e1, e2) in forcings:
-            for h_src in (src, None):
-                cases.append(solve_saddle(grid, g, f, h_src, shift=shift))
-                b1, b2 = load1 + e1, load2 + e2
-                c = -flux if h_src is None else h_src - flux
-                rhs.append(np.concatenate([b1.ravel(), b2.ravel(), c.ravel(), [0.0]]))
+            cases.append(solve_saddle(grid, g, f, shift=shift))
+            b1, b2 = load1 + e1, load2 + e2
+            rhs.append(np.concatenate([b1.ravel(), b2.ravel(), -flux.ravel(), [0.0]]))
     x = np.linalg.solve(kkt, np.column_stack(rhs))
 
     for (u1, u2, p, _), xj in zip(cases, x.T):
@@ -203,7 +171,7 @@ def test_shifted_uzawa_iterations_bounded(n):
     # 16384); the exact Schur inverse solves directly at every shift
     grid, g = _lid(n)
     for shift in (0.0, 64.0, 1024.0, 16384.0):
-        _, _, _, diag = solve_saddle(grid, g, None, None, shift=shift)
+        _, _, _, diag = solve_saddle(grid, g, None, shift=shift)
         assert diag["outer_iterations"] == 1
         assert diag["div_max"] <= SolverOptions().div_tol
 
@@ -271,7 +239,7 @@ def test_saddle_solve_takes_one_modal_solve(monkeypatch):
     # direct solve two
     calls = count_saddle_solves(monkeypatch)
     grid, g = _lid(32)
-    solve_saddle(grid, g, None, None, shift=64.0)
+    solve_saddle(grid, g, None, shift=64.0)
     assert len(calls) == 1
 
 
@@ -302,11 +270,14 @@ def test_tiny_incompatible_data_rejected():
         solve_boundary(grid, outward_normal_data(grid) * 1e-11)
 
 
-def test_tiny_incompatible_source_rejected():
-    grid = build_grid(16)
-    h_src = PressureField(grid, np.full((16, 16), 1e-13))
-    with pytest.raises(IncompatibleSource):
-        solve_homogeneous(grid, h_src=h_src)
+def _wall_faces(grid, g):
+    """Face arrays holding the normal samples of g on the wall faces, zero
+    elsewhere."""
+    n = grid.n
+    w1, w2 = np.zeros((n + 1, n)), np.zeros((n, n + 1))
+    w1[0, :], w1[n, :] = g.samples["left"][:, 0], g.samples["right"][:, 0]
+    w2[:, 0], w2[:, n] = g.samples["bottom"][:, 1], g.samples["top"][:, 1]
+    return w1, w2
 
 
 def _random_forcing(grid, seed):
@@ -320,7 +291,7 @@ def _inner(grid, a, b):
 
 
 def _forced_velocity(grid, f, shift):
-    u1, u2, _, _ = solve_saddle(grid, BoundaryData.zeros(grid), f, None, shift=shift)
+    u1, u2, _, _ = solve_saddle(grid, BoundaryData.zeros(grid), f, shift=shift)
     return u1[1:grid.n, :], u2[:, 1:grid.n]
 
 
@@ -377,15 +348,6 @@ def test_rejects_non_finite_forcing():
         solve_homogeneous(grid, f=VelocityField(grid, u1, f.u2))
 
 
-def test_rejects_non_finite_divergence_source():
-    # +inf and -inf cancel to a NaN mean, which slipped past the mean check
-    grid = build_grid(16)
-    arr = np.zeros((16, 16))
-    arr[2, 2], arr[9, 9] = np.inf, -np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_homogeneous(grid, h_src=PressureField(grid, arr))
-
-
 def test_every_forcing_reaches_the_modes_through_one_method(monkeypatch):
     # a forcing's form is read in SaddleInverse.forcing_modes alone: with it
     # refused, every forced entry point fails, so that no second path from a
@@ -404,7 +366,7 @@ def test_every_forcing_reaches_the_modes_through_one_method(monkeypatch):
     why = "a forcing bypassed SaddleInverse.forcing_modes"
     refuse(monkeypatch, SaddleInverse, "forcing_modes", why)
     forced = [
-        lambda: solve_saddle(grid, BoundaryData.zeros(grid), f, None),
+        lambda: solve_saddle(grid, BoundaryData.zeros(grid), f),
         lambda: solve_homogeneous(grid, f=hand),
         lambda: solve_homogeneous(grid, f=solved),
         lambda: evolve_lifted(grid, tb, 0.25, 0.125, force=lambda t: f),
@@ -427,35 +389,36 @@ def test_saddle_rejects_non_finite_forcing_with_shift():
     f2 = np.zeros((16, 15))
     f1[4, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        solve_saddle(grid, g, (f1, f2), None, shift=10.0)
+        solve_saddle(grid, g, (f1, f2), shift=10.0)
 
 
 @pytest.mark.parametrize("shift", [0.0, 10.0])
 def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
-    # a velocity solve that returns zero leaves the whole divergence source
-    # as the defect; the Uzawa loop once surfaced this as a bare
-    # ZeroDivisionError, the direct solve raises carrying its pressure in
-    # the cells, although a solve keeps it in its modes until it returns
+    # a velocity solve that returns zero leaves the whole wall flux as the
+    # defect; the Uzawa loop once surfaced this as a bare ZeroDivisionError,
+    # the direct solve raises carrying its pressure in the cells, although
+    # a solve keeps it in its modes until it returns
     grid = build_grid(16)
-    src = np.zeros((16, 16))
-    src[2, 2], src[9, 9] = 1.0, -1.0
+    g = rotation_data(grid)
+    # c, minus the wall fluxes (g . n)/h, lives on the border cells
+    c = -divergence(VelocityField(grid, *_wall_faces(grid, g))).p
     def zero(self, x, scratch=None):
         x[...] = 0.0
         return x
 
     monkeypatch.setattr(SaddleInverse, "velocity_solve", zero)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
-        solve_saddle(grid, BoundaryData.zeros(grid), None, src, shift=shift)
+        solve_saddle(grid, g, None, shift=shift)
     assert info.value.best_x is not None
     assert info.value.best_x.shape == (16, 16)
-    # with w = 0 the pressure is S^{-1} h_src, whose modes no cell array
-    # of this source matches
+    # with w = 0 the pressure is S^{-1} c, whose modes no cell array of the
+    # border c matches
     inv = saddle_inverses(grid, shift)
-    p_hat = inv.schur_solve(dctn(src, type=2, norm="ortho"), np.empty((16, 16)),
+    p_hat = inv.schur_solve(dctn(c, type=2, norm="ortho"), np.empty((16, 16)),
                             np.empty((16, 16)))
     want = idctn(p_hat, type=2, norm="ortho")
     assert np.abs(info.value.best_x - want).max() <= 1e-12 * np.abs(want).max()
-    assert info.value.residual == pytest.approx(1.0)
+    assert info.value.residual == np.abs(c).max() > 0.0
 
 
 def test_non_finite_data_scale_raises_nonconvergence(monkeypatch):
@@ -470,7 +433,7 @@ def test_non_finite_data_scale_raises_nonconvergence(monkeypatch):
 
     monkeypatch.setattr(SaddleInverse, "solve_modes", unbounded)
     with pytest.raises(NonConvergence, match="data scale inf") as info:
-        solve_saddle(grid, g, None, None)
+        solve_saddle(grid, g, None)
     assert info.value.best_x.shape == (16, 16)
     assert 0.0 < info.value.residual < 1e-12
 
@@ -481,7 +444,7 @@ def test_saddle_rejects_non_finite_shift(shift):
     grid = build_grid(16)
     g = rotation_data(grid)
     with pytest.raises(ValueError, match="shift"):
-        solve_saddle(grid, g, None, None, shift=shift)
+        solve_saddle(grid, g, None, shift=shift)
 
 
 def test_singular_shift_raises_nonconvergence():
@@ -497,24 +460,21 @@ def test_singular_shift_raises_nonconvergence():
     saddle_inverses.cache_clear()
     for shift, which in ((-2.0 * mu_1, "velocity"), (-mu_1, "Schur")):
         with pytest.raises(ValueError, match=f"{which}.* singular"):
-            solve_saddle(grid, g, None, None, shift=shift)
+            solve_saddle(grid, g, None, shift=shift)
     assert saddle_inverses.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("shift", [0.0, 64.0])
 @pytest.mark.parametrize("n", [16, 32])
 def test_div_max_is_the_defect_of_the_returned_field(n, shift):
-    # normal and tangential wall data, a forcing and a zero-mean source: the
-    # reported defect is the one divergence applied to the returned field
+    # normal and tangential wall data and a forcing: the reported defect is
+    # the one divergence applied to the returned field
     grid = build_grid(n)
-    rng = np.random.default_rng(n)
     g = rotation_data(grid)
     f1, f2 = _random_forcing(grid, n + 1)
-    src = rng.standard_normal((n, n))
-    src -= src.mean()
-    u1, u2, _, diag = solve_saddle(grid, g, (f1, f2), src, shift=shift)
-    defect = src - divergence(VelocityField(grid, u1, u2)).p
-    assert diag["div_max"] == float(np.abs(defect).max())
+    u1, u2, _, diag = solve_saddle(grid, g, (f1, f2), shift=shift)
+    defect = divergence(VelocityField(grid, u1, u2)).p
+    assert diag["div_max"] == float(np.abs(defect).max()) > 0.0
     assert u1[0, :] == pytest.approx(g.samples["left"][:, 0], abs=0.0)
     assert u2[:, n] == pytest.approx(g.samples["top"][:, 1], abs=0.0)
 
@@ -548,7 +508,7 @@ def test_residual_report_matches_the_plain_recomputation():
     grid = build_grid(32)
     _, f, _ = stationary_fields(grid)
     g = rotation_data(grid)
-    u1, u2, p, _ = solve_saddle(grid, g, f.interior(), None)
+    u1, u2, p, _ = solve_saddle(grid, g, f.interior())
     sol = StokesSolution(grid, VelocityField(grid, u1, u2), PressureField(grid, p))
     rep = residual_report(sol, f=f, g=g)
     r1, r2 = apply_velocity_laplacian(grid, u1, u2, g)
@@ -580,7 +540,7 @@ def test_divergence_defect_is_far_below_its_rms_scale(n, shift):
         b_hat, _, c_max = inv.right_side(g)
         dw_hat = inv.divergence_modes(inv.velocity_solve(b_hat))
         scale = max(c_max, float(np.linalg.norm(dw_hat)) / n)
-        diag = solve_saddle(grid, g, None, None, shift=shift)[3]
+        diag = solve_saddle(grid, g, None, shift=shift)[3]
         assert diag["div_max"] <= 1e-3 * DIV_TOL * scale
 
 
