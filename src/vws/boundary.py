@@ -188,31 +188,25 @@ def corner_variant(grid: StaggeredGrid, which: str, eps: float = 0.0) -> Boundar
 
     corner_01: first component equals y on the right side; for eps > 0 the lid
     profile decays near x = 0 only (1 - sigma(x) e^{-x/eps}), leaving the
-    corner at (1,1) matched by the ramp.  corner_11 is the mirror image (ramp
-    on the left side, decay near x = 1).  The ramp has net outflow, so the
-    result is projected back onto compatible data.  eps = 0 gives the
-    unregularised lid; a negative or NaN eps raises ValueError.
+    corner at (1,1) matched by the ramp.  corner_11 is its mirror in x = 1/2:
+    the profile reads s = 1 - x for x, and the ramp is on the left side.  The
+    ramp has net outflow, so the result is projected back onto compatible
+    data.  eps = 0 gives the unregularised lid; a negative or NaN eps raises
+    ValueError.
     """
     if not eps >= 0.0:
         raise ValueError(f"eps must be zero or positive, got {eps}")
+    if which not in ("corner_01", "corner_11"):
+        raise ValueError(f"unknown corner variant {which!r}")
     g = {s: np.zeros((grid.n, 2)) for s in SIDES}
     x = grid.x_centers()
-    if which == "corner_01":
-        if eps > 0.0:
-            _warn_if_underresolved(eps, grid)
-            g["top"][:, 0] = 1.0 - sigma(x) * np.exp(-x / eps)
-        else:
-            g["top"][:, 0] = 1.0
-        g["right"][:, 0] = x
-    elif which == "corner_11":
-        if eps > 0.0:
-            _warn_if_underresolved(eps, grid)
-            g["top"][:, 0] = 1.0 - sigma(1.0 - x) * np.exp(-(1.0 - x) / eps)
-        else:
-            g["top"][:, 0] = 1.0
-        g["left"][:, 0] = x
+    ramp, s = ("right", x) if which == "corner_01" else ("left", 1.0 - x)
+    if eps > 0.0:
+        _warn_if_underresolved(eps, grid)
+        g["top"][:, 0] = 1.0 - sigma(s) * np.exp(-s / eps)
     else:
-        raise ValueError(f"unknown corner variant {which!r}")
+        g["top"][:, 0] = 1.0
+    g[ramp][:, 0] = x
     return project_compatible(BoundaryData(grid, g))
 
 

@@ -1,7 +1,7 @@
 """Reproducible experiment recipes with CSV and JSON reports, and a CLI."""
 
 from .compare import compare_runs
-from .config import ExperimentConfig, resolve_config
+from .config import ExperimentConfig
 from .recipes import RECIPES, run_recipe
 from .report import RecipeReport, load_summary
 
@@ -11,6 +11,5 @@ __all__ = [
     "RecipeReport",
     "compare_runs",
     "load_summary",
-    "resolve_config",
     "run_recipe",
 ]

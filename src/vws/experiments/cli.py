@@ -4,32 +4,40 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .compare import compare_runs, format_comparison
-from .config import resolve_config
+from .config import ExperimentConfig
 from .recipes import RECIPE_ORDER, run_recipe
 
 
+def _parse_ints(s: str) -> tuple:
+    return tuple(int(v) for v in s.replace(" ", "").split(",") if v)
+
+
+def _parse_floats(s: str) -> tuple:
+    return tuple(float(v) for v in s.replace(" ", "").split(",") if v)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", dest="n", default=None,
+    """The run flags, each stored under its ExperimentConfig field; a flag
+    not given leaves no attribute, so the field keeps its default."""
+    sp.add_argument("--n", dest="ns", type=_parse_ints, metavar="N",
                     help="comma separated grid sizes, e.g. 16,32,64")
-    sp.add_argument("--eps", dest="eps", default=None,
+    sp.add_argument("--eps", dest="eps_list", type=_parse_floats, metavar="EPS",
                     help="comma separated layer widths, e.g. 0.1,0.05")
-    sp.add_argument("--T", dest="t", default=None, type=float,
+    sp.add_argument("--T", dest="T", type=float,
                     help="final time for evolution recipes")
-    sp.add_argument("--dt", dest="dt", default=None, type=float,
+    sp.add_argument("--dt", dest="dt", type=float,
                     help="time step for evolution recipes")
-    sp.add_argument("--scheme", dest="scheme", default=None,
-                    choices=("euler", "cn"), help="time stepping scheme")
-    sp.add_argument("--out", dest="out", default=None,
+    sp.add_argument("--scheme", dest="scheme", choices=("euler", "cn"),
+                    help="time stepping scheme")
+    sp.add_argument("--out", dest="out", type=Path,
                     help="output root directory (default: runs/)")
-    sp.add_argument("--seed", dest="seed", default=None, type=int,
+    sp.add_argument("--seed", dest="seed", type=int,
                     help="seed for randomized probes")
-    sp.add_argument("--config", dest="config", default=None,
-                    help="INI file with a [vws] section and per-recipe "
-                         "sections; flags override it")
     sp.add_argument("--allow-underresolved", dest="allow_underresolved",
-                    action="store_const", const=True, default=None,
+                    action="store_true",
                     help="waive the n >= 8/eps resolution guard")
 
 
@@ -39,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments for very weak Stokes solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RECIPE_ORDER + ["all"]:
-        sp = sub.add_parser(name, help=f"run the {name} recipe")
+        sp = sub.add_parser(name, help=f"run the {name} recipe",
+                            argument_default=argparse.SUPPRESS)
         _add_common(sp)
     cp = sub.add_parser("compare", help="compare two recipe run directories")
     cp.add_argument("dir_a")
@@ -60,23 +69,12 @@ def main(argv=None) -> int:
         print(format_comparison(result))
         return 0 if result["match"] else 1
 
-    overrides = {
-        "n": args.n,
-        "eps": args.eps,
-        "t": args.t,
-        "dt": args.dt,
-        "scheme": args.scheme,
-        "out": args.out,
-        "seed": args.seed,
-        "allow_underresolved": args.allow_underresolved,
-    }
+    flags = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        cfg = resolve_config(args.command, config_path=args.config,
-                             overrides=overrides)
+        cfg = ExperimentConfig(recipe=args.command, **flags)
         report = run_recipe(cfg)
-    except (KeyError, ValueError) as exc:
-        # str() of a KeyError quotes its message
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.lines():
         print(line)

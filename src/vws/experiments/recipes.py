@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import time
 import warnings
 
 import numpy as np
@@ -81,7 +80,6 @@ from ..transposition import (
 from .config import ExperimentConfig, check_resolution
 from .report import RecipeReport, orders, rungs
 
-SOFT_BUDGET_SECONDS = 1800.0
 
 # per-recipe grid defaults, applied when the configuration leaves ns unset
 RECIPE_NS = {
@@ -682,8 +680,7 @@ def run_all(cfg: ExperimentConfig) -> RecipeReport:
 
 
 def run_recipe(cfg: ExperimentConfig) -> RecipeReport:
-    """Dispatch a recipe by name, write its report, warn past the budget."""
-    t0 = time.perf_counter()
+    """Dispatch a recipe by name and write its report."""
     if cfg.recipe == "all":
         rep = run_all(cfg)
     elif cfg.recipe in RECIPES:
@@ -691,12 +688,5 @@ def run_recipe(cfg: ExperimentConfig) -> RecipeReport:
     else:
         raise KeyError(f"unknown recipe {cfg.recipe!r}; "
                        f"choose from {RECIPE_ORDER + ['all']}")
-    elapsed = time.perf_counter() - t0
-    if elapsed > SOFT_BUDGET_SECONDS:
-        warnings.warn(
-            f"recipe {cfg.recipe} took {elapsed:.0f}s, past the "
-            f"{SOFT_BUDGET_SECONDS:.0f}s soft budget", RuntimeWarning,
-            stacklevel=2)
-        rep.metric("budget_exceeded", True)
     rep.write(cfg.out_dir())
     return rep

@@ -431,8 +431,8 @@ class SaddleInverse:
     in these modes, from the modes of b and c that :meth:`right_side`
     builds and checks; :meth:`to_cells` brings u to the cells, and
     :func:`vws.stokes.solve_saddle` runs the three in sequence.
-    :meth:`solve_homogeneous_modes` is the first two for zero data, its
-    defect checked in the modes, and
+    :meth:`solve_homogeneous_modes` is the modal stage alone for zero data,
+    its defect checked in the modes, and
     :meth:`velocity_wall_lines` and :meth:`pressure_wall_lines` bring back
     only the lines by each wall.  A non-finite shift, or one at which the
     velocity Laplacian or the Schur complement is singular, raises
@@ -464,7 +464,6 @@ class SaddleInverse:
         c = np.sqrt(np.where(m, 2.0, 1.0) / n) * np.cos(
             m * [1.0, 3.0] * np.pi / (2 * n))
         self._cos_lines = np.hstack([c, np.where(m % 2, -c, c)[:, ::-1]])
-        self._zeros = BoundaryData.zeros(grid)
 
     @property
     def nbytes(self) -> int:
@@ -635,10 +634,11 @@ class SaddleInverse:
 
     def solve_homogeneous_modes(self, f_hat: np.ndarray):
         """The saddle solve with zero data forced by the modes f_hat
-        (:meth:`forcing_modes`), left in the modes: :meth:`right_side` and
-        :meth:`solve_modes`, with the defect check of every solve.  D
-        is diagonal in the modes and the wall faces are zero, so the defect
-        max|D v| takes one inverse transform of D v's modes, and none of v.
+        (:meth:`forcing_modes`), left in the modes: :meth:`solve_modes` of
+        b = f and c = 0, with no right side built, and the defect check of
+        every solve.  D is diagonal in the modes and the wall faces are zero,
+        so the defect max|D v| takes one inverse transform of D v's modes,
+        and none of v.
 
         Returns (v_hat, p_hat, div_max): the velocity's interior modes, a
         (2, n - 1, n) stack, the pressure's cosine modes and the defect.  A
@@ -646,9 +646,10 @@ class SaddleInverse:
         """
         n = self.grid.n
         v_hat, work = np.empty((2, 2, n - 1, n))
-        b_hat, c_hat, c_max = self.right_side(self._zeros, f_hat, out=v_hat)
-        p, scale, steps = self.solve_modes(b_hat, c_hat, c_max, work.reshape(-1))
-        dv = idctn(self.divergence_modes(b_hat, out=c_hat, scratch=work[0]),
+        v_hat[...] = f_hat
+        c_hat = np.zeros((n, n))
+        p, scale, steps = self.solve_modes(v_hat, c_hat, 0.0, work.reshape(-1))
+        dv = idctn(self.divergence_modes(v_hat, out=c_hat, scratch=work[0]),
                    type=2, norm="ortho", overwrite_x=True)
         div_max = max(float(dv.max()), -float(dv.min()))
         _check_defect(div_max, scale, p, steps)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from vws.biharmonic import solve_biharmonic
 from vws.boundary import (SIDES, BoundaryData, cavity_g, cavity_g_eps,
-                          corner_variant, l2_norm_gamma)
+                          corner_variant, l2_norm_gamma, sigma)
 from vws.errors import NonConvergence, ZeroBoundaryData
 from vws.evolution import (
     TimeBoundaryData,
@@ -30,6 +30,7 @@ from vws.evolution import (
     spacetime_pairing_reference,
 )
 from vws.grid import VelocityField, build_grid, l2_norm_omega
+from vws.operators import stream_curl
 from vws.stokes import (residual_report, solve_boundary, solve_homogeneous,
                         solve_saddle)
 from vws.traces import TangentialBoundaryData, pairing_L, pairing_with_field
@@ -72,6 +73,30 @@ def test_tangential_data_rejects_unknown_sides_and_zeros_missing_ones():
         TangentialBoundaryData(grid, {"north": np.ones(8)})
     top = TangentialBoundaryData(grid, {"top": np.ones(8)})
     assert all(not top.profiles[s].any() for s in ("bottom", "right", "left"))
+
+
+_BOUNDARY_CHECKS = {
+    "BoundaryData_shape": (
+        lambda: BoundaryData(build_grid(8), {s: np.zeros((8, 3)) for s in SIDES}),
+        ValueError, "side 'bottom': expected shape \\(8, 2\\), got \\(8, 3\\)"),
+    "build_grid_non_integer": (
+        lambda: build_grid(8.0), ValueError, "cell count must be an integer, got 8.0"),
+    "stream_curl_shape": (
+        lambda: stream_curl(build_grid(8), np.zeros((8, 8))), ValueError,
+        "stream array must be node-shaped \\(9, 9\\)"),
+    "sigma_outside_0_1": (
+        lambda: sigma([0.5, 1.25]), ValueError, "sigma is defined on \\[0, 1\\]"),
+    "l2_norm_omega_non_field": (
+        lambda: l2_norm_omega(np.zeros((8, 8))), TypeError,
+        "cannot take an Omega norm of ndarray"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BOUNDARY_CHECKS))
+def test_entry_points_check_their_arguments(entry):
+    call, error, message = _BOUNDARY_CHECKS[entry]
+    with pytest.raises(error, match=message):
+        call()
 
 
 _CROSS_GRID = {

@@ -80,6 +80,23 @@ def test_corner_variants_compatible():
         corner_variant(grid, "corner_00")
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_corner_11_mirrors_corner_01(eps):
+    # mirrored in x = 1/2: the lid profile reversed, the ramp moved from the
+    # right side to the left; the projection leaves both tangential
+    grid = build_grid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        g01, g11 = (corner_variant(grid, w, eps=eps).samples
+                    for w in ("corner_01", "corner_11"))
+    np.testing.assert_allclose(g11["top"][:, 0], g01["top"][::-1, 0],
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(g11["left"], g01["right"], rtol=1e-15, atol=1e-15)
+    if eps == 0.0:
+        # the unregularised lid: 1 across the whole top side
+        assert (g01["top"][:, 0] == 1.0).all() and (g11["top"][:, 0] == 1.0).all()
+
+
 def test_projection():
     grid = build_grid(32)
     bad = outward_normal_data(grid)

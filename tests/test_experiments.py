@@ -1,17 +1,15 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vws.errors import RecipeMismatch
+from vws.experiments import cli, recipes
 from vws.experiments.cli import main as cli_main
 from vws.experiments.compare import compare_runs, format_comparison
-from vws.experiments.config import (
-    ExperimentConfig,
-    check_resolution,
-    resolve_config,
-)
+from vws.experiments.config import ExperimentConfig, check_resolution
 from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary, orders
 
@@ -20,65 +18,57 @@ from support import count_saddle_solves
 NAN, INF = float("nan"), float("inf")
 
 
-CONFIG_TEXT = """\
-[vws]
-seed = 3
-scheme = euler
-
-[uniqueness]
-seed = 5
-n = 8, 16
-"""
-
-
-def _config_file(tmp_path):
-    path = tmp_path / "vws.ini"
-    path.write_text(CONFIG_TEXT)
-    return path
+_FLAGS = [
+    (["--n", "8, 16"], "ns", (8, 16)),
+    (["--eps", "0.1,0.05"], "eps_list", (0.1, 0.05)),
+    (["--T", "0.5"], "T", 0.5),
+    (["--dt", "0.125"], "dt", 0.125),
+    (["--scheme", "euler"], "scheme", "euler"),
+    (["--out", "elsewhere"], "out", Path("elsewhere")),
+    (["--seed", "9"], "seed", 9),
+    (["--allow-underresolved"], "allow_underresolved", True),
+]
 
 
-def test_config_precedence(tmp_path):
-    path = _config_file(tmp_path)
-    cfg = resolve_config("uniqueness", config_path=path)
-    assert cfg.seed == 5               # recipe section beats [vws]
-    assert cfg.ns == (8, 16)
-    assert cfg.scheme == "euler"
+@pytest.mark.parametrize("flag, field, value", _FLAGS,
+                         ids=[flag[0] for flag, _, _ in _FLAGS])
+def test_cli_flag_sets_its_config_field(monkeypatch, flag, field, value):
+    seen = []
+    monkeypatch.setattr(cli, "run_recipe",
+                        lambda cfg: seen.append(cfg) or RecipeReport(cfg.recipe))
+    assert cli_main(["uniqueness", *flag]) == 0
+    default = vars(ExperimentConfig(recipe="uniqueness"))
+    assert default[field] != value
+    # the flag reaches its field, and every flag not given leaves its default
+    assert vars(seen[0]) == {**default, field: value}
 
-    other = resolve_config("traces", config_path=path)
-    assert other.seed == 3             # [vws] applies to every recipe
-    assert other.ns is None
 
-    flag = resolve_config("uniqueness", config_path=path,
-                          overrides={"seed": "9", "n": None})
-    assert flag.seed == 9              # flags beat both sections
-    assert flag.ns == (8, 16)          # None overrides are skipped
+def test_cli_refuses_a_config_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["uniqueness", "--config", "x.ini"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x.ini" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--n", "8,x"], ["--eps", "0.1,wide"],
+                                  ["--T", "soon"], ["--seed", "1.5"],
+                                  ["--scheme", "rk4"]], ids=lambda f: f[0])
+def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
+    calls = count_saddle_solves(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["uniqueness", *flag])
+    assert exc.value.code == 2
+    assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_config_defaults():
-    cfg = resolve_config("transposition")
+    cfg = ExperimentConfig(recipe="transposition")
     assert cfg.ns is None
     assert cfg.eps_list == (0.1, 0.05, 0.025, 0.0125)
     assert cfg.scheme == "cn"
     assert not cfg.allow_underresolved
     assert cfg.out_dir().name == "transposition"
-
-
-def test_unknown_config_key(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text("[vws]\nresolution = 64\n")
-    with pytest.raises(KeyError):
-        resolve_config("uniqueness", config_path=path)
-
-
-def test_cli_rejects_unknown_config_key(tmp_path, capsys):
-    # recipes run in one process; a file that still sets workers is a usage
-    # error (exit 2), not a traceback
-    path = tmp_path / "old.ini"
-    path.write_text("[vws]\nworkers = 4\n")
-    assert cli_main(["uniqueness", "--config", str(path),
-                     "--out", str(tmp_path / "runs")]) == 2
-    assert capsys.readouterr().err == \
-        "error: unknown configuration key 'workers'\n"
 
 
 def test_resolution_guard():
@@ -109,6 +99,36 @@ def test_run_recipe_writes_summary(tmp_path):
 def test_run_recipe_unknown_name(tmp_path):
     with pytest.raises(KeyError):
         run_recipe(ExperimentConfig(recipe="sideways", out=tmp_path))
+
+
+def _stub_recipe(value, passed=True):
+    def run(cfg):
+        rep = RecipeReport(cfg.recipe)
+        rep.check_le("bound", 0.5 if passed else 2.0, 1.0)
+        rep.metric("value", value)
+        rep.table("rows", ["a"], [(value,)])
+        return rep
+    return run
+
+
+def test_cli_all_runs_each_recipe_into_its_own_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(recipes, "RECIPES", {"one": _stub_recipe(1.0),
+                                             "two": _stub_recipe(2.0)})
+    monkeypatch.setattr(recipes, "RECIPE_ORDER", ["one", "two"])
+    assert cli_main(["all", "--out", str(tmp_path)]) == 0
+    for name, value in (("one", 1.0), ("two", 2.0)):
+        assert {p.name for p in (tmp_path / name).iterdir()} == {
+            "rows.csv", "summary.json", "summary.txt"}
+        assert load_summary(tmp_path / name)["metrics"] == {"value": value}
+    merged = load_summary(tmp_path / "all")
+    assert [a["name"] for a in merged["assertions"]] == ["one/bound", "two/bound"]
+    assert merged["metrics"] == {"one/value": 1.0, "two/value": 2.0}
+    assert {p.name for p in (tmp_path / "all").iterdir()} == {
+        "summary.json", "summary.txt"}
+
+    monkeypatch.setitem(recipes.RECIPES, "two", _stub_recipe(2.0, passed=False))
+    assert cli_main(["all", "--out", str(tmp_path / "failing")]) == 1
+    assert load_summary(tmp_path / "failing" / "all")["passed"] is False
 
 
 def test_recipe_registry():
@@ -171,6 +191,30 @@ def test_seed_moves_only_independence_metrics(tmp_path):
     result = compare_runs(a / "traces", b / "traces")
     assert result["exceeds"]
     assert all(k.startswith("indep") for k in result["exceeds"])
+
+
+def _hand_written_summary(path, metrics):
+    path.mkdir()
+    (path / "summary.json").write_text(json.dumps(
+        {"recipe": "demo", "passed": True, "assertions": [], "metrics": metrics}))
+    return path
+
+
+def test_compare_reads_hand_written_summaries(tmp_path):
+    a = _hand_written_summary(tmp_path / "a", {
+        "scalar": 2.0, "flag": True, "ladder": [1.0, 0.5], "only_a": 1.0,
+        "same": [1, 2]})
+    b = _hand_written_summary(tmp_path / "b", {
+        "scalar": 2.5, "flag": False, "ladder": [1.0, 0.5, 0.25], "only_b": 3.0,
+        "same": [1, 2]})
+    result = compare_runs(a, b)
+    # a boolean is skipped; a metric on one side only, or ladders of
+    # different lengths, differ by inf
+    assert result["metric_diffs"] == {
+        "scalar": pytest.approx(0.2), "ladder": INF, "only_a": INF,
+        "only_b": INF, "same": 0.0}
+    assert result["exceeds"] == ["ladder", "only_a", "only_b", "scalar"]
+    assert not result["match"]
 
 
 def test_compare_rejects_recipe_mismatch(tmp_path):

@@ -1,4 +1,5 @@
-"""The package imports no symbolic or sparse-matrix machinery."""
+"""The package imports no symbolic or sparse-matrix machinery, and the
+command line reads no configuration files."""
 
 import os
 import subprocess
@@ -16,7 +17,8 @@ def test_import_pulls_in_no_sympy_or_sparse():
     code = (
         "import sys\n"
         "import vws, vws.manufactured, vws.experiments.cli\n"
-        "print(' '.join(m for m in ('sympy', 'scipy.sparse', 'scipy.io')"
+        "print(' '.join(m for m in ('sympy', 'scipy.sparse', 'scipy.io',"
+        " 'configparser')"
         " if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
