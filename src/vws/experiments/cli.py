@@ -11,20 +11,22 @@ from .config import ExperimentConfig
 from .recipes import RECIPE_ORDER, run_recipe
 
 
-def _parse_ints(s: str) -> tuple:
-    return tuple(int(v) for v in s.replace(" ", "").split(",") if v)
-
-
-def _parse_floats(s: str) -> tuple:
-    return tuple(float(v) for v in s.replace(" ", "").split(",") if v)
+def _comma_list(kind):
+    """A comma separated list of kind; a bad element exits 2 naming it."""
+    def parse(s: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in s.replace(" ", "").split(",") if v)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid list {s!r}: {exc}") from None
+    return parse
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     """The run flags, each stored under its ExperimentConfig field; a flag
     not given leaves no attribute, so the field keeps its default."""
-    sp.add_argument("--n", dest="ns", type=_parse_ints, metavar="N",
+    sp.add_argument("--n", dest="ns", type=_comma_list(int), metavar="N",
                     help="comma separated grid sizes, e.g. 16,32,64")
-    sp.add_argument("--eps", dest="eps_list", type=_parse_floats, metavar="EPS",
+    sp.add_argument("--eps", dest="eps_list", type=_comma_list(float), metavar="EPS",
                     help="comma separated layer widths, e.g. 0.1,0.05")
     sp.add_argument("--T", dest="T", type=float,
                     help="final time for evolution recipes")

@@ -36,7 +36,8 @@ a stationary solve, every step of a time march at once.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
-one solver per (grid, shift) and refuses a singular shift.
+one solver per (grid, shift) and refuses a singular shift.  Every type-I
+sine transform, the clamped plate's too, is :func:`_sine`.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idctn, idst
+from scipy.fft import dct, dst, idct, idctn
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, NonConvergence
@@ -89,6 +90,29 @@ def defect_miss(div_max: float, scale: float) -> str | None:
 def _require_finite(name: str, a, shape: tuple) -> None:
     if np.shape(a) != shape or not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
+
+
+@lru_cache(maxsize=8)
+def _sine_basis(m: int) -> np.ndarray:
+    basis = dst(np.eye(m), type=1, norm="ortho")
+    basis = 0.5 * (basis + basis.T)   # exactly symmetric: it acts from the right
+    basis.flags.writeable = False
+    return basis
+
+
+def _sine(x: np.ndarray, axis: int) -> np.ndarray:
+    """x <- its orthonormal type-I sine transform along axis -1 or -2, its own
+    inverse: a cached basis product up to length 127, scipy's dst beyond."""
+    m = x.shape[axis]
+    if m >= 128:   # shorter, a product costs less than pocketfft's call overhead
+        y = dst(x, type=1, axis=axis, norm="ortho", overwrite_x=True)
+        if not np.shares_memory(y, x):
+            x[...] = y
+    elif axis == -1:
+        np.matmul(x, _sine_basis(m), out=x)
+    else:
+        np.matmul(_sine_basis(m), x, out=x)
+    return x
 
 
 def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
@@ -452,11 +476,8 @@ class SaddleInverse:
         self._inv_den = np.reciprocal(inv_den, out=inv_den)
         self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
         # the type-I sine modes of the unit vectors 0, 1, n - 3 and n - 2 of
-        # length n - 1, as rows: sqrt(2/n) sin(j k pi/n), j = 1, 2, and
-        # (-1)^(k+1) times them; the first and last are the border's ends
-        k = np.arange(1, n)
-        s = np.sqrt(2.0 / n) * np.sin(np.outer([1.0, 2.0], k) * np.pi / n)
-        self._sin_lines = np.vstack([s, np.where(k % 2, s, -s)[::-1]])
+        # length n - 1, as rows; the first and last are the border's ends
+        self._sin_lines = _sine(np.eye(n - 1)[[0, 1, -2, -1]], -1)
         # the type-II cosine modes of the unit vectors 0, 1, n - 2 and n - 1
         # of length n, as columns: c_m cos(m (2j + 1) pi/2n), j = 0, 1, and
         # (-1)^m times them
@@ -474,8 +495,7 @@ class SaddleInverse:
 
     def to_modes(self, x: np.ndarray) -> np.ndarray:
         """The modes of a stack x of (u1, u2.T) interior faces, in place."""
-        x = dst(x, type=1, axis=1, norm="ortho", overwrite_x=True)
-        return dct(x, type=2, axis=2, norm="ortho", overwrite_x=True)
+        return dct(_sine(x, -2), type=2, axis=2, norm="ortho", overwrite_x=True)
 
     def border_to_modes(self, x: np.ndarray) -> np.ndarray:
         """The modes of x, nonzero on its first and last lines only, in place.
@@ -503,15 +523,14 @@ class SaddleInverse:
         cols = x[..., [0, -1]]
         cols[..., [0, -1], :] = 0.0
         if sine:
-            left[..., 2:] = dst(cols, type=1, axis=-2, norm="ortho", overwrite_x=True)
+            left[..., 2:] = _sine(cols, -2)
         else:
             left[..., 2:] = dct(cols, type=2, axis=-2, norm="ortho", overwrite_x=True)
         return np.matmul(left, right, out=x)
 
     def from_modes(self, x: np.ndarray):
         """Faces (x1, x2) of stacked modes x, or of a stack of them, in place."""
-        x = idct(x, type=2, axis=-1, norm="ortho", overwrite_x=True)
-        x = idst(x, type=1, axis=-2, norm="ortho", overwrite_x=True)
+        x = _sine(idct(x, type=2, axis=-1, norm="ortho", overwrite_x=True), -2)
         return x[..., 0, :, :], x[..., 1, :, :].swapaxes(-1, -2)
 
     def velocity_solve(self, x: np.ndarray, scratch=None) -> np.ndarray:
@@ -688,8 +707,7 @@ class SaddleInverse:
         normal[:, 1:5] = idct(self._sin_lines @ v_hat, type=2, norm="ortho",
                               overwrite_x=True)
         tangential = np.zeros((2, n + 1, 4))
-        tangential[:, 1:n] = idst(v_hat @ self._cos_lines, type=1, axis=1,
-                                  norm="ortho", overwrite_x=True)
+        tangential[:, 1:n] = _sine(v_hat @ self._cos_lines, -2)
         return (normal[0], normal[1].T), (tangential[1].T, tangential[0])
 
     def pressure_wall_lines(self, p_hat: np.ndarray):

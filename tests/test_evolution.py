@@ -157,17 +157,19 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
 def test_march_brings_every_step_back_in_one_inverse_transform(monkeypatch,
                                                                scheme, m):
     # each step is one modal solve; the cell stage then takes the whole
-    # march to the cells in one stacked inverse transform pair
+    # march to the cells in one stacked inverse transform pair, whose sine
+    # axis is one call of the sine transform on a stack of steps
     from vws import operators
 
-    idst = operators.idst
+    sine = operators._sine
     transforms = []
 
-    def counted(*args, **kwargs):
-        transforms.append(1)
-        return idst(*args, **kwargs)
+    def counted(x, axis):
+        if x.ndim == 4:
+            transforms.append(1)
+        return sine(x, axis)
 
-    monkeypatch.setattr(operators, "idst", counted)
+    monkeypatch.setattr(operators, "_sine", counted)
     calls = count_saddle_solves(monkeypatch)
     grid = build_grid(16)
     tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
@@ -268,12 +270,13 @@ def test_march_makes_no_2d_transform(monkeypatch):
     # built once per march, the velocity's modes are carried between steps
     # and the steps' pressures stay in their modes; the backward march of a
     # marched trajectory reads its modes.  Nothing of an unforced march or of
-    # that backward march goes through a 2-D transform, and no module but
-    # the clamped plate's binds a 2-D forward one
+    # that backward march goes through a 2-D transform; no module binds a
+    # 2-D forward one, and every sine transform goes through operators
     from vws import operators
     from vws.operators import SaddleInverse
 
-    assert modules_binding(("dctn", "dstn")) == ["vws.biharmonic"]
+    assert modules_binding(("dctn", "dstn", "idstn")) == []
+    assert modules_binding(("dst",)) == ["vws.operators"]
     why = "2-D transform in a march"
     refuse(monkeypatch, operators, "idctn", why)
     refuse(monkeypatch, SaddleInverse, "to_modes", why)
@@ -321,10 +324,11 @@ def test_backward_march_transforms_each_forcing_node_once(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, 128, 129])
 def test_kept_modes_are_those_of_the_velocities(n, scheme):
     # the backward march forced by the kept modes is the one forced by the
-    # transforms of the same velocities, and each kept mode is that transform
+    # transforms of the same velocities, and each kept mode is that transform;
+    # n = 129 takes scipy's sine transform, the rest the basis product
     from vws.operators import saddle_inverses
 
     grid, m = build_grid(n), 8

@@ -62,6 +62,17 @@ def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
     assert calls == []
 
 
+@pytest.mark.parametrize("flag, bad", [("--n", "x"), ("--eps", "wide")])
+def test_cli_malformed_list_names_the_bad_element(capsys, flag, bad):
+    # the message names the element that failed, not a private parser
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["uniqueness", flag, f"8, {bad}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(bad) in err
+    assert "_parse" not in err and "parse" not in err
+
+
 def test_config_defaults():
     cfg = ExperimentConfig(recipe="transposition")
     assert cfg.ns is None

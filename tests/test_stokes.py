@@ -165,7 +165,7 @@ def test_saddle_solve_matches_dense_kkt(n, shift):
         assert np.abs(p.ravel() - xj[m:m + k]).max() <= 1e-10 * np.abs(xj[m:m + k]).max()
 
 
-@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("n", [32, 64, 128, 129])
 def test_shifted_uzawa_iterations_bounded(n):
     # plain Uzawa CG needs up to 155 outer iterations here (n=128, shift
     # 16384); the exact Schur inverse solves directly at every shift

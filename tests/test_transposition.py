@@ -83,7 +83,7 @@ def test_adjoint_solves_homogeneous_problem():
 
 def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     # the adjoint solve reads the forward solve's kept modes: no forward
-    # transform (no module but the clamped plate's binds a 2-D one), and,
+    # transform (no module binds a 2-D one), and,
     # with zero boundary data, no load built or transformed; a fresh
     # hand-built copy of the same velocity is transformed exactly once
     from vws.operators import SaddleInverse
@@ -94,7 +94,8 @@ def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     fresh = VelocityField(grid, u.u1, u.u2)
     want = transposition_identity(grid, g, u=fresh)
 
-    assert modules_binding(("dctn", "dstn")) == ["vws.biharmonic"]
+    assert modules_binding(("dctn", "dstn", "idstn")) == []
+    assert modules_binding(("dst",)) == ["vws.operators"]
     why = "forward transform or zero load in an adjoint solve"
     refuse(monkeypatch, operators, "laplacian_load", why)
     refuse(monkeypatch, SaddleInverse, ("to_modes", "border_to_modes"), why)
