@@ -18,9 +18,9 @@ time, so a trajectory keeps velocities alone.
 
 The march runs in the solver's modes.  Boundary data are a ramp r(t) times
 one spatial profile g, so the modes of load(g) and of its wall fluxes are
-built and checked once per march, and a step scales them by its ramp sum;
-the velocity's interior modes are carried from step to step, so a step's
-only transform is that of its new forcing node, by
+built and checked by the first step that loads g, and a step scales them by
+its ramp sum; the velocity's interior modes are carried from step to step,
+so a step's only transform is that of its new forcing node, by
 :meth:`vws.operators.SaddleInverse.forcing_modes`.  The march steps in modes,
 then brings every velocity back to the cells, and checks every defect, in
 one cell stage: one stacked inverse transform for the whole march.  A
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import AXIS, SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
-from .errors import IncompatibleBoundaryData, NonConvergence, ZeroBoundaryData
+from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import defect_miss, saddle_inverses
@@ -134,33 +134,38 @@ class TimeBoundaryData:
 
 @dataclass
 class Trajectory:
-    """Per-step fields of one evolution run, one velocity per time k dt (else
-    ValueError); step 0 is the initial state.
+    """Per-step fields of one evolution run: velocities[k] at time k dt, step
+    0 the initial state.  A dt that is not finite and positive, or no
+    velocity, raises ValueError.
 
-    A march fills pressures with None: its steps leave their pressures in
-    the solver's modes.  A forward march's velocities keep their interior
-    modes, which the backward march reads as its forcing.
+    A forward march's velocities keep their interior modes, which the
+    backward march reads as its forcing.
     """
 
     grid: StaggeredGrid
     scheme: str
     dt: float
-    times: np.ndarray
     velocities: list
-    pressures: list
     diagnostics: list = field(default_factory=list)
 
     def __post_init__(self):
-        m = len(self.times)
-        if len(self.velocities) != m:
-            raise ValueError(f"{len(self.velocities)} velocities for {m} times")
-        drift = np.abs(np.asarray(self.times) - np.arange(m) * self.dt)
-        if not (m and drift.max() <= 1e-9 * abs(self.times[-1])):
-            raise ValueError(f"times are not k dt for dt={self.dt}")
+        # NaN fails the comparison
+        if not (0.0 < self.dt < np.inf and self.velocities):
+            raise ValueError(f"a trajectory needs a finite dt > 0 and a velocity, "
+                             f"got dt={self.dt} and {len(self.velocities)}")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.velocities)) * self.dt
+
+    @property
+    def pressures(self) -> list:
+        """One None per step: a march keeps no pressures."""
+        return [None] * len(self.velocities)
 
     @property
     def steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.velocities) - 1
 
     def final(self) -> VelocityField:
         return self.velocities[-1]
@@ -169,7 +174,7 @@ class Trajectory:
         return np.array([l2_norm_omega(u) for u in self.velocities])
 
 
-# a march keeps every step, so longer ones are refused
+# a march keeps every step, so longer ones are rejected
 _MAX_STEPS = 10 ** 6
 
 
@@ -201,12 +206,13 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     forcing, with rho_j = r_{j+1} for Euler and r_j + r_{j+1} for
     Crank-Nicolson; the zero start's wall faces hold no normal values, so
     the first Crank-Nicolson step takes rho = r_1 and loads the tangential
-    part of g(0) apart.  Data whose net flux the solver refuses raise at the
-    first step with rho != 0.  The cell stage (module docstring) follows
-    the last step; the first defect miss raises NonConvergence carrying the
-    defect and the step's faces (z1, z2), and a non-finite data scale ends
-    the march at its step.  A step's ``wall_time`` is its modal time plus
-    1/m of the cell stage; the trajectory's pressures are None.
+    part of g(0) apart.  SaddleInverse.right_side builds each right side of
+    g in the first step that loads it, so data whose net flux the solver
+    refuses raise, as any bad data do, with the step's place in time.  The
+    cell stage (module docstring) follows the last step; the first defect
+    miss raises NonConvergence carrying the defect and the step's faces (z1,
+    z2), and a non-finite data scale ends the march at its step.  A step's
+    ``wall_time`` is its modal time plus 1/m of the cell stage.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
@@ -219,15 +225,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     scratch, *f_buf = np.empty((3, 2, n - 1, n))
     f_hat = [None, None]
     c_hat = np.empty((n, n))
-    refused = None
-    if g is not None:
-        try:
-            b_g, c_g, c_max_g = inv.right_side(g)
-        except IncompatibleBoundaryData as exc:
-            refused = exc
-        if c == 2 and ramp[0]:
-            tangential = {s: g.samples[s] * np.abs(TANGENTS[s]) for s in SIDES}
-            b_tan = inv.right_side(BoundaryData(grid, tangential))[0]
+    b_g = None
     # the trajectory's cells, a velocity a row; a step's row first holds z's modes
     u12 = np.zeros((m + 1, 2 * n * (n + 1)))
     x, u1, u2 = inv.cell_views(u12)
@@ -256,10 +254,13 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
             if g is not None:
                 rho = ramp[j + 1] + (ramp[j] if c == 2 and j else 0.0)
                 if c == 2 and j == 0 and ramp[0]:
-                    z_hat += ramp[0] * b_tan
+                    tangential = {s: g.samples[s] * np.abs(TANGENTS[s])
+                                  for s in SIDES}
+                    z_hat += ramp[0] * inv.right_side(
+                        BoundaryData(grid, tangential), out=scratch)[0]
                 if rho:
-                    if refused is not None:
-                        raise refused
+                    if b_g is None:
+                        b_g, c_g, c_max_g = inv.right_side(g)
                     z_hat += np.multiply(b_g, rho, out=scratch)
                     rhos[j] = rho
                     if c_max_g:
@@ -301,8 +302,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     if backward:
         velocities.reverse()
         diags.reverse()
-    return Trajectory(grid, scheme, dt, np.arange(m + 1) * dt, velocities,
-                      [None] * (m + 1), diags)
+    return Trajectory(grid, scheme, dt, velocities, diags)
 
 
 def evolve_lifted(grid: StaggeredGrid, g: TimeBoundaryData, T: float, dt: float,

@@ -27,12 +27,12 @@ where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  Its ``forcing_modes``, the one reader of a
 forcing's form, brings a forcing to the modes; its ``right_side`` builds
-and checks the right side of every stationary solve and of a time march's
-boundary data; its ``solve_modes``, the one modal stage, runs every solve
-and time step in modes, leaving u's interior modes in the right side's
-block; its ``to_cells``, the one cell stage, brings k solves' velocities
-back, and checks every defect, in one stacked inverse transform: k = 1 for
-a stationary solve, every step of a time march at once.
+and checks the part of g in the right side of every solve and time step;
+its ``solve_modes``, the one modal stage, runs every solve and time step in
+modes, leaving u's interior modes in the right side's block; its
+``to_cells``, the one cell stage, brings k solves' velocities back, and
+checks every defect, in one stacked inverse transform: k = 1 for a
+stationary solve, every step of a time march at once.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
@@ -573,7 +573,7 @@ class SaddleInverse:
 
     def forcing_modes(self, f, out=None) -> np.ndarray:
         """The interior modes of a forcing f, a velocity or an interior pair
-        (f1, f2), either None for zero: the one reader of a forcing's form.
+        (f1, f2): the one reader of a forcing's form.
 
         A velocity that keeps its modes (:attr:`vws.grid.VelocityField.modes`)
         is returned as it is (read, never written, no transform); any other
@@ -590,47 +590,30 @@ class SaddleInverse:
         n = self.grid.n
         x = np.empty((2, n - 1, n)) if out is None else out
         for fk, xk in zip(f, (x[0], x[1].T), strict=True):
-            if fk is None:
-                xk.fill(0.0)
-            else:
-                _require_finite("forcing", fk, xk.shape)
-                xk[...] = fk
+            _require_finite("forcing", fk, xk.shape)
+            xk[...] = fk
         return self.to_modes(x)
 
-    def right_side(self, g: BoundaryData, f_hat=None, out=None):
-        """The modes (b_hat, c_hat) of the right side of A u + G p = b,
-        D u = 0, and its data scale c_max = max|c|.
+    def right_side(self, g: BoundaryData, out=None):
+        """The modes (b_hat, c_hat) of g's part of the right side of
+        A u + G p = b, D u = 0, and its data scale c_max = max|c|.
 
-        b is the load of g plus the forcing whose modes are f_hat, a
-        (2, n - 1, n) face stack (:meth:`forcing_modes`; read, never
-        written, taken as finite).  c is minus the wall fluxes (g . n)/h.
-        A misshapen f_hat raises ValueError; data whose net flux h sum g . n
-        exceeds 1e-12 of h sum |g . n| raise IncompatibleBoundaryData.
-
-        The load of g and c live on border lines and take the closed form
-        of :meth:`border_to_modes`, a zero c none; c is built, checked and
-        read on its 4n - 4 border cells only.  f_hat is added to the load's
-        modes, or with zero g copied in, no load built.  out, a
-        (2, n - 1, n) array, receives b_hat; one is allocated when it is
-        not given.
+        b is the load of g, to which a caller adds its forcing's modes
+        (:meth:`forcing_modes`); c is minus the wall fluxes (g . n)/h.  Data
+        whose net flux h sum g . n exceeds 1e-12 of h sum |g . n| raise
+        IncompatibleBoundaryData.  Both live on border lines and take the
+        closed form of :meth:`border_to_modes`, zero g and a zero c none; c
+        is built, checked and read on its 4n - 4 border cells.  out, a
+        (2, n - 1, n) array, receives b_hat; one is allocated when not given.
         """
         n, h = self.grid.n, self.grid.h
-        shape = (2, n - 1, n)
-        if f_hat is not None and f_hat.shape != shape:
-            raise ValueError(f"forcing modes of shape {f_hat.shape}, not {shape}")
-        b = np.empty(shape) if out is None else out
-        if f_hat is not None and not any(a.any() for a in g.samples.values()):
-            b[...] = f_hat
-        else:
-            b.fill(0.0)
+        b = np.empty((2, n - 1, n)) if out is None else out
+        b.fill(0.0)
+        if any(a.any() for a in g.samples.values()):
             laplacian_load(self.grid, g, out=(b[0], b[1].T))
             self.border_to_modes(b)
-            if f_hat is not None:
-                b += f_hat
-        c = np.empty((n, n))
+        c = np.zeros((n, n))
         border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
-        for line in border:
-            line.fill(0.0)
         # the wall fluxes reach the border cells only; the u1 walls go first,
         # so that a corner cell adds its two fluxes in one fixed order
         scale = 0.0
@@ -647,8 +630,6 @@ class SaddleInverse:
         c_max = max(float(cells.max()), -float(cells.min()))
         if c_max > 0.0:
             self.border_to_modes(c)
-        else:
-            c.fill(0.0)
         return b, c, c_max
 
     def solve_homogeneous_modes(self, f_hat: np.ndarray):

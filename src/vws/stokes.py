@@ -13,8 +13,8 @@ correction.  D (:func:`vws.operators.cell_divergence`) counts the wall
 faces, which reach only the border cells as fluxes +-(normal value)/h, so
 the interior unknowns see D w = c, with c the negated fluxes.  Summed over
 the cells, D u = 0 reads h sum g . n = 0, which
-:meth:`vws.operators.SaddleInverse.right_side` checks to rounding for every
-stationary solve and time march before anything is solved.  Then:
+:meth:`vws.operators.SaddleInverse.right_side` checks to rounding before a
+stationary solve, and a time march at its first step that loads g.  Then:
 
     1. w = A^{-1} b on the interior faces, and D w;
     2. rhs = c - D w, re-centred to zero mean;
@@ -28,7 +28,7 @@ stationary solve and time march before anything is solved.  Then:
        defect.
 
 Steps 1-4 are the modal stage (:meth:`vws.operators.SaddleInverse.solve_modes`),
-after the forward transforms of b and of c
+after the forward transforms of g's load and of c
 (:meth:`vws.operators.SaddleInverse.right_side`); the cell stage
 (:meth:`vws.operators.SaddleInverse.to_cells`) brings u back and takes step
 5, and :func:`solve_saddle`, which runs the three, adds one inverse
@@ -97,12 +97,13 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     (f1, f2), or None.
 
     Returns (u1_full, u2_full, p_cells, diagnostics dict).  Boundary faces of
-    the returned velocity hold the normal samples of g.  f reaches the modes
-    by :meth:`vws.operators.SaddleInverse.forcing_modes`, a solved velocity
-    with no transform; then :meth:`~vws.operators.SaddleInverse.right_side`,
+    the returned velocity hold the normal samples of g.  The modes of f
+    (:meth:`vws.operators.SaddleInverse.forcing_modes`, a solved velocity's
+    with no transform) are added to g's, from
+    :meth:`~vws.operators.SaddleInverse.right_side`; then
     :meth:`~vws.operators.SaddleInverse.solve_modes` and
-    :meth:`~vws.operators.SaddleInverse.to_cells` with k = 1, and p comes
-    to the cells from its modes.  modes, a (2, n - 1, n) array, receives
+    :meth:`~vws.operators.SaddleInverse.to_cells` run with k = 1, and p
+    comes to the cells from its modes.  modes, a (2, n - 1, n) array, receives
     the interior modes of the returned velocity; one is allocated when it
     is not given.  A g or f of another grid, a non-finite shift, or a shift
     at which the velocity or Schur operator is singular, raises ValueError.
@@ -114,12 +115,13 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     require_same_grid(grid, g)
     t0 = time.perf_counter()
     inv = saddle_inverses(grid, shift)
-    f_hat = None if f is None else inv.forcing_modes(f)
     n = grid.n
     u12 = np.empty((1, 2 * n * (n + 1)))
     x, u1, u2 = inv.cell_views(u12)
     b_hat, c_hat, c_max = inv.right_side(
-        g, f_hat, out=np.empty((2, n - 1, n)) if modes is None else modes)
+        g, out=np.empty((2, n - 1, n)) if modes is None else modes)
+    if f is not None:
+        b_hat += inv.forcing_modes(f)
     p, scale, steps = inv.solve_modes(b_hat, c_hat, c_max, u12[0])
     del c_hat   # free before the cell stage's buffers
     x[0] = b_hat

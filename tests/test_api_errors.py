@@ -240,30 +240,22 @@ def test_misshapen_forcing_raises():
     with pytest.raises(ValueError, match=message):
         solve_saddle(grid, BoundaryData.zeros(grid), (np.ones(8), None))
     # a pair of one member left the march's other component unset
-    for bad in ((np.zeros((7, 8)),), (np.zeros((7, 8)), None, None)):
+    for bad in ((np.zeros((7, 8)),), (np.zeros((7, 8)), None, None),
+                (np.zeros((7, 8)), None)):
         with pytest.raises(ValueError):
             evolve_lifted(grid, tb, 2 * DT, DT, force=lambda t: bad)
         with pytest.raises(ValueError):
             solve_saddle(grid, BoundaryData.zeros(grid), bad)
 
 
-def test_trajectory_takes_one_velocity_per_time():
-    # 9 velocities at 5 times: the backward march read entries 4 ... 1
+@pytest.mark.parametrize("dt, steps", [(0.0, 4), (-0.5, 4), (np.nan, 4),
+                                       (np.inf, 4), (DT, -1)])
+def test_trajectory_takes_finite_positive_dt_and_a_velocity(dt, steps):
+    # dt = 0 made the backward march divide by zero, and dt = -0.5 was
+    # marched at shift -2, a wrong answer with no error
     grid = build_grid(8)
-    vels = [VelocityField.zeros(grid)] * 9
-    with pytest.raises(ValueError, match="9 velocities for 5 times"):
-        solve_adjoint_backward(grid, Trajectory(grid, "euler", DT, np.arange(5) * DT,
-                                                vels, [None] * 9))
-
-
-def test_trajectory_times_are_steps_of_dt():
-    # dt = 0.1 at times 0.25 apart: the backward march stepped by 0.1 and
-    # labelled the result up to t = 1
-    grid = build_grid(8)
-    vels = [VelocityField.zeros(grid)] * 5
-    with pytest.raises(ValueError, match="not k dt"):
-        solve_adjoint_backward(grid, Trajectory(grid, "euler", 0.1, np.arange(5) * 0.25,
-                                                vels, [None] * 5))
+    with pytest.raises(ValueError, match="finite dt > 0 and a velocity"):
+        Trajectory(grid, "euler", dt, [VelocityField.zeros(grid)] * (steps + 1))
 
 
 def test_residual_report_rejects_non_finite_forcing():

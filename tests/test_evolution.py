@@ -152,6 +152,33 @@ def test_march_takes_one_modal_solve_per_step(monkeypatch):
     assert all(d["outer_iterations"] == 1 for d in traj.diagnostics)
 
 
+@pytest.mark.parametrize("scheme, ramp, builds", [
+    ("euler", lambda t: 1.0, 1), ("cn", lambda t: 1.0, 2),
+    ("cn", smooth_ramp(0.25), 1), ("euler", lambda t: 0.0, 0),
+    ("cn", lambda t: 0.0, 0)])
+def test_march_builds_each_right_side_of_g_once(monkeypatch, scheme, ramp,
+                                                builds):
+    # the load of g once, at the first step that loads it, and with r_0 != 0
+    # the tangential start of Crank-Nicolson; a ramp that never loads g
+    # builds none, and the backward march, with no boundary data, none
+    from vws.operators import SaddleInverse
+
+    calls = []
+    right_side = SaddleInverse.right_side
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return right_side(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaddleInverse, "right_side", counted)
+    grid = build_grid(16)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), ramp)
+    traj = evolve(grid, tb, 0.5, 0.125, scheme=scheme)
+    assert len(calls) == builds
+    solve_adjoint_backward(grid, traj)
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_march_brings_every_step_back_in_one_inverse_transform(monkeypatch,
@@ -294,8 +321,7 @@ def _hand_built(traj):
     """The same velocities in a Trajectory built without the march: fresh
     fields, which keep no modes."""
     velocities = [VelocityField(traj.grid, u.u1, u.u2) for u in traj.velocities]
-    return Trajectory(traj.grid, traj.scheme, traj.dt, traj.times, velocities,
-                      [None] * len(traj.times))
+    return Trajectory(traj.grid, traj.scheme, traj.dt, velocities)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "cn"])
@@ -534,8 +560,7 @@ def test_backward_march_matches_stationary_adjoint():
     u_rhs = solve_boundary(grid, rotation_data(grid)).velocity
     m = 32
     vels = [u_rhs for _ in range(m + 1)]
-    traj = Trajectory(grid, "euler", 2.0 / m, np.arange(m + 1) * (2.0 / m),
-                      vels, [None] * (m + 1))
+    traj = Trajectory(grid, "euler", 2.0 / m, vels)
     back = solve_adjoint_backward(grid, traj)
     v_stat = solve_adjoint(grid, u_rhs).velocity
     gap = l2_norm_omega(back.velocities[0] - v_stat) / l2_norm_omega(v_stat)
@@ -690,8 +715,7 @@ def test_spacetime_norms_of_constant_trajectory():
         lambda x, y: np.cos(np.pi * y) * x,
     )
     m, T = 10, 2.5
-    traj = Trajectory(grid, "euler", T / m, np.arange(m + 1) * (T / m),
-                      [u] * (m + 1), [None] * (m + 1))
+    traj = Trajectory(grid, "euler", T / m, [u] * (m + 1))
     assert spacetime_velocity_norm(traj) == pytest.approx(
         l2_norm_omega(u) * np.sqrt(T), rel=1e-12)
     g = rotation_data(grid)

@@ -428,13 +428,13 @@ def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypat
 
 
 def test_transposition_solves_each_case_once(tmp_path, monkeypatch):
-    # a rough-data and an adjoint saddle solve for each of 2 cases x 2 grids,
-    # two more for the gradient echo: 10 saddle solves
+    # a rough-data and an adjoint saddle solve for each of 2 cases x 2 grids:
+    # 8 saddle solves
     calls = count_saddle_solves(monkeypatch)
     cfg = ExperimentConfig(recipe="transposition", ns=(16, 32), out=tmp_path,
                            allow_underresolved=True)
     run_recipe(cfg)
-    assert len(calls) == 10
+    assert len(calls) == 8
 
 
 def test_assertion_line_format():
