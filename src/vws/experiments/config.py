@@ -33,12 +33,14 @@ class ExperimentConfig:
         return Path(self.out) / self.recipe
 
 
+def resolved_n(eps: float) -> int:
+    """The coarsest grid that resolves a layer of width eps: n >= 8/eps."""
+    return math.ceil(8.0 / eps - 1e-9)
+
+
 def check_resolution(cfg: ExperimentConfig, eps: float, n: int) -> None:
-    """Boundary-layer resolution guard: require n >= 8/eps unless waived."""
-    if cfg.allow_underresolved:
-        return
-    need = 8.0 / eps
-    if n < need - 1e-9:
+    """Boundary-layer resolution guard: n >= resolved_n(eps) unless waived."""
+    if not cfg.allow_underresolved and n < (need := resolved_n(eps)):
         raise ValueError(
-            f"grid n={n} cannot resolve eps={eps} (need n >= {need:.0f}); "
+            f"grid n={n} cannot resolve eps={eps} (need n >= {need}); "
             f"pass --allow-underresolved to proceed")

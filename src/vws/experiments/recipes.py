@@ -77,7 +77,7 @@ from ..transposition import (
     solve_adjoint,
     transposition_identity,
 )
-from .config import ExperimentConfig, check_resolution
+from .config import ExperimentConfig, check_resolution, resolved_n
 from .report import RecipeReport, orders, rungs
 
 
@@ -109,12 +109,10 @@ def _ns(cfg: ExperimentConfig, need: int = 1, name: str = "grid ladder") -> tupl
 
 
 def _layer_eps(cfg: ExperimentConfig) -> float:
-    """The first layer width; the finest grid of an explicit ladder must
-    resolve it."""
-    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
-    if cfg.ns:
-        check_resolution(cfg, eps, max(cfg.ns))
-    return eps
+    """The first layer width.  A recipe that solves it on a ladder checks the
+    finest rung with check_resolution, for the default ladder as for an
+    explicit one; evolution-estimate solves it on resolved_n(eps)."""
+    return cfg.eps_list[0] if cfg.eps_list else 0.1
 
 
 @contextlib.contextmanager
@@ -292,41 +290,33 @@ def run_compatibility(cfg: ExperimentConfig) -> RecipeReport:
 
 # ------------------------------------------------------------------ eps-sweep
 
-def _resolved_n(eps: float) -> int:
-    return int(math.ceil(8.0 / eps))
-
-
 def _sweep_case(eps: float, n: int):
     grid = build_grid(n)
-    with _quiet():
-        g = cavity_g_eps(grid, eps)
+    g = cavity_g_eps(grid, eps)
     return g, solve_boundary(grid, g)
 
 
 def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     """Uniform estimate across shrinking corner layers.
 
-    Solves each layer width on a grid fine enough to resolve it, plus both
-    widths of each consecutive pair on the finer common grid, then checks
-    that (a) the norm ratio stays within twice its first value, (b) one
-    constant covers all difference quotients, (c) the Cauchy differences
-    decrease.
+    Solves each layer width on its grid resolved_n(eps), and both widths of
+    each consecutive pair on the narrower one's, so every grid resolves what
+    it solves; then checks that (a) the norm ratio stays within twice its
+    first value, (b) one constant covers all difference quotients, (c) the
+    Cauchy differences decrease.
     """
     rep = RecipeReport("eps-sweep")
     eps_list = sorted(cfg.eps_list, reverse=True)
     # the Cauchy decrease compares the differences of consecutive widths
     rungs(eps_list, 3, "cauchy_decreasing (layer widths)")
-    for eps in eps_list:
-        check_resolution(cfg, eps, _resolved_n(eps))
-
-    jobs = [(eps, _resolved_n(eps)) for eps in eps_list]
+    jobs = [(eps, resolved_n(eps)) for eps in eps_list]
     for a, b in zip(eps_list, eps_list[1:]):
-        jobs.append((a, _resolved_n(b)))
+        jobs.append((a, resolved_n(b)))
     results = {(eps, n): _sweep_case(eps, n) for eps, n in jobs}
 
     ratio_rows = []
     for eps in eps_list:
-        n = _resolved_n(eps)
+        n = resolved_n(eps)
         g, sol = results[(eps, n)]
         u_l2, g_l2 = l2_norm_omega(sol.velocity), l2_norm_gamma(g)
         ratio_rows.append((eps, n, u_l2, g_l2, u_l2 / g_l2,
@@ -341,7 +331,7 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
 
     pair_rows = []
     for a, b in zip(eps_list, eps_list[1:]):
-        n = _resolved_n(b)
+        n = resolved_n(b)
         (ga, sa), (gb, sb) = results[(a, n)], results[(b, n)]
         diff = l2_norm_omega(sa.velocity - sb.velocity)
         g_diff = l2_norm_gamma(ga - gb)
@@ -380,6 +370,7 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     rep = RecipeReport("transposition")
     ns = _ns(cfg, 2, "rotation_gap_decreasing")
     eps = _layer_eps(cfg)
+    check_resolution(cfg, eps, max(ns))
     rows = [_identity_case(case, n, eps)
             for case in ("rotation", "lid") for n in ns]
     rep.table("identity_log", ["n", "case", "lhs", "rhs", "rel_gap", "ratio"],
@@ -498,6 +489,7 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     rep = RecipeReport("biharmonic")
     ns = _ns(cfg, 2, "mms_order")
     eps = _layer_eps(cfg)
+    check_resolution(cfg, eps, max(ns))
     rows = [_biharmonic_case(n, eps) for n in ns]
     rep.table("results", ["n", "mms_err", "cross_gap", "div_max",
                           "ext_x", "ext_y", "ext_value"], rows)
@@ -582,15 +574,15 @@ def _pairing_case(n: int, m: int, T: float, seed: int):
 
 
 def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
-    """Space-time analogues: estimate, relaxation, duality, trace pairing."""
+    """Space-time analogues: estimate, relaxation, duality, trace pairing;
+    the first three solve the first layer width on resolved_n(eps), whatever
+    the ladder, which carries the pairing alone."""
     rep = RecipeReport("evolution-estimate")
     ns = _ns(cfg, 2, "pairing_order")
     T, dt = cfg.T, cfg.dt
     eps = _layer_eps(cfg)
-    n0 = 32 if 32 in ns else ns[len(ns) // 2]
-    grid = build_grid(n0)
-    with _quiet():
-        g_sp = cavity_g_eps(grid, eps)
+    grid = build_grid(resolved_n(eps))
+    g_sp = cavity_g_eps(grid, eps)
 
     # bounded space-time ratio, invariant under data scaling
     tb = TimeBoundaryData.ramped(g_sp, smooth_ramp(0.5))

@@ -108,10 +108,12 @@ def _sine(x: np.ndarray, axis: int) -> np.ndarray:
         y = dst(x, type=1, axis=axis, norm="ortho", overwrite_x=True)
         if not np.shares_memory(y, x):
             x[...] = y
-    elif axis == -1:
-        np.matmul(x, _sine_basis(m), out=x)
-    else:
-        np.matmul(_sine_basis(m), x, out=x)
+        return x
+    basis = _sine_basis(m)
+    # matmul copies an input it overwrites: a stack goes 2**15 floats at a time
+    step = len(x) if x.ndim < 3 else max(1, 2 ** 15 // x[0].size)
+    for s in (x[a:a + step] for a in range(0, len(x), step)):
+        np.matmul(*((s, basis) if axis == -1 else (basis, s)), out=s)
     return x
 
 

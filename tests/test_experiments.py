@@ -1,15 +1,16 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vws.errors import RecipeMismatch
+from vws.errors import RecipeMismatch, UnderResolvedWarning
 from vws.experiments import cli, recipes
 from vws.experiments.cli import main as cli_main
 from vws.experiments.compare import compare_runs, format_comparison
-from vws.experiments.config import ExperimentConfig, check_resolution
+from vws.experiments.config import ExperimentConfig, check_resolution, resolved_n
 from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary, orders
 
@@ -90,6 +91,15 @@ def test_resolution_guard():
     waived = ExperimentConfig(recipe="transposition",
                               allow_underresolved=True)
     check_resolution(waived, 0.1, 8)
+    # resolved_n is the guard's boundary, 8/eps up to rounding: 8/(1/3)
+    # rounds to 24.000000000000004, and still needs 24
+    expected = {0.1: 80, 0.05: 160, 0.025: 320, 0.0125: 640, 0.3: 27,
+                0.07: 115, 1 / 3: 24}
+    for eps, n in expected.items():
+        assert resolved_n(eps) == n
+        check_resolution(cfg, eps, n)
+        with pytest.raises(ValueError, match=f"need n >= {n}\\)"):
+            check_resolution(cfg, eps, n - 1)
 
 
 def test_run_recipe_writes_summary(tmp_path):
@@ -425,6 +435,46 @@ def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypat
     assert cli_main(argv + ["--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("recipe, finest", [("transposition", 512),
+                                            ("biharmonic", 256)])
+def test_cli_layer_beyond_the_finest_default_rung_exits_2(tmp_path, capsys,
+                                                          monkeypatch, recipe,
+                                                          finest):
+    # the default ladder's finest rung is checked as an explicit one's is
+    calls = count_saddle_solves(monkeypatch)
+    assert cli_main([recipe, "--eps", "0.01", "--out", str(tmp_path)]) == 2
+    assert f"grid n={finest} cannot resolve eps=0.01 (need n >= 800)" in (
+        capsys.readouterr().err)
+    assert calls == []
+
+
+def test_evolution_estimate_solves_its_layer_on_the_resolved_grid(tmp_path,
+                                                                  monkeypatch):
+    # the eps case is built on resolved_n(0.1) = 80 whatever the ladder, so
+    # the ladder that the default one spells out runs too
+    built = []
+    build_grid = recipes.build_grid
+    monkeypatch.setattr(recipes, "build_grid",
+                        lambda n: built.append(n) or build_grid(n))
+    assert cli_main(["evolution-estimate", "--n", "16,32,64",
+                     "--out", str(tmp_path)]) == 0
+    assert built == [80, 16, 32, 64]
+
+
+@pytest.mark.parametrize("recipe, eps_list", [
+    ("evolution-estimate", (0.1, 0.05, 0.025, 0.0125)),
+    ("eps-sweep", (0.2, 0.1, 0.05)),
+])
+def test_recipes_solve_no_underresolved_layer(tmp_path, recipe, eps_list):
+    # every grid these recipes build for a layer resolves it: no
+    # UnderResolvedWarning is raised, and none is silenced
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnderResolvedWarning)
+        rep = run_recipe(ExperimentConfig(recipe=recipe, eps_list=eps_list,
+                                          out=tmp_path))
+    assert rep.passed
 
 
 def test_transposition_solves_each_case_once(tmp_path, monkeypatch):
