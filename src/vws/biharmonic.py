@@ -25,7 +25,7 @@ Woodbury identity inverts it exactly with a 4(n-1)-square capacitance
 matrix K = (h^4/2) I + U^T L_D^-2 U, which in the sine modes along the walls
 has a closed form that splits into four parity sectors (Bjorstad 1983;
 Buzbee, Dorr, George and Golub 1971).  A solve is one forward and one
-inverse 2-D DST-I, each two passes of :func:`vws.operators._sine`, plus
+inverse 2-D DST-I, each two passes of :func:`vws.operators._transform`, plus
 O(n^2) work, with no iteration.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 from .boundary import SIDES, BoundaryData, _pair_sum, wall
 from .errors import NonConvergence, NonTangentialData
 from .grid import StaggeredGrid, VelocityField, require_same_grid
-from .operators import _parity_sectors, _SectorInverse, _sine, stream_curl
+from .operators import _parity_sectors, _SectorInverse, _transform, stream_curl
 
 __all__ = [
     "StreamFunction",
@@ -149,14 +149,14 @@ class _ClampedPlateInverse:
         return self._den.nbytes + self._w.nbytes + self._k_inv.nbytes
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        b_hat = _sine(_sine(rhs.copy(), -2), -1)
+        b_hat = _transform(rhs.copy(), "dst", (-2, -1))
         v_hat = b_hat / self._den
         # U^T L_D^-2 b: left/right pairs per mode along y, bottom/top along x
         y1, y2 = self._k_inv(v_hat.T @ self._w, v_hat @ self._w)
         b_hat -= self._w @ y1.T
         b_hat -= y2 @ self._w.T
         b_hat /= self._den
-        return _sine(_sine(b_hat, -2), -1)
+        return _transform(b_hat, "dst", (-2, -1))
 
 
 @lru_cache(maxsize=8)

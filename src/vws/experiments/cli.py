@@ -12,10 +12,12 @@ from .recipes import RECIPE_ORDER, run_recipe
 
 
 def _comma_list(kind):
-    """A comma separated list of kind; a bad element exits 2 naming it."""
+    """A comma separated list of kind; a bad element, or none, exits 2."""
     def parse(s: str) -> tuple:
         try:
-            return tuple(kind(v) for v in s.replace(" ", "").split(",") if v)
+            if values := tuple(kind(v) for v in s.replace(" ", "").split(",") if v):
+                return values
+            raise ValueError("no value")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"invalid list {s!r}: {exc}") from None
     return parse

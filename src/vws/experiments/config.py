@@ -26,16 +26,24 @@ class ExperimentConfig:
                            *(("eps", eps) for eps in self.eps_list)]:
             if not 0.0 < value < math.inf:       # NaN fails it too
                 raise ValueError(f"{key} must be finite and positive, got {value}")
-        if len(set(self.eps_list)) < len(self.eps_list):
-            raise ValueError(f"eps values must be distinct, got {self.eps_list}")
+        if not 0 < len(set(self.eps_list)) == len(self.eps_list):
+            raise ValueError(f"eps values must be distinct, one or more: {self.eps_list}")
 
     def out_dir(self) -> Path:
         return Path(self.out) / self.recipe
 
 
+# the finest grid a layer width may ask for: its saddle inverse holds about
+# 3 n^2 floats, 100 MB at n = 2048
+MAX_N = 2048
+
+
 def resolved_n(eps: float) -> int:
-    """The coarsest grid that resolves a layer of width eps: n >= 8/eps."""
-    return math.ceil(8.0 / eps - 1e-9)
+    """The coarsest grid that resolves a layer of width eps: n >= 8/eps.
+    A width that needs one finer than MAX_N raises ValueError."""
+    if (n := math.ceil(8.0 / eps - 1e-9)) > MAX_N:
+        raise ValueError(f"eps={eps} needs a grid n={n}, above the finest, n={MAX_N}")
+    return n
 
 
 def check_resolution(cfg: ExperimentConfig, eps: float, n: int) -> None:

@@ -100,19 +100,12 @@ def _ns(cfg: ExperimentConfig, need: int = 1, name: str = "grid ladder") -> tupl
     """The grid ladder; one shorter than the ``need`` rungs of the assertion
     ``name``, or for a trend (need >= 2) one that does not halve h at each
     rung, is refused before anything is solved."""
-    ns = tuple(cfg.ns) if cfg.ns else RECIPE_NS.get(cfg.recipe, (16, 32, 64))
+    ns = RECIPE_NS.get(cfg.recipe, (16, 32, 64)) if cfg.ns is None else tuple(cfg.ns)
     rungs(ns, need, name)
     if need >= 2 and any(b != 2 * a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"{name} needs a ladder of at least {need} rungs, "
                          f"each twice the one before, got {ns}")
     return ns
-
-
-def _layer_eps(cfg: ExperimentConfig) -> float:
-    """The first layer width.  A recipe that solves it on a ladder checks the
-    finest rung with check_resolution, for the default ladder as for an
-    explicit one; evolution-estimate solves it on resolved_n(eps)."""
-    return cfg.eps_list[0] if cfg.eps_list else 0.1
 
 
 @contextlib.contextmanager
@@ -369,7 +362,7 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     """Interior norm vs boundary integrals through the adjoint problem."""
     rep = RecipeReport("transposition")
     ns = _ns(cfg, 2, "rotation_gap_decreasing")
-    eps = _layer_eps(cfg)
+    eps = cfg.eps_list[0]
     check_resolution(cfg, eps, max(ns))
     rows = [_identity_case(case, n, eps)
             for case in ("rotation", "lid") for n in ns]
@@ -488,7 +481,7 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     """Stream-function route: fourth-order problem cross-checks the mixed one."""
     rep = RecipeReport("biharmonic")
     ns = _ns(cfg, 2, "mms_order")
-    eps = _layer_eps(cfg)
+    eps = cfg.eps_list[0]
     check_resolution(cfg, eps, max(ns))
     rows = [_biharmonic_case(n, eps) for n in ns]
     rep.table("results", ["n", "mms_err", "cross_gap", "div_max",
@@ -580,7 +573,7 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     rep = RecipeReport("evolution-estimate")
     ns = _ns(cfg, 2, "pairing_order")
     T, dt = cfg.T, cfg.dt
-    eps = _layer_eps(cfg)
+    eps = cfg.eps_list[0]
     grid = build_grid(resolved_n(eps))
     g_sp = cavity_g_eps(grid, eps)
 

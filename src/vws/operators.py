@@ -36,8 +36,11 @@ stationary solve, every step of a time march at once.
 :func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
 residuals and pairings; tests pin the velocity inverse against the dense
 operator assembled column by column from it.  :func:`saddle_inverses` caches
-one solver per (grid, shift) and refuses a singular shift.  Every type-I
-sine transform, the clamped plate's too, is :func:`_sine`.
+one solver per (grid, shift) and refuses a singular shift.  Every transform,
+the clamped plate's too, is one in-place helper, :func:`_transform`: type-I
+sine, type-II cosine or its inverse, along one axis or two in turn; below
+length 128 a product with a cached read-only orthonormal basis per kind and
+length, a bounded chunk of a stack at a time; from 128 on, scipy's call.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idctn
+from scipy.fft import dct, dst, idct
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, NonConvergence
@@ -92,28 +95,41 @@ def _require_finite(name: str, a, shape: tuple) -> None:
         raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
 
 
-@lru_cache(maxsize=8)
-def _sine_basis(m: int) -> np.ndarray:
-    basis = dst(np.eye(m), type=1, norm="ortho")
-    basis = 0.5 * (basis + basis.T)   # exactly symmetric: it acts from the right
+# per kind of :func:`_transform`: scipy's transform, its type, the inverse kind
+_KINDS = {"dst": (dst, 1, "dst"), "dct": (dct, 2, "idct"), "idct": (idct, 2, "dct")}
+
+
+@lru_cache(maxsize=16)
+def _basis(kind: str, m: int) -> np.ndarray:
+    """The read-only orthonormal basis T of a kind and length m, T @ v the
+    transform of v; T.T is the inverse kind's basis."""
+    transform, t, _ = _KINDS[kind]
+    basis = transform(np.eye(m), type=t, axis=0, norm="ortho")
+    if kind == "dst":
+        basis = 0.5 * (basis + basis.T)   # exactly symmetric, as its inverse
     basis.flags.writeable = False
     return basis
 
 
-def _sine(x: np.ndarray, axis: int) -> np.ndarray:
-    """x <- its orthonormal type-I sine transform along axis -1 or -2, its own
-    inverse: a cached basis product up to length 127, scipy's dst beyond."""
-    m = x.shape[axis]
-    if m >= 128:   # shorter, a product costs less than pocketfft's call overhead
-        y = dst(x, type=1, axis=axis, norm="ortho", overwrite_x=True)
-        if not np.shares_memory(y, x):
-            x[...] = y
-        return x
-    basis = _sine_basis(m)
-    # matmul copies an input it overwrites: a stack goes 2**15 floats at a time
-    step = len(x) if x.ndim < 3 else max(1, 2 ** 15 // x[0].size)
-    for s in (x[a:a + step] for a in range(0, len(x), step)):
-        np.matmul(*((s, basis) if axis == -1 else (basis, s)), out=s)
+def _transform(x: np.ndarray, kind: str, axes) -> np.ndarray:
+    """x <- its orthonormal transform of a kind along axis -1 or -2, or each
+    of a tuple of them in turn, in place: "dst" the type-I sine transform,
+    its own inverse, "dct" the type-II cosine transform and "idct" its
+    inverse.  A cached basis product up to length 127, scipy's beyond."""
+    transform, t, inverse = _KINDS[kind]
+    for axis in (axes,) if isinstance(axes, int) else axes:
+        m = x.shape[axis]
+        if m >= 128:   # shorter, a product costs less than pocketfft's call
+            y = transform(x, type=t, axis=axis, norm="ortho", overwrite_x=True)
+            if not np.shares_memory(y, x):
+                x[...] = y
+            continue
+        # from the right, x T.T: the inverse kind's basis, which is contiguous
+        basis = _basis(kind if axis == -2 else inverse, m)
+        # matmul copies an input it overwrites: a stack goes 2**15 floats at a time
+        step = len(x) if x.ndim < 3 else max(1, 2 ** 15 // x[0].size)
+        for s in (x[a:a + step] for a in range(0, len(x), step)):
+            np.matmul(*((s, basis) if axis == -1 else (basis, s)), out=s)
     return x
 
 
@@ -479,7 +495,7 @@ class SaddleInverse:
         self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
         # the type-I sine modes of the unit vectors 0, 1, n - 3 and n - 2 of
         # length n - 1, as rows; the first and last are the border's ends
-        self._sin_lines = _sine(np.eye(n - 1)[[0, 1, -2, -1]], -1)
+        self._sin_lines = _transform(np.eye(n - 1)[[0, 1, -2, -1]], "dst", -1)
         # the type-II cosine modes of the unit vectors 0, 1, n - 2 and n - 1
         # of length n, as columns: c_m cos(m (2j + 1) pi/2n), j = 0, 1, and
         # (-1)^m times them
@@ -497,7 +513,7 @@ class SaddleInverse:
 
     def to_modes(self, x: np.ndarray) -> np.ndarray:
         """The modes of a stack x of (u1, u2.T) interior faces, in place."""
-        return dct(_sine(x, -2), type=2, axis=2, norm="ortho", overwrite_x=True)
+        return _transform(_transform(x, "dst", -2), "dct", -1)
 
     def border_to_modes(self, x: np.ndarray) -> np.ndarray:
         """The modes of x, nonzero on its first and last lines only, in place.
@@ -520,19 +536,15 @@ class SaddleInverse:
         right = np.empty((*stack, 4, n))
         left[..., :2] = self._sin_lines[[0, 3]].T if sine else cos_ends
         right[..., 2:, :] = cos_ends.T
-        right[..., :2, :] = dct(x[..., [0, -1], :], type=2, axis=-1,
-                                norm="ortho", overwrite_x=True)
+        right[..., :2, :] = _transform(x[..., [0, -1], :], "dct", -1)
         cols = x[..., [0, -1]]
         cols[..., [0, -1], :] = 0.0
-        if sine:
-            left[..., 2:] = _sine(cols, -2)
-        else:
-            left[..., 2:] = dct(cols, type=2, axis=-2, norm="ortho", overwrite_x=True)
+        left[..., 2:] = _transform(cols, "dst" if sine else "dct", -2)
         return np.matmul(left, right, out=x)
 
     def from_modes(self, x: np.ndarray):
         """Faces (x1, x2) of stacked modes x, or of a stack of them, in place."""
-        x = _sine(idct(x, type=2, axis=-1, norm="ortho", overwrite_x=True), -2)
+        x = _transform(_transform(x, "idct", -1), "dst", -2)
         return x[..., 0, :, :], x[..., 1, :, :].swapaxes(-1, -2)
 
     def velocity_solve(self, x: np.ndarray, scratch=None) -> np.ndarray:
@@ -651,8 +663,8 @@ class SaddleInverse:
         v_hat[...] = f_hat
         c_hat = np.zeros((n, n))
         p, scale, steps = self.solve_modes(v_hat, c_hat, 0.0, work.reshape(-1))
-        dv = idctn(self.divergence_modes(v_hat, out=c_hat, scratch=work[0]),
-                   type=2, norm="ortho", overwrite_x=True)
+        dv = _transform(self.divergence_modes(v_hat, out=c_hat, scratch=work[0]),
+                        "idct", (-1, -2))
         div_max = max(float(dv.max()), -float(dv.min()))
         _check_defect(div_max, scale, p, steps)
         return v_hat, p, div_max
@@ -687,10 +699,9 @@ class SaddleInverse:
         """
         n = self.grid.n
         normal = np.zeros((2, 6, n))
-        normal[:, 1:5] = idct(self._sin_lines @ v_hat, type=2, norm="ortho",
-                              overwrite_x=True)
+        normal[:, 1:5] = _transform(self._sin_lines @ v_hat, "idct", -1)
         tangential = np.zeros((2, n + 1, 4))
-        tangential[:, 1:n] = _sine(v_hat @ self._cos_lines, -2)
+        tangential[:, 1:n] = _transform(v_hat @ self._cos_lines, "dst", -2)
         return (normal[0], normal[1].T), (tangential[1].T, tangential[0])
 
     def pressure_wall_lines(self, p_hat: np.ndarray):
@@ -698,8 +709,8 @@ class SaddleInverse:
         whose cosine modes are p_hat: rows (4, n) and columns (n, 4), from
         one basis product per axis and a 1-D inverse transform."""
         basis = self._cos_lines.T
-        rows, cols = idct(np.stack([basis @ p_hat, basis @ p_hat.T]), type=2,
-                          norm="ortho", overwrite_x=True)
+        rows, cols = _transform(np.stack([basis @ p_hat, basis @ p_hat.T]),
+                                "idct", -1)
         return rows, cols.T
 
     def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
@@ -775,7 +786,7 @@ def _check_defect(div_max: float, scale: float, p_hat: np.ndarray,
                   steps: int) -> None:
     # a defect miss (defect_miss) raises NonConvergence with the cell pressure
     if why := defect_miss(div_max, scale):
-        raise NonConvergence(why, best_x=idctn(p_hat, type=2, norm="ortho"),
+        raise NonConvergence(why, best_x=_transform(p_hat.copy(), "idct", (-1, -2)),
                              residual=div_max, iterations=steps)
 
 

@@ -52,7 +52,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import idctn
 
 from .boundary import AXIS, SIDES, BoundaryData, wall
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
@@ -60,6 +59,7 @@ from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
 from .operators import (
     DIV_TOL,
     _check_defect,
+    _transform,
     apply_velocity_laplacian,
     cell_divergence,
     laplacian_load,
@@ -100,7 +100,8 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     the returned velocity hold the normal samples of g.  The modes of f
     (:meth:`vws.operators.SaddleInverse.forcing_modes`, a solved velocity's
     with no transform) are added to g's, from
-    :meth:`~vws.operators.SaddleInverse.right_side`; then
+    :meth:`~vws.operators.SaddleInverse.right_side`, or for zero g
+    transformed in its block; then
     :meth:`~vws.operators.SaddleInverse.solve_modes` and
     :meth:`~vws.operators.SaddleInverse.to_cells` run with k = 1, and p
     comes to the cells from its modes.  modes, a (2, n - 1, n) array, receives
@@ -121,14 +122,18 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     b_hat, c_hat, c_max = inv.right_side(
         g, out=np.empty((2, n - 1, n)) if modes is None else modes)
     if f is not None:
-        b_hat += inv.forcing_modes(f)
+        # zero g leaves b_hat zero: the forcing is then transformed in it
+        blank = not any(a.any() for a in g.samples.values())
+        f_hat = inv.forcing_modes(f, out=b_hat if blank else None)
+        if f_hat is not b_hat:
+            b_hat += f_hat
     p, scale, steps = inv.solve_modes(b_hat, c_hat, c_max, u12[0])
     del c_hat   # free before the cell stage's buffers
     x[0] = b_hat
     walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
     div_max = float(inv.to_cells(u12, walls)[0])
     _check_defect(div_max, scale, p, steps)
-    p = idctn(p, type=2, norm="ortho", overwrite_x=True)
+    p = _transform(p, "idct", (-1, -2))
     return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max,
                              "wall_time": time.perf_counter() - t0}
 

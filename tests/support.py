@@ -37,6 +37,25 @@ def modules_binding(names):
     return found
 
 
+def watch_transforms(monkeypatch, seen):
+    """Call seen(x, kind, axes) before every call of the one transform
+    helper, operators._transform, wherever a vws module binds it; seen may
+    record the call or raise to refuse it."""
+    import sys
+
+    from vws import operators
+
+    transform = operators._transform
+
+    def watched(x, kind, axes):
+        seen(x, kind, axes)
+        return transform(x, kind, axes)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("vws") and hasattr(module, "_transform"):
+            monkeypatch.setattr(module, "_transform", watched)
+
+
 def count_saddle_solves(monkeypatch):
     """Count modal saddle solves (SaddleInverse.solve_modes calls, which
     every stationary solve and every time step makes once; a march then

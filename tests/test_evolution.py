@@ -39,7 +39,7 @@ from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_fie
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
 
-from support import count_saddle_solves, modules_binding, refuse
+from support import count_saddle_solves, modules_binding, refuse, watch_transforms
 
 
 def _lid(grid, eps=0.1):
@@ -185,18 +185,14 @@ def test_march_brings_every_step_back_in_one_inverse_transform(monkeypatch,
                                                                scheme, m):
     # each step is one modal solve; the cell stage then takes the whole
     # march to the cells in one stacked inverse transform pair, whose sine
-    # axis is one call of the sine transform on a stack of steps
-    from vws import operators
-
-    sine = operators._sine
+    # axis is one call of the transform helper on a stack of steps
     transforms = []
 
-    def counted(x, axis):
-        if x.ndim == 4:
+    def counted(x, kind, axes):
+        if x.ndim == 4 and kind == "dst":
             transforms.append(1)
-        return sine(x, axis)
 
-    monkeypatch.setattr(operators, "_sine", counted)
+    watch_transforms(monkeypatch, counted)
     calls = count_saddle_solves(monkeypatch)
     grid = build_grid(16)
     tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.25))
@@ -298,14 +294,18 @@ def test_march_makes_no_2d_transform(monkeypatch):
     # and the steps' pressures stay in their modes; the backward march of a
     # marched trajectory reads its modes.  Nothing of an unforced march or of
     # that backward march goes through a 2-D transform; no module binds a
-    # 2-D forward one, and every sine transform goes through operators
-    from vws import operators
+    # 2-D forward one, and every transform goes through operators
     from vws.operators import SaddleInverse
 
     assert modules_binding(("dctn", "dstn", "idstn")) == []
-    assert modules_binding(("dst",)) == ["vws.operators"]
+    assert modules_binding(("dct", "idct", "idctn", "dst")) == ["vws.operators"]
     why = "2-D transform in a march"
-    refuse(monkeypatch, operators, "idctn", why)
+
+    def one_axis(x, kind, axes):
+        if not isinstance(axes, int):
+            raise AssertionError(why)
+
+    watch_transforms(monkeypatch, one_axis)
     refuse(monkeypatch, SaddleInverse, "to_modes", why)
     grid, m = build_grid(16), 8
     tb = TimeBoundaryData.ramped(rotation_data(grid), lambda t: 0.5 + t * t)

@@ -74,6 +74,44 @@ def test_cli_malformed_list_names_the_bad_element(capsys, flag, bad):
     assert "_parse" not in err and "parse" not in err
 
 
+@pytest.mark.parametrize("recipe, flag", [("compatibility", "--eps"),
+                                          ("transposition", "--n")])
+def test_cli_empty_list_exits_2(capsys, monkeypatch, recipe, flag):
+    # "--eps ," used to check no lid_eps case and "--n ," to run the default
+    # ladder, both exiting 0
+    calls = count_saddle_solves(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([recipe, flag, ","])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid list ','" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_config_refuses_empty_lists(tmp_path):
+    # no hidden fallback width, and no default ladder for an empty one
+    with pytest.raises(ValueError, match="one or more"):
+        ExperimentConfig(recipe="transposition", eps_list=())
+    cfg = ExperimentConfig(recipe="uniqueness", ns=(), out=tmp_path)
+    with pytest.raises(ValueError, match="needs a ladder of at least 1 rung"):
+        run_recipe(cfg)
+
+
+@pytest.mark.parametrize("recipe, eps", [("eps-sweep", "0.01,0.005,0.001"),
+                                         ("evolution-estimate", "0.001"),
+                                         ("transposition", "0.001")])
+def test_cli_width_beyond_the_finest_grid_exits_2(tmp_path, capsys,
+                                                  monkeypatch, recipe, eps):
+    # eps = 0.001 would ask for n = 8000, about 1.5 GB for the saddle
+    # inverse alone: refused before any grid is built
+    built = []
+    monkeypatch.setattr(recipes, "build_grid", lambda n: built.append(n))
+    assert cli_main([recipe, "--eps", eps, "--out", str(tmp_path)]) == 2
+    assert "eps=0.001 needs a grid n=8000, above the finest, n=2048" in (
+        capsys.readouterr().err)
+    assert built == []
+    assert resolved_n(8 / 2048) == 2048
+
+
 def test_config_defaults():
     cfg = ExperimentConfig(recipe="transposition")
     assert cfg.ns is None

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import dctn, dst, idctn
+from scipy.fft import dct, dctn, dst, idct, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
@@ -332,43 +332,55 @@ def test_border_closed_forms_match_2d_transforms(n):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+_INVERSE = {"dst": "dst", "dct": "idct", "idct": "dct"}
+_SCIPY = {"dst": (dst, 1), "dct": (dct, 2), "idct": (idct, 2)}
+
+
 @pytest.mark.parametrize("axis", [-1, -2])
-@pytest.mark.parametrize("m", [15, 63, 127, 128])
+@pytest.mark.parametrize("m", [2, 15, 63, 64, 127, 128])
 def test_sine_transform_is_scipys_in_place(m, axis):
-    # the basis product (m up to 127) and scipy's transform (m = 128) are
-    # the orthonormal type-I sine transform, their own inverse, written over
-    # their input; the cached basis is read-only.  The two paths round
-    # differently: over 40 random stacks they differ by at most 1.2e-15 of
-    # max|x| (m = 127), 0.7e-15 for this one
+    # for every kind of the transform helper, the basis product (m up to
+    # 127) and scipy's transform (m = 128) are scipy's orthonormal transform,
+    # written over their input, and the inverse kind brings it back; the
+    # cached bases are read-only.  A product and scipy round differently:
+    # over 40 random stacks per kind, lengths 2 to 127 and both axes, they
+    # differ by at most 1.4e-15 of max|x| (type-II cosine)
     rng = np.random.default_rng(m)
     x = rng.standard_normal((3, 2, m, 5) if axis == -2 else (3, 5, m))
-    want = dst(x, type=1, axis=axis, norm="ortho")
-    y = x.copy()
-    got = operators._sine(y, axis)
-    assert got is y and np.shares_memory(got, y)
-    assert np.abs(got - want).max() <= 2e-15 * np.abs(x).max()
-    assert np.abs(operators._sine(got, axis) - x).max() <= 1e-14
-    assert not operators._sine_basis(m).flags.writeable
+    for kind, inverse in _INVERSE.items():
+        transform, t = _SCIPY[kind]
+        want = transform(x, type=t, axis=axis, norm="ortho")
+        y = x.copy()
+        got = operators._transform(y, kind, axis)
+        assert got is y and np.shares_memory(got, y)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(x).max()
+        assert np.abs(operators._transform(got, inverse, axis) - x).max() <= 1e-14
+        assert not operators._basis(kind, m).flags.writeable
 
 
 @pytest.mark.parametrize("axis", [-1, -2])
 def test_sine_product_copies_a_bounded_chunk_of_a_stack(axis):
     # matmul copies an input it overwrites; the march's (16, 2, 63, 64) cell
-    # stage goes a chunk of at most 2**15 floats at a time, so the copy stays
-    # near 0.26 MB instead of the stack's 1.03 MB, with every slice's product
-    # unchanged
-    x = np.random.default_rng(1).standard_normal((16, 2, 63, 64))
-    basis = operators._sine_basis(x.shape[axis])
-    want = np.stack([[s @ basis if axis == -1 else basis @ s for s in pair]
-                     for pair in x])
-    tracemalloc.start()
-    try:
-        operators._sine(x, axis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.3e6
-    assert np.array_equal(x, want)
+    # stage goes a chunk of at most 2**15 floats at a time, for every kind,
+    # so the copy stays near 0.26 MB instead of the stack's 1.03 MB, with
+    # every slice's product unchanged; from the right the helper multiplies
+    # by the inverse kind's basis, the transpose of its own
+    stack = np.random.default_rng(1).standard_normal((16, 2, 63, 64))
+    for kind, inverse in _INVERSE.items():
+        x = stack.copy()
+        m = x.shape[axis]
+        left, right = operators._basis(kind, m), operators._basis(inverse, m)
+        assert np.abs(right - left.T).max() <= 1e-15
+        want = np.stack([[s @ right if axis == -1 else left @ s for s in pair]
+                         for pair in x])
+        tracemalloc.start()
+        try:
+            operators._transform(x, kind, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3e6
+        assert np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("n", [16, 129])
@@ -392,11 +404,11 @@ def test_stack_transforms_work_in_place(n):
 
 
 def test_border_data_take_no_2d_forward_transform(monkeypatch):
-    # no module binds a 2-D forward transform, every sine transform goes
+    # no module binds a 2-D forward transform, every transform goes
     # through operators, and boundary data alone take the closed forms for b and c; zero data with
     # forcing leave c zero, which takes no transform at all
     assert modules_binding(("dctn", "dstn", "idstn")) == []
-    assert modules_binding(("dst",)) == ["vws.operators"]
+    assert modules_binding(("dct", "idct", "idctn", "dst")) == ["vws.operators"]
     grid = build_grid(16)
     rng = np.random.default_rng(5)
     f = rng.standard_normal((15, 16)), rng.standard_normal((16, 15))

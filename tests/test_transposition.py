@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from vws.transposition import (
 )
 from vws.experiments.report import orders
 
-from support import count_saddle_solves, modules_binding, refuse
+from support import count_saddle_solves, modules_binding, refuse, watch_transforms
 
 
 def _lid(n, eps=0.1):
@@ -95,7 +94,7 @@ def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     want = transposition_identity(grid, g, u=fresh)
 
     assert modules_binding(("dctn", "dstn", "idstn")) == []
-    assert modules_binding(("dst",)) == ["vws.operators"]
+    assert modules_binding(("dct", "idct", "idctn", "dst")) == ["vws.operators"]
     why = "forward transform or zero load in an adjoint solve"
     refuse(monkeypatch, operators, "laplacian_load", why)
     refuse(monkeypatch, SaddleInverse, ("to_modes", "border_to_modes"), why)
@@ -146,10 +145,11 @@ def _full_path_identity(grid, g, u):
 
 
 def _record_2d_inverse_transforms(monkeypatch):
-    # (transformed, defects): the arrays every idctn of the package is called
-    # on, and the modes of D v that divergence_modes returns for the velocity
-    # modes of a modal solve once that solve has returned (the D w it takes
-    # inside solve_modes, for the data scale, fills what becomes p's modes)
+    # (transformed, defects): the arrays every 2-D inverse transform of the
+    # package is called on, and the modes of D v that divergence_modes
+    # returns for the velocity modes of a modal solve once that solve has
+    # returned (the D w it takes inside solve_modes, for the data scale,
+    # fills what becomes p's modes)
     transformed, defects, solved = [], [], []
     inv = operators.SaddleInverse
     solve_modes, divergence_modes = inv.solve_modes, inv.divergence_modes
@@ -165,17 +165,13 @@ def _record_2d_inverse_transforms(monkeypatch):
             defects.append(dw)
         return dw
 
-    def counted(real):
-        def idctn(x, *args, **kwargs):
+    def recorded_inverse(x, kind, axes):
+        if kind == "idct" and not isinstance(axes, int):
             transformed.append(x)
-            return real(x, *args, **kwargs)
-        return idctn
 
     monkeypatch.setattr(inv, "solve_modes", recorded_solve)
     monkeypatch.setattr(inv, "divergence_modes", recorded_divergence)
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("vws") and hasattr(module, "idctn"):
-            monkeypatch.setattr(module, "idctn", counted(module.idctn))
+    watch_transforms(monkeypatch, recorded_inverse)
     return transformed, defects
 
 
