@@ -368,22 +368,18 @@ def spacetime_boundary_norm(g: TimeBoundaryData, T: float, dt: float) -> float:
 
 
 def spacetime_estimate_ratio(grid: StaggeredGrid, g: TimeBoundaryData,
-                             T: float, dt: float, scheme: str = "euler",
-                             traj: Trajectory | None = None) -> float:
-    """|u|_{L2(Q_T)} / |g|_{L2(0,T; L2(Gamma))} for the zero-data evolution.
-
-    Given traj, its step count and dt must be those of T and dt, else
-    ValueError; scheme is read only when traj is None.
+                             T: float, dt: float, traj: Trajectory) -> float:
+    """|u|_{L2(Q_T)} / |g|_{L2(0,T; L2(Gamma))} for the zero-data evolution
+    traj driven by g; its step count and dt must be those of T and dt, else
+    ValueError.
     """
     require_same_grid(grid, g, traj)
-    if traj is not None and (traj.steps, traj.dt) != (_check_steps(T, dt), dt):
+    if (traj.steps, traj.dt) != (_check_steps(T, dt), dt):
         raise ValueError(f"trajectory has T={traj.times[-1]}, dt={traj.dt}, "
                          f"not T={T}, dt={dt}")
     g_norm = spacetime_boundary_norm(g, T, dt)
     if g_norm == 0.0:
         raise ZeroBoundaryData("space-time ratio undefined for zero data")
-    if traj is None:
-        traj = evolve(grid, g, T, dt, scheme=scheme)
     return spacetime_velocity_norm(traj) / g_norm
 
 

@@ -6,6 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..errors import NonConvergence
 from .compare import compare_runs, format_comparison
 from .config import ExperimentConfig
 from .recipes import RECIPE_ORDER, run_recipe
@@ -34,15 +35,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="final time for evolution recipes")
     sp.add_argument("--dt", dest="dt", type=float,
                     help="time step for evolution recipes")
-    sp.add_argument("--scheme", dest="scheme", choices=("euler", "cn"),
-                    help="time stepping scheme")
     sp.add_argument("--out", dest="out", type=Path,
                     help="output root directory (default: runs/)")
     sp.add_argument("--seed", dest="seed", type=int,
                     help="seed for randomized probes")
-    sp.add_argument("--allow-underresolved", dest="allow_underresolved",
-                    action="store_true",
-                    help="waive the n >= 8/eps resolution guard")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,9 +73,9 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig(recipe=args.command, **flags)
         report = run_recipe(cfg)
-    except ValueError as exc:
+    except (ValueError, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
     for line in report.lines():
         print(line)
     print(f"summary: {cfg.out_dir() / 'summary.json'}")

@@ -16,16 +16,16 @@ class ExperimentConfig:
     eps_list: tuple = DEFAULT_EPS
     T: float = 1.0
     dt: float = 1.0 / 32
-    scheme: str = "cn"
     out: Path = Path("runs")
     seed: int = 0
-    allow_underresolved: bool = False
 
     def __post_init__(self):
         for key, value in [("T", self.T), ("dt", self.dt),
                            *(("eps", eps) for eps in self.eps_list)]:
             if not 0.0 < value < math.inf:       # NaN fails it too
                 raise ValueError(f"{key} must be finite and positive, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < len(set(self.eps_list)) == len(self.eps_list):
             raise ValueError(f"eps values must be distinct, one or more: {self.eps_list}")
 
@@ -46,9 +46,7 @@ def resolved_n(eps: float) -> int:
     return n
 
 
-def check_resolution(cfg: ExperimentConfig, eps: float, n: int) -> None:
-    """Boundary-layer resolution guard: n >= resolved_n(eps) unless waived."""
-    if not cfg.allow_underresolved and n < (need := resolved_n(eps)):
-        raise ValueError(
-            f"grid n={n} cannot resolve eps={eps} (need n >= {need}); "
-            f"pass --allow-underresolved to proceed")
+def check_resolution(eps: float, n: int) -> None:
+    """Boundary-layer resolution guard: n >= resolved_n(eps)."""
+    if n < (need := resolved_n(eps)):
+        raise ValueError(f"grid n={n} cannot resolve eps={eps} (need n >= {need})")

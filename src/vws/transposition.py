@@ -38,7 +38,7 @@ from .errors import ZeroBoundaryData
 from .grid import (PressureField, StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import face_gradient, saddle_inverses
-from .stokes import StokesSolution, solve_boundary, solve_homogeneous
+from .stokes import StokesSolution, solve_homogeneous
 
 __all__ = [
     "solve_adjoint",
@@ -102,13 +102,12 @@ def _extrapolated(lines) -> dict:
 
 
 def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
-                           u: VelocityField | None = None) -> dict:
-    """Evaluate both sides of the duality identity for boundary data g.
+                           u: VelocityField) -> dict:
+    """Evaluate both sides of the duality identity for g and its solution u.
 
-    Solves the rough-data problem (unless u is supplied), then the adjoint
-    problem with the solution as forcing, and compares |u|^2 against the
-    boundary integral of (g.n) q - g . dv/dn.  Returns lhs, rhs, rel_gap,
-    the split of the boundary integral into its two terms, and
+    Solves the adjoint problem with u as forcing and compares |u|^2 against
+    the boundary integral of (g.n) q - g . dv/dn.  Returns lhs, rhs,
+    rel_gap, the split of the boundary integral into its two terms, and
     adjoint_div_max, the adjoint's divergence defect max|D v|.  The adjoint
     solve is checked as any (a defect miss raises NonConvergence carrying
     the cell pressure).  Zero data raises ZeroBoundaryData, g or u on
@@ -117,8 +116,6 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
     require_same_grid(grid, g, u)
     if l2_norm_gamma(g) == 0.0:
         raise ZeroBoundaryData("duality gap is undefined for zero data")
-    if u is None:
-        u = solve_boundary(grid, g).velocity
     inv = saddle_inverses(grid, 0.0)
     v_hat, q_hat, div_max = inv.solve_homogeneous_modes(inv.forcing_modes(u))
     dvdn = _wall_derivative(grid, *inv.velocity_wall_lines(v_hat))
@@ -143,25 +140,22 @@ def transposition_identity(grid: StaggeredGrid, g: BoundaryData,
 
 
 def estimate_ratio(grid: StaggeredGrid, g: BoundaryData,
-                   sol: StokesSolution | None = None) -> float:
-    """|u|_Omega / |g|_Gamma for the rough-data solve driven by g; zero
-    data raises ZeroBoundaryData, g or sol on another grid ValueError."""
+                   sol: StokesSolution) -> float:
+    """|u|_Omega / |g|_Gamma for the rough-data solution sol driven by g;
+    zero data raises ZeroBoundaryData, g or sol on another grid ValueError."""
     require_same_grid(grid, g, sol)
     g_norm = l2_norm_gamma(g)
     if g_norm == 0.0:
         raise ZeroBoundaryData("estimate ratio is undefined for zero data")
-    if sol is None:
-        sol = solve_boundary(grid, g)
     return l2_norm_omega(sol.velocity) / g_norm
 
 
-def adjoint_gradient_pairing(grid: StaggeredGrid, g: BoundaryData) -> float:
-    """Discrete integral of u . grad(q) for the adjoint pair of u = solve(g).
+def adjoint_gradient_pairing(grid: StaggeredGrid, u: VelocityField) -> float:
+    """Discrete integral of u . grad(q) for the adjoint pair of a solved u.
 
-    For g = 0 this vanishes identically (the uniqueness mechanism: the only
-    very weak solution with zero data is zero).
+    For u solved from zero or tangential data this vanishes identically (the
+    uniqueness mechanism: the only very weak solution with zero data is zero).
     """
-    u = solve_boundary(grid, g).velocity
     adj = solve_adjoint(grid, u)
     g1, g2 = face_gradient(adj.pressure.p, grid.h)
     u1, u2 = u.interior()

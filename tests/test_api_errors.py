@@ -40,9 +40,13 @@ DT = 0.125
 
 
 @lru_cache(maxsize=None)
-def _velocity(n):
+def _solution(n):
     grid = build_grid(n)
-    return solve_boundary(grid, cavity_g(grid)).velocity
+    return solve_boundary(grid, cavity_g(grid))
+
+
+def _velocity(n):
+    return _solution(n).velocity
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +111,8 @@ _CROSS_GRID = {
         a, BoundaryData.zeros(a), _velocity(b.n)),
     "transposition_identity": lambda a, b: transposition_identity(
         a, cavity_g(a), u=_velocity(b.n)),
-    "estimate_ratio": lambda a, b: estimate_ratio(a, cavity_g(b)),
+    "estimate_ratio": lambda a, b: estimate_ratio(a, cavity_g(a),
+                                                  sol=_solution(b.n)),
     "pairing_L": lambda a, b: pairing_L(_velocity(a.n), _probe(b.n)),
     "pairing_with_field": lambda a, b: pairing_with_field(_velocity(a.n),
                                                           _velocity(b.n)),
@@ -121,7 +126,8 @@ _CROSS_GRID = {
     "spacetime_pairing": lambda a, b: spacetime_pairing(
         _trajectory(a.n, 2), _probe(b.n), final_zero_modulation(2 * DT)),
     "spacetime_estimate_ratio": lambda a, b: spacetime_estimate_ratio(
-        a, TimeBoundaryData.constant(cavity_g(b)), 2 * DT, DT),
+        a, TimeBoundaryData.constant(cavity_g(a)), 2 * DT, DT,
+        traj=_trajectory(b.n, 2)),
     "solve_biharmonic": lambda a, b: solve_biharmonic(a, cavity_g(b)),
 }
 
@@ -147,8 +153,9 @@ def test_nan_layer_width_names_eps():
 
 def test_duality_gap_of_zero_data_raises():
     grid = build_grid(8)
+    zero = BoundaryData.zeros(grid)
     with pytest.raises(ZeroBoundaryData):
-        transposition_identity(grid, BoundaryData.zeros(grid))
+        transposition_identity(grid, zero, u=solve_boundary(grid, zero).velocity)
 
 
 def test_spacetime_functionals_need_two_steps():
@@ -314,7 +321,7 @@ def _cases(draw):
             solve_homogeneous(a, f=_velocity(nb) * scale).velocity),
         "transposition_identity": lambda: list(
             transposition_identity(a, cavity_g(a) * scale, u=_velocity(nb)).values()),
-        "estimate_ratio": lambda: estimate_ratio(a, g),
+        "estimate_ratio": lambda: estimate_ratio(a, g, sol=_solution(nb)),
         "pairing_L": lambda: pairing_L(_velocity(na), _probe(nb)),
         "pairing_with_field": lambda: pairing_with_field(_velocity(na), _velocity(nb)),
         "evolve": lambda: evolve(a, tb, T, dt, scheme="cn").norms(),
@@ -324,7 +331,8 @@ def _cases(draw):
             _trajectory(na, steps), _probe(nb), mod),
         "spacetime_independence_gap": lambda: spacetime_independence_gap(
             _trajectory(na, steps), mod),
-        "spacetime_estimate_ratio": lambda: spacetime_estimate_ratio(a, tb, T, dt),
+        "spacetime_estimate_ratio": lambda: spacetime_estimate_ratio(
+            a, tb, T, dt, traj=_trajectory(nb, steps)),
         "solve_biharmonic": lambda: solve_biharmonic(a, g).psi,
     }
     name = draw(st.sampled_from(sorted(calls)))

@@ -689,15 +689,17 @@ def test_spacetime_ratio_frozen_and_scale_invariant():
     grid = build_grid(32)
     g = _lid(grid)
     tb = TimeBoundaryData.ramped(g, smooth_ramp(0.5))
-    ratio = spacetime_estimate_ratio(grid, tb, 1.0, 1.0 / 32, scheme="cn")
+    traj = evolve(grid, tb, 1.0, 1.0 / 32, scheme="cn")
+    ratio = spacetime_estimate_ratio(grid, tb, 1.0, 1.0 / 32, traj=traj)
     assert ratio == pytest.approx(0.2803707568, rel=1e-3)
     tb3 = TimeBoundaryData.ramped(g * 3.0, smooth_ramp(0.5))
-    ratio3 = spacetime_estimate_ratio(grid, tb3, 1.0, 1.0 / 32, scheme="cn")
+    traj3 = evolve(grid, tb3, 1.0, 1.0 / 32, scheme="cn")
+    ratio3 = spacetime_estimate_ratio(grid, tb3, 1.0, 1.0 / 32, traj=traj3)
     assert abs(ratio3 - ratio) <= 1e-8
+    zero = TimeBoundaryData.constant(BoundaryData.zeros(grid))
     with pytest.raises(ZeroBoundaryData):
-        spacetime_estimate_ratio(
-            grid, TimeBoundaryData.constant(BoundaryData.zeros(grid)),
-            1.0, 1.0 / 32)
+        spacetime_estimate_ratio(grid, zero, 1.0, 1.0 / 32,
+                                 traj=evolve(grid, zero, 1.0, 1.0 / 32))
 
 
 def test_trapezoid_weights():

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -24,10 +26,8 @@ _FLAGS = [
     (["--eps", "0.1,0.05"], "eps_list", (0.1, 0.05)),
     (["--T", "0.5"], "T", 0.5),
     (["--dt", "0.125"], "dt", 0.125),
-    (["--scheme", "euler"], "scheme", "euler"),
     (["--out", "elsewhere"], "out", Path("elsewhere")),
     (["--seed", "9"], "seed", 9),
-    (["--allow-underresolved"], "allow_underresolved", True),
 ]
 
 
@@ -44,6 +44,38 @@ def test_cli_flag_sets_its_config_field(monkeypatch, flag, field, value):
     assert vars(seen[0]) == {**default, field: value}
 
 
+def test_readme_common_flags_are_the_run_flags():
+    # the README's "Common flags" paragraph names every run flag of a recipe
+    # subcommand and no other, so that a retired flag leaves the docs too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Common flags:.*?(?=\n\n)", readme,
+                          re.MULTILINE | re.DOTALL).group()
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", paragraph))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name in RECIPE_ORDER + ["all"]:
+        flags = {opt for action in sub.choices[name]._actions
+                 for opt in action.option_strings} - {"-h", "--help"}
+        assert flags == documented, name
+
+
+def test_cli_failed_solve_exits_1_with_one_error_line(tmp_path, capsys,
+                                                      monkeypatch):
+    # a NonConvergence raised by a recipe escaped main as a traceback; 2
+    # stays the exit code of usage errors
+    from vws import evolution, operators
+
+    def miss(div_max, scale):
+        return "saddle solve: every defect misses"
+
+    monkeypatch.setattr(operators, "defect_miss", miss)
+    monkeypatch.setattr(evolution, "defect_miss", miss)
+    assert cli_main(["uniqueness", "--n", "8,16", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "every defect misses" in err and "Traceback" not in err + out
+
+
 def test_cli_refuses_a_config_file(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["uniqueness", "--config", "x.ini"])
@@ -52,8 +84,8 @@ def test_cli_refuses_a_config_file(capsys):
 
 
 @pytest.mark.parametrize("flag", [["--n", "8,x"], ["--eps", "0.1,wide"],
-                                  ["--T", "soon"], ["--seed", "1.5"],
-                                  ["--scheme", "rk4"]], ids=lambda f: f[0])
+                                  ["--T", "soon"], ["--seed", "1.5"]],
+                         ids=lambda f: f[0])
 def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
     calls = count_saddle_solves(monkeypatch)
     with pytest.raises(SystemExit) as exc:
@@ -116,28 +148,25 @@ def test_config_defaults():
     cfg = ExperimentConfig(recipe="transposition")
     assert cfg.ns is None
     assert cfg.eps_list == (0.1, 0.05, 0.025, 0.0125)
-    assert cfg.scheme == "cn"
-    assert not cfg.allow_underresolved
+    # one field per run flag, and the recipe: no field that no flag sets
+    assert list(vars(cfg)) == ["recipe", "ns", "eps_list", "T", "dt", "out",
+                               "seed"]
     assert cfg.out_dir().name == "transposition"
 
 
 def test_resolution_guard():
-    cfg = ExperimentConfig(recipe="transposition")
-    with pytest.raises(ValueError, match="allow-underresolved"):
-        check_resolution(cfg, 0.1, 32)
-    check_resolution(cfg, 0.1, 80)     # boundary case passes
-    waived = ExperimentConfig(recipe="transposition",
-                              allow_underresolved=True)
-    check_resolution(waived, 0.1, 8)
+    with pytest.raises(ValueError, match="cannot resolve eps=0.1"):
+        check_resolution(0.1, 32)
+    check_resolution(0.1, 80)     # boundary case passes
     # resolved_n is the guard's boundary, 8/eps up to rounding: 8/(1/3)
     # rounds to 24.000000000000004, and still needs 24
     expected = {0.1: 80, 0.05: 160, 0.025: 320, 0.0125: 640, 0.3: 27,
                 0.07: 115, 1 / 3: 24}
     for eps, n in expected.items():
         assert resolved_n(eps) == n
-        check_resolution(cfg, eps, n)
+        check_resolution(eps, n)
         with pytest.raises(ValueError, match=f"need n >= {n}\\)"):
-            check_resolution(cfg, eps, n - 1)
+            check_resolution(eps, n - 1)
 
 
 def test_run_recipe_writes_summary(tmp_path):
@@ -438,8 +467,7 @@ def test_orders_need_two_rungs():
 @pytest.mark.parametrize("argv, assertion", [
     (["eps-sweep", "--eps", "0.1,0.05"], "cauchy_decreasing"),
     (["mms-stationary", "--n", "16"], "velocity_order"),
-    (["transposition", "--n", "16", "--allow-underresolved"],
-     "gap_decreasing"),
+    (["transposition", "--n", "16", "--eps", "0.5"], "gap_decreasing"),
     (["traces", "--n", "32"], "probe_gap_order"),
     (["biharmonic", "--n", "256"], "mms_order"),
     (["evolution-estimate", "--n", "128"], "pairing_order"),
@@ -466,6 +494,9 @@ def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
     (["eps-sweep", "--eps=-0.1,0.1,0.05"], "eps must be finite and positive, got -0.1"),
     (["evolution-orders", "--dt", "0"], "dt must be finite and positive, got 0.0"),
     (["evolution-orders", "--T", "nan"], "T must be finite and positive, got nan"),
+    # "all --seed -1" solved two recipes, then exited in numpy's "expected
+    # non-negative integer", naming no flag
+    (["all", "--seed", "-1"], "seed must be non-negative, got -1"),
 ])
 def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch,
                                                       argv, message):
@@ -517,10 +548,10 @@ def test_recipes_solve_no_underresolved_layer(tmp_path, recipe, eps_list):
 
 def test_transposition_solves_each_case_once(tmp_path, monkeypatch):
     # a rough-data and an adjoint saddle solve for each of 2 cases x 2 grids:
-    # 8 saddle solves
+    # 8 saddle solves; n = 32 resolves eps = 0.25
     calls = count_saddle_solves(monkeypatch)
     cfg = ExperimentConfig(recipe="transposition", ns=(16, 32), out=tmp_path,
-                           allow_underresolved=True)
+                           eps_list=(0.25,))
     run_recipe(cfg)
     assert len(calls) == 8
 

@@ -372,7 +372,7 @@ def test_every_forcing_reaches_the_modes_through_one_method(monkeypatch):
         lambda: solve_homogeneous(grid, f=solved),
         lambda: evolve_lifted(grid, tb, 0.25, 0.125, force=lambda t: f),
         lambda: solve_adjoint_backward(grid, traj),
-        lambda: transposition_identity(grid, g),
+        lambda: transposition_identity(grid, g, u=solved),
     ]
     for call in forced:
         with pytest.raises(AssertionError, match=why):

@@ -33,7 +33,8 @@ def test_identity_rotation_frozen():
     gaps = []
     for n in (32, 64):
         grid = build_grid(n)
-        r = transposition_identity(grid, rotation_data(grid))
+        g = rotation_data(grid)
+        r = transposition_identity(grid, g, u=solve_boundary(grid, g).velocity)
         assert r["rhs"] == pytest.approx(r["term_q"] - r["term_dvdn"],
                                          abs=1e-14)
         gaps.append(r["rel_gap"])
@@ -53,17 +54,51 @@ def test_identity_lhs_is_velocity_norm():
 
 def test_identity_lid_frozen():
     grid, g = _lid(64)
-    r = transposition_identity(grid, g)
+    r = transposition_identity(grid, g, u=solve_boundary(grid, g).velocity)
     assert r["rel_gap"] == pytest.approx(7.11010530118e-2, rel=1e-3)
 
 
 def test_estimate_ratio_frozen_and_zero_guard():
     grid, g = _lid(64)
-    assert estimate_ratio(grid, g) == pytest.approx(0.28414760985, rel=2e-3)
+    assert estimate_ratio(grid, g, sol=solve_boundary(grid, g)) == (
+        pytest.approx(0.28414760985, rel=2e-3))
     from vws.boundary import BoundaryData
 
+    zero = BoundaryData.zeros(grid)
     with pytest.raises(ZeroBoundaryData):
-        estimate_ratio(grid, BoundaryData.zeros(grid))
+        estimate_ratio(grid, zero, sol=solve_boundary(grid, zero))
+
+
+@pytest.mark.parametrize("functional, solves", [
+    ("estimate_ratio", 0),
+    ("spacetime_estimate_ratio", 0),
+    ("transposition_identity", 1),
+    ("adjoint_gradient_pairing", 1),
+])
+def test_functionals_measure_the_solution_they_are_given(monkeypatch,
+                                                         functional, solves):
+    # no functional solves or marches its own forward problem; the identity
+    # and the gradient echo make their adjoint solve alone
+    from vws.evolution import (TimeBoundaryData, evolve, smooth_ramp,
+                               spacetime_estimate_ratio)
+
+    grid = build_grid(16)
+    g = rotation_data(grid)
+    sol = solve_boundary(grid, g)
+    tb = TimeBoundaryData.ramped(g, smooth_ramp(0.5))
+    traj = evolve(grid, tb, 0.5, 0.125)
+    calls = {
+        "estimate_ratio": lambda: estimate_ratio(grid, g, sol=sol),
+        "spacetime_estimate_ratio": lambda: spacetime_estimate_ratio(
+            grid, tb, 0.5, 0.125, traj=traj),
+        "transposition_identity": lambda: transposition_identity(
+            grid, g, u=sol.velocity),
+        "adjoint_gradient_pairing": lambda: adjoint_gradient_pairing(
+            grid, sol.velocity),
+    }
+    solved = count_saddle_solves(monkeypatch)
+    calls[functional]()
+    assert len(solved) == solves
 
 
 def test_adjoint_solves_homogeneous_problem():
@@ -303,4 +338,5 @@ def test_boundary_stencils_exact_on_every_side(side, n):
 def test_gradient_echo_tangential_data():
     for n in (16, 32):
         grid = build_grid(n)
-        assert abs(adjoint_gradient_pairing(grid, cavity_g(grid))) <= 1e-10
+        u = solve_boundary(grid, cavity_g(grid)).velocity
+        assert abs(adjoint_gradient_pairing(grid, u)) <= 1e-10
