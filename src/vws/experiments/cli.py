@@ -31,10 +31,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="comma separated grid sizes, e.g. 16,32,64")
     sp.add_argument("--eps", dest="eps_list", type=_comma_list(float), metavar="EPS",
                     help="comma separated layer widths, e.g. 0.1,0.05")
-    sp.add_argument("--T", dest="T", type=float,
-                    help="final time for evolution recipes")
-    sp.add_argument("--dt", dest="dt", type=float,
-                    help="time step for evolution recipes")
     sp.add_argument("--out", dest="out", type=Path,
                     help="output root directory (default: runs/)")
     sp.add_argument("--seed", dest="seed", type=int,

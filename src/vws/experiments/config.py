@@ -7,6 +7,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
+# the finest grid a run or a layer width may ask for: its saddle inverse
+# holds about 3 n^2 floats, 100 MB at n = 2048
+MAX_N = 2048
 
 
 @dataclass
@@ -14,16 +17,17 @@ class ExperimentConfig:
     recipe: str
     ns: tuple | None = None    # None: the recipe picks its own grid ladder
     eps_list: tuple = DEFAULT_EPS
-    T: float = 1.0
-    dt: float = 1.0 / 32
     out: Path = Path("runs")
     seed: int = 0
 
     def __post_init__(self):
-        for key, value in [("T", self.T), ("dt", self.dt),
-                           *(("eps", eps) for eps in self.eps_list)]:
-            if not 0.0 < value < math.inf:       # NaN fails it too
-                raise ValueError(f"{key} must be finite and positive, got {value}")
+        for eps in self.eps_list:
+            if not 0.0 < eps < math.inf:       # NaN fails it too
+                raise ValueError(f"eps must be finite and positive, got {eps}")
+            resolved_n(eps)     # a width no grid up to MAX_N resolves
+        for n in self.ns or ():
+            if not 4 <= n <= MAX_N:
+                raise ValueError(f"n must be in [4, {MAX_N}], got {n}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < len(set(self.eps_list)) == len(self.eps_list):
@@ -31,11 +35,6 @@ class ExperimentConfig:
 
     def out_dir(self) -> Path:
         return Path(self.out) / self.recipe
-
-
-# the finest grid a layer width may ask for: its saddle inverse holds about
-# 3 n^2 floats, 100 MB at n = 2048
-MAX_N = 2048
 
 
 def resolved_n(eps: float) -> int:

@@ -81,30 +81,38 @@ from .config import ExperimentConfig, check_resolution, resolved_n
 from .report import RecipeReport, orders, rungs
 
 
-# per-recipe grid defaults, applied when the configuration leaves ns unset
-RECIPE_NS = {
-    "uniqueness": (16, 32, 64),
-    "mms-stationary": (16, 32, 64),
-    "operator-algebra": (8, 16),
-    "compatibility": (64,),
-    "eps-sweep": (),
-    "transposition": (32, 64, 128, 256, 512),
-    "traces": (32, 64, 128, 256, 512),
-    "biharmonic": (32, 64, 128, 256),
-    "evolution-orders": (32,),
-    "evolution-estimate": (16, 32, 64),
+# per recipe, the rules its configuration meets before anything is solved:
+# default grid ladder, rungs and name of the assertion needing the most,
+# whether the finest rung resolves the first layer width, widths needed
+RECIPE_RULES = {
+    "uniqueness": ((16, 32, 64), 1, "grid ladder", False, 1),
+    "mms-stationary": ((16, 32, 64), 2, "velocity_order", False, 1),
+    "operator-algebra": ((8, 16), 1, "grid ladder", False, 1),
+    "compatibility": ((64,), 1, "grid ladder", False, 1),
+    "eps-sweep": ((), 0, "cauchy_decreasing", False, 3),
+    "transposition": ((32, 64, 128, 256, 512), 2, "rotation_gap_decreasing", True, 1),
+    "traces": ((32, 64, 128, 256, 512), 2, "probe_gap_order", False, 1),
+    "biharmonic": ((32, 64, 128, 256), 2, "mms_order", True, 1),
+    "evolution-orders": ((32,), 1, "grid ladder", False, 1),
+    "evolution-estimate": ((16, 32, 64), 2, "pairing_order", False, 1),
 }
 
 
-def _ns(cfg: ExperimentConfig, need: int = 1, name: str = "grid ladder") -> tuple:
-    """The grid ladder; one shorter than the ``need`` rungs of the assertion
-    ``name``, or for a trend (need >= 2) one that does not halve h at each
-    rung, is refused before anything is solved."""
-    ns = RECIPE_NS.get(cfg.recipe, (16, 32, 64)) if cfg.ns is None else tuple(cfg.ns)
+def _ns(cfg: ExperimentConfig) -> tuple:
+    """The grid ladder, once the configuration meets its recipe's rules; a
+    ladder or width list shorter than the named assertion needs, a trend's
+    ladder that does not halve h at each rung, or a finest rung that does
+    not resolve the first width raises ValueError."""
+    ladder, need, name, resolve, widths = RECIPE_RULES.get(
+        cfg.recipe, RECIPE_RULES["uniqueness"])
+    ns = ladder if cfg.ns is None else tuple(cfg.ns)
     rungs(ns, need, name)
     if need >= 2 and any(b != 2 * a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"{name} needs a ladder of at least {need} rungs, "
                          f"each twice the one before, got {ns}")
+    rungs(cfg.eps_list, widths, f"{name} (layer widths)")
+    if resolve:
+        check_resolution(cfg.eps_list[0], max(ns))
     return ns
 
 
@@ -150,7 +158,7 @@ def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
     """Manufactured stationary solution: second-order recovery in L2."""
     rep = RecipeReport("mms-stationary")
     rows = []
-    for n in _ns(cfg, 2, "velocity_order"):
+    for n in _ns(cfg):
         grid = build_grid(n)
         u_ex, f, p_ex = stationary_fields(grid)
         sol = solve_homogeneous(grid, f=f)
@@ -172,13 +180,11 @@ def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
 def _dense_velocity_laplacian(grid) -> np.ndarray:
     """-Laplacian on the interior faces (u1, then u2), column by column."""
     n = grid.n
-    zero = BoundaryData.zeros(grid)
     cut = (n - 1) * n
     cols = []
     for e in np.eye(2 * cut):
-        u = VelocityField.from_interior(grid, e[:cut].reshape(n - 1, n),
-                                        e[cut:].reshape(n, n - 1))
-        r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, zero)
+        r1, r2 = apply_velocity_laplacian(grid, e[:cut].reshape(n - 1, n),
+                                          e[cut:].reshape(n, n - 1))
         cols.append(np.concatenate([r1.ravel(), r2.ravel()]))
     return np.column_stack(cols)
 
@@ -195,14 +201,10 @@ def run_operator_algebra(cfg: ExperimentConfig) -> RecipeReport:
     dst_dense = []
     for n in ns:
         grid = build_grid(n)
-        zero = BoundaryData.zeros(grid)
-        u = VelocityField.from_interior(grid, rng.standard_normal((n - 1, n)),
-                                        rng.standard_normal((n, n - 1)))
-        v = VelocityField.from_interior(grid, rng.standard_normal((n - 1, n)),
-                                        rng.standard_normal((n, n - 1)))
-        (u1, u2), (v1, v2) = u.interior(), v.interior()
-        Au1, Au2 = apply_velocity_laplacian(grid, u.u1, u.u2, zero)
-        Av1, Av2 = apply_velocity_laplacian(grid, v.u1, v.u2, zero)
+        u1, u2, v1, v2 = (rng.standard_normal(shape) for shape in
+                          [(n - 1, n), (n, n - 1)] * 2)
+        Au1, Au2 = apply_velocity_laplacian(grid, u1, u2)
+        Av1, Av2 = apply_velocity_laplacian(grid, v1, v2)
         lhs = float((Au1 * v1).sum() + (Au2 * v2).sum())
         rhs = float((u1 * Av1).sum() + (u2 * Av2).sum())
         adj.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
@@ -210,6 +212,7 @@ def run_operator_algebra(cfg: ExperimentConfig) -> RecipeReport:
         # <div u, p> = -<u, grad p> for velocities with zero boundary faces
         p = PressureField(grid, rng.standard_normal((n, n))).zero_mean()
         g1, g2 = gradient(p).interior()
+        u = VelocityField.from_interior(grid, u1, u2)
         a = float((divergence(u).p * p.p).sum()) * grid.h ** 2
         b = -float((u1 * g1).sum() + (u2 * g2).sum()) * grid.h ** 2
         dual.append(abs(a - b) / max(abs(a), 1e-300))
@@ -300,9 +303,8 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     Cauchy differences decrease.
     """
     rep = RecipeReport("eps-sweep")
+    _ns(cfg)
     eps_list = sorted(cfg.eps_list, reverse=True)
-    # the Cauchy decrease compares the differences of consecutive widths
-    rungs(eps_list, 3, "cauchy_decreasing (layer widths)")
     jobs = [(eps, resolved_n(eps)) for eps in eps_list]
     for a, b in zip(eps_list, eps_list[1:]):
         jobs.append((a, resolved_n(b)))
@@ -362,9 +364,8 @@ def _identity_case(case: str, n: int, eps: float):
 def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
     """Interior norm vs boundary integrals through the adjoint problem."""
     rep = RecipeReport("transposition")
-    ns = _ns(cfg, 2, "rotation_gap_decreasing")
+    ns = _ns(cfg)
     eps = cfg.eps_list[0]
-    check_resolution(eps, max(ns))
     rows = [_identity_case(case, n, eps)
             for case in ("rotation", "lid") for n in ns]
     rep.table("identity_log", ["n", "case", "lhs", "rhs", "rel_gap", "ratio"],
@@ -424,7 +425,7 @@ def _traces_case(n: int, seed: int):
 def run_traces(cfg: ExperimentConfig) -> RecipeReport:
     """Tangential boundary values recovered by pairing with liftings."""
     rep = RecipeReport("traces")
-    ns = _ns(cfg, 2, "probe_gap_order")
+    ns = _ns(cfg)
     cases = [_traces_case(n, cfg.seed + 7) for n in ns]
 
     rep.table("probes", ["n", "probe", "pairing", "reference", "gap"],
@@ -481,9 +482,8 @@ def _biharmonic_case(n: int, eps: float):
 def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     """Stream-function route: fourth-order problem cross-checks the mixed one."""
     rep = RecipeReport("biharmonic")
-    ns = _ns(cfg, 2, "mms_order")
+    ns = _ns(cfg)
     eps = cfg.eps_list[0]
-    check_resolution(eps, max(ns))
     rows = [_biharmonic_case(n, eps) for n in ns]
     rep.table("results", ["n", "mms_err", "cross_gap", "div_max",
                           "ext_x", "ext_y", "ext_value"], rows)
@@ -504,6 +504,10 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
 
 # ----------------------------------------------------------- evolution-orders
 
+# the final time and the time step of the evolution recipes
+T, DT = 1.0, 1.0 / 32
+
+
 def _manufactured_force(grid):
     f1f, f2f = time_dependent_forcing()
 
@@ -519,12 +523,10 @@ def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
     """Temporal accuracy of both stepping schemes on a forced problem."""
     rep = RecipeReport("evolution-orders")
     n = _ns(cfg)[0]
-    T = cfg.T
     grid = build_grid(n)
     force = _manufactured_force(grid)
     zero_tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
-    base = max(4, int(round(T / cfg.dt)) // 4)
-    ms = [base, 2 * base, 4 * base, 8 * base]
+    ms = [8, 16, 32, 64]
 
     rows = []
     windows = {"euler": (0.7, 1.3), "cn": (1.7, 2.3)}
@@ -553,7 +555,7 @@ def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
 
 # --------------------------------------------------------- evolution-estimate
 
-def _pairing_case(n: int, m: int, T: float, seed: int):
+def _pairing_case(n: int, m: int, seed: int):
     grid = build_grid(n)
     tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.5))
     traj = evolve(grid, tb, T, T / m, scheme="cn")
@@ -572,16 +574,15 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     the first three solve the first layer width on resolved_n(eps), whatever
     the ladder, which carries the pairing alone."""
     rep = RecipeReport("evolution-estimate")
-    ns = _ns(cfg, 2, "pairing_order")
-    T, dt = cfg.T, cfg.dt
+    ns = _ns(cfg)
     eps = cfg.eps_list[0]
     grid = build_grid(resolved_n(eps))
     g_sp = cavity_g_eps(grid, eps)
 
     # bounded space-time ratio, invariant under data scaling
     ratio, ratio3 = (
-        spacetime_estimate_ratio(grid, tb, T, dt,
-                                 traj=evolve(grid, tb, T, dt, scheme="cn"))
+        spacetime_estimate_ratio(grid, tb, T, DT,
+                                 traj=evolve(grid, tb, T, DT, scheme="cn"))
         for tb in (TimeBoundaryData.ramped(g, smooth_ramp(0.5))
                    for g in (g_sp, g_sp * 3.0)))
     sol_sp = solve_boundary(grid, g_sp)
@@ -606,7 +607,7 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     rep.check_le("relaxation_final", rel_final, 0.05)
 
     # backward march with constant forcing reproduces the stationary adjoint
-    m_back = int(round(2.0 / dt))
+    m_back = int(round(2.0 / DT))
     traj_c = Trajectory(grid, "euler", 2.0 / m_back, [stat] * (m_back + 1))
     back = solve_adjoint_backward(grid, traj_c)
     v_stat = solve_adjoint(grid, stat).velocity
@@ -616,7 +617,7 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
                  "initial slice of the backward march vs stationary adjoint")
 
     # space-time trace pairing under joint refinement
-    rows = [_pairing_case(n, n, T, cfg.seed + 5) for n in ns]
+    rows = [_pairing_case(n, n, cfg.seed + 5) for n in ns]
     rep.table("pairing", ["n", "m", "pairing", "reference", "gap",
                           "independence"], rows)
     gaps = [r[4] for r in rows]
@@ -652,9 +653,11 @@ def run_all(cfg: ExperimentConfig) -> RecipeReport:
     rep = RecipeReport("all")
     from dataclasses import replace
 
-    for name in RECIPE_ORDER:
-        sub_cfg = replace(cfg, recipe=name)
-        sub = RECIPES[name](sub_cfg)
+    subs = [replace(cfg, recipe=name) for name in RECIPE_ORDER]
+    for sub_cfg in subs:      # every recipe's rules before the first solve
+        _ns(sub_cfg)
+    for sub_cfg in subs:
+        sub = RECIPES[sub_cfg.recipe](sub_cfg)
         sub.write(sub_cfg.out_dir())
         rep.merge(sub)
     return rep

@@ -1,9 +1,9 @@
 """Discrete operators on the MAC grid: Laplacian, divergence, gradient, solvers.
 
-The velocity Laplacian acts on interior faces.  The boundary data g, a
-:class:`vws.boundary.BoundaryData` of midpoint samples, enters two ways:
-normal components sit exactly on boundary faces (a plain Dirichlet neighbor),
-tangential components are imposed through ghost-cell reflection
+The velocity Laplacian A acts on interior faces and takes no data.  Boundary
+data g, a :class:`vws.boundary.BoundaryData` of midpoint samples, enter its
+load L g alone, two ways: normal components sit on boundary faces (a plain
+Dirichlet neighbor), tangential ones through ghost-cell reflection
 
     u_ghost = 2 g - u_interior
 
@@ -33,9 +33,9 @@ modes, leaving u's interior modes in the right side's block; its
 ``to_cells``, the one cell stage, brings k solves' velocities back, and
 checks every defect, in one stacked inverse transform: k = 1 for a
 stationary solve, every step of a time march at once.
-:func:`apply_velocity_laplacian`, the one velocity Laplacian, serves the
-residuals and pairings; tests pin the velocity inverse against the dense
-operator assembled column by column from it.  :func:`saddle_inverses` caches
+:func:`apply_velocity_laplacian`, A with no slip, the velocity inverse's
+operator at shift 0, serves the residuals and pairings; tests pin the
+velocity inverse against it.  :func:`saddle_inverses` caches
 one solver per (grid, shift) and refuses a singular shift.  Every transform,
 the clamped plate's too, is one in-place helper, :func:`_transform`: type-I
 sine, type-II cosine or its inverse, along one axis or two in turn; below
@@ -153,27 +153,25 @@ def laplacian_load(grid: StaggeredGrid, g: BoundaryData, out=None):
     return out
 
 
-def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2, g: BoundaryData):
-    """Matrix-free -Laplacian u at interior faces.
+def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2):
+    """The matrix A: -Laplacian u at the interior faces, with no slip.
 
-    u1, u2 are full face arrays whose boundary faces already hold the normal
-    Dirichlet values; tangential ghosts come from g.  Returns interior-shaped
-    arrays.  Equivalent to A u - load(g), with A the interior-face operator
-    and load from :func:`laplacian_load`.
+    u1 (n-1, n) and u2 (n, n-1) are interior-shaped; the wall faces count
+    as zero and the tangential ghosts as -u.  Returns interior-shaped
+    arrays.  Boundary data enter a right side only through
+    :func:`laplacian_load`, as b in A u = b.
     """
     n, h = grid.n, grid.h
     ih2 = 1.0 / h ** 2
     r = []
     for t, u in enumerate((u1, u2)):
-        # u padded with a ghost line beyond each wall it runs along, so that
-        # its interior faces are up[1:-1, 1:-1]
-        up = np.empty((n + 1 + t, n + 2 - t))
-        up[t:n + 1, 1 - t:n + 1] = u
+        # u padded with its wall faces and a ghost line beyond each wall it
+        # runs along, so that its interior faces are up[1:-1, 1:-1]
+        up = np.zeros((n + 1 + t, n + 2 - t))
+        up[1:-1, 1:-1] = u
         for side in SIDES:
             if AXIS[side] != t:
-                ghost = wall(up, side)
-                ghost[...] = -wall(u, side)
-                ghost[1:n] += _pair_sum(g.samples[side][:, t])
+                wall(up, side)[1:-1] = -wall(u, side)
         # (4 c - x- - x+ - y- - y+) / h^2, summed in place in this order;
         # another order changes the rounding of every residual and pairing
         # built on it

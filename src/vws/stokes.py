@@ -173,10 +173,11 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
                     g: BoundaryData | None = None) -> dict:
     """Recompute residuals of a solution against its data.
 
-    momentum_res is h ||f - A u - G p|| over the interior faces (shift 0);
-    momentum_res_rel divides it by h ||f + load|| (0 when that is 0).  f or
-    g on another grid, or f with non-finite interior faces, raises
-    ValueError.
+    momentum_res is h ||f + L g - A u - G p|| over the interior faces, A at
+    shift 0 on u's interior faces and L g the load of g; u's wall faces
+    enter only div_* and boundary_mismatch.  momentum_res_rel divides it by
+    h ||f + L g|| (0 when that is 0).  f or g on another grid, or f with
+    non-finite interior faces, raises ValueError.
     """
     grid = sol.grid
     require_same_grid(grid, f, g)
@@ -189,23 +190,22 @@ def residual_report(sol: StokesSolution, f: VelocityField | None = None,
     div_max = max(float(div.max()), -float(div.min()))
     div_l2 = l2_norm_omega(PressureField(grid, div))
     del div
-    # one residual pair and one load pair; the load pair, once its norm is
-    # read, holds the pressure gradient
-    r1, r2 = apply_velocity_laplacian(grid, u1, u2, data)  # A u - load
+    # one residual pair, A u - b, and one right side pair b = f + L g; b,
+    # once its norm is read and it is subtracted, holds the pressure gradient
+    r1, r2 = apply_velocity_laplacian(grid, *sol.velocity.interior())
     b1, b2 = laplacian_load(grid, data)
     if f is not None:
         f1, f2 = f.interior()
         b1 += f1
         b2 += f2
     b_scale = grid.h * float(np.sqrt(np.vdot(b1, b1) + np.vdot(b2, b2)))
+    r1 -= b1
+    r2 -= b2
     p = sol.pressure.p
     for r, gp in ((r1, np.subtract(p[1:, :], p[:-1, :], out=b1)),
                   (r2, np.subtract(p[:, 1:], p[:, :-1], out=b2))):
         gp /= grid.h
         r += gp
-    if f is not None:
-        r1 -= f1
-        r2 -= f2
     mom = grid.h * float(np.sqrt(np.vdot(r1, r1) + np.vdot(r2, r2)))
     mismatch = 0.0
     if g is not None:

@@ -46,8 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .boundary import (AXIS, NORMALS, SIDES, BoundaryData, _pair_sum,
-                       _require_sides, smoothstep)
+from .boundary import AXIS, NORMALS, SIDES, _pair_sum, _require_sides, smoothstep
 from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
 from .operators import apply_velocity_laplacian, stream_curl
 
@@ -158,10 +157,10 @@ def lift_tangential(g1: TangentialBoundaryData) -> VelocityField:
 
 
 def pairing_with_field(u: VelocityField, v: VelocityField) -> float:
-    """Discrete integral of u . Laplace(v) for a lift-like v (v = 0 on walls)."""
+    """Discrete integral of u . Laplace(v), -h^2 <u, A v>, for a lift-like v."""
     grid = u.grid
     require_same_grid(grid, v)
-    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, BoundaryData.zeros(grid))
+    a1, a2 = apply_velocity_laplacian(grid, *v.interior())
     u1, u2 = u.interior()
     return -grid.h ** 2 * float(np.sum(u1 * a1) + np.sum(u2 * a2))
 

@@ -34,7 +34,8 @@ from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.manufactured import time_dependent_forcing, time_dependent_solution
 from vws.boundary import AXIS, SIDES, wall
 from vws.stokes import solve_boundary, solve_saddle
-from vws.operators import apply_velocity_laplacian, divergence, saddle_inverses
+from vws.operators import (apply_velocity_laplacian, divergence, laplacian_load,
+                           saddle_inverses)
 from vws.traces import TangentialBoundaryData, lift_tangential, perturbation_field
 from vws.transposition import solve_adjoint
 from vws.experiments.report import orders
@@ -428,12 +429,16 @@ def test_euler_steps_match_per_step_saddle_solves():
 
 def _trapezoid_step(grid, dt, u, g, f1, f2, g_next):
     """One Crank-Nicolson step in trapezoid form: the saddle solve at shift
-    2/dt of (2/dt - A) u + load(g) + f, the explicit half step formed by the
-    velocity Laplacian on the faces of u (its wall normals, g's tangents)."""
-    r1, r2 = apply_velocity_laplacian(grid, u.u1, u.u2, g)
+    2/dt of (2/dt - A) u + load + f, where the explicit half step loads u's
+    wall normals and g's tangents."""
+    data = {side: g.samples[side].copy() for side in SIDES}
+    for side in SIDES:
+        data[side][:, AXIS[side]] = wall((u.u1, u.u2)[AXIS[side]], side)
+    b1, b2 = laplacian_load(grid, BoundaryData(grid, data))
+    r1, r2 = apply_velocity_laplacian(grid, *u.interior())
     (v1, v2), s = u.interior(), 2.0 / dt
-    return solve_saddle(grid, g_next, (s * v1 - r1 + f1, s * v2 - r2 + f2),
-                        shift=s)[:2]
+    return solve_saddle(grid, g_next, (s * v1 - r1 + b1 + f1,
+                                       s * v2 - r2 + b2 + f2), shift=s)[:2]
 
 
 def _close(got, ref, rel):
@@ -633,7 +638,7 @@ def _per_step_pairing(traj, v, modulation):
     """sum_k w_k (m'_k <u^k, v>_h + m_k <u^k, Laplace_h v>), one step at a
     time, with the face-space Laplacian of v."""
     grid, h = traj.grid, traj.grid.h
-    a1, a2 = apply_velocity_laplacian(grid, v.u1, v.u2, BoundaryData.zeros(grid))
+    a1, a2 = apply_velocity_laplacian(grid, *v.interior())
     v1, v2 = v.interior()
     mvals, dm = _modulation_samples(modulation, traj.times)
     w = trapezoid_weights(traj.steps, traj.dt)

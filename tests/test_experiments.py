@@ -24,8 +24,6 @@ NAN, INF = float("nan"), float("inf")
 _FLAGS = [
     (["--n", "8, 16"], "ns", (8, 16)),
     (["--eps", "0.1,0.05"], "eps_list", (0.1, 0.05)),
-    (["--T", "0.5"], "T", 0.5),
-    (["--dt", "0.125"], "dt", 0.125),
     (["--out", "elsewhere"], "out", Path("elsewhere")),
     (["--seed", "9"], "seed", 9),
 ]
@@ -84,7 +82,7 @@ def test_cli_refuses_a_config_file(capsys):
 
 
 @pytest.mark.parametrize("flag", [["--n", "8,x"], ["--eps", "0.1,wide"],
-                                  ["--T", "soon"], ["--seed", "1.5"]],
+                                  ["--seed", "1.5"]],
                          ids=lambda f: f[0])
 def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
     calls = count_saddle_solves(monkeypatch)
@@ -149,8 +147,7 @@ def test_config_defaults():
     assert cfg.ns is None
     assert cfg.eps_list == (0.1, 0.05, 0.025, 0.0125)
     # one field per run flag, and the recipe: no field that no flag sets
-    assert list(vars(cfg)) == ["recipe", "ns", "eps_list", "T", "dt", "out",
-                               "seed"]
+    assert list(vars(cfg)) == ["recipe", "ns", "eps_list", "out", "seed"]
     assert cfg.out_dir().name == "transposition"
 
 
@@ -484,19 +481,24 @@ def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
     err = capsys.readouterr().err
     assert assertion in err and "needs a ladder of at least" in err
     assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [
-    # a zero or repeated width divided by zero, a NaN final time failed to
-    # round, and a negative width asked for a negative cell count
+    # a zero or repeated width divided by zero, and a negative width asked
+    # for a negative cell count
     (["eps-sweep", "--eps", "0,0.1,0.05"], "eps must be finite and positive, got 0.0"),
     (["eps-sweep", "--eps", "0.1,0.05,0.05"], "eps values must be distinct"),
     (["eps-sweep", "--eps=-0.1,0.1,0.05"], "eps must be finite and positive, got -0.1"),
-    (["evolution-orders", "--dt", "0"], "dt must be finite and positive, got 0.0"),
-    (["evolution-orders", "--T", "nan"], "T must be finite and positive, got nan"),
+    # "all --n 16,32" wrote five recipes before transposition refused n = 32
+    (["all", "--n", "16,32"], "grid n=32 cannot resolve eps=0.1 (need n >= 80)"),
+    # "--n 16,2" solved n = 16, then build_grid refused n = 2
+    (["uniqueness", "--n", "16,2"], "n must be in [4, 2048], got 2"),
     # "all --seed -1" solved two recipes, then exited in numpy's "expected
     # non-negative integer", naming no flag
     (["all", "--seed", "-1"], "seed must be non-negative, got -1"),
+    # n = 4096 would hold about 400 MB in one saddle inverse
+    (["uniqueness", "--n", "8,4096"], "n must be in [4, 2048], got 4096"),
 ])
 def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypatch,
                                                       argv, message):
@@ -504,6 +506,7 @@ def test_cli_bad_config_values_exit_2_naming_the_key(tmp_path, capsys, monkeypat
     assert cli_main(argv + ["--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("recipe, finest", [("transposition", 512),

@@ -43,12 +43,11 @@ def test_laplacian_self_adjoint():
     rng = np.random.default_rng(11)
     for n in (8, 12, 16):
         grid = build_grid(n)
-        g = BoundaryData.zeros(grid)
         for _ in range(3):
             u1, u2 = _random_interior(rng, n)
             v1, v2 = _random_interior(rng, n)
-            Au1, Au2 = apply_velocity_laplacian(grid, u1, u2, g)
-            Av1, Av2 = apply_velocity_laplacian(grid, v1, v2, g)
+            Au1, Au2 = apply_velocity_laplacian(grid, u1[1:n, :], u2[:, 1:n])
+            Av1, Av2 = apply_velocity_laplacian(grid, v1[1:n, :], v2[:, 1:n])
             lhs = (Au1 * v1[1:n, :]).sum() + (Au2 * v2[:, 1:n]).sum()
             rhs = (u1[1:n, :] * Av1).sum() + (u2[:, 1:n] * Av2).sum()
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -57,9 +56,8 @@ def test_laplacian_self_adjoint():
 def test_laplacian_positive():
     rng = np.random.default_rng(3)
     grid = build_grid(12)
-    g = BoundaryData.zeros(grid)
     u1, u2 = _random_interior(rng, 12)
-    Au1, Au2 = apply_velocity_laplacian(grid, u1, u2, g)
+    Au1, Au2 = apply_velocity_laplacian(grid, u1[1:12, :], u2[:, 1:12])
     energy = (Au1 * u1[1:12, :]).sum() + (Au2 * u2[:, 1:12]).sum()
     assert energy > 0.0
 
@@ -72,8 +70,7 @@ def test_laplacian_truncation_order():
     for n in (32, 64):
         grid = build_grid(n)
         v = VelocityField.from_functions(grid, f, f)
-        r1, r2 = apply_velocity_laplacian(grid, v.u1, v.u2,
-                                          BoundaryData.zeros(grid))
+        r1, r2 = apply_velocity_laplacian(grid, *v.interior())
         ex = VelocityField.from_functions(grid, lap, lap)
         errs.append(max(np.abs(r1 - ex.u1[1:n, :]).max(),
                         np.abs(r2 - ex.u2[:, 1:n]).max()))
@@ -190,6 +187,21 @@ def test_poisson_dst_matches_dense(shift):
     ref = np.linalg.solve(dense_velocity_laplacian(grid, shift),
                           np.concatenate([f1.ravel(), f2.ravel()]))
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [5, 8, 17, 129])
+@pytest.mark.parametrize("shift", [0.0, 64.0])
+def test_velocity_laplacian_undoes_the_velocity_solve(n, shift):
+    # A x + shift x = b for x = A^{-1} b, past the dense test's n = 16: n = 5
+    # and 17 are odd, and at n = 129 the solve runs scipy's transforms
+    grid = build_grid(n)
+    inv = saddle_inverses(grid, shift)
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n - 1, n)), rng.standard_normal((n, n - 1))
+    x = inv.from_modes(inv.velocity_solve(inv.forcing_modes(b)))
+    b_max = max(np.abs(bk).max() for bk in b)
+    for ax, xk, bk in zip(apply_velocity_laplacian(grid, *x), x, b):
+        assert np.abs(ax + shift * xk - bk).max() <= 1e-12 * b_max
 
 
 def _schur_apply(inv, r):

@@ -97,7 +97,7 @@ def _pairing_size(u: VelocityField, g1: TangentialBoundaryData) -> float:
     terms pairing_L sums, which on a random u cancel to a far smaller value."""
     grid = u.grid
     lift = lift_tangential(g1)
-    lap = apply_velocity_laplacian(grid, lift.u1, lift.u2, BoundaryData.zeros(grid))
+    lap = apply_velocity_laplacian(grid, *lift.interior())
     return grid.h ** 2 * sum(float(np.sum(np.abs(a) * np.abs(b)))
                              for a, b in zip(u.interior(), lap))
 

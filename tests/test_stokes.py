@@ -541,10 +541,11 @@ def test_residual_report_matches_the_plain_recomputation():
     u1, u2, p, _ = solve_saddle(grid, g, f.interior())
     sol = StokesSolution(grid, VelocityField(grid, u1, u2), PressureField(grid, p))
     rep = residual_report(sol, f=f, g=g)
-    r1, r2 = apply_velocity_laplacian(grid, u1, u2, g)
+    r1, r2 = apply_velocity_laplacian(grid, *sol.velocity.interior())
     b1, b2 = laplacian_load(grid, g)
     (g1, g2), (f1, f2) = face_gradient(p, grid.h), f.interior()
-    r1, r2, b1, b2 = r1 + g1 - f1, r2 + g2 - f2, b1 + f1, b2 + f2
+    b1, b2 = b1 + f1, b2 + f2
+    r1, r2 = r1 + g1 - b1, r2 + g2 - b2
     mom = grid.h * np.sqrt((r1 ** 2).sum() + (r2 ** 2).sum())
     b_scale = grid.h * np.sqrt((b1 ** 2).sum() + (b2 ** 2).sum())
     div = divergence(sol.velocity).p
