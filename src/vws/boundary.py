@@ -15,6 +15,7 @@ perimeter of length 4).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -158,10 +159,16 @@ def cavity_eps_profile(x, eps: float):
     return 1.0 - sigma(x) * np.exp(-x / eps) - sigma(1.0 - x) * np.exp(-(1.0 - x) / eps)
 
 
+def resolved_n(eps: float) -> int:
+    """The coarsest grid that resolves a layer of width eps: n >= 8/eps, up to
+    rounding (8/(1/3) reads 24.000000000000004 and needs 24)."""
+    return math.ceil(8.0 / eps - 1e-9)
+
+
 def _warn_if_underresolved(eps: float, grid: StaggeredGrid) -> None:
-    if eps < 4.0 * grid.h:
+    if grid.n < (need := resolved_n(eps)):
         warnings.warn(
-            f"layer width eps={eps:g} is below 4h={4.0 * grid.h:g} at n={grid.n}; "
+            f"layer width eps={eps:g} needs n >= {need}, got n={grid.n}; "
             "the boundary layer is under-resolved",
             UnderResolvedWarning,
             stacklevel=3,
@@ -177,9 +184,9 @@ def cavity_g(grid: StaggeredGrid) -> BoundaryData:
 
 def cavity_g_eps(grid: StaggeredGrid, eps: float) -> BoundaryData:
     """Lid data with the corner singularities smoothed over a layer of width eps."""
-    _warn_if_underresolved(eps, grid)
     g = {s: np.zeros((grid.n, 2)) for s in SIDES}
     g["top"][:, 0] = cavity_eps_profile(grid.x_centers(), eps)
+    _warn_if_underresolved(eps, grid)
     return BoundaryData(grid, g)
 
 

@@ -32,4 +32,4 @@ class RecipeMismatch(ValueError):
 
 
 class UnderResolvedWarning(UserWarning):
-    """Boundary-layer width eps is below 4h on the requested grid."""
+    """The grid is coarser than a layer of width eps needs: n < resolved_n(eps)."""

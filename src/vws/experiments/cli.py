@@ -9,7 +9,7 @@ from pathlib import Path
 from ..errors import NonConvergence
 from .compare import compare_runs, format_comparison
 from .config import ExperimentConfig
-from .recipes import RECIPE_ORDER, run_recipe
+from .recipes import RECIPES, run_recipe
 
 
 def _comma_list(kind):
@@ -24,17 +24,23 @@ def _comma_list(kind):
     return parse
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    """The run flags, each stored under its ExperimentConfig field; a flag
-    not given leaves no attribute, so the field keeps its default."""
-    sp.add_argument("--n", dest="ns", type=_comma_list(int), metavar="N",
-                    help="comma separated grid sizes, e.g. 16,32,64")
-    sp.add_argument("--eps", dest="eps_list", type=_comma_list(float), metavar="EPS",
-                    help="comma separated layer widths, e.g. 0.1,0.05")
+def _add_run_flags(sp: argparse.ArgumentParser, ns=True, eps=True,
+                   seed=True) -> None:
+    """The run flags a recipe reads, each stored under its ExperimentConfig
+    field; a flag not given leaves no attribute, so the field keeps its
+    default, and a flag the recipe does not read is unrecognized."""
+    if ns:
+        sp.add_argument("--n", dest="ns", type=_comma_list(int), metavar="N",
+                        help="comma separated grid sizes, e.g. 16,32,64")
+    if eps:
+        sp.add_argument("--eps", dest="eps_list", type=_comma_list(float),
+                        metavar="EPS",
+                        help="comma separated layer widths, e.g. 0.1,0.05")
     sp.add_argument("--out", dest="out", type=Path,
                     help="output root directory (default: runs/)")
-    sp.add_argument("--seed", dest="seed", type=int,
-                    help="seed for randomized probes")
+    if seed:
+        sp.add_argument("--seed", dest="seed", type=int,
+                        help="seed for randomized probes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,10 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vws",
         description="Numerical experiments for very weak Stokes solutions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in RECIPE_ORDER + ["all"]:
+    for name, r in RECIPES.items():
         sp = sub.add_parser(name, help=f"run the {name} recipe",
                             argument_default=argparse.SUPPRESS)
-        _add_common(sp)
+        _add_run_flags(sp, bool(r.ladder), r.widths > 0, r.seeded)
+    _add_run_flags(sub.add_parser("all", help="run every recipe",
+                                  argument_default=argparse.SUPPRESS))
     cp = sub.add_parser("compare", help="compare two recipe run directories")
     cp.add_argument("dir_a")
     cp.add_argument("dir_b")

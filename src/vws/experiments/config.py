@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
+
+from ..boundary import resolved_n
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
 # the finest grid a run or a layer width may ask for: its saddle inverse
@@ -24,10 +27,16 @@ class ExperimentConfig:
         for eps in self.eps_list:
             if not 0.0 < eps < math.inf:       # NaN fails it too
                 raise ValueError(f"eps must be finite and positive, got {eps}")
-            resolved_n(eps)     # a width no grid up to MAX_N resolves
+            if (n := resolved_n(eps)) > MAX_N:
+                raise ValueError(f"eps={eps} needs a grid n={n}, above the "
+                                 f"finest, n={MAX_N}")
         for n in self.ns or ():
+            if not isinstance(n, Integral):
+                raise ValueError(f"n must be an integer, got {n!r}")
             if not 4 <= n <= MAX_N:
                 raise ValueError(f"n must be in [4, {MAX_N}], got {n}")
+        if not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < len(set(self.eps_list)) == len(self.eps_list):
@@ -35,14 +44,6 @@ class ExperimentConfig:
 
     def out_dir(self) -> Path:
         return Path(self.out) / self.recipe
-
-
-def resolved_n(eps: float) -> int:
-    """The coarsest grid that resolves a layer of width eps: n >= 8/eps.
-    A width that needs one finer than MAX_N raises ValueError."""
-    if (n := math.ceil(8.0 / eps - 1e-9)) > MAX_N:
-        raise ValueError(f"eps={eps} needs a grid n={n}, above the finest, n={MAX_N}")
-    return n
 
 
 def check_resolution(eps: float, n: int) -> None:

@@ -1,6 +1,7 @@
 """Experiment recipes: each one reproduces a claim as pass/fail assertions.
 
-A recipe is a function ExperimentConfig -> RecipeReport.  Recipes never stop
+A recipe is one entry of RECIPES: a body(cfg, ns, rep) that fills the report
+run_recipe hands it, and the rules its run meets.  Recipes never stop
 at the first failure; every assertion is evaluated and recorded so a single
 run documents the full state of the claim it checks.  Each recipe solves its
 cases in order in one process, collects one ladder per quantity, and hands
@@ -15,6 +16,8 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from ..boundary import (
     l2_norm_gamma,
     outward_normal_data,
     project_compatible,
+    resolved_n,
     rotation_data,
 )
 from ..biharmonic import solve_biharmonic, velocity_from_stream
@@ -77,25 +81,22 @@ from ..transposition import (
     solve_adjoint,
     transposition_identity,
 )
-from .config import ExperimentConfig, check_resolution, resolved_n
+from .config import ExperimentConfig, check_resolution
 from .report import RecipeReport, orders, rungs
 
 
-# per recipe, the rules its configuration meets before anything is solved:
-# default grid ladder, rungs and name of the assertion needing the most,
-# whether the finest rung resolves the first layer width, widths needed
-RECIPE_RULES = {
-    "uniqueness": ((16, 32, 64), 1, "grid ladder", False, 1),
-    "mms-stationary": ((16, 32, 64), 2, "velocity_order", False, 1),
-    "operator-algebra": ((8, 16), 1, "grid ladder", False, 1),
-    "compatibility": ((64,), 1, "grid ladder", False, 1),
-    "eps-sweep": ((), 0, "cauchy_decreasing", False, 3),
-    "transposition": ((32, 64, 128, 256, 512), 2, "rotation_gap_decreasing", True, 1),
-    "traces": ((32, 64, 128, 256, 512), 2, "probe_gap_order", False, 1),
-    "biharmonic": ((32, 64, 128, 256), 2, "mms_order", True, 1),
-    "evolution-orders": ((32,), 1, "grid ladder", False, 1),
-    "evolution-estimate": ((16, 32, 64), 2, "pairing_order", False, 1),
-}
+class Recipe(NamedTuple):
+    """One recipe: its body, which records every assertion in the report it
+    is handed, and the rules its run meets before anything is solved.  It
+    reads --n only with a default ladder, --eps only when it needs widths
+    and --seed only when seeded."""
+    body: Callable[[ExperimentConfig, tuple, RecipeReport], None]
+    ladder: tuple = ()          # the default grid ladder
+    need: int = 0               # rungs of the assertion that needs the most,
+    name: str = "grid ladder"   # and its name
+    resolve: bool = False       # the finest rung resolves the first width
+    widths: int = 0             # the layer widths it needs
+    seeded: bool = False
 
 
 def _ns(cfg: ExperimentConfig) -> tuple:
@@ -103,15 +104,14 @@ def _ns(cfg: ExperimentConfig) -> tuple:
     ladder or width list shorter than the named assertion needs, a trend's
     ladder that does not halve h at each rung, or a finest rung that does
     not resolve the first width raises ValueError."""
-    ladder, need, name, resolve, widths = RECIPE_RULES.get(
-        cfg.recipe, RECIPE_RULES["uniqueness"])
-    ns = ladder if cfg.ns is None else tuple(cfg.ns)
-    rungs(ns, need, name)
-    if need >= 2 and any(b != 2 * a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"{name} needs a ladder of at least {need} rungs, "
+    r = RECIPES[cfg.recipe]
+    ns = r.ladder if cfg.ns is None or not r.ladder else tuple(cfg.ns)
+    rungs(ns, r.need, r.name)
+    if r.need >= 2 and any(b != 2 * a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"{r.name} needs a ladder of at least {r.need} rungs, "
                          f"each twice the one before, got {ns}")
-    rungs(cfg.eps_list, widths, f"{name} (layer widths)")
-    if resolve:
+    rungs(cfg.eps_list, r.widths, f"{r.name} (layer widths)")
+    if r.resolve:
         check_resolution(cfg.eps_list[0], max(ns))
     return ns
 
@@ -125,10 +125,8 @@ def _quiet():
 
 # ---------------------------------------------------------------- uniqueness
 
-def run_uniqueness(cfg: ExperimentConfig) -> RecipeReport:
+def run_uniqueness(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Zero data must produce the zero solution, stationary and evolving."""
-    rep = RecipeReport("uniqueness")
-    ns = _ns(cfg)
     rows = []
     for n in ns:
         grid = build_grid(n)
@@ -149,16 +147,14 @@ def run_uniqueness(cfg: ExperimentConfig) -> RecipeReport:
     rep.check_le("evolution_zero", traj.norms(), 1e-12,
                  f"n={ns[0]}, 4 steps of dt=1/16")
     rep.metric("ns", list(ns))
-    return rep
 
 
 # ------------------------------------------------------------ mms-stationary
 
-def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
+def run_mms_stationary(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Manufactured stationary solution: second-order recovery in L2."""
-    rep = RecipeReport("mms-stationary")
     rows = []
-    for n in _ns(cfg):
+    for n in ns:
         grid = build_grid(n)
         u_ex, f, p_ex = stationary_fields(grid)
         sol = solve_homogeneous(grid, f=f)
@@ -172,7 +168,6 @@ def run_mms_stationary(cfg: ExperimentConfig) -> RecipeReport:
     rep.metric("err_p", err_p)
     rep.check_order("velocity_order", err_u, 1.8, metric="orders_u")
     rep.check_order("pressure_order", err_p, 1.8, metric="orders_p")
-    return rep
 
 
 # ----------------------------------------------------------- operator-algebra
@@ -189,11 +184,9 @@ def _dense_velocity_laplacian(grid) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def run_operator_algebra(cfg: ExperimentConfig) -> RecipeReport:
+def run_operator_algebra(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Discrete identities: self-adjointness, duality, exact solver checks."""
-    rep = RecipeReport("operator-algebra")
     rng = np.random.default_rng(cfg.seed)
-    ns = _ns(cfg)
 
     adj = []
     dual = []
@@ -252,15 +245,13 @@ def run_operator_algebra(cfg: ExperimentConfig) -> RecipeReport:
     ref12 = np.linalg.solve(S, rhs12)
     rel = float(np.abs(res12.x - ref12).max() / np.abs(ref12).max())
     rep.check_le("cg_vs_dense", rel, 1e-10)
-    return rep
 
 
 # -------------------------------------------------------------- compatibility
 
-def run_compatibility(cfg: ExperimentConfig) -> RecipeReport:
-    """Net-flux arithmetic: data families are compatible, projection works."""
-    rep = RecipeReport("compatibility")
-    n = max(_ns(cfg))
+def run_compatibility(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
+    """Net-flux arithmetic on n = 64: families compatible, projection works."""
+    n = 64
     grid = build_grid(n)
     with _quiet():
         cases = [("lid", cavity_g(grid)), ("rotation", rotation_data(grid))]
@@ -282,7 +273,6 @@ def run_compatibility(cfg: ExperimentConfig) -> RecipeReport:
     rep.check_le("projection_idempotent",
                  [np.abs(twice.samples[s] - fixed.samples[s]) for s in SIDES],
                  1e-15)
-    return rep
 
 
 # ------------------------------------------------------------------ eps-sweep
@@ -293,7 +283,7 @@ def _sweep_case(eps: float, n: int):
     return g, solve_boundary(grid, g)
 
 
-def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
+def run_eps_sweep(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Uniform estimate across shrinking corner layers.
 
     Solves each layer width on its grid resolved_n(eps), and both widths of
@@ -302,8 +292,6 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     first value, (b) one constant covers all difference quotients, (c) the
     Cauchy differences decrease.
     """
-    rep = RecipeReport("eps-sweep")
-    _ns(cfg)
     eps_list = sorted(cfg.eps_list, reverse=True)
     jobs = [(eps, resolved_n(eps)) for eps in eps_list]
     for a, b in zip(eps_list, eps_list[1:]):
@@ -343,7 +331,6 @@ def run_eps_sweep(cfg: ExperimentConfig) -> RecipeReport:
     steps = np.diff(rungs(diffs, 2, "cauchy_decreasing"))
     rep.check("cauchy_decreasing", np.all(steps < 0.0), steps.max(), 0.0,
               f"differences {[f'{d:.4e}' for d in diffs]}")
-    return rep
 
 
 # -------------------------------------------------------------- transposition
@@ -361,10 +348,8 @@ def _identity_case(case: str, n: int, eps: float):
     return (n, case, r["lhs"], r["rhs"], r["rel_gap"], ratio)
 
 
-def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
+def run_transposition(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Interior norm vs boundary integrals through the adjoint problem."""
-    rep = RecipeReport("transposition")
-    ns = _ns(cfg)
     eps = cfg.eps_list[0]
     rows = [_identity_case(case, n, eps)
             for case in ("rotation", "lid") for n in ns]
@@ -384,7 +369,6 @@ def run_transposition(cfg: ExperimentConfig) -> RecipeReport:
         rep.check_le("lid_gap_fine", finest[4], 0.05,
                      f"relative gap at n={finest[0]}, eps={eps:g}")
     rep.metric("lid_ratio_finest", finest[5])
-    return rep
 
 
 # --------------------------------------------------------------------- traces
@@ -422,10 +406,8 @@ def _traces_case(n: int, seed: int):
             "probe_rows": probe_rows}
 
 
-def run_traces(cfg: ExperimentConfig) -> RecipeReport:
+def run_traces(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Tangential boundary values recovered by pairing with liftings."""
-    rep = RecipeReport("traces")
-    ns = _ns(cfg)
     cases = [_traces_case(n, cfg.seed + 7) for n in ns]
 
     rep.table("probes", ["n", "probe", "pairing", "reference", "gap"],
@@ -455,7 +437,6 @@ def run_traces(cfg: ExperimentConfig) -> RecipeReport:
                  "Dirichlet-eigenvalue bound")
     rep.check_le("separation", np.max(stokes) / np.min(ctrl), 0.25,
                  "independence gap separates solutions from non-solutions")
-    return rep
 
 
 # ----------------------------------------------------------------- biharmonic
@@ -479,10 +460,8 @@ def _biharmonic_case(n: int, eps: float):
     return (n, err, gap, div_max, x0, y0, val)
 
 
-def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
+def run_biharmonic(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Stream-function route: fourth-order problem cross-checks the mixed one."""
-    rep = RecipeReport("biharmonic")
-    ns = _ns(cfg)
     eps = cfg.eps_list[0]
     rows = [_biharmonic_case(n, eps) for n in ns]
     rep.table("results", ["n", "mms_err", "cross_gap", "div_max",
@@ -499,7 +478,6 @@ def run_biharmonic(cfg: ExperimentConfig) -> RecipeReport:
     rep.metric("extremum", [x0, y0, val])
     rep.check_ge("vortex_above_midheight", y0, 0.5,
                  f"stream extremum at ({x0:.3f}, {y0:.3f}), value {val:.4f}")
-    return rep
 
 
 # ----------------------------------------------------------- evolution-orders
@@ -519,11 +497,9 @@ def _manufactured_force(grid):
     return force
 
 
-def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
-    """Temporal accuracy of both stepping schemes on a forced problem."""
-    rep = RecipeReport("evolution-orders")
-    n = _ns(cfg)[0]
-    grid = build_grid(n)
+def run_evolution_orders(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
+    """Temporal accuracy of both stepping schemes on a forced problem, n = 32."""
+    grid = build_grid(32)
     force = _manufactured_force(grid)
     zero_tb = TimeBoundaryData.constant(BoundaryData.zeros(grid))
     ms = [8, 16, 32, 64]
@@ -550,7 +526,6 @@ def run_evolution_orders(cfg: ExperimentConfig) -> RecipeReport:
                   f"{[f'{o:.3f}' for o in ords]}")
     rep.table("self_differences", ["scheme", "m", "dt", "final_diff", "order"],
               rows)
-    return rep
 
 
 # --------------------------------------------------------- evolution-estimate
@@ -569,12 +544,10 @@ def _pairing_case(n: int, m: int, seed: int):
     return (n, m, val, ref, abs(val - ref), indep)
 
 
-def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
+def run_evolution_estimate(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     """Space-time analogues: estimate, relaxation, duality, trace pairing;
     the first three solve the first layer width on resolved_n(eps), whatever
     the ladder, which carries the pairing alone."""
-    rep = RecipeReport("evolution-estimate")
-    ns = _ns(cfg)
     eps = cfg.eps_list[0]
     grid = build_grid(resolved_n(eps))
     g_sp = cavity_g_eps(grid, eps)
@@ -626,51 +599,46 @@ def run_evolution_estimate(cfg: ExperimentConfig) -> RecipeReport:
     indep = [r[5] for r in rows]
     rep.metric("independence", indep)
     rep.check_decreasing("independence_decays", indep)
-    return rep
 
 
 # ------------------------------------------------------------------ dispatch
 
 RECIPES = {
-    "uniqueness": run_uniqueness,
-    "mms-stationary": run_mms_stationary,
-    "operator-algebra": run_operator_algebra,
-    "compatibility": run_compatibility,
-    "eps-sweep": run_eps_sweep,
-    "transposition": run_transposition,
-    "traces": run_traces,
-    "biharmonic": run_biharmonic,
-    "evolution-orders": run_evolution_orders,
-    "evolution-estimate": run_evolution_estimate,
+    "uniqueness": Recipe(run_uniqueness, (16, 32, 64), 1),
+    "mms-stationary": Recipe(run_mms_stationary, (16, 32, 64), 2, "velocity_order"),
+    "operator-algebra": Recipe(run_operator_algebra, (8, 16), 1, seeded=True),
+    "compatibility": Recipe(run_compatibility, widths=1),
+    "eps-sweep": Recipe(run_eps_sweep, name="cauchy_decreasing", widths=3),
+    "transposition": Recipe(run_transposition, (32, 64, 128, 256, 512), 2,
+                            "rotation_gap_decreasing", resolve=True, widths=1),
+    "traces": Recipe(run_traces, (32, 64, 128, 256, 512), 2, "probe_gap_order",
+                     seeded=True),
+    "biharmonic": Recipe(run_biharmonic, (32, 64, 128, 256), 2, "mms_order",
+                         resolve=True, widths=1),
+    "evolution-orders": Recipe(run_evolution_orders),
+    "evolution-estimate": Recipe(run_evolution_estimate, (16, 32, 64), 2,
+                                 "pairing_order", widths=1, seeded=True),
 }
-
-RECIPE_ORDER = list(RECIPES)
-
-
-def run_all(cfg: ExperimentConfig) -> RecipeReport:
-    """Every recipe in sequence; sub-reports, tables included, land in their
-    own directories, and the merged report holds only the summaries."""
-    rep = RecipeReport("all")
-    from dataclasses import replace
-
-    subs = [replace(cfg, recipe=name) for name in RECIPE_ORDER]
-    for sub_cfg in subs:      # every recipe's rules before the first solve
-        _ns(sub_cfg)
-    for sub_cfg in subs:
-        sub = RECIPES[sub_cfg.recipe](sub_cfg)
-        sub.write(sub_cfg.out_dir())
-        rep.merge(sub)
-    return rep
 
 
 def run_recipe(cfg: ExperimentConfig) -> RecipeReport:
-    """Dispatch a recipe by name and write its report."""
-    if cfg.recipe == "all":
-        rep = run_all(cfg)
-    elif cfg.recipe in RECIPES:
-        rep = RECIPES[cfg.recipe](cfg)
-    else:
+    """Run a recipe, or every recipe for "all", and write its report.  Every
+    rule is checked before the first solve, so a refused run writes nothing;
+    under "all" each recipe writes its tables to its own directory and the
+    merged report holds only the summaries."""
+    if cfg.recipe != "all" and cfg.recipe not in RECIPES:
         raise KeyError(f"unknown recipe {cfg.recipe!r}; "
-                       f"choose from {RECIPE_ORDER + ['all']}")
-    rep.write(cfg.out_dir())
-    return rep
+                       f"choose from {[*RECIPES, 'all']}")
+    subs = [replace(cfg, recipe=name) for name in
+            (RECIPES if cfg.recipe == "all" else [cfg.recipe])]
+    ladders = [_ns(sub) for sub in subs]
+    top = RecipeReport(cfg.recipe)
+    for sub, ns in zip(subs, ladders):
+        rep = RecipeReport(sub.recipe)
+        RECIPES[sub.recipe].body(sub, ns, rep)
+        rep.write(sub.out_dir())
+        top.merge(rep)
+    if cfg.recipe != "all":
+        return rep
+    top.write(cfg.out_dir())
+    return top

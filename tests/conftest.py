@@ -3,7 +3,7 @@ import time
 import pytest
 
 from vws.experiments.config import ExperimentConfig
-from vws.experiments.recipes import RECIPES
+from vws.experiments.recipes import RECIPES, run_recipe
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +19,7 @@ def recipe_runs(recipe_out):
     for name in RECIPES:
         cfg = ExperimentConfig(recipe=name, out=recipe_out)
         t0 = time.perf_counter()
-        rep = RECIPES[name](cfg)
+        rep = run_recipe(cfg)
         elapsed = time.perf_counter() - t0
-        rep.write(cfg.out_dir())
         runs[name] = (rep, elapsed)
     return runs

@@ -15,6 +15,7 @@ from vws.boundary import (
     l2_norm_gamma,
     outward_normal_data,
     project_compatible,
+    resolved_n,
     rotation_data,
     smoothstep,
     wall,
@@ -56,17 +57,35 @@ def test_cavity_eps_profile_shape():
     assert abs(prof[0] - prof[-1]) <= 1e-13  # symmetric corners
     assert abs(compatibility_defect(g)) <= 1e-15
 
-    sharp = cavity_g_eps(build_grid(512), 0.0125).samples["top"][:, 0]
+    sharp = cavity_g_eps(build_grid(640), 0.0125).samples["top"][:, 0]
     assert abs(sharp[len(sharp) // 2] - 1.0) <= 1e-12
 
 
 def test_underresolved_warning():
-    grid = build_grid(32)
-    with pytest.warns(UnderResolvedWarning):
-        cavity_g_eps(grid, 0.05)
+    for n in (32, 128):
+        with pytest.warns(UnderResolvedWarning, match="needs n >= 160"):
+            cavity_g_eps(build_grid(n), 0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cavity_g_eps(build_grid(128), 0.05)  # resolved: must not warn
+        cavity_g_eps(build_grid(160), 0.05)  # resolved: must not warn
+
+
+@pytest.mark.parametrize("eps, n", [(0.1, 80), (0.05, 160), (1 / 3, 24)])
+@pytest.mark.parametrize("family", [
+    cavity_g_eps,
+    lambda grid, eps: corner_variant(grid, "corner_01", eps=eps),
+    lambda grid, eps: corner_variant(grid, "corner_11", eps=eps),
+], ids=["cavity_g_eps", "corner_01", "corner_11"])
+def test_data_families_warn_by_the_harness_rule(family, eps, n):
+    # the library warns exactly where the recipes refuse a grid: below
+    # resolved_n(eps) = ceil(8/eps); it warned below eps = 4h, so n = 48
+    # passed for eps = 0.1 where the recipes need 80
+    assert resolved_n(eps) == n
+    with pytest.warns(UnderResolvedWarning):
+        family(build_grid(n - 1), eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnderResolvedWarning)
+        family(build_grid(n), eps)
 
 
 def test_corner_variants_compatible():

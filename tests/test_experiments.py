@@ -13,7 +13,7 @@ from vws.experiments import cli, recipes
 from vws.experiments.cli import main as cli_main
 from vws.experiments.compare import compare_runs, format_comparison
 from vws.experiments.config import ExperimentConfig, check_resolution, resolved_n
-from vws.experiments.recipes import RECIPE_ORDER, RECIPES, run_recipe
+from vws.experiments.recipes import RECIPES, Recipe, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary, orders
 
 from support import count_saddle_solves
@@ -35,26 +35,54 @@ def test_cli_flag_sets_its_config_field(monkeypatch, flag, field, value):
     seen = []
     monkeypatch.setattr(cli, "run_recipe",
                         lambda cfg: seen.append(cfg) or RecipeReport(cfg.recipe))
-    assert cli_main(["uniqueness", *flag]) == 0
-    default = vars(ExperimentConfig(recipe="uniqueness"))
+    assert cli_main(["evolution-estimate", *flag]) == 0
+    default = vars(ExperimentConfig(recipe="evolution-estimate"))
     assert default[field] != value
     # the flag reaches its field, and every flag not given leaves its default
     assert vars(seen[0]) == {**default, field: value}
 
 
-def test_readme_common_flags_are_the_run_flags():
-    # the README's "Common flags" paragraph names every run flag of a recipe
-    # subcommand and no other, so that a retired flag leaves the docs too
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    paragraph = re.search(r"^Common flags:.*?(?=\n\n)", readme,
-                          re.MULTILINE | re.DOTALL).group()
-    documented = set(re.findall(r"--[A-Za-z][\w-]*", paragraph))
+def _subparser_flags(name):
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    for name in RECIPE_ORDER + ["all"]:
-        flags = {opt for action in sub.choices[name]._actions
-                 for opt in action.option_strings} - {"-h", "--help"}
-        assert flags == documented, name
+    return {opt for action in sub.choices[name]._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_readme_recipe_table_names_each_recipes_flags():
+    # the README's recipe table lists the run flags each subcommand takes
+    # besides --out, so the docs cannot drift from RECIPES; "all" takes all
+    # four
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^Recipes:\n\n(.*?)\n\n", readme, re.MULTILINE | re.DOTALL)
+    rows = dict(re.findall(r"^\| `([\w-]+)` *\|([^|]*)\|", table.group(1),
+                           re.MULTILINE))
+    assert set(rows) == set(RECIPES)
+    for name in RECIPES:
+        documented = set(re.findall(r"--\w+", rows[name])) | {"--out"}
+        assert _subparser_flags(name) == documented, name
+    assert _subparser_flags("all") == {"--n", "--eps", "--out", "--seed"}
+
+
+_UNREAD = [(name, flag) for name, r in RECIPES.items()
+           for flag, reads in (("--n", bool(r.ladder)), ("--eps", r.widths > 0),
+                               ("--seed", r.seeded)) if not reads]
+
+
+@pytest.mark.parametrize("recipe, flag", _UNREAD,
+                         ids=[f"{r}{f}" for r, f in _UNREAD])
+def test_cli_flag_a_recipe_does_not_read_exits_2(tmp_path, capsys, monkeypatch,
+                                                  recipe, flag):
+    # "eps-sweep --n 16,32", "uniqueness --eps 0.3" and the like exited 0,
+    # ignoring the flag; "compatibility --n 16,128" checked n = 128 only
+    calls = count_saddle_solves(monkeypatch)
+    value = {"--n": "16,32", "--eps": "0.3", "--seed": "3"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([recipe, flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_failed_solve_exits_1_with_one_error_line(tmp_path, capsys,
@@ -87,7 +115,7 @@ def test_cli_refuses_a_config_file(capsys):
 def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
     calls = count_saddle_solves(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        cli_main(["uniqueness", *flag])
+        cli_main(["evolution-estimate", *flag])
     assert exc.value.code == 2
     assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
     assert calls == []
@@ -97,7 +125,7 @@ def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
 def test_cli_malformed_list_names_the_bad_element(capsys, flag, bad):
     # the message names the element that failed, not a private parser
     with pytest.raises(SystemExit) as exc:
-        cli_main(["uniqueness", flag, f"8, {bad}"])
+        cli_main(["evolution-estimate", flag, f"8, {bad}"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid" in err and repr(bad) in err
@@ -124,6 +152,24 @@ def test_config_refuses_empty_lists(tmp_path):
     cfg = ExperimentConfig(recipe="uniqueness", ns=(), out=tmp_path)
     with pytest.raises(ValueError, match="needs a ladder of at least 1 rung"):
         run_recipe(cfg)
+
+
+@pytest.mark.parametrize("recipe, field, value, message", [
+    # n = 8.5 made two solves, then failed in build_grid
+    ("uniqueness", "ns", (16, 8.5), "n must be an integer, got 8.5"),
+    # seed = 1.5 ran past the first solves, then failed in numpy's
+    # "SeedSequence expects int"
+    ("traces", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("evolution-estimate", "seed", 1.5, "seed must be an integer, got 1.5"),
+])
+def test_config_refuses_a_size_or_seed_that_is_not_an_integer(
+        tmp_path, monkeypatch, recipe, field, value, message):
+    calls = count_saddle_solves(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_recipe(ExperimentConfig(recipe=recipe, out=tmp_path, **{field: value}))
+    assert calls == []
+    # a numpy integer is an integer
+    ExperimentConfig(recipe=recipe, ns=(np.int64(16),), seed=np.int64(3))
 
 
 @pytest.mark.parametrize("recipe, eps", [("eps-sweep", "0.01,0.005,0.001"),
@@ -187,19 +233,16 @@ def test_run_recipe_unknown_name(tmp_path):
 
 
 def _stub_recipe(value, passed=True):
-    def run(cfg):
-        rep = RecipeReport(cfg.recipe)
+    def body(cfg, ns, rep):
         rep.check_le("bound", 0.5 if passed else 2.0, 1.0)
         rep.metric("value", value)
         rep.table("rows", ["a"], [(value,)])
-        return rep
-    return run
+    return Recipe(body)
 
 
 def test_cli_all_runs_each_recipe_into_its_own_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(recipes, "RECIPES", {"one": _stub_recipe(1.0),
                                              "two": _stub_recipe(2.0)})
-    monkeypatch.setattr(recipes, "RECIPE_ORDER", ["one", "two"])
     assert cli_main(["all", "--out", str(tmp_path)]) == 0
     for name, value in (("one", 1.0), ("two", 2.0)):
         assert {p.name for p in (tmp_path / name).iterdir()} == {
@@ -216,11 +259,33 @@ def test_cli_all_runs_each_recipe_into_its_own_directory(tmp_path, monkeypatch):
     assert load_summary(tmp_path / "failing" / "all")["passed"] is False
 
 
+@pytest.mark.parametrize("recipe", ["short", "all"])
+def test_a_ladder_too_short_is_refused_before_any_body_runs(tmp_path,
+                                                            monkeypatch, recipe):
+    # the harness checks every rule, each recipe's under "all", and only
+    # then runs the first body
+    calls = []
+
+    def body(cfg, ns, rep):
+        calls.append(cfg.recipe)
+
+    monkeypatch.setattr(recipes, "RECIPES", {
+        "good": Recipe(body),
+        "short": Recipe(body, ladder=(16,), need=2, name="stub_order")})
+    with pytest.raises(ValueError, match="stub_order needs a ladder of at least 2"):
+        run_recipe(ExperimentConfig(recipe=recipe, out=tmp_path))
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_recipe_registry():
-    assert len(RECIPE_ORDER) == 10
-    assert set(RECIPE_ORDER) == set(RECIPES)
-    for fn in RECIPES.values():
-        assert callable(fn)
+    assert len(RECIPES) == 10
+    for r in RECIPES.values():
+        assert isinstance(r, Recipe) and callable(r.body)
+    # 25 run flags over the ten recipe subcommands, --out in each; the 15
+    # recipe/flag pairs left out are refused
+    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 25
+    assert len(_UNREAD) == 15
 
 
 def test_cli_run_and_exit_codes(tmp_path):
