@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, r in RECIPES.items():
         sp = sub.add_parser(name, help=f"run the {name} recipe",
                             argument_default=argparse.SUPPRESS)
-        _add_run_flags(sp, bool(r.ladder), r.widths > 0, r.seeded)
+        _add_run_flags(sp, *(f not in r.unread() for f in ("ns", "eps_list", "seed")))
     _add_run_flags(sub.add_parser("all", help="run every recipe",
                                   argument_default=argparse.SUPPRESS))
     cp = sub.add_parser("compare", help="compare two recipe run directories")

@@ -88,8 +88,8 @@ from .report import RecipeReport, orders, rungs
 class Recipe(NamedTuple):
     """One recipe: its body, which records every assertion in the report it
     is handed, and the rules its run meets before anything is solved.  It
-    reads --n only with a default ladder, --eps only when it needs widths
-    and --seed only when seeded."""
+    reads ns only with a ladder, eps_list only with widths and seed only when
+    seeded; run_recipe refuses any other set, and "all" passes only these."""
     body: Callable[[ExperimentConfig, tuple, RecipeReport], None]
     ladder: tuple = ()          # the default grid ladder
     need: int = 0               # rungs of the assertion that needs the most,
@@ -98,14 +98,21 @@ class Recipe(NamedTuple):
     widths: int = 0             # the layer widths it needs
     seeded: bool = False
 
+    def unread(self) -> dict:
+        """The run fields it does not read, at their defaults."""
+        reads = {"ns": self.ladder, "eps_list": self.widths, "seed": self.seeded}
+        return {f: getattr(ExperimentConfig(""), f) for f, r in reads.items() if not r}
+
 
 def _ns(cfg: ExperimentConfig) -> tuple:
     """The grid ladder, once the configuration meets its recipe's rules; a
-    ladder or width list shorter than the named assertion needs, a trend's
-    ladder that does not halve h at each rung, or a finest rung that does
-    not resolve the first width raises ValueError."""
+    field it does not read set, a ladder or width list shorter than the named
+    assertion needs, a trend's ladder that does not halve h at each rung, or
+    a finest rung that does not resolve the first width raises ValueError."""
     r = RECIPES[cfg.recipe]
-    ns = r.ladder if cfg.ns is None or not r.ladder else tuple(cfg.ns)
+    if given := [f for f, v in r.unread().items() if getattr(cfg, f) != v]:
+        raise ValueError(f"{cfg.recipe} does not read {', '.join(given)}")
+    ns = r.ladder if cfg.ns is None else tuple(cfg.ns)
     rungs(ns, r.need, r.name)
     if r.need >= 2 and any(b != 2 * a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"{r.name} needs a ladder of at least {r.need} rungs, "
@@ -629,8 +636,8 @@ def run_recipe(cfg: ExperimentConfig) -> RecipeReport:
     if cfg.recipe != "all" and cfg.recipe not in RECIPES:
         raise KeyError(f"unknown recipe {cfg.recipe!r}; "
                        f"choose from {[*RECIPES, 'all']}")
-    subs = [replace(cfg, recipe=name) for name in
-            (RECIPES if cfg.recipe == "all" else [cfg.recipe])]
+    subs = ([replace(cfg, recipe=name, **r.unread()) for name, r in RECIPES.items()]
+            if cfg.recipe == "all" else [cfg])
     ladders = [_ns(sub) for sub in subs]
     top = RecipeReport(cfg.recipe)
     for sub, ns in zip(subs, ladders):

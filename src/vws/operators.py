@@ -32,7 +32,9 @@ its ``solve_modes``, the one modal stage, runs every solve and time step in
 modes, leaving u's interior modes in the right side's block; its
 ``to_cells``, the one cell stage, brings k solves' velocities back, and
 checks every defect, in one stacked inverse transform: k = 1 for a
-stationary solve, every step of a time march at once.
+stationary solve, every step of a time march at once; the duality adjoint
+takes its working set in one block, which keeps glibc from trimming the heap
+between solves.
 :func:`apply_velocity_laplacian`, A with no slip, the velocity inverse's
 operator at shift 0, serves the residuals and pairings; tests pin the
 velocity inverse against it.  :func:`saddle_inverses` caches
@@ -650,17 +652,21 @@ class SaddleInverse:
         b = f and c = 0, with no right side built, and the defect check of
         every solve.  D is diagonal in the modes and the wall faces are zero,
         so the defect max|D v| takes one inverse transform of D v's modes,
-        and none of v.
+        and none of v.  v, work, c and p are one block (3.14 MB at n = 256):
+        freeing it lifts glibc's trim threshold to twice that, so repeated
+        solves stop handing the heap top back and faulting it in again.
 
         Returns (v_hat, p_hat, div_max): the velocity's interior modes, a
         (2, n - 1, n) stack, the pressure's cosine modes and the defect.  A
         miss raises NonConvergence carrying the cell pressure and the defect.
         """
         n = self.grid.n
-        v_hat, work = np.empty((2, 2, n - 1, n))
+        block = np.empty(4 * (n - 1) * n + 2 * n * n)
+        v_hat, work = block[:4 * (n - 1) * n].reshape(2, 2, n - 1, n)
+        c_hat, p = block[4 * (n - 1) * n:].reshape(2, n, n)
         v_hat[...] = f_hat
-        c_hat = np.zeros((n, n))
-        p, scale, steps = self.solve_modes(v_hat, c_hat, 0.0, work.reshape(-1))
+        c_hat.fill(0.0)
+        p, scale, steps = self.solve_modes(v_hat, c_hat, 0.0, work.reshape(-1), p)
         dv = _transform(self.divergence_modes(v_hat, out=c_hat, scratch=work[0]),
                         "idct", (-1, -2))
         div_max = max(float(dv.max()), -float(dv.min()))
@@ -712,12 +718,13 @@ class SaddleInverse:
         return rows, cols.T
 
     def solve_modes(self, b_hat: np.ndarray, c_hat: np.ndarray, c_max: float,
-                    work: np.ndarray):
+                    work: np.ndarray, out=None):
         """The modal stage of a saddle solve, from the modes of its right side.
 
         b_hat and c_hat are the modes of b and c (see :meth:`right_side`)
         and c_max = max|c|; b_hat is overwritten with the interior modes of
-        u; c_hat and work, a row of a :meth:`cell_views` block, are scratch.
+        u; c_hat and work, a row of a :meth:`cell_views` block, are scratch;
+        out (n, n), allocated when not given, receives p_hat.
         Returns (p_hat, scale, steps): p's cosine modes, the data scale
         max(c_max, |D w|_2 / n), w = A^{-1} b, read from the modes of D w
         (by Parseval the cell RMS of D w, never more than max|D w|), and the
@@ -725,7 +732,7 @@ class SaddleInverse:
         """
         n = self.grid.n
         # D w, then p, which it leaves free
-        dw = p = np.empty((n, n))
+        dw = p = np.empty((n, n)) if out is None else out
         work = work[:b_hat.size].reshape(b_hat.shape)
         c = c_hat
 

@@ -278,6 +278,39 @@ def test_a_ladder_too_short_is_refused_before_any_body_runs(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("recipe, field, value", [
+    # passed on n = 64 and wrote defects.csv with n = 64
+    ("compatibility", "ns", (16, 128)),
+    ("uniqueness", "eps_list", (0.3,)),
+    ("mms-stationary", "seed", 3),
+], ids=["ns", "eps_list", "seed"])
+def test_run_recipe_refuses_a_field_its_recipe_does_not_read(
+        tmp_path, monkeypatch, recipe, field, value):
+    # a library caller meets the rule the command line keeps by leaving the
+    # flag out: refused before anything is solved or written
+    calls = count_saddle_solves(monkeypatch)
+    with pytest.raises(ValueError, match=f"{recipe} does not read {field}$"):
+        run_recipe(ExperimentConfig(recipe=recipe, out=tmp_path, **{field: value}))
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_all_hands_each_recipe_only_the_fields_it_reads(tmp_path, monkeypatch):
+    seen = {}
+
+    def body(cfg, ns, rep):
+        seen[cfg.recipe] = (ns, cfg.eps_list, cfg.seed)
+
+    monkeypatch.setattr(recipes, "RECIPES", {
+        "plain": Recipe(body),
+        "full": Recipe(body, (4,), widths=1, seeded=True)})
+    run_recipe(ExperimentConfig(recipe="all", ns=(8, 16), eps_list=(0.5,),
+                                seed=4, out=tmp_path))
+    default = ExperimentConfig(recipe="plain")
+    assert seen == {"plain": ((), default.eps_list, default.seed),
+                    "full": ((8, 16), (0.5,), 4)}
+
+
 def test_recipe_registry():
     assert len(RECIPES) == 10
     for r in RECIPES.values():

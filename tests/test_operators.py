@@ -349,7 +349,7 @@ _SCIPY = {"dst": (dst, 1), "dct": (dct, 2), "idct": (idct, 2)}
 
 
 @pytest.mark.parametrize("axis", [-1, -2])
-@pytest.mark.parametrize("m", [2, 15, 63, 64, 127, 128])
+@pytest.mark.parametrize("m", [2, 15, 63, 64, 95, 96, 112, 127, 128])
 def test_sine_transform_is_scipys_in_place(m, axis):
     # for every kind of the transform helper, the basis product (m up to
     # 127) and scipy's transform (m = 128) are scipy's orthonormal transform,
@@ -368,6 +368,20 @@ def test_sine_transform_is_scipys_in_place(m, axis):
         assert np.abs(got - want).max() <= 2e-15 * np.abs(x).max()
         assert np.abs(operators._transform(got, inverse, axis) - x).max() <= 1e-14
         assert not operators._basis(kind, m).flags.writeable
+
+
+@pytest.mark.parametrize("m", [95, 96, 97, 112, 127, 128])
+def test_every_kind_takes_the_product_below_length_128(m):
+    # one crossover for all three kinds, bit for bit a product up to length
+    # 127 and scipy's call from 128: at lengths 96-127 scipy's cosine passes
+    # win by up to 1.8x only at lengths with small prime factors (108, 112,
+    # 120), and run 2-7x slower at primes and twice primes (97, 106, 127)
+    x = np.random.default_rng(m).standard_normal((3, m))
+    for kind, inverse in _INVERSE.items():
+        transform, t = _SCIPY[kind]
+        want = (transform(x, type=t, axis=-1, norm="ortho") if m >= 128
+                else x @ operators._basis(inverse, m))
+        assert np.array_equal(operators._transform(x.copy(), kind, -1), want)
 
 
 @pytest.mark.parametrize("axis", [-1, -2])

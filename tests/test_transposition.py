@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,6 +247,38 @@ def test_identity_adjoint_keeps_its_defect_check(monkeypatch, n):
         transposition_identity(grid, g, u=u)
     assert 0.0 < info.value.residual
     assert np.abs(info.value.best_x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [17, 256])
+def test_identity_adjoint_takes_its_working_set_in_one_block(n):
+    # v, the modal stage's work, c and p are views of one allocation, 3.14 MB
+    # at n = 256: glibc, freeing a block that large, lifts its trim threshold
+    # to twice its size, above the heap top a steady-duality op leaves free
+    # (5.89 MB), so the next op finds its heap in place instead of faulting
+    # it in again (1251 minor faults per op with three arrays, none with one)
+    grid, lid = _lid(n)
+    u = solve_boundary(grid, lid + rotation_data(grid)).velocity
+    inv = operators.saddle_inverses(grid, 0.0)
+    v_hat, p_hat, _ = inv.solve_homogeneous_modes(inv.forcing_modes(u))
+    assert v_hat.shape == (2, n - 1, n) and p_hat.shape == (n, n)
+    assert v_hat.base is p_hat.base is not None
+    assert v_hat.base.nbytes == 8 * (4 * (n - 1) * n + 2 * n * n)
+
+
+def test_identity_peak_memory_stays_one_working_set():
+    # one block holds what three arrays held: the peak of an identity call at
+    # n = 256 is no more than with the three (3,335,552 B)
+    grid, lid = _lid(256)
+    g = lid + rotation_data(grid)
+    u = solve_boundary(grid, g).velocity
+    transposition_identity(grid, g, u=u)
+    tracemalloc.start()
+    try:
+        transposition_identity(grid, g, u=u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_335_552
 
 
 @pytest.mark.parametrize("n", [4, 17, 64])
