@@ -27,6 +27,15 @@ one cell stage: one stacked inverse transform for the whole march.  A
 forward march's velocities keep their interior modes
 (:attr:`vws.grid.VelocityField.modes`), as every solved velocity does.
 
+A march makes one allocation for its working set: the trajectory's cells,
+its kept modes and the step scratch it writes are views of one block
+(2.26 MB for 16 Crank-Nicolson steps at n = 64).  glibc serves the first
+block that large from mmap and, freeing it, lifts its trim threshold to
+twice its size, above the heap top a march and its backward march leave
+free; the heap is then no longer handed back between marches, so the next
+one does not fault it in again.  The block holds only what the march
+writes, so a trajectory keeps its fields, its modes and one step's scratch.
+
 The backward adjoint problem
 
     -dv/dt - Laplace(v) + grad(q) = u,  v(T) = 0,  v = 0 on the wall
@@ -139,7 +148,9 @@ class Trajectory:
     velocity, raises ValueError.
 
     A forward march's velocities keep their interior modes, which the
-    backward march reads as its forcing.
+    backward march reads as its forcing.  A marched velocity's faces and
+    modes are views of its march's one block, so any one velocity kept
+    keeps the whole block alive.
     """
 
     grid: StaggeredGrid
@@ -213,21 +224,34 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     miss raises NonConvergence carrying the defect and the step's faces (z1,
     z2), and a non-finite data scale ends the march at its step.  A step's
     ``wall_time`` is its modal time plus 1/m of the cell stage.
+
+    The march allocates once, which keeps the heap resident between marches
+    (module docstring); the comment on the block gives its layout.
     """
     if scheme not in ("euler", "cn"):
         raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
     c = 1 if scheme == "euler" else 2
     inv = saddle_inverses(grid, c / dt)
     n = grid.n
-    # scratch for the scaled boundary modes and the modes of the forcing at
-    # two nodes (node j in slot j % 2), in one block; c_hat, the modes of the
-    # continuity right side, is refilled every step
-    scratch, *f_buf = np.empty((3, 2, n - 1, n))
+    # the march's one block: the trajectory's cells, a velocity a row (a
+    # step's row first holds z's modes; only the zero start's is zeroed, the
+    # cell stage writes the others in full); the z modes, step j's in stack
+    # j % kept, every step's forward and two alternating backward; a forward
+    # forcing's modes at two nodes, node j in slot j % 2 (a backward one's
+    # are read in place, and a velocity without them is transformed into its
+    # own stack); the scaled boundary modes when g is given; c_hat, the modes
+    # of the continuity right side, refilled every step
+    cells, kept = 2 * n * (n + 1), 2 if backward else m
+    stacks = kept + 2 * (force is not None and not backward) + (g is not None)
+    block = np.empty((m + 1) * cells + stacks * 2 * (n - 1) * n + n * n)
+    u12 = block[:(m + 1) * cells].reshape(m + 1, cells)
+    u12[0] = 0.0
+    zs = list(block[(m + 1) * cells:-n * n].reshape(stacks, 2, n - 1, n))
+    c_hat = block[-n * n:].reshape(n, n)
+    scratch = zs.pop() if g is not None else None
+    f_buf = zs[kept:] or [None, None]
     f_hat = [None, None]
-    c_hat = np.empty((n, n))
     b_g = None
-    # the trajectory's cells, a velocity a row; a step's row first holds z's modes
-    u12 = np.zeros((m + 1, 2 * n * (n + 1)))
     x, u1, u2 = inv.cell_views(u12)
     # the zero start's modes, which take no memory
     u_hat = np.broadcast_to(0.0, (2, n - 1, n))
@@ -239,7 +263,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
         t0 = time.perf_counter()
         # the modes of the step's right side, which the solve turns into
         # those of its solution z, kept by a forward march
-        z_hat = np.empty((2, n - 1, n))
+        z_hat = zs[j % kept]
         try:
             # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
             np.divide(u_hat, dt / c ** 2, out=z_hat)

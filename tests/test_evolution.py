@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -316,6 +317,67 @@ def test_march_makes_no_2d_transform(monkeypatch):
         back = solve_adjoint_backward(grid, traj)
         assert back.norms()[0] > 0.0
         assert traj.pressures == back.pressures == [None] * (m + 1)
+
+
+def _march_bytes(n, m, stacks):
+    # m + 1 cell rows, the (2, n - 1, n) mode stacks and c_hat
+    return 8 * ((m + 1) * 2 * n * (n + 1) + stacks * 2 * (n - 1) * n + n * n)
+
+
+def _bases(traj):
+    # of every face array and every kept mode stack but the zero start's,
+    # which takes no memory
+    return ({id(a.base) for u in traj.velocities for a in (u.u1, u.u2)}
+            | {id(u.modes.base) for u in traj.velocities[1:] if u.modes is not None})
+
+
+@pytest.mark.parametrize("n, m, scheme", [(64, 16, "cn"), (17, 5, "euler")])
+def test_march_takes_its_working_set_in_one_block(n, m, scheme):
+    # the cells, the kept modes and the scratch a march writes are views of
+    # one allocation, 2.26 MB at (64, 16): glibc, freeing a block that large,
+    # lifts its trim threshold above the heap top an unsteady-adjoint op
+    # leaves free, so the next op finds its heap in place instead of faulting
+    # it in again (948 minor faults per op with an array a step, none with
+    # one block).  Forward: m z stacks and the boundary scratch; backward:
+    # two alternating z stacks and no scratch, its forcing the kept modes
+    grid = build_grid(n)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(m / 256))
+    traj = evolve(grid, tb, m / 128, 1 / 128, scheme=scheme)
+    u = traj.velocities[1]
+    assert u.u1.base is u.u2.base is u.modes.base
+    assert _bases(traj) == {id(u.u1.base)}
+    assert u.u1.base.nbytes == _march_bytes(n, m, m + 1)
+    assert np.all(traj.velocities[0].u1 == 0.0) and np.all(traj.velocities[0].u2 == 0.0)
+    for back in (solve_adjoint_backward(grid, traj),
+                 solve_adjoint_backward(grid, _hand_built(traj))):
+        v = back.velocities[0]
+        assert _bases(back) == {id(v.u1.base)}
+        assert v.u1.base.nbytes == _march_bytes(n, m, 2)
+    # a forced march adds the forcing's two stacks
+    forced = evolve_lifted(grid, tb, m / 128, 1 / 128, scheme=scheme,
+                           force=_force(grid))
+    assert forced.final().u1.base.nbytes == _march_bytes(n, m, m + 3)
+
+
+def test_march_peak_memory_stays_within_the_separate_arrays():
+    # the block holds only what a march writes, so a trajectory keeps no
+    # dead scratch: the tracemalloc peak of a march and its backward march at
+    # (64, 16) is no more than with an array a step (4,290,651 B, the lowest
+    # of four pytest runs; this layout reads about 4.26 MB)
+    grid = build_grid(64)
+    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(1 / 16))
+
+    def both():
+        solve_adjoint_backward(grid, evolve(grid, tb, 1 / 8, 1 / 128, scheme="cn"))
+
+    both()
+    tracemalloc.start()
+    try:
+        both()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_290_651
 
 
 def _hand_built(traj):

@@ -188,6 +188,26 @@ def test_cli_width_beyond_the_finest_grid_exits_2(tmp_path, capsys,
     assert resolved_n(8 / 2048) == 2048
 
 
+@pytest.mark.parametrize("recipe", ["operator-algebra", "all"])
+def test_cli_operator_algebra_above_n64_exits_2(tmp_path, capsys, monkeypatch,
+                                                recipe):
+    # its dense Laplacian at n = 128 would ask np.eye for 7.9 GiB and die
+    # with a memory error: refused with the other rules, before any grid is
+    # built, any solve runs or any file is written
+    built = []
+    monkeypatch.setattr(recipes, "build_grid", lambda n: built.append(n))
+    monkeypatch.setattr(recipes, "_dense_velocity_laplacian",
+                        lambda grid: pytest.fail("dense Laplacian built"))
+    calls = count_saddle_solves(monkeypatch)
+    assert cli_main([recipe, "--n", "16,32,64,128", "--out", str(tmp_path)]) == 2
+    assert ("operator-algebra takes grids up to n=64, got (16, 32, 64, 128)"
+            in capsys.readouterr().err)
+    assert built == calls == []
+    assert list(tmp_path.iterdir()) == []
+    # n = 64 itself, the finest it takes, passes the rules
+    assert recipes._ns(ExperimentConfig("operator-algebra", ns=(8, 64))) == (8, 64)
+
+
 def test_config_defaults():
     cfg = ExperimentConfig(recipe="transposition")
     assert cfg.ns is None
