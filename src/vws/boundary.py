@@ -151,10 +151,11 @@ def sigma(x):
 def cavity_eps_profile(x, eps: float):
     """Regularized lid profile 1 - sigma(x) e^{-x/eps} - sigma(1-x) e^{-(1-x)/eps}.
 
-    Vanishes at both ends of the lid and rises to ~1 over a layer of width eps.
+    Vanishes at both ends of the lid and rises to ~1 over a layer of width eps,
+    which must be finite and positive, else ValueError.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:       # NaN fails it too
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     x = np.asarray(x, dtype=float)
     return 1.0 - sigma(x) * np.exp(-x / eps) - sigma(1.0 - x) * np.exp(-(1.0 - x) / eps)
 
@@ -198,11 +199,11 @@ def corner_variant(grid: StaggeredGrid, which: str, eps: float = 0.0) -> Boundar
     corner at (1,1) matched by the ramp.  corner_11 is its mirror in x = 1/2:
     the profile reads s = 1 - x for x, and the ramp is on the left side.  The
     ramp has net outflow, so the result is projected back onto compatible
-    data.  eps = 0 gives the unregularised lid; a negative or NaN eps raises
-    ValueError.
+    data.  eps = 0 gives the unregularised lid; a negative or non-finite eps
+    raises ValueError.
     """
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be zero or positive, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and zero or positive, got {eps}")
     if which not in ("corner_01", "corner_11"):
         raise ValueError(f"unknown corner variant {which!r}")
     g = {s: np.zeros((grid.n, 2)) for s in SIDES}

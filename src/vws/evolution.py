@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import AXIS, SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
+from .boundary import SIDES, TANGENTS, BoundaryData, l2_norm_gamma, smoothstep
 from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
@@ -101,7 +101,10 @@ __all__ = [
 # --- time profiles ----------------------------------------------------------
 
 def smooth_ramp(t0: float):
-    """C2 ramp from 0 at t=0 to 1 at t=t0, constant afterwards."""
+    """C2 ramp from 0 at t=0 to 1 at t=t0, constant afterwards; a t0 that is
+    not finite and positive raises ValueError."""
+    if not 0.0 < t0 < np.inf:       # NaN fails it too
+        raise ValueError(f"t0 must be finite and positive, got {t0}")
     return lambda t: smoothstep(np.asarray(t, dtype=float) / t0)
 
 
@@ -305,9 +308,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     # the cell stage of every step solved, wall faces rho_j times g's normals
     t0 = time.perf_counter()
     k = len(solves)
-    walls = None if g is None else {
-        s: np.multiply.outer(rhos[:k], g.samples[s][:, AXIS[s]]) for s in SIDES}
-    defects = inv.to_cells(u12[1:k + 1], walls)
+    defects = inv.to_cells(u12[1:k + 1], g, rhos[:k])
     share = (time.perf_counter() - t0) / m
     diags = []
     for j, (div_max, (scale, steps, wall_time)) in enumerate(zip(defects, solves)):
@@ -408,7 +409,10 @@ def spacetime_estimate_ratio(grid: StaggeredGrid, g: TimeBoundaryData,
 
 
 def final_zero_modulation(T: float):
-    """Linear modulation 1 - t/T: value 1 at t=0, 0 at t=T."""
+    """Linear modulation 1 - t/T: value 1 at t=0, 0 at t=T; a T that is not
+    finite and positive raises ValueError."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
     return lambda t: 1.0 - t / T
 
 

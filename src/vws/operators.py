@@ -760,12 +760,12 @@ class SaddleInverse:
         return (u12[:, n:n + 2 * (n - 1) * n].reshape(k, 2, n - 1, n),
                 u12[:, :half].reshape(k, n + 1, n), u12[:, half:].reshape(k, n, n + 1))
 
-    def to_cells(self, u12: np.ndarray, walls=None) -> np.ndarray:
+    def to_cells(self, u12: np.ndarray, g: BoundaryData | None, rho) -> np.ndarray:
         """The cell stage of k saddle solves: the velocities in the modes x
         of a block of :meth:`cell_views` brought to its faces by one stacked
-        inverse transform, with walls[side][i], or zero for walls None, on
-        row i's wall faces.  Returns the k defects max|D u|, taken a bounded
-        chunk of rows at a time.
+        inverse transform, with rho[i] times g's normal samples, or zero for
+        g None, on row i's wall faces.  Returns the k defects max|D u|, taken
+        a bounded chunk of rows at a time.
         """
         n, h, k = self.grid.n, self.grid.h, len(u12)
         x, u1, u2 = self.cell_views(u12)
@@ -779,9 +779,9 @@ class SaddleInverse:
             # u2 came back over the modes' second half, which it overlaps
             np.copyto(t[:, :n - 1], x[s, 1])
             u2[s, :, 1:n] = t[:, :n - 1].swapaxes(1, 2)
-            for side in SIDES:
-                wall((u1, u2)[AXIS[side]][s], side)[...] = (
-                    0.0 if walls is None else walls[side][s])
+            for side, ax in AXIS.items():
+                wall((u1, u2)[ax][s], side)[...] = 0.0 if g is None else (
+                    np.multiply.outer(rho[s], g.samples[side][:, ax]))
             cell_divergence(u1[s], u2[s], h, out=d, scratch=t)
             np.abs(d, out=d).max(axis=(1, 2), out=defects[s])
         return defects

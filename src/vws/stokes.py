@@ -130,8 +130,7 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     p, scale, steps = inv.solve_modes(b_hat, c_hat, c_max, u12[0])
     del c_hat   # free before the cell stage's buffers
     x[0] = b_hat
-    walls = {side: g.samples[side][None, :, AXIS[side]] for side in SIDES}
-    div_max = float(inv.to_cells(u12, walls)[0])
+    div_max = float(inv.to_cells(u12, g, (1.0,))[0])
     _check_defect(div_max, scale, p, steps)
     p = _transform(p, "idct", (-1, -2))
     return u1[0], u2[0], p, {"outer_iterations": steps, "div_max": div_max,

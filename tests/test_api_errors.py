@@ -138,17 +138,39 @@ def test_entry_points_name_both_grids(entry):
         _CROSS_GRID[entry](build_grid(16), build_grid(8))
 
 
-@pytest.mark.parametrize("eps", [np.nan, -1.0])
+@pytest.mark.parametrize("eps", [np.nan, -1.0, np.inf])
 def test_corner_variant_rejects_bad_eps(eps):
-    # both returned exactly the eps = 0 samples
-    with pytest.raises(ValueError, match=f"eps must be zero or positive, got {eps}"):
+    # NaN and -1 returned exactly the eps = 0 samples; inf zeroed half the lid
+    with pytest.raises(ValueError,
+                       match=f"eps must be finite and zero or positive, got {eps}"):
         corner_variant(build_grid(16), "corner_01", eps=eps)
 
 
 def test_nan_layer_width_names_eps():
     # a NaN eps used to surface as non-finite boundary values on the top side
-    with pytest.raises(ValueError, match="eps must be positive, got nan"):
+    with pytest.raises(ValueError, match="eps must be finite and positive, got nan"):
         cavity_g_eps(build_grid(16), np.nan)
+
+
+@pytest.mark.parametrize("eps", [np.inf, 0.0, -1.0])
+def test_layer_width_must_be_finite_and_positive(eps):
+    # eps = inf returned a lid moving backwards, its top samples from -0.984
+    # to 0 at n = 16
+    with pytest.raises(ValueError, match=f"eps must be finite and positive, got {eps}"):
+        cavity_g_eps(build_grid(16), eps)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("profile, name", [(smooth_ramp, "t0"),
+                                           (final_zero_modulation, "T")],
+                         ids=["smooth_ramp", "final_zero_modulation"])
+def test_time_profiles_refuse_a_time_that_is_not_finite_and_positive(
+        profile, name, bad):
+    # smooth_ramp(inf) and smooth_ramp(-1) gave zero data, smooth_ramp(0) a
+    # numpy RuntimeWarning, and final_zero_modulation(0) a ZeroDivisionError
+    # when called
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
+        profile(bad)
 
 
 def test_duality_gap_of_zero_data_raises():

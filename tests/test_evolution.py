@@ -210,21 +210,31 @@ def test_march_brings_every_step_back_in_one_inverse_transform(monkeypatch,
 def test_cell_stage_of_a_stack_matches_one_row_at_a_time():
     # the batched cell stage, over several buffer chunks (8 rows at n = 64),
     # gives each row the faces and the defect of its own k = 1 stage, bit
-    # for bit
+    # for bit, with its own factor times g's normal samples on its wall faces
     n, k = 64, 19
-    inv = saddle_inverses(build_grid(n), 4.0)
+    grid = build_grid(n)
+    inv = saddle_inverses(grid, 4.0)
     rng = np.random.default_rng(3)
     u12 = np.empty((k, 2 * n * (n + 1)))
     x, u1, u2 = inv.cell_views(u12)
     x[...] = rng.standard_normal(x.shape)
-    rows = u12.copy()
-    walls = {side: rng.standard_normal((k, n)) for side in SIDES}
-    defects = inv.to_cells(u12, walls)
+    rows, blank = u12.copy(), u12[:1].copy()
+    g = BoundaryData(grid, {side: rng.standard_normal((n, 2)) for side in SIDES})
+    rho = rng.standard_normal(k)
+    defects = inv.to_cells(u12, g, rho)
     for i in range(k):
         one = rows[i:i + 1]
-        d = inv.to_cells(one, {s: w[i:i + 1] for s, w in walls.items()})
+        d = inv.to_cells(one, g, rho[i:i + 1])
         assert np.array_equal(one[0], u12[i]) and d[0] == defects[i]
     assert np.all(defects > 0.0)
+    _, b1, b2 = inv.cell_views(blank)
+    inv.to_cells(blank, None, ())
+    for side in SIDES:
+        a = AXIS[side]
+        assert np.array_equal(wall((u1, u2)[a], side),
+                              np.multiply.outer(rho, g.samples[side][:, a]))
+        # no data: zero wall faces
+        assert not wall((b1, b2)[a], side).any()
 
 
 def _zero_div_tol(monkeypatch):

@@ -188,24 +188,59 @@ def test_cli_width_beyond_the_finest_grid_exits_2(tmp_path, capsys,
     assert resolved_n(8 / 2048) == 2048
 
 
-@pytest.mark.parametrize("recipe", ["operator-algebra", "all"])
-def test_cli_operator_algebra_above_n64_exits_2(tmp_path, capsys, monkeypatch,
-                                                recipe):
-    # its dense Laplacian at n = 128 would ask np.eye for 7.9 GiB and die
-    # with a memory error: refused with the other rules, before any grid is
-    # built, any solve runs or any file is written
+def _record_grids(monkeypatch):
     built = []
-    monkeypatch.setattr(recipes, "build_grid", lambda n: built.append(n))
-    monkeypatch.setattr(recipes, "_dense_velocity_laplacian",
-                        lambda grid: pytest.fail("dense Laplacian built"))
+    build_grid = recipes.build_grid
+    monkeypatch.setattr(recipes, "build_grid",
+                        lambda n: built.append(n) or build_grid(n))
+    return built
+
+
+def test_cli_operator_algebra_takes_no_grid_ladder(tmp_path, capsys,
+                                                   monkeypatch):
+    # it runs on its two fixed grids, n = 8 and 16, so no --n can ask its
+    # dense Laplacian for 7.9 GiB at n = 128: the flag is unrecognized, and
+    # nothing is built, solved or written
+    built = _record_grids(monkeypatch)
     calls = count_saddle_solves(monkeypatch)
-    assert cli_main([recipe, "--n", "16,32,64,128", "--out", str(tmp_path)]) == 2
-    assert ("operator-algebra takes grids up to n=64, got (16, 32, 64, 128)"
-            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["operator-algebra", "--n", "8,16", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 8,16" in capsys.readouterr().err
     assert built == calls == []
     assert list(tmp_path.iterdir()) == []
-    # n = 64 itself, the finest it takes, passes the rules
-    assert recipes._ns(ExperimentConfig("operator-algebra", ns=(8, 64))) == (8, 64)
+
+
+def test_cli_all_past_n64_runs_operator_algebra_on_its_two_grids(tmp_path,
+                                                                 monkeypatch):
+    # "all --n 32,64,128" exited 2 while operator-algebra took the ladder;
+    # now its real body builds n = 8 and 16 alone, and every other recipe
+    # that reads a ladder gets the one given
+    seen = {}
+
+    def stub(cfg, ns, rep):
+        seen[cfg.recipe] = ns
+
+    monkeypatch.setattr(recipes, "RECIPES", {
+        name: r if name == "operator-algebra" else r._replace(body=stub)
+        for name, r in RECIPES.items()})
+    built = _record_grids(monkeypatch)
+    assert cli_main(["all", "--n", "32,64,128", "--out", str(tmp_path)]) == 0
+    assert built == [8, 16]
+    assert seen == {name: (32, 64, 128) if r.ladder else ()
+                    for name, r in RECIPES.items() if name != "operator-algebra"}
+    summary = load_summary(tmp_path / "operator-algebra")
+    assert summary["passed"] and len(summary["assertions"]) == 6
+
+
+def test_run_recipe_refuses_a_ladder_for_operator_algebra(tmp_path, monkeypatch):
+    # a library caller meets the command line's rule: refused before any
+    # grid is built or anything is written
+    built = _record_grids(monkeypatch)
+    with pytest.raises(ValueError, match="operator-algebra does not read ns$"):
+        run_recipe(ExperimentConfig("operator-algebra", ns=(8, 16), out=tmp_path))
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_defaults():
@@ -335,10 +370,10 @@ def test_recipe_registry():
     assert len(RECIPES) == 10
     for r in RECIPES.values():
         assert isinstance(r, Recipe) and callable(r.body)
-    # 25 run flags over the ten recipe subcommands, --out in each; the 15
+    # 24 run flags over the ten recipe subcommands, --out in each; the 16
     # recipe/flag pairs left out are refused
-    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 25
-    assert len(_UNREAD) == 15
+    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 24
+    assert len(_UNREAD) == 16
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -644,10 +679,7 @@ def test_evolution_estimate_solves_its_layer_on_the_resolved_grid(tmp_path,
                                                                   monkeypatch):
     # the eps case is built on resolved_n(0.1) = 80 whatever the ladder, so
     # the ladder that the default one spells out runs too
-    built = []
-    build_grid = recipes.build_grid
-    monkeypatch.setattr(recipes, "build_grid",
-                        lambda n: built.append(n) or build_grid(n))
+    built = _record_grids(monkeypatch)
     assert cli_main(["evolution-estimate", "--n", "16,32,64",
                      "--out", str(tmp_path)]) == 0
     assert built == [80, 16, 32, 64]
