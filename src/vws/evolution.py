@@ -238,7 +238,8 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     n = grid.n
     # the march's one block: the trajectory's cells, a velocity a row (a
     # step's row first holds z's modes; only the zero start's is zeroed, the
-    # cell stage writes the others in full); the z modes, step j's in stack
+    # cell stage writes the others in full); the z modes, u1's and u2's each
+    # laid out as its faces (SaddleInverse.components), step j's in stack
     # j % kept, every step's forward and two alternating backward; a forward
     # forcing's modes at two nodes, node j in slot j % 2 (a backward one's
     # are read in place, and a velocity without them is transformed into its
@@ -249,7 +250,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     block = np.empty((m + 1) * cells + stacks * 2 * (n - 1) * n + n * n)
     u12 = block[:(m + 1) * cells].reshape(m + 1, cells)
     u12[0] = 0.0
-    zs = list(block[(m + 1) * cells:-n * n].reshape(stacks, 2, n - 1, n))
+    zs = list(block[(m + 1) * cells:-n * n].reshape(stacks, 2 * (n - 1) * n))
     c_hat = block[-n * n:].reshape(n, n)
     scratch = zs.pop() if g is not None else None
     f_buf = zs[kept:] or [None, None]
@@ -257,7 +258,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     b_g = None
     x, u1, u2 = inv.cell_views(u12)
     # the zero start's modes, which take no memory
-    u_hat = np.broadcast_to(0.0, (2, n - 1, n))
+    u_hat = np.broadcast_to(0.0, 2 * (n - 1) * n)
     modes, rhos, solves = [u_hat], np.zeros(m), []
     index = (lambda j: m - 1 - j) if backward else (lambda j: j + 1)  # time index
     direction = "backward" if backward else "forward"

@@ -20,19 +20,27 @@ def _numeric_items(metrics: dict):
             yield key, [float(v) for v in value]
 
 
-def _rel_diff(a: list, b: list) -> float:
-    """Worst relative difference; equal values (inf with inf, NaN with NaN)
-    differ by 0, any other pair with a non-finite entry by inf."""
-    if len(a) != len(b):
-        return float("inf")
-    worst = 0.0
-    for x, y in zip(a, b):
+def _worst_pair(a: list | None, b: list | None):
+    """Worst relative difference of two value lists, and the index of the
+    pair that makes it; equal values (inf with inf, NaN with NaN) differ by
+    0, any other pair with a non-finite entry by inf, and lists of different
+    lengths, or a missing one (None), by inf at no index."""
+    if a is None or b is None or len(a) != len(b):
+        return float("inf"), None
+    worst, at = 0.0, None
+    for i, (x, y) in enumerate(zip(a, b)):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
-            return float("inf")
-        worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1e-300))
-    return worst
+            return float("inf"), i
+        d = abs(x - y) / max(abs(x), abs(y), 1e-300)
+        if d > worst:
+            worst, at = d, i
+    return worst, at
+
+
+def _rel_diff(a: list, b: list) -> float:
+    return _worst_pair(a, b)[0]
 
 
 def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
@@ -40,11 +48,14 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
 
     Raises ValueError unless 0 <= tol < inf, so that a NaN or infinite
     tolerance cannot pass every difference, and RecipeMismatch (a ValueError)
-    if the directories hold different recipes.  Returns
-    a dict with the diffs, the metrics beyond tol, any assertions whose
+    if the directories hold different recipes.  Returns a dict with the
+    diffs, the metrics beyond tol with the two values that differ most (as
+    name -> [entry, value_a, value_b]: a ladder's worst pair and its entry,
+    a scalar's two values and None, or None and both whole ladders when
+    their lengths differ, None for a missing one), any assertions whose
     pass/fail state flipped, and any assertions present in both runs whose
-    threshold differs by more than tol, relative (as name ->
-    [threshold_a, threshold_b]); some thresholds are measured values.
+    threshold differs by more than tol, relative (as name -> [threshold_a,
+    threshold_b]); some thresholds are measured values.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
@@ -57,12 +68,13 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
 
     ma = dict(_numeric_items(sa.get("metrics", {})))
     mb = dict(_numeric_items(sb.get("metrics", {})))
-    diffs = {}
+    diffs, values = {}, {}
     for key in sorted(set(ma) | set(mb)):
-        if key in ma and key in mb:
-            diffs[key] = _rel_diff(ma[key], mb[key])
-        else:
-            diffs[key] = float("inf")
+        a, b = ma.get(key), mb.get(key)
+        diffs[key], at = _worst_pair(a, b)
+        if diffs[key] > tol:
+            values[key] = ([None, a, b] if at is None else
+                           [at if len(a) > 1 else None, a[at], b[at]])
 
     aa = {x["name"]: x for x in sa.get("assertions", [])}
     ab = {x["name"]: x for x in sb.get("assertions", [])}
@@ -80,17 +92,33 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
         "metric_diffs": diffs,
         "max_rel_diff": max(diffs.values()) if diffs else 0.0,
         "exceeds": exceeds,
+        "exceeding_values": values,
         "assertion_flips": flips,
         "threshold_changes": thresholds,
         "match": not exceeds and not flips and not thresholds,
     }
 
 
+def _shown(value) -> str:
+    if value is None:
+        return "absent"
+    if isinstance(value, list):
+        return "[" + ", ".join(f"{v:.9g}" for v in value) + "]"
+    return f"{value:.9g}"
+
+
 def format_comparison(result: dict) -> str:
+    """The comparison as text: every metric's relative difference, and for
+    one beyond tol its two values beside it, so that a difference between
+    values at the rounding floor reads as one."""
     lines = [f"recipe: {result['recipe']}  (tol={result['tol']:g})"]
     for key, d in sorted(result["metric_diffs"].items()):
-        mark = "  " if d <= result["tol"] else "> "
-        lines.append(f"{mark}{key}: rel diff {d:.3e}")
+        if d <= result["tol"]:
+            lines.append(f"  {key}: rel diff {d:.3e}")
+            continue
+        at, a, b = result["exceeding_values"][key]
+        entry = "" if at is None else f"entry {at}: "
+        lines.append(f"> {key}: rel diff {d:.3e}  ({entry}{_shown(a)} vs {_shown(b)})")
     if result["assertion_flips"]:
         lines.append("assertion flips: " + ", ".join(result["assertion_flips"]))
     for name, (ta, tb) in result["threshold_changes"].items():

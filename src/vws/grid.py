@@ -85,10 +85,13 @@ def require_same_grid(grid: StaggeredGrid, *items) -> None:
 class VelocityField:
     """Face-valued velocity (u1, u2), boundary faces included.
 
-    modes, read-only, is the (2, n-1, n) stack of interior modes
+    modes, read-only, holds the interior modes
     (:meth:`vws.operators.SaddleInverse.to_modes`) of a velocity a saddle
-    solve returned, and None for every other field: hand-built ones, zeros,
-    from_interior and the results of +, - and *.
+    solve returned: one block of 2 (n-1) n floats, u1's (n-1, n) and then
+    u2's (n, n-1), each laid out as its faces
+    (:meth:`vws.operators.SaddleInverse.components`).  It is None for every
+    other field: hand-built ones, zeros, from_interior and the results of
+    +, - and *.
     """
 
     grid: StaggeredGrid

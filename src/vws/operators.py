@@ -25,7 +25,9 @@ faces, with no quadrature fudge factors.
 The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
-capacitance corrections.  Its ``forcing_modes``, the one reader of a
+capacitance corrections.  A velocity's modes are one block, u1's and u2's
+each laid out as its faces (``components``), so no stage passes over a
+transposed array.  Its ``forcing_modes``, the one reader of a
 forcing's form, brings a forcing to the modes; its ``right_side`` builds
 and checks the part of g in the right side of every solve and time step;
 its ``solve_modes``, the one modal stage, runs every solve and time step in
@@ -42,7 +44,8 @@ one solver per (grid, shift) and refuses a singular shift.  Every transform,
 the clamped plate's too, is one in-place helper, :func:`_transform`: type-I
 sine, type-II cosine or its inverse, along one axis or two in turn; below
 length 128 a product with a cached read-only orthonormal basis per kind and
-length, a bounded chunk of a stack at a time; from 128 on, scipy's call.
+length, a bounded chunk of a stack at a time; from 128 on, scipy's call, one
+for the inverse cosine over two axes.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst, idct
+from scipy.fft import dct, dst, idct, idctn
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, NonConvergence
@@ -97,15 +100,18 @@ def _require_finite(name: str, a, shape: tuple) -> None:
         raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
 
 
-# per kind of :func:`_transform`: scipy's transform, its type, the inverse kind
-_KINDS = {"dst": (dst, 1, "dst"), "dct": (dct, 2, "idct"), "idct": (idct, 2, "dct")}
+# per kind of :func:`_transform`: scipy's transform, its type, the inverse
+# kind, and scipy's n-D transform, for the inverse cosine alone (every forward
+# pass over two axes goes one axis at a time)
+_KINDS = {"dst": (dst, 1, "dst", None), "dct": (dct, 2, "idct", None),
+          "idct": (idct, 2, "dct", idctn)}
 
 
 @lru_cache(maxsize=16)
 def _basis(kind: str, m: int) -> np.ndarray:
     """The read-only orthonormal basis T of a kind and length m, T @ v the
     transform of v; T.T is the inverse kind's basis."""
-    transform, t, _ = _KINDS[kind]
+    transform, t, _, _ = _KINDS[kind]
     basis = transform(np.eye(m), type=t, axis=0, norm="ortho")
     if kind == "dst":
         basis = 0.5 * (basis + basis.T)   # exactly symmetric, as its inverse
@@ -113,18 +119,28 @@ def _basis(kind: str, m: int) -> np.ndarray:
     return basis
 
 
+def _into(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # x <- y, the result of a scipy call asked to overwrite x
+    if not np.shares_memory(y, x):
+        x[...] = y
+    return x
+
+
 def _transform(x: np.ndarray, kind: str, axes) -> np.ndarray:
     """x <- its orthonormal transform of a kind along axis -1 or -2, or each
     of a tuple of them in turn, in place: "dst" the type-I sine transform,
     its own inverse, "dct" the type-II cosine transform and "idct" its
-    inverse.  A cached basis product up to length 127, scipy's beyond."""
-    transform, t, inverse = _KINDS[kind]
+    inverse.  A cached basis product up to length 127, scipy's beyond: the
+    inverse cosine over a tuple of such axes is one n-D call."""
+    transform, t, inverse, transform_n = _KINDS[kind]
+    if (transform_n and not isinstance(axes, int)
+            and min(x.shape[a] for a in axes) >= 128):
+        return _into(x, transform_n(x, type=t, axes=axes, norm="ortho",
+                                    overwrite_x=True))
     for axis in (axes,) if isinstance(axes, int) else axes:
         m = x.shape[axis]
         if m >= 128:   # shorter, a product costs less than pocketfft's call
-            y = transform(x, type=t, axis=axis, norm="ortho", overwrite_x=True)
-            if not np.shares_memory(y, x):
-                x[...] = y
+            _into(x, transform(x, type=t, axis=axis, norm="ortho", overwrite_x=True))
             continue
         # from the right, x T.T: the inverse kind's basis, which is contiguous
         basis = _basis(kind if axis == -2 else inverse, m)
@@ -449,13 +465,23 @@ def _capacitance_sectors(n: int, shift: float):
     return mu, w, sectors
 
 
+def _border_lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first and last rows of a over the first and last columns of b, as
+    rows, the columns' ends zeroed: the lines of :meth:`SaddleInverse.border_to_modes`."""
+    lines = np.concatenate((a[[0, -1]], b[:, [0, -1]].T))
+    lines[2:, [0, -1]] = 0.0
+    return lines
+
+
 class SaddleInverse:
     """Exact direct solve of the shifted saddle problem, in one basis.
 
     A velocity component takes type-I sine modes along its normal direction
-    and type-II cosine modes along the other; u2 transposed has u1's layout,
-    so both run through one stacked transform chain.  The pressure takes
-    type-II cosine modes.  There, with mu_k = (2 - 2 cos(k pi/n))/h^2:
+    and type-II cosine modes along the other, each stored the way its faces
+    lie: u1's (n - 1, n), sine along x, and u2's (n, n - 1), sine along y,
+    two views (:meth:`components`) of one block of 2 (n - 1) n floats.  The
+    pressure takes type-II cosine modes.  There, with mu_k = (2 - 2 cos(k
+    pi/n))/h^2:
 
     * G and D = -G^T are diagonal, -sqrt(mu_k) and sqrt(mu_k) for the mode
       k normal to the face;
@@ -489,10 +515,13 @@ class SaddleInverse:
         self._mu, self._w, sectors = _capacitance_sectors(n, shift)
         self._k_inv = _SectorInverse(sectors)
         self._root_mu = np.sqrt(self._mu)
-        # A_fs^{-1}: its denominators are among those the Schur build checked
-        inv_den = self._mu[1:, None] + self._mu[None, :] + shift
+        # A_fs^{-1}, symmetric: rows 1.. serve u1's modes and columns 1..
+        # u2's.  Its denominators are among those the Schur build checked;
+        # (0, 0) is no face's mode
+        inv_den = self._mu[:, None] + self._mu[None, :] + shift
+        inv_den[0, 0] = 1.0
         self._inv_den = np.reciprocal(inv_den, out=inv_den)
-        self._c_inv = 1.0 / (0.5 * h * h + inv_den @ self._w ** 2)
+        self._c_inv = 1.0 / (0.5 * h * h + inv_den[1:] @ self._w ** 2)
         # the type-I sine modes of the unit vectors 0, 1, n - 3 and n - 2 of
         # length n - 1, as rows; the first and last are the border's ends
         self._sin_lines = _transform(np.eye(n - 1)[[0, 1, -2, -1]], "dst", -1)
@@ -511,53 +540,83 @@ class SaddleInverse:
                   self._sin_lines, self._cos_lines]
         return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
 
+    def components(self, x: np.ndarray):
+        """Views (x1, x2) of the interior faces or modes x of a velocity, a
+        block of 2 (n - 1) n floats, or of a stack of such blocks: u1's
+        (..., n - 1, n) and u2's (..., n, n - 1)."""
+        n, lead = self.grid.n, x.shape[:-1]
+        cut = (n - 1) * n
+        return (x[..., :cut].reshape(lead + (n - 1, n)),
+                x[..., cut:].reshape(lead + (n, n - 1)))
+
     def to_modes(self, x: np.ndarray) -> np.ndarray:
-        """The modes of a stack x of (u1, u2.T) interior faces, in place."""
-        return _transform(_transform(x, "dst", -2), "dct", -1)
+        """The modes of the interior faces x of a velocity, or of a stack of
+        them (:meth:`components`), in place."""
+        x1, x2 = self.components(x)
+        _transform(_transform(x1, "dst", -2), "dct", -1)
+        _transform(_transform(x2, "dst", -1), "dct", -2)
+        return x
 
     def border_to_modes(self, x: np.ndarray) -> np.ndarray:
         """The modes of x, nonzero on its first and last lines only, in place.
 
-        x is an (n, n) cell array (type-II cosine modes along both axes) or a
-        (2, n - 1, n) stack of (u1, u2.T) interior faces (the modes of
-        :meth:`to_modes`).  With r_0, r_1 the first and last rows of an
-        (m, n) slice and l_0, l_1 the inner parts of its first and last
-        columns, x = e_0 r_0^T + e_{m-1} r_1^T + l_0 e_0^T + l_1 e_{n-1}^T,
-        so its modes are one (m, 4) @ (4, n) product of 1-D transforms,
-        [T e_0, T e_{m-1}, T l_0, T l_1] @ [C r_0; C r_1; C e_0; C e_{n-1}],
-        with C the cosine and T the transform along the first axis.
+        x is an (n, n) cell array (type-II cosine modes along both axes) or
+        the interior faces of a velocity, a block of :meth:`components` (the
+        modes of :meth:`to_modes`).  With r_0, r_1 the first and last rows of
+        an (m, p) array and l_0, l_1 the inner parts of its first and last
+        columns, x = e_0 r_0^T + e_{m-1} r_1^T + l_0 e_0^T + l_1 e_{p-1}^T,
+        so its modes are one (m, 4) @ (4, p) product of 1-D transforms,
+        [T e_0, T e_{m-1}, T l_0, T l_1] @ [C r_0; C r_1; C e_0; C e_{p-1}],
+        with T the transform along the first axis and C along the second.
+        The lines of one kind take one call: u1's rows and u2's columns are
+        cosine lines of length n, u2's rows and u1's columns sine lines.
         """
-        sine = x.ndim == 3
-        *stack, m, n = x.shape
-        # C e_0 and C e_{n-1}, and the sine modes of the first and last unit
-        # vectors, are lines of the bases held for the wall lines
-        cos_ends = self._cos_lines[:, [0, 3]]
-        left = np.empty((*stack, m, 4))
-        right = np.empty((*stack, 4, n))
-        left[..., :2] = self._sin_lines[[0, 3]].T if sine else cos_ends
-        right[..., 2:, :] = cos_ends.T
-        right[..., :2, :] = _transform(x[..., [0, -1], :], "dct", -1)
-        cols = x[..., [0, -1]]
-        cols[..., [0, -1], :] = 0.0
-        left[..., 2:] = _transform(cols, "dst" if sine else "dct", -2)
-        return np.matmul(left, right, out=x)
+        # T e_0 and T e_{m-1} of either kind are lines of the bases held for
+        # the wall lines
+        cos_ends, sin_ends = self._cos_lines[:, ::3], self._sin_lines[::3].T
+        if x.ndim == 2:
+            lines = _transform(_border_lines(x, x), "dct", -1)
+            parts = [(x, cos_ends, lines[2:], lines[:2], cos_ends)]
+        else:
+            x1, x2 = self.components(x)
+            cos = _transform(_border_lines(x1, x2), "dct", -1)
+            sin = _transform(_border_lines(x2, x1), "dst", -1)
+            parts = [(x1, sin_ends, sin[2:], cos[:2], cos_ends),
+                     (x2, cos_ends, cos[2:], sin[:2], sin_ends)]
+        for y, first_ends, cols, rows, second_ends in parts:
+            left, right = np.empty((len(y), 4)), np.empty((4, y.shape[1]))
+            left[:, :2], left[:, 2:] = first_ends, cols.T
+            right[:2], right[2:] = rows, second_ends.T
+            np.matmul(left, right, out=y)
+        return x
 
     def from_modes(self, x: np.ndarray):
-        """Faces (x1, x2) of stacked modes x, or of a stack of them, in place."""
-        x = _transform(_transform(x, "idct", -1), "dst", -2)
-        return x[..., 0, :, :], x[..., 1, :, :].swapaxes(-1, -2)
+        """Faces (x1, x2) of the modes x of a velocity, or of a stack of them,
+        in place."""
+        x1, x2 = self.components(x)
+        return (_transform(_transform(x1, "idct", -1), "dst", -2),
+                _transform(_transform(x2, "idct", -2), "dst", -1))
 
     def velocity_solve(self, x: np.ndarray, scratch=None) -> np.ndarray:
-        """x <- A^{-1} x in place, for the modes of one or both components.
+        """x <- A^{-1} x in place, for x the modes of one velocity.
 
-        scratch, an array of x's shape, is overwritten; one is allocated
-        when it is not given.
+        scratch, of (n - 1) n floats or more, is overwritten; one is
+        allocated when it is not given.
         """
-        x *= self._inv_den
-        y = (x @ self._w) * self._c_inv
-        t = np.matmul(y, self._w.T, out=scratch)
-        t *= self._inv_den
-        x -= t
+        w, c_inv = self._w, self._c_inv
+        x1, x2 = self.components(x)
+        d1, d2 = self._inv_den[1:], self._inv_den[:, 1:]
+        t = np.empty(x1.size) if scratch is None else scratch.reshape(-1)[:x1.size]
+        # A_fs^{-1}, then the wall correction along the cosine modes: axis
+        # -1 of u1, -2 of u2
+        x1 *= d1
+        t1 = np.matmul((x1 @ w) * c_inv, w.T, out=t.reshape(x1.shape))
+        t1 *= d1
+        x1 -= t1
+        x2 *= d2
+        t2 = np.matmul(w, (w.T @ x2) * c_inv.T, out=t.reshape(x2.shape))
+        t2 *= d2
+        x2 -= t2
         return x
 
     def schur_solve(self, r: np.ndarray, out: np.ndarray,
@@ -591,10 +650,10 @@ class SaddleInverse:
 
         A velocity that keeps its modes (:attr:`vws.grid.VelocityField.modes`)
         is returned as it is (read, never written, no transform); any other
-        velocity or pair is written to out, a (2, n - 1, n) stack of (u1,
-        u2.T) faces (allocated when not given), and transformed once; the
-        modes returned need not be out itself.  A velocity on another grid,
-        or misshapen or non-finite faces, raise ValueError.
+        velocity or pair is written to out, a block of 2 (n - 1) n floats
+        (:meth:`components`, allocated when not given), and transformed
+        once; the modes returned need not be out itself.  A velocity on
+        another grid, or misshapen or non-finite faces, raise ValueError.
         """
         if isinstance(f, VelocityField):
             require_same_grid(self.grid, f)
@@ -602,8 +661,8 @@ class SaddleInverse:
                 return f.modes
             f = f.interior()
         n = self.grid.n
-        x = np.empty((2, n - 1, n)) if out is None else out
-        for fk, xk in zip(f, (x[0], x[1].T), strict=True):
+        x = np.empty(2 * (n - 1) * n) if out is None else out
+        for fk, xk in zip(f, self.components(x), strict=True):
             _require_finite("forcing", fk, xk.shape)
             xk[...] = fk
         return self.to_modes(x)
@@ -617,14 +676,15 @@ class SaddleInverse:
         whose net flux h sum g . n exceeds 1e-12 of h sum |g . n| raise
         IncompatibleBoundaryData.  Both live on border lines and take the
         closed form of :meth:`border_to_modes`, zero g and a zero c none; c
-        is built, checked and read on its 4n - 4 border cells.  out, a
-        (2, n - 1, n) array, receives b_hat; one is allocated when not given.
+        is built, checked and read on its 4n - 4 border cells.  out, a block
+        of 2 (n - 1) n floats, receives b_hat; one is allocated when not
+        given.
         """
         n, h = self.grid.n, self.grid.h
-        b = np.empty((2, n - 1, n)) if out is None else out
+        b = np.empty(2 * (n - 1) * n) if out is None else out
         b.fill(0.0)
         if any(a.any() for a in g.samples.values()):
-            laplacian_load(self.grid, g, out=(b[0], b[1].T))
+            laplacian_load(self.grid, g, out=self.components(b))
             self.border_to_modes(b)
         c = np.zeros((n, n))
         border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
@@ -657,17 +717,19 @@ class SaddleInverse:
         solves stop handing the heap top back and faulting it in again.
 
         Returns (v_hat, p_hat, div_max): the velocity's interior modes, a
-        (2, n - 1, n) stack, the pressure's cosine modes and the defect.  A
-        miss raises NonConvergence carrying the cell pressure and the defect.
+        block of :meth:`components`, the pressure's cosine modes and the
+        defect.  A miss raises NonConvergence carrying the cell pressure and
+        the defect.
         """
         n = self.grid.n
-        block = np.empty(4 * (n - 1) * n + 2 * n * n)
-        v_hat, work = block[:4 * (n - 1) * n].reshape(2, 2, n - 1, n)
-        c_hat, p = block[4 * (n - 1) * n:].reshape(2, n, n)
+        size = 2 * (n - 1) * n
+        block = np.empty(2 * size + 2 * n * n)
+        v_hat, work = block[:2 * size].reshape(2, size)
+        c_hat, p = block[2 * size:].reshape(2, n, n)
         v_hat[...] = f_hat
         c_hat.fill(0.0)
-        p, scale, steps = self.solve_modes(v_hat, c_hat, 0.0, work.reshape(-1), p)
-        dv = _transform(self.divergence_modes(v_hat, out=c_hat, scratch=work[0]),
+        p, scale, steps = self.solve_modes(v_hat, c_hat, 0.0, work, p)
+        dv = _transform(self.divergence_modes(v_hat, out=c_hat, scratch=work),
                         "idct", (-1, -2))
         div_max = max(float(dv.max()), -float(dv.min()))
         _check_defect(div_max, scale, p, steps)
@@ -675,23 +737,39 @@ class SaddleInverse:
 
     def divergence_modes(self, w_hat: np.ndarray, out=None,
                          scratch=None) -> np.ndarray:
-        """The cosine modes of D w, for w the interior faces of the stacked
-        modes w_hat and zero wall faces.
+        """The cosine modes of D w, for w the interior faces of the modes
+        w_hat and zero wall faces: sqrt(mu_k) w1 + sqrt(mu_l) w2.
 
-        out (n, n) receives them and scratch (n - 1, n) is overwritten; each
-        is allocated when it is not given.
+        out (n, n) receives them and scratch, of (n - 1) n floats or more, is
+        overwritten; each is allocated when it is not given.
         """
         n = self.grid.n
-        root_mu = self._root_mu[1:, None]
+        root_mu = self._root_mu[1:]
+        w1, w2 = self.components(w_hat)
         dw = np.empty((n, n)) if out is None else out
-        dw[0] = 0.0
-        np.multiply(root_mu, w_hat[0], out=dw[1:])
-        dw[:, 1:] += np.multiply(root_mu, w_hat[1], out=scratch).T
+        t = None if scratch is None else scratch.reshape(-1)[:w1.size].reshape(w1.shape)
+        # u2's term first, so that u1's is added over contiguous rows
+        dw[:, 0] = 0.0
+        np.multiply(w2, root_mu, out=dw[:, 1:])
+        dw[1:] += np.multiply(root_mu[:, None], w1, out=t)
         return dw
+
+    def gradient_modes(self, p_hat: np.ndarray, out=None) -> np.ndarray:
+        """The interior modes of G p, for p the cell pressure whose cosine
+        modes are p_hat: -sqrt(mu_k) p_hat on u1's, -sqrt(mu_l) p_hat on
+        u2's.  out, a block of :meth:`components`, receives them; one is
+        allocated when it is not given."""
+        n = self.grid.n
+        g = np.empty(2 * (n - 1) * n) if out is None else out
+        g1, g2 = self.components(g)
+        root_mu = -self._root_mu[1:]
+        np.multiply(root_mu[:, None], p_hat[1:], out=g1)
+        np.multiply(p_hat[:, 1:], root_mu, out=g2)
+        return g
 
     def velocity_wall_lines(self, v_hat: np.ndarray):
         """The lines by each wall of the velocity whose interior modes are
-        v_hat, a (2, n - 1, n) stack, with zero wall faces: (normal,
+        v_hat, a block of :meth:`components`, with zero wall faces: (normal,
         tangential), each a pair indexed by the axis a across the walls.
 
         normal[a] is the component normal to those walls on its faces 0, 1,
@@ -702,11 +780,17 @@ class SaddleInverse:
         basis product and a 1-D inverse transform.
         """
         n = self.grid.n
+        v1, v2 = self.components(v_hat)
+        # each line as a row, from a product that reads the other
+        # component's modes transposed, and one transform per kind
         normal = np.zeros((2, 6, n))
-        normal[:, 1:5] = _transform(self._sin_lines @ v_hat, "idct", -1)
-        tangential = np.zeros((2, n + 1, 4))
-        tangential[:, 1:n] = _transform(v_hat @ self._cos_lines, "dst", -2)
-        return (normal[0], normal[1].T), (tangential[1].T, tangential[0])
+        sin_rows, cos_rows = self._sin_lines, self._cos_lines.T
+        normal[:, 1:5] = _transform(np.stack([sin_rows @ v1, sin_rows @ v2.T]),
+                                    "idct", -1)
+        tangential = np.zeros((2, 4, n + 1))
+        tangential[:, :, 1:n] = _transform(np.stack([cos_rows @ v2, cos_rows @ v1.T]),
+                                           "dst", -1)
+        return (normal[0], normal[1].T), (tangential[0], tangential[1].T)
 
     def pressure_wall_lines(self, p_hat: np.ndarray):
         """The cells 0, 1, n - 2 and n - 1 along each axis of the pressure
@@ -733,31 +817,28 @@ class SaddleInverse:
         n = self.grid.n
         # D w, then p, which it leaves free
         dw = p = np.empty((n, n)) if out is None else out
-        work = work[:b_hat.size].reshape(b_hat.shape)
         c = c_hat
 
         w_hat = self.velocity_solve(b_hat, scratch=work)
-        self.divergence_modes(w_hat, out=dw, scratch=work[0])
+        self.divergence_modes(w_hat, out=dw, scratch=work)
         scale = max(c_max, float(np.linalg.norm(dw)) / n)
         c -= dw
         c[0, 0] = 0.0
         # one exact pressure step, none for zero data
         steps = int(c.any())
-        self.schur_solve(c, p, work.reshape(-1)[:n * n].reshape(n, n))
+        self.schur_solve(c, p, work[:n * n].reshape(n, n))
 
-        # u = w + A^{-1}(-G p), one component at a time in the free work and c
-        root_mu = self._root_mu[1:, None]
-        y = work[0]
-        for x, gp in zip(w_hat, (p[1:], p[:, 1:].T)):
-            np.multiply(root_mu, gp, out=y)
-            x += self.velocity_solve(y, scratch=c[:n - 1])
+        # u = w - A^{-1} G p, G p in the free work, c scratch
+        w_hat -= self.velocity_solve(self.gradient_modes(p, out=work[:b_hat.size]),
+                                     scratch=c)
         return p, scale, steps
 
     def cell_views(self, u12: np.ndarray):
         """Views (x, u1, u2) of a (k, 2 n (n + 1)) block, one velocity a row:
-        its modes x (k, 2, n - 1, n) at offset n, its faces u1 and u2."""
+        its modes x (k, 2 (n - 1) n) at offset n, so that u1's interior modes
+        lie over its interior faces, and its faces u1 and u2."""
         n, k, half = self.grid.n, len(u12), self.grid.n * (self.grid.n + 1)
-        return (u12[:, n:n + 2 * (n - 1) * n].reshape(k, 2, n - 1, n),
+        return (u12[:, n:n + 2 * (n - 1) * n],
                 u12[:, :half].reshape(k, n + 1, n), u12[:, half:].reshape(k, n, n + 1))
 
     def to_cells(self, u12: np.ndarray, g: BoundaryData | None, rho) -> np.ndarray:
@@ -769,7 +850,7 @@ class SaddleInverse:
         """
         n, h, k = self.grid.n, self.grid.h, len(u12)
         x, u1, u2 = self.cell_views(u12)
-        self.from_modes(x)
+        _, x2 = self.from_modes(x)
         rows = max(1, min(k, 2 ** 15 // (n * n)))   # at most 256 kB a buffer
         buf = np.empty((rows, n, n)), np.empty((rows, n, n))
         defects = np.empty(k)
@@ -777,8 +858,8 @@ class SaddleInverse:
             s = slice(a, min(a + rows, k))
             d, t = (b[:s.stop - a] for b in buf)
             # u2 came back over the modes' second half, which it overlaps
-            np.copyto(t[:, :n - 1], x[s, 1])
-            u2[s, :, 1:n] = t[:, :n - 1].swapaxes(1, 2)
+            np.copyto(t[:, :, :n - 1], x2[s])
+            u2[s, :, 1:n] = t[:, :, :n - 1]
             for side, ax in AXIS.items():
                 wall((u1, u2)[ax][s], side)[...] = 0.0 if g is None else (
                     np.multiply.outer(rho[s], g.samples[side][:, ax]))

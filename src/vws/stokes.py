@@ -104,8 +104,9 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     transformed in its block; then
     :meth:`~vws.operators.SaddleInverse.solve_modes` and
     :meth:`~vws.operators.SaddleInverse.to_cells` run with k = 1, and p
-    comes to the cells from its modes.  modes, a (2, n - 1, n) array, receives
-    the interior modes of the returned velocity; one is allocated when it
+    comes to the cells from its modes.  modes, a block of 2 (n - 1) n
+    floats (:meth:`~vws.operators.SaddleInverse.components`), receives the
+    interior modes of the returned velocity; one is allocated when it
     is not given.  A g or f of another grid, a non-finite shift, or a shift
     at which the velocity or Schur operator is singular, raises ValueError.
     The data are checked as in every time step: a misshapen or non-finite f
@@ -120,7 +121,7 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     u12 = np.empty((1, 2 * n * (n + 1)))
     x, u1, u2 = inv.cell_views(u12)
     b_hat, c_hat, c_max = inv.right_side(
-        g, out=np.empty((2, n - 1, n)) if modes is None else modes)
+        g, out=np.empty(2 * (n - 1) * n) if modes is None else modes)
     if f is not None:
         # zero g leaves b_hat zero: the forcing is then transformed in it
         blank = not any(a.any() for a in g.samples.values())
@@ -140,7 +141,7 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
 def _solution(grid: StaggeredGrid, g: BoundaryData,
               f: VelocityField | None) -> StokesSolution:
     """The saddle solve at shift 0, its velocity keeping its modes."""
-    modes = np.empty((2, grid.n - 1, grid.n))
+    modes = np.empty(2 * (grid.n - 1) * grid.n)
     u1, u2, p, diag = solve_saddle(grid, g, f, modes=modes)
     return StokesSolution(grid, VelocityField._solved(grid, u1, u2, modes),
                           PressureField(grid, p), diag)

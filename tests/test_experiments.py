@@ -455,6 +455,33 @@ def test_compare_reads_hand_written_summaries(tmp_path):
     assert not result["match"]
 
 
+def test_compare_prints_both_values_of_a_metric_beyond_tol(tmp_path):
+    # a metric beyond tol is printed with its two values beside the relative
+    # difference, so that two values at the rounding floor read as such: a
+    # scalar's two values, a ladder's worst pair and its entry, and whole
+    # values when a ladder changed length or a metric is on one side only
+    a = _hand_written_summary(tmp_path / "a", {
+        "cross_gap": 2.4e-14, "gaps": [1.0, 0.5, 0.25], "ladder": [1.0, 0.5],
+        "only_a": 1.0, "same": 3.0})
+    b = _hand_written_summary(tmp_path / "b", {
+        "cross_gap": 3.2e-14, "gaps": [1.0, 0.75, 0.25], "ladder": [1.0, 0.5, 0.25],
+        "same": 3.0})
+    result = compare_runs(a, b, tol=1e-9)
+    assert result["exceeding_values"] == {
+        "cross_gap": [None, 2.4e-14, 3.2e-14], "gaps": [1, 0.5, 0.75],
+        "ladder": [None, [1.0, 0.5], [1.0, 0.5, 0.25]], "only_a": [None, [1.0], None]}
+    lines = format_comparison(result).splitlines()
+    assert "> cross_gap: rel diff 2.500e-01  (2.4e-14 vs 3.2e-14)" in lines
+    assert "> gaps: rel diff 3.333e-01  (entry 1: 0.5 vs 0.75)" in lines
+    assert "> ladder: rel diff inf  ([1, 0.5] vs [1, 0.5, 0.25])" in lines
+    assert "> only_a: rel diff inf  ([1] vs absent)" in lines
+    assert "  same: rel diff 0.000e+00" in lines
+    assert lines[-1] == "DIFFERS"
+    # the verdict does not change: within tol, no values are printed
+    loose = compare_runs(a, a, tol=1e-9)
+    assert loose["match"] and loose["exceeding_values"] == {}
+
+
 def test_compare_rejects_recipe_mismatch(tmp_path):
     ra = RecipeReport("traces")
     rb = RecipeReport("uniqueness")

@@ -117,7 +117,7 @@ def test_only_solved_velocities_keep_modes():
     hand = VelocityField(grid, rng.standard_normal((9, 8)),
                          rng.standard_normal((8, 9)))
     u = solve_boundary(grid, rotation_data(grid)).velocity
-    assert u.modes is not None and u.modes.shape == (2, 7, 8)
+    assert u.modes is not None and u.modes.shape == (2 * 7 * 8,)
     for v in (hand, VelocityField.zeros(grid),
               VelocityField.from_interior(grid, *hand.interior()),
               VelocityField(grid, u.u1, u.u2), u + u, u - hand, 2.0 * u, u * 1.0):

@@ -14,8 +14,10 @@ from vws.operators import (
     SaddleInverse,
     VelocityPoisson,
     apply_velocity_laplacian,
+    cell_divergence,
     cg_solve,
     divergence,
+    face_gradient,
     gradient,
     saddle_inverses,
     stream_curl,
@@ -23,7 +25,7 @@ from vws.operators import (
 from vws.operators import _capacitance_sectors, _neumann_inverse
 from vws.experiments.report import orders
 
-from vws.stokes import solve_saddle
+from vws.stokes import solve_boundary, solve_saddle
 
 from support import (
     check_sector_inverse, dense_face_gradient, dense_velocity_laplacian,
@@ -334,11 +336,15 @@ def _border_only(rng, shape):
 @pytest.mark.parametrize("n", [4, 5, 8, 33, 64])
 def test_border_closed_forms_match_2d_transforms(n):
     # random arrays nonzero on their first and last lines only: the cells
-    # of c against dctn, the face stack of b against to_modes
+    # of c against dctn, the faces of b, each component in its own layout,
+    # against to_modes
     inv = saddle_inverses(build_grid(n), 0.0)
     rng = np.random.default_rng(n)
-    for x in (_border_only(rng, (n, n)), _border_only(rng, (2, n - 1, n))):
-        want = inv.to_modes(x.copy()) if x.ndim == 3 else dctn(x, type=2, norm="ortho")
+    cells = _border_only(rng, (n, n))
+    faces = np.concatenate([_border_only(rng, (n - 1, n)).ravel(),
+                            _border_only(rng, (n, n - 1)).ravel()])
+    for x in (cells, faces):
+        want = inv.to_modes(x.copy()) if x.ndim == 1 else dctn(x, type=2, norm="ortho")
         got = inv.border_to_modes(x)
         assert got is x
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -386,8 +392,9 @@ def test_every_kind_takes_the_product_below_length_128(m):
 
 @pytest.mark.parametrize("axis", [-1, -2])
 def test_sine_product_copies_a_bounded_chunk_of_a_stack(axis):
-    # matmul copies an input it overwrites; the march's (16, 2, 63, 64) cell
-    # stage goes a chunk of at most 2**15 floats at a time, for every kind,
+    # matmul copies an input it overwrites; a stack the size of the march's
+    # cell stage at n = 64 (16 steps of both components) goes a chunk of at
+    # most 2**15 floats at a time, for every kind,
     # so the copy stays near 0.26 MB instead of the stack's 1.03 MB, with
     # every slice's product unchanged; from the right the helper multiplies
     # by the inverse kind's basis, the transpose of its own
@@ -419,7 +426,7 @@ def test_stack_transforms_work_in_place(n):
     inv = saddle_inverses(build_grid(n), 0.0)
     rng = np.random.default_rng(0)
     block = np.zeros(2 * n * (n + 1))
-    x = block[n:n + 2 * (n - 1) * n].reshape(2, n - 1, n)
+    x = block[n:n + 2 * (n - 1) * n]
     want = rng.standard_normal(x.shape)
     x[...] = want
     modes = inv.to_modes(want.copy())
@@ -457,7 +464,7 @@ def test_divergence_scale_is_the_cell_rms_of_d_w(seed, n, shift):
     grid = build_grid(n)
     inv = saddle_inverses(grid, shift)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, n - 1, n)) * 10.0 ** rng.uniform(-6, 6)
+    x = rng.standard_normal(2 * (n - 1) * n) * 10.0 ** rng.uniform(-6, 6)
     w_hat = inv.velocity_solve(inv.to_modes(x))
     dw_hat = inv.divergence_modes(w_hat)
     # D w of the field w with zero wall faces, in the cells
@@ -469,3 +476,75 @@ def test_divergence_scale_is_the_cell_rms_of_d_w(seed, n, shift):
     rms_cells = float(np.sqrt(np.mean(cells ** 2)))
     assert abs(rms_modes - rms_cells) <= 1e-13 * rms_cells
     assert rms_modes <= np.abs(cells).max()
+
+
+@pytest.mark.parametrize("n", [5, 8, 17])
+def test_solved_velocity_keeps_each_components_modes_as_its_faces_lie(n):
+    # u1's kept modes are the orthonormal DST-I along x and DCT-II along y
+    # of its interior faces, (n - 1, n); u2's the DCT-II along x and DST-I
+    # along y of its own, (n, n - 1): two views of one block, neither
+    # transposed
+    grid = build_grid(n)
+    u = solve_boundary(grid, rotation_data(grid)).velocity
+    inv = saddle_inverses(grid, 0.0)
+    m1, m2 = inv.components(u.modes)
+    assert m1.base is m2.base is u.modes
+    u1, u2 = u.interior()
+    want1 = dct(dst(u1, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+    want2 = dst(dct(u2, type=2, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+    for got, want in ((m1, want1), (m2, want2)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [5, 8, 17])
+def test_modal_divergence_and_gradient_are_the_cell_operators(n):
+    # D and G are diagonal in the modes, each component in its own layout:
+    # on random interior faces (zero wall faces) and a random cell
+    # pressure, divergence_modes and gradient_modes are the modes of
+    # cell_divergence and face_gradient, at odd and even n
+    grid = build_grid(n)
+    inv = saddle_inverses(grid, 0.0)
+    rng = np.random.default_rng(n)
+    w1, w2 = rng.standard_normal((n - 1, n)), rng.standard_normal((n, n - 1))
+    w = VelocityField.from_interior(grid, w1, w2)
+    want = cell_divergence(w.u1, w.u2, grid.h)
+    got = idctn(inv.divergence_modes(inv.forcing_modes((w1, w2))), type=2, norm="ortho")
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    p = rng.standard_normal((n, n))
+    faces = inv.from_modes(inv.gradient_modes(dctn(p, type=2, norm="ortho")))
+    for got, want in zip(faces, face_gradient(p, grid.h)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_inverse_cosine_over_both_axes_is_one_scipy_call_from_length_128(monkeypatch):
+    # from length 128 the inverse cosine over a tuple of axes is one n-D
+    # scipy call: the cell pressure of a solve and the duality adjoint's
+    # defect take one each at n = 256; below 128 it is the product, axis
+    # by axis
+    from vws.transposition import transposition_identity
+
+    calls = []
+    transform, t, inverse, transform_n = operators._KINDS["idct"]
+
+    def counted(x, **kwargs):
+        calls.append((x.shape, kwargs["axes"]))
+        return transform_n(x, **kwargs)
+
+    for m in (127, 128):
+        x = np.random.default_rng(m).standard_normal((m, m))
+        want = idctn(x, type=2, norm="ortho")
+        with monkeypatch.context() as patch:
+            patch.setitem(operators._KINDS, "idct", (transform, t, inverse, counted))
+            got = operators._transform(x, "idct", (-1, -2))
+        assert got is x and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert calls == ([] if m < 128 else [((m, m), (-1, -2))])
+    calls.clear()
+    monkeypatch.setitem(operators._KINDS, "idct", (transform, t, inverse, counted))
+    grid = build_grid(256)
+    g = rotation_data(grid)
+    sol = solve_boundary(grid, g)
+    assert calls == [((256, 256), (-1, -2))]
+    transposition_identity(grid, g, u=sol.velocity)
+    assert calls == [((256, 256), (-1, -2))] * 2

@@ -260,7 +260,7 @@ def test_identity_adjoint_takes_its_working_set_in_one_block(n):
     u = solve_boundary(grid, lid + rotation_data(grid)).velocity
     inv = operators.saddle_inverses(grid, 0.0)
     v_hat, p_hat, _ = inv.solve_homogeneous_modes(inv.forcing_modes(u))
-    assert v_hat.shape == (2, n - 1, n) and p_hat.shape == (n, n)
+    assert v_hat.shape == (2 * (n - 1) * n,) and p_hat.shape == (n, n)
     assert v_hat.base is p_hat.base is not None
     assert v_hat.base.nbytes == 8 * (4 * (n - 1) * n + 2 * n * n)
 
