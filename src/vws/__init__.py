@@ -34,7 +34,6 @@ from .grid import (
     l2_norm_omega,
 )
 from .stokes import (
-    SolverOptions,
     StokesSolution,
     solve_boundary,
     solve_homogeneous,

@@ -144,11 +144,16 @@ class TimeBoundaryData:
 
 # --- trajectories -----------------------------------------------------------
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in ("euler", "cn"):
+        raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
+
+
 @dataclass
 class Trajectory:
     """Per-step fields of one evolution run: velocities[k] at time k dt, step
-    0 the initial state.  A dt that is not finite and positive, or no
-    velocity, raises ValueError.
+    0 the initial state.  A scheme other than 'euler' or 'cn', a dt that is
+    not finite and positive, or no velocity, raises ValueError.
 
     A forward march's velocities keep their interior modes, which the
     backward march reads as its forcing.  A marched velocity's faces and
@@ -163,6 +168,7 @@ class Trajectory:
     diagnostics: list = field(default_factory=list)
 
     def __post_init__(self):
+        _check_scheme(self.scheme)
         # NaN fails the comparison
         if not (0.0 < self.dt < np.inf and self.velocities):
             raise ValueError(f"a trajectory needs a finite dt > 0 and a velocity, "
@@ -231,8 +237,7 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     The march allocates once, which keeps the heap resident between marches
     (module docstring); the comment on the block gives its layout.
     """
-    if scheme not in ("euler", "cn"):
-        raise ValueError(f"unknown scheme {scheme!r}; use 'euler' or 'cn'")
+    _check_scheme(scheme)
     c = 1 if scheme == "euler" else 2
     inv = saddle_inverses(grid, c / dt)
     n = grid.n

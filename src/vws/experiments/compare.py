@@ -39,10 +39,6 @@ def _worst_pair(a: list | None, b: list | None):
     return worst, at
 
 
-def _rel_diff(a: list, b: list) -> float:
-    return _worst_pair(a, b)[0]
-
-
 def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
     """Per-metric relative differences between two runs of the same recipe.
 
@@ -52,9 +48,10 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
     diffs, the metrics beyond tol with the two values that differ most (as
     name -> [entry, value_a, value_b]: a ladder's worst pair and its entry,
     a scalar's two values and None, or None and both whole ladders when
-    their lengths differ, None for a missing one), any assertions whose
-    pass/fail state flipped, and any assertions present in both runs whose
-    threshold differs by more than tol, relative (as name -> [threshold_a,
+    their lengths differ, None for a missing one), the assertions present in
+    one run only (as "A" and "B" -> names), and, among those present in both,
+    the ones whose pass/fail state flipped and the ones whose threshold
+    differs by more than tol, relative (as name -> [threshold_a,
     threshold_b]); some thresholds are measured values.
     """
     if not 0.0 <= tol < math.inf:
@@ -78,12 +75,13 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
 
     aa = {x["name"]: x for x in sa.get("assertions", [])}
     ab = {x["name"]: x for x in sb.get("assertions", [])}
-    flips = [name for name in sorted(set(aa) | set(ab))
-             if aa.get(name, {}).get("passed") != ab.get(name, {}).get("passed")]
+    both = sorted(set(aa) & set(ab))
+    only = {"A": sorted(set(aa) - set(ab)), "B": sorted(set(ab) - set(aa))}
+    flips = [name for name in both if aa[name]["passed"] != ab[name]["passed"]]
     thresholds = {name: [aa[name]["threshold"], ab[name]["threshold"]]
-                  for name in sorted(set(aa) & set(ab))
-                  if _rel_diff([aa[name]["threshold"]],
-                               [ab[name]["threshold"]]) > tol}
+                  for name in both
+                  if _worst_pair([aa[name]["threshold"]],
+                                 [ab[name]["threshold"]])[0] > tol}
 
     exceeds = sorted(k for k, d in diffs.items() if d > tol)
     return {
@@ -93,9 +91,10 @@ def compare_runs(dir_a, dir_b, tol: float = 1e-8) -> dict:
         "max_rel_diff": max(diffs.values()) if diffs else 0.0,
         "exceeds": exceeds,
         "exceeding_values": values,
+        "assertions_only_in": only,
         "assertion_flips": flips,
         "threshold_changes": thresholds,
-        "match": not exceeds and not flips and not thresholds,
+        "match": not (exceeds or flips or thresholds or only["A"] or only["B"]),
     }
 
 
@@ -119,6 +118,9 @@ def format_comparison(result: dict) -> str:
         at, a, b = result["exceeding_values"][key]
         entry = "" if at is None else f"entry {at}: "
         lines.append(f"> {key}: rel diff {d:.3e}  ({entry}{_shown(a)} vs {_shown(b)})")
+    for side, names in result["assertions_only_in"].items():
+        if names:
+            lines.append(f"only in {side}: " + ", ".join(names))
     if result["assertion_flips"]:
         lines.append("assertion flips: " + ", ".join(result["assertion_flips"]))
     for name, (ta, tb) in result["threshold_changes"].items():

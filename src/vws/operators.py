@@ -76,10 +76,7 @@ __all__ = [
     "face_gradient",
     "gradient",
     "stream_curl",
-    "cg_solve",
-    "CGResult",
     "SaddleInverse",
-    "VelocityPoisson",
     "saddle_inverses",
 ]
 
@@ -261,7 +258,8 @@ class CGResult:
 
 def cg_solve(A, b, rel_tol: float = 1e-10,
              max_iter: int | None = None) -> CGResult:
-    """Conjugate gradients for SPD systems.
+    """Conjugate gradients for SPD systems; kept, unexported, with its
+    CGResult, because ``perfbench/`` names them: no solve calls or reads them.
 
     A may be anything with matrix-vector product via ``A @ x`` or a callable.
     The iteration starts from zero.  The stopping rule is on the true
@@ -269,8 +267,7 @@ def cg_solve(A, b, rel_tol: float = 1e-10,
     residual passes the target or stops improving.  Raises NonConvergence
     carrying the best iterate seen and its true residual when the iteration
     cap is hit, or at once when a true-residual check fails without
-    improving on the previous one (rel_tol below the rounding floor of the
-    system).
+    improving on the previous one (rel_tol below the system's rounding floor).
     """
     matvec = A if callable(A) else (lambda v: A @ v)
     b = np.asarray(b, dtype=float).ravel()
@@ -877,12 +874,12 @@ def _check_defect(div_max: float, scale: float, p_hat: np.ndarray,
 
 
 class VelocityPoisson:
-    """Exact solve of (-Laplacian + shift) on interior velocity faces.
+    """Exact solve of (-Laplacian + shift) on interior velocity faces; kept,
+    unexported, because ``perfbench/`` names it: no solve calls or reads it.
 
     A thin wrapper over the modal A^{-1} of :class:`SaddleInverse`, between
     one forward and one inverse transform.  A non-finite shift, or one at
-    which the no-slip or the free-slip operator is singular, raises
-    ValueError.
+    which the no-slip or the free-slip operator is singular, raises ValueError.
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0):

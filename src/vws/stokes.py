@@ -67,7 +67,6 @@ from .operators import (
 )
 
 __all__ = [
-    "SolverOptions",
     "StokesSolution",
     "solve_saddle",
     "solve_homogeneous",
@@ -78,7 +77,7 @@ __all__ = [
 
 @dataclass
 class SolverOptions:
-    """Tolerance shared by all saddle solves."""
+    """DIV_TOL, kept unexported because ``perfbench/`` reads it; no solve does."""
 
     div_tol: float = DIV_TOL   # max divergence defect, relative to the data
 

@@ -124,13 +124,13 @@ def test_09_evolution_suite(recipe_runs, capsys):
 
 def test_10_operator_algebra(recipe_runs, capsys):
     rep, _ = recipe_runs["operator-algebra"]
-    adj = find_assertion(rep, "adjointness").value
-    closed = find_assertion(rep, "cg_closed_form").value
-    dense = find_assertion(rep, "cg_vs_dense").value
-    ok = adj <= 1e-12 and closed <= 1e-12 and dense <= 1e-12
+    adj, dual, curl_div, dense = (find_assertion(rep, name).value for name in (
+        "adjointness", "div_grad_duality", "curl_divergence", "dst_vs_dense"))
+    ok = max(adj, dual, curl_div, dense) <= 1e-12
     _emit(capsys, "operator algebra",
-          ok, f"grad/div adjointness {adj:.2e}, closed-form CG {closed:.2e}, "
-              f"CG vs dense {dense:.2e} (all <= 1e-12)")
+          ok, f"Laplacian adjointness {adj:.2e}, div/grad duality {dual:.2e}, "
+              f"div curl {curl_div:.2e}, velocity inverse vs dense "
+              f"{dense:.2e} (all <= 1e-12)")
 
 
 def test_all_recipes_internally_green(recipe_runs, capsys):

@@ -287,6 +287,18 @@ def test_trajectory_takes_finite_positive_dt_and_a_velocity(dt, steps):
         Trajectory(grid, "euler", dt, [VelocityField.zeros(grid)] * (steps + 1))
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "CN", ""])
+def test_trajectory_and_march_refuse_an_unknown_scheme(scheme):
+    # Trajectory took "rk4", and spacetime_velocity_norm read 0.0 for it;
+    # only a later backward march raised
+    grid = build_grid(8)
+    with pytest.raises(ValueError, match=f"unknown scheme {scheme!r}"):
+        Trajectory(grid, scheme, 0.1, [VelocityField.zeros(grid)] * 3)
+    tb = TimeBoundaryData.constant(cavity_g(grid))
+    with pytest.raises(ValueError, match=f"unknown scheme {scheme!r}"):
+        evolve(grid, tb, 2 * DT, DT, scheme=scheme)
+
+
 def test_residual_report_rejects_non_finite_forcing():
     # a NaN in f gave momentum_res = nan with momentum_res_rel = 0.0, which
     # reads as a perfect residual

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vws
+from vws import operators
 from vws.errors import RecipeMismatch, UnderResolvedWarning
 from vws.experiments import cli, recipes
 from vws.experiments.cli import main as cli_main
@@ -16,7 +18,7 @@ from vws.experiments.config import ExperimentConfig, check_resolution, resolved_
 from vws.experiments.recipes import RECIPES, Recipe, run_recipe
 from vws.experiments.report import Assertion, RecipeReport, load_summary, orders
 
-from support import count_saddle_solves
+from support import count_saddle_solves, modules_binding, refuse
 
 NAN, INF = float("nan"), float("inf")
 
@@ -230,7 +232,30 @@ def test_cli_all_past_n64_runs_operator_algebra_on_its_two_grids(tmp_path,
     assert seen == {name: (32, 64, 128) if r.ladder else ()
                     for name, r in RECIPES.items() if name != "operator-algebra"}
     summary = load_summary(tmp_path / "operator-algebra")
-    assert summary["passed"] and len(summary["assertions"]) == 6
+    assert summary["passed"] and len(summary["assertions"]) == 4
+
+
+def test_operator_algebra_checks_the_saddle_inverse_without_cg_or_poisson(
+        tmp_path, monkeypatch):
+    # the recipe certifies the velocity inverse the saddle solves run, not
+    # the CG solver or the Poisson wrapper, which only perfbench/ still names
+    refuse(monkeypatch, operators, "cg_solve", "operator-algebra called cg_solve")
+    refuse(monkeypatch, operators.VelocityPoisson, "solve",
+           "operator-algebra called VelocityPoisson.solve")
+    rep = run_recipe(ExperimentConfig("operator-algebra", out=tmp_path))
+    assert rep.passed
+    assert [a.name for a in rep.assertions] == [
+        "adjointness", "div_grad_duality", "curl_divergence", "dst_vs_dense"]
+
+
+def test_no_module_but_operators_binds_cg_or_poisson_and_vws_no_options():
+    # no new caller before the names can go; SolverOptions stays importable
+    # from vws.stokes, which no solve reads
+    assert modules_binding(("cg_solve", "CGResult", "VelocityPoisson")) == [
+        "vws.operators"]
+    assert not hasattr(vws, "SolverOptions")
+    from vws.stokes import SolverOptions
+    assert SolverOptions().div_tol == operators.DIV_TOL
 
 
 def test_run_recipe_refuses_a_ladder_for_operator_algebra(tmp_path, monkeypatch):
@@ -508,6 +533,36 @@ def test_compare_detects_drift_and_flips(tmp_path, gap_b):
     assert not result["match"]
     text = format_comparison(result)
     assert "DIFFERS" in text and "> gap" in text
+
+
+def test_compare_names_one_sided_assertions_apart_from_flips(tmp_path):
+    # an assertion in one run only was listed as a flip; it is named by its
+    # side, and still makes the runs differ
+    ra = RecipeReport("traces")
+    ra.check_le("bound", 0.5, 1.0)
+    ra.check_le("retired", 0.5, 1.0)
+    ra.check_le("turned", 0.5, 1.0)
+    rb = RecipeReport("traces")
+    rb.check_le("bound", 0.5, 1.0)
+    rb.check_le("added", 2.0, 1.0)
+    rb.check_le("turned", 2.0, 1.0)
+    ra.write(tmp_path / "a")
+    rb.write(tmp_path / "b")
+    result = compare_runs(tmp_path / "a", tmp_path / "b")
+    assert result["assertions_only_in"] == {"A": ["retired"], "B": ["added"]}
+    assert result["assertion_flips"] == ["turned"]
+    assert not result["match"]
+    lines = format_comparison(result).splitlines()
+    assert "only in A: retired" in lines and "only in B: added" in lines
+    assert "assertion flips: turned" in lines and lines[-1] == "DIFFERS"
+    same = compare_runs(tmp_path / "a", tmp_path / "a")
+    assert same["assertions_only_in"] == {"A": [], "B": []} and same["match"]
+    # a retired assertion alone makes the runs differ, and is no flip
+    ra.assertions = [x for x in ra.assertions if x.name != "retired"]
+    ra.write(tmp_path / "c")
+    result = compare_runs(tmp_path / "a", tmp_path / "c")
+    assert result["assertions_only_in"] == {"A": ["retired"], "B": []}
+    assert not result["assertion_flips"] and not result["match"]
 
 
 def test_compare_reads_equal_non_finite_values_as_match(tmp_path):

@@ -174,7 +174,7 @@ def test_shifted_uzawa_iterations_bounded(n):
     for shift in (0.0, 64.0, 1024.0, 16384.0):
         _, _, _, diag = solve_saddle(grid, g, None, shift=shift)
         assert diag["outer_iterations"] == 1
-        assert diag["div_max"] <= SolverOptions().div_tol
+        assert diag["div_max"] <= DIV_TOL
 
 
 def test_tiny_data_takes_a_step():
@@ -229,7 +229,7 @@ def test_div_tol_met_flags_a_missed_tolerance(monkeypatch):
     monkeypatch.setattr(SaddleInverse, "velocity_solve", off)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_boundary(grid, g)
-    assert info.value.residual > SolverOptions().div_tol
+    assert info.value.residual > DIV_TOL
     with pytest.raises(NonConvergence, match="divergence defect"):
         transposition_identity(grid, g, u=u)
 
@@ -245,10 +245,11 @@ def test_saddle_solve_takes_one_modal_solve(monkeypatch):
 
 
 def test_solver_options_hold_method_and_tolerance():
-    # the velocity solve has one method; the tolerance is the only option
+    # the velocity solve has one method; the tolerance is the only option,
+    # and the one the benchmark reads is the solves' DIV_TOL
     fields = [f.name for f in dataclasses.fields(SolverOptions)]
     assert fields == ["div_tol"]
-    assert SolverOptions().div_tol == 1e-8
+    assert SolverOptions().div_tol == DIV_TOL == 1e-8
 
 
 def test_large_compatible_data_accepted():
