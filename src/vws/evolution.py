@@ -10,22 +10,23 @@ Each implicit step is one shifted saddle solve by the cached
 (A + s) z + G P = c s u^k + load(g) + f, with g and f at t_{k+1} for implicit
 Euler (c = 1, u^{k+1} = z) and summed over t_k, t_{k+1} for Crank-Nicolson
 (c = 2).  That is the implicit midpoint rule, algebraically the trapezoidal
-rule: z = u^k + u^{k+1} is twice the midpoint velocity, u^{k+1} = z - u^k,
-and P/2 is the half-step pressure.  No step applies a Laplacian, and none
-brings its pressure back to the cells: the paper's evolution result bounds
-the velocity, and a very weak solution's pressure is only a distribution in
-time, so a trajectory keeps velocities alone.
+rule: z = u^k + u^{k+1} is twice the midpoint velocity, u^{k+1} = z - u^k
+in the modes, and P/2 is the half-step pressure.  No step applies a
+Laplacian, and none brings its pressure back to the cells: the paper's
+evolution result bounds the velocity, and a very weak solution's pressure
+is only a distribution in time, so a trajectory keeps velocities alone.
 
 The march runs in the solver's modes.  Boundary data are a ramp r(t) times
 one spatial profile g, so the modes of load(g) and of its wall fluxes are
-built and checked by the first step that loads g, and a step scales them by
+built and checked once, before the first step, and a step scales them by
 its ramp sum; the velocity's interior modes are carried from step to step,
 so a step's only transform is that of its new forcing node, by
 :meth:`vws.operators.SaddleInverse.forcing_modes`.  The march steps in modes,
-then brings every velocity back to the cells, and checks every defect, in
-one cell stage: one stacked inverse transform for the whole march.  A
-forward march's velocities keep their interior modes
-(:attr:`vws.grid.VelocityField.modes`), as every solved velocity does.
+then brings every velocity u^{k+1} back to the cells, its wall faces r_{k+1}
+times g's normal samples, and checks its defect, in one cell stage: one
+stacked inverse transform for the whole march.  A forward march's
+velocities keep their interior modes (:attr:`vws.grid.VelocityField.modes`),
+as every solved velocity does.
 
 A march makes one allocation for its working set: the trajectory's cells,
 its kept modes and the step scratch it writes are views of one block
@@ -226,13 +227,13 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     forcing, with rho_j = r_{j+1} for Euler and r_j + r_{j+1} for
     Crank-Nicolson; the zero start's wall faces hold no normal values, so
     the first Crank-Nicolson step takes rho = r_1 and loads the tangential
-    part of g(0) apart.  SaddleInverse.right_side builds each right side of
-    g in the first step that loads it, so data whose net flux the solver
-    refuses raise, as any bad data do, with the step's place in time.  The
-    cell stage (module docstring) follows the last step; the first defect
-    miss raises NonConvergence carrying the defect and the step's faces (z1,
-    z2), and a non-finite data scale ends the march at its step.  A step's
-    ``wall_time`` is its modal time plus 1/m of the cell stage.
+    part of g(0) apart.  SaddleInverse.right_side builds g's right side
+    once, so data whose net flux the solver refuses raise before any step,
+    other bad data with the step's place in time.  The cell stage (module
+    docstring) follows the last step; the first defect miss raises
+    NonConvergence carrying the defect and the faces of the velocity that
+    step returns, and a non-finite data scale ends the march at its step.
+    A step's ``wall_time`` is its modal time plus 1/m of the cell stage.
 
     The march allocates once, which keeps the heap resident between marches
     (module docstring); the comment on the block gives its layout.
@@ -242,14 +243,15 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     inv = saddle_inverses(grid, c / dt)
     n = grid.n
     # the march's one block: the trajectory's cells, a velocity a row (a
-    # step's row first holds z's modes; only the zero start's is zeroed, the
-    # cell stage writes the others in full); the z modes, u1's and u2's each
-    # laid out as its faces (SaddleInverse.components), step j's in stack
-    # j % kept, every step's forward and two alternating backward; a forward
-    # forcing's modes at two nodes, node j in slot j % 2 (a backward one's
-    # are read in place, and a velocity without them is transformed into its
-    # own stack); the scaled boundary modes when g is given; c_hat, the modes
-    # of the continuity right side, refilled every step
+    # step's row first holds its modes; only the zero start's is zeroed, the
+    # cell stage writes the others in full); the step modes (z's, then
+    # u^{k+1}'s), u1's and u2's each laid out as its faces
+    # (SaddleInverse.components), step j's in stack j % kept, every step's
+    # forward and two alternating backward; a forward forcing's modes at
+    # two nodes, node j in slot j % 2 (a backward one's are read in place,
+    # and a velocity without them is transformed into its own stack); the
+    # scaled boundary modes when g is given; c_hat, the modes of the
+    # continuity right side, refilled every step
     cells, kept = 2 * n * (n + 1), 2 if backward else m
     stacks = kept + 2 * (force is not None and not backward) + (g is not None)
     block = np.empty((m + 1) * cells + stacks * 2 * (n - 1) * n + n * n)
@@ -260,18 +262,19 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
     scratch = zs.pop() if g is not None else None
     f_buf = zs[kept:] or [None, None]
     f_hat = [None, None]
-    b_g = None
     x, u1, u2 = inv.cell_views(u12)
+    if g is not None:
+        b_g, c_g, c_max_g = inv.right_side(g)
     # the zero start's modes, which take no memory
     u_hat = np.broadcast_to(0.0, 2 * (n - 1) * n)
-    modes, rhos, solves = [u_hat], np.zeros(m), []
+    modes, solves = [u_hat], []
     index = (lambda j: m - 1 - j) if backward else (lambda j: j + 1)  # time index
     direction = "backward" if backward else "forward"
     where = lambda j: f"{direction} step {j + 1}/{m} (t={index(j) * dt:.6g})"
     for j in range(m):
         t0 = time.perf_counter()
         # the modes of the step's right side, which the solve turns into
-        # those of its solution z, kept by a forward march
+        # z's and the step into u^{k+1}'s, kept by a forward march
         z_hat = zs[j % kept]
         try:
             # c s u = u / (dt / c^2): u/dt for Euler, 4 u/dt for Crank-Nicolson
@@ -282,39 +285,35 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
                     if node == j + 1 or j == 0:
                         f_hat[slot] = inv.forcing_modes(force(node), f_buf[slot])
                     z_hat += f_hat[slot]
-            c_max = 0.0
-            c_hat.fill(0.0)
-            if g is not None:
+            if g is None:
+                c_hat.fill(0.0)
+                c_max = 0.0
+            else:
                 rho = ramp[j + 1] + (ramp[j] if c == 2 and j else 0.0)
                 if c == 2 and j == 0 and ramp[0]:
                     tangential = {s: g.samples[s] * np.abs(TANGENTS[s])
                                   for s in SIDES}
                     z_hat += ramp[0] * inv.right_side(
                         BoundaryData(grid, tangential), out=scratch)[0]
-                if rho:
-                    if b_g is None:
-                        b_g, c_g, c_max_g = inv.right_side(g)
-                    z_hat += np.multiply(b_g, rho, out=scratch)
-                    rhos[j] = rho
-                    if c_max_g:
-                        np.multiply(c_g, rho, out=c_hat)
-                        c_max = abs(rho) * c_max_g
+                z_hat += np.multiply(b_g, rho, out=scratch)
+                np.multiply(c_g, rho, out=c_hat)
+                c_max = abs(rho) * c_max_g
             _, scale, steps = inv.solve_modes(z_hat, c_hat, c_max, u12[j + 1])
         except ValueError as exc:
             raise type(exc)(f"{where(j)}: {exc}") from exc
-        x[j + 1] = z_hat
         if c == 2:
             z_hat -= u_hat
+        x[j + 1] = z_hat
         modes.append(None if backward else z_hat)
         u_hat = z_hat
         solves.append((scale, steps, time.perf_counter() - t0))
         if not np.isfinite(scale):
             break   # this step misses: no later one is solved
 
-    # the cell stage of every step solved, wall faces rho_j times g's normals
+    # the cell stage of every step solved, wall faces r_{k+1} times g's normals
     t0 = time.perf_counter()
     k = len(solves)
-    defects = inv.to_cells(u12[1:k + 1], g, rhos[:k])
+    defects = inv.to_cells(u12[1:k + 1], g, None if g is None else ramp[1:k + 1])
     share = (time.perf_counter() - t0) / m
     diags = []
     for j, (div_max, (scale, steps, wall_time)) in enumerate(zip(defects, solves)):
@@ -324,9 +323,6 @@ def _march(grid: StaggeredGrid, scheme: str, dt: float, m: int,
                                  iterations=steps)
         diags.append({"outer_iterations": steps, "div_max": float(div_max),
                       "wall_time": wall_time + share, "step": index(j)})
-    if c == 2:
-        for j in range(m):   # u^{k+1} = z - u^k, in step order
-            u12[j + 1] -= u12[j]
     velocities = [VelocityField(grid, a, b) if backward else
                   VelocityField._solved(grid, a, b, z)
                   for a, b, z in zip(u1, u2, modes)]

@@ -672,17 +672,16 @@ class SaddleInverse:
         (:meth:`forcing_modes`); c is minus the wall fluxes (g . n)/h.  Data
         whose net flux h sum g . n exceeds 1e-12 of h sum |g . n| raise
         IncompatibleBoundaryData.  Both live on border lines and take the
-        closed form of :meth:`border_to_modes`, zero g and a zero c none; c
-        is built, checked and read on its 4n - 4 border cells.  out, a block
+        closed form of :meth:`border_to_modes`, a zero c none; c is built,
+        checked and read on its 4n - 4 border cells.  out, a block
         of 2 (n - 1) n floats, receives b_hat; one is allocated when not
         given.
         """
         n, h = self.grid.n, self.grid.h
         b = np.empty(2 * (n - 1) * n) if out is None else out
         b.fill(0.0)
-        if any(a.any() for a in g.samples.values()):
-            laplacian_load(self.grid, g, out=self.components(b))
-            self.border_to_modes(b)
+        laplacian_load(self.grid, g, out=self.components(b))
+        self.border_to_modes(b)
         c = np.zeros((n, n))
         border = (c[0], c[-1], c[1:-1, 0], c[1:-1, -1])
         # the wall fluxes reach the border cells only; the u1 walls go first,

@@ -14,7 +14,7 @@ faces, which reach only the border cells as fluxes +-(normal value)/h, so
 the interior unknowns see D w = c, with c the negated fluxes.  Summed over
 the cells, D u = 0 reads h sum g . n = 0, which
 :meth:`vws.operators.SaddleInverse.right_side` checks to rounding before a
-stationary solve, and a time march at its first step that loads g.  Then:
+stationary solve, and before a time march's first step.  Then:
 
     1. w = A^{-1} b on the interior faces, and D w;
     2. rhs = c - D w, re-centred to zero mean;
@@ -99,8 +99,7 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     the returned velocity hold the normal samples of g.  The modes of f
     (:meth:`vws.operators.SaddleInverse.forcing_modes`, a solved velocity's
     with no transform) are added to g's, from
-    :meth:`~vws.operators.SaddleInverse.right_side`, or for zero g
-    transformed in its block; then
+    :meth:`~vws.operators.SaddleInverse.right_side`; then
     :meth:`~vws.operators.SaddleInverse.solve_modes` and
     :meth:`~vws.operators.SaddleInverse.to_cells` run with k = 1, and p
     comes to the cells from its modes.  modes, a block of 2 (n - 1) n
@@ -119,14 +118,9 @@ def solve_saddle(grid: StaggeredGrid, g: BoundaryData, f, shift: float = 0.0,
     n = grid.n
     u12 = np.empty((1, 2 * n * (n + 1)))
     x, u1, u2 = inv.cell_views(u12)
-    b_hat, c_hat, c_max = inv.right_side(
-        g, out=np.empty(2 * (n - 1) * n) if modes is None else modes)
+    b_hat, c_hat, c_max = inv.right_side(g, out=modes)
     if f is not None:
-        # zero g leaves b_hat zero: the forcing is then transformed in it
-        blank = not any(a.any() for a in g.samples.values())
-        f_hat = inv.forcing_modes(f, out=b_hat if blank else None)
-        if f_hat is not b_hat:
-            b_hat += f_hat
+        b_hat += inv.forcing_modes(f)
     p, scale, steps = inv.solve_modes(b_hat, c_hat, c_max, u12[0])
     del c_hat   # free before the cell stage's buffers
     x[0] = b_hat

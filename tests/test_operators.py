@@ -438,8 +438,9 @@ def test_stack_transforms_work_in_place(n):
 
 def test_border_data_take_no_2d_forward_transform(monkeypatch):
     # no module binds a 2-D forward transform, every transform goes
-    # through operators, and boundary data alone take the closed forms for b and c; zero data with
-    # forcing leave c zero, which takes no transform at all
+    # through operators, and boundary data alone take the closed forms for
+    # b and c; zero data with forcing take one 2-D transform, the
+    # forcing's, and leave c zero, which takes no transform at all
     assert modules_binding(("dctn", "dstn", "idstn")) == []
     assert modules_binding(("dct", "idct", "idctn", "dst")) == ["vws.operators"]
     grid = build_grid(16)
@@ -450,8 +451,22 @@ def test_border_data_take_no_2d_forward_transform(monkeypatch):
     with monkeypatch.context() as m:
         refuse(m, SaddleInverse, "to_modes", why)
         assert solve_saddle(grid, rotation_data(grid), None)[3]["outer_iterations"] == 1
-    refuse(monkeypatch, SaddleInverse, "border_to_modes", why)
+    to_modes, border_to_modes = SaddleInverse.to_modes, SaddleInverse.border_to_modes
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return to_modes(self, x)
+
+    def velocity_border(self, x):
+        if x.ndim == 2:
+            raise AssertionError("border transform of a zero c")
+        return border_to_modes(self, x)
+
+    monkeypatch.setattr(SaddleInverse, "to_modes", counted)
+    monkeypatch.setattr(SaddleInverse, "border_to_modes", velocity_border)
     assert solve_saddle(grid, BoundaryData.zeros(grid), f)[3]["outer_iterations"] == 1
+    assert len(calls) == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -118,9 +118,10 @@ def test_adjoint_solves_homogeneous_problem():
 
 def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     # the adjoint solve reads the forward solve's kept modes: no forward
-    # transform (no module binds a 2-D one), and,
-    # with zero boundary data, no load built or transformed; a fresh
-    # hand-built copy of the same velocity is transformed exactly once
+    # transform (no module binds a 2-D one).  The identity's adjoint builds
+    # no load of its zero boundary data, and solve_adjoint transforms no
+    # kept forcing; a fresh hand-built copy of the same velocity is
+    # transformed exactly once
     from vws.operators import SaddleInverse
 
     grid, g = _lid(32)
@@ -132,9 +133,11 @@ def test_adjoint_of_a_solved_velocity_takes_no_forward_transform(monkeypatch):
     assert modules_binding(("dctn", "dstn", "idstn")) == []
     assert modules_binding(("dct", "idct", "idctn", "dst")) == ["vws.operators"]
     why = "forward transform or zero load in an adjoint solve"
-    refuse(monkeypatch, operators, "laplacian_load", why)
-    refuse(monkeypatch, SaddleInverse, ("to_modes", "border_to_modes"), why)
-    got = transposition_identity(grid, g, u=u)
+    with monkeypatch.context() as m:
+        refuse(m, operators, "laplacian_load", why)
+        refuse(m, SaddleInverse, ("to_modes", "border_to_modes"), why)
+        got = transposition_identity(grid, g, u=u)
+    refuse(monkeypatch, SaddleInverse, "to_modes", "forward transform of a kept forcing")
     assert solve_adjoint(grid, u).velocity.modes is not None
     monkeypatch.undo()
     assert got["lhs"] == want["lhs"]
