@@ -11,6 +11,9 @@ the package, from ``AXIS`` (the coordinate normal to it) and :func:`wall`.
 
 The discrete boundary measure is h per sample (composite midpoint rule on the
 perimeter of length 4).
+
+BoundaryData and vws.traces.TangentialBoundaryData copy and freeze each side's
+array when built; the fields of vws.grid take their arrays as given.
 """
 
 from __future__ import annotations
@@ -77,13 +80,25 @@ def _pair_sum(a: np.ndarray) -> np.ndarray:
     return a[:-1] + a[1:]
 
 
-def _require_sides(per_side: dict, missing_ok: bool) -> None:
-    """Raise ValueError naming any key that is not a side, or, unless
-    missing_ok, any side without an entry."""
+def _frozen_sides(per_side: dict, shape: tuple, missing_ok: bool) -> dict:
+    """A read-only copy of each side's array, zero for a side without one if
+    missing_ok; ValueError naming a key that is not a side, any other missing
+    side, or an array of another shape or with non-finite values."""
     unknown = sorted(map(str, set(per_side) - set(SIDES)))
     missing = [] if missing_ok else [s for s in SIDES if s not in per_side]
     if unknown or missing:
         raise ValueError(f"sides must be {SIDES}; unknown {unknown}, missing {missing}")
+    frozen = {}
+    for side in SIDES:
+        a = np.array(per_side[side] if side in per_side else np.zeros(shape),
+                     dtype=float, order="C")
+        if a.shape != shape:
+            raise ValueError(f"side {side!r}: expected shape {shape}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"side {side!r}: non-finite boundary values")
+        a.flags.writeable = False
+        frozen[side] = a
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -94,23 +109,12 @@ class BoundaryData:
     samples: dict  # side -> (n, 2) ndarray
 
     def __post_init__(self):
-        n = self.grid.n
-        _require_sides(self.samples, missing_ok=False)
-        clean = {}
-        for side in SIDES:
-            a = np.ascontiguousarray(self.samples[side], dtype=float)
-            if a.shape != (n, 2):
-                raise ValueError(f"side {side!r}: expected shape {(n, 2)}, got {a.shape}")
-            if not np.isfinite(a).all():
-                raise ValueError(f"side {side!r}: non-finite boundary values")
-            a.flags.writeable = False
-            clean[side] = a
-        object.__setattr__(self, "samples", clean)
+        object.__setattr__(self, "samples", _frozen_sides(
+            self.samples, (self.grid.n, 2), missing_ok=False))
 
     @classmethod
     def zeros(cls, grid: StaggeredGrid) -> "BoundaryData":
-        z = {s: np.zeros((grid.n, 2)) for s in SIDES}
-        return cls(grid, z)
+        return cls(grid, {s: np.zeros((grid.n, 2)) for s in SIDES})
 
     def normal_part(self, side: str) -> np.ndarray:
         return self.samples[side] @ NORMALS[side]

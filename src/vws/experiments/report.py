@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +47,7 @@ class Assertion:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": float(self.value),
-            "threshold": float(self.threshold),
-            "detail": self.detail,
-        }
+        return asdict(self)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

@@ -42,10 +42,10 @@ operator at shift 0, serves the residuals and pairings; tests pin the
 velocity inverse against it.  :func:`saddle_inverses` caches
 one solver per (grid, shift) and refuses a singular shift.  Every transform,
 the clamped plate's too, is one in-place helper, :func:`_transform`: type-I
-sine, type-II cosine or its inverse, along one axis or two in turn; below
-length 128 a product with a cached read-only orthonormal basis per kind and
-length, a bounded chunk of a stack at a time; from 128 on, scipy's call, one
-for the inverse cosine over two axes.
+sine, type-II cosine or its inverse, along one axis or two in turn, one 1-D
+pass per axis; below length 128 a product with a cached read-only
+orthonormal basis per kind and length, a bounded chunk of a stack at a
+time; from 128 on, scipy's call.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, dst, idct, idctn
+from scipy.fft import dct, dst, idct
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, NonConvergence
@@ -97,18 +97,15 @@ def _require_finite(name: str, a, shape: tuple) -> None:
         raise ValueError(f"{name} has non-finite values or a shape other than {shape}")
 
 
-# per kind of :func:`_transform`: scipy's transform, its type, the inverse
-# kind, and scipy's n-D transform, for the inverse cosine alone (every forward
-# pass over two axes goes one axis at a time)
-_KINDS = {"dst": (dst, 1, "dst", None), "dct": (dct, 2, "idct", None),
-          "idct": (idct, 2, "dct", idctn)}
+# per kind of :func:`_transform`: scipy's transform, its type, the inverse kind
+_KINDS = {"dst": (dst, 1, "dst"), "dct": (dct, 2, "idct"), "idct": (idct, 2, "dct")}
 
 
 @lru_cache(maxsize=16)
 def _basis(kind: str, m: int) -> np.ndarray:
     """The read-only orthonormal basis T of a kind and length m, T @ v the
     transform of v; T.T is the inverse kind's basis."""
-    transform, t, _, _ = _KINDS[kind]
+    transform, t, _ = _KINDS[kind]
     basis = transform(np.eye(m), type=t, axis=0, norm="ortho")
     if kind == "dst":
         basis = 0.5 * (basis + basis.T)   # exactly symmetric, as its inverse
@@ -116,28 +113,18 @@ def _basis(kind: str, m: int) -> np.ndarray:
     return basis
 
 
-def _into(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x <- y, the result of a scipy call asked to overwrite x
-    if not np.shares_memory(y, x):
-        x[...] = y
-    return x
-
-
 def _transform(x: np.ndarray, kind: str, axes) -> np.ndarray:
     """x <- its orthonormal transform of a kind along axis -1 or -2, or each
     of a tuple of them in turn, in place: "dst" the type-I sine transform,
     its own inverse, "dct" the type-II cosine transform and "idct" its
-    inverse.  A cached basis product up to length 127, scipy's beyond: the
-    inverse cosine over a tuple of such axes is one n-D call."""
-    transform, t, inverse, transform_n = _KINDS[kind]
-    if (transform_n and not isinstance(axes, int)
-            and min(x.shape[a] for a in axes) >= 128):
-        return _into(x, transform_n(x, type=t, axes=axes, norm="ortho",
-                                    overwrite_x=True))
+    inverse.  A cached basis product up to length 127, scipy's beyond."""
+    transform, t, inverse = _KINDS[kind]
     for axis in (axes,) if isinstance(axes, int) else axes:
         m = x.shape[axis]
         if m >= 128:   # shorter, a product costs less than pocketfft's call
-            _into(x, transform(x, type=t, axis=axis, norm="ortho", overwrite_x=True))
+            y = transform(x, type=t, axis=axis, norm="ortho", overwrite_x=True)
+            if not np.shares_memory(y, x):
+                x[...] = y
             continue
         # from the right, x T.T: the inverse kind's basis, which is contiguous
         basis = _basis(kind if axis == -2 else inverse, m)

@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .boundary import AXIS, NORMALS, SIDES, _pair_sum, _require_sides, smoothstep
+from .boundary import AXIS, NORMALS, SIDES, _frozen_sides, _pair_sum, smoothstep
 from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
 from .operators import apply_velocity_laplacian, stream_curl
 
@@ -74,19 +74,9 @@ class TangentialBoundaryData:
     """
 
     def __init__(self, grid: StaggeredGrid, profiles: dict):
-        _require_sides(profiles, missing_ok=True)
         self.grid = grid
-        store = {}
-        for side in SIDES:
-            a = np.asarray(profiles.get(side, np.zeros(grid.n)), dtype=float)
-            if a.shape != (grid.n,):
-                raise ValueError(f"profile for {side} must have shape ({grid.n},)")
-            if not np.isfinite(a).all():
-                raise ValueError(f"profile for {side} has non-finite values")
-            a = a.copy()
-            a.flags.writeable = False
-            store[side] = a
-        self._profiles = MappingProxyType(store)
+        self._profiles = MappingProxyType(
+            _frozen_sides(profiles, (grid.n,), missing_ok=True))
         self._forms = tuple(_pairing_forms(a, b, grid)
                             for a, b in _lift_factors(self))
 

@@ -175,6 +175,21 @@ def test_rejects_non_finite_samples():
         cavity_g(grid) * np.inf
 
 
+def test_data_keep_their_samples_when_a_base_they_view_is_written():
+    # the samples are a frozen copy: views of one writable base do not
+    # carry a later write into the data
+    base = np.ones((4, 16, 2))
+    g = BoundaryData(build_grid(16), dict(zip(SIDES, base)))
+    base[...] = 5.0
+    assert all(np.all(g.samples[s] == 1.0) for s in SIDES)
+
+
+def test_data_leave_a_callers_array_writeable():
+    own = np.zeros((16, 2))
+    g = BoundaryData(build_grid(16), {s: own for s in SIDES})
+    assert own.flags.writeable and not g.samples["top"].flags.writeable
+
+
 def test_wall_lines_of_face_and_cell_arrays():
     # u1 faces (n+1, n): the left and right walls are rows 0 and n
     n = 4

@@ -388,6 +388,12 @@ def test_every_kind_takes_the_product_below_length_128(m):
         want = (transform(x, type=t, axis=-1, norm="ortho") if m >= 128
                 else x @ operators._basis(inverse, m))
         assert np.array_equal(operators._transform(x.copy(), kind, -1), want)
+    # over both axes, one 1-D pass per axis, in place
+    if m >= 127:
+        x = np.random.default_rng(m).standard_normal((m, m))
+        want = idctn(x, type=2, norm="ortho")
+        got = operators._transform(x, "idct", (-1, -2))
+        assert got is x and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("axis", [-1, -2])
@@ -437,11 +443,11 @@ def test_stack_transforms_work_in_place(n):
 
 
 def test_border_data_take_no_2d_forward_transform(monkeypatch):
-    # no module binds a 2-D forward transform, every transform goes
+    # no module binds an n-D transform, every transform goes
     # through operators, and boundary data alone take the closed forms for
     # b and c; zero data with forcing take one 2-D transform, the
     # forcing's, and leave c zero, which takes no transform at all
-    assert modules_binding(("dctn", "dstn", "idstn")) == []
+    assert modules_binding(("dctn", "dstn", "idstn", "idctn")) == []
     assert modules_binding(("dct", "idct", "idctn", "dst")) == ["vws.operators"]
     grid = build_grid(16)
     rng = np.random.default_rng(5)
@@ -531,35 +537,3 @@ def test_modal_divergence_and_gradient_are_the_cell_operators(n):
     for got, want in zip(faces, face_gradient(p, grid.h)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
-def test_inverse_cosine_over_both_axes_is_one_scipy_call_from_length_128(monkeypatch):
-    # from length 128 the inverse cosine over a tuple of axes is one n-D
-    # scipy call: the cell pressure of a solve and the duality adjoint's
-    # defect take one each at n = 256; below 128 it is the product, axis
-    # by axis
-    from vws.transposition import transposition_identity
-
-    calls = []
-    transform, t, inverse, transform_n = operators._KINDS["idct"]
-
-    def counted(x, **kwargs):
-        calls.append((x.shape, kwargs["axes"]))
-        return transform_n(x, **kwargs)
-
-    for m in (127, 128):
-        x = np.random.default_rng(m).standard_normal((m, m))
-        want = idctn(x, type=2, norm="ortho")
-        with monkeypatch.context() as patch:
-            patch.setitem(operators._KINDS, "idct", (transform, t, inverse, counted))
-            got = operators._transform(x, "idct", (-1, -2))
-        assert got is x and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert calls == ([] if m < 128 else [((m, m), (-1, -2))])
-    calls.clear()
-    monkeypatch.setitem(operators._KINDS, "idct", (transform, t, inverse, counted))
-    grid = build_grid(256)
-    g = rotation_data(grid)
-    sol = solve_boundary(grid, g)
-    assert calls == [((256, 256), (-1, -2))]
-    transposition_identity(grid, g, u=sol.velocity)
-    assert calls == [((256, 256), (-1, -2))] * 2

@@ -166,7 +166,7 @@ def test_tangential_data_rejects_non_finite():
         prof = np.ones(16)
         prof[5] = bad
         with pytest.raises(ValueError,
-                           match="profile for left has non-finite values"):
+                           match="side 'left': non-finite boundary values"):
             TangentialBoundaryData(grid, {"left": prof})
 
 
