@@ -56,14 +56,16 @@ On top of these sit the space-time energy-estimate ratio
 with v = m(t) R g1 a time-modulated tangential lift vanishing at t = T; for
 u driven by boundary data g it equals minus the Gamma_T integral of
 (g.tau)(g1.tau) (integrate by parts in t and x; u(0) = 0 and v(T) = 0 kill
-the endpoints), and its value does not depend on which lift was used.  The
-test function is separable and the trapezoid rule linear, so with the time
-sums U_m = sum_k w_k m(t_k) u^k and U_d = sum_k w_k m'(t_k) u^k
+the endpoints).  Discretely, step k's equation is tested with dt e_k R g1,
+e_k the modulation where the step solves (the mean of m_k and m_{k+1} for
+Crank-Nicolson, m_{k+1} for Euler), and summed by parts over the steps;
+with the resulting time sums U_b = sum_k b_k u^k and U_d = sum_k d_k u^k
 
-    L_u(g1) = -(<U_d, R g1>_h + integral of U_m . Laplace(R g1)),
+    L_u(g1) = -(<U_d, R g1>_h + integral of U_b . Laplace(R g1)),
 
 two stationary pairings that vws.traces evaluates from the lift factors
-without building R g1.
+without building R g1.  For a march of r(t) g it is then exactly
+-(sum_k b_k r_k) B(g, g1), B of vws.traces.boundary_pairing.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ from .errors import NonConvergence, ZeroBoundaryData
 from .grid import (StaggeredGrid, VelocityField, l2_norm_omega,
                    require_same_grid)
 from .operators import defect_miss, saddle_inverses
-from .traces import (TangentialBoundaryData, _lift_pairings, pairing_with_field,
-                     perturbation_field)
+from .traces import TangentialBoundaryData, _lift_pairings, boundary_pairing
 
 __all__ = [
     "TimeBoundaryData",
@@ -94,7 +95,7 @@ __all__ = [
     "spacetime_estimate_ratio",
     "spacetime_pairing",
     "spacetime_pairing_reference",
-    "spacetime_independence_gap",
+    "spacetime_boundary_pairing",
     "final_zero_modulation",
 ]
 
@@ -418,9 +419,8 @@ def final_zero_modulation(T: float):
     return lambda t: 1.0 - t / T
 
 
-def _modulation_samples(modulation, times: np.ndarray):
-    """m(t_k) and its second-order differences m'(t_k); needs two steps and
-    |m(T)| at most 1e-9 of max_k |m(t_k)|."""
+def _modulation_samples(modulation, times: np.ndarray) -> np.ndarray:
+    """m(t_k); needs two steps and |m(T)| at most 1e-9 of max_k |m(t_k)|."""
     if len(times) < 3:
         raise ValueError(f"a space-time functional needs at least two steps, "
                          f"got {len(times) - 1}")
@@ -430,45 +430,48 @@ def _modulation_samples(modulation, times: np.ndarray):
     if abs(mvals[-1]) > 1e-9 * np.abs(mvals).max():
         raise ValueError(f"modulation must vanish at t = T, got "
                          f"m({times[-1]:g}) = {mvals[-1]:g}")
+    return mvals
+
+
+def _pairing_weights(scheme: str, modulation, times: np.ndarray):
+    """(b_k, d_k), the weights of u^k in the Laplacian and mass pairings:
+    summed by parts (module docstring), d_k = e_k - e_{k-1}, and b_k =
+    dt (e_{k-1} + e_k)/2 for Crank-Nicolson, dt e_{k-1} for Euler, with
+    e_{-1} = e_m = 0."""
+    mvals = _modulation_samples(modulation, times)
+    cn = scheme == "cn"
+    e = np.concatenate([[0.0], 0.5 * (mvals[:-1] + mvals[1:]) if cn else mvals[1:],
+                        [0.0]])
     dt = times[1] - times[0]
-    dm = np.empty_like(mvals)
-    dm[1:-1] = (mvals[2:] - mvals[:-2]) / (2.0 * dt)
-    dm[0] = (-3.0 * mvals[0] + 4.0 * mvals[1] - mvals[2]) / (2.0 * dt)
-    dm[-1] = (3.0 * mvals[-1] - 4.0 * mvals[-2] + mvals[-3]) / (2.0 * dt)
-    return mvals, dm
+    return dt * (0.5 * (e[:-1] + e[1:]) if cn else e[:-1]), np.diff(e)
 
 
 def _time_sums(traj: Trajectory, modulation):
-    """(sum_k w_k m(t_k) u^k, sum_k w_k m'(t_k) u^k) over the trapezoid
-    weights w_k, as fields; wall faces are summed like any other face."""
-    mvals, dm = _modulation_samples(modulation, traj.times)
-    w = trapezoid_weights(traj.steps, traj.dt)
-    u0 = traj.velocities[0]
-    m1, m2 = np.zeros_like(u0.u1), np.zeros_like(u0.u2)
-    d1, d2 = np.zeros_like(u0.u1), np.zeros_like(u0.u2)
-    for wk, mk, dk, u in zip(w, mvals, dm, traj.velocities):
-        m1 += (wk * mk) * u.u1
-        m2 += (wk * mk) * u.u2
-        d1 += (wk * dk) * u.u1
-        d2 += (wk * dk) * u.u2
-    return VelocityField(traj.grid, m1, m2), VelocityField(traj.grid, d1, d2)
+    """(sum_k b_k u^k, sum_k d_k u^k) over the pairing weights, as fields;
+    wall faces are summed like any other face."""
+    vs, sums = traj.velocities, []
+    for w in _pairing_weights(traj.scheme, modulation, traj.times):
+        u1, u2 = np.zeros_like(vs[0].u1), np.zeros_like(vs[0].u2)
+        for wk, u in zip(w, vs):
+            u1 += wk * u.u1
+            u2 += wk * u.u2
+        sums.append(VelocityField(traj.grid, u1, u2))
+    return sums
 
 
 def spacetime_pairing(traj: Trajectory, g1: TangentialBoundaryData,
                       modulation) -> float:
-    """Discrete L_u(g1) = -sum_k w_k <u^k, (dv/dt + Laplace v)^k>.
+    """Discrete L_u(g1) = -sum_k <u^k, d_k R g1 + b_k Laplace(R g1)>_h.
 
-    v^k = modulation(t_k) * lift(g1); the time derivative uses centered
-    differences (one-sided second order at the ends), the Laplacian the
-    zero-boundary discrete operator.  modulation must vanish at t = T.
-    Evaluated as -(<U_d, R g1>_h + L_{U_m}(g1)) on the time sums (see the
-    module docstring), so no lift is built.  A trajectory of fewer than two
-    steps, a non-finite modulation or one that does not vanish at T, or g1
-    on another grid raises ValueError.
+    The weights are the scheme's own (module docstring), the Laplacian
+    pairing vws.traces.pairing_L's; modulation must vanish at t = T.
+    Evaluated on the time sums, so no lift is built.  A trajectory of fewer
+    than two steps, a non-finite modulation or one that does not vanish at
+    T, or g1 on another grid raises ValueError.
     """
     require_same_grid(traj.grid, g1)
-    u_m, u_d = _time_sums(traj, modulation)
-    return -(_lift_pairings(u_d, g1)[0] + _lift_pairings(u_m, g1)[1])
+    u_b, u_d = _time_sums(traj, modulation)
+    return -(_lift_pairings(u_d, g1)[0] + _lift_pairings(u_b, g1)[1])
 
 
 def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
@@ -482,7 +485,7 @@ def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
     require_same_grid(grid, g1)
     m = _check_steps(T, dt)
     w = trapezoid_weights(m, dt)
-    mvals, _ = _modulation_samples(modulation, np.arange(m + 1) * dt)
+    mvals = _modulation_samples(modulation, np.arange(m + 1) * dt)
     r = g.ramp_samples(m, dt)
     # the slice at t_k is r_k g, so each ring sum is r_k times that of g
     ring = sum(float(np.sum(g.spatial.tangential_part(s) * g1.profiles[s]))
@@ -490,19 +493,14 @@ def spacetime_pairing_reference(g: TimeBoundaryData, g1: TangentialBoundaryData,
     return -grid.h * ring * float(np.sum(w * mvals * r))
 
 
-def spacetime_independence_gap(traj: Trajectory, modulation,
-                               seed: int = 0) -> float:
-    """Pairing difference when the lift is perturbed by a time-modulated
-    random solenoidal field with zero boundary values and normal derivative.
-
-    Zero in the continuum for velocity trajectories solving the zero-forced
-    problem; the discrete value measures the scheme's integration-by-parts
-    defect.  Fields that do not solve the problem leave an O(1) residue.
-    Fewer than two steps, or a non-finite modulation or one that does not
-    vanish at T, raise ValueError.
-    """
-    w_field = perturbation_field(traj.grid, seed=seed)
-    u_m, u_d = _time_sums(traj, modulation)
-    (d1, d2), (w1, w2) = u_d.interior(), w_field.interior()
-    mass = traj.grid.h ** 2 * float(np.vdot(d1, w1) + np.vdot(d2, w2))
-    return abs(mass + pairing_with_field(u_m, w_field))
+def spacetime_boundary_pairing(g: TimeBoundaryData, g1: TangentialBoundaryData,
+                               modulation, T: float, dt: float,
+                               scheme: str) -> float:
+    """-(sum_k b_k r_k) B(g.spatial, g1), which spacetime_pairing of the
+    march of g equals to rounding, with no march; the checks of
+    spacetime_pairing_reference, and ValueError for an unknown scheme."""
+    require_same_grid(g.grid, g1)
+    _check_scheme(scheme)
+    m = _check_steps(T, dt)
+    b, _ = _pairing_weights(scheme, modulation, np.arange(m + 1) * dt)
+    return -float(b @ g.ramp_samples(m, dt)) * boundary_pairing(g.spatial, g1)

@@ -15,10 +15,12 @@ with d the distance to the wall and chi a smooth cutoff.  The pairing
 
     L_u(g1) = integral of u . Laplace(v)
 
-then recovers the tangential trace of u: for Stokes fields with boundary
-values g it equals the boundary integral of (g.tau)(g1.tau), independently of
-which lift v was used.  Both facts degrade only at discretization order and
-are exercised by the probe machinery below.
+then recovers the tangential trace of u: discretely -h^2 <u, A v> plus u's
+wall faces against v's normal faces one line in.  For a discrete Stokes flow
+with data g it is exactly B(g, g1) = -h^2 <L g_tau, R g1>, the MAC scheme's
+discrete Green's formula (A is symmetric, div v = 0, and the wall term
+cancels the normal load), a boundary sum that tends to the integral of
+(g.tau)(g1.tau) at second order.
 
 The lift is assembled side by side from coordinate-distance strips; each
 side's profile is tapered off smoothly within a few cells of the corners, so
@@ -32,11 +34,12 @@ acts on outer(a, c) as outer(L_D a, c) + outer(a, L_G c), with L_D the node
 and L_G the ghost-closed cell second difference.  pairing_L therefore
 evaluates L_u(g1) in closed form from the 1-D factors: four bilinear forms in
 u, one pass per component and nonzero side over that side's strip of u,
-O(n^2) flops and no lift built.  The data are immutable, so their 1-D
-weights and strip windows are built once, with them.  The same forms give
-the mass pairing <u, R g1>_h, which the space-time pairing of vws.evolution
-needs beside it.  pairing_with_field pairs u with an arbitrary field (the
-perturbed lifts below) and is the reference the closed form is tested against.
+and one dot product over its wall, O(n^2) flops and no lift built.  The
+data are immutable, so their 1-D weights and strip windows are built once,
+with them.  The same forms give the mass pairing <u, R g1>_h, which the
+space-time pairing of vws.evolution needs beside it.  pairing_with_field
+pairs u with a built field and is the reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .boundary import AXIS, NORMALS, SIDES, _frozen_sides, _pair_sum, smoothstep
-from .grid import StaggeredGrid, VelocityField, l2_norm_omega, require_same_grid
+from .boundary import (AXIS, NORMALS, SIDES, BoundaryData, _frozen_sides, _pair_sum,
+                       smoothstep, wall)
+from .grid import StaggeredGrid, VelocityField, require_same_grid
 from .operators import apply_velocity_laplacian, stream_curl
 
 __all__ = [
@@ -56,9 +60,8 @@ __all__ = [
     "lift_stream",
     "pairing_L",
     "pairing_with_field",
+    "boundary_pairing",
     "probe_set",
-    "perturbation_field",
-    "lifting_independence_gap",
     "line_integral",
 ]
 
@@ -77,8 +80,9 @@ class TangentialBoundaryData:
         self.grid = grid
         self._profiles = MappingProxyType(
             _frozen_sides(profiles, (grid.n,), missing_ok=True))
-        self._forms = tuple(_pairing_forms(a, b, grid)
-                            for a, b in _lift_factors(self))
+        factors = list(_lift_factors(self))
+        self._forms = tuple(_pairing_forms(*ab, grid) for _, _, ab in factors)
+        self._walls = tuple(_wall_form(sd, along, grid) for sd, along, _ in factors)
 
     @property
     def profiles(self) -> MappingProxyType:
@@ -111,9 +115,10 @@ def _lift_profiles(grid: StaggeredGrid) -> np.ndarray:
 
 
 def _lift_factors(g1: TangentialBoundaryData):
-    """Yield (a, b) per side with a nonzero profile; Psi = sum of outer(a, b).
+    """Yield (side, along, (a, b)) per side with a nonzero profile; Psi =
+    sum of outer(a, b).
 
-    One factor is the tapered wall profile at the nodes, the other the
+    One factor is the tapered wall profile along, at the nodes, the other the
     across-wall profile -1/2 d^2 chi(d); the first index of Psi runs along x.
     """
     taper, prof0 = _lift_profiles(g1.grid)
@@ -123,15 +128,15 @@ def _lift_factors(g1: TangentialBoundaryData):
             continue
         # the distance from coordinate 0 on bottom/left, from 1 on top/right
         across = prof0 if NORMALS[side][AXIS[side]] < 0.0 else prof0[::-1]
-        yield (along, across) if AXIS[side] else (across, along)
+        yield side, along, (along, across) if AXIS[side] else (across, along)
 
 
 def lift_stream(g1: TangentialBoundaryData) -> np.ndarray:
     """Node stream function whose curl lifts g1 (see lift_tangential)."""
     n = g1.grid.n
     psi = np.zeros((n + 1, n + 1))
-    for a, b in _lift_factors(g1):
-        psi += np.outer(a, b)
+    for _, _, ab in _lift_factors(g1):
+        psi += np.outer(*ab)
     return psi
 
 
@@ -147,12 +152,15 @@ def lift_tangential(g1: TangentialBoundaryData) -> VelocityField:
 
 
 def pairing_with_field(u: VelocityField, v: VelocityField) -> float:
-    """Discrete integral of u . Laplace(v), -h^2 <u, A v>, for a lift-like v."""
+    """Discrete integral of u . Laplace(v) for a lift-like v (module
+    docstring), the wall term included."""
     grid = u.grid
     require_same_grid(grid, v)
     a1, a2 = apply_velocity_laplacian(grid, *v.interior())
     u1, u2 = u.interior()
-    return -grid.h ** 2 * float(np.sum(u1 * a1) + np.sum(u2 * a2))
+    uf, vf = (u.u1, u.u2), (v.u1, v.u2)
+    edge = sum(float(wall(uf[AXIS[s]], s) @ wall(vf[AXIS[s]], s, 1)) for s in SIDES)
+    return -grid.h ** 2 * float(np.sum(u1 * a1) + np.sum(u2 * a2)) + edge
 
 
 def _node_second_difference(a: np.ndarray, h: float) -> np.ndarray:
@@ -192,6 +200,19 @@ def _pairing_forms(a: np.ndarray, b: np.ndarray, grid: StaggeredGrid):
     return tuple(forms)
 
 
+def _wall_form(side: str, along: np.ndarray, grid: StaggeredGrid):
+    """(side, window, wall, load): one side's lift at its own wall.  Psi is
+    0 there and psi_1 along one node line in, so v = curl Psi has normal
+    faces +-psi_1 D along one line in (+ on left/right), pairing with u's
+    wall faces where nonzero, and first tangential faces +-(psi_1/h)
+    along_int, pairing with the load (pair sums of g.tau)/h^2."""
+    h, psi1 = grid.h, _lift_profiles(grid)[1][1]
+    edge = (1.0, -1.0)[AXIS[side]] * psi1 * np.diff(along) / h
+    nz = np.flatnonzero(edge)
+    window = slice(nz[0], nz[-1] + 1)
+    return side, window, edge[window], -psi1 / h * along[1:-1]
+
+
 def _lift_pairings(u: VelocityField, g1: TangentialBoundaryData):
     """(<u, R g1>_h, integral of u . Laplace(R g1)) from the lift factors.
 
@@ -201,7 +222,7 @@ def _lift_pairings(u: VelocityField, g1: TangentialBoundaryData):
         <u, R g1>_h = h^2 sum_s [a_int.U1 Db - Da.U2 b_int],
 
     which reuses the products the Laplacian pairing forms anyway.  The
-    weights are those g1 built once (:func:`_pairing_forms`).
+    weights are those g1 built once (:func:`_pairing_forms`, :func:`_wall_form`).
     """
     h = u.grid.h
     mass = total = 0.0
@@ -210,7 +231,9 @@ def _lift_pairings(u: VelocityField, g1: TangentialBoundaryData):
                   for uc, (left, right, window) in zip(u.interior(), form))
         mass += m1[0, 0] - m2[1, 0]
         total += m1[1, 0] + m1[0, 1] - m2[0, 0] - m2[1, 1]
-    return h * h * float(mass), -h * h * float(total)
+    edge = sum(float(wall((u.u1, u.u2)[AXIS[side]], side)[window] @ w)
+               for side, window, w, _ in g1._walls)
+    return h * h * float(mass), edge - h * h * float(total)
 
 
 def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
@@ -223,14 +246,23 @@ def pairing_L(u: VelocityField, g1: TangentialBoundaryData) -> float:
     docstring): with U1, U2 the interior faces of u,
 
         -h^2 sum_s [(L_D a).U1 Db + a_int.U1 (L_G Db)
-                    - (L_G Da).U2 b_int - Da.U2 (L_D b)],
+                    - (L_G Da).U2 b_int - Da.U2 (L_D b)] + the wall term,
 
-    each read over the window of U where its weights are nonzero, the side's
-    lift strip: a non-finite u outside the strip no longer reaches the
+    each read over the window of u where its weights are nonzero, the side's
+    lift strip and wall: a non-finite u outside them no longer reaches the
     result.  g1 on another grid than u raises ValueError.
     """
     require_same_grid(u.grid, g1)
     return _lift_pairings(u, g1)[1]
+
+
+def boundary_pairing(g: BoundaryData, g1: TangentialBoundaryData) -> float:
+    """B(g, g1) = -h^2 <L g_tau, R g1>, which pairing_L(solve_boundary(grid,
+    g).velocity, g1) equals to rounding (module docstring), from g1's wall
+    weights: no lift, no solve.  g on another grid raises ValueError."""
+    require_same_grid(g.grid, g1)
+    return sum(float(_pair_sum(g.tangential_part(side)) @ load)
+               for side, _, _, load in g1._walls)
 
 
 def probe_set(grid: StaggeredGrid) -> list:
@@ -260,41 +292,3 @@ def line_integral(fn) -> float:
     """Composite-trapezoid integral of fn over the unit interval, 4097 points."""
     s = np.linspace(0.0, 1.0, 4097)
     return float(np.trapezoid(fn(s), s))
-
-
-def perturbation_field(grid: StaggeredGrid, seed: int = 0) -> VelocityField:
-    """Random smooth solenoidal field vanishing to second order at the walls.
-
-    Curl of (x(1-x)y(1-y))^3 times a seeded random cubic, so both the field
-    and its gradient vanish on the boundary: adding it to a lift changes
-    neither the boundary values nor the normal derivative.  Normalized to
-    unit L2 norm so gaps measured against it are comparable across seeds.
-    """
-    rng = np.random.default_rng(seed)
-    coef = rng.standard_normal((4, 4))
-    z = grid.nodes()
-    bump = (z * (1.0 - z)) ** 3
-    poly = sum(
-        coef[k, l] * np.outer(z ** k, z ** l)
-        for k in range(4) for l in range(4)
-    )
-    w = stream_curl(grid, np.outer(bump, bump) * poly)
-    return w * (1.0 / l2_norm_omega(w))
-
-
-def lifting_independence_gap(u: VelocityField, seed: int = 0) -> float:
-    """|L_u via one lift - L_u via a perturbed lift|.
-
-    The second lift adds a random solenoidal field w with vanishing boundary
-    values and normal derivative, so in the continuum the pairing is
-    unchanged; by linearity the gap is |pairing_with_field(u, w)| whatever
-    the data of the first lift.  It is pure discretization error for
-    discrete Stokes fields u, and O(1) for fields that are not: for u = w
-    itself (the perturbation field of the same seed, a negative control) it
-    is |<w, Laplace_h w>| = |grad w|^2 >= 2 pi^2 |w|^2 (Dirichlet-eigenvalue
-    bound), which stays away from zero under refinement while the
-    Stokes-field gap decays.
-    """
-    w = perturbation_field(u.grid, seed=seed)
-    return abs(pairing_with_field(u, w))
-

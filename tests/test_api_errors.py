@@ -24,8 +24,8 @@ from vws.evolution import (
     smooth_ramp,
     solve_adjoint_backward,
     spacetime_boundary_norm,
+    spacetime_boundary_pairing,
     spacetime_estimate_ratio,
-    spacetime_independence_gap,
     spacetime_pairing,
     spacetime_pairing_reference,
 )
@@ -33,7 +33,8 @@ from vws.grid import VelocityField, build_grid, l2_norm_omega
 from vws.operators import stream_curl
 from vws.stokes import (residual_report, solve_boundary, solve_homogeneous,
                         solve_saddle)
-from vws.traces import TangentialBoundaryData, pairing_L, pairing_with_field
+from vws.traces import (TangentialBoundaryData, boundary_pairing, pairing_L,
+                        pairing_with_field)
 from vws.transposition import estimate_ratio, transposition_identity
 
 DT = 0.125
@@ -125,6 +126,10 @@ _CROSS_GRID = {
         a, _trajectory(b.n, 2)),
     "spacetime_pairing": lambda a, b: spacetime_pairing(
         _trajectory(a.n, 2), _probe(b.n), final_zero_modulation(2 * DT)),
+    "boundary_pairing": lambda a, b: boundary_pairing(cavity_g(a), _probe(b.n)),
+    "spacetime_boundary_pairing": lambda a, b: spacetime_boundary_pairing(
+        TimeBoundaryData.constant(cavity_g(a)), _probe(b.n),
+        final_zero_modulation(2 * DT), 2 * DT, DT, "cn"),
     "spacetime_estimate_ratio": lambda a, b: spacetime_estimate_ratio(
         a, TimeBoundaryData.constant(cavity_g(a)), 2 * DT, DT,
         traj=_trajectory(b.n, 2)),
@@ -185,8 +190,9 @@ def test_spacetime_functionals_need_two_steps():
     mod = final_zero_modulation(DT)
     with pytest.raises(ValueError, match="at least two steps, got 1"):
         spacetime_pairing(traj, _probe(8), mod)
+    tb = TimeBoundaryData.constant(cavity_g(build_grid(8)))
     with pytest.raises(ValueError, match="at least two steps, got 1"):
-        spacetime_independence_gap(traj, mod)
+        spacetime_boundary_pairing(tb, _probe(8), mod, DT, DT, "cn")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -195,7 +201,8 @@ def test_non_finite_modulation_raises(bad):
     mod = lambda t: bad if t > 0.0 else 1.0
     tb = TimeBoundaryData.constant(cavity_g(build_grid(8)))
     for call in (lambda: spacetime_pairing(traj, _probe(8), mod),
-                 lambda: spacetime_independence_gap(traj, mod),
+                 lambda: spacetime_boundary_pairing(tb, _probe(8), mod, 2 * DT, DT,
+                                                    "euler"),
                  lambda: spacetime_pairing_reference(tb, _probe(8), mod, 2 * DT, DT)):
         with pytest.raises(ValueError, match="modulation has non-finite"):
             call()
@@ -208,7 +215,8 @@ def test_modulation_must_vanish_at_final_time():
     mod = lambda t: 1.0
     tb = TimeBoundaryData.constant(cavity_g(build_grid(8)))
     for call in (lambda: spacetime_pairing(traj, _probe(8), mod),
-                 lambda: spacetime_independence_gap(traj, mod),
+                 lambda: spacetime_boundary_pairing(tb, _probe(8), mod, 2 * DT, DT,
+                                                    "euler"),
                  lambda: spacetime_pairing_reference(tb, _probe(8), mod, 2 * DT, DT)):
         with pytest.raises(ValueError, match="modulation must vanish at t = T"):
             call()
@@ -363,8 +371,8 @@ def _cases(draw):
             a, _trajectory(nb, steps)).norms(),
         "spacetime_pairing": lambda: spacetime_pairing(
             _trajectory(na, steps), _probe(nb), mod),
-        "spacetime_independence_gap": lambda: spacetime_independence_gap(
-            _trajectory(na, steps), mod),
+        "spacetime_boundary_pairing": lambda: spacetime_boundary_pairing(
+            tb, _probe(na), mod, T, dt, "cn"),
         "spacetime_estimate_ratio": lambda: spacetime_estimate_ratio(
             a, tb, T, dt, traj=_trajectory(nb, steps)),
         "solve_biharmonic": lambda: solve_biharmonic(a, g).psi,

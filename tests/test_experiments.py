@@ -37,8 +37,8 @@ def test_cli_flag_sets_its_config_field(monkeypatch, flag, field, value):
     seen = []
     monkeypatch.setattr(cli, "run_recipe",
                         lambda cfg: seen.append(cfg) or RecipeReport(cfg.recipe))
-    assert cli_main(["evolution-estimate", *flag]) == 0
-    default = vars(ExperimentConfig(recipe="evolution-estimate"))
+    assert cli_main(["all", *flag]) == 0
+    default = vars(ExperimentConfig(recipe="all"))
     assert default[field] != value
     # the flag reaches its field, and every flag not given leaves its default
     assert vars(seen[0]) == {**default, field: value}
@@ -117,7 +117,7 @@ def test_cli_refuses_a_config_file(capsys):
 def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
     calls = count_saddle_solves(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        cli_main(["evolution-estimate", *flag])
+        cli_main(["all", *flag])
     assert exc.value.code == 2
     assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
     assert calls == []
@@ -395,10 +395,10 @@ def test_recipe_registry():
     assert len(RECIPES) == 10
     for r in RECIPES.values():
         assert isinstance(r, Recipe) and callable(r.body)
-    # 24 run flags over the ten recipe subcommands, --out in each; the 16
+    # 22 run flags over the ten recipe subcommands, --out in each; the 18
     # recipe/flag pairs left out are refused
-    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 24
-    assert len(_UNREAD) == 16
+    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 22
+    assert len(_UNREAD) == 18
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -445,15 +445,6 @@ def test_determinism_same_seed(tmp_path):
     result = compare_runs(a / "traces", b / "traces")
     assert result["max_rel_diff"] == 0.0
     assert result["match"]
-
-
-def test_seed_moves_only_independence_metrics(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run_recipe(ExperimentConfig(recipe="traces", ns=(8, 16), out=a, seed=0))
-    run_recipe(ExperimentConfig(recipe="traces", ns=(8, 16), out=b, seed=1))
-    result = compare_runs(a / "traces", b / "traces")
-    assert result["exceeds"]
-    assert all(k.startswith("indep") for k in result["exceeds"])
 
 
 def _hand_written_summary(path, metrics):
@@ -595,13 +586,14 @@ def test_compare_lists_threshold_changes(tmp_path):
 
 
 def test_compare_takes_rounding_level_threshold_changes_as_match(tmp_path):
-    # some thresholds are measured values (independence_decays is checked
-    # against the first gap), so they move at rounding level with the code
-    ra = RecipeReport("traces")
-    rb = RecipeReport("traces")
+    # some thresholds are measured values (cauchy_decreasing is checked
+    # against the first difference), so they move at rounding level with
+    # the code
+    ra = RecipeReport("eps-sweep")
+    rb = RecipeReport("eps-sweep")
     for rep, bound in ((ra, 0.82807), (rb, 0.82807 + 1e-15)):
         rep.metric("gap", [0.8, 0.4])
-        rep.check_le("independence_decays", 0.4, bound)
+        rep.check_le("cauchy_decreasing", 0.4, bound)
     ra.write(tmp_path / "a")
     rb.write(tmp_path / "b")
     result = compare_runs(tmp_path / "a", tmp_path / "b", tol=1e-8)
@@ -825,7 +817,7 @@ PLOTTED_SERIES = [
     ("transposition", "identity_log", "rel_gap", "gaps_lid", ("case", "lid")),
     ("traces", "convergence", "worst_probe_gap", "probe_gaps", None),
     ("traces", "convergence", "lift_roundtrip", "roundtrip_errors", None),
-    ("traces", "convergence", "indep_stokes", "indep_stokes", None),
+    ("traces", "convergence", "quadrature_gap", "quadrature_gaps", None),
     ("biharmonic", "results", "mms_err", "mms_errors", None),
     ("biharmonic", "results", "cross_gap", None, None),
     ("evolution-orders", "self_differences", "final_diff", "euler_diffs",

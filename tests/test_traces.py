@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vws import traces
-from vws.boundary import SIDES, cavity_g, rotation_data, wall
+from vws.boundary import (SIDES, TANGENTS, BoundaryData, cavity_g, l2_norm_gamma,
+                          project_compatible, rotation_data, wall)
 from vws.grid import VelocityField, build_grid, l2_norm_omega
-from vws.operators import divergence
+from vws.operators import divergence, laplacian_load
 from vws.stokes import solve_boundary
 from vws.traces import (
     TangentialBoundaryData,
     lift_stream,
+    boundary_pairing,
     lift_tangential,
-    lifting_independence_gap,
     line_integral,
     pairing_L,
     pairing_with_field,
-    perturbation_field,
     probe_set,
 )
 from vws.transposition import normal_derivative_on_gamma
@@ -38,9 +38,10 @@ def _worst_probe_gap(n):
 
 
 def test_probe_recovery_frozen():
+    # the worst probe is the constant one, whose corner taper costs 4h
     gaps = [_worst_probe_gap(n) for n in (32, 64)]
-    assert gaps[0] == pytest.approx(0.11421029667, rel=1e-3)
-    assert gaps[1] == pytest.approx(0.0616103880541, rel=1e-3)
+    assert gaps[0] == pytest.approx(0.125, rel=1e-3)
+    assert gaps[1] == pytest.approx(0.0625, rel=1e-3)
     assert orders(gaps)[0] >= 0.8
 
 
@@ -93,30 +94,6 @@ def test_lift_vanishes_on_walls():
     assert np.abs(v.u1[-1, :]).max() == 0.0
     assert np.abs(v.u2[:, 0]).max() == 0.0
     assert np.abs(v.u2[:, -1]).max() == 0.0
-
-
-def test_independence_frozen_and_control_floor():
-    grid = build_grid(32)
-    u = solve_boundary(grid, rotation_data(grid)).velocity
-    gap = lifting_independence_gap(u, seed=7)
-    ctrl = lifting_independence_gap(perturbation_field(grid, seed=7), seed=7)
-    assert gap == pytest.approx(1.92905338984, rel=1e-3)
-    assert ctrl == pytest.approx(67.4308800732, rel=1e-3)
-    assert ctrl >= 2.0 * np.pi ** 2
-    assert gap / ctrl <= 0.25
-
-
-def test_perturbation_field_structure():
-    grid = build_grid(20)
-    w = perturbation_field(grid, seed=3)
-    assert l2_norm_omega(w) == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(divergence(w).p).max() <= 1e-13
-    assert np.abs(w.u1[0, :]).max() == 0.0
-    assert np.abs(w.u1[-1, :]).max() == 0.0
-    assert np.abs(w.u2[:, 0]).max() == 0.0
-    assert np.abs(w.u2[:, -1]).max() == 0.0
-    same = perturbation_field(grid, seed=3)
-    assert np.array_equal(w.u1, same.u1) and np.array_equal(w.u2, same.u2)
 
 
 def test_probe_set_covers_all_sides():
@@ -245,6 +222,43 @@ def test_pairing_reads_the_lift_strip_only(side):
         assert np.isnan(val) == nan_out
         if not nan_out:
             assert val == pytest.approx(pairing_L(u, g1), rel=1e-12)
+
+
+def _random_data(grid, rng, scale=1.0):
+    # compatible data with normal and tangential parts, and a tangential probe
+    g = project_compatible(BoundaryData(
+        grid, {sd: scale * rng.standard_normal((grid.n, 2)) for sd in SIDES}))
+    return g, TangentialBoundaryData(grid, {sd: rng.standard_normal(grid.n)
+                                            for sd in SIDES})
+
+
+@pytest.mark.parametrize("n", [4, 8, 33, 256])
+def test_boundary_pairing_is_the_tangential_load_against_the_lift(n):
+    grid = build_grid(n)
+    g, _ = _random_data(grid, np.random.default_rng(n))
+    g_tau = BoundaryData(grid, {sd: np.outer(g.tangential_part(sd), TANGENTS[sd])
+                                for sd in SIDES})
+    load = laplacian_load(grid, g_tau)
+    for g1 in _test_probes(grid):
+        lift = lift_tangential(g1).interior()
+        ref = -grid.h ** 2 * sum(float(np.sum(b * v)) for b, v in zip(load, lift))
+        assert boundary_pairing(g, g1) == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 17, 64]),
+       log_scale=st.floats(min_value=-9.0, max_value=9.0))
+def test_pairing_of_a_solution_is_its_boundary_sum(seed, n, log_scale):
+    # the discrete Green's formula: pairing_L(solve_boundary(g), g1) equals
+    # B(g, g1) for any compatible g and tangential g1, to rounding relative
+    # to |g|_Gamma |g1|_Gamma, which bounds B (random data can cancel B
+    # itself); without the wall term it misses by the normal part's share
+    grid = build_grid(n)
+    g, g1 = _random_data(grid, np.random.default_rng(seed), 10.0 ** log_scale)
+    u = solve_boundary(grid, g).velocity
+    g1_norm = np.sqrt(grid.h * sum(float(np.sum(p ** 2)) for p in g1.profiles.values()))
+    assert abs(pairing_L(u, g1) - boundary_pairing(g, g1)) <= (
+        1e-12 * l2_norm_gamma(g) * g1_norm)
 
 
 @functools.cache
