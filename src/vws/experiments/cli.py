@@ -24,8 +24,7 @@ def _comma_list(kind):
     return parse
 
 
-def _add_run_flags(sp: argparse.ArgumentParser, ns=True, eps=True,
-                   seed=True) -> None:
+def _add_run_flags(sp: argparse.ArgumentParser, ns=True, eps=True) -> None:
     """The run flags a recipe reads, each stored under its ExperimentConfig
     field; a flag not given leaves no attribute, so the field keeps its
     default, and a flag the recipe does not read is unrecognized."""
@@ -38,9 +37,6 @@ def _add_run_flags(sp: argparse.ArgumentParser, ns=True, eps=True,
                         help="comma separated layer widths, e.g. 0.1,0.05")
     sp.add_argument("--out", dest="out", type=Path,
                     help="output root directory (default: runs/)")
-    if seed:
-        sp.add_argument("--seed", dest="seed", type=int,
-                        help="seed for randomized probes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, r in RECIPES.items():
         sp = sub.add_parser(name, help=f"run the {name} recipe",
                             argument_default=argparse.SUPPRESS)
-        _add_run_flags(sp, *(f not in r.unread() for f in ("ns", "eps_list", "seed")))
+        _add_run_flags(sp, *(f not in r.unread() for f in ("ns", "eps_list")))
     _add_run_flags(sub.add_parser("all", help="run every recipe",
                                   argument_default=argparse.SUPPRESS))
     cp = sub.add_parser("compare", help="compare two recipe run directories")

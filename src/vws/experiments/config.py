@@ -21,7 +21,6 @@ class ExperimentConfig:
     ns: tuple | None = None    # None: the recipe picks its own grid ladder
     eps_list: tuple = DEFAULT_EPS
     out: Path = Path("runs")
-    seed: int = 0
 
     def __post_init__(self):
         for eps in self.eps_list:
@@ -35,10 +34,6 @@ class ExperimentConfig:
                 raise ValueError(f"n must be an integer, got {n!r}")
             if not 4 <= n <= MAX_N:
                 raise ValueError(f"n must be in [4, {MAX_N}], got {n}")
-        if not isinstance(self.seed, Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < len(set(self.eps_list)) == len(self.eps_list):
             raise ValueError(f"eps values must be distinct, one or more: {self.eps_list}")
 

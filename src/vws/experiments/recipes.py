@@ -7,8 +7,8 @@ run documents the full state of the claim it checks.  Each recipe solves its
 cases in order in one process, collects one ladder per quantity, and hands
 each ladder to the RecipeReport verdict API (check_le, check_ge, check_order,
 check_decreasing), which reduces it with NaN-propagating reductions: a NaN at
-any rung fails the assertion.  All randomness is seeded from the
-configuration.
+any rung fails the assertion.  The only random operands, operator-algebra's,
+come from one fixed seed, so a run is set by its flags alone.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from ..traces import (
     _corner_taper,
     boundary_pairing,
     lift_tangential,
-    line_integral,
     pairing_L,
     probe_set,
 )
@@ -88,19 +87,18 @@ from .report import RecipeReport, orders, rungs
 class Recipe(NamedTuple):
     """One recipe: its body, which records every assertion in the report it
     is handed, and the rules its run meets before anything is solved.  It
-    reads ns only with a ladder, eps_list only with widths and seed only when
-    seeded; run_recipe refuses any other set, and "all" passes only these."""
+    reads ns only with a ladder and eps_list only with widths; run_recipe
+    refuses any other set, and "all" passes only these."""
     body: Callable[[ExperimentConfig, tuple, RecipeReport], None]
     ladder: tuple = ()          # the default grid ladder
     need: int = 0               # rungs of the assertion that needs the most,
     name: str = "grid ladder"   # and its name
     resolve: bool = False       # the finest rung resolves the first width
     widths: int = 0             # the layer widths it needs
-    seeded: bool = False
 
     def unread(self) -> dict:
         """The run fields it does not read, at their defaults."""
-        reads = {"ns": self.ladder, "eps_list": self.widths, "seed": self.seeded}
+        reads = {"ns": self.ladder, "eps_list": self.widths}
         return {f: getattr(ExperimentConfig(""), f) for f, r in reads.items() if not r}
 
 
@@ -196,7 +194,7 @@ def run_operator_algebra(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     # two fixed grids: the dense Laplacian holds (2 n (n - 1))^2 floats,
     # 1.8 MB at n = 16 and 520 MB at n = 64
     ns = (8, 16)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
 
     adj, dual, curl_div, dst_dense = [], [], [], []
     for n in ns:
@@ -322,9 +320,7 @@ def run_eps_sweep(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     rep.metric("cauchy_differences", diffs)
     rep.check_le("single_constant", quotients, 2.0 * quotients[0],
                  f"quotients {[f'{q:.4f}' for q in quotients]}")
-    steps = np.diff(rungs(diffs, 2, "cauchy_decreasing"))
-    rep.check("cauchy_decreasing", np.all(steps < 0.0), steps.max(), 0.0,
-              f"differences {[f'{d:.4e}' for d in diffs]}")
+    rep.check_decreasing("cauchy_decreasing", diffs)
 
 
 # -------------------------------------------------------------- transposition
@@ -374,9 +370,9 @@ def _traces_case(n: int):
     u = solve_boundary(grid, g).velocity
 
     probe_rows, pairs = [], []
-    for pid, g1, fn in probe_set(grid):
+    for pid, g1, integral in probe_set(grid):
         val = pairing_L(u, g1)
-        ref = 0.5 * line_integral(fn)
+        ref = 0.5 * integral
         probe_rows.append((n, pid, val, ref, abs(val - ref)))
         pairs.append((val, boundary_pairing(g, g1)))
     val, b = np.array(pairs).T
@@ -533,17 +529,26 @@ def run_evolution_orders(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
 # --------------------------------------------------------- evolution-estimate
 
 def _pairing_case(n: int, m: int):
+    """The ramped march's pairing against its quadrature reference, and the
+    relative identity misses of that march and of a constant-data one, whose
+    first step loads g(0)'s tangential part."""
     grid = build_grid(n)
-    tb = TimeBoundaryData.ramped(rotation_data(grid), smooth_ramp(0.5))
-    traj = evolve(grid, tb, T, T / m, scheme="cn")
+    g = rotation_data(grid)
     s = grid.x_centers()
     probe = TangentialBoundaryData(grid, {sd: np.sin(np.pi * s)
                                           for sd in SIDES})
     mod = final_zero_modulation(T)
-    val = spacetime_pairing(traj, probe, mod)
-    ref = spacetime_pairing_reference(tb, probe, mod, T, T / m)
-    exact = spacetime_boundary_pairing(tb, probe, mod, T, T / m, "cn")
-    return (n, m, val, ref, abs(val - ref), abs(val - exact) / abs(exact))
+
+    def march(tb):
+        val = spacetime_pairing(evolve(grid, tb, T, T / m, scheme="cn"), probe, mod)
+        exact = spacetime_boundary_pairing(tb, probe, mod, T, T / m, "cn")
+        return val, abs(val - exact) / abs(exact)
+
+    ramped = TimeBoundaryData.ramped(g, smooth_ramp(0.5))
+    val, miss = march(ramped)
+    ref = spacetime_pairing_reference(ramped, probe, mod, T, T / m)
+    return (n, m, val, ref, abs(val - ref), miss,
+            march(TimeBoundaryData.constant(g))[1])
 
 
 def run_evolution_estimate(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
@@ -594,12 +599,13 @@ def run_evolution_estimate(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
     # space-time trace pairing under joint refinement
     rows = [_pairing_case(n, n) for n in ns]
     rep.table("pairing", ["n", "m", "pairing", "reference", "gap",
-                          "identity_miss"], rows)
+                          "identity_miss", "constant_identity_miss"], rows)
     gaps = [r[4] for r in rows]
     rep.metric("pairing_gaps", gaps)
     rep.check_order("pairing_order", gaps, 1.9, metric="pairing_orders")
-    rep.check_le("spacetime_identity", [r[5] for r in rows], 1e-12,
-                 "|pairing - (-(sum_k b_k r_k) B(g, g1))|, relative")
+    rep.check_le("spacetime_identity", [max(r[5:]) for r in rows], 1e-12,
+                 "|pairing - (-(sum_k b_k r_k) B(g, g1))|, relative, "
+                 "ramped and constant data")
 
 
 # ------------------------------------------------------------------ dispatch
@@ -607,7 +613,7 @@ def run_evolution_estimate(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
 RECIPES = {
     "uniqueness": Recipe(run_uniqueness, (16, 32, 64), 1),
     "mms-stationary": Recipe(run_mms_stationary, (16, 32, 64), 2, "velocity_order"),
-    "operator-algebra": Recipe(run_operator_algebra, seeded=True),
+    "operator-algebra": Recipe(run_operator_algebra),
     "compatibility": Recipe(run_compatibility, widths=1),
     "eps-sweep": Recipe(run_eps_sweep, name="cauchy_decreasing", widths=3),
     "transposition": Recipe(run_transposition, (32, 64, 128, 256, 512), 2,

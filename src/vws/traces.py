@@ -62,7 +62,6 @@ __all__ = [
     "pairing_with_field",
     "boundary_pairing",
     "probe_set",
-    "line_integral",
 ]
 
 
@@ -268,27 +267,17 @@ def boundary_pairing(g: BoundaryData, g1: TangentialBoundaryData) -> float:
 def probe_set(grid: StaggeredGrid) -> list:
     """Five tangential probes per side: constant plus two Fourier pairs.
 
-    Returns (probe_id, TangentialBoundaryData, profile_callable) triples; the
-    callable evaluates the untapered profile at arbitrary arc positions, for
-    quadrature references.
+    Returns (probe_id, TangentialBoundaryData, integral) triples; the integral
+    is the exact one of the untapered profile over its side, for quadrature
+    references.
     """
     modes = [
-        ("const", lambda s: np.ones_like(s)),
-        ("sin1", lambda s: np.sin(np.pi * s)),
-        ("cos1", lambda s: np.cos(np.pi * s)),
-        ("sin2", lambda s: np.sin(2.0 * np.pi * s)),
-        ("cos2", lambda s: np.cos(2.0 * np.pi * s)),
+        ("const", np.ones_like, 1.0),
+        ("sin1", lambda s: np.sin(np.pi * s), 2.0 / np.pi),
+        ("cos1", lambda s: np.cos(np.pi * s), 0.0),
+        ("sin2", lambda s: np.sin(2.0 * np.pi * s), 0.0),
+        ("cos2", lambda s: np.cos(2.0 * np.pi * s), 0.0),
     ]
     s = grid.x_centers()
-    probes = []
-    for side in SIDES:
-        for label, fn in modes:
-            data = TangentialBoundaryData(grid, {side: fn(s)})
-            probes.append((f"{side}:{label}", data, fn))
-    return probes
-
-
-def line_integral(fn) -> float:
-    """Composite-trapezoid integral of fn over the unit interval, 4097 points."""
-    s = np.linspace(0.0, 1.0, 4097)
-    return float(np.trapezoid(fn(s), s))
+    return [(f"{side}:{label}", TangentialBoundaryData(grid, {side: fn(s)}), integral)
+            for side in SIDES for label, fn, integral in modes]

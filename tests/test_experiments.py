@@ -27,7 +27,6 @@ _FLAGS = [
     (["--n", "8, 16"], "ns", (8, 16)),
     (["--eps", "0.1,0.05"], "eps_list", (0.1, 0.05)),
     (["--out", "elsewhere"], "out", Path("elsewhere")),
-    (["--seed", "9"], "seed", 9),
 ]
 
 
@@ -54,7 +53,7 @@ def _subparser_flags(name):
 def test_readme_recipe_table_names_each_recipes_flags():
     # the README's recipe table lists the run flags each subcommand takes
     # besides --out, so the docs cannot drift from RECIPES; "all" takes all
-    # four
+    # three
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = re.search(r"^Recipes:\n\n(.*?)\n\n", readme, re.MULTILINE | re.DOTALL)
     rows = dict(re.findall(r"^\| `([\w-]+)` *\|([^|]*)\|", table.group(1),
@@ -63,12 +62,13 @@ def test_readme_recipe_table_names_each_recipes_flags():
     for name in RECIPES:
         documented = set(re.findall(r"--\w+", rows[name])) | {"--out"}
         assert _subparser_flags(name) == documented, name
-    assert _subparser_flags("all") == {"--n", "--eps", "--out", "--seed"}
+    assert _subparser_flags("all") == {"--n", "--eps", "--out"}
 
 
+# no recipe reads --seed: operator-algebra draws its operands from a fixed seed
 _UNREAD = [(name, flag) for name, r in RECIPES.items()
            for flag, reads in (("--n", bool(r.ladder)), ("--eps", r.widths > 0),
-                               ("--seed", r.seeded)) if not reads]
+                               ("--seed", False)) if not reads]
 
 
 @pytest.mark.parametrize("recipe, flag", _UNREAD,
@@ -111,8 +111,7 @@ def test_cli_refuses_a_config_file(capsys):
     assert "unrecognized arguments: --config x.ini" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--n", "8,x"], ["--eps", "0.1,wide"],
-                                  ["--seed", "1.5"]],
+@pytest.mark.parametrize("flag", [["--n", "8,x"], ["--eps", "0.1,wide"]],
                          ids=lambda f: f[0])
 def test_cli_malformed_flag_value_exits_2(capsys, monkeypatch, flag):
     calls = count_saddle_solves(monkeypatch)
@@ -156,22 +155,14 @@ def test_config_refuses_empty_lists(tmp_path):
         run_recipe(cfg)
 
 
-@pytest.mark.parametrize("recipe, field, value, message", [
+def test_config_refuses_a_size_that_is_not_an_integer(tmp_path, monkeypatch):
     # n = 8.5 made two solves, then failed in build_grid
-    ("uniqueness", "ns", (16, 8.5), "n must be an integer, got 8.5"),
-    # seed = 1.5 ran past the first solves, then failed in numpy's
-    # "SeedSequence expects int"
-    ("traces", "seed", 1.5, "seed must be an integer, got 1.5"),
-    ("evolution-estimate", "seed", 1.5, "seed must be an integer, got 1.5"),
-])
-def test_config_refuses_a_size_or_seed_that_is_not_an_integer(
-        tmp_path, monkeypatch, recipe, field, value, message):
     calls = count_saddle_solves(monkeypatch)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        run_recipe(ExperimentConfig(recipe=recipe, out=tmp_path, **{field: value}))
+    with pytest.raises(ValueError, match=re.escape("n must be an integer, got 8.5")):
+        run_recipe(ExperimentConfig(recipe="uniqueness", ns=(16, 8.5), out=tmp_path))
     assert calls == []
     # a numpy integer is an integer
-    ExperimentConfig(recipe=recipe, ns=(np.int64(16),), seed=np.int64(3))
+    ExperimentConfig(recipe="uniqueness", ns=(np.int64(16),))
 
 
 @pytest.mark.parametrize("recipe, eps", [("eps-sweep", "0.01,0.005,0.001"),
@@ -273,7 +264,7 @@ def test_config_defaults():
     assert cfg.ns is None
     assert cfg.eps_list == (0.1, 0.05, 0.025, 0.0125)
     # one field per run flag, and the recipe: no field that no flag sets
-    assert list(vars(cfg)) == ["recipe", "ns", "eps_list", "out", "seed"]
+    assert list(vars(cfg)) == ["recipe", "ns", "eps_list", "out"]
     assert cfg.out_dir().name == "transposition"
 
 
@@ -362,8 +353,7 @@ def test_a_ladder_too_short_is_refused_before_any_body_runs(tmp_path,
     # passed on n = 64 and wrote defects.csv with n = 64
     ("compatibility", "ns", (16, 128)),
     ("uniqueness", "eps_list", (0.3,)),
-    ("mms-stationary", "seed", 3),
-], ids=["ns", "eps_list", "seed"])
+], ids=["ns", "eps_list"])
 def test_run_recipe_refuses_a_field_its_recipe_does_not_read(
         tmp_path, monkeypatch, recipe, field, value):
     # a library caller meets the rule the command line keeps by leaving the
@@ -379,26 +369,26 @@ def test_all_hands_each_recipe_only_the_fields_it_reads(tmp_path, monkeypatch):
     seen = {}
 
     def body(cfg, ns, rep):
-        seen[cfg.recipe] = (ns, cfg.eps_list, cfg.seed)
+        seen[cfg.recipe] = (ns, cfg.eps_list)
 
     monkeypatch.setattr(recipes, "RECIPES", {
         "plain": Recipe(body),
-        "full": Recipe(body, (4,), widths=1, seeded=True)})
+        "full": Recipe(body, (4,), widths=1)})
     run_recipe(ExperimentConfig(recipe="all", ns=(8, 16), eps_list=(0.5,),
-                                seed=4, out=tmp_path))
+                                out=tmp_path))
     default = ExperimentConfig(recipe="plain")
-    assert seen == {"plain": ((), default.eps_list, default.seed),
-                    "full": ((8, 16), (0.5,), 4)}
+    assert seen == {"plain": ((), default.eps_list),
+                    "full": ((8, 16), (0.5,))}
 
 
 def test_recipe_registry():
     assert len(RECIPES) == 10
     for r in RECIPES.values():
         assert isinstance(r, Recipe) and callable(r.body)
-    # 22 run flags over the ten recipe subcommands, --out in each; the 18
-    # recipe/flag pairs left out are refused
-    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 22
-    assert len(_UNREAD) == 18
+    # 21 run flags over the ten recipe subcommands, --out in each; the 19
+    # recipe/flag pairs left out, --seed on each, are refused
+    assert sum(len(_subparser_flags(name)) for name in RECIPES) == 21
+    assert len(_UNREAD) == 19
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -437,7 +427,7 @@ def test_cli_compare_refuses_a_tolerance_outside_0_inf(tmp_path, capsys, tol):
     assert capsys.readouterr().out.endswith("MATCH\n")
 
 
-def test_determinism_same_seed(tmp_path):
+def test_rerun_with_the_same_flags_is_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         cfg = ExperimentConfig(recipe="traces", ns=(8, 16), out=out)
@@ -721,9 +711,8 @@ def test_cli_short_ladders_exit_2_naming_the_assertion(tmp_path, capsys,
     (["all", "--n", "16,32"], "grid n=32 cannot resolve eps=0.1 (need n >= 80)"),
     # "--n 16,2" solved n = 16, then build_grid refused n = 2
     (["uniqueness", "--n", "16,2"], "n must be in [4, 2048], got 2"),
-    # "all --seed -1" solved two recipes, then exited in numpy's "expected
-    # non-negative integer", naming no flag
-    (["all", "--seed", "-1"], "seed must be non-negative, got -1"),
+    # NaN compares false both ways, so the width check must fail it too
+    (["compatibility", "--eps", "nan"], "eps must be finite and positive, got nan"),
     # n = 4096 would hold about 400 MB in one saddle inverse
     (["uniqueness", "--n", "8,4096"], "n must be in [4, 2048], got 4096"),
 ])

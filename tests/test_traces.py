@@ -15,7 +15,6 @@ from vws.traces import (
     lift_stream,
     boundary_pairing,
     lift_tangential,
-    line_integral,
     pairing_L,
     pairing_with_field,
     probe_set,
@@ -30,9 +29,9 @@ def _worst_probe_gap(n):
     grid = build_grid(n)
     u = solve_boundary(grid, rotation_data(grid)).velocity
     worst = 0.0
-    for _, g1, fn in probe_set(grid):
+    for _, g1, integral in probe_set(grid):
         # rotation data has tangential part 1/2 on every side
-        ref = 0.5 * line_integral(fn)
+        ref = 0.5 * integral
         worst = max(worst, abs(pairing_L(u, g1) - ref))
     return worst
 
@@ -124,10 +123,13 @@ def test_tangential_data_profiles_are_read_only():
         g1.profiles["top"][0] = 0.0
 
 
-def test_line_integral_quadrature():
-    assert line_integral(lambda s: np.sin(np.pi * s)) == pytest.approx(
-        2.0 / np.pi, abs=1e-7)
-    assert line_integral(lambda s: np.ones_like(s)) == pytest.approx(1.0)
+def test_probe_integrals_match_a_midpoint_sum():
+    # each probe's closed-form integral against the midpoint rule on its
+    # untapered profile, which the cell centres sample
+    grid = build_grid(4096)
+    for pid, g1, integral in probe_set(grid):
+        side = pid.split(":")[0]
+        assert grid.h * g1.profiles[side].sum() == pytest.approx(integral, abs=1e-7), pid
 
 
 def test_pairing_of_zero_probe_is_zero():
