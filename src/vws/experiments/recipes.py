@@ -60,6 +60,7 @@ from ..manufactured import (
 from ..operators import (
     apply_velocity_laplacian,
     divergence,
+    face_gradient,
     gradient,
     saddle_inverses,
     stream_curl,
@@ -177,26 +178,38 @@ def run_mms_stationary(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
 
 # ----------------------------------------------------------- operator-algebra
 
-def _dense_velocity_laplacian(grid) -> np.ndarray:
-    """-Laplacian on the interior faces (u1, then u2), column by column."""
-    n = grid.n
-    cut = (n - 1) * n
-    cols = []
-    for e in np.eye(2 * cut):
-        r1, r2 = apply_velocity_laplacian(grid, e[:cut].reshape(n - 1, n),
-                                          e[cut:].reshape(n, n - 1))
-        cols.append(np.concatenate([r1.ravel(), r2.ravel()]))
-    return np.column_stack(cols)
+def _dense_saddle(grid) -> np.ndarray:
+    """[[A, G, 0], [D, 0, 1], [0, 1^T, 0]] on (u's interior faces, u1's then
+    u2's, the cell pressure, a multiplier of its mean), from the stencils,
+    column by column."""
+    n, cut = grid.n, (grid.n - 1) * grid.n
+
+    def column(e):
+        u = VelocityField.from_interior(grid, e[:cut].reshape(n - 1, n),
+                                        e[cut:2 * cut].reshape(n, n - 1))
+        p = e[2 * cut:-1].reshape(n, n)
+        au, gp = apply_velocity_laplacian(grid, *u.interior()), face_gradient(p, grid.h)
+        return np.concatenate([(au[0] + gp[0]).ravel(), (au[1] + gp[1]).ravel(),
+                               (divergence(u).p + e[-1]).ravel(), [p.sum()]])
+
+    return np.column_stack([column(e) for e in np.eye(2 * cut + n * n + 1)])
+
+
+def _rel_diff(arrays, ref: np.ndarray) -> float:
+    """|x - ref| / |ref|, x the arrays raveled in turn."""
+    x = np.concatenate([a.ravel() for a in arrays])
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
 def run_operator_algebra(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
-    """Discrete identities: self-adjointness, duality, the exact velocity inverse."""
-    # two fixed grids: the dense Laplacian holds (2 n (n - 1))^2 floats,
-    # 1.8 MB at n = 16 and 520 MB at n = 64
+    """Discrete identities: self-adjointness, duality, the exact velocity and
+    saddle inverses."""
+    # two fixed grids: the dense saddle matrix holds (2 n (n - 1) + n^2 +
+    # 1)^2 floats, 4.3 MB at n = 16 and 1.2 GB at n = 64
     ns = (8, 16)
     rng = np.random.default_rng(0)
 
-    adj, dual, curl_div, dst_dense = [], [], [], []
+    adj, dual, curl_div, dst_dense, saddle_dense = [], [], [], [], []
     for n in ns:
         grid = build_grid(n)
         u1, u2, v1, v2 = (rng.standard_normal(shape) for shape in
@@ -219,24 +232,29 @@ def run_operator_algebra(cfg: ExperimentConfig, ns: tuple, rep: RecipeReport):
         dmax = float(np.abs(divergence(stream_curl(grid, psi)).p).max())
         curl_div.append(dmax)
 
-        # the saddle solves' velocity inverse against the dense operator,
-        # which shares no code with it
+        # the saddle solves' velocity inverse, and the saddle solve itself,
+        # on one f against dense solves of the stencils, which share no
+        # code with them
         f1 = rng.standard_normal((n - 1, n))
         f2 = rng.standard_normal((n, n - 1))
+        f, m = np.concatenate([f1.ravel(), f2.ravel()]), 2 * (n - 1) * n
         inv = saddle_inverses(grid, 0.0)
-        w1, w2 = inv.from_modes(inv.velocity_solve(inv.forcing_modes((f1, f2))))
-        w = np.concatenate([w1.ravel(), w2.ravel()])
-        ref = np.linalg.solve(_dense_velocity_laplacian(grid),
-                              np.concatenate([f1.ravel(), f2.ravel()]))
-        dst_dense.append(float(np.linalg.norm(w - ref) / np.linalg.norm(ref)))
+        w = inv.from_modes(inv.velocity_solve(inv.forcing_modes((f1, f2))))
+        K = _dense_saddle(grid)
+        dst_dense.append(_rel_diff(w, np.linalg.solve(K[:m, :m], f)))
+        sol = solve_homogeneous(grid, VelocityField.from_interior(grid, f1, f2))
+        x = np.linalg.solve(K, np.concatenate([f, np.zeros(n * n + 1)]))
+        saddle_dense.append(max(_rel_diff(sol.velocity.interior(), x[:m]),
+                                _rel_diff([sol.pressure.p], x[m:-1])))
 
     rep.table("identities", ["n", "adjointness", "div_grad_duality",
-                             "curl_div_max", "dst_vs_dense"],
-              list(zip(ns, adj, dual, curl_div, dst_dense)))
+                             "curl_div_max", "dst_vs_dense", "saddle_vs_dense"],
+              list(zip(ns, adj, dual, curl_div, dst_dense, saddle_dense)))
     rep.check_le("adjointness", adj, 1e-12)
     rep.check_le("div_grad_duality", dual, 1e-12)
     rep.check_le("curl_divergence", curl_div, 1e-12)
     rep.check_le("dst_vs_dense", dst_dense, 1e-12)
+    rep.check_le("saddle_vs_dense", saddle_dense, 1e-12)
 
 
 # -------------------------------------------------------------- compatibility

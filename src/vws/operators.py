@@ -25,18 +25,20 @@ faces, with no quadrature fudge factors.
 The saddle problem is solved exactly in one basis (:class:`SaddleInverse`),
 where the gradient, the divergence and the free-slip velocity Laplacian are
 diagonal; the no-slip walls and the pressure Schur complement are closed-form
-capacitance corrections.  A velocity's modes are one block, u1's and u2's
-each laid out as its faces (``components``), so no stage passes over a
-transposed array.  Its ``forcing_modes``, the one reader of a
-forcing's form, brings a forcing to the modes; its ``right_side`` builds
-and checks the part of g in the right side of every solve and time step;
-its ``solve_modes``, the one modal stage, runs every solve and time step in
-modes, leaving u's interior modes in the right side's block; its
-``to_cells``, the one cell stage, brings k solves' velocities back, and
-checks every defect, in one stacked inverse transform: k = 1 for a
-stationary solve, every step of a time march at once; the duality adjoint
-takes its working set in one block, which keeps glibc from trimming the heap
-between solves.
+capacitance corrections.  The free-slip inverse passes through D and G, D
+A_fs^{-1} = (L + shift)^{-1} D and A_fs^{-1} G = G (L + shift)^{-1} with L
+= -D G, so a saddle solve takes one wall correction, not one per velocity
+inverse.  A velocity's modes are one block, u1's and u2's each laid out as
+its faces (``components``), so no stage passes over a transposed array.
+Its ``forcing_modes``, the one reader of a forcing's form, brings a
+forcing to the modes; its ``right_side`` builds and checks the part of g
+in the right side of every solve and time step; its ``solve_modes``, the
+one modal stage, runs every solve and time step in modes, leaving u's
+interior modes in the right side's block; its ``to_cells``, the one cell
+stage, brings k solves' velocities back, and checks every defect, in one
+stacked inverse transform: k = 1 for a stationary solve, every step of a
+time march at once; the duality adjoint takes its working set in one
+block, which keeps glibc from trimming the heap between solves.
 :func:`apply_velocity_laplacian`, A with no slip, the velocity inverse's
 operator at shift 0, serves the residuals and pairings; tests pin the
 velocity inverse against it.  :func:`saddle_inverses` caches
@@ -195,10 +197,8 @@ def cell_divergence(u1: np.ndarray, u2: np.ndarray, h: float,
     the one temporary.
     """
     d = np.subtract(u1[..., 1:, :], u1[..., :-1, :], out=out)
+    d += np.subtract(u2[..., 1:], u2[..., :-1], out=scratch)
     d /= h
-    t = np.subtract(u2[..., 1:], u2[..., :-1], out=scratch)
-    t /= h
-    d += t
     return d
 
 
@@ -382,9 +382,10 @@ class _SectorInverse:
         """Bytes held by the stacked sectors and their index maps."""
         return sum(x.nbytes for x in vars(self).values())
 
-    def __call__(self, r1: np.ndarray, r2: np.ndarray):
-        """(y1, y2) = K^{-1} (r1, r2); r1[k, a] is first-pair mode k, parity a.
-        r1 and r2, of two columns each, are read, never written."""
+    def __call__(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """(y1, y2) = K^{-1} (r1, r2), stacked; r1[k, a] is first-pair mode k,
+        parity a.  r1 and r2, of one shape with two columns, are read, never
+        written."""
         f1 = np.concatenate((r1.ravel(), [0.0]))[self._i1]
         f2 = np.concatenate((r2.ravel(), [0.0]))[self._i2]
         # x2 = S2^{-1} (f2 - E^T f1), y1 = D1^{-1} f1 - E x2, per sector
@@ -392,9 +393,9 @@ class _SectorInverse:
         x2 = np.matmul(f2[:, None], self._s2_inv)
         f1 *= self._d1_inv
         f1 -= np.matmul(self._e, x2.swapaxes(1, 2))[..., 0]
-        y1, y2 = np.zeros(r1.size + 1), np.zeros(r2.size + 1)
-        y1[self._i1], y2[self._i2] = f1, x2[:, 0]
-        return y1[:-1].reshape(r1.shape), y2[:-1].reshape(r2.shape)
+        y = np.zeros((2, r1.size + 1))
+        y[0, self._i1], y[1, self._i2] = f1, x2[:, 0]
+        return y[:, :-1].reshape((2,) + r1.shape)
 
 
 def _capacitance_sectors(n: int, shift: float):
@@ -481,7 +482,9 @@ class SaddleInverse:
 
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
-    builds and checks; :meth:`to_cells` brings u to the cells, and
+    builds and checks, with one wall correction, since D A_fs^{-1} = (L +
+    shift)^{-1} D and A_fs^{-1} G = G (L + shift)^{-1}; :meth:`to_cells`
+    brings u to the cells, and
     :func:`vws.stokes.solve_saddle` runs the three in sequence.
     :meth:`solve_homogeneous_modes` is the modal stage alone for zero data,
     its defect checked in the modes, and
@@ -587,44 +590,75 @@ class SaddleInverse:
         scratch, of (n - 1) n floats or more, is overwritten; one is
         allocated when it is not given.
         """
-        w, c_inv = self._w, self._c_inv
-        x1, x2 = self.components(x)
-        d1, d2 = self._inv_den[1:], self._inv_den[:, 1:]
-        t = np.empty(x1.size) if scratch is None else scratch.reshape(-1)[:x1.size]
-        # A_fs^{-1}, then the wall correction along the cosine modes: axis
-        # -1 of u1, -2 of u2
-        x1 *= d1
-        t1 = np.matmul((x1 @ w) * c_inv, w.T, out=t.reshape(x1.shape))
-        t1 *= d1
-        x1 -= t1
-        x2 *= d2
-        t2 = np.matmul(w, (w.T @ x2) * c_inv.T, out=t.reshape(x2.shape))
-        t2 *= d2
-        x2 -= t2
+        x12 = self.components(x)
+        self._free_slip_solve(*x12)
+        self._wall_correct(*x12, scratch)
         return x
+
+    def _free_slip_solve(self, x1: np.ndarray, x2: np.ndarray) -> None:
+        """(x1, x2) <- A_fs^{-1} (x1, x2) in place, the modes of one
+        velocity's components (:meth:`components`)."""
+        x1 *= self._inv_den[1:]
+        x2 *= self._inv_den[:, 1:]
+
+    def _wall_sums(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """C^{-1} U^T x for x1 and x2 the modes of one velocity's components:
+        u1's and u2's (n, 2), a row per sine mode along the walls (row 0
+        zero) and a column per parity."""
+        y = np.zeros((2, self.grid.n, 2))
+        np.multiply(x1 @ self._w, self._c_inv, out=y[0, 1:])
+        np.multiply(x2.T @ self._w, self._c_inv, out=y[1, 1:])
+        return y
+
+    def _wall_correct(self, x1: np.ndarray, x2: np.ndarray, scratch=None) -> None:
+        """(x1, x2) <- (I - A_fs^{-1} U C^{-1} U^T) (x1, x2) in place, which
+        takes A_fs^{-1} b to A^{-1} b, along the cosine modes: axis -1 of u1,
+        -2 of u2.  scratch is as for :meth:`velocity_solve`."""
+        w, d = self._w, self._inv_den
+        y1, y2 = self._wall_sums(x1, x2)
+        t = np.empty(x1.size) if scratch is None else scratch.reshape(-1)[:x1.size]
+        t1 = np.matmul(y1[1:], w.T, out=t.reshape(x1.shape))
+        t1 *= d[1:]
+        x1 -= t1
+        t2 = np.matmul(w, y2[1:].T, out=t.reshape(x2.shape))
+        t2 *= d[:, 1:]
+        x2 -= t2
+
+    def _wall_divergence(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out <- D U y, y laid out as :meth:`_wall_sums`: one product
+        [sqrt(mu) y1 | w] @ [w | sqrt(mu) y2]^T."""
+        w, (y1, y2) = self._w, self._root_mu[:, None] * y
+        return np.matmul(np.concatenate((y1, w), axis=1),
+                         np.concatenate((w, y2), axis=1).T, out=out)
 
     def schur_solve(self, r: np.ndarray, out: np.ndarray,
                     lam: np.ndarray) -> np.ndarray:
-        """out <- S^{-1} r in the cosine modes; r and lam (n, n) are overwritten.
+        """out <- S^{-1} r = r + L^+ (shift r + G^T U K^{-1} U^T G L^+ r) in
+        the cosine modes; r and lam (n, n) are overwritten.
 
-        The mean (mode (0, 0)) of r is dropped and that of the result is zero.
+        The mean (mode (0, 0)) of r is dropped and that of the result is
+        zero.  At shift 0 L^+ is the free-slip table, whose (0, 0) entry
+        meets only that mean; at any other shift L is built in lam.
         """
-        mu, w, root_mu = self._mu, self._w, self._root_mu[:, None]
+        w, root_mu, shift = self._w, self._root_mu[:, None], self.shift
         r[0, 0] = 0.0
-        # L, whose constant mode (0, 0) is never inverted
-        np.add(mu[:, None], mu[None, :], out=lam)
-        lam[0, 0] = 1.0
-        r /= lam
-        # B0 r: wall values of -G q, q = L^+ r, per wall pair and sine mode
-        y1, y2 = self._k_inv(root_mu * (r @ w), root_mu * (r.T @ w))
-        y1 *= root_mu
-        y2 *= root_mu
-        # B0^T y = L^+ G^T U y, added to CC r = (L + shift) q
-        np.matmul(np.concatenate((y1, w), axis=1),
-                  np.concatenate((w, y2), axis=1).T, out=out)
-        out /= lam
-        lam += self.shift
-        r *= lam
+        if shift:
+            # L, whose constant mode (0, 0), its kernel, is never inverted
+            np.add(self._mu[:, None], self._mu[None, :], out=lam)
+            lam[0, 0] = 1.0
+            q = np.divide(r, lam, out=r)
+        else:
+            q = np.multiply(r, self._inv_den, out=lam)
+        # B0 r, the wall values of -G q, per wall pair and sine mode, and
+        # B0^T K^{-1} B0 r = L^+ G^T U K^{-1} B0 r; CC r = r + shift q
+        self._wall_divergence(self._k_inv(root_mu * (q @ w), root_mu * (q.T @ w)),
+                              out=out)
+        if shift:
+            out /= lam
+            lam += shift
+            r *= lam
+        else:
+            out *= self._inv_den
         out += r
         return out
 
@@ -731,24 +765,12 @@ class SaddleInverse:
         w1, w2 = self.components(w_hat)
         dw = np.empty((n, n)) if out is None else out
         t = None if scratch is None else scratch.reshape(-1)[:w1.size].reshape(w1.shape)
-        # u2's term first, so that u1's is added over contiguous rows
+        # u2's term first, so that u1's is added over contiguous rows; einsum
+        # broadcasts in one pass, multiply row by row
         dw[:, 0] = 0.0
-        np.multiply(w2, root_mu, out=dw[:, 1:])
-        dw[1:] += np.multiply(root_mu[:, None], w1, out=t)
+        np.einsum("kl,l->kl", w2, root_mu, out=dw[:, 1:])
+        dw[1:] += np.einsum("k,kl->kl", root_mu, w1, out=t)
         return dw
-
-    def gradient_modes(self, p_hat: np.ndarray, out=None) -> np.ndarray:
-        """The interior modes of G p, for p the cell pressure whose cosine
-        modes are p_hat: -sqrt(mu_k) p_hat on u1's, -sqrt(mu_l) p_hat on
-        u2's.  out, a block of :meth:`components`, receives them; one is
-        allocated when it is not given."""
-        n = self.grid.n
-        g = np.empty(2 * (n - 1) * n) if out is None else out
-        g1, g2 = self.components(g)
-        root_mu = -self._root_mu[1:]
-        np.multiply(root_mu[:, None], p_hat[1:], out=g1)
-        np.multiply(p_hat[:, 1:], root_mu, out=g2)
-        return g
 
     def velocity_wall_lines(self, v_hat: np.ndarray):
         """The lines by each wall of the velocity whose interior modes are
@@ -790,30 +812,38 @@ class SaddleInverse:
 
         b_hat and c_hat are the modes of b and c (see :meth:`right_side`)
         and c_max = max|c|; b_hat is overwritten with the interior modes of
-        u; c_hat and work, a row of a :meth:`cell_views` block, are scratch;
-        out (n, n), allocated when not given, receives p_hat.
-        Returns (p_hat, scale, steps): p's cosine modes, the data scale
-        max(c_max, |D w|_2 / n), w = A^{-1} b, read from the modes of D w
-        (by Parseval the cell RMS of D w, never more than max|D w|), and the
-        pressure steps (0 for zero data, else 1).
+        u; c_hat and work, a row of a :meth:`cell_views` block (2 (n - 1) n
+        floats do), are scratch; out (n, n), allocated when not given,
+        receives p_hat.  Returns (p_hat, scale, steps): p's cosine modes, the
+        data scale max(c_max, |D w|_2 / n), w = A^{-1} b, read from the modes
+        of D w (by Parseval the cell RMS of D w, never more than max|D w|),
+        and the pressure steps (0 for zero data, else 1).  With y = A_fs^{-1}
+        b and Y its wall sums, D w = D y - (L + shift)^{-1} D U Y, and u is
+        the wall correction of y - G (L + shift)^{-1} p.
         """
         n = self.grid.n
-        # D w, then p, which it leaves free
-        dw = p = np.empty((n, n)) if out is None else out
-        c = c_hat
-
-        w_hat = self.velocity_solve(b_hat, scratch=work)
-        self.divergence_modes(w_hat, out=dw, scratch=work)
+        p = np.empty((n, n)) if out is None else out
+        t = work[:n * n].reshape(n, n)
+        y = self.components(b_hat)
+        self._free_slip_solve(*y)
+        dw = self.divergence_modes(b_hat, out=p, scratch=work)
+        dw -= np.multiply(self._wall_divergence(self._wall_sums(*y), out=t),
+                          self._inv_den, out=t)
         scale = max(c_max, float(np.linalg.norm(dw)) / n)
+        c = c_hat
         c -= dw
         c[0, 0] = 0.0
         # one exact pressure step, none for zero data
         steps = int(c.any())
-        self.schur_solve(c, p, work[:n * n].reshape(n, n))
-
-        # u = w - A^{-1} G p, G p in the free work, c scratch
-        w_hat -= self.velocity_solve(self.gradient_modes(p, out=work[:b_hat.size]),
-                                     scratch=c)
+        self.schur_solve(c, p, t)
+        # -G q = sqrt(mu) q on each component's normal modes, q in the free c
+        q, root_mu = np.multiply(p, self._inv_den, out=c), self._root_mu[1:]
+        g = work[:b_hat.size]
+        g1, g2 = self.components(g)
+        np.einsum("k,kl->kl", root_mu, q[1:], out=g1)
+        np.einsum("kl,l->kl", q[:, 1:], root_mu, out=g2)
+        b_hat += g
+        self._wall_correct(*y, work)
         return p, scale, steps
 
     def cell_views(self, u12: np.ndarray):
@@ -847,7 +877,7 @@ class SaddleInverse:
                 wall((u1, u2)[ax][s], side)[...] = 0.0 if g is None else (
                     np.multiply.outer(rho[s], g.samples[side][:, ax]))
             cell_divergence(u1[s], u2[s], h, out=d, scratch=t)
-            np.abs(d, out=d).max(axis=(1, 2), out=defects[s])
+            np.maximum(d.max(axis=(1, 2)), -d.min(axis=(1, 2)), out=defects[s])
         return defects
 
 

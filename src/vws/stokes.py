@@ -14,13 +14,18 @@ faces, which reach only the border cells as fluxes +-(normal value)/h, so
 the interior unknowns see D w = c, with c the negated fluxes.  Summed over
 the cells, D u = 0 reads h sum g . n = 0, which
 :meth:`vws.operators.SaddleInverse.right_side` checks to rounding before a
-stationary solve, and before a time march's first step.  Then:
+stationary solve, and before a time march's first step.  A is the
+free-slip operator A_fs plus 2/h^2 on the faces U next to the walls, and
+A_fs passes through D and G: D A_fs^{-1} = (L + shift)^{-1} D and A_fs^{-1}
+G = G (L + shift)^{-1}, L = -D G.  So one wall correction serves the
+solve:
 
-    1. w = A^{-1} b on the interior faces, and D w;
+    1. y = A_fs^{-1} b and its wall sums Y; D w = D y - (L + shift)^{-1} D U Y
+       for w = A^{-1} b, which is never formed;
     2. rhs = c - D w, re-centred to zero mean;
     3. p = S^{-1} rhs;
     4. the wall faces of u get the prescribed normal values and its interior
-       faces w - A^{-1} G p;
+       faces A^{-1}(b - G p), the wall correction of y - G (L + shift)^{-1} p;
     5. the divergence defect max|D u| of the returned field must be at most
        DIV_TOL times the data scale max(max|c|, rms(D w)), the cell RMS of
        D w read from its modes (Parseval), which never exceeds max|D w|; a

@@ -77,24 +77,23 @@ def count_saddle_solves(monkeypatch):
 
 def dense_velocity_laplacian(grid, shift=0.0):
     """(-Laplacian + shift) on the interior faces (u1, then u2) as a dense
-    matrix: the operator-algebra recipe's matrix, shifted on the diagonal."""
-    from vws.experiments.recipes import _dense_velocity_laplacian
+    matrix: the velocity block of the operator-algebra recipe's saddle
+    matrix, shifted on the diagonal."""
+    from vws.experiments.recipes import _dense_saddle
 
-    A = _dense_velocity_laplacian(grid)
+    m = 2 * (grid.n - 1) * grid.n
+    A = _dense_saddle(grid)[:m, :m].copy()
     A[np.diag_indices_from(A)] += shift
     return A
 
 
 def dense_face_gradient(grid):
-    """Interior-face gradient of cell arrays (u1, then u2) as a dense matrix."""
-    from vws.operators import face_gradient
+    """Interior-face gradient of cell arrays (u1, then u2) as a dense matrix:
+    the gradient block of the operator-algebra recipe's saddle matrix."""
+    from vws.experiments.recipes import _dense_saddle
 
-    n = grid.n
-    cols = []
-    for e in np.eye(n * n):
-        g1, g2 = face_gradient(e.reshape(n, n), grid.h)
-        cols.append(np.concatenate([g1.ravel(), g2.ravel()]))
-    return np.column_stack(cols)
+    m = 2 * (grid.n - 1) * grid.n
+    return _dense_saddle(grid)[:m, m:-1].copy()
 
 
 def check_sector_inverse(sectors, K, first_mode, seed=0):

@@ -223,20 +223,21 @@ def test_cli_all_past_n64_runs_operator_algebra_on_its_two_grids(tmp_path,
     assert seen == {name: (32, 64, 128) if r.ladder else ()
                     for name, r in RECIPES.items() if name != "operator-algebra"}
     summary = load_summary(tmp_path / "operator-algebra")
-    assert summary["passed"] and len(summary["assertions"]) == 4
+    assert summary["passed"] and len(summary["assertions"]) == 5
 
 
 def test_operator_algebra_checks_the_saddle_inverse_without_cg_or_poisson(
         tmp_path, monkeypatch):
-    # the recipe certifies the velocity inverse the saddle solves run, not
-    # the CG solver or the Poisson wrapper, which only perfbench/ still names
+    # the recipe certifies the saddle inverse the solves run, not the CG
+    # solver or the Poisson wrapper, which only perfbench/ still names
     refuse(monkeypatch, operators, "cg_solve", "operator-algebra called cg_solve")
     refuse(monkeypatch, operators.VelocityPoisson, "solve",
            "operator-algebra called VelocityPoisson.solve")
     rep = run_recipe(ExperimentConfig("operator-algebra", out=tmp_path))
     assert rep.passed
     assert [a.name for a in rep.assertions] == [
-        "adjointness", "div_grad_duality", "curl_divergence", "dst_vs_dense"]
+        "adjointness", "div_grad_duality", "curl_divergence", "dst_vs_dense",
+        "saddle_vs_dense"]
 
 
 def test_no_module_but_operators_binds_cg_or_poisson_and_vws_no_options():

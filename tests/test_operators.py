@@ -528,12 +528,74 @@ def test_solved_velocity_keeps_each_components_modes_as_its_faces_lie(n):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _gradient_modes(inv, p_hat):
+    """The interior modes of G p, for p the cell pressure whose cosine modes
+    are p_hat: -sqrt(mu_k) p_hat on u1's, -sqrt(mu_l) p_hat on u2's, with
+    mu_k = (2 - 2 cos(k pi/n)) n^2."""
+    n = inv.grid.n
+    root_mu = n * np.sqrt(2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n))
+    g = np.empty(2 * (n - 1) * n)
+    g1, g2 = inv.components(g)
+    g1[...] = -root_mu[:, None] * p_hat[1:]
+    g2[...] = -p_hat[:, 1:] * root_mu
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([5, 8, 17, 64]),
+       shift=st.sampled_from([0.0, 64.0, 4096.0]))
+def test_modal_stage_folds_the_two_velocity_solve_sequence(seed, n, shift):
+    # solve_modes takes one wall correction where the sequence it folds,
+    # w = A^{-1} b, p = S^{-1}(c - D w), u = w - A^{-1} G p, took two; on
+    # random b and a compatible (zero-mean) c, with a scratch row of
+    # exactly 2 (n - 1) n floats, its u, p and data scale are that
+    # sequence's to rounding
+    grid = build_grid(n)
+    inv = saddle_inverses(grid, shift)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 6)
+    b_hat = rng.standard_normal(2 * (n - 1) * n) * scale
+    # c from as large as b to far below D w, so either sets the scale
+    c_hat = rng.standard_normal((n, n)) * scale * 10.0 ** rng.uniform(-8, 0)
+    c_hat[0, 0] = 0.0
+    c_max = float(np.abs(idctn(c_hat, type=2, norm="ortho")).max())
+
+    w_hat = inv.velocity_solve(b_hat.copy())
+    dw_hat = inv.divergence_modes(w_hat)
+    want_scale = max(c_max, float(np.linalg.norm(dw_hat)) / n)
+    want_p = inv.schur_solve(c_hat - dw_hat, np.empty((n, n)), np.empty((n, n)))
+    want_u = w_hat - inv.velocity_solve(_gradient_modes(inv, want_p))
+
+    u_hat = b_hat.copy()
+    p_hat, got_scale, steps = inv.solve_modes(u_hat, c_hat.copy(), c_max,
+                                              np.empty(2 * (n - 1) * n))
+    assert steps == 1
+    assert np.abs(u_hat - want_u).max() <= 1e-13 * np.abs(want_u).max()
+    assert np.abs(p_hat - want_p).max() <= 1e-13 * np.abs(want_p).max()
+    assert abs(got_scale - want_scale) <= 1e-12 * want_scale
+
+
+def test_no_solve_calls_the_velocity_inverse(monkeypatch):
+    # the modal stage folds both of its velocity inverses into one wall
+    # correction: velocity_solve serves VelocityPoisson and the tests alone
+    from vws.evolution import TimeBoundaryData, evolve
+    from vws.transposition import transposition_identity
+
+    grid = build_grid(16)
+    g = rotation_data(grid)
+    refuse(monkeypatch, SaddleInverse, "velocity_solve", "a solve ran velocity_solve")
+    u = solve_boundary(grid, g).velocity
+    transposition_identity(grid, g, u=u)
+    evolve(grid, TimeBoundaryData.constant(g), 0.125, 1.0 / 16, scheme="cn")
+
+
 @pytest.mark.parametrize("n", [5, 8, 17])
 def test_modal_divergence_and_gradient_are_the_cell_operators(n):
     # D and G are diagonal in the modes, each component in its own layout:
     # on random interior faces (zero wall faces) and a random cell
-    # pressure, divergence_modes and gradient_modes are the modes of
-    # cell_divergence and face_gradient, at odd and even n
+    # pressure, divergence_modes and the G that the modal stage's pin
+    # reads (_gradient_modes) are the modes of cell_divergence and
+    # face_gradient, at odd and even n
     grid = build_grid(n)
     inv = saddle_inverses(grid, 0.0)
     rng = np.random.default_rng(n)
@@ -543,7 +605,7 @@ def test_modal_divergence_and_gradient_are_the_cell_operators(n):
     got = idctn(inv.divergence_modes(inv.forcing_modes((w1, w2))), type=2, norm="ortho")
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     p = rng.standard_normal((n, n))
-    faces = inv.from_modes(inv.gradient_modes(dctn(p, type=2, norm="ortho")))
+    faces = inv.from_modes(_gradient_modes(inv, dctn(p, type=2, norm="ortho")))
     for got, want in zip(faces, face_gradient(p, grid.h)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -217,15 +217,10 @@ def test_div_tol_met_flags_a_missed_tolerance(monkeypatch):
     big = solve_boundary(grid, g * 1e9)
     want = u * 1e9
     assert l2_norm_omega(big.velocity - want) <= 1e-12 * l2_norm_omega(want)
-    # the solver's modal velocity inverse, off by 0.1%
-    velocity_solve = SaddleInverse.velocity_solve
-
-    def off(self, x, scratch=None):
-        x = velocity_solve(self, x, scratch)
-        x *= 1.001
-        return x
-
-    monkeypatch.setattr(SaddleInverse, "velocity_solve", off)
+    # the solver's wall correction, its capacitance off by 0.1% on the
+    # cached inverse that both solves read
+    inv = saddle_inverses(grid, 0.0)
+    monkeypatch.setattr(inv, "_c_inv", inv._c_inv * 1.001)
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_boundary(grid, g)
     assert info.value.residual > DIV_TOL
@@ -410,26 +405,25 @@ def test_saddle_rejects_non_finite_forcing_with_shift():
 
 @pytest.mark.parametrize("shift", [0.0, 10.0])
 def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
-    # a velocity solve that returns zero leaves the whole wall flux as the
+    # a velocity inverse that returns zero leaves the whole wall flux as the
     # defect; the Uzawa loop once surfaced this as a bare ZeroDivisionError,
     # the direct solve raises carrying its pressure in the cells, although
-    # a solve keeps it in its modes until it returns
+    # a solve keeps it in its modes until it returns.  A zero free-slip
+    # table zeroes A_fs^{-1} and so A^{-1}, whose wall correction is
+    # A_fs^{-1} times wall sums
     grid = build_grid(16)
     g = rotation_data(grid)
     # c, minus the wall fluxes (g . n)/h, lives on the border cells
     c = -divergence(VelocityField(grid, *_wall_faces(grid, g))).p
-    def zero(self, x, scratch=None):
-        x[...] = 0.0
-        return x
-
-    monkeypatch.setattr(SaddleInverse, "velocity_solve", zero)
+    inv = saddle_inverses(grid, shift)
+    monkeypatch.setattr(inv, "_inv_den", np.zeros_like(inv._inv_den))
     with pytest.raises(NonConvergence, match="divergence defect") as info:
         solve_saddle(grid, g, None, shift=shift)
     assert info.value.best_x is not None
     assert info.value.best_x.shape == (16, 16)
     # with w = 0 the pressure is S^{-1} c, whose modes no cell array of the
-    # border c matches
-    inv = saddle_inverses(grid, shift)
+    # border c matches; at shift 0 the Schur inverse reads the same table
+    # as L^+, so there it is c itself
     p_hat = inv.schur_solve(dctn(c, type=2, norm="ortho"), np.empty((16, 16)),
                             np.empty((16, 16)))
     want = idctn(p_hat, type=2, norm="ortho")
@@ -565,15 +559,8 @@ def test_divergence_check_quotes_the_rms_scale(monkeypatch):
     # tangential lid data have c = 0, so the check's scale is the cell RMS
     # of D w alone, about a seventh of the max|D w| it once read here
     grid, g = _lid(64)
-    velocity_solve = SaddleInverse.velocity_solve
-
-    def off(self, x, scratch=None):
-        x = velocity_solve(self, x, scratch)
-        x *= 1.001
-        return x
-
-    monkeypatch.setattr(SaddleInverse, "velocity_solve", off)
     inv = saddle_inverses(grid, 0.0)
+    monkeypatch.setattr(inv, "_c_inv", inv._c_inv * 1.001)
     b_hat, _, c_max = inv.right_side(g)
     dw_hat = inv.divergence_modes(inv.velocity_solve(b_hat))
     rms = float(np.linalg.norm(dw_hat)) / 64
