@@ -28,8 +28,10 @@ diagonal; the no-slip walls and the pressure Schur complement are closed-form
 capacitance corrections.  The free-slip inverse passes through D and G, D
 A_fs^{-1} = (L + shift)^{-1} D and A_fs^{-1} G = G (L + shift)^{-1} with L
 = -D G, so a saddle solve takes one wall correction, not one per velocity
-inverse.  A velocity's modes are one block, u1's and u2's each laid out as
-its faces (``components``), so no stage passes over a transposed array.
+inverse; the tables L^+ and 1/(L + shift) are built once per inverse, and
+every Schur solve, at any shift, reads them.  A velocity's modes are one
+block, u1's and u2's each laid out as its faces (``components``), so no
+stage passes over a transposed array.
 Its ``forcing_modes``, the one reader of a forcing's form, brings a
 forcing to the modes; its ``right_side`` builds and checks the part of g
 in the right side of every solve and time step; its ``solve_modes``, the
@@ -309,13 +311,6 @@ def cg_solve(A, b, rel_tol: float = 1e-10,
     )
 
 
-def _neumann_inverse(mu: np.ndarray) -> np.ndarray:
-    """(-Delta_N)^+ in the 2-D type-II cosine modes: 1/(mu_k + mu_l), 0 at (0, 0)."""
-    inv_lam = mu[:, None] + mu[None, :]
-    inv_lam[0, 0] = np.inf
-    return np.reciprocal(inv_lam, out=inv_lam)
-
-
 def _parity_sectors(inv_d: np.ndarray, weight: np.ndarray, modes: np.ndarray,
                     delta: float, sign: float) -> list:
     """Closed-form wall capacitance matrix K, split into four parity sectors.
@@ -421,8 +416,12 @@ def _capacitance_sectors(n: int, shift: float):
     (mu_k + nu_l + shift, k >= 1, nu_l = mu_l for l < n, 4/h^2 for l = n),
     or a factor mu_k + mu_l + shift, (k, l) != (0, 0), raises ValueError.
 
-    Returns mu (the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n, 2) with
-    column a the weights of parity a, and the sectors.
+    Returns sqrt(mu) (mu the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n,
+    2) with column a the weights of parity a, the 2-D tables L^+ and 1/(L +
+    shift), and the sectors.  The constant mode (0, 0), the kernel of L, is
+    never inverted; no face mode and no zero-mean pressure reads that entry
+    of either table (0 in L^+, 1 in 1/(L + shift) at a nonzero shift), so at
+    shift 0 the two tables are one array.
     """
     h = 1.0 / n
     modes = np.arange(n)
@@ -435,19 +434,21 @@ def _capacitance_sectors(n: int, shift: float):
     psi0[0] = np.sqrt(1.0 / n)
     w = np.zeros((n, 2))
     w[modes, modes % 2] = np.sqrt(2.0) * psi0
-    inv_lam = _neumann_inverse(mu)
-    # 1 / D = inv_lam / (mu_k + mu_l + shift), built in place: the n^2
-    # temporaries set the peak memory of the build.  The constant mode
-    # (0, 0) is the kernel of L and is never inverted
-    inv_d = mu[:, None] + mu[None, :] + shift
-    inv_d[0, 0] = 1.0
-    if not inv_d.all():
+    lam = mu[:, None] + mu[None, :]
+    den = lam + shift
+    den[0, 0] = 1.0
+    if not den.all():
         raise ValueError(
             f"shift {shift!r} makes the pressure Schur complement singular")
-    np.divide(inv_lam, inv_d, out=inv_d)
-    sectors = _parity_sectors(inv_d, np.sqrt(mu)[:, None] * w, modes[1:],
+    lam[0, 0] = np.inf
+    lap_pinv = np.reciprocal(lam, out=lam)
+    inv_den = np.reciprocal(den) if shift else lap_pinv
+    # 1 / D = L^+ / (L + shift), in place of the last n^2 temporary
+    inv_d = np.divide(lap_pinv, den, out=den)
+    root_mu = np.sqrt(mu)
+    sectors = _parity_sectors(inv_d, root_mu[:, None] * w, modes[1:],
                               0.5 * h * h, -1.0)
-    return mu, w, sectors
+    return root_mu, w, lap_pinv, inv_den, sectors
 
 
 def _border_lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -480,6 +481,9 @@ class SaddleInverse:
       free-slip complement, B0 = U^T G L^+, and K the capacitance matrix of
       :func:`_capacitance_sectors`, applied by :class:`_SectorInverse`.
 
+    The build holds the (n, n) tables L^+ and 1/(L + shift), one array at
+    shift 0, which every velocity and Schur solve reads; no solve forms L.
+
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
     builds and checks, with one wall correction, since D A_fs^{-1} = (L +
@@ -499,33 +503,24 @@ class SaddleInverse:
             raise ValueError("shift has non-finite values")
         n, h = grid.n, grid.h
         self.grid, self.shift = grid, shift
-        self._mu, self._w, sectors = _capacitance_sectors(n, shift)
+        # _inv_den, A_fs^{-1}, is symmetric: rows 1.. serve u1's modes and
+        # columns 1.. u2's
+        (self._root_mu, self._w, self._lap_pinv, self._inv_den,
+         sectors) = _capacitance_sectors(n, shift)
         self._k_inv = _SectorInverse(sectors)
-        self._root_mu = np.sqrt(self._mu)
-        # A_fs^{-1}, symmetric: rows 1.. serve u1's modes and columns 1..
-        # u2's.  Its denominators are among those the Schur build checked;
-        # (0, 0) is no face's mode
-        inv_den = self._mu[:, None] + self._mu[None, :] + shift
-        inv_den[0, 0] = 1.0
-        self._inv_den = np.reciprocal(inv_den, out=inv_den)
-        self._c_inv = 1.0 / (0.5 * h * h + inv_den[1:] @ self._w ** 2)
-        # the type-I sine modes of the unit vectors 0, 1, n - 3 and n - 2 of
-        # length n - 1, as rows; the first and last are the border's ends
+        self._c_inv = 1.0 / (0.5 * h * h + self._inv_den[1:] @ self._w ** 2)
+        # the type-I sine modes of the unit vectors 0, 1, m - 2 and m - 1 of
+        # length m = n - 1, and the type-II cosine ones of length n, as rows;
+        # the first and last of each are the border's ends
         self._sin_lines = _transform(np.eye(n - 1)[[0, 1, -2, -1]], "dst", -1)
-        # the type-II cosine modes of the unit vectors 0, 1, n - 2 and n - 1
-        # of length n, as columns: c_m cos(m (2j + 1) pi/2n), j = 0, 1, and
-        # (-1)^m times them
-        m = np.arange(n)[:, None]
-        c = np.sqrt(np.where(m, 2.0, 1.0) / n) * np.cos(
-            m * [1.0, 3.0] * np.pi / (2 * n))
-        self._cos_lines = np.hstack([c, np.where(m % 2, -c, c)[:, ::-1]])
+        self._cos_lines = _transform(np.eye(n)[[0, 1, -2, -1]], "dct", -1)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the cached arrays."""
-        arrays = [self._mu, self._w, self._root_mu, self._inv_den, self._c_inv,
-                  self._sin_lines, self._cos_lines]
-        return sum(a.nbytes for a in arrays) + self._k_inv.nbytes
+        """Bytes held by the cached arrays, a table shared at shift 0 once."""
+        arrays = [self._w, self._root_mu, self._lap_pinv, self._inv_den,
+                  self._c_inv, self._sin_lines, self._cos_lines]
+        return sum({id(a): a.nbytes for a in arrays}.values()) + self._k_inv.nbytes
 
     def components(self, x: np.ndarray):
         """Views (x1, x2) of the interior faces or modes x of a velocity, a
@@ -560,7 +555,7 @@ class SaddleInverse:
         """
         # T e_0 and T e_{m-1} of either kind are lines of the bases held for
         # the wall lines
-        cos_ends, sin_ends = self._cos_lines[:, ::3], self._sin_lines[::3].T
+        cos_ends, sin_ends = self._cos_lines[::3].T, self._sin_lines[::3].T
         if x.ndim == 2:
             lines = _transform(_border_lines(x, x), "dct", -1)
             parts = [(x, cos_ends, lines[2:], lines[:2], cos_ends)]
@@ -584,15 +579,11 @@ class SaddleInverse:
         return (_transform(_transform(x1, "idct", -1), "dst", -2),
                 _transform(_transform(x2, "idct", -2), "dst", -1))
 
-    def velocity_solve(self, x: np.ndarray, scratch=None) -> np.ndarray:
-        """x <- A^{-1} x in place, for x the modes of one velocity.
-
-        scratch, of (n - 1) n floats or more, is overwritten; one is
-        allocated when it is not given.
-        """
+    def velocity_solve(self, x: np.ndarray) -> np.ndarray:
+        """x <- A^{-1} x in place, for x the modes of one velocity."""
         x12 = self.components(x)
         self._free_slip_solve(*x12)
-        self._wall_correct(*x12, scratch)
+        self._wall_correct(*x12, np.empty(x.size // 2))
         return x
 
     def _free_slip_solve(self, x1: np.ndarray, x2: np.ndarray) -> None:
@@ -610,13 +601,13 @@ class SaddleInverse:
         np.multiply(x2.T @ self._w, self._c_inv, out=y[1, 1:])
         return y
 
-    def _wall_correct(self, x1: np.ndarray, x2: np.ndarray, scratch=None) -> None:
+    def _wall_correct(self, x1: np.ndarray, x2: np.ndarray, scratch) -> None:
         """(x1, x2) <- (I - A_fs^{-1} U C^{-1} U^T) (x1, x2) in place, which
         takes A_fs^{-1} b to A^{-1} b, along the cosine modes: axis -1 of u1,
-        -2 of u2.  scratch is as for :meth:`velocity_solve`."""
+        -2 of u2.  scratch, of (n - 1) n floats or more, is overwritten."""
         w, d = self._w, self._inv_den
         y1, y2 = self._wall_sums(x1, x2)
-        t = np.empty(x1.size) if scratch is None else scratch.reshape(-1)[:x1.size]
+        t = scratch.reshape(-1)[:x1.size]
         t1 = np.matmul(y1[1:], w.T, out=t.reshape(x1.shape))
         t1 *= d[1:]
         x1 -= t1
@@ -632,34 +623,23 @@ class SaddleInverse:
                          np.concatenate((w, y2), axis=1).T, out=out)
 
     def schur_solve(self, r: np.ndarray, out: np.ndarray,
-                    lam: np.ndarray) -> np.ndarray:
+                    q: np.ndarray) -> np.ndarray:
         """out <- S^{-1} r = r + L^+ (shift r + G^T U K^{-1} U^T G L^+ r) in
-        the cosine modes; r and lam (n, n) are overwritten.
-
-        The mean (mode (0, 0)) of r is dropped and that of the result is
-        zero.  At shift 0 L^+ is the free-slip table, whose (0, 0) entry
-        meets only that mean; at any other shift L is built in lam.
+        the cosine modes, from the tables L^+ and 1/(L + shift) the build
+        holds; r (n, n) has its mean (mode (0, 0)) dropped in place, q (n,
+        n) is overwritten with shift L^+ r, and the result has zero mean.
         """
-        w, root_mu, shift = self._w, self._root_mu[:, None], self.shift
+        w, root_mu = self._w, self._root_mu[:, None]
         r[0, 0] = 0.0
-        if shift:
-            # L, whose constant mode (0, 0), its kernel, is never inverted
-            np.add(self._mu[:, None], self._mu[None, :], out=lam)
-            lam[0, 0] = 1.0
-            q = np.divide(r, lam, out=r)
-        else:
-            q = np.multiply(r, self._inv_den, out=lam)
+        q = np.multiply(r, self._lap_pinv, out=q)
         # B0 r, the wall values of -G q, per wall pair and sine mode, and
         # B0^T K^{-1} B0 r = L^+ G^T U K^{-1} B0 r; CC r = r + shift q
         self._wall_divergence(self._k_inv(root_mu * (q @ w), root_mu * (q.T @ w)),
                               out=out)
-        if shift:
-            out /= lam
-            lam += shift
-            r *= lam
-        else:
-            out *= self._inv_den
+        out *= self._lap_pinv
         out += r
+        q *= self.shift
+        out += q
         return out
 
     def forcing_modes(self, f, out=None) -> np.ndarray:
@@ -789,7 +769,7 @@ class SaddleInverse:
         # each line as a row, from a product that reads the other
         # component's modes transposed, and one transform per kind
         normal = np.zeros((2, 6, n))
-        sin_rows, cos_rows = self._sin_lines, self._cos_lines.T
+        sin_rows, cos_rows = self._sin_lines, self._cos_lines
         normal[:, 1:5] = _transform(np.stack([sin_rows @ v1, sin_rows @ v2.T]),
                                     "idct", -1)
         tangential = np.zeros((2, 4, n + 1))
@@ -801,7 +781,7 @@ class SaddleInverse:
         """The cells 0, 1, n - 2 and n - 1 along each axis of the pressure
         whose cosine modes are p_hat: rows (4, n) and columns (n, 4), from
         one basis product per axis and a 1-D inverse transform."""
-        basis = self._cos_lines.T
+        basis = self._cos_lines
         rows, cols = _transform(np.stack([basis @ p_hat, basis @ p_hat.T]),
                                 "idct", -1)
         return rows, cols.T
@@ -912,9 +892,9 @@ class VelocityPoisson:
 def saddle_inverses(grid: StaggeredGrid, shift: float = 0.0) -> SaddleInverse:
     """The :class:`SaddleInverse` of ``grid`` and ``shift``, cached.
 
-    The build is closed-form (no solve) and holds about 3 n^2 floats; the
-    cache keeps the last few (n, shift) pairs.  A non-finite shift, or one
-    at which the velocity Laplacian or the Schur complement is singular,
-    raises ValueError, and nothing is cached.
+    The build is closed-form (no solve) and holds about 3 n^2 floats, n^2
+    more at a nonzero shift; the cache keeps the last few (n, shift) pairs.
+    A non-finite shift, or one at which the velocity Laplacian or the Schur
+    complement is singular, raises ValueError, and nothing is cached.
     """
     return SaddleInverse(grid, float(shift))

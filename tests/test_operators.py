@@ -22,7 +22,7 @@ from vws.operators import (
     saddle_inverses,
     stream_curl,
 )
-from vws.operators import _capacitance_sectors, _neumann_inverse
+from vws.operators import _capacitance_sectors
 from vws.experiments.report import orders
 
 from vws.stokes import solve_boundary, solve_saddle
@@ -234,10 +234,12 @@ def test_neumann_laplacian_is_dct_diagonal(n):
     p = rng.standard_normal((n, n))
     p -= p.mean()
     r = -divergence(gradient(PressureField(grid, p))).p
-    inv_lam = _neumann_inverse(_capacitance_sectors(n, 0.0)[0])
+    # the L^+ table the Schur inverse holds, at a shift where it is not the
+    # free-slip table too, and at shift 0 where it is
     p_hat = dctn(p, type=2, norm="ortho")
-    got = inv_lam * dctn(r, type=2, norm="ortho")
-    assert np.linalg.norm(got - p_hat) <= 1e-12 * np.linalg.norm(p_hat)
+    for shift in (64.0, 0.0):
+        got = saddle_inverses(grid, shift)._lap_pinv * dctn(r, type=2, norm="ortho")
+        assert np.linalg.norm(got - p_hat) <= 1e-12 * np.linalg.norm(p_hat)
     # constants are the kernel: the preconditioned residual keeps zero mean
     ones = np.ones((n, n))
     assert np.abs(_schur_apply(saddle_inverses(grid, 1e4), ones)).max() <= 1e-12
@@ -266,6 +268,22 @@ def test_schur_inverse_is_exact(n, shift):
     # identity on zero-mean fields, constants to zero
     want = np.eye(n * n) - 1.0 / (n * n)
     assert np.abs(MS - want).max() <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([17, 64, 129]),
+       shift=st.sampled_from([0.0, 64.0, 4096.0]))
+def test_schur_complement_undoes_the_schur_inverse(seed, n, shift):
+    # S S^{-1} r = r for zero-mean r, past the dense test's n = 12, with S =
+    # -D A^{-1} G applied in the modes: the one Schur path at every shift,
+    # at odd n and through scipy's transforms at n = 129
+    inv = saddle_inverses(build_grid(n), shift)
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6)
+    r[0, 0] = 0.0
+    p = inv.schur_solve(r.copy(), np.empty((n, n)), np.empty((n, n)))
+    s_p = -inv.divergence_modes(inv.velocity_solve(_gradient_modes(inv, p)))
+    assert np.abs(s_p - r).max() <= 1e-13 * np.abs(r).max()
 
 
 def _wall_modes(n):
@@ -309,7 +327,7 @@ def test_capacitance_matrix_matches_probe(n, shift):
 
     m = n - 1
     K = np.zeros_like(K_probe)
-    sectors = _capacitance_sectors(n, shift)[2]
+    sectors = _capacitance_sectors(n, shift)[-1]
     for a, b, k, l, d1, c, d2 in sectors:
         i1 = a * m + k - 1
         i2 = 2 * m + b * m + l - 1
@@ -329,10 +347,16 @@ def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
     refuse(monkeypatch, VelocityPoisson, "solve", why)
     refuse(monkeypatch, SaddleInverse, "solve_modes", why)
     refuse(monkeypatch, operators, ("apply_velocity_laplacian", "cg_solve"), why)
-    # the Schur sectors plus one n^2 array of velocity denominators; no
-    # workspace is cached
+    # the Schur sectors plus one n^2 array, at shift 0 both L^+ and the
+    # free-slip table 1/(L + shift), counted once; no workspace is cached
     saddle_inverses.cache_clear()
-    assert saddle_inverses(build_grid(256), 0.0).nbytes <= 1_700_000
+    inv = saddle_inverses(build_grid(256), 0.0)
+    assert inv._lap_pinv is inv._inv_den
+    assert inv.nbytes == 1_611_728 <= 1_700_000
+    # a shifted inverse holds the two tables apart: n^2 floats more
+    shifted = saddle_inverses(build_grid(256), 64.0)
+    assert shifted._lap_pinv is not shifted._inv_den
+    assert shifted.nbytes == inv.nbytes + 8 * 256 ** 2
     grid = build_grid(32)
     assert saddle_inverses(grid, 64.0) is saddle_inverses(build_grid(32), 64)
 

@@ -422,8 +422,8 @@ def test_uzawa_breakdown_raises_nonconvergence(monkeypatch, shift):
     assert info.value.best_x is not None
     assert info.value.best_x.shape == (16, 16)
     # with w = 0 the pressure is S^{-1} c, whose modes no cell array of the
-    # border c matches; at shift 0 the Schur inverse reads the same table
-    # as L^+, so there it is c itself
+    # border c matches; the Schur inverse reads its own L^+ table at every
+    # shift, which the zeroed free-slip table does not reach
     p_hat = inv.schur_solve(dctn(c, type=2, norm="ortho"), np.empty((16, 16)),
                             np.empty((16, 16)))
     want = idctn(p_hat, type=2, norm="ortho")
