@@ -39,7 +39,7 @@ import numpy as np
 from .boundary import SIDES, BoundaryData, _pair_sum, wall
 from .errors import NonConvergence, NonTangentialData
 from .grid import StaggeredGrid, VelocityField, require_same_grid
-from .operators import _parity_sectors, _SectorInverse, _transform, stream_curl
+from .operators import _SectorInverse, _transform, stream_curl
 
 __all__ = [
     "StreamFunction",
@@ -116,9 +116,9 @@ def _plate_capacitance_sectors(n: int):
       (h^4/2) + sum_l w_l^2 / D_kl;
     * a dense row-column block, entry w_k w_l / D_kl,
 
-    the sectors of :func:`vws.operators._parity_sectors` with modes indexed
-    k - 1.  Returns the spectrum D, the weights w (n-1, 2) with column a
-    those of parity a, and the sectors.
+    the closed form of :class:`vws.operators._SectorInverse` with modes
+    indexed k - 1.  Returns the spectrum D, the weights w (n-1, 2) with
+    column a those of parity a, and K^{-1}, a :class:`_SectorInverse`.
     """
     h = 1.0 / n
     lam = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
@@ -126,8 +126,7 @@ def _plate_capacitance_sectors(n: int):
     modes = np.arange(n - 1)
     w = np.zeros((n - 1, 2))
     w[modes, modes % 2] = 2.0 / np.sqrt(n) * np.sin((modes + 1) * np.pi / n)
-    sectors = _parity_sectors(1.0 / den, w, modes, 0.5 / n ** 4, 1.0)
-    return den, w, sectors
+    return den, w, _SectorInverse(1.0 / den, w, modes, 0.5 / n ** 4, 1.0)
 
 
 class _ClampedPlateInverse:
@@ -140,8 +139,7 @@ class _ClampedPlateInverse:
     """
 
     def __init__(self, n: int):
-        self._den, self._w, sectors = _plate_capacitance_sectors(n)
-        self._k_inv = _SectorInverse(sectors)
+        self._den, self._w, self._k_inv = _plate_capacitance_sectors(n)
 
     @property
     def nbytes(self) -> int:

@@ -53,10 +53,9 @@ time; from 128 on, scipy's call.
 
 That capacitance matrix, and the clamped-plate one of :mod:`vws.biharmonic`,
 couple two pairs of opposite walls through a diagonal 2-D spectral inverse,
-so both split into four parity sectors with the same closed form
-(:func:`_parity_sectors`) and are inverted by the same block elimination
-(:class:`_SectorInverse`), run on all four sectors at once as zero-padded
-stacks, with no loop over sectors.
+so both split into four parity sectors with the same closed form, which one
+class, :class:`_SectorInverse`, builds and inverts by block elimination; a
+call runs all four sectors at once as zero-padded stacks.
 """
 
 from __future__ import annotations
@@ -311,9 +310,8 @@ def cg_solve(A, b, rel_tol: float = 1e-10,
     )
 
 
-def _parity_sectors(inv_d: np.ndarray, weight: np.ndarray, modes: np.ndarray,
-                    delta: float, sign: float) -> list:
-    """Closed-form wall capacitance matrix K, split into four parity sectors.
+class _SectorInverse:
+    """K^{-1} for a closed-form wall capacitance matrix K, by parity sector.
 
     Both capacitance matrices here (the no-slip pressure correction of
     :class:`SaddleInverse` and the clamped plate of :mod:`vws.biharmonic`)
@@ -328,43 +326,32 @@ def _parity_sectors(inv_d: np.ndarray, weight: np.ndarray, modes: np.ndarray,
     * The coupling of first-pair mode k and second-pair mode l is dense:
       sign weight_kb weight_la inv_d[k, l].
 
-    The coupling is nonzero only for first-pair modes of parity b and
-    second-pair modes of parity a, so K splits into four sectors (a, b),
-    returned as tuples (a, b, k, l, d1, c, d2): first-pair modes k,
-    second-pair modes l, the diagonals d1, d2 and the coupling block c.
+    The coupling is nonzero only for first-pair modes k of parity b and
+    second-pair modes l of parity a, so K splits into four sectors (a, b),
+    each with diagonals D1, D2 and a coupling block C.  Each sector is
+    inverted by block elimination of D1; the inverse of the dense Schur
+    complement D2 - C^T D1^{-1} C is stored.  The sectors are zero-padded to
+    one size and stacked, so a call is one gather per input, three batched
+    products and one scatter per output.  Sector (a, b) reads and writes the
+    raveled (r1, r2) entries 2k + a and 2l + b; a padded entry points at a
+    zero slot appended past the data (index -1), and rows in no sector come
+    back zero.
     """
-    parity = modes % 2
-    sectors = []
-    for a in (0, 1):
-        for b in (0, 1):
-            k = modes[parity == b]
-            l = modes[parity == a]
+
+    def __init__(self, inv_d: np.ndarray, weight: np.ndarray,
+                 modes: np.ndarray, delta: float, sign: float):
+        by_parity = [modes[modes % 2 == a] for a in (0, 1)]
+        p = max(map(len, by_parity))
+        self._i1, self._i2 = np.full((4, p), -1), np.full((4, p), -1)
+        self._d1_inv, self._e = np.zeros((4, p)), np.zeros((4, p, p))
+        self._s2_inv = np.zeros((4, p, p))
+        for j in range(4):
+            a, b = divmod(j, 2)
+            k, l = by_parity[b], by_parity[a]
             d1 = delta + inv_d[k] @ weight[:, a] ** 2
             d2 = delta + weight[:, b] ** 2 @ inv_d[:, l]
             c = sign * np.outer(weight[k, b], weight[l, a])
             c *= inv_d[np.ix_(k, l)]
-            sectors.append((a, b, k, l, d1, c, d2))
-    return sectors
-
-
-class _SectorInverse:
-    """K^{-1} for the sectors of :func:`_parity_sectors`, all four at once.
-
-    Each sector is inverted by block elimination of its diagonal first-pair
-    part; the inverse of the dense Schur complement D2 - C^T D1^{-1} C of
-    that part is stored.  The sectors are zero-padded to common sizes and
-    stacked, so a call is one gather per input, three batched products and
-    one scatter per output.  Sector (a, b) reads and writes the raveled
-    (r1, r2) entries 2k + a and 2l + b; a padded entry points at a zero slot
-    appended past the data (index -1), and rows in no sector come back zero.
-    """
-
-    def __init__(self, sectors: list):
-        p, q = (max(len(s[i]) for s in sectors) for i in (2, 3))
-        self._i1, self._i2 = np.full((4, p), -1), np.full((4, q), -1)
-        self._d1_inv, self._e = np.zeros((4, p)), np.zeros((4, p, q))
-        self._s2_inv = np.zeros((4, q, q))
-        for j, (a, b, k, l, d1, c, d2) in enumerate(sectors):
             e = c / d1[:, None]
             s2 = np.linalg.inv(np.diag(d2) - c.T @ e)
             self._i1[j, :len(k)], self._i2[j, :len(l)] = 2 * k + a, 2 * l + b
@@ -408,8 +395,8 @@ def _capacitance_sectors(n: int, shift: float):
 
     where w_l = sqrt(2) psi_l(0) is the weight of cosine mode l on the even
     (bottom + top, left + right) or odd (bottom - top, ...) wall pair; since
-    psi_l(n-1) = (-1)^l psi_l(0), even pairs see only even l.  These are the
-    sectors of :func:`_parity_sectors` with the u1 pair first, weights
+    psi_l(n-1) = (-1)^l psi_l(0), even pairs see only even l.  This is the
+    closed form of :class:`_SectorInverse` with the u1 pair first, weights
     sqrt(mu) w and the sine modes 1..n-1.
 
     A shift that zeroes a denominator of the no-slip velocity Laplacian
@@ -418,10 +405,10 @@ def _capacitance_sectors(n: int, shift: float):
 
     Returns sqrt(mu) (mu the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n,
     2) with column a the weights of parity a, the 2-D tables L^+ and 1/(L +
-    shift), and the sectors.  The constant mode (0, 0), the kernel of L, is
-    never inverted; no face mode and no zero-mean pressure reads that entry
-    of either table (0 in L^+, 1 in 1/(L + shift) at a nonzero shift), so at
-    shift 0 the two tables are one array.
+    shift), and K^{-1}, a :class:`_SectorInverse`.  The constant mode (0,
+    0), the kernel of L, is never inverted; no face mode and no zero-mean
+    pressure reads that entry of either table (0 in L^+, 1 in 1/(L + shift)
+    at a nonzero shift), so at shift 0 the two tables are one array.
     """
     h = 1.0 / n
     modes = np.arange(n)
@@ -446,9 +433,8 @@ def _capacitance_sectors(n: int, shift: float):
     # 1 / D = L^+ / (L + shift), in place of the last n^2 temporary
     inv_d = np.divide(lap_pinv, den, out=den)
     root_mu = np.sqrt(mu)
-    sectors = _parity_sectors(inv_d, root_mu[:, None] * w, modes[1:],
-                              0.5 * h * h, -1.0)
-    return root_mu, w, lap_pinv, inv_den, sectors
+    return root_mu, w, lap_pinv, inv_den, _SectorInverse(
+        inv_d, root_mu[:, None] * w, modes[1:], 0.5 * h * h, -1.0)
 
 
 def _border_lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -506,8 +492,7 @@ class SaddleInverse:
         # _inv_den, A_fs^{-1}, is symmetric: rows 1.. serve u1's modes and
         # columns 1.. u2's
         (self._root_mu, self._w, self._lap_pinv, self._inv_den,
-         sectors) = _capacitance_sectors(n, shift)
-        self._k_inv = _SectorInverse(sectors)
+         self._k_inv) = _capacitance_sectors(n, shift)
         self._c_inv = 1.0 / (0.5 * h * h + self._inv_den[1:] @ self._w ** 2)
         # the type-I sine modes of the unit vectors 0, 1, m - 2 and m - 1 of
         # length m = n - 1, and the type-II cosine ones of length n, as rows;

@@ -96,25 +96,23 @@ def dense_face_gradient(grid):
     return _dense_saddle(grid)[:m, m:-1].copy()
 
 
-def check_sector_inverse(sectors, K, first_mode, seed=0):
-    """Check vws.operators._SectorInverse of ``sectors`` against the dense
-    capacitance matrix K they were assembled into, on a seeded random
-    (r1, r2).  K orders the first pair's (parity a, mode k) at a m + k -
-    first_mode and the second pair's after them, m = K.shape[0] / 4 modes a
-    pair; rows below first_mode lie in no sector."""
-    from vws.operators import _SectorInverse
-
+def check_sector_inverse(k_inv, K, first_mode):
+    """Check a vws.operators._SectorInverse k_inv against a dense capacitance
+    matrix K: k_inv applied to the 4m unit vectors, m = K.shape[0] / 4 modes
+    a pair, must be K^{-1}.  K orders the first pair's (parity a, mode k) at
+    a m + k - first_mode and the second pair's after them; rows below
+    first_mode lie in no sector, are filled with ones and must come back
+    zero, and the inputs must not be written."""
     m = K.shape[0] // 4
-    rng = np.random.default_rng(seed)
-    r1 = rng.standard_normal((first_mode + m, 2))
-    r2 = rng.standard_normal((first_mode + m, 2))
-    kept = r1.copy(), r2.copy()
-    y1, y2 = _SectorInverse(sectors)(r1, r2)
-    assert np.array_equal(r1, kept[0]) and np.array_equal(r2, kept[1])
-    assert not y1[:first_mode].any() and not y2[:first_mode].any()
-
-    def in_k(x1, x2):
-        return np.concatenate([x1[first_mode:].T.ravel(), x2[first_mode:].T.ravel()])
-
-    r, y = in_k(r1, r2), in_k(y1, y2)
-    assert np.abs(K @ y - r).max() <= 1e-12 * np.abs(r).max()
+    cols = []
+    for e in np.eye(4 * m):
+        r1, r2 = np.ones((2, first_mode + m, 2))
+        r1[first_mode:], r2[first_mode:] = e.reshape(2, 2, m).swapaxes(1, 2)
+        kept = r1.copy(), r2.copy()
+        y1, y2 = k_inv(r1, r2)
+        assert np.array_equal(r1, kept[0]) and np.array_equal(r2, kept[1])
+        assert not y1[:first_mode].any() and not y2[:first_mode].any()
+        cols.append(np.concatenate([y1[first_mode:].T.ravel(),
+                                    y2[first_mode:].T.ravel()]))
+    K_inv = np.column_stack(cols)
+    assert np.abs(np.linalg.inv(K_inv) - K).max() <= 1e-12 * np.abs(K).max()

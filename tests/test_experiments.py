@@ -65,6 +65,17 @@ def test_readme_recipe_table_names_each_recipes_flags():
     assert _subparser_flags("all") == {"--n", "--eps", "--out"}
 
 
+def test_readme_library_session_runs(capsys):
+    # the README's minimal library session runs as written and prints two
+    # finite numbers, the estimate ratio and the duality identity's gap
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    session = re.search(r"^A minimal library session:\n\n```python\n(.*?)^```\n",
+                        readme, re.MULTILINE | re.DOTALL)
+    exec(session.group(1), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and np.isfinite([float(v) for v in printed]).all()
+
+
 # no recipe reads --seed: operator-algebra draws its operands from a fixed seed
 _UNREAD = [(name, flag) for name, r in RECIPES.items()
            for flag, reads in (("--n", bool(r.ladder)), ("--eps", r.widths > 0),
