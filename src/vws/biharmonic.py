@@ -74,12 +74,15 @@ class StreamFunction:
 def apply_biharmonic(grid: StaggeredGrid, psi_int: np.ndarray) -> np.ndarray:
     """13-point clamped-plate operator on interior node values.
 
-    psi_int has shape (n-1, n-1) (nodes 1..n-1 each way).  Boundary nodes are
-    held at zero and ghost nodes mirror the interior (the homogeneous part of
-    the normal-derivative condition), which is what keeps the operator
-    symmetric.
+    psi_int has shape (n-1, n-1) (nodes 1..n-1 each way); another shape
+    raises ValueError.  Boundary nodes are held at zero and ghost nodes
+    mirror the interior (the homogeneous part of the normal-derivative
+    condition), which is what keeps the operator symmetric.
     """
     n, h = grid.n, grid.h
+    if np.shape(psi_int) != (n - 1, n - 1):
+        raise ValueError(f"interior nodes must have shape {(n - 1, n - 1)}, "
+                         f"got {np.shape(psi_int)}")
     p = np.zeros((n + 3, n + 3))
     p[2:n + 1, 2:n + 1] = psi_int
     for side in SIDES:
@@ -99,13 +102,14 @@ def apply_biharmonic(grid: StaggeredGrid, psi_int: np.ndarray) -> np.ndarray:
     return out / h ** 4
 
 
-def _plate_capacitance_sectors(n: int):
-    """Closed-form capacitance matrix K = (h^4/2) I + U^T L_D^-2 U, by sector.
+class _ClampedPlateInverse:
+    """Exact inverse of the 13-point clamped-plate operator, by Woodbury.
 
-    The wall lines are taken in pairs: left and right (nodes i = 1 and
-    i = n-1, the first pair), bottom and top (j = 1 and j = n-1, the
-    second), each as its even (sum) or odd (difference) combination over
-    sqrt(2).  Along a line the basis is the sine modes phi_k(i) =
+    A^{-1} b = L_D^-2 b - L_D^-2 U K^{-1} U^T L_D^-2 b, K = (h^4/2) I +
+    U^T L_D^-2 U.  The wall lines are taken in pairs: left and right (nodes
+    i = 1 and i = n-1, the first pair), bottom and top (j = 1 and j = n-1,
+    the second), each as its even (sum) or odd (difference) combination
+    over sqrt(2).  Along a line the basis is the sine modes phi_k(i) =
     sqrt(2/n) sin(k i pi/n), k = 1..n-1; since phi_k(n-1) =
     (-1)^(k+1) phi_k(1), the even pair sees the odd modes k with weight
     w_k = sqrt(2) phi_k(1), the odd pair the even ones.  With
@@ -117,29 +121,20 @@ def _plate_capacitance_sectors(n: int):
     * a dense row-column block, entry w_k w_l / D_kl,
 
     the closed form of :class:`vws.operators._SectorInverse` with modes
-    indexed k - 1.  Returns the spectrum D, the weights w (n-1, 2) with
-    column a those of parity a, and K^{-1}, a :class:`_SectorInverse`.
-    """
-    h = 1.0 / n
-    lam = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
-    den = (lam[:, None] + lam[None, :]) ** 2
-    modes = np.arange(n - 1)
-    w = np.zeros((n - 1, 2))
-    w[modes, modes % 2] = 2.0 / np.sqrt(n) * np.sin((modes + 1) * np.pi / n)
-    return den, w, _SectorInverse(1.0 / den, w, modes, 0.5 / n ** 4, 1.0)
-
-
-class _ClampedPlateInverse:
-    """Exact inverse of the 13-point clamped-plate operator, by Woodbury.
-
-    A^{-1} b = L_D^-2 b - L_D^-2 U K^{-1} U^T L_D^-2 b with K from
-    :func:`_plate_capacitance_sectors`.  In the 2-D DST-I modes L_D^-2 is
+    indexed k - 1.  The build holds D, the weights w (n-1, 2) with column a
+    those of parity a, and K^{-1}.  In the 2-D DST-I modes L_D^-2 is
     division by D, U^T picks the pair values by the weights w, and U spreads
     them back, so one solve takes one forward and one inverse transform.
     """
 
     def __init__(self, n: int):
-        self._den, self._w, self._k_inv = _plate_capacitance_sectors(n)
+        h = 1.0 / n
+        lam = (2.0 - 2.0 * np.cos(np.arange(1, n) * np.pi / n)) / h ** 2
+        self._den = (lam[:, None] + lam[None, :]) ** 2
+        modes = np.arange(n - 1)
+        self._w = w = np.zeros((n - 1, 2))
+        w[modes, modes % 2] = 2.0 / np.sqrt(n) * np.sin((modes + 1) * np.pi / n)
+        self._k_inv = _SectorInverse(1.0 / self._den, w, modes, 0.5 / n ** 4, 1.0)
 
     @property
     def nbytes(self) -> int:

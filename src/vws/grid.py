@@ -81,6 +81,13 @@ def require_same_grid(grid: StaggeredGrid, *items) -> None:
                              f"passed with an n={grid.n} grid")
 
 
+def _require_interior(n: int, u1, u2) -> None:
+    """Raise ValueError unless u1 and u2 have the interior face shapes."""
+    if np.shape(u1) != (n - 1, n) or np.shape(u2) != (n, n - 1):
+        raise ValueError(f"interior faces must have shapes {(n - 1, n)} and "
+                         f"{(n, n - 1)}, got {np.shape(u1)} and {np.shape(u2)}")
+
+
 @dataclass(frozen=True)
 class VelocityField:
     """Face-valued velocity (u1, u2), boundary faces included.
@@ -135,6 +142,7 @@ class VelocityField:
     def from_interior(cls, grid, u1_int, u2_int) -> "VelocityField":
         """Field with the given interior faces and zero wall faces."""
         n = grid.n
+        _require_interior(n, u1_int, u2_int)
         u1 = np.zeros((n + 1, n))
         u2 = np.zeros((n, n + 1))
         u1[1:n, :] = u1_int

@@ -68,7 +68,8 @@ from scipy.fft import dct, dst, idct
 
 from .boundary import AXIS, SIDES, BoundaryData, _pair_sum, wall
 from .errors import IncompatibleBoundaryData, NonConvergence
-from .grid import PressureField, StaggeredGrid, VelocityField, require_same_grid
+from .grid import (PressureField, StaggeredGrid, VelocityField,
+                   _require_interior, require_same_grid)
 
 __all__ = [
     "DIV_TOL",
@@ -163,10 +164,11 @@ def apply_velocity_laplacian(grid: StaggeredGrid, u1, u2):
 
     u1 (n-1, n) and u2 (n, n-1) are interior-shaped; the wall faces count
     as zero and the tangential ghosts as -u.  Returns interior-shaped
-    arrays.  Boundary data enter a right side only through
-    :func:`laplacian_load`, as b in A u = b.
+    arrays; other shapes raise ValueError.  Boundary data enter a right side
+    only through :func:`laplacian_load`, as b in A u = b.
     """
     n, h = grid.n, grid.h
+    _require_interior(n, u1, u2)
     ih2 = 1.0 / h ** 2
     r = []
     for t, u in enumerate((u1, u2)):
@@ -333,9 +335,9 @@ class _SectorInverse:
     complement D2 - C^T D1^{-1} C is stored.  The sectors are zero-padded to
     one size and stacked, so a call is one gather per input, three batched
     products and one scatter per output.  Sector (a, b) reads and writes the
-    raveled (r1, r2) entries 2k + a and 2l + b; a padded entry points at a
-    zero slot appended past the data (index -1), and rows in no sector come
-    back zero.
+    raveled (r1, r2) entries 2k + a and 2l + b.  A padded entry, index -1,
+    reads the last input entry, which the zero-padded tables multiply by
+    zero, and writes a slot past the output; rows in no sector read zero.
     """
 
     def __init__(self, inv_d: np.ndarray, weight: np.ndarray,
@@ -368,8 +370,7 @@ class _SectorInverse:
         """(y1, y2) = K^{-1} (r1, r2), stacked; r1[k, a] is first-pair mode k,
         parity a.  r1 and r2, of one shape with two columns, are read, never
         written."""
-        f1 = np.concatenate((r1.ravel(), [0.0]))[self._i1]
-        f2 = np.concatenate((r2.ravel(), [0.0]))[self._i2]
+        f1, f2 = r1.ravel()[self._i1], r2.ravel()[self._i2]
         # x2 = S2^{-1} (f2 - E^T f1), y1 = D1^{-1} f1 - E x2, per sector
         f2 -= np.matmul(f1[:, None], self._e)[:, 0]
         x2 = np.matmul(f2[:, None], self._s2_inv)
@@ -378,63 +379,6 @@ class _SectorInverse:
         y = np.zeros((2, r1.size + 1))
         y[0, self._i1], y[1, self._i2] = f1, x2[:, 0]
         return y[:, :-1].reshape((2,) + r1.shape)
-
-
-def _capacitance_sectors(n: int, shift: float):
-    """Closed-form capacitance matrix K of the no-slip walls, by parity sector.
-
-    The no-slip operator is the free-slip one (tangential ghost +u) plus
-    2/h^2 on the m = 4(n-1) wall-adjacent tangential faces.  In the type-I
-    sine modes along each wall, K = (h^2/2) I + U^T A_fs^{-1} U
-    - U^T G [L (L + shift)]^+ G^T U, L = -Delta_N, has, with
-    D_kl = (mu_k + mu_l)(mu_k + mu_l + shift):
-
-    * u1-u1 and u2-u2 blocks diagonal per wall mode, entry
-      (h^2/2) + sum_l mu_l w_l^2 / D_kl;
-    * a dense u1-u2 block, entry -sqrt(mu_k mu_l) w_k w_l / D_kl,
-
-    where w_l = sqrt(2) psi_l(0) is the weight of cosine mode l on the even
-    (bottom + top, left + right) or odd (bottom - top, ...) wall pair; since
-    psi_l(n-1) = (-1)^l psi_l(0), even pairs see only even l.  This is the
-    closed form of :class:`_SectorInverse` with the u1 pair first, weights
-    sqrt(mu) w and the sine modes 1..n-1.
-
-    A shift that zeroes a denominator of the no-slip velocity Laplacian
-    (mu_k + nu_l + shift, k >= 1, nu_l = mu_l for l < n, 4/h^2 for l = n),
-    or a factor mu_k + mu_l + shift, (k, l) != (0, 0), raises ValueError.
-
-    Returns sqrt(mu) (mu the 1-D eigenvalues (2 - 2 cos(k pi/n))/h^2), w (n,
-    2) with column a the weights of parity a, the 2-D tables L^+ and 1/(L +
-    shift), and K^{-1}, a :class:`_SectorInverse`.  The constant mode (0,
-    0), the kernel of L, is never inverted; no face mode and no zero-mean
-    pressure reads that entry of either table (0 in L^+, 1 in 1/(L + shift)
-    at a nonzero shift), so at shift 0 the two tables are one array.
-    """
-    h = 1.0 / n
-    modes = np.arange(n)
-    mu = (2.0 - 2.0 * np.cos(modes * np.pi / n)) / h ** 2
-    nu = np.append(mu[1:], 4.0 / h ** 2)
-    if not (mu[1:, None] + nu[None, :] + shift).all():
-        raise ValueError(
-            f"shift {shift!r} makes the velocity Laplacian singular")
-    psi0 = np.sqrt(2.0 / n) * np.cos(modes * np.pi / (2 * n))
-    psi0[0] = np.sqrt(1.0 / n)
-    w = np.zeros((n, 2))
-    w[modes, modes % 2] = np.sqrt(2.0) * psi0
-    lam = mu[:, None] + mu[None, :]
-    den = lam + shift
-    den[0, 0] = 1.0
-    if not den.all():
-        raise ValueError(
-            f"shift {shift!r} makes the pressure Schur complement singular")
-    lam[0, 0] = np.inf
-    lap_pinv = np.reciprocal(lam, out=lam)
-    inv_den = np.reciprocal(den) if shift else lap_pinv
-    # 1 / D = L^+ / (L + shift), in place of the last n^2 temporary
-    inv_d = np.divide(lap_pinv, den, out=den)
-    root_mu = np.sqrt(mu)
-    return root_mu, w, lap_pinv, inv_den, _SectorInverse(
-        inv_d, root_mu[:, None] * w, modes[1:], 0.5 * h * h, -1.0)
 
 
 def _border_lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,11 +408,17 @@ class SaddleInverse:
       per wall mode and parity;
     * S = -D A^{-1} G has the exact inverse CC + B0^T K^{-1} B0: CC = I +
       shift L^+, L = mu_k + mu_l, the Cahouet-Chabard map that inverts the
-      free-slip complement, B0 = U^T G L^+, and K the capacitance matrix of
-      :func:`_capacitance_sectors`, applied by :class:`_SectorInverse`.
-
-    The build holds the (n, n) tables L^+ and 1/(L + shift), one array at
-    shift 0, which every velocity and Schur solve reads; no solve forms L.
+      free-slip complement, and B0 = U^T G L^+.  With D_kl = (mu_k +
+      mu_l)(mu_k + mu_l + shift), the capacitance matrix K = (h^2/2) I +
+      U^T A_fs^{-1} U - U^T G [L (L + shift)]^+ G^T U, L = -Delta_N, has in
+      the sine modes along each wall u1-u1 and u2-u2 blocks diagonal per
+      wall mode, entry (h^2/2) + sum_l mu_l w_l^2 / D_kl, and a dense u1-u2
+      block, entry -sqrt(mu_k mu_l) w_k w_l / D_kl.  w_l = sqrt(2) psi_l(0)
+      weighs cosine mode l on the even (bottom + top, left + right) or odd
+      (bottom - top, ...) wall pair; since psi_l(n-1) = (-1)^l psi_l(0),
+      even pairs see only even l.  This is the closed form of
+      :class:`_SectorInverse`, which applies K^{-1}, with the u1 pair first,
+      weights sqrt(mu) w and the sine modes 1..n-1.
 
     :meth:`solve_modes` runs p = S^{-1}(c - D A^{-1} b), u = A^{-1}(b - G p)
     in these modes, from the modes of b and c that :meth:`right_side`
@@ -479,9 +429,17 @@ class SaddleInverse:
     :meth:`solve_homogeneous_modes` is the modal stage alone for zero data,
     its defect checked in the modes, and
     :meth:`velocity_wall_lines` and :meth:`pressure_wall_lines` bring back
-    only the lines by each wall.  A non-finite shift, or one at which the
-    velocity Laplacian or the Schur complement is singular, raises
-    ValueError.
+    only the lines by each wall.
+
+    The build holds sqrt(mu), w (n, 2), column a the weights of parity a,
+    K^{-1} and the (n, n) tables L^+ and 1/(L + shift), which every velocity
+    and Schur solve reads; no solve forms L.  Neither table inverts the
+    constant mode (0, 0), the kernel of L, which no face mode and no zero-mean
+    pressure reads (0 in L^+, 1 in 1/(L + shift) at a nonzero shift), so at
+    shift 0 they are one array.  A non-finite shift raises ValueError, as does
+    one that zeroes a denominator of the velocity Laplacian (mu_k + nu_l +
+    shift, k >= 1, nu_l = mu_l for l < n, 4/h^2 for l = n) or of the Schur
+    complement (mu_k + mu_l + shift, (k, l) != (0, 0)).
     """
 
     def __init__(self, grid: StaggeredGrid, shift: float = 0.0):
@@ -489,10 +447,31 @@ class SaddleInverse:
             raise ValueError("shift has non-finite values")
         n, h = grid.n, grid.h
         self.grid, self.shift = grid, shift
+        modes = np.arange(n)
+        mu = (2.0 - 2.0 * np.cos(modes * np.pi / n)) / h ** 2
+        nu = np.append(mu[1:], 4.0 / h ** 2)
+        if not (mu[1:, None] + nu[None, :] + shift).all():
+            raise ValueError(f"shift {shift!r} makes the velocity Laplacian singular")
+        psi0 = np.sqrt(2.0 / n) * np.cos(modes * np.pi / (2 * n))
+        psi0[0] = np.sqrt(1.0 / n)
+        self._w = np.zeros((n, 2))
+        self._w[modes, modes % 2] = np.sqrt(2.0) * psi0
+        lam = mu[:, None] + mu[None, :]
+        den = lam + shift
+        den[0, 0] = 1.0
+        if not den.all():
+            raise ValueError(
+                f"shift {shift!r} makes the pressure Schur complement singular")
+        lam[0, 0] = np.inf
+        self._lap_pinv = np.reciprocal(lam, out=lam)
         # _inv_den, A_fs^{-1}, is symmetric: rows 1.. serve u1's modes and
         # columns 1.. u2's
-        (self._root_mu, self._w, self._lap_pinv, self._inv_den,
-         self._k_inv) = _capacitance_sectors(n, shift)
+        self._inv_den = np.reciprocal(den) if shift else self._lap_pinv
+        # 1 / D = L^+ / (L + shift), in place of the last n^2 temporary
+        inv_d = np.divide(self._lap_pinv, den, out=den)
+        self._root_mu = np.sqrt(mu)
+        self._k_inv = _SectorInverse(inv_d, self._root_mu[:, None] * self._w,
+                                     modes[1:], 0.5 * h * h, -1.0)
         self._c_inv = 1.0 / (0.5 * h * h + self._inv_den[1:] @ self._w ** 2)
         # the type-I sine modes of the unit vectors 0, 1, m - 2 and m - 1 of
         # length m = n - 1, and the type-II cosine ones of length n, as rows;

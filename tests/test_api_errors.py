@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vws.biharmonic import solve_biharmonic
+from vws.biharmonic import apply_biharmonic, solve_biharmonic
 from vws.boundary import (SIDES, BoundaryData, cavity_g, cavity_g_eps,
                           corner_variant, l2_norm_gamma, sigma)
 from vws.errors import NonConvergence, ZeroBoundaryData
@@ -30,7 +30,7 @@ from vws.evolution import (
     spacetime_pairing_reference,
 )
 from vws.grid import VelocityField, build_grid, l2_norm_omega
-from vws.operators import stream_curl
+from vws.operators import apply_velocity_laplacian, stream_curl
 from vws.stokes import (residual_report, solve_boundary, solve_homogeneous,
                         solve_saddle)
 from vws.traces import (TangentialBoundaryData, boundary_pairing, pairing_L,
@@ -94,6 +94,19 @@ _BOUNDARY_CHECKS = {
     "l2_norm_omega_non_field": (
         lambda: l2_norm_omega(np.zeros((8, 8))), TypeError,
         "cannot take an Omega norm of ndarray"),
+    "from_interior_shape": (
+        lambda: VelocityField.from_interior(build_grid(8), np.arange(8.0),
+                                            np.arange(7.0)), ValueError,
+        "interior faces must have shapes \\(7, 8\\) and \\(8, 7\\), "
+        "got \\(8,\\) and \\(7,\\)"),
+    "apply_velocity_laplacian_shape": (
+        lambda: apply_velocity_laplacian(build_grid(8), np.ones((1, 8)),
+                                         np.ones((8, 1))), ValueError,
+        "interior faces must have shapes \\(7, 8\\) and \\(8, 7\\), "
+        "got \\(1, 8\\) and \\(8, 1\\)"),
+    "apply_biharmonic_shape": (
+        lambda: apply_biharmonic(build_grid(8), np.ones(7)), ValueError,
+        "interior nodes must have shape \\(7, 7\\), got \\(7,\\)"),
 }
 
 

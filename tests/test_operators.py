@@ -7,8 +7,11 @@ from scipy.fft import dct, dctn, dst, idct, idctn
 from scipy.linalg import hilbert
 
 from vws import operators
-from vws.boundary import BoundaryData, outward_normal_data, rotation_data
+from vws.biharmonic import _clamped_plate_inverse, solve_biharmonic
+from vws.boundary import (BoundaryData, cavity_g_eps, outward_normal_data,
+                          rotation_data)
 from vws.errors import NonConvergence
+from vws.evolution import TimeBoundaryData, evolve
 from vws.grid import PressureField, VelocityField, build_grid
 from vws.operators import (
     SaddleInverse,
@@ -22,10 +25,10 @@ from vws.operators import (
     saddle_inverses,
     stream_curl,
 )
-from vws.operators import _capacitance_sectors
 from vws.experiments.report import orders
 
 from vws.stokes import solve_boundary, solve_saddle
+from vws.transposition import transposition_identity
 
 from support import (
     check_sector_inverse, dense_face_gradient, dense_velocity_laplacian,
@@ -327,8 +330,43 @@ def test_capacitance_matrix_matches_probe(n, shift):
 
     # the closed form, through the stacked, padded inverse that every Schur
     # solve applies; mode 0 lies in no sector
-    check_sector_inverse(_capacitance_sectors(n, shift)[-1], K_probe,
+    check_sector_inverse(SaddleInverse(grid, shift)._k_inv, K_probe,
                          first_mode=1)
+
+
+# the solve under test, the shift of the saddle inverse it reads (None for
+# the clamped plate) and its error; measured at n = 64 under the
+# perturbation below: defects 5.9e-3, 1.6e-5 and 1.1e-2, and a plate
+# residual of 1.05e4 against a bound of 1e-12 x 9.75e7
+_K_CHECKS = {
+    "solve_boundary": (lambda grid, g, u: solve_boundary(grid, g), 0.0,
+                       "divergence defect"),
+    "transposition_adjoint": (
+        lambda grid, g, u: transposition_identity(grid, g, u=u), 0.0,
+        "divergence defect"),
+    "evolve_cn": (
+        lambda grid, g, u: evolve(grid, TimeBoundaryData.constant(g), 0.25,
+                                  0.125, scheme="cn"),
+        2.0 / 0.125, "forward step 1/2 .*divergence defect"),
+    "solve_biharmonic": (lambda grid, g, u: solve_biharmonic(grid, g), None,
+                         "clamped plate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_K_CHECKS))
+def test_perturbed_capacitance_inverse_raises(monkeypatch, case):
+    # K^{-1} off by 0.1% on the cached inverse that the solve reads: the
+    # solve's own check must see it, not return a wrong answer
+    call, shift, message = _K_CHECKS[case]
+    grid = build_grid(64)
+    g = cavity_g_eps(grid, 0.125)
+    u = solve_boundary(grid, g).velocity
+    inv = (_clamped_plate_inverse(grid) if shift is None
+           else saddle_inverses(grid, shift))
+    k_inv = inv._k_inv
+    monkeypatch.setattr(inv, "_k_inv", lambda r1, r2: 1.001 * k_inv(r1, r2))
+    with pytest.raises(NonConvergence, match=message):
+        call(grid, g, u)
 
 
 def test_schur_inverse_is_small_cached_and_untraced(monkeypatch):
